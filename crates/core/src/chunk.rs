@@ -27,6 +27,7 @@
 //! system); each chunk additionally carries a CRC-32, so an id collision
 //! is detected at reassembly, never silently merged.
 
+use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
 
 use bytes::Bytes;
@@ -146,6 +147,21 @@ impl Manifest {
                 None
             }
         })
+    }
+
+    /// The head and tail entries. `entries` is a public field, so a
+    /// hand-built manifest can be shorter or differently shaped than
+    /// [`Manifest::decode`] allows; every lazy-decode step asks here first.
+    pub(crate) fn ends(&self) -> Result<(&ManifestEntry, &ManifestEntry), WireError> {
+        match self.entries.as_slice() {
+            [head, .., tail] if head.kind == ChunkKind::Head && tail.kind == ChunkKind::Tail => {
+                Ok((head, tail))
+            }
+            _ => Err(WireError::Corrupt(format!(
+                "manifest of {} entries has no head and tail",
+                self.entries.len()
+            ))),
+        }
     }
 
     /// Number of function chunks.
@@ -675,10 +691,10 @@ pub struct LazyLoader<'a> {
     pool: &'a ChunkPool,
     /// Function → entry index, for closure walks.
     by_func: HashMap<FuncId, usize>,
-    /// The head's function-identity directory, decoded on first use —
-    /// function records are id-free (v6), so decoding any of them needs
-    /// the directory for callee-hash resolution.
-    dir: std::cell::OnceCell<package::FuncDirectory>,
+    /// The decoded head chunk, fetched and verified once on first use.
+    /// Function records are id-free, so decoding any of them needs the
+    /// head's directory for callee-hash resolution.
+    head: OnceCell<(PackageMeta, PreloadLists, package::FuncDirectory)>,
 }
 
 impl<'a> LazyLoader<'a> {
@@ -689,19 +705,30 @@ impl<'a> LazyLoader<'a> {
             man,
             pool,
             by_func,
-            dir: std::cell::OnceCell::new(),
+            head: OnceCell::new(),
         }
     }
 
-    /// The head directory, decoding the head chunk on first use.
-    fn directory(&self) -> Result<&package::FuncDirectory, WireError> {
-        if let Some(d) = self.dir.get() {
-            return Ok(d);
+    /// The decoded head, fetching and verifying the head chunk on first
+    /// use.
+    fn head(&self) -> Result<&(PackageMeta, PreloadLists, package::FuncDirectory), WireError> {
+        if let Some(h) = self.head.get() {
+            return Ok(h);
         }
-        let bytes = fetch_verified(self.pool, &self.man.entries[0])?;
+        let bytes = fetch_verified(self.pool, self.man.ends()?.0)?;
         let mut r = Reader::new(bytes);
-        let (_, _, dir) = read_head(&mut r)?;
-        Ok(self.dir.get_or_init(|| dir))
+        let head = read_head(&mut r)?;
+        if r.remaining() != 0 {
+            return Err(WireError::Corrupt("trailing bytes in head chunk".into()));
+        }
+        if head.2.len() != self.man.func_count() {
+            return Err(WireError::Corrupt(format!(
+                "head says {} function records, manifest has {}",
+                head.2.len(),
+                self.man.func_count()
+            )));
+        }
+        Ok(self.head.get_or_init(|| head))
     }
 
     /// The manifest this loader decodes.
@@ -721,21 +748,8 @@ impl<'a> LazyLoader<'a> {
     /// Returns a [`WireError`] when the chunk is missing, corrupt, or
     /// disagrees with the manifest (function count mismatch).
     pub fn decode_head(&self) -> Result<(PackageMeta, PreloadLists), WireError> {
-        let bytes = fetch_verified(self.pool, &self.man.entries[0])?;
-        let mut r = Reader::new(bytes);
-        let (meta, preload, dir) = read_head(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(WireError::Corrupt("trailing bytes in head chunk".into()));
-        }
-        if dir.len() != self.man.func_count() {
-            return Err(WireError::Corrupt(format!(
-                "head says {} function records, manifest has {}",
-                dir.len(),
-                self.man.func_count()
-            )));
-        }
-        let _ = self.dir.set(dir);
-        Ok((meta, preload))
+        let (meta, preload, _) = self.head()?;
+        Ok((*meta, preload.clone()))
     }
 
     /// Decodes the tail chunk into `tier` (property counters) and
@@ -745,8 +759,7 @@ impl<'a> LazyLoader<'a> {
     ///
     /// Returns a [`WireError`] when the chunk is missing or corrupt.
     pub fn decode_tail(&self, tier: &mut TierProfile) -> Result<package::TailParts, WireError> {
-        let e = self.man.entries.last().expect("manifest has a tail entry");
-        let bytes = fetch_verified(self.pool, e)?;
+        let bytes = fetch_verified(self.pool, self.man.ends()?.1)?;
         let mut r = Reader::new(bytes);
         let parts = read_tail(&mut r, tier)?;
         if r.remaining() != 0 {
@@ -778,7 +791,7 @@ impl<'a> LazyLoader<'a> {
             if tier.funcs.contains_key(&func) {
                 continue;
             }
-            let dir = self.directory()?;
+            let dir = &self.head()?.2;
             let bytes = fetch_verified(self.pool, e)?;
             let mut r = Reader::new(bytes);
             let p = read_func_record(&mut r, dir)?;
@@ -1112,9 +1125,9 @@ mod tests {
         let pkg = sample();
         let enc = chunk_package(&pkg, 64).manifest.encode();
 
-        // Envelope version below the floor: rejected at unseal.
+        // Any envelope version but the current one: rejected at unseal.
         let mut old = enc.to_vec();
-        old[8..12].copy_from_slice(&(crate::wire::MIN_VERSION - 1).to_le_bytes());
+        old[8..12].copy_from_slice(&(crate::wire::VERSION - 1).to_le_bytes());
         assert!(matches!(
             Manifest::decode(&old),
             Err(WireError::BadVersion { .. })
@@ -1208,6 +1221,27 @@ mod tests {
             loader.decode_funcs(&[1], &mut tier).is_err(),
             "record/manifest mismatch must be rejected"
         );
+    }
+
+    #[test]
+    fn short_manifests_are_corrupt_not_a_panic() {
+        // `Manifest::decode` refuses fewer than two entries, but the
+        // fields are public: a hand-built one must not index out of range.
+        let cp = chunk_package(&sample(), 64);
+        let mut pool = ChunkPool::new();
+        for c in &cp.chunks {
+            pool.insert(c);
+        }
+        for keep in [0, 1] {
+            let mut man = cp.manifest.clone();
+            man.entries.truncate(keep);
+            let loader = LazyLoader::new(&man, &pool);
+            assert!(matches!(loader.decode_head(), Err(WireError::Corrupt(_))));
+            assert!(matches!(
+                loader.decode_tail(&mut TierProfile::default()),
+                Err(WireError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

@@ -1,21 +1,23 @@
 //! The consumer workflow (Fig. 3c): deserialize → lint (and repair, if
 //! the profile is stale) → preload → compile all optimized code through
 //! the streaming work-stealing pipeline → ready to serve.
+//!
+//! [`consume`], [`consume_bytes`] and [`consume_chunked`] are adapters over
+//! one stage sequence, [`boot`]; early serve is its compile-stage boundary.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use analysis::{
-    is_own_layer_order, lint_profile_with, repair_profile, LintOptions, ProfileView, RepairReport,
-};
+use analysis::{is_own_layer_order, lint_profile_with, repair_profile, LintOptions, RepairReport};
 use bytecode::{ClassId, FuncId, Repo, StrId, UnitId};
-use jit::{CtxProfile, JitEngine, JitOptions, TierProfile, WeightSource};
+use jit::{JitEngine, JitOptions, TierProfile, WeightSource};
 use vm::ClassTable;
 
-use crate::chunk::{ChunkPool, LazyLoader, Manifest};
+use crate::chunk::{ChunkKind, ChunkPool, LazyLoader, Manifest};
 use crate::config::{FuncSort, JumpStartOptions, PropReorder};
 use crate::package::{Poison, ProfilePackage};
-use crate::pipeline::{self, BootStats, EarlyServe, PipelineJob, WorkerStats};
+use crate::pipeline::{self, BootStats, EarlyServe, PipelineJob};
 use crate::wire::WireError;
 
 /// Consumer failures.
@@ -87,16 +89,6 @@ pub struct ConsumerOutcome<'r> {
     pub registry: telemetry::Registry,
 }
 
-/// The profile parts of a package after lint-and-repair, owned because
-/// repair mutates them. `None` means the package was consumable as-is.
-struct OwnedProfile {
-    tier: TierProfile,
-    ctx: CtxProfile,
-    unit_order: Vec<UnitId>,
-    prop_orders: Vec<(ClassId, Vec<StrId>)>,
-    func_order: Vec<FuncId>,
-}
-
 /// Consumers hold every profile — fresh or repaired — to the Kirchhoff
 /// flow-conservation standard: the stale matcher's count inference
 /// produces flow-consistent counters by construction, so a violation
@@ -107,10 +99,6 @@ const CONSUMER_LINT: LintOptions = LintOptions {
     flow_conservation: true,
     type_feasibility: false,
 };
-
-fn lint_errors(repo: &Repo, view: &ProfileView<'_>) -> usize {
-    lint_profile_with(repo, view, &CONSUMER_LINT).error_count()
-}
 
 /// Mirrors a repair report into the boot registry as `repair.*` counters,
 /// so fleet aggregation sees per-boot match-ladder quality alongside the
@@ -141,53 +129,30 @@ fn record_repair(registry: &telemetry::Registry, report: &RepairReport) {
 /// Repairs a package's profile against the current repo: remaps stale
 /// block counters by structural hash, drops unrepairable functions,
 /// prunes dangling/phantom entries and sanitizes the order lists.
-fn repair_package(repo: &Repo, pkg: &ProfilePackage) -> (OwnedProfile, RepairReport) {
-    let mut tier = pkg.tier.clone();
-    let mut ctx = pkg.ctx.clone();
-    let report = repair_profile(repo, &mut tier, &mut ctx);
-
+fn repair_package(repo: &Repo, pkg: &ProfilePackage) -> (ProfilePackage, RepairReport) {
+    let mut fixed = pkg.clone();
+    let report = repair_profile(repo, &mut fixed.tier, &mut fixed.ctx);
     let mut seen_units = HashSet::new();
-    let unit_order: Vec<UnitId> = pkg
+    fixed
         .preload
         .unit_order
-        .iter()
-        .copied()
-        .filter(|u| u.index() < repo.units().len() && seen_units.insert(*u))
-        .collect();
+        .retain(|u| u.index() < repo.units().len() && seen_units.insert(*u));
     let mut seen_funcs = HashSet::new();
-    let func_order: Vec<FuncId> = pkg
+    fixed
         .func_order
-        .iter()
-        .copied()
-        .filter(|f| f.index() < repo.funcs().len() && seen_funcs.insert(*f))
-        .collect();
+        .retain(|f| f.index() < repo.funcs().len() && seen_funcs.insert(*f));
     let mut seen_classes = HashSet::new();
-    let prop_orders: Vec<(ClassId, Vec<StrId>)> = pkg
-        .prop_orders
-        .iter()
-        .filter(|(c, order)| {
-            c.index() < repo.classes().len()
-                && is_own_layer_order(repo, *c, order)
-                && seen_classes.insert(*c)
-        })
-        .cloned()
-        .collect();
-
-    (
-        OwnedProfile {
-            tier,
-            ctx,
-            unit_order,
-            prop_orders,
-            func_order,
-        },
-        report,
-    )
+    fixed.prop_orders.retain(|(c, order)| {
+        c.index() < repo.classes().len()
+            && is_own_layer_order(repo, *c, order)
+            && seen_classes.insert(*c)
+    });
+    (fixed, report)
 }
 
 /// Resolves physical property slots for every class, honoring the
 /// package's installed orders (or declared order with reordering off).
-pub(crate) fn resolve_prop_slots(
+fn resolve_prop_slots(
     repo: &Repo,
     prop_orders: &[(ClassId, Vec<StrId>)],
     apply: bool,
@@ -204,33 +169,6 @@ pub(crate) fn resolve_prop_slots(
         }
     }
     slots
-}
-
-/// Runs the consumer boot sequence over a serialized package, timing the
-/// decode into the boot telemetry ([`BootStats::decode_ns`]).
-///
-/// # Errors
-///
-/// As [`consume`], plus [`ConsumerError::Wire`] when decoding fails.
-pub fn consume_bytes<'r>(
-    repo: &'r Repo,
-    data: &bytes::Bytes,
-    jit_opts: JitOptions,
-    opts: &JumpStartOptions,
-    threads: usize,
-) -> Result<ConsumerOutcome<'r>, ConsumerError> {
-    let t0 = Instant::now();
-    let decode_span = telemetry::span!("decode", "bytes" => data.len());
-    let pkg = ProfilePackage::deserialize_shared(data)?;
-    drop(decode_span);
-    let decode_ns = t0.elapsed().as_nanos() as u64;
-    let mut out = consume(repo, &pkg, jit_opts, opts, threads)?;
-    out.boot.decode_ns = decode_ns;
-    out.boot.total_ns += decode_ns;
-    // Keep the registry view in sync — BootStats is rendered from it.
-    out.registry.gauge("boot.decode_ns").set(decode_ns);
-    out.registry.gauge("boot.total_ns").set(out.boot.total_ns);
-    Ok(out)
 }
 
 /// Chunk-level accounting of a lazy consumer boot.
@@ -264,281 +202,22 @@ impl ChunkBootStats {
         }
         self.hot_bytes as f64 / self.payload_bytes as f64
     }
-}
 
-/// Sums two worker-stat vectors elementwise (the two lazy-boot pipeline
-/// stages run on the same logical workers).
-fn merge_workers(a: Vec<WorkerStats>, b: Vec<WorkerStats>) -> Vec<WorkerStats> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = a;
-    for (w, x) in out.iter_mut().zip(b) {
-        w.translated += x.translated;
-        w.stolen += x.stolen;
-        w.busy_ns += x.busy_ns;
-        w.steal_ns += x.steal_ns;
-        w.stall_ns += x.stall_ns;
-    }
-    out
-}
-
-/// Runs the consumer boot sequence over a chunked package: decode the
-/// manifest's hot closure, compile and serve, then decode and compile
-/// the cold tail in the background — without ever materializing the
-/// monolithic package.
-///
-/// With `opts.early_serve_frac < 1` only the chunks covering the hottest
-/// fraction of heat mass (plus their transitive callees, so inline
-/// templates always find callee profiles) are decoded before
-/// serve-start; [`ChunkBootStats`] reports exactly how many bytes that
-/// touched. The two pipeline stages emit in the same concatenated order
-/// a monolithic boot would, so the code-cache layout is byte-identical.
-///
-/// The lazy path never lints or repairs — it is reserved for packages
-/// whose manifest matches the running release (`repo_funcs`, per-record
-/// name hashes). Anything stale fails fast with
-/// [`ConsumerError::InvalidProfile`] and the boot controller falls back
-/// to the monolithic lint-and-repair path.
-///
-/// # Errors
-///
-/// [`ConsumerError::Wire`] for missing/corrupt chunks,
-/// [`ConsumerError::InvalidProfile`] for release mismatches, and
-/// [`ConsumerError::JitCrash`] as in [`consume`].
-pub fn consume_chunked<'r>(
-    repo: &'r Repo,
-    man: &Manifest,
-    pool: &ChunkPool,
-    jit_opts: JitOptions,
-    opts: &JumpStartOptions,
-    threads: usize,
-) -> Result<(ConsumerOutcome<'r>, ChunkBootStats), ConsumerError> {
-    let boot_start = Instant::now();
-    let registry = telemetry::Registry::default();
-    let _boot_span = telemetry::span!("consumer-boot-chunked", "threads" => threads.max(1));
-
-    // Release guard: the manifest records which repo the profile was
-    // collected against. Lazy decode skips lint/repair, so a package
-    // from another release must not get this far.
-    if man.repo_funcs as usize != repo.funcs().len() {
-        return Err(ConsumerError::InvalidProfile {
-            errors: 1,
-            first: format!(
-                "manifest built against a {}-function release, this repo has {}",
-                man.repo_funcs,
-                repo.funcs().len()
-            ),
-        });
-    }
-
-    let mut chunk_stats = ChunkBootStats {
-        manifest_bytes: man.wire_len() as u64,
-        payload_bytes: man.payload_len as u64,
-        ..Default::default()
-    };
-
-    // Hot decode: head (meta, preload), tail (counters, ctx, orders).
-    let hot_decode_start = Instant::now();
-    let loader = LazyLoader::new(man, pool);
-    let (meta, preload) = loader.decode_head()?;
-    let mut tier = TierProfile::default();
-    let (ctx, prop_orders, func_order) = loader.decode_tail(&mut tier)?;
-    chunk_stats.hot_bytes += (man.entries[0].len + man.entries[man.entries.len() - 1].len) as u64;
-    chunk_stats.hot_chunks += 2;
-
-    let poison_crash = meta.poison == Poison::CompileCrash;
-    if poison_crash && threads <= 1 {
-        return Err(ConsumerError::JitCrash);
-    }
-
-    // Compile order and early-serve threshold straight off the manifest —
-    // no function chunk has been decoded yet. Both computations mirror
-    // the monolithic path exactly (`functions_by_heat` ordering,
-    // `early_serve_prefix` threshold), so the two-stage emission below
-    // concatenates to the same order a monolithic boot emits in.
-    let order: Vec<FuncId> = if func_order.is_empty() || opts.func_sort == FuncSort::SourceOrder {
-        man.funcs_by_heat()
-    } else {
-        func_order.clone()
-    };
-    let work: Vec<FuncId> = order
-        .into_iter()
-        .filter(|f| loader.entry_of(*f).is_some())
-        .collect();
-    let heat = man.heat_map();
-    let hot_count = pipeline::early_serve_prefix_by_heat(&heat, &work, opts.early_serve_frac);
-
-    // Decode the hot closure: the serve-start prefix plus every function
-    // transitively reachable through its recorded call targets.
-    let hot_entries = loader.hot_closure(work[..hot_count].iter().copied());
-    for &i in &hot_entries {
-        let e = &man.entries[i];
-        if let crate::chunk::ChunkKind::Func { func, .. } = e.kind {
-            if func.index() >= repo.funcs().len() {
-                return Err(ConsumerError::InvalidProfile {
-                    errors: 1,
-                    first: format!("profile for {func:?} beyond this release"),
-                });
-            }
+    /// Surfaces the accounting as `chunk.*` counters for fleet rollup.
+    fn record(&self, registry: &telemetry::Registry) {
+        for (name, v) in [
+            ("chunk.manifest_bytes", self.manifest_bytes),
+            ("chunk.payload_bytes", self.payload_bytes),
+            ("chunk.hot_bytes", self.hot_bytes),
+            ("chunk.cold_bytes", self.cold_bytes),
+            ("chunk.hot_chunks", self.hot_chunks as u64),
+            ("chunk.cold_chunks", self.cold_chunks as u64),
+            ("chunk.hot_decode_ns", self.hot_decode_ns),
+            ("chunk.cold_decode_ns", self.cold_decode_ns),
+        ] {
+            registry.counter(name).add(v);
         }
     }
-    chunk_stats.hot_bytes += loader.decode_funcs(&hot_entries, &mut tier)?;
-    chunk_stats.hot_chunks += hot_entries.len();
-    // Stale-record guard (cheap, in place of the full lint): a record
-    // whose name hash disagrees with the current repo is from another
-    // release even if the function count matches.
-    for (&f, p) in &tier.funcs {
-        if p.name_hash != 0 && p.name_hash != bytecode::fnv_str(repo.str(repo.func(f).name)) {
-            return Err(ConsumerError::InvalidProfile {
-                errors: 1,
-                first: format!("profile for {f:?} names a different function"),
-            });
-        }
-    }
-    chunk_stats.hot_decode_ns = hot_decode_start.elapsed().as_nanos() as u64;
-
-    // Property layout before any translation resolves slots (§V-C).
-    let slots_start = Instant::now();
-    let apply_props = opts.prop_reorder != PropReorder::Off;
-    let prop_slots = resolve_prop_slots(repo, &prop_orders, apply_props);
-    let prop_slots_ns = slots_start.elapsed().as_nanos() as u64;
-
-    let weights = if opts.accurate_bb_weights {
-        WeightSource::Accurate
-    } else {
-        WeightSource::TierOnly
-    };
-    let jit_opts = JitOptions {
-        weights,
-        ..jit_opts
-    };
-    let mut engine = JitEngine::new(repo, jit_opts);
-    let resolver = |class: ClassId, name: StrId| prop_slots.get(&(class, name)).copied();
-    let caches = opts.compile_caches.then(pipeline::CompileCaches::default);
-
-    // Stage 1: compile the serve-start prefix against the partial tier.
-    // Each stage runs at frac 1.0 — the early-serve split is the stage
-    // boundary itself.
-    let r1 = {
-        let job = PipelineJob {
-            repo,
-            tier: &tier,
-            ctx: &ctx,
-            work: work[..hot_count].to_vec(),
-            jit_opts,
-            resolver: &resolver,
-            early_serve_frac: 1.0,
-            poison_crash,
-            caches: caches.as_ref(),
-            metrics: registry.clone(),
-        };
-        pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)?
-    };
-
-    // Background: decode the cold tail, then compile it on the same
-    // engine. Emission continues exactly where stage 1 stopped.
-    let cold_decode_start = Instant::now();
-    let all_entries = loader.all_func_entries();
-    // `hot_closure` returns sorted indices.
-    let cold_entries: Vec<usize> = all_entries
-        .iter()
-        .copied()
-        .filter(|i| hot_entries.binary_search(i).is_err())
-        .collect();
-    chunk_stats.cold_bytes = loader.decode_funcs(&all_entries, &mut tier)?;
-    chunk_stats.cold_chunks = cold_entries.len();
-    chunk_stats.cold_decode_ns = cold_decode_start.elapsed().as_nanos() as u64;
-
-    let r2 = {
-        let job = PipelineJob {
-            repo,
-            tier: &tier,
-            ctx: &ctx,
-            work: work[hot_count..].to_vec(),
-            jit_opts,
-            resolver: &resolver,
-            early_serve_frac: 1.0,
-            poison_crash,
-            caches: caches.as_ref(),
-            metrics: registry.clone(),
-        };
-        pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)?
-    };
-
-    let compiled_funcs = r1.compiled_funcs + r2.compiled_funcs;
-    let compile_bytes = r1.compile_bytes + r2.compile_bytes;
-    let early_serve = if opts.early_serve_frac < 1.0 {
-        Some(EarlyServe {
-            frac: opts.early_serve_frac,
-            ready_funcs: r1.compiled_funcs,
-            ready_bytes: r1.compile_bytes,
-            ready_ns: r1.pipeline_ns,
-            background_funcs: r2.compiled_funcs,
-            background_bytes: r2.compile_bytes,
-        })
-    } else {
-        // Full-fraction boots report ready at the last unit, mirroring
-        // the monolithic EmitTracker.
-        r1.early_serve.map(|e| EarlyServe {
-            ready_funcs: compiled_funcs,
-            ready_bytes: compile_bytes,
-            ready_ns: r1.pipeline_ns + r2.pipeline_ns,
-            ..e
-        })
-    };
-
-    let unit_order = if opts.preload_units {
-        preload.unit_order
-    } else {
-        Vec::new()
-    };
-    let stats = BootStats {
-        threads: threads.max(1),
-        decode_ns: chunk_stats.hot_decode_ns,
-        lint_repair_ns: 0,
-        prop_slots_ns,
-        pipeline_ns: r1.pipeline_ns + r2.pipeline_ns,
-        emit_ns: r1.emit_ns + r2.emit_ns,
-        emit_stall_ns: r1.emit_stall_ns + r2.emit_stall_ns,
-        total_ns: boot_start.elapsed().as_nanos() as u64,
-        compiled_funcs,
-        compile_bytes,
-        workers: merge_workers(r1.workers, r2.workers),
-        early_serve,
-        caches: caches.as_ref().map(pipeline::CompileCaches::stats),
-    };
-    for (name, v) in [
-        ("chunk.manifest_bytes", chunk_stats.manifest_bytes),
-        ("chunk.payload_bytes", chunk_stats.payload_bytes),
-        ("chunk.hot_bytes", chunk_stats.hot_bytes),
-        ("chunk.cold_bytes", chunk_stats.cold_bytes),
-        ("chunk.hot_chunks", chunk_stats.hot_chunks as u64),
-        ("chunk.cold_chunks", chunk_stats.cold_chunks as u64),
-        ("chunk.hot_decode_ns", chunk_stats.hot_decode_ns),
-        ("chunk.cold_decode_ns", chunk_stats.cold_decode_ns),
-    ] {
-        registry.counter(name).add(v);
-    }
-    stats.record(&registry);
-    let boot = BootStats::from_registry(&registry);
-    debug_assert_eq!(boot, stats);
-    Ok((
-        ConsumerOutcome {
-            engine,
-            prop_slots,
-            unit_order,
-            compiled_funcs,
-            compile_bytes,
-            repair: None,
-            boot,
-            registry,
-        },
-        chunk_stats,
-    ))
 }
 
 /// Runs the consumer boot sequence over a deserialized package.
@@ -563,9 +242,160 @@ pub fn consume<'r>(
     opts: &JumpStartOptions,
     threads: usize,
 ) -> Result<ConsumerOutcome<'r>, ConsumerError> {
+    Ok(boot(repo, Source::Package(pkg), 0, jit_opts, opts, threads)?.0)
+}
+
+/// Runs the consumer boot sequence over a serialized package, timing the
+/// decode into the boot telemetry ([`BootStats::decode_ns`]).
+///
+/// # Errors
+///
+/// As [`consume`], plus [`ConsumerError::Wire`] when decoding fails.
+pub fn consume_bytes<'r>(
+    repo: &'r Repo,
+    data: &bytes::Bytes,
+    jit_opts: JitOptions,
+    opts: &JumpStartOptions,
+    threads: usize,
+) -> Result<ConsumerOutcome<'r>, ConsumerError> {
+    let t0 = Instant::now();
+    let decode_span = telemetry::span!("decode", "bytes" => data.len());
+    let pkg = ProfilePackage::deserialize_shared(data)?;
+    drop(decode_span);
+    let decode_ns = t0.elapsed().as_nanos() as u64;
+    let src = Source::Package(&pkg);
+    Ok(boot(repo, src, decode_ns, jit_opts, opts, threads)?.0)
+}
+
+/// Runs the consumer boot sequence over a chunked package: decode the
+/// manifest's hot closure, compile and serve, then decode and compile
+/// the cold tail in the background — without ever materializing the
+/// monolithic package.
+///
+/// With `opts.early_serve_frac < 1` only the chunks covering the hottest
+/// fraction of heat mass (plus their transitive callees, so inline
+/// templates always find callee profiles) are decoded before
+/// serve-start; [`ChunkBootStats`] reports exactly how many bytes that
+/// touched. The code-cache layout is byte-identical to a monolithic boot.
+///
+/// The lazy path never lints or repairs — it is reserved for packages
+/// whose manifest matches the running release (`repo_funcs`, per-record
+/// name hashes). Anything stale fails fast with
+/// [`ConsumerError::InvalidProfile`] and the boot controller falls back
+/// to the monolithic lint-and-repair path.
+///
+/// # Errors
+///
+/// [`ConsumerError::Wire`] for missing/corrupt chunks,
+/// [`ConsumerError::InvalidProfile`] for release mismatches, and
+/// [`ConsumerError::JitCrash`] as in [`consume`].
+pub fn consume_chunked<'r>(
+    repo: &'r Repo,
+    man: &Manifest,
+    pool: &ChunkPool,
+    jit_opts: JitOptions,
+    opts: &JumpStartOptions,
+    threads: usize,
+) -> Result<(ConsumerOutcome<'r>, ChunkBootStats), ConsumerError> {
+    boot(repo, Source::Chunks(man, pool), 0, jit_opts, opts, threads)
+}
+
+/// Where a boot's profile comes from.
+enum Source<'a> {
+    /// A materialised package: every record is already decoded.
+    Package(&'a ProfilePackage),
+    /// A chunked package, decoded stage by stage.
+    Chunks(&'a Manifest, &'a ChunkPool),
+}
+
+fn stale(first: String) -> ConsumerError {
+    ConsumerError::InvalidProfile { errors: 1, first }
+}
+
+/// Decodes the not-yet-decoded function chunks among `entries` into
+/// `tier`, each behind the release guards that stand in for the lint on
+/// the lazy path: no record may profile a function beyond this release
+/// (checked before its chunk is touched) or name a different function
+/// than the repo does. Returns the chunk bytes decoded.
+fn decode_guarded(
+    repo: &Repo,
+    loader: &LazyLoader<'_>,
+    entries: &[usize],
+    tier: &mut TierProfile,
+) -> Result<u64, ConsumerError> {
+    let mut bytes = 0;
+    for &i in entries {
+        let func = match loader.manifest().entries[i].kind {
+            ChunkKind::Func { func, .. } if !tier.funcs.contains_key(&func) => func,
+            _ => continue,
+        };
+        if func.index() >= repo.funcs().len() {
+            return Err(stale(format!("profile for {func:?} beyond this release")));
+        }
+        bytes += loader.decode_funcs(&[i], tier)?;
+        let hash = tier.funcs[&func].name_hash;
+        if hash != 0 && hash != bytecode::fnv_str(repo.str(repo.func(func).name)) {
+            return Err(stale(format!(
+                "profile for {func:?} names a different function"
+            )));
+        }
+    }
+    Ok(bytes)
+}
+
+/// The one consumer boot, a fixed stage sequence over either source:
+/// acquire → lint/repair → compile order and its serve-ready split →
+/// decode hot → prop slots → compile hot (serve-ready) → decode cold →
+/// compile cold → one `BootStats` write. The decode stages are no-ops for
+/// a materialised package, and lint/repair runs only on one. `decode_ns`
+/// is what the caller already spent turning bytes into the source.
+fn boot<'r>(
+    repo: &'r Repo,
+    src: Source<'_>,
+    decode_ns: u64,
+    mut jit_opts: JitOptions,
+    opts: &JumpStartOptions,
+    threads: usize,
+) -> Result<(ConsumerOutcome<'r>, ChunkBootStats), ConsumerError> {
     let boot_start = Instant::now();
     let registry = telemetry::Registry::default();
-    let _boot_span = telemetry::span!("consumer-boot", "threads" => threads.max(1));
+    let span_name = match src {
+        Source::Package(_) => "consumer-boot",
+        Source::Chunks(..) => "consumer-boot-chunked",
+    };
+    let _boot_span = telemetry::span!(span_name, "threads" => threads.max(1));
+
+    let mut chunk_stats = ChunkBootStats::default();
+    let (mut pkg, loader) = match src {
+        Source::Package(pkg) => (Cow::Borrowed(pkg), None),
+        Source::Chunks(man, pool) => {
+            // The manifest records which repo the profile was collected
+            // against; another release's must not get as far as a decode.
+            if man.repo_funcs as usize != repo.funcs().len() {
+                return Err(stale(format!(
+                    "manifest built against a {}-function release, this repo has {}",
+                    man.repo_funcs,
+                    repo.funcs().len()
+                )));
+            }
+            let loader = LazyLoader::new(man, pool);
+            let (meta, preload) = loader.decode_head()?;
+            let mut partial = ProfilePackage {
+                meta,
+                preload,
+                ..Default::default()
+            };
+            (partial.ctx, partial.prop_orders, partial.func_order) =
+                loader.decode_tail(&mut partial.tier)?;
+            let (head, tail) = man.ends()?;
+            chunk_stats.manifest_bytes = man.wire_len() as u64;
+            chunk_stats.payload_bytes = man.payload_len as u64;
+            chunk_stats.hot_bytes = (head.len + tail.len) as u64;
+            chunk_stats.hot_chunks = 2;
+            (Cow::Owned(partial), Some(loader))
+        }
+    };
+
     let poison_crash = pkg.meta.poison == Poison::CompileCrash;
     if poison_crash && threads <= 1 {
         // A sequential boot hits the compiler bug on the first unit; no
@@ -573,159 +403,162 @@ pub fn consume<'r>(
         return Err(ConsumerError::JitCrash);
     }
 
-    // Static lint first: refuse to feed structurally impossible profile
-    // data into translation. A dirty package gets one repair attempt
+    // Static lint: refuse to feed structurally impossible profile data
+    // into translation. A dirty package gets one repair attempt
     // (stale-counter remap + pruning) before the consumer gives up and
     // lets the boot controller fall back (§VI-A.3).
-    let lint_start = Instant::now();
-    let lint_span = telemetry::span!("lint-repair", "enabled" => opts.lint_repair);
-    let mut repair = None;
-    let owned: Option<OwnedProfile> = if opts.lint_repair
-        && lint_errors(
-            repo,
-            &ProfileView {
-                tier: &pkg.tier,
-                ctx: &pkg.ctx,
-                unit_order: &pkg.preload.unit_order,
-                prop_orders: &pkg.prop_orders,
-                func_order: &pkg.func_order,
-            },
-        ) > 0
-    {
-        let (fixed, report) = repair_package(repo, pkg);
-        let relint = lint_profile_with(
-            repo,
-            &ProfileView {
-                tier: &fixed.tier,
-                ctx: &fixed.ctx,
-                unit_order: &fixed.unit_order,
-                prop_orders: &fixed.prop_orders,
-                func_order: &fixed.func_order,
-            },
-            &CONSUMER_LINT,
-        );
-        if relint.error_count() > 0 {
-            return Err(ConsumerError::InvalidProfile {
-                errors: relint.error_count(),
-                first: relint
-                    .errors()
-                    .next()
-                    .map(ToString::to_string)
-                    .unwrap_or_default(),
-            });
+    let mut repair_report = None;
+    let mut lint_repair_ns = 0;
+    if loader.is_none() {
+        let lint_start = Instant::now();
+        let _lint_span = telemetry::span!("lint-repair", "enabled" => opts.lint_repair);
+        let lint = |p: &ProfilePackage| lint_profile_with(repo, &p.view(), &CONSUMER_LINT);
+        if opts.lint_repair && lint(&pkg).error_count() > 0 {
+            let (fixed, report) = repair_package(repo, &pkg);
+            let relint = lint(&fixed);
+            if let Some(first) = relint.errors().next() {
+                return Err(ConsumerError::InvalidProfile {
+                    errors: relint.error_count(),
+                    first: first.to_string(),
+                });
+            }
+            record_repair(&registry, &report);
+            repair_report = Some(report);
+            pkg = Cow::Owned(fixed);
         }
-        record_repair(&registry, &report);
-        repair = Some(report);
-        Some(fixed)
+        lint_repair_ns = lint_start.elapsed().as_nanos() as u64;
+    }
+
+    // A lazy boot reads heats (summed block counters) off the manifest —
+    // no function chunk is decoded yet — and they are the tier's, so
+    // either source orders and splits the work identically.
+    let heat: HashMap<FuncId, u64> = match &loader {
+        Some(l) => l.manifest().heat_map(),
+        None => pkg.tier.heat_ranked().iter().copied().collect(),
+    };
+    let order = if !pkg.func_order.is_empty() && opts.func_sort != FuncSort::SourceOrder {
+        pkg.func_order.clone()
+    } else if let Some(l) = &loader {
+        l.manifest().funcs_by_heat()
     } else {
-        None
+        pkg.tier.functions_by_heat()
     };
-    let (tier, ctx): (&TierProfile, &CtxProfile) = match &owned {
-        Some(o) => (&o.tier, &o.ctx),
-        None => (&pkg.tier, &pkg.ctx),
-    };
-    let prop_orders: &[(ClassId, Vec<StrId>)] =
-        owned.as_ref().map_or(&pkg.prop_orders, |o| &o.prop_orders);
-    let pkg_func_order: &[FuncId] = owned.as_ref().map_or(&pkg.func_order, |o| &o.func_order);
-    let pkg_unit_order: &[UnitId] = owned
-        .as_ref()
-        .map_or(&pkg.preload.unit_order, |o| &o.unit_order);
-    let lint_repair_ns = lint_start.elapsed().as_nanos() as u64;
-    drop(lint_span);
+    let work: Vec<FuncId> = order.into_iter().filter(|f| heat.contains_key(f)).collect();
+    let split = pipeline::early_serve_prefix_by_heat(&heat, &work, opts.early_serve_frac);
+
+    // Hot decode: the serve-ready prefix plus every function transitively
+    // reachable through its recorded call targets.
+    if let Some(l) = &loader {
+        let hot_entries = l.hot_closure(work[..split].iter().copied());
+        chunk_stats.hot_bytes += decode_guarded(repo, l, &hot_entries, &mut pkg.to_mut().tier)?;
+        chunk_stats.hot_chunks += hot_entries.len();
+        // All a lazy boot has done so far is manifest-driven decode.
+        chunk_stats.hot_decode_ns = boot_start.elapsed().as_nanos() as u64;
+    }
 
     // Property layout must be installed before any translation resolves
     // slots (the same ordering constraint HHVM has, §V-C).
     let slots_start = Instant::now();
-    let slots_span = telemetry::span!("prop-slots", "orders" => prop_orders.len());
-    let apply_props = opts.prop_reorder != PropReorder::Off;
-    let prop_slots = resolve_prop_slots(repo, prop_orders, apply_props);
+    let slots_span = telemetry::span!("prop-slots", "orders" => pkg.prop_orders.len());
+    let prop_slots = resolve_prop_slots(
+        repo,
+        &pkg.prop_orders,
+        opts.prop_reorder != PropReorder::Off,
+    );
     drop(slots_span);
     let prop_slots_ns = slots_start.elapsed().as_nanos() as u64;
 
-    let weights = if opts.accurate_bb_weights {
+    jit_opts.weights = if opts.accurate_bb_weights {
         WeightSource::Accurate
     } else {
         WeightSource::TierOnly
     };
-    let jit_opts = JitOptions {
-        weights,
-        ..jit_opts
-    };
     let mut engine = JitEngine::new(repo, jit_opts);
-
-    let order: Vec<FuncId> = if pkg_func_order.is_empty() || opts.func_sort == FuncSort::SourceOrder
-    {
-        tier.functions_by_heat()
-    } else {
-        pkg_func_order.to_vec()
-    };
-
-    // The streaming pipeline: work-stealing translation feeding the
-    // reorder-buffer emitter; emission order is exactly `order`.
     let resolver = |class: ClassId, name: StrId| prop_slots.get(&(class, name)).copied();
-    let work: Vec<FuncId> = order
-        .into_iter()
-        .filter(|f| tier.funcs.contains_key(f))
-        .collect();
     // The compile caches (inline-body templates + layout plans) are
     // per-boot and shared across the translation workers; they memoize
     // exactly, so the emitted layout is byte-identical with them off.
     let caches = opts.compile_caches.then(pipeline::CompileCaches::default);
-    let job = PipelineJob {
-        repo,
-        tier,
-        ctx,
-        work,
-        jit_opts,
-        resolver: &resolver,
-        early_serve_frac: opts.early_serve_frac,
-        poison_crash,
-        caches: caches.as_ref(),
-        metrics: registry.clone(),
+    // One compile stage: work-stealing translation feeding the
+    // reorder-buffer emitter, which continues on `engine` where the
+    // previous stage stopped; emission order is exactly `work`.
+    let mut compile = |pkg: &ProfilePackage, work: &[FuncId]| {
+        let job = PipelineJob {
+            repo,
+            tier: &pkg.tier,
+            ctx: &pkg.ctx,
+            work,
+            jit_opts,
+            resolver: &resolver,
+            poison_crash,
+            caches: caches.as_ref(),
+            metrics: registry.clone(),
+        };
+        pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)
     };
-    let result = pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)?;
 
-    let unit_order = if opts.preload_units {
-        pkg_unit_order.to_vec()
-    } else {
-        Vec::new()
-    };
+    // The stage boundary is the early-serve mechanism: once the hot
+    // prefix is emitted the boot is ready and the rest is background.
+    let mut done = compile(&pkg, &work[..split])?;
+    let (ready_funcs, ready_bytes, ready_ns) =
+        (done.compiled_funcs, done.compile_bytes, done.pipeline_ns);
+    telemetry::instant!("early-serve-ready", "funcs" => ready_funcs, "bytes" => ready_bytes);
+
+    if let Some(l) = &loader {
+        let cold_decode_start = Instant::now();
+        let rest = l.all_func_entries();
+        chunk_stats.cold_bytes = decode_guarded(repo, l, &rest, &mut pkg.to_mut().tier)?;
+        chunk_stats.cold_chunks = l.manifest().entries.len() - chunk_stats.hot_chunks;
+        chunk_stats.cold_decode_ns = cold_decode_start.elapsed().as_nanos() as u64;
+        chunk_stats.record(&registry);
+    }
+    if split < work.len() {
+        done.absorb(compile(&pkg, &work[split..])?);
+    }
+
     let stats = BootStats {
         threads: threads.max(1),
-        decode_ns: 0,
+        decode_ns: decode_ns + chunk_stats.hot_decode_ns,
         lint_repair_ns,
         prop_slots_ns,
-        pipeline_ns: result.pipeline_ns,
-        emit_ns: result.emit_ns,
-        emit_stall_ns: result.emit_stall_ns,
-        total_ns: boot_start.elapsed().as_nanos() as u64,
-        compiled_funcs: result.compiled_funcs,
-        compile_bytes: result.compile_bytes,
-        workers: result.workers,
-        early_serve: result.early_serve,
+        pipeline_ns: done.pipeline_ns,
+        emit_ns: done.emit_ns,
+        emit_stall_ns: done.emit_stall_ns,
+        total_ns: decode_ns + boot_start.elapsed().as_nanos() as u64,
+        compiled_funcs: done.compiled_funcs,
+        compile_bytes: done.compile_bytes,
+        workers: done.workers,
+        early_serve: Some(EarlyServe {
+            frac: opts.early_serve_frac,
+            ready_funcs,
+            ready_bytes,
+            ready_ns,
+            background_funcs: done.compiled_funcs - ready_funcs,
+            background_bytes: done.compile_bytes - ready_bytes,
+        }),
         caches: caches.as_ref().map(pipeline::CompileCaches::stats),
     };
     // The registry is the source of truth; BootStats is the rendered
     // view. Recording then re-rendering must round-trip exactly.
     stats.record(&registry);
-    let boot = BootStats::from_registry(&registry);
-    debug_assert_eq!(boot, stats);
-    Ok(ConsumerOutcome {
+    debug_assert_eq!(BootStats::from_registry(&registry), stats);
+    let unit_order = opts.preload_units.then(|| pkg.preload.unit_order.clone());
+    let outcome = ConsumerOutcome {
         engine,
         prop_slots,
-        unit_order,
-        compiled_funcs: result.compiled_funcs,
-        compile_bytes: result.compile_bytes,
-        repair,
-        boot,
+        unit_order: unit_order.unwrap_or_default(),
+        compiled_funcs: stats.compiled_funcs,
+        compile_bytes: stats.compile_bytes,
+        repair: repair_report,
+        boot: stats,
         registry,
-    })
+    };
+    Ok((outcome, chunk_stats))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::package::PackageMeta;
     use crate::seeder::{build_package, SeederInputs};
     use jit::ProfileCollector;
     use vm::{Value, Vm};
@@ -897,20 +730,8 @@ mod tests {
             "remainder is background"
         );
         assert!(early.ready_ns <= out.boot.pipeline_ns);
-        // The full boot still compiled everything (background completes
-        // inside consume; the fleet model prices the overlap).
-        assert_eq!(
-            out.compile_bytes,
-            consume(
-                &repo,
-                &pkg,
-                JitOptions::default(),
-                &JumpStartOptions::default(),
-                1
-            )
-            .unwrap()
-            .compile_bytes
-        );
+        // That the full boot still compiled everything is a row of
+        // `every_entry_point_boots_identically`.
     }
 
     #[test]
@@ -951,18 +772,24 @@ mod tests {
 
     #[test]
     fn compile_poison_errors_out() {
+        // No worker thread to catch a panic from: every entry point must
+        // refuse before the first unit.
         let (repo, mut pkg) = make_package();
         pkg.meta.poison = Poison::CompileCrash;
-        let err = consume(
-            &repo,
-            &pkg,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            1,
-        )
-        .unwrap_err();
-        assert_eq!(err, ConsumerError::JitCrash);
-        let _ = PackageMeta::default();
+        let (jit, opts) = (JitOptions::default(), JumpStartOptions::default());
+        let bytes = pkg.serialize();
+        let (man, pool) = chunked(&pkg, &repo);
+        for threads in [0, 1] {
+            let errs = [
+                consume(&repo, &pkg, jit, &opts, threads).unwrap_err(),
+                consume_bytes(&repo, &bytes, jit, &opts, threads).unwrap_err(),
+                consume_chunked(&repo, &man, &pool, jit, &opts, threads).unwrap_err(),
+            ];
+            assert!(
+                errs.iter().all(|e| *e == ConsumerError::JitCrash),
+                "threads {threads}: {errs:?}"
+            );
+        }
     }
 
     #[test]
@@ -995,34 +822,60 @@ mod tests {
         (cp.manifest, pool)
     }
 
+    /// The contract of the single boot path, as one table: every entry
+    /// point × early-serve fraction × thread count emits the layout a
+    /// 1-thread, full-fraction `consume` does.
     #[test]
-    fn chunked_boot_matches_monolithic_layout() {
-        let (repo, pkg) = make_package();
-        let (man, pool) = chunked(&pkg, &repo);
-        for frac in [1.0, 0.5, 0.25] {
-            let opts = JumpStartOptions {
-                early_serve_frac: frac,
-                ..Default::default()
-            };
-            let mono = consume(&repo, &pkg, JitOptions::default(), &opts, 1).unwrap();
-            for threads in [1, 4] {
-                let (lazy, stats) =
-                    consume_chunked(&repo, &man, &pool, JitOptions::default(), &opts, threads)
-                        .unwrap();
-                assert_eq!(
-                    lazy.engine.code_cache.layout_digest(),
-                    mono.engine.code_cache.layout_digest(),
-                    "frac {frac} threads {threads}: two-stage emission must \
-                     concatenate to the monolithic order"
-                );
-                assert_eq!(lazy.compiled_funcs, mono.compiled_funcs);
-                assert_eq!(lazy.compile_bytes, mono.compile_bytes);
-                assert_eq!(lazy.prop_slots, mono.prop_slots);
-                assert_eq!(
-                    stats.hot_bytes + stats.cold_bytes,
-                    stats.payload_bytes,
-                    "every chunk is decoded exactly once"
-                );
+    fn every_entry_point_boots_identically() {
+        let jit = JitOptions::default();
+        for (repo, pkg) in [make_package(), make_wide_package()] {
+            let bytes = pkg.serialize();
+            let (man, pool) = chunked(&pkg, &repo);
+            let want = consume(&repo, &pkg, jit, &JumpStartOptions::default(), 1).unwrap();
+            for frac in [1.0, 0.5, 0.25] {
+                let opts = JumpStartOptions {
+                    early_serve_frac: frac,
+                    ..Default::default()
+                };
+                for threads in [1, 4] {
+                    let (lazy, stats) =
+                        consume_chunked(&repo, &man, &pool, jit, &opts, threads).unwrap();
+                    assert_eq!(
+                        stats.hot_bytes + stats.cold_bytes,
+                        stats.payload_bytes,
+                        "every chunk is decoded exactly once"
+                    );
+                    let ready_funcs = lazy.boot.early_serve.map(|e| e.ready_funcs);
+                    for (entry, got) in [
+                        (
+                            "consume",
+                            consume(&repo, &pkg, jit, &opts, threads).unwrap(),
+                        ),
+                        (
+                            "consume_bytes",
+                            consume_bytes(&repo, &bytes, jit, &opts, threads).unwrap(),
+                        ),
+                        ("consume_chunked", lazy),
+                    ] {
+                        let row = format!("{entry} frac {frac} threads {threads}");
+                        assert_eq!(
+                            got.engine.code_cache.layout_digest(),
+                            want.engine.code_cache.layout_digest(),
+                            "{row}: staged emission must concatenate to the one-stage order"
+                        );
+                        assert_eq!(got.compiled_funcs, want.compiled_funcs, "{row}");
+                        assert_eq!(got.compile_bytes, want.compile_bytes, "{row}");
+                        assert_eq!(got.prop_slots, want.prop_slots, "{row}");
+                        assert_eq!(got.unit_order, want.unit_order, "{row}");
+                        let early = got.boot.early_serve.expect("every boot reports ready");
+                        assert_eq!(
+                            early.ready_funcs + early.background_funcs,
+                            got.compiled_funcs,
+                            "{row}"
+                        );
+                        assert_eq!(Some(early.ready_funcs), ready_funcs, "{row}: same split");
+                    }
+                }
             }
         }
     }
@@ -1103,6 +956,43 @@ mod tests {
     }
 
     #[test]
+    fn cold_records_face_the_release_guards() {
+        let (repo, pkg) = make_wide_package();
+        let jit = JitOptions::default();
+        let opts = JumpStartOptions {
+            early_serve_frac: 0.25,
+            ..Default::default()
+        };
+        let (man, pool) = chunked(&pkg, &repo);
+        let (_, healthy) = consume_chunked(&repo, &man, &pool, jit, &opts, 1).unwrap();
+        assert_eq!(healthy.hot_chunks, 3, "head, tail, `hot`: cold_b is cold");
+        let cold_b = repo.func_by_name("cold_b").unwrap().id;
+
+        // A cold record that names a different function than the repo does.
+        let mut renamed = pkg.clone();
+        renamed.tier.funcs.get_mut(&cold_b).unwrap().name_hash ^= 1;
+        // A cold manifest entry for a function this release does not have.
+        let mut beyond = man.clone();
+        for e in &mut beyond.entries {
+            match &mut e.kind {
+                ChunkKind::Func { func, .. } if *func == cold_b => {
+                    *func = FuncId::new(repo.funcs().len() as u32);
+                }
+                _ => {}
+            }
+        }
+        for (man, pool) in [chunked(&renamed, &repo), (beyond, pool)] {
+            for threads in [1, 2] {
+                let err = consume_chunked(&repo, &man, &pool, jit, &opts, threads).unwrap_err();
+                assert!(
+                    matches!(err, ConsumerError::InvalidProfile { .. }),
+                    "threads {threads}: {err}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn chunked_boot_rejects_release_mismatch() {
         let (repo, pkg) = make_package();
         let cp = crate::chunk::chunk_package(&pkg, repo.funcs().len() + 1);
@@ -1133,40 +1023,21 @@ mod tests {
         for c in cp.chunks.iter().skip(1) {
             pool.insert(c);
         }
-        let err = consume_chunked(
-            &repo,
-            &cp.manifest,
-            &pool,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ConsumerError::Wire(WireError::Corrupt(_))));
-    }
-
-    #[test]
-    fn round_tripped_package_consumes_identically() {
-        let (repo, pkg) = make_package();
-        let bytes = pkg.serialize();
-        let back = ProfilePackage::deserialize(&bytes).unwrap();
-        let a = consume(
-            &repo,
-            &pkg,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            1,
-        )
-        .unwrap();
-        let b = consume(
-            &repo,
-            &back,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            1,
-        )
-        .unwrap();
-        assert_eq!(a.compile_bytes, b.compile_bytes);
-        assert_eq!(a.prop_slots, b.prop_slots);
+        // So must a hand-built manifest too short to have a head and a
+        // tail (`Manifest::decode` refuses one; its fields are public).
+        let mut headless = cp.manifest.clone();
+        headless.entries.truncate(1);
+        for man in [&cp.manifest, &headless] {
+            let err = consume_chunked(
+                &repo,
+                man,
+                &pool,
+                JitOptions::default(),
+                &JumpStartOptions::default(),
+                1,
+            )
+            .unwrap_err();
+            assert!(matches!(err, ConsumerError::Wire(WireError::Corrupt(_))));
+        }
     }
 }

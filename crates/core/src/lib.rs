@@ -9,12 +9,16 @@
 //! * [`ProfilePackage`] / [`PackageMeta`] — the four §IV-B data categories
 //!   (repo preload lists, tier-1 JIT profile, optimized-code profile,
 //!   precomputed intermediate results like the function order), with a
-//!   versioned, checksummed binary wire format ([`wire`] errors surface
-//!   corruption),
+//!   checksummed binary wire format of exactly one readable version
+//!   ([`wire`] errors surface corruption and version skew),
 //! * [`build_package`] — the seeder's serialization step (Fig. 3b),
 //! * [`consume`] — the consumer workflow (Fig. 3c): deserialize, preload
 //!   units, install property orders, then JIT *all* optimized code in
-//!   parallel before serving,
+//!   parallel before serving. It is one stage sequence with three
+//!   adapters: [`consume`] over a decoded package, [`consume_bytes`] over
+//!   sealed bytes (timing the decode into the boot), [`consume_chunked`]
+//!   over a [`Manifest`] and a [`ChunkPool`], decoding function records
+//!   lazily either side of the serve-ready point,
 //! * [`Validator`] — seeder-side validation incl. coverage thresholds and
 //!   a static profile lint via the `analysis` crate (§VI-A.1, §VI-B),
 //! * [`PackageStore`] — multiple randomized packages per (region, bucket)

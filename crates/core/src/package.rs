@@ -134,10 +134,7 @@ impl ProfilePackage {
     ///
     /// Returns a [`WireError`] on any corruption; never panics.
     pub fn deserialize(data: &[u8]) -> Result<ProfilePackage, WireError> {
-        let payload = unseal(data)?;
-        let version = crate::wire::sealed_version(data);
-        let mut r = Reader::new(payload);
-        decode_payload(&mut r, version)
+        decode_payload(&mut Reader::new(unseal(data)?))
     }
 
     /// Deserializes from shared bytes (a stored package): the payload is
@@ -148,41 +145,39 @@ impl ProfilePackage {
     ///
     /// Returns a [`WireError`] on any corruption; never panics.
     pub fn deserialize_shared(data: &Bytes) -> Result<ProfilePackage, WireError> {
-        let payload = unseal_shared(data)?;
-        let version = crate::wire::sealed_version(data);
-        let mut r = Reader::new_shared(&payload);
-        decode_payload(&mut r, version)
+        decode_payload(&mut Reader::new_shared(&unseal_shared(data)?))
     }
 
     /// Exact serialized size in bytes without serializing.
     pub fn approx_size(&self) -> usize {
         self.encoded_len() + ENVELOPE_LEN
     }
+
+    /// The profile as the static linter sees it.
+    pub(crate) fn view(&self) -> analysis::ProfileView<'_> {
+        analysis::ProfileView {
+            tier: &self.tier,
+            ctx: &self.ctx,
+            unit_order: &self.preload.unit_order,
+            prop_orders: &self.prop_orders,
+            func_order: &self.func_order,
+        }
+    }
 }
 
-fn decode_payload(r: &mut Reader<'_>, version: u32) -> Result<ProfilePackage, WireError> {
+fn decode_payload(r: &mut Reader<'_>) -> Result<ProfilePackage, WireError> {
     let mut tier = TierProfile::default();
-    let (meta, preload) = if version >= 6 {
-        let (meta, preload, dir) = read_head(r)?;
-        for i in 0..dir.len() {
-            let p = read_func_record(r, &dir)?;
-            if p.name_hash != dir.hashes[i] {
-                return Err(WireError::Corrupt(format!(
-                    "record {i} name hash {:#018x} disagrees with the head directory",
-                    p.name_hash
-                )));
-            }
-            tier.funcs.insert(dir.ids[i], p);
+    let (meta, preload, dir) = read_head(r)?;
+    for i in 0..dir.len() {
+        let p = read_func_record(r, &dir)?;
+        if p.name_hash != dir.hashes[i] {
+            return Err(WireError::Corrupt(format!(
+                "record {i} name hash {:#018x} disagrees with the head directory",
+                p.name_hash
+            )));
         }
-        (meta, preload)
-    } else {
-        let (meta, preload, nfuncs) = read_head_v5(r)?;
-        for _ in 0..nfuncs {
-            let (f, p) = read_func_record_v5(r)?;
-            tier.funcs.insert(f, p);
-        }
-        (meta, preload)
-    };
+        tier.funcs.insert(dir.ids[i], p);
+    }
     let (ctx, prop_orders, func_order) = read_tail(r, &mut tier)?;
     if r.remaining() != 0 {
         return Err(WireError::Corrupt(format!(
@@ -209,7 +204,7 @@ pub(crate) fn sorted_funcs(tier: &TierProfile) -> Vec<(&FuncId, &FuncProfile)> {
     funcs
 }
 
-/// Function-identity directory of a v6+ payload head: the per-record
+/// Function-identity directory of the payload head: the per-record
 /// `FuncId`s in payload order, plus name-hash → `FuncId` resolution for
 /// the id-free call-target references inside function records.
 ///
@@ -300,16 +295,6 @@ pub(crate) fn hash_refs(tier: &TierProfile) -> HashRefs {
 /// function records that follow, and the function-identity directory
 /// ([`FuncDirectory`]) in record order.
 pub(crate) fn write_head(w: &mut Writer, pkg: &ProfilePackage, funcs: &[(&FuncId, &FuncProfile)]) {
-    write_head_common(w, pkg, funcs.len());
-    for (f, p) in funcs {
-        w.u32(f.0);
-        w.u64(p.name_hash);
-    }
-}
-
-/// The head fields shared by every payload version: meta, preload lists,
-/// function-record count (v5 heads stop here).
-fn write_head_common(w: &mut Writer, pkg: &ProfilePackage, nfuncs: usize) {
     w.u32(pkg.meta.region);
     w.u32(pkg.meta.bucket);
     w.u64(pkg.meta.seeder_id);
@@ -329,7 +314,11 @@ fn write_head_common(w: &mut Writer, pkg: &ProfilePackage, nfuncs: usize) {
     for u in &pkg.preload.unit_order {
         w.u32(u.0);
     }
-    w.seq(nfuncs);
+    w.seq(funcs.len());
+    for (f, p) in funcs {
+        w.u32(f.0);
+        w.u64(p.name_hash);
+    }
 }
 
 /// Exact encoded size of the payload head, mirroring [`write_head`].
@@ -345,28 +334,11 @@ pub(crate) fn head_encoded_len(pkg: &ProfilePackage) -> usize {
     len + (4 + 8) * pkg.tier.funcs.len() // function-identity directory
 }
 
-/// Reads a v6+ payload head back: meta, preload, and the
+/// Reads the payload head back: meta, preload, and the
 /// function-identity directory.
 pub(crate) fn read_head(
     r: &mut Reader<'_>,
 ) -> Result<(PackageMeta, PreloadLists, FuncDirectory), WireError> {
-    let (meta, preload, nfuncs) = read_head_v5(r)?;
-    let mut pairs = Vec::with_capacity(nfuncs.min(1 << 20));
-    for _ in 0..nfuncs {
-        let f = FuncId(r.u32()?);
-        pairs.push((f, r.u64()?));
-    }
-    if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
-        return Err(WireError::Corrupt("function directory out of order".into()));
-    }
-    Ok((meta, preload, FuncDirectory::new(pairs)))
-}
-
-/// Reads the version-independent head prefix: meta, preload,
-/// function-record count. This is the complete head of a v5 payload.
-pub(crate) fn read_head_v5(
-    r: &mut Reader<'_>,
-) -> Result<(PackageMeta, PreloadLists, usize), WireError> {
     let mut meta = PackageMeta {
         region: r.u32()?,
         bucket: r.u32()?,
@@ -393,7 +365,15 @@ pub(crate) fn read_head_v5(
         unit_order.push(UnitId(r.u32()?));
     }
     let nfuncs = r.seq()?;
-    Ok((meta, PreloadLists { unit_order }, nfuncs))
+    let mut pairs = Vec::with_capacity(nfuncs.min(1 << 20));
+    for _ in 0..nfuncs {
+        let f = FuncId(r.u32()?);
+        pairs.push((f, r.u64()?));
+    }
+    if !pairs.windows(2).all(|w| w[0].0 < w[1].0) {
+        return Err(WireError::Corrupt("function directory out of order".into()));
+    }
+    Ok((meta, PreloadLists { unit_order }, FuncDirectory::new(pairs)))
 }
 
 /// Writes the payload tail: tier-level property counters, the ctx
@@ -611,7 +591,7 @@ pub(crate) fn write_func_record(w: &mut Writer, p: &FuncProfile, refs: &HashRefs
     }
 }
 
-/// Reads one function's tier-profile record back (v6+ layout), resolving
+/// Reads one function's tier-profile record back, resolving
 /// hash-keyed call-target references through the head directory. The
 /// record's own `FuncId` comes from the directory position (monolithic
 /// decode) or the manifest entry (lazy decode), not the record bytes.
@@ -624,59 +604,6 @@ pub(crate) fn read_func_record(
         name_hash: r.u64()?,
         ..Default::default()
     };
-    read_record_blocks(r, &mut p)?;
-    let ns = r.seq()?;
-    for _ in 0..ns {
-        let site = r.u32()?;
-        let nt = r.seq()?;
-        let mut targets = HashMap::with_capacity(nt.min(1 << 10));
-        for _ in 0..nt {
-            let callee = match r.u8()? {
-                0 => {
-                    let h = r.u64()?;
-                    dir.resolve(h).ok_or_else(|| {
-                        WireError::Corrupt(format!("unresolvable callee hash {h:#018x}"))
-                    })?
-                }
-                1 => FuncId(r.u32()?),
-                t => return Err(WireError::Corrupt(format!("callee ref tag {t}"))),
-            };
-            targets.insert(callee, r.u64()?);
-        }
-        p.call_targets.insert(site, targets);
-    }
-    read_record_sites(r, &mut p)?;
-    Ok(p)
-}
-
-/// Reads one function's tier-profile record in the v5 layout: a leading
-/// raw `FuncId` and raw-id call-target references.
-pub(crate) fn read_func_record_v5(r: &mut Reader<'_>) -> Result<(FuncId, FuncProfile), WireError> {
-    let f = FuncId(r.u32()?);
-    let mut p = FuncProfile {
-        enter_count: r.u64()?,
-        name_hash: r.u64()?,
-        ..Default::default()
-    };
-    read_record_blocks(r, &mut p)?;
-    let ns = r.seq()?;
-    for _ in 0..ns {
-        let site = r.u32()?;
-        let nt = r.seq()?;
-        let mut targets = HashMap::with_capacity(nt.min(1 << 10));
-        for _ in 0..nt {
-            let callee = FuncId(r.u32()?);
-            targets.insert(callee, r.u64()?);
-        }
-        p.call_targets.insert(site, targets);
-    }
-    read_record_sites(r, &mut p)?;
-    Ok((f, p))
-}
-
-/// Reads the block-counter and signature arrays shared by every record
-/// layout.
-fn read_record_blocks(r: &mut Reader<'_>, p: &mut FuncProfile) -> Result<(), WireError> {
     let nb = r.seq()?;
     p.block_counts.reserve(nb.min(1 << 16));
     for _ in 0..nb {
@@ -698,12 +625,26 @@ fn read_record_blocks(r: &mut Reader<'_>, p: &mut FuncProfile) -> Result<(), Wir
             sig.push(r.u64()?);
         }
     }
-    Ok(())
-}
-
-/// Reads the type-distribution and property-site sections shared by
-/// every record layout.
-fn read_record_sites(r: &mut Reader<'_>, p: &mut FuncProfile) -> Result<(), WireError> {
+    let ns = r.seq()?;
+    for _ in 0..ns {
+        let site = r.u32()?;
+        let nt = r.seq()?;
+        let mut targets = HashMap::with_capacity(nt.min(1 << 10));
+        for _ in 0..nt {
+            let callee = match r.u8()? {
+                0 => {
+                    let h = r.u64()?;
+                    dir.resolve(h).ok_or_else(|| {
+                        WireError::Corrupt(format!("unresolvable callee hash {h:#018x}"))
+                    })?
+                }
+                1 => FuncId(r.u32()?),
+                t => return Err(WireError::Corrupt(format!("callee ref tag {t}"))),
+            };
+            targets.insert(callee, r.u64()?);
+        }
+        p.call_targets.insert(site, targets);
+    }
     let ny = r.seq()?;
     for _ in 0..ny {
         let at = r.u32()?;
@@ -726,7 +667,7 @@ fn read_record_sites(r: &mut Reader<'_>, p: &mut FuncProfile) -> Result<(), Wire
         }
         p.prop_site_classes.insert(at, classes);
     }
-    Ok(())
+    Ok(p)
 }
 
 fn write_ctx(w: &mut Writer, ctx: &CtxProfile) {
@@ -935,92 +876,6 @@ mod tests {
         let pkg = ProfilePackage::default();
         let back = ProfilePackage::deserialize(&pkg.serialize()).unwrap();
         assert_eq!(pkg, back);
-    }
-
-    /// Encodes `pkg` in the v5 payload layout — raw-id records, no head
-    /// directory — and seals it under a v5 version envelope, exactly
-    /// what a v5 seeder would have produced.
-    fn serialize_v5(pkg: &ProfilePackage) -> Vec<u8> {
-        let mut w = Writer::new();
-        let funcs = sorted_funcs(&pkg.tier);
-        write_head_common(&mut w, pkg, funcs.len());
-        for (f, p) in funcs {
-            w.u32(f.0);
-            w.u64(p.enter_count);
-            w.u64(p.name_hash);
-            w.seq(p.block_counts.len());
-            for &c in &p.block_counts {
-                w.u64(c);
-            }
-            w.seq(p.block_hashes.len());
-            for &h in &p.block_hashes {
-                w.u64(h);
-            }
-            for sig in [
-                &p.block_opcode_hashes,
-                &p.block_neighbor_hashes,
-                &p.block_anchor_hashes,
-            ] {
-                w.seq(sig.len());
-                for &h in sig {
-                    w.u64(h);
-                }
-            }
-            let mut sites: Vec<_> = p.call_targets.iter().collect();
-            sites.sort_by_key(|(s, _)| **s);
-            w.seq(sites.len());
-            for (s, targets) in sites {
-                w.u32(*s);
-                let mut ts: Vec<_> = targets.iter().collect();
-                ts.sort_by_key(|(f2, _)| **f2);
-                w.seq(ts.len());
-                for (f2, c) in ts {
-                    w.u32(f2.0);
-                    w.u64(*c);
-                }
-            }
-            let mut types: Vec<_> = p.types.iter().collect();
-            types.sort_by_key(|((at, slot), _)| (*at, *slot));
-            w.seq(types.len());
-            for ((at, slot), dist) in types {
-                w.u32(*at);
-                w.u8(*slot);
-                for &c in dist.counts() {
-                    w.u64(c);
-                }
-            }
-            let mut props: Vec<_> = p.prop_site_classes.iter().collect();
-            props.sort_by_key(|(at, _)| **at);
-            w.seq(props.len());
-            for (at, classes) in props {
-                w.u32(*at);
-                let mut cs: Vec<_> = classes.iter().collect();
-                cs.sort_by_key(|(c, _)| **c);
-                w.seq(cs.len());
-                for (c, n) in cs {
-                    w.u32(c.0);
-                    w.u64(*n);
-                }
-            }
-        }
-        write_tail(&mut w, pkg);
-        let mut sealed = crate::wire::seal(w.finish()).to_vec();
-        sealed[8..12].copy_from_slice(&crate::wire::MIN_VERSION.to_le_bytes());
-        sealed
-    }
-
-    #[test]
-    fn v5_payloads_still_deserialize() {
-        for pkg in [sample_package(), ProfilePackage::default()] {
-            let sealed = serialize_v5(&pkg);
-            let back =
-                ProfilePackage::deserialize(&sealed).expect("v5 payloads decode via the v5 path");
-            assert_eq!(back, pkg);
-            // Re-serializing upgrades to the current id-free layout, which
-            // still round-trips.
-            let v6 = back.serialize();
-            assert_eq!(ProfilePackage::deserialize(&v6).unwrap(), pkg);
-        }
     }
 
     #[test]

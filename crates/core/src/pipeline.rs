@@ -17,9 +17,11 @@
 //!   still running — so the code-cache addresses are **byte-identical**
 //!   to a sequential boot (addresses feed the uarch model; parallelism
 //!   may not move a single block);
-//! * once the emitted prefix covers `early_serve_frac` of the heat mass,
-//!   the boot is marked ready ([`EarlyServe`]) and the remainder is
-//!   accounted as background compilation;
+//! * early serve is not this module's business: the consumer runs the
+//!   pipeline once over the hot prefix of the compile order
+//!   ([`early_serve_prefix`]), reports ready ([`EarlyServe`]), and runs it
+//!   again over the remainder — the second run emits exactly where the
+//!   first stopped;
 //! * a worker panic (a poisoned package tripping a JIT bug, §VI-A) is
 //!   caught with `catch_unwind` and surfaces as a clean error instead of
 //!   aborting the boot, so the fallback controller still engages.
@@ -154,17 +156,19 @@ pub struct WorkerStats {
     pub stall_ns: u64,
 }
 
-/// When the boot crossed the early-serve threshold (§IV-A relaxed:
-/// serve once the hottest `frac` of heat mass is compiled).
+/// When the boot became serve-ready (§IV-A relaxed: serve once the
+/// hottest `frac` of heat mass is compiled) — the boundary between the
+/// consumer's two compile stages. At `frac >= 1` the first stage is the
+/// whole compile order and nothing is left for the background.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct EarlyServe {
     /// Configured heat-mass fraction.
     pub frac: f64,
-    /// Functions emitted when the threshold was crossed.
+    /// Functions emitted when the boot became ready.
     pub ready_funcs: usize,
-    /// Bytes emitted when the threshold was crossed.
+    /// Bytes emitted when the boot became ready.
     pub ready_bytes: u64,
-    /// Nanoseconds from pipeline start to the threshold crossing.
+    /// Pipeline wall time of the serve-ready compile stage.
     pub ready_ns: u64,
     /// Functions left compiling in the background after ready.
     pub background_funcs: usize,
@@ -200,7 +204,7 @@ pub struct BootStats {
     pub compile_bytes: u64,
     /// Per-worker telemetry (one entry for a sequential boot).
     pub workers: Vec<WorkerStats>,
-    /// Early-serve crossing, when a fraction < 1.0 was configured.
+    /// The serve-ready point (`None` only in hand-built stats).
     pub early_serve: Option<EarlyServe>,
     /// Compile-cache hit/miss counters (None with the caches disabled).
     pub caches: Option<CacheStats>,
@@ -470,6 +474,7 @@ pub fn early_serve_prefix_by_heat(
 }
 
 /// What the overlapped translate+emit phase produced.
+#[derive(Default)]
 pub(crate) struct PipelineResult {
     pub compiled_funcs: usize,
     pub compile_bytes: u64,
@@ -477,7 +482,34 @@ pub(crate) struct PipelineResult {
     pub emit_ns: u64,
     pub emit_stall_ns: u64,
     pub workers: Vec<WorkerStats>,
-    pub early_serve: Option<EarlyServe>,
+}
+
+impl PipelineResult {
+    /// Folds a later run on the same engine and the same logical workers
+    /// into this one.
+    pub fn absorb(&mut self, later: PipelineResult) {
+        self.compiled_funcs += later.compiled_funcs;
+        self.compile_bytes += later.compile_bytes;
+        self.pipeline_ns += later.pipeline_ns;
+        self.emit_ns += later.emit_ns;
+        self.emit_stall_ns += later.emit_stall_ns;
+        for (w, x) in self.workers.iter_mut().zip(later.workers) {
+            w.translated += x.translated;
+            w.stolen += x.stolen;
+            w.busy_ns += x.busy_ns;
+            w.steal_ns += x.steal_ns;
+            w.stall_ns += x.stall_ns;
+        }
+    }
+
+    /// Counts one emitted unit (an empty translation emits no bytes and
+    /// does not count as compiled).
+    fn on_emitted(&mut self, bytes: u64) {
+        if bytes > 0 {
+            self.compiled_funcs += 1;
+            self.compile_bytes += bytes;
+        }
+    }
 }
 
 /// Inputs shared by the sequential and parallel paths.
@@ -486,11 +518,9 @@ pub(crate) struct PipelineJob<'a, 'r> {
     pub tier: &'a TierProfile,
     pub ctx: &'a CtxProfile,
     /// Compile order, already filtered to profiled functions.
-    pub work: Vec<FuncId>,
+    pub work: &'a [FuncId],
     pub jit_opts: JitOptions,
     pub resolver: &'a (dyn Fn(ClassId, StrId) -> Option<u16> + Sync),
-    /// Heat-mass fraction after which the boot reports ready.
-    pub early_serve_frac: f64,
     /// Simulate a JIT compiler bug inside a worker (Poison::CompileCrash
     /// with threads > 1): the worker panics and the pipeline must surface
     /// the panic as an error, not abort.
@@ -514,74 +544,6 @@ pub(crate) fn run(
         Ok(run_sequential(job, engine))
     } else {
         run_parallel(job, engine, threads)
-    }
-}
-
-/// The ready-point bookkeeping shared by both paths: counts emitted
-/// units/bytes and records the early-serve crossing.
-struct EmitTracker {
-    threshold_funcs: usize,
-    frac: f64,
-    start: Instant,
-    compiled_funcs: usize,
-    compile_bytes: u64,
-    early: Option<EarlyServe>,
-}
-
-impl EmitTracker {
-    fn new(job: &PipelineJob<'_, '_>, start: Instant) -> Self {
-        EmitTracker {
-            threshold_funcs: early_serve_prefix(job.tier, &job.work, job.early_serve_frac),
-            frac: job.early_serve_frac,
-            start,
-            compiled_funcs: 0,
-            compile_bytes: 0,
-            early: None,
-        }
-    }
-
-    fn on_emitted(&mut self, seq: usize, bytes: u64) {
-        if bytes > 0 {
-            self.compiled_funcs += 1;
-            self.compile_bytes += bytes;
-        }
-        // The threshold is positional over the compile order, so it
-        // crosses exactly when unit `threshold_funcs - 1` lands.
-        if self.frac < 1.0 && self.early.is_none() && seq + 1 >= self.threshold_funcs {
-            self.early = Some(EarlyServe {
-                frac: self.frac,
-                ready_funcs: self.compiled_funcs,
-                ready_bytes: self.compile_bytes,
-                ready_ns: self.start.elapsed().as_nanos() as u64,
-                background_funcs: 0,
-                background_bytes: 0,
-            });
-            telemetry::instant!(
-                "early-serve-ready",
-                "funcs" => self.compiled_funcs,
-                "bytes" => self.compile_bytes
-            );
-        }
-    }
-
-    fn finish(mut self) -> (usize, u64, Option<EarlyServe>) {
-        if let Some(e) = &mut self.early {
-            e.background_funcs = self.compiled_funcs - e.ready_funcs;
-            e.background_bytes = self.compile_bytes - e.ready_bytes;
-        } else if self.frac >= 1.0 {
-            // A full-fraction boot is "ready" exactly when the last unit
-            // lands: report a populated crossing (ready == total, nothing
-            // in background) instead of a null row.
-            self.early = Some(EarlyServe {
-                frac: self.frac,
-                ready_funcs: self.compiled_funcs,
-                ready_bytes: self.compile_bytes,
-                ready_ns: self.start.elapsed().as_nanos() as u64,
-                background_funcs: 0,
-                background_bytes: 0,
-            });
-        }
-        (self.compiled_funcs, self.compile_bytes, self.early)
     }
 }
 
@@ -643,9 +605,8 @@ fn translate_and_plan(job: &PipelineJob<'_, '_>, func: FuncId) -> (VasmUnit, Lay
 
 fn run_sequential(job: &PipelineJob<'_, '_>, engine: &mut JitEngine<'_>) -> PipelineResult {
     let start = Instant::now();
-    let mut tracker = EmitTracker::new(job, start);
+    let mut out = PipelineResult::default();
     let mut worker = WorkerStats::default();
-    let mut emit_ns = 0u64;
     let translate_hist = job.metrics.histogram("pipeline.translate_ns");
     let emit_hist = job.metrics.histogram("pipeline.emit_ns");
     let _pipeline_span = telemetry::span!("pipeline", "threads" => 1u64, "units" => job.work.len());
@@ -663,22 +624,16 @@ fn run_sequential(job: &PipelineJob<'_, '_>, engine: &mut JitEngine<'_>) -> Pipe
         };
         let unit_emit_ns = t1.elapsed().as_nanos() as u64;
         emit_hist.record(unit_emit_ns);
-        emit_ns += unit_emit_ns;
-        tracker.on_emitted(seq, bytes);
+        out.emit_ns += unit_emit_ns;
+        out.on_emitted(bytes);
     }
-    let (compiled_funcs, compile_bytes, early_serve) = tracker.finish();
-    PipelineResult {
-        compiled_funcs,
-        compile_bytes,
-        pipeline_ns: start.elapsed().as_nanos() as u64,
-        emit_ns,
-        // The emitter waits inline for each translation; reporting that
-        // wait (instead of 0) keeps the column comparable with threaded
-        // boots, whose stall is the reorder-buffer recv time.
-        emit_stall_ns: worker.busy_ns,
-        workers: vec![worker],
-        early_serve,
-    }
+    out.pipeline_ns = start.elapsed().as_nanos() as u64;
+    // The emitter waits inline for each translation; reporting that wait
+    // (instead of 0) keeps the column comparable with threaded boots,
+    // whose stall is the reorder-buffer recv time.
+    out.emit_stall_ns = worker.busy_ns;
+    out.workers = vec![worker];
+    out
 }
 
 /// How many consecutive units one deque entry carries. Small enough to
@@ -719,11 +674,9 @@ fn run_parallel(
     let abort = AtomicBool::new(false);
     let crashed = AtomicBool::new(false);
 
-    let mut emit_ns = 0u64;
-    let mut emit_stall_ns = 0u64;
-    let mut tracker = EmitTracker::new(job, start);
+    let mut out = PipelineResult::default();
 
-    let worker_stats: Vec<WorkerStats> = crossbeam::scope(|s| {
+    out.workers = crossbeam::scope(|s| {
         let handles: Vec<_> = workers
             .into_iter()
             .enumerate()
@@ -833,7 +786,7 @@ fn run_parallel(
                 // All senders gone: a worker crashed (or aborted).
                 break;
             };
-            emit_stall_ns += t0.elapsed().as_nanos() as u64;
+            out.emit_stall_ns += t0.elapsed().as_nanos() as u64;
             received += 1;
             pending.insert(seq, (unit, plan));
             while let Some((unit, plan)) = pending.remove(&next_seq) {
@@ -844,8 +797,8 @@ fn run_parallel(
                 };
                 let unit_emit_ns = t1.elapsed().as_nanos() as u64;
                 emit_hist.record(unit_emit_ns);
-                emit_ns += unit_emit_ns;
-                tracker.on_emitted(next_seq, bytes);
+                out.emit_ns += unit_emit_ns;
+                out.on_emitted(bytes);
                 next_seq += 1;
             }
         }
@@ -860,16 +813,8 @@ fn run_parallel(
     if crashed.load(Ordering::Relaxed) {
         return Err(());
     }
-    let (compiled_funcs, compile_bytes, early_serve) = tracker.finish();
-    Ok(PipelineResult {
-        compiled_funcs,
-        compile_bytes,
-        pipeline_ns: start.elapsed().as_nanos() as u64,
-        emit_ns,
-        emit_stall_ns,
-        workers: worker_stats,
-        early_serve,
-    })
+    out.pipeline_ns = start.elapsed().as_nanos() as u64;
+    Ok(out)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! `RuntimeCrash` poison with low probability can slip through, which is
 //! precisely why §VI-A.2's randomized selection exists).
 
-use analysis::{lint_profile, ProfileView};
+use analysis::lint_profile;
 use bytecode::Repo;
 use jit::JitOptions;
 use rand::rngs::SmallRng;
@@ -148,16 +148,7 @@ impl Validator {
         // means corruption, and rejecting here costs no compile or boot.
         if self.opts.static_lint {
             let _lint_span = telemetry::span!("static-lint");
-            let report = lint_profile(
-                repo,
-                &ProfileView {
-                    tier: &pkg.tier,
-                    ctx: &pkg.ctx,
-                    unit_order: &pkg.preload.unit_order,
-                    prop_orders: &pkg.prop_orders,
-                    func_order: &pkg.func_order,
-                },
-            );
+            let report = lint_profile(repo, &pkg.view());
             if report.error_count() > 0 {
                 return Err(ValidationError::Static {
                     errors: report.error_count(),

@@ -262,7 +262,8 @@ impl<'a> Reader<'a> {
 /// Magic prefix of every package.
 pub const MAGIC: &[u8; 8] = b"HHJSPKG\0";
 
-/// Current format version.
+/// The one format version: a package is readable iff its envelope says
+/// exactly this.
 ///
 /// v5 added the per-function stale-matching signatures (`name_hash` and
 /// the opcode / neighbor / anchor block-hash arrays). v6 added the chunk
@@ -270,13 +271,10 @@ pub const MAGIC: &[u8; 8] = b"HHJSPKG\0";
 /// each record's identity moved into a head-resident `(FuncId,
 /// name-hash)` directory and call targets are referenced by callee name
 /// hash, so an unchanged profile encodes to byte-identical chunks even
-/// across releases that renumber every `FuncId`.
+/// across releases that renumber every `FuncId`. The v5 read path was
+/// retired once nothing in the tree produced v5: a consumer handed an
+/// older envelope gets [`WireError::BadVersion`] and falls back (§VI-A.3).
 pub const VERSION: u32 = 6;
-
-/// Oldest envelope version [`unseal`] still accepts. v5 payloads (raw-id
-/// records, no head directory) decode through a retained v5 read path,
-/// so packages sealed by a v5 seeder remain consumable after a rollout.
-pub const MIN_VERSION: u32 = 5;
 
 /// Envelope bytes before the payload: magic, version, payload length.
 pub const HEADER_LEN: usize = 16;
@@ -328,7 +326,7 @@ pub fn unseal(data: &[u8]) -> Result<&[u8], WireError> {
         return Err(WireError::BadMagic);
     }
     let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
-    if !(MIN_VERSION..=VERSION).contains(&version) {
+    if version != VERSION {
         return Err(WireError::BadVersion {
             found: version,
             supported: VERSION,
@@ -351,12 +349,6 @@ pub fn unseal(data: &[u8]) -> Result<&[u8], WireError> {
         });
     }
     Ok(payload)
-}
-
-/// The envelope version of sealed bytes. Only reads the version field —
-/// callers must have validated `data` with [`unseal`] first.
-pub fn sealed_version(data: &[u8]) -> u32 {
-    u32::from_le_bytes(data[8..12].try_into().expect("validated envelope"))
 }
 
 /// Like [`unseal`], but over shared bytes: the returned payload is a
@@ -489,28 +481,23 @@ mod tests {
     }
 
     #[test]
-    fn previous_version_envelope_still_unseals() {
+    fn other_version_envelopes_are_rejected() {
         let mut w = Writer::new();
         w.str("payload");
         let sealed = seal(w.finish());
         // The crc covers only the payload, so rewriting the version field
-        // yields a well-formed older envelope.
-        let mut v5 = sealed.to_vec();
-        v5[8..12].copy_from_slice(&MIN_VERSION.to_le_bytes());
-        let payload = unseal(&v5).expect("v5 envelopes are still supported");
-        let mut r = Reader::new(payload);
-        assert_eq!(r.str().unwrap(), "payload");
-
-        // One before the floor is rejected.
-        let mut v4 = sealed.to_vec();
-        v4[8..12].copy_from_slice(&(MIN_VERSION - 1).to_le_bytes());
-        assert_eq!(
-            unseal(&v4),
-            Err(WireError::BadVersion {
-                found: MIN_VERSION - 1,
-                supported: VERSION
-            })
-        );
+        // yields an otherwise well-formed envelope of another version.
+        for found in [VERSION - 2, VERSION - 1, VERSION + 1] {
+            let mut other = sealed.to_vec();
+            other[8..12].copy_from_slice(&found.to_le_bytes());
+            assert_eq!(
+                unseal(&other),
+                Err(WireError::BadVersion {
+                    found,
+                    supported: VERSION
+                })
+            );
+        }
     }
 
     #[test]

@@ -141,6 +141,9 @@ fn untraced_boot_still_renders_boot_stats_from_registry() {
     // registry still backs BootStats.
     let (repo, pkg) = make_package();
     let bytes = pkg.serialize();
+    // The traced test in this binary runs on another thread and turns the
+    // process-wide tracer on; hold the session so it cannot overlap.
+    let _session = telemetry::session_lock();
     assert!(!telemetry::enabled());
     let out = consume_bytes(
         &repo,
