@@ -24,7 +24,7 @@ cargo run -q -p bench --bin jslint -- --demo
 echo "== benches compile =="
 cargo bench --workspace --no-run -q
 
-echo "== jsboot smoke (boot determinism, cache exactness, compile-throughput floor, decode timing) =="
+echo "== jsboot smoke (boot determinism, compile-throughput floor, decode timing) =="
 cargo run -q -p bench --bin jsboot --release -- --check --trace TRACE_boot.json
 
 echo "== trace schema gate (well-formed JSON, matched B/E, monotonic per-track timestamps) =="
@@ -38,7 +38,7 @@ import json
 doc = json.load(open("BENCH_boot.json"))
 lo = doc["layout_options"]
 assert "hugepage_pack" in lo and "global_hotcold" in lo, f"boot rows missing the active layout plan: {lo}"
-rows = doc["thread_sweep"] + doc["early_serve_sweep"] + [doc["uncached_sequential"]]
+rows = doc["thread_sweep"] + doc["early_serve_sweep"]
 assert rows, "no boot rows in BENCH_boot.json"
 for row in rows:
     assert row["decode_ns"] > 0, f"boot row has decode_ns == 0: {row}"

@@ -1,48 +1,17 @@
-//! Structural fingerprints of layout inputs.
+//! Content fingerprints.
 //!
-//! The consumer's layout-plan cache ([`layout::PlanCache`]) keys plans by
-//! a hash of exactly the inputs [`jit::plan_layout_parts`] consumes. The
-//! hash reuses [`bytecode::Fnv`] — the same FNV-1a family behind
+//! The hash reuses [`bytecode::Fnv`] — the same FNV-1a family behind
 //! [`bytecode::Cfg::block_hashes`], which the stale-profile matcher in
 //! [`crate::stale`] already relies on — so every structural fingerprint in
 //! the system comes from one hasher.
-//!
-//! Fingerprints are advisory: the cache compares full keys on lookup, so
-//! a collision costs a recomputation, never a wrong plan.
 
 use bytecode::Fnv;
-use jit::vasm::VasmUnit;
-use layout::{BlockEdge, BlockNode};
-
-/// Fingerprints the layout inputs of a plan: block sizes/weights and the
-/// weighted edge list, length-prefixed so concatenation ambiguities cannot
-/// alias.
-pub fn layout_fingerprint(blocks: &[BlockNode], edges: &[BlockEdge]) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(blocks.len() as u64);
-    for b in blocks {
-        h.u64(b.size as u64);
-        h.u64(b.weight);
-    }
-    h.u64(edges.len() as u64);
-    for e in edges {
-        h.u64(e.src as u64);
-        h.u64(e.dst as u64);
-        h.u64(e.weight);
-    }
-    h.finish()
-}
-
-/// [`layout_fingerprint`] of a translated unit's layout view.
-pub fn unit_layout_fingerprint(unit: &VasmUnit) -> u64 {
-    layout_fingerprint(&unit.layout_blocks(), &unit.layout_edges())
-}
 
 /// Content hash of a serialized chunk: length-prefixed FNV-1a over the
 /// raw bytes. This is the chunk id of the content-addressed package
 /// store — two chunks share an id exactly when their bytes are equal
-/// (modulo the advisory-hash caveat above; the store additionally keeps
-/// a per-chunk CRC-32, so a collision is detected, not silently merged).
+/// (modulo hash collisions; the store additionally keeps a per-chunk
+/// CRC-32, so a collision is detected, not silently merged).
 pub fn chunk_fingerprint(bytes: &[u8]) -> u64 {
     let mut h = Fnv::new();
     h.u64(bytes.len() as u64);
@@ -50,61 +19,4 @@ pub fn chunk_fingerprint(bytes: &[u8]) -> u64 {
         h.u8(b);
     }
     h.finish()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn blocks(ws: &[u64]) -> Vec<BlockNode> {
-        ws.iter()
-            .map(|&w| BlockNode { size: 4, weight: w })
-            .collect()
-    }
-
-    #[test]
-    fn identical_inputs_fingerprint_identically() {
-        let b = blocks(&[1, 2, 3]);
-        let e = vec![BlockEdge {
-            src: 0,
-            dst: 1,
-            weight: 9,
-        }];
-        assert_eq!(layout_fingerprint(&b, &e), layout_fingerprint(&b, &e));
-    }
-
-    #[test]
-    fn weight_and_shape_changes_change_the_fingerprint() {
-        let e = vec![BlockEdge {
-            src: 0,
-            dst: 1,
-            weight: 9,
-        }];
-        let base = layout_fingerprint(&blocks(&[1, 2, 3]), &e);
-        assert_ne!(base, layout_fingerprint(&blocks(&[1, 2, 4]), &e));
-        assert_ne!(base, layout_fingerprint(&blocks(&[1, 2]), &e));
-        assert_ne!(base, layout_fingerprint(&blocks(&[1, 2, 3]), &[]));
-        let e2 = vec![BlockEdge {
-            src: 0,
-            dst: 2,
-            weight: 9,
-        }];
-        assert_ne!(base, layout_fingerprint(&blocks(&[1, 2, 3]), &e2));
-    }
-
-    #[test]
-    fn length_prefix_prevents_block_edge_aliasing() {
-        // One block moved from the block list into the edge list must not
-        // collide even though the raw word stream could line up.
-        let a = layout_fingerprint(&blocks(&[5]), &[]);
-        let b = layout_fingerprint(
-            &[],
-            &[BlockEdge {
-                src: 4,
-                dst: 5,
-                weight: 0,
-            }],
-        );
-        assert_ne!(a, b);
-    }
 }

@@ -24,9 +24,9 @@
 //!   counters on unreachable blocks, and type observations the abstract
 //!   interpretation proves impossible.
 //! * [`stale`] — the stale-profile matcher: re-identifies functions and
-//!   blocks from a profile collected against an older build (multi-level
-//!   hash ladder: exact → opcode → neighborhood → call anchors), infers
-//!   flow-consistent counts for what it matched, and prunes
+//!   blocks from a profile collected against an older build (two-level
+//!   hash ladder: exact → opcode), infers flow-consistent counts for what
+//!   it matched, and prunes
 //!   instruction-indexed counters that no longer fit.
 //! * [`flow`] — the flow-conservation solver behind [`stale`]: turns the
 //!   lint's Kirchhoff *check* into count *inference* over partial matches.
@@ -44,7 +44,7 @@ pub mod types;
 pub use assign::{use_before_assign, UseBeforeAssign};
 pub use callgraph::{CallGraph, CallSite, CallSiteKind};
 pub use dataflow::{solve, Analysis, DataflowResults, Direction, JoinSemiLattice};
-pub use fingerprint::{chunk_fingerprint, layout_fingerprint, unit_layout_fingerprint};
+pub use fingerprint::chunk_fingerprint;
 pub use flow::{func_flow_consistent, infer_flow, FlowSolution};
 pub use lint::{
     is_own_layer_order, lint_profile, lint_profile_with, Diagnostic, LintOptions, LintReport,

@@ -15,13 +15,10 @@
 //!    targets and context keys are rewritten through the resulting old→new
 //!    id map; functions that resolve to nothing are dropped.
 //! 2. **Block matching ladder** — each surviving function's blocks are
-//!    matched against the current [`bytecode::Cfg`] at four levels of
-//!    decreasing strictness: exact structural hash, opcode-only hash
-//!    (survives immediate renumbering), neighborhood hash (disambiguates
-//!    duplicate bodies by graph position) and call-site anchors (names of
-//!    the block's call targets). Each level pairs equal hashes in relative
-//!    block order, so duplicate hashes can no longer misalign the way the
-//!    old greedy in-order scan did.
+//!    matched against the current [`bytecode::Cfg`] at two levels of
+//!    decreasing strictness: exact structural hash, then opcode-only hash
+//!    (survives edited immediates). Each level pairs equal hashes in
+//!    relative block order, so duplicate bodies line up first-to-first.
 //! 3. **Flow-conservation inference** — matched counts become *hints* to
 //!    [`crate::flow::infer_flow`], which constructs an exact integer
 //!    circulation over the new CFG. Unmatched regions get consistent
@@ -49,15 +46,13 @@ const MIN_MATCHED_MASS: f64 = 0.5;
 /// How stale functions are matched.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum MatchMode {
-    /// The full v2 pipeline: name/body identity, four-level block ladder,
+    /// The full v2 pipeline: name/body identity, two-level block ladder,
     /// flow-conservation inference.
     #[default]
     Full,
     /// Drop every function that is not exactly fresh (the pre-matching
     /// baseline the `jsstale` bench compares against).
     DropStale,
-    /// The original greedy in-order exact-hash scan, kept for comparison.
-    LegacyGreedy,
 }
 
 /// Options for [`repair_profile_with`].
@@ -82,9 +77,11 @@ pub struct MatchStats {
     pub blocks_exact: u64,
     /// Blocks matched by opcode-only hash.
     pub blocks_opcode: u64,
-    /// Blocks matched by neighborhood hash.
+    /// Always 0; kept for the benchmark's traced pass, remove with the
+    /// next benchmark PR.
     pub blocks_neighbor: u64,
-    /// Blocks matched by call-site anchors.
+    /// Always 0; kept for the benchmark's traced pass, remove with the
+    /// next benchmark PR.
     pub blocks_anchor: u64,
     /// New-CFG blocks with no match that received a nonzero inferred count.
     pub blocks_inferred: u64,
@@ -122,44 +119,16 @@ impl RepairReport {
     }
 }
 
-/// Remaps `old` counters (with hashes `old_hashes`) onto blocks of the
-/// current CFG by greedy in-order hash matching (the legacy v1 scan).
-/// Returns the new counter vector, the matched counter mass, and how many
-/// old counter entries the scan never examined — previously those were
-/// silently truncated; callers must report them as pruned.
-fn remap_counts(old: &[u64], old_hashes: &[u64], cur_hashes: &[u64]) -> (Vec<u64>, u64, usize) {
-    let mut counts = vec![0u64; cur_hashes.len()];
-    let mut matched = 0u64;
-    let mut cursor = 0usize;
-    let mut visited = 0usize;
-    for (i, &h) in old_hashes.iter().enumerate() {
-        let Some(&c) = old.get(i) else { break };
-        visited += 1;
-        if let Some(j) = cur_hashes[cursor..].iter().position(|&ch| ch == h) {
-            let j = cursor + j;
-            counts[j] = c;
-            matched += c;
-            cursor = j + 1;
-        }
-        if cursor >= cur_hashes.len() {
-            break;
-        }
-    }
-    (counts, matched, old.len() - visited)
-}
-
 // One rung of the matching ladder, as stats indices.
 const LEVEL_EXACT: u8 = 0;
 const LEVEL_OPCODE: u8 = 1;
-const LEVEL_NEIGHBOR: u8 = 2;
-const LEVEL_ANCHOR: u8 = 3;
 
-/// Matches old blocks to new blocks through the four-level hash ladder.
+/// Matches old blocks to new blocks through the two-level hash ladder.
 /// Returns, per new block, the matched old block index and the level that
 /// matched it. Within one level, equal hashes pair up in relative block
 /// order; every level only considers blocks the stricter levels left
 /// unmatched.
-fn match_blocks(old_counts: &[u64], levels: [(&[u64], &[u64]); 4]) -> Vec<Option<(usize, u8)>> {
+fn match_blocks(old_counts: &[u64], levels: [(&[u64], &[u64]); 2]) -> Vec<Option<(usize, u8)>> {
     let n_old = old_counts.len();
     let n_new = levels
         .iter()
@@ -176,8 +145,7 @@ fn match_blocks(old_counts: &[u64], levels: [(&[u64], &[u64]); 4]) -> Vec<Option
         let level = level as u8;
         let mut by_hash: BTreeMap<u64, VecDeque<usize>> = BTreeMap::new();
         for (i, &h) in old_h.iter().enumerate() {
-            let anchorless = level == LEVEL_ANCHOR && h == 0;
-            if !old_taken[i] && !anchorless {
+            if !old_taken[i] {
                 by_hash.entry(h).or_default().push_back(i);
             }
         }
@@ -185,11 +153,7 @@ fn match_blocks(old_counts: &[u64], levels: [(&[u64], &[u64]); 4]) -> Vec<Option
             if slot.is_some() {
                 continue;
             }
-            let h = cur_h[j];
-            if level == LEVEL_ANCHOR && h == 0 {
-                continue;
-            }
-            if let Some(q) = by_hash.get_mut(&h) {
+            if let Some(q) = by_hash.get_mut(&cur_h[j]) {
                 if let Some(i) = q.pop_front() {
                     *slot = Some((i, level));
                     old_taken[i] = true;
@@ -248,38 +212,13 @@ pub fn repair_profile_with(
                 stale_drops.push(fid);
                 continue;
             }
-            MatchMode::LegacyGreedy => {
-                if fp.block_hashes.len() != fp.block_counts.len() || fp.block_hashes.is_empty() {
-                    report.stats.mass_dropped += total;
-                    stale_drops.push(fid);
-                    continue;
-                }
-                let (counts, matched, skipped) =
-                    remap_counts(&fp.block_counts, &fp.block_hashes, &cur_exact);
-                report.pruned += skipped;
-                if total > 0 && (matched as f64) < MIN_MATCHED_MASS * total as f64 {
-                    report.stats.mass_dropped += total;
-                    stale_drops.push(fid);
-                    continue;
-                }
-                report.stats.mass_matched += matched;
-                report.stats.mass_dropped += total - matched;
-                fp.block_counts = counts;
-                fp.block_hashes = cur_exact;
-                refresh_signatures(repo, fid, fp, &cfg);
-                report.repaired.push(fid);
-            }
             MatchMode::Full => {
                 let cur_opcode = cfg.block_opcode_hashes(func);
-                let cur_neighbor = cfg.block_neighbor_hashes(func);
-                let cur_anchor = cfg.block_anchor_hashes(func, repo);
                 let assigned = match_blocks(
                     &fp.block_counts,
                     [
                         (fp.block_hashes.as_slice(), cur_exact.as_slice()),
                         (fp.block_opcode_hashes.as_slice(), cur_opcode.as_slice()),
-                        (fp.block_neighbor_hashes.as_slice(), cur_neighbor.as_slice()),
-                        (fp.block_anchor_hashes.as_slice(), cur_anchor.as_slice()),
                     ],
                 );
                 let matched: u64 = assigned
@@ -307,8 +246,7 @@ pub fn repair_profile_with(
                     match a.1 {
                         LEVEL_EXACT => report.stats.blocks_exact += 1,
                         LEVEL_OPCODE => report.stats.blocks_opcode += 1,
-                        LEVEL_NEIGHBOR => report.stats.blocks_neighbor += 1,
-                        _ => report.stats.blocks_anchor += 1,
+                        level => unreachable!("the ladder has two levels, got {level}"),
                     }
                 }
                 report.stats.blocks_dropped += matched_old.iter().filter(|&&m| !m).count() as u64;
@@ -432,6 +370,7 @@ fn resolve_identities(
             Some(nf) if claimed.insert(nf) => resolved.push((fid, nf)),
             _ if full && fp.name_hash != 0 => second_chance.push(fid),
             _ => {
+                report.stats.blocks_dropped += fp.block_counts.len() as u64;
                 report.stats.mass_dropped += fp.block_counts.iter().sum::<u64>();
                 report.dropped.push(fid);
             }
@@ -455,6 +394,7 @@ fn resolve_identities(
                 resolved.push((fid, nf));
             }
             _ => {
+                report.stats.blocks_dropped += fp.block_counts.len() as u64;
                 report.stats.mass_dropped += fp.block_counts.iter().sum::<u64>();
                 report.dropped.push(fid);
             }
@@ -509,8 +449,6 @@ fn refresh_signatures(repo: &Repo, fid: FuncId, fp: &mut FuncProfile, cfg: &Cfg)
     let func = repo.func(fid);
     fp.name_hash = bytecode::fnv_str(repo.str(func.name));
     fp.block_opcode_hashes = cfg.block_opcode_hashes(func);
-    fp.block_neighbor_hashes = cfg.block_neighbor_hashes(func);
-    fp.block_anchor_hashes = cfg.block_anchor_hashes(func, repo);
 }
 
 /// Drops every branch counter of `fid` and installs the synthesized
@@ -621,30 +559,6 @@ fn prune_ctx(repo: &Repo, graph: &CallGraph, ctx: &mut CtxProfile) -> usize {
         }
     });
     before - (ctx.branches.len() + ctx.entries.len())
-}
-
-/// Convenience for tests and tooling: how much counter mass two tier
-/// profiles share per function (1.0 = identical distribution support).
-pub fn shared_mass(a: &TierProfile, b: &TierProfile) -> f64 {
-    let mut shared = 0u64;
-    let mut total = 0u64;
-    for (f, pa) in &a.funcs {
-        let ta: u64 = pa.block_counts.iter().sum();
-        total += ta;
-        if let Some(pb) = b.funcs.get(f) {
-            shared += pa
-                .block_counts
-                .iter()
-                .zip(&pb.block_counts)
-                .map(|(&x, &y)| x.min(y))
-                .sum::<u64>();
-        }
-    }
-    if total == 0 {
-        1.0
-    } else {
-        shared as f64 / total as f64
-    }
 }
 
 #[cfg(test)]
@@ -829,15 +743,10 @@ mod tests {
         let (mut tier, mut ctx) = collect(&repo, 10);
         let f = repo.func_by_name("f").unwrap().id;
         // Pretend the profile came from a totally different function body:
-        // same name, but no signature at any ladder level matches.
+        // same name, but no signature at either ladder level matches.
         let fp = tier.funcs.get_mut(&f).unwrap();
         fp.block_counts.push(99);
-        for sig in [
-            &mut fp.block_hashes,
-            &mut fp.block_opcode_hashes,
-            &mut fp.block_neighbor_hashes,
-            &mut fp.block_anchor_hashes,
-        ] {
+        for sig in [&mut fp.block_hashes, &mut fp.block_opcode_hashes] {
             sig.push(12345);
             for h in sig.iter_mut() {
                 *h ^= 0xffff_ffff;
@@ -850,17 +759,18 @@ mod tests {
     }
 
     #[test]
-    fn legacy_greedy_truncation_is_reported_as_pruned() {
-        // More counters than hashes: the greedy scan never examines the
-        // tail — it must be counted, not silently dropped.
-        let (counts, matched, skipped) = remap_counts(&[5, 6, 7], &[42], &[42]);
-        assert_eq!(counts, vec![5]);
-        assert_eq!(matched, 5);
-        assert_eq!(skipped, 2);
-        // Cursor exhaustion mid-scan leaves the remaining entries
-        // unexamined too.
-        let (_, _, skipped) = remap_counts(&[1, 2, 3], &[9, 9, 9], &[9]);
-        assert_eq!(skipped, 2);
+    fn duplicate_hashes_pair_in_relative_block_order() {
+        // Three old blocks and two new ones, all with one opcode hash and
+        // no exact match: pairs go first-to-first, the third old block has
+        // no partner left.
+        let assigned = match_blocks(
+            &[10, 20, 30],
+            [(&[1, 2, 3], &[8, 9]), (&[7, 7, 7], &[7, 7])],
+        );
+        assert_eq!(
+            assigned,
+            vec![Some((0, LEVEL_OPCODE)), Some((1, LEVEL_OPCODE))]
+        );
     }
 
     #[test]
@@ -885,10 +795,17 @@ mod tests {
     fn dangling_functions_are_dropped() {
         let repo = build_repo(false);
         let (mut tier, mut ctx) = collect(&repo, 5);
-        tier.funcs.insert(FuncId::new(1000), FuncProfile::default());
+        let phantom = FuncProfile {
+            block_counts: vec![4, 2, 1],
+            ..FuncProfile::default()
+        };
+        tier.funcs.insert(FuncId::new(1000), phantom);
         let report = repair_profile(&repo, &mut tier, &mut ctx);
         assert_eq!(report.dropped, vec![FuncId::new(1000)]);
         assert!(!tier.funcs.contains_key(&FuncId::new(1000)));
+        // A function dropped at identity resolution loses all its blocks.
+        assert_eq!(report.stats.blocks_dropped, 3);
+        assert_eq!(report.stats.mass_dropped, 7);
     }
 
     #[test]
@@ -934,14 +851,5 @@ mod tests {
             ctx.entries.contains_key(&(Some((f, site)), g)),
             valid_before
         );
-    }
-
-    #[test]
-    fn shared_mass_of_identical_profiles_is_one() {
-        let repo = build_repo(false);
-        let (tier, _) = collect(&repo, 10);
-        assert!((shared_mass(&tier, &tier) - 1.0).abs() < 1e-9);
-        let empty = TierProfile::default();
-        assert_eq!(shared_mass(&tier, &empty), 0.0);
     }
 }

@@ -2,17 +2,15 @@
 //! translate/emit overlap of `jumpstart::consume`, measured end to end.
 //!
 //! Sweeps translation worker threads (1, 2, 4, 8) and the hottest-first
-//! early-serve fraction on the bench-scale application, runs a
-//! compile-caches-off control boot (digest-gated against the cached one),
-//! prints each boot's phase timeline ([`BootStats::render`]) and writes
-//! the machine-readable results to `BENCH_boot.json` in the current
-//! directory.
+//! early-serve fraction on the bench-scale application, prints each
+//! boot's phase timeline ([`BootStats::render`]) and writes the
+//! machine-readable results to `BENCH_boot.json` in the current directory.
 //!
 //! Usage:
 //!   jsboot            full sweep at bench scale, writes BENCH_boot.json
 //!   jsboot --small    same sweep on the small lab (quick)
-//!   jsboot --check    CI smoke: small lab; asserts parallel and cache-off
-//!                     boots stay byte-identical to sequential, that
+//!   jsboot --check    CI smoke: small lab; asserts parallel and early-
+//!                     serve boots stay byte-identical to sequential, that
 //!                     translation sustains a minimum translated-bytes-
 //!                     per-CPU-second rate, that decode time is measured,
 //!                     and (only on >= 2 hardware cores) that the best
@@ -97,28 +95,6 @@ fn main() {
     let mut thread_boots: Vec<BootStats> = Vec::new();
     let baseline = boot(&lab, &pkg, &JumpStartOptions::default(), 1);
     let baseline_digest = baseline.engine.code_cache.layout_digest();
-
-    // Cache-off control: the compile caches (inline-body templates +
-    // layout plans) are exact memoization, so a boot without them must
-    // emit a byte-identical code cache. This is the digest gate the
-    // caches' correctness story rests on.
-    let uncached = boot(
-        &lab,
-        &pkg,
-        &JumpStartOptions {
-            compile_caches: false,
-            ..Default::default()
-        },
-        1,
-    );
-    assert_eq!(
-        uncached.engine.code_cache.layout_digest(),
-        baseline_digest,
-        "cached boot must be byte-identical to the uncached boot"
-    );
-    println!("--- compile_caches=off (threads=1, control) ---");
-    print!("{}", uncached.boot.render());
-    let uncached_boot = uncached.boot;
     for &threads in &THREAD_SWEEP {
         let out = if threads == 1 {
             boot(&lab, &pkg, &JumpStartOptions::default(), 1)
@@ -203,11 +179,10 @@ fn main() {
         // Compile-cost regression floor: translated bytes per CPU-second
         // of translation work (worker busy time, so the figure is
         // thread-count-invariant). The small lab sustains well over
-        // 10 MB per CPU-second with the compile caches on; the floor sits
-        // far enough below that to absorb slow or shared CI hosts while
-        // still catching an accidental return to per-site re-translation
-        // or per-unit Ext-TSP re-planning (an order of magnitude, not
-        // tens of percent).
+        // 10 MB per CPU-second; the floor sits far enough below that to
+        // absorb slow or shared CI hosts while still catching an
+        // accidental return to per-site re-translation or from-scratch
+        // Ext-TSP merging (an order of magnitude, not tens of percent).
         const MIN_CPU_BYTES_PER_SEC: f64 = 2.0e6;
         let busy = thread_boots[0].worker_busy_ns().max(1);
         let cpu_rate = thread_boots[0].compile_bytes as f64 * 1e9 / busy as f64;
@@ -218,7 +193,6 @@ fn main() {
         println!(
             "check ok: {cpu_rate:.0} translated bytes per CPU-second (floor {MIN_CPU_BYTES_PER_SEC:.0})"
         );
-        println!("check ok: cache-off control boot byte-identical to the cached boot");
         println!("check ok: all parallel and early-serve boots byte-identical to sequential");
         return;
     }
@@ -250,9 +224,6 @@ fn main() {
         pkg.len(),
         thread_boots[0].decode_ns as f64 * 1e6 / pkg.len().max(1) as f64
     ));
-    json.push_str("  \"uncached_sequential\": ");
-    json.push_str(&uncached_boot.to_json());
-    json.push_str(",\n");
     json.push_str("  \"thread_sweep\": [\n");
     for (i, b) in thread_boots.iter().enumerate() {
         json.push_str("    ");
@@ -279,11 +250,6 @@ fn main() {
     println!("wrote BENCH_boot.json");
 
     let seq = thread_boots[0].bytes_per_sec();
-    println!(
-        "caches off: {:.2} MB/s ({:.2}x vs cached sequential)",
-        uncached_boot.bytes_per_sec() / 1e6,
-        uncached_boot.bytes_per_sec() / seq.max(1.0)
-    );
     for (t, b) in THREAD_SWEEP.iter().zip(&thread_boots) {
         println!(
             "threads={t}: {:.2} MB/s ({:.2}x vs sequential)",

@@ -215,13 +215,8 @@ fn main() {
         s.funcs_fresh, s.funcs_renamed, s.funcs_rebalanced
     );
     println!(
-        "  blocks: {} exact, {} opcode, {} neighbor, {} anchor, {} inferred, {} dropped",
-        s.blocks_exact,
-        s.blocks_opcode,
-        s.blocks_neighbor,
-        s.blocks_anchor,
-        s.blocks_inferred,
-        s.blocks_dropped
+        "  blocks: {} exact, {} opcode, {} inferred, {} dropped",
+        s.blocks_exact, s.blocks_opcode, s.blocks_inferred, s.blocks_dropped
     );
     println!(
         "  mass: {} matched, {} dropped; {} branches synthesized",

@@ -4,12 +4,11 @@
 //! Collects a profile on the base release of the bench application, churns
 //! the sources at a sweep of rates (the workload crate's release model:
 //! renames, deletions, insertions, reorders, block splits/merges), and
-//! repairs the stale profile against each churned repo under three modes:
+//! repairs the stale profile against each churned repo under two modes:
 //!
-//! * `full` — the v2 matcher: anchor-based multi-level CFG matching plus
-//!   flow-conservation count inference,
-//! * `drop` — drop every stale function (what a matcher-less consumer does),
-//! * `greedy` — the v1 greedy in-order hash remap, for comparison.
+//! * `full` — the v2 matcher: name/body function identity, the two-rung
+//!   (exact, opcode) block ladder and flow-conservation count inference,
+//! * `drop` — drop every stale function (what a matcher-less consumer does).
 //!
 //! For each (rate, mode) it reports recovered counter-mass fraction, the
 //! match-ladder histogram, and whether the repaired profile passes the
@@ -193,11 +192,7 @@ fn run_section(lab: &'static str, params: &AppParams, requests: usize) -> Sectio
             },
         );
         let mut modes = Vec::new();
-        for (mode, name) in [
-            (MatchMode::Full, "full"),
-            (MatchMode::DropStale, "drop"),
-            (MatchMode::LegacyGreedy, "greedy"),
-        ] {
+        for (mode, name) in [(MatchMode::Full, "full"), (MatchMode::DropStale, "drop")] {
             let (row, tier, ctx) = repair_against(&release, &run, mode, name, mass_before);
             println!(
                 "[{lab}] rate={rate:<4} {name:>6}: recovered {:>5.1}% ({} repaired, {} dropped, flow {})",
@@ -208,7 +203,7 @@ fn run_section(lab: &'static str, params: &AppParams, requests: usize) -> Sectio
             );
             // Steady-state replay at the representative rate: price the
             // recovered mass in CPI on the churned release.
-            if rate == UARCH_RATE && mode != MatchMode::LegacyGreedy {
+            if rate == UARCH_RATE {
                 let truth = profile_run(&release, &RequestMix::new(&release, 0, 0), requests, 23);
                 let (compiled_funcs, report) = replay(&release, &truth, tier, ctx);
                 println!(
@@ -251,8 +246,8 @@ fn mode_json(m: &ModeRow) -> String {
             "{{\"mode\": \"{}\", \"mass_after\": {}, \"recovered\": {:.4}, ",
             "\"funcs_repaired\": {}, \"funcs_dropped\": {}, \"pruned\": {}, \"flow_clean\": {}, ",
             "\"stats\": {{\"funcs_fresh\": {}, \"funcs_renamed\": {}, \"funcs_rebalanced\": {}, ",
-            "\"blocks_exact\": {}, \"blocks_opcode\": {}, \"blocks_neighbor\": {}, ",
-            "\"blocks_anchor\": {}, \"blocks_inferred\": {}, \"blocks_dropped\": {}, ",
+            "\"blocks_exact\": {}, \"blocks_opcode\": {}, ",
+            "\"blocks_inferred\": {}, \"blocks_dropped\": {}, ",
             "\"mass_matched\": {}, \"mass_dropped\": {}, \"branches_synthesized\": {}}}}}"
         ),
         m.mode,
@@ -267,8 +262,6 @@ fn mode_json(m: &ModeRow) -> String {
         s.funcs_rebalanced,
         s.blocks_exact,
         s.blocks_opcode,
-        s.blocks_neighbor,
-        s.blocks_anchor,
         s.blocks_inferred,
         s.blocks_dropped,
         s.mass_matched,

@@ -203,88 +203,6 @@ impl Cfg {
             .collect()
     }
 
-    /// Neighborhood hash of every block: the block's own opcode hash
-    /// combined with the *sorted* opcode hashes of its predecessors and
-    /// successors. Two blocks with identical bodies (common for compiler-
-    /// generated epilogues) are distinguished by where they sit in the
-    /// graph; conversely a block whose body was edited can still be
-    /// recognized by its unchanged neighborhood. Third rung of the ladder.
-    pub fn block_neighbor_hashes(&self, func: &Func) -> Vec<u64> {
-        let op = self.block_opcode_hashes(func);
-        let mut preds: Vec<Vec<u64>> = vec![Vec::new(); self.blocks.len()];
-        for (bi, b) in self.blocks.iter().enumerate() {
-            for s in b.successors() {
-                preds[s.index()].push(op[bi]);
-            }
-        }
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(|(bi, b)| {
-                let mut h = Fnv::new();
-                h.u64(op[bi]);
-                preds[bi].sort_unstable();
-                h.u8(preds[bi].len() as u8);
-                for &p in &preds[bi] {
-                    h.u64(p);
-                }
-                let mut succs: Vec<u64> = b.successors().map(|s| op[s.index()]).collect();
-                succs.sort_unstable();
-                h.u8(succs.len() as u8);
-                for &s in &succs {
-                    h.u64(s);
-                }
-                h.finish()
-            })
-            .collect()
-    }
-
-    /// Call-site anchor hash of every block: the in-order sequence of the
-    /// block's call targets, identified by *name string* (stable across
-    /// builds, unlike the raw ids). Blocks with no calls hash to `0` so
-    /// callers can skip them. A block whose arithmetic was rewritten but
-    /// whose calls survived is still anchored; this is the last, fuzziest
-    /// rung of the matching ladder.
-    pub fn block_anchor_hashes(&self, func: &Func, repo: &crate::repo::Repo) -> Vec<u64> {
-        use crate::instr::Instr as I;
-        self.blocks
-            .iter()
-            .map(|b| {
-                let mut h = Fnv::new();
-                let mut any = false;
-                for i in b.start..b.end {
-                    match func.code[i as usize] {
-                        I::Call { func: callee, argc } => {
-                            any = true;
-                            h.u8(1);
-                            let f = repo.func(callee);
-                            h.u64(fnv_str(repo.str(f.name)));
-                            h.u8(argc);
-                        }
-                        I::CallMethod { name, argc } => {
-                            any = true;
-                            h.u8(2);
-                            h.u64(fnv_str(repo.str(name)));
-                            h.u8(argc);
-                        }
-                        I::CallBuiltin { builtin, argc } => {
-                            any = true;
-                            h.u8(3);
-                            h.u8(builtin as u8);
-                            h.u8(argc);
-                        }
-                        _ => {}
-                    }
-                }
-                if any {
-                    h.finish()
-                } else {
-                    0
-                }
-            })
-            .collect()
-    }
-
     /// Predecessor counts per block (entry gets an implicit +1).
     pub fn pred_counts(&self) -> Vec<u32> {
         let mut preds = vec![0u32; self.blocks.len()];
@@ -303,8 +221,8 @@ impl Cfg {
 /// FNV-1a, enough for structural fingerprints (no adversarial inputs).
 ///
 /// This is the hash behind [`Cfg::block_hashes`]; it is exported so other
-/// structural fingerprints (e.g. the consumer's layout-plan cache keys)
-/// stay in the same hash family instead of growing parallel hashers.
+/// structural fingerprints (e.g. the chunk store's content ids) stay in
+/// the same hash family instead of growing parallel hashers.
 pub struct Fnv(u64);
 
 impl Fnv {
@@ -620,30 +538,6 @@ mod tests {
         assert_ne!(ca.block_hashes(&a, &ra)[0], cb.block_hashes(&b, &rb2)[0]);
         // The opcode rung never saw the immediates to begin with.
         assert_eq!(ca.block_opcode_hashes(&a), cb.block_opcode_hashes(&b));
-    }
-
-    #[test]
-    fn neighbor_hashes_distinguish_identical_bodies_by_position() {
-        // Two arms with *identical* bodies jumping to different join points;
-        // the opcode hash collides but the neighborhood hash separates them.
-        let f = func(vec![
-            Instr::GetL(0), // 0 b0
-            Instr::JmpZ(5), // 1 b0 -> taken b2, fall b1
-            Instr::Int(7),  // 2 b1
-            Instr::Pop,     // 3 b1
-            Instr::Jmp(8),  // 4 b1 -> b3
-            Instr::Int(7),  // 5 b2
-            Instr::Pop,     // 6 b2
-            Instr::Jmp(9),  // 7 b2 -> b4
-            Instr::Int(1),  // 8 b3 (falls to b4)
-            Instr::Ret,     // 9 b4
-        ]);
-        let cfg = Cfg::build(&f);
-        assert_eq!(cfg.len(), 5);
-        let op = cfg.block_opcode_hashes(&f);
-        let nb = cfg.block_neighbor_hashes(&f);
-        assert_eq!(op[1], op[2], "bodies collide at the opcode level");
-        assert_ne!(nb[1], nb[2], "neighborhoods differ");
     }
 
     #[test]

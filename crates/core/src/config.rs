@@ -51,9 +51,6 @@ pub struct JumpStartOptions {
     /// Healthy-boot trials the validator simulates (§VI-A.1 "remains
     /// healthy for a few minutes").
     pub validation_trials: u32,
-    /// Run the static profile linter during seeder-side validation, before
-    /// the (much more expensive) validation compile and smoke boots.
-    pub static_lint: bool,
     /// Let consumers lint a package and attempt stale-profile repair
     /// instead of consuming structurally bad data blindly.
     pub lint_repair: bool,
@@ -63,13 +60,6 @@ pub struct JumpStartOptions {
     /// in the background while serving. `1.0` (default) keeps the paper's
     /// compile-everything-before-serving behavior (§IV-A).
     pub early_serve_frac: f64,
-    /// Memoize compile work across the boot: inline-body templates (each
-    /// inlinable callee translated once, spliced per site) and layout
-    /// plans (keyed by a structural fingerprint of the layout inputs).
-    /// Both caches are exact — the emitted code cache is byte-identical
-    /// either way — so this knob exists as a kill switch and for
-    /// measuring the caches' effect.
-    pub compile_caches: bool,
 }
 
 impl Default for JumpStartOptions {
@@ -85,10 +75,8 @@ impl Default for JumpStartOptions {
             min_requests: 20,
             max_boot_attempts: 3,
             validation_trials: 8,
-            static_lint: true,
             lint_repair: true,
             early_serve_frac: 1.0,
-            compile_caches: true,
         }
     }
 }
@@ -122,7 +110,7 @@ mod tests {
     fn default_enables_all_optimizations() {
         let o = JumpStartOptions::default();
         assert!(o.enabled && o.accurate_bb_weights && o.preload_units);
-        assert!(o.static_lint && o.lint_repair);
+        assert!(o.lint_repair);
         assert_eq!(o.func_sort, FuncSort::C3InliningAware);
         assert_eq!(o.prop_reorder, PropReorder::Hotness);
     }

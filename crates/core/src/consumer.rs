@@ -114,8 +114,6 @@ fn record_repair(registry: &telemetry::Registry, report: &RepairReport) {
         ("repair.funcs_rebalanced", s.funcs_rebalanced),
         ("repair.blocks_exact", s.blocks_exact),
         ("repair.blocks_opcode", s.blocks_opcode),
-        ("repair.blocks_neighbor", s.blocks_neighbor),
-        ("repair.blocks_anchor", s.blocks_anchor),
         ("repair.blocks_inferred", s.blocks_inferred),
         ("repair.blocks_dropped", s.blocks_dropped),
         ("repair.mass_matched", s.mass_matched),
@@ -475,10 +473,10 @@ fn boot<'r>(
     };
     let mut engine = JitEngine::new(repo, jit_opts);
     let resolver = |class: ClassId, name: StrId| prop_slots.get(&(class, name)).copied();
-    // The compile caches (inline-body templates + layout plans) are
-    // per-boot and shared across the translation workers; they memoize
-    // exactly, so the emitted layout is byte-identical with them off.
-    let caches = opts.compile_caches.then(pipeline::CompileCaches::default);
+    // Inline-body templates are per-boot and shared across the
+    // translation workers; they memoize exactly, so the emitted layout is
+    // byte-identical to translating every inline site afresh.
+    let templates = pipeline::TemplateCache::default();
     // One compile stage: work-stealing translation feeding the
     // reorder-buffer emitter, which continues on `engine` where the
     // previous stage stopped; emission order is exactly `work`.
@@ -491,7 +489,7 @@ fn boot<'r>(
             jit_opts,
             resolver: &resolver,
             poison_crash,
-            caches: caches.as_ref(),
+            templates: &templates,
             metrics: registry.clone(),
         };
         pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)
@@ -536,7 +534,11 @@ fn boot<'r>(
             background_funcs: done.compiled_funcs - ready_funcs,
             background_bytes: done.compile_bytes - ready_bytes,
         }),
-        caches: caches.as_ref().map(pipeline::CompileCaches::stats),
+        caches: Some(pipeline::CacheStats {
+            template_hits: templates.hits(),
+            template_misses: templates.misses(),
+            ..Default::default()
+        }),
     };
     // The registry is the source of truth; BootStats is the rendered
     // view. Recording then re-rendering must round-trip exactly.
@@ -655,56 +657,6 @@ mod tests {
             par.boot.workers.iter().map(|w| w.translated).sum::<usize>(),
             par.compiled_funcs
         );
-    }
-
-    #[test]
-    fn compile_caches_preserve_layout_and_report_stats() {
-        let (repo, pkg) = make_package();
-        let uncached = consume(
-            &repo,
-            &pkg,
-            JitOptions::default(),
-            &JumpStartOptions {
-                compile_caches: false,
-                ..Default::default()
-            },
-            1,
-        )
-        .unwrap();
-        let cached = consume(
-            &repo,
-            &pkg,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            1,
-        )
-        .unwrap();
-        // The caches are exact memoization: the emitted code cache must be
-        // byte-identical with them on or off.
-        assert_eq!(
-            cached.engine.code_cache.layout_digest(),
-            uncached.engine.code_cache.layout_digest()
-        );
-        assert_eq!(cached.compile_bytes, uncached.compile_bytes);
-        // Telemetry: off → absent; on → present, with every planned unit
-        // passing through the plan cache.
-        assert!(uncached.boot.caches.is_none());
-        let stats = cached.boot.caches.expect("caches on by default");
-        assert!(stats.plan_hits + stats.plan_misses >= cached.compiled_funcs as u64);
-        // A cached parallel boot still matches the uncached layout.
-        let par = consume(
-            &repo,
-            &pkg,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            4,
-        )
-        .unwrap();
-        assert_eq!(
-            par.engine.code_cache.layout_digest(),
-            uncached.engine.code_cache.layout_digest()
-        );
-        assert!(par.boot.caches.is_some());
     }
 
     #[test]
@@ -828,7 +780,8 @@ mod tests {
     #[test]
     fn every_entry_point_boots_identically() {
         let jit = JitOptions::default();
-        for (repo, pkg) in [make_package(), make_wide_package()] {
+        // Only the first package has an inlinable call site.
+        for ((repo, pkg), inlines) in [(make_package(), true), (make_wide_package(), false)] {
             let bytes = pkg.serialize();
             let (man, pool) = chunked(&pkg, &repo);
             let want = consume(&repo, &pkg, jit, &JumpStartOptions::default(), 1).unwrap();
@@ -874,6 +827,12 @@ mod tests {
                             "{row}"
                         );
                         assert_eq!(Some(early.ready_funcs), ready_funcs, "{row}: same split");
+                        let c = got
+                            .boot
+                            .caches
+                            .expect("every boot reports its template cache");
+                        assert_eq!(c.template_hits + c.template_misses > 0, inlines, "{row}");
+                        assert_eq!(c.plan_hits + c.plan_misses, 0, "{row}");
                     }
                 }
             }

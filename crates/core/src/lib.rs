@@ -53,8 +53,8 @@ pub use consumer::{
 pub use crc32::crc32;
 pub use package::{Coverage, PackageMeta, Poison, PreloadLists, ProfilePackage};
 pub use pipeline::{
-    early_serve_prefix, early_serve_prefix_by_heat, BootStats, CacheStats, CompileCaches,
-    EarlyServe, TemplateCache, WorkerStats,
+    early_serve_prefix, early_serve_prefix_by_heat, BootStats, CacheStats, EarlyServe,
+    TemplateCache, WorkerStats,
 };
 pub use seeder::{build_package, SeederInputs};
 pub use store::{CellDedup, PackageStore, PublishReceipt, StoredPackage};

@@ -473,8 +473,6 @@ pub(crate) fn func_record_len(p: &FuncProfile, refs: &HashRefs) -> usize {
     len += 4 + 8 * p.block_counts.len();
     len += 4 + 8 * p.block_hashes.len();
     len += 4 + 8 * p.block_opcode_hashes.len();
-    len += 4 + 8 * p.block_neighbor_hashes.len();
-    len += 4 + 8 * p.block_anchor_hashes.len();
     len += 4;
     for targets in p.call_targets.values() {
         len += 4 + 4; // site, target count
@@ -522,22 +520,10 @@ fn ctx_encoded_len(ctx: &CtxProfile) -> usize {
 pub(crate) fn write_func_record(w: &mut Writer, p: &FuncProfile, refs: &HashRefs) {
     w.u64(p.enter_count);
     w.u64(p.name_hash);
-    w.seq(p.block_counts.len());
-    for &c in &p.block_counts {
-        w.u64(c);
-    }
-    w.seq(p.block_hashes.len());
-    for &h in &p.block_hashes {
-        w.u64(h);
-    }
-    for sig in [
-        &p.block_opcode_hashes,
-        &p.block_neighbor_hashes,
-        &p.block_anchor_hashes,
-    ] {
-        w.seq(sig.len());
-        for &h in sig {
-            w.u64(h);
+    for v in [&p.block_counts, &p.block_hashes, &p.block_opcode_hashes] {
+        w.seq(v.len());
+        for &x in v {
+            w.u64(x);
         }
     }
     let mut sites: Vec<_> = p.call_targets.iter().collect();
@@ -604,25 +590,15 @@ pub(crate) fn read_func_record(
         name_hash: r.u64()?,
         ..Default::default()
     };
-    let nb = r.seq()?;
-    p.block_counts.reserve(nb.min(1 << 16));
-    for _ in 0..nb {
-        p.block_counts.push(r.u64()?);
-    }
-    let nh = r.seq()?;
-    p.block_hashes.reserve(nh.min(1 << 16));
-    for _ in 0..nh {
-        p.block_hashes.push(r.u64()?);
-    }
-    for sig in [
+    for v in [
+        &mut p.block_counts,
+        &mut p.block_hashes,
         &mut p.block_opcode_hashes,
-        &mut p.block_neighbor_hashes,
-        &mut p.block_anchor_hashes,
     ] {
         let n = r.seq()?;
-        sig.reserve(n.min(1 << 16));
+        v.reserve(n.min(1 << 16));
         for _ in 0..n {
-            sig.push(r.u64()?);
+            v.push(r.u64()?);
         }
     }
     let ns = r.seq()?;
@@ -813,6 +789,43 @@ mod tests {
             let back = ProfilePackage::deserialize(&bytes).unwrap();
             assert_eq!(back.encoded_len(), pkg.encoded_len());
             assert_eq!(back.serialize(), bytes);
+        }
+    }
+
+    #[test]
+    fn func_records_round_trip_at_their_exact_length() {
+        let pkg = sample_package();
+        let refs = hash_refs(&pkg.tier);
+        let dir = FuncDirectory::new(
+            sorted_funcs(&pkg.tier)
+                .iter()
+                .map(|(f, p)| (**f, p.name_hash))
+                .collect(),
+        );
+        // A collector-built profile, and a hand-built one with no opcode
+        // hashes.
+        let full = pkg.tier.funcs[&pkg.func_order[0]].clone();
+        assert!(!full.block_opcode_hashes.is_empty() && !full.call_targets.is_empty());
+        let bare = FuncProfile {
+            block_opcode_hashes: Vec::new(),
+            ..full.clone()
+        };
+        for p in [full, bare] {
+            let mut w = Writer::new();
+            write_func_record(&mut w, &p, &refs);
+            let bytes = w.finish();
+            assert_eq!(bytes.len(), func_record_len(&p, &refs));
+            let mut r = Reader::new(&bytes);
+            assert_eq!(read_func_record(&mut r, &dir).unwrap(), p);
+            assert_eq!(r.remaining(), 0);
+            // One byte short of the end of the opcode-hash vector (inside
+            // its length prefix when it is empty): an error, not a panic.
+            let opcode_end = 16
+                + [&p.block_counts, &p.block_hashes, &p.block_opcode_hashes]
+                    .map(|v| 4 + 8 * v.len())
+                    .iter()
+                    .sum::<usize>();
+            assert!(read_func_record(&mut Reader::new(&bytes[..opcode_end - 1]), &dir).is_err());
         }
     }
 

@@ -35,15 +35,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 use std::time::Instant;
 
-use analysis::layout_fingerprint;
-use bytecode::{ClassId, Fnv, FuncId, Repo, StrId};
+use bytecode::{ClassId, FuncId, Repo, StrId};
 use crossbeam::{channel, deque};
 use jit::vasm::VasmUnit;
 use jit::{
-    plan_layout, plan_layout_parts, translate_optimized_with, CtxProfile, InlineTemplate,
-    JitEngine, JitOptions, LayoutPlan, TemplateKey, TemplateSource, TierProfile,
+    plan_layout, translate_optimized_with, CtxProfile, InlineTemplate, JitEngine, JitOptions,
+    LayoutPlan, TemplateKey, TemplateSource, TierProfile,
 };
-use layout::{PlanCache, PlanKey};
 
 const TEMPLATE_SHARDS: usize = 16;
 
@@ -51,7 +49,9 @@ const TEMPLATE_SHARDS: usize = 16;
 /// across translation workers (the [`TemplateSource`] the JIT splices
 /// from). Misses build outside any lock; a concurrent duplicate build
 /// produces an identical template (translation is deterministic) and the
-/// first insert wins.
+/// first insert wins. An exact memoization: a boot that splices templates
+/// emits a byte-identical code cache to one that translates every inline
+/// site afresh ([`jit::translate_optimized`], the reference).
 pub struct TemplateCache {
     shards: Vec<RwLock<HashMap<TemplateKey, Arc<InlineTemplate>>>>,
     hits: AtomicU64,
@@ -104,30 +104,6 @@ impl TemplateSource for TemplateCache {
     }
 }
 
-/// The per-boot compile caches ([`crate::JumpStartOptions::compile_caches`]):
-/// inline-body templates plus layout plans. Both are exact memoizations —
-/// a boot with caches emits a byte-identical code cache to one without.
-#[derive(Default)]
-pub struct CompileCaches {
-    /// Memoized inline-body templates.
-    pub templates: TemplateCache,
-    /// Memoized layout plans, keyed by structural fingerprint of the
-    /// layout inputs (full-key compare on lookup — collision-safe).
-    pub plans: PlanCache,
-}
-
-impl CompileCaches {
-    /// Snapshot of the hit/miss counters for boot telemetry.
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            template_hits: self.templates.hits(),
-            template_misses: self.templates.misses(),
-            plan_hits: self.plans.hits(),
-            plan_misses: self.plans.misses(),
-        }
-    }
-}
-
 /// Compile-cache telemetry for one boot.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -135,9 +111,11 @@ pub struct CacheStats {
     pub template_hits: u64,
     /// Inline-body templates built (distinct callees × weight modes).
     pub template_misses: u64,
-    /// Layout plans reused from the cache.
+    /// Always 0; kept for the benchmark's traced pass, remove with the
+    /// next benchmark PR.
     pub plan_hits: u64,
-    /// Layout plans computed.
+    /// Always 0; kept for the benchmark's traced pass, remove with the
+    /// next benchmark PR.
     pub plan_misses: u64,
 }
 
@@ -206,7 +184,7 @@ pub struct BootStats {
     pub workers: Vec<WorkerStats>,
     /// The serve-ready point (`None` only in hand-built stats).
     pub early_serve: Option<EarlyServe>,
-    /// Compile-cache hit/miss counters (None with the caches disabled).
+    /// Template-cache hit/miss counters (`None` only in hand-built stats).
     pub caches: Option<CacheStats>,
 }
 
@@ -265,11 +243,9 @@ impl BootStats {
         }
         if let Some(c) = &self.caches {
             out.push_str(&format!(
-                "  caches       templates {}/{} hit, plans {}/{} hit\n",
+                "  caches       templates {}/{} hit\n",
                 c.template_hits,
                 c.template_hits + c.template_misses,
-                c.plan_hits,
-                c.plan_hits + c.plan_misses,
             ));
         }
         if let Some(e) = &self.early_serve {
@@ -308,8 +284,8 @@ impl BootStats {
         };
         let caches = match &self.caches {
             Some(c) => format!(
-                "{{\"template_hits\":{},\"template_misses\":{},\"plan_hits\":{},\"plan_misses\":{}}}",
-                c.template_hits, c.template_misses, c.plan_hits, c.plan_misses
+                "{{\"template_hits\":{},\"template_misses\":{}}}",
+                c.template_hits, c.template_misses
             ),
             None => "null".to_string(),
         };
@@ -377,8 +353,6 @@ impl BootStats {
             reg.gauge("boot.cache.template_hits").set(c.template_hits);
             reg.gauge("boot.cache.template_misses")
                 .set(c.template_misses);
-            reg.gauge("boot.cache.plan_hits").set(c.plan_hits);
-            reg.gauge("boot.cache.plan_misses").set(c.plan_misses);
         }
     }
 
@@ -405,8 +379,7 @@ impl BootStats {
         let caches = (reg.value_u64("boot.cache.present") == 1).then(|| CacheStats {
             template_hits: reg.value_u64("boot.cache.template_hits"),
             template_misses: reg.value_u64("boot.cache.template_misses"),
-            plan_hits: reg.value_u64("boot.cache.plan_hits"),
-            plan_misses: reg.value_u64("boot.cache.plan_misses"),
+            ..Default::default()
         });
         BootStats {
             threads: reg.value_u64("boot.threads") as usize,
@@ -525,8 +498,8 @@ pub(crate) struct PipelineJob<'a, 'r> {
     /// with threads > 1): the worker panics and the pipeline must surface
     /// the panic as an error, not abort.
     pub poison_crash: bool,
-    /// Shared compile caches (templates + layout plans), when enabled.
-    pub caches: Option<&'a CompileCaches>,
+    /// Inline-body templates shared by the translation workers.
+    pub templates: &'a TemplateCache,
     /// Per-boot metrics registry: translate/emit duration histograms and
     /// steal counters land here as the pipeline runs.
     pub metrics: telemetry::Registry,
@@ -547,19 +520,6 @@ pub(crate) fn run(
     }
 }
 
-/// Tag folding every `JitOptions` knob that changes a layout plan into a
-/// plan-cache key component, so plans never alias across option sets.
-fn plan_options_tag(opts: &JitOptions) -> u64 {
-    let mut h = Fnv::new();
-    h.u8(opts.use_exttsp as u8);
-    h.u8(opts.use_hotcold as u8);
-    h.u64(opts.cold_threshold);
-    h.u64(opts.cold_fraction.to_bits());
-    h.u8(opts.plan.hugepage_pack as u8);
-    h.u8(opts.plan.global_hotcold as u8);
-    h.finish()
-}
-
 fn translate_and_plan(job: &PipelineJob<'_, '_>, func: FuncId) -> (VasmUnit, LayoutPlan) {
     let _span = telemetry::span!("compile", "func" => func.index());
     let unit = translate_optimized_with(
@@ -570,36 +530,9 @@ fn translate_and_plan(job: &PipelineJob<'_, '_>, func: FuncId) -> (VasmUnit, Lay
         job.jit_opts.weights,
         job.jit_opts.inline,
         &job.resolver,
-        job.caches.map(|c| &c.templates as &dyn TemplateSource),
+        Some(job.templates),
     );
-    let plan = match job.caches {
-        Some(caches) => {
-            let blocks = unit.layout_blocks();
-            let edges = unit.layout_edges();
-            let key = PlanKey {
-                fingerprint: layout_fingerprint(&blocks, &edges),
-                tag: plan_options_tag(&job.jit_opts),
-                blocks,
-                edges,
-            };
-            let cached = caches.plans.get_or_insert_with(key, |k| {
-                let p = plan_layout_parts(&job.jit_opts, &k.blocks, &k.edges);
-                layout::CachedPlan {
-                    hot: p.hot,
-                    cold: p.cold,
-                    hot_bytes: p.hot_bytes,
-                    cold_bytes: p.cold_bytes,
-                }
-            });
-            LayoutPlan {
-                hot: cached.hot,
-                cold: cached.cold,
-                hot_bytes: cached.hot_bytes,
-                cold_bytes: cached.cold_bytes,
-            }
-        }
-        None => plan_layout(&job.jit_opts, &unit),
-    };
+    let plan = plan_layout(&job.jit_opts, &unit);
     (unit, plan)
 }
 
@@ -927,8 +860,7 @@ mod tests {
             caches: Some(CacheStats {
                 template_hits: 7,
                 template_misses: 2,
-                plan_hits: 4,
-                plan_misses: 1,
+                ..Default::default()
             }),
         };
         let reg = telemetry::Registry::default();

@@ -146,20 +146,19 @@ impl Validator {
         // Static lint — strict on the seeder: a seeder collects against
         // the exact repo it validates with, so *any* structural error
         // means corruption, and rejecting here costs no compile or boot.
-        if self.opts.static_lint {
-            let _lint_span = telemetry::span!("static-lint");
-            let report = lint_profile(repo, &pkg.view());
-            if report.error_count() > 0 {
-                return Err(ValidationError::Static {
-                    errors: report.error_count(),
-                    first: report
-                        .errors()
-                        .next()
-                        .map(ToString::to_string)
-                        .unwrap_or_default(),
-                });
-            }
+        let lint_span = telemetry::span!("static-lint");
+        let report = lint_profile(repo, &pkg.view());
+        if report.error_count() > 0 {
+            return Err(ValidationError::Static {
+                errors: report.error_count(),
+                first: report
+                    .errors()
+                    .next()
+                    .map(ToString::to_string)
+                    .unwrap_or_default(),
+            });
         }
+        drop(lint_span);
         // Full consumer compile — catches deterministic JIT crashes.
         let compile_span = telemetry::span!("validation-compile");
         let outcome = consume(repo, pkg, self.jit_opts, &self.opts, 1).map_err(|e| match e {

@@ -272,9 +272,12 @@ pub const MAGIC: &[u8; 8] = b"HHJSPKG\0";
 /// name-hash)` directory and call targets are referenced by callee name
 /// hash, so an unchanged profile encodes to byte-identical chunks even
 /// across releases that renumber every `FuncId`. The v5 read path was
-/// retired once nothing in the tree produced v5: a consumer handed an
-/// older envelope gets [`WireError::BadVersion`] and falls back (§VI-A.3).
-pub const VERSION: u32 = 6;
+/// retired once nothing in the tree produced v5. v7 dropped the neighbor
+/// and anchor arrays from the function record (the match rungs they fed
+/// never paired a block), leaving counts, exact hashes and opcode hashes.
+/// A consumer handed an older envelope gets [`WireError::BadVersion`] and
+/// falls back (§VI-A.3).
+pub const VERSION: u32 = 7;
 
 /// Envelope bytes before the payload: magic, version, payload length.
 pub const HEADER_LEN: usize = 16;

@@ -1,13 +1,14 @@
-//! Exactness property tests for the compile caches: for any generated
-//! application, profile, weight source and inlining policy, memoized
-//! translation (shared inline-body templates) must yield a VasmUnit
-//! stream identical to direct translation, and a boot with the caches on
-//! (templates + layout plans, any thread count) must emit a code cache
-//! byte-identical to one with them off.
+//! Exactness property tests for the inline-template cache: for any
+//! generated application, profile, weight source and inlining policy,
+//! memoized translation (shared inline-body templates) must yield a
+//! VasmUnit stream identical to direct translation, and a consumer boot
+//! (which always splices templates, at any thread count) must emit a code
+//! cache byte-identical to a template-free translate → plan → emit loop
+//! staged here from public calls.
 
 use jit::{
-    translate_optimized, translate_optimized_with, InlineParams, JitOptions, TemplateSource,
-    WeightSource,
+    plan_layout, translate_optimized, translate_optimized_with, InlineParams, JitEngine,
+    JitOptions, TemplateSource, WeightSource,
 };
 use jumpstart::{build_package, consume, JumpStartOptions, SeederInputs, TemplateCache};
 use proptest::prelude::*;
@@ -72,8 +73,13 @@ proptest! {
             prop_assert_eq!(direct, cached, "unit diverged for {:?}", f);
         }
 
-        // (2) Whole-boot digest identity: caches on (templates + plan
-        // cache, any worker count) vs caches off, same package.
+        // (2) Whole-boot digest identity: the boot (template cache, any
+        // worker count) vs a sequential reference that re-translates every
+        // inline site, over the same package, order and property slots.
+        let js_opts = JumpStartOptions {
+            accurate_bb_weights: accurate,
+            ..Default::default()
+        };
         let pkg = build_package(
             SeederInputs {
                 repo: &app.repo,
@@ -86,35 +92,30 @@ proptest! {
                 seeder_id: 1,
                 now_ms: 0,
             },
-            &JumpStartOptions::default(),
+            &js_opts,
             &jit_opts,
         );
-        let off = consume(
-            &app.repo,
-            &pkg,
-            jit_opts,
-            &JumpStartOptions {
-                compile_caches: false,
-                ..Default::default()
-            },
-            1,
-        )
-        .expect("healthy package boots");
-        let on = consume(
-            &app.repo,
-            &pkg,
-            jit_opts,
-            &JumpStartOptions::default(),
-            threads,
-        )
-        .expect("healthy package boots");
+        let boot = consume(&app.repo, &pkg, jit_opts, &js_opts, threads)
+            .expect("healthy package boots");
+        let resolver =
+            |c: bytecode::ClassId, p: bytecode::StrId| boot.prop_slots.get(&(c, p)).copied();
+        let mut engine = JitEngine::new(&app.repo, jit_opts);
+        let (mut compiled_funcs, mut compile_bytes) = (0usize, 0u64);
+        prop_assert!(!pkg.func_order.is_empty());
+        for &f in pkg.func_order.iter().filter(|f| pkg.tier.funcs.contains_key(f)) {
+            let unit = translate_optimized(
+                &app.repo, f, &pkg.tier, &pkg.ctx, weights, inline, &resolver,
+            );
+            let plan = plan_layout(&jit_opts, &unit);
+            let bytes = engine.emit_planned(unit, &plan);
+            compiled_funcs += usize::from(bytes > 0);
+            compile_bytes += bytes;
+        }
         prop_assert_eq!(
-            on.engine.code_cache.layout_digest(),
-            off.engine.code_cache.layout_digest()
+            boot.engine.code_cache.layout_digest(),
+            engine.code_cache.layout_digest()
         );
-        prop_assert_eq!(on.compiled_funcs, off.compiled_funcs);
-        prop_assert_eq!(on.compile_bytes, off.compile_bytes);
-        prop_assert!(on.boot.caches.is_some());
-        prop_assert!(off.boot.caches.is_none());
+        prop_assert_eq!(boot.compiled_funcs, compiled_funcs);
+        prop_assert_eq!(boot.compile_bytes, compile_bytes);
     }
 }

@@ -122,20 +122,9 @@ impl LayoutPlan {
 /// source order) then hot/cold splitting (or none). Pure function of the
 /// options and the unit, so it can run on any thread.
 pub fn plan_layout(options: &JitOptions, unit: &VasmUnit) -> LayoutPlan {
-    plan_layout_parts(options, &unit.layout_blocks(), &unit.layout_edges())
-}
-
-/// [`plan_layout`] on pre-extracted layout inputs. The plan is a pure
-/// function of `(options, blocks, edges)` — the basis for the consumer's
-/// layout-plan cache, which keys plans by a fingerprint of exactly these
-/// inputs.
-pub fn plan_layout_parts(
-    options: &JitOptions,
-    blocks: &[layout::BlockNode],
-    edges: &[layout::BlockEdge],
-) -> LayoutPlan {
+    let blocks = unit.layout_blocks();
     let order: Vec<usize> = if options.use_exttsp {
-        layout::exttsp_order(blocks, edges, &ExtTspParams::default())
+        layout::exttsp_order(&blocks, &unit.layout_edges(), &ExtTspParams::default())
     } else {
         (0..blocks.len()).collect()
     };

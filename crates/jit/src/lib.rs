@@ -28,9 +28,7 @@ mod translate;
 pub mod vasm;
 
 pub use code_cache::{CodeCache, CodeCacheConfig, EmittedTranslation, Region, TransKind};
-pub use engine::{
-    plan_layout, plan_layout_parts, CompileSizes, FuncState, JitEngine, JitOptions, LayoutPlan,
-};
+pub use engine::{plan_layout, CompileSizes, FuncState, JitEngine, JitOptions, LayoutPlan};
 pub use profile::{
     BranchCount, CtxKey, CtxProfile, FuncProfile, InlineCtx, ProfileCollector, TierProfile,
     TypeDist, PARAM_SITE,

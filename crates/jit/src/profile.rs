@@ -131,15 +131,11 @@ pub struct FuncProfile {
     /// hash is the build-stable identity the repairer keys on.
     pub name_hash: u64,
     /// Opcode-only block hashes (no immediates), parallel to
-    /// `block_counts`; from [`Cfg::block_opcode_hashes`]. Second rung of
-    /// the stale-matching ladder. Empty for legacy profiles.
+    /// `block_counts`; from [`Cfg::block_opcode_hashes`]. Second and last
+    /// rung of the stale-matching ladder. The collector always fills it;
+    /// it is empty only in a hand-built profile, which then matches on
+    /// exact hashes alone and cannot be re-identified after a rename.
     pub block_opcode_hashes: Vec<u64>,
-    /// Neighborhood block hashes, from [`Cfg::block_neighbor_hashes`].
-    /// Third rung of the ladder. Empty for legacy profiles.
-    pub block_neighbor_hashes: Vec<u64>,
-    /// Call-site anchor hashes (`0` = block has no calls), from
-    /// [`Cfg::block_anchor_hashes`]. Last rung. Empty for legacy profiles.
-    pub block_anchor_hashes: Vec<u64>,
     /// Call-target profile per call-site instruction index.
     pub call_targets: HashMap<u32, HashMap<FuncId, u64>>,
     /// Observed operand/parameter types per (instruction, operand slot).
@@ -188,12 +184,6 @@ impl FuncProfile {
         }
         if self.block_opcode_hashes.is_empty() {
             self.block_opcode_hashes = other.block_opcode_hashes.clone();
-        }
-        if self.block_neighbor_hashes.is_empty() {
-            self.block_neighbor_hashes = other.block_neighbor_hashes.clone();
-        }
-        if self.block_anchor_hashes.is_empty() {
-            self.block_anchor_hashes = other.block_anchor_hashes.clone();
         }
         for (i, &c) in other.block_counts.iter().enumerate() {
             self.block_counts[i] += c;
@@ -384,8 +374,6 @@ struct BlockShape {
     name_hash: u64,
     exact: Vec<u64>,
     opcode: Vec<u64>,
-    neighbor: Vec<u64>,
-    anchor: Vec<u64>,
 }
 
 pub struct ProfileCollector<'r> {
@@ -451,8 +439,6 @@ impl<'r> ProfileCollector<'r> {
                 name_hash: bytecode::fnv_str(repo.str(f.name)),
                 exact: cfg.block_hashes(f, repo),
                 opcode: cfg.block_opcode_hashes(f),
-                neighbor: cfg.block_neighbor_hashes(f),
-                anchor: cfg.block_anchor_hashes(f, repo),
             }
         });
         let p = self.tier.funcs.entry(func).or_default();
@@ -463,8 +449,6 @@ impl<'r> ProfileCollector<'r> {
             p.block_hashes = shape.exact.clone();
             p.name_hash = shape.name_hash;
             p.block_opcode_hashes = shape.opcode.clone();
-            p.block_neighbor_hashes = shape.neighbor.clone();
-            p.block_anchor_hashes = shape.anchor.clone();
         }
         p
     }

@@ -25,7 +25,6 @@ mod exttsp;
 mod hotcold;
 pub mod pagepack;
 mod pettis;
-mod plan_cache;
 mod propreorder;
 
 pub use c3::{c3_clusters, c3_order, CallArc, FuncNode};
@@ -38,5 +37,4 @@ pub use pagepack::{
     PlacedExtent, HUGE_PAGE_BYTES, SMALL_PAGE_BYTES,
 };
 pub use pettis::pettis_hansen_order;
-pub use plan_cache::{CachedPlan, PlanCache, PlanKey};
 pub use propreorder::{reorder_props_by_affinity, reorder_props_by_hotness, PropAccess};

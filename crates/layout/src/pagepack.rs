@@ -23,8 +23,8 @@ pub const HUGE_PAGE_BYTES: u64 = 2 << 20;
 /// Base page size (4 KiB).
 pub const SMALL_PAGE_BYTES: u64 = 4096;
 
-/// The global-layout kill switch (threaded through `JitOptions` and the
-/// consumer plan-cache key; the paper's §VI kill-switch discipline).
+/// The global-layout kill switch (threaded through `JitOptions`; the
+/// paper's §VI kill-switch discipline).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct LayoutPlanOptions {
     /// Pack hot text into huge-page bins (and map it with 2 MiB pages in

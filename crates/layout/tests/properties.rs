@@ -88,7 +88,7 @@ proptest! {
         // The incremental merge must reproduce the reference greedy loop
         // exactly — same merges, same tie-breaks, same final order — since
         // consumer boots rely on the layout being byte-identical whether
-        // or not the fast path / plan cache is used.
+        // or not the fast path is used.
         let p = ExtTspParams::default();
         let fast = exttsp_order(&blocks, &edges, &p);
         let slow = layout::exttsp_order_reference(&blocks, &edges, &p);

@@ -125,7 +125,7 @@ fn arb_func_profile() -> impl Strategy<Value = FuncProfile> {
     (
         (0u64..100_000, any::<u64>()),
         prop::collection::vec((0u64..50_000, any::<u64>()), 0..12),
-        prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..12),
+        prop::collection::vec(any::<u64>(), 0..12),
         prop::collection::hash_map(
             0u32..64,
             prop::collection::hash_map((0u32..512).prop_map(FuncId), 0u64..10_000, 0..4),
@@ -139,24 +139,21 @@ fn arb_func_profile() -> impl Strategy<Value = FuncProfile> {
         ),
     )
         .prop_map(
-            |((enter_count, name_hash), blocks, sigs, call_targets, types, prop_site_classes)| {
+            |(
+                (enter_count, name_hash),
+                blocks,
+                block_opcode_hashes,
+                call_targets,
+                types,
+                prop_site_classes,
+            )| {
                 let (block_counts, block_hashes) = blocks.into_iter().unzip();
-                let mut block_opcode_hashes = Vec::new();
-                let mut block_neighbor_hashes = Vec::new();
-                let mut block_anchor_hashes = Vec::new();
-                for (o, nb, a) in sigs {
-                    block_opcode_hashes.push(o);
-                    block_neighbor_hashes.push(nb);
-                    block_anchor_hashes.push(a);
-                }
                 FuncProfile {
                     enter_count,
                     name_hash,
                     block_counts,
                     block_hashes,
                     block_opcode_hashes,
-                    block_neighbor_hashes,
-                    block_anchor_hashes,
                     call_targets,
                     types,
                     prop_site_classes,
@@ -291,12 +288,12 @@ proptest! {
     /// be a perfect no-op in every matching mode — no function repaired or
     /// dropped, no counter pruned, profile bit-identical.
     #[test]
-    fn zero_churn_repair_is_untouched(seed in any::<u64>(), mode_ix in 0usize..3) {
+    fn zero_churn_repair_is_untouched(seed in any::<u64>(), mode_ix in 0usize..2) {
         let (_, tier0, ctx0) = stale_lab();
         let (release, churn) =
             generate_release(&AppParams::tiny(), &ChurnParams { seed, rate: 0.0 });
         prop_assert_eq!(churn, workload::ChurnReport::default());
-        let mode = [MatchMode::Full, MatchMode::DropStale, MatchMode::LegacyGreedy][mode_ix];
+        let mode = [MatchMode::Full, MatchMode::DropStale][mode_ix];
         let mut tier = tier0.clone();
         let mut ctx = ctx0.clone();
         let report =
