@@ -1,7 +1,7 @@
 //! Ablation benchmarks (Fig. 6 and DESIGN.md §6): one steady-state
-//! measurement per layout knob, plus the algorithm-level baselines the
-//! paper compares against implicitly (Pettis–Hansen vs C3, hotness vs
-//! affinity property ordering).
+//! measurement per layout knob, plus the algorithm-level baseline the
+//! paper compares against implicitly (hotness vs affinity property
+//! ordering).
 
 use bench::Lab;
 use criterion::{criterion_group, criterion_main, Criterion};

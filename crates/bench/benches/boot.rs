@@ -1,6 +1,6 @@
-//! Consumer boot benchmarks: the pipelined work-stealing translate/emit
-//! overlap of `jumpstart::consume`, sequential vs parallel, plus the
-//! zero-copy decode path (`consume_bytes`).
+//! Consumer boot benchmarks: the compile stage of `jumpstart::consume`,
+//! sequential vs parallel, plus the zero-copy decode path
+//! (`consume_bytes`).
 
 use bench::Lab;
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};

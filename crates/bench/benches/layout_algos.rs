@@ -1,11 +1,10 @@
-//! Layout-algorithm benchmarks: Ext-TSP vs its greedy fallback, C3 vs
-//! Pettis–Hansen, and property reordering, over synthetic graphs of
-//! realistic sizes.
+//! Layout-algorithm benchmarks: Ext-TSP vs its greedy fallback, C3, and
+//! property reordering, over synthetic graphs of realistic sizes.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use layout::{
-    c3_order, exttsp_order, exttsp_score, pettis_hansen_order, reorder_props_by_hotness, BlockEdge,
-    BlockNode, CallArc, ExtTspParams, FuncNode, PropAccess,
+    c3_order, exttsp_order, exttsp_score, reorder_props_by_hotness, BlockEdge, BlockNode, CallArc,
+    ExtTspParams, FuncNode, PropAccess,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -71,9 +70,6 @@ fn bench_layout(c: &mut Criterion) {
         .collect();
     let mut group = c.benchmark_group("func_sort");
     group.bench_function("c3_800", |b| b.iter(|| c3_order(&funcs, &arcs, 16384)));
-    group.bench_function("pettis_hansen_800", |b| {
-        b.iter(|| pettis_hansen_order(&funcs, &arcs, 16384))
-    });
     group.finish();
 
     let props: Vec<PropAccess<u32>> = (0..64)

@@ -1,5 +1,6 @@
-//! `jsboot` — consumer boot benchmark: the pipelined work-stealing
-//! translate/emit overlap of `jumpstart::consume`, measured end to end.
+//! `jsboot` — consumer boot benchmark: the parallel compile stage of
+//! `jumpstart::consume` (translate on every thread, then emit in order),
+//! measured end to end.
 //!
 //! Sweeps translation worker threads (1, 2, 4, 8) and the hottest-first
 //! early-serve fraction on the bench-scale application, prints each

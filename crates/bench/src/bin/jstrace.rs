@@ -363,8 +363,8 @@ fn main() {
     }
 
     // Stall attribution: how much of the pipeline wall each worker spent
-    // translating. The remainder is steal attempts, emitter waits, and
-    // scheduling — the pipeline's coordination overhead.
+    // translating. The remainder is waiting for the slowest worker, the
+    // in-order emission, and scheduling.
     if let Some(pipeline_us) = phase_dur("pipeline") {
         let mut busy: HashMap<(u64, u64), (f64, usize)> = HashMap::new();
         for s in spans.iter().filter(|s| s.name == "compile") {

@@ -1,6 +1,6 @@
 //! The consumer workflow (Fig. 3c): deserialize → lint (and repair, if
-//! the profile is stale) → preload → compile all optimized code through
-//! the streaming work-stealing pipeline → ready to serve.
+//! the profile is stale) → preload → compile all optimized code on every
+//! core (claim → translate → park → place) → ready to serve.
 //!
 //! [`consume`], [`consume_bytes`] and [`consume_chunked`] are adapters over
 //! one stage sequence, [`boot`]; early serve is its compile-stage boundary.
@@ -79,13 +79,13 @@ pub struct ConsumerOutcome<'r> {
     /// (stale counters remapped, dead entries pruned) before consumption.
     pub repair: Option<RepairReport>,
     /// Boot-phase timeline: decode, lint/repair, prop slots, per-worker
-    /// translate busy/steal/stall, emit, bytes (the `jsboot` telemetry).
-    /// Rendered from [`ConsumerOutcome::registry`].
+    /// translate busy/stall, emit, bytes (the `jsboot` telemetry), also
+    /// recorded into [`ConsumerOutcome::registry`].
     pub boot: BootStats,
-    /// The per-boot metrics registry: the `boot.*` gauges behind `boot`,
-    /// plus pipeline-time histograms (`pipeline.translate_ns`,
-    /// `pipeline.emit_ns`) and the `pipeline.steals` counter. Fleet runs
-    /// snapshot this per server and aggregate across the fleet.
+    /// The per-boot metrics registry: `boot` as `boot.*` gauges, plus the
+    /// pipeline-time histograms (`pipeline.translate_ns`,
+    /// `pipeline.emit_ns`). Fleet runs snapshot this per server and
+    /// aggregate across the fleet.
     pub registry: telemetry::Registry,
 }
 
@@ -220,11 +220,11 @@ impl ChunkBootStats {
 
 /// Runs the consumer boot sequence over a deserialized package.
 ///
-/// Translation runs on `threads` worker threads (the paper: "JITing
-/// happens in parallel using all the cores", §IV-A), streaming completed
-/// units through a reorder buffer into the emitter, which places them in
-/// the package's function order *while translation continues* — the
-/// resulting code-cache layout is byte-identical to a sequential boot.
+/// Translation runs on `threads` threads, the caller's included (the
+/// paper: "JITing happens in parallel using all the cores", §IV-A); once
+/// they have joined, the caller places the translated units in the
+/// package's function order — the resulting code-cache layout is
+/// byte-identical to a sequential boot.
 /// With `opts.early_serve_frac < 1.0` the boot reports ready once the
 /// hottest fraction of heat mass is emitted ([`BootStats::early_serve`]).
 ///
@@ -409,9 +409,9 @@ fn boot<'r>(
     let mut lint_repair_ns = 0;
     if loader.is_none() {
         let lint_start = Instant::now();
-        let _lint_span = telemetry::span!("lint-repair", "enabled" => opts.lint_repair);
+        let _lint_span = telemetry::span!("lint-repair");
         let lint = |p: &ProfilePackage| lint_profile_with(repo, &p.view(), &CONSUMER_LINT);
-        if opts.lint_repair && lint(&pkg).error_count() > 0 {
+        if lint(&pkg).error_count() > 0 {
             let (fixed, report) = repair_package(repo, &pkg);
             let relint = lint(&fixed);
             if let Some(first) = relint.errors().next() {
@@ -477,9 +477,8 @@ fn boot<'r>(
     // translation workers; they memoize exactly, so the emitted layout is
     // byte-identical to translating every inline site afresh.
     let templates = pipeline::TemplateCache::default();
-    // One compile stage: work-stealing translation feeding the
-    // reorder-buffer emitter, which continues on `engine` where the
-    // previous stage stopped; emission order is exactly `work`.
+    // One compile stage: translate `work` on every thread, then emit it
+    // in order, continuing on `engine` where the previous stage stopped.
     let mut compile = |pkg: &ProfilePackage, work: &[FuncId]| {
         let job = PipelineJob {
             repo,
@@ -540,15 +539,11 @@ fn boot<'r>(
             ..Default::default()
         }),
     };
-    // The registry is the source of truth; BootStats is the rendered
-    // view. Recording then re-rendering must round-trip exactly.
     stats.record(&registry);
-    debug_assert_eq!(BootStats::from_registry(&registry), stats);
-    let unit_order = opts.preload_units.then(|| pkg.preload.unit_order.clone());
     let outcome = ConsumerOutcome {
         engine,
         prop_slots,
-        unit_order: unit_order.unwrap_or_default(),
+        unit_order: pkg.preload.unit_order.clone(),
         compiled_funcs: stats.compiled_funcs,
         compile_bytes: stats.compile_bytes,
         repair: repair_report,
@@ -645,8 +640,8 @@ mod tests {
         .unwrap();
         assert_eq!(seq.compiled_funcs, par.compiled_funcs);
         assert_eq!(seq.compile_bytes, par.compile_bytes);
-        // Byte-identical layout: the reorder buffer must place every
-        // block at the same address a sequential boot would.
+        // Byte-identical layout: every block lands at the address a
+        // sequential boot would give it.
         assert_eq!(
             seq.engine.code_cache.layout_digest(),
             par.engine.code_cache.layout_digest()
@@ -748,11 +743,11 @@ mod tests {
     fn compile_poison_panic_in_worker_is_caught() {
         // With threads > 1 the simulated compiler bug panics inside a
         // translation worker; the pipeline must catch it and surface a
-        // JitCrash instead of aborting the process or hanging the
-        // emitter on a disconnected channel.
+        // JitCrash instead of aborting the process, and every other
+        // worker must see the flag and stop.
         let (repo, mut pkg) = make_package();
         pkg.meta.poison = Poison::CompileCrash;
-        for threads in [2, 4] {
+        for threads in [2, 4, 8] {
             let err = consume(
                 &repo,
                 &pkg,
@@ -785,12 +780,14 @@ mod tests {
             let bytes = pkg.serialize();
             let (man, pool) = chunked(&pkg, &repo);
             let want = consume(&repo, &pkg, jit, &JumpStartOptions::default(), 1).unwrap();
-            for frac in [1.0, 0.5, 0.25] {
+            // `frac 0.0` is an empty serve-ready stage; at `threads = 8`
+            // either package has fewer units than workers.
+            for frac in [1.0, 0.5, 0.25, 0.0] {
                 let opts = JumpStartOptions {
                     early_serve_frac: frac,
                     ..Default::default()
                 };
-                for threads in [1, 4] {
+                for threads in [1, 4, 8] {
                     let (lazy, stats) =
                         consume_chunked(&repo, &man, &pool, jit, &opts, threads).unwrap();
                     assert_eq!(
@@ -827,6 +824,10 @@ mod tests {
                             "{row}"
                         );
                         assert_eq!(Some(early.ready_funcs), ready_funcs, "{row}: same split");
+                        if frac == 0.0 {
+                            assert_eq!(early.ready_funcs, 0, "{row}");
+                        }
+                        assert_eq!(got.boot.workers.len(), threads, "{row}");
                         let c = got
                             .boot
                             .caches

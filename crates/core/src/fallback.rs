@@ -74,22 +74,20 @@ impl BootController {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::package::PackageMeta;
-    use bytes::Bytes;
+    use crate::package::{PackageMeta, ProfilePackage};
     use rand::SeedableRng;
 
     fn store_with(n: u64) -> PackageStore {
         let store = PackageStore::new();
         for s in 0..n {
-            store.publish(
-                PackageMeta {
-                    region: 0,
-                    bucket: 0,
+            let pkg = ProfilePackage {
+                meta: PackageMeta {
                     seeder_id: s,
                     ..Default::default()
                 },
-                Bytes::from_static(b"pkg"),
-            );
+                ..Default::default()
+            };
+            store.publish_chunked(&pkg, 0);
         }
         store
     }

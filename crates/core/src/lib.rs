@@ -29,11 +29,11 @@
 //! [`Poison`]: a package can be marked as triggering a compile-time or a
 //! latent runtime JIT bug, which is how the §VI scenarios are simulated.
 
-mod boot;
 pub mod chunk;
 mod config;
 mod consumer;
 mod crc32;
+mod fallback;
 mod package;
 mod pipeline;
 mod seeder;
@@ -41,7 +41,6 @@ mod store;
 mod validate;
 pub mod wire;
 
-pub use boot::{BootController, BootDecision};
 pub use chunk::{
     chunk_package, delta_against, reassemble, Chunk, ChunkId, ChunkKind, ChunkPool, ChunkedPackage,
     DeltaReport, LazyLoader, Manifest, ManifestEntry,
@@ -51,6 +50,7 @@ pub use consumer::{
     consume, consume_bytes, consume_chunked, ChunkBootStats, ConsumerError, ConsumerOutcome,
 };
 pub use crc32::crc32;
+pub use fallback::{BootController, BootDecision};
 pub use package::{Coverage, PackageMeta, Poison, PreloadLists, ProfilePackage};
 pub use pipeline::{
     early_serve_prefix, early_serve_prefix_by_heat, BootStats, CacheStats, EarlyServe,

@@ -1,42 +1,53 @@
-//! The streaming consumer compile pipeline.
+//! The consumer compile stage: claim → translate → park → place.
 //!
 //! The paper's consumer "JITs all optimized code in parallel using all
-//! the cores" before serving (§IV-A). The naive way — translate on N
-//! threads into slots, barrier, then emit everything on one thread —
-//! leaves N−1 cores idle for the whole emission phase and the barrier
-//! serializes on the slowest translation. This module overlaps the two:
+//! the cores" before serving (§IV-A), and HHVM's own retranslate-all does
+//! it in two phases — compile everything, then relocate it into the code
+//! cache (Fig. 1 point B, "optimized compilation done, relocation
+//! starts"). This stage has the same shape:
 //!
-//! * the compile order is split into chunks dealt round-robin onto
-//!   per-worker work-stealing deques (hottest chunks first, so the heat
-//!   mass needed for early-serve is translated earliest);
-//! * workers translate and *plan the block layout* ([`jit::plan_layout`]
-//!   — the expensive Ext-TSP step) off the critical emission path, then
-//!   stream `(seq, unit, plan)` through a channel;
-//! * the emitter thread holds a reorder buffer keyed by sequence number
-//!   and places units strictly in compile order while translation is
-//!   still running — so the code-cache addresses are **byte-identical**
-//!   to a sequential boot (addresses feed the uarch model; parallelism
-//!   may not move a single block);
-//! * early serve is not this module's business: the consumer runs the
-//!   pipeline once over the hot prefix of the compile order
-//!   ([`early_serve_prefix`]), reports ready ([`EarlyServe`]), and runs it
-//!   again over the remainder — the second run emits exactly where the
-//!   first stopped;
-//! * a worker panic (a poisoned package tripping a JIT bug, §VI-A) is
-//!   caught with `catch_unwind` and surfaces as a clean error instead of
-//!   aborting the boot, so the fallback controller still engages.
+//! * **claim** — the compile order is flat and fully known before the
+//!   first worker starts, so one shared atomic cursor hands every idle
+//!   worker the earliest unclaimed unit: greedy list scheduling, hottest
+//!   units first. The caller translates as worker 0, so a `threads`-thread
+//!   boot runs on exactly `threads` threads;
+//! * **translate** — the worker translates the unit and *plans its block
+//!   layout* ([`jit::plan_layout`] — the expensive Ext-TSP step), under
+//!   `catch_unwind`: a worker panic (a poisoned package tripping a JIT
+//!   bug, §VI-A) raises a flag that stops every worker at its next claim
+//!   and surfaces as a clean error with nothing emitted, so the fallback
+//!   controller still engages;
+//! * **park** — the finished `(unit, plan)` goes into the slot with the
+//!   unit's index in the compile order;
+//! * **place** — once every worker has joined, the calling thread walks
+//!   the slots in index order and emits each into the code cache. Same
+//!   translation, same order, one emitting thread: the addresses are
+//!   **byte-identical** to a sequential boot by construction (addresses
+//!   feed the uarch model; parallelism may not move a single block).
+//!
+//! Placing while translation is still running would hide only the
+//! emission, and `BENCH_boot.json` measures that (`emit_ns` against
+//! `pipeline_ns`) at 1.5% of the stage when this design was chosen and
+//! 2–3% since, at every thread count; per-worker queues with rebalancing
+//! would balance nothing the cursor does not (the queues this replaced
+//! moved at most 29 of 474 units between workers per boot). Neither is
+//! kept.
+//!
+//! Early serve is not this module's business: the consumer runs the stage
+//! once over the hot prefix of the compile order ([`early_serve_prefix`]),
+//! reports ready ([`EarlyServe`]), and runs it again over the remainder —
+//! the second run emits exactly where the first stopped.
 //!
 //! Every phase is timed into [`BootStats`], the boot-phase telemetry the
 //! `jsboot` bench binary prints and records as `BENCH_boot.json`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock, RwLock};
 use std::time::Instant;
 
 use bytecode::{ClassId, FuncId, Repo, StrId};
-use crossbeam::{channel, deque};
 use jit::vasm::VasmUnit;
 use jit::{
     plan_layout, translate_optimized_with, CtxProfile, InlineTemplate, JitEngine, JitOptions,
@@ -124,13 +135,9 @@ pub struct CacheStats {
 pub struct WorkerStats {
     /// Units this worker translated.
     pub translated: usize,
-    /// Of those, units taken from another worker's deque.
-    pub stolen: usize,
     /// Time spent translating and planning layout.
     pub busy_ns: u64,
-    /// Time spent in steal attempts (own deque empty).
-    pub steal_ns: u64,
-    /// Residual wall time: lock contention, channel sends, scheduling.
+    /// Residual wall time: claiming, parking, lock contention, scheduling.
     pub stall_ns: u64,
 }
 
@@ -165,14 +172,14 @@ pub struct BootStats {
     pub lint_repair_ns: u64,
     /// Property-slot resolution time (§V-C layout install).
     pub prop_slots_ns: u64,
-    /// Wall time of the overlapped translate+emit phase.
+    /// Wall time of the compile stage (translate + emit).
     pub pipeline_ns: u64,
     /// Emitter busy time (placing blocks in the code cache).
     pub emit_ns: u64,
-    /// Emitter idle time waiting on translations. In a threaded boot this
-    /// is the reorder-buffer recv wait; in a sequential boot it is the
-    /// translate+plan time (the emitter "waits" inline for each unit), so
-    /// rows are comparable across thread counts.
+    /// Time the emitter spent waiting on translations. In a threaded boot
+    /// this is stage start → emission start; in a sequential boot it is
+    /// the translate+plan time (the emitter "waits" inline for each unit),
+    /// so rows are comparable across thread counts.
     pub emit_stall_ns: u64,
     /// End-to-end boot wall time (decode excluded unless present).
     pub total_ns: u64,
@@ -192,11 +199,6 @@ impl BootStats {
     /// Total busy time across all workers.
     pub fn worker_busy_ns(&self) -> u64 {
         self.workers.iter().map(|w| w.busy_ns).sum()
-    }
-
-    /// Units stolen across all workers.
-    pub fn total_stolen(&self) -> usize {
-        self.workers.iter().map(|w| w.stolen).sum()
     }
 
     /// Boot throughput in compiled bytes per second of pipeline wall time.
@@ -233,11 +235,9 @@ impl BootStats {
         ));
         for (i, w) in self.workers.iter().enumerate() {
             out.push_str(&format!(
-                "  worker {i:<2}    {:>6} units ({} stolen)  busy {:>9.3} ms  steal {:>8.3} ms  stall {:>8.3} ms\n",
+                "  worker {i:<2}    {:>6} units  busy {:>9.3} ms  stall {:>8.3} ms\n",
                 w.translated,
-                w.stolen,
                 ms(w.busy_ns),
-                ms(w.steal_ns),
                 ms(w.stall_ns),
             ));
         }
@@ -270,8 +270,8 @@ impl BootStats {
             .iter()
             .map(|w| {
                 format!(
-                    "{{\"translated\":{},\"stolen\":{},\"busy_ns\":{},\"steal_ns\":{},\"stall_ns\":{}}}",
-                    w.translated, w.stolen, w.busy_ns, w.steal_ns, w.stall_ns
+                    "{{\"translated\":{},\"busy_ns\":{},\"stall_ns\":{}}}",
+                    w.translated, w.busy_ns, w.stall_ns
                 )
             })
             .collect();
@@ -308,7 +308,7 @@ impl BootStats {
     }
 
     /// Writes every field into `reg` as `boot.*` gauges (set semantics —
-    /// re-recording overwrites). The inverse of [`BootStats::from_registry`].
+    /// re-recording overwrites); fleet aggregation reads these.
     pub fn record(&self, reg: &telemetry::Registry) {
         reg.gauge("boot.threads").set(self.threads as u64);
         reg.gauge("boot.decode_ns").set(self.decode_ns);
@@ -325,17 +325,11 @@ impl BootStats {
         for (i, w) in self.workers.iter().enumerate() {
             reg.gauge(&format!("boot.worker.{i}.translated"))
                 .set(w.translated as u64);
-            reg.gauge(&format!("boot.worker.{i}.stolen"))
-                .set(w.stolen as u64);
             reg.gauge(&format!("boot.worker.{i}.busy_ns"))
                 .set(w.busy_ns);
-            reg.gauge(&format!("boot.worker.{i}.steal_ns"))
-                .set(w.steal_ns);
             reg.gauge(&format!("boot.worker.{i}.stall_ns"))
                 .set(w.stall_ns);
         }
-        reg.gauge("boot.early_serve.present")
-            .set(self.early_serve.is_some() as u64);
         if let Some(e) = &self.early_serve {
             reg.gauge_f64("boot.early_serve.frac").set(e.frac);
             reg.gauge("boot.early_serve.ready_funcs")
@@ -347,54 +341,10 @@ impl BootStats {
             reg.gauge("boot.early_serve.background_bytes")
                 .set(e.background_bytes);
         }
-        reg.gauge("boot.cache.present")
-            .set(self.caches.is_some() as u64);
         if let Some(c) = &self.caches {
             reg.gauge("boot.cache.template_hits").set(c.template_hits);
             reg.gauge("boot.cache.template_misses")
                 .set(c.template_misses);
-        }
-    }
-
-    /// Renders boot stats from the `boot.*` gauges in `reg` — BootStats is
-    /// a *view* of the registry, not an independent record.
-    pub fn from_registry(reg: &telemetry::Registry) -> BootStats {
-        let workers = (0..reg.value_u64("boot.workers") as usize)
-            .map(|i| WorkerStats {
-                translated: reg.value_u64(&format!("boot.worker.{i}.translated")) as usize,
-                stolen: reg.value_u64(&format!("boot.worker.{i}.stolen")) as usize,
-                busy_ns: reg.value_u64(&format!("boot.worker.{i}.busy_ns")),
-                steal_ns: reg.value_u64(&format!("boot.worker.{i}.steal_ns")),
-                stall_ns: reg.value_u64(&format!("boot.worker.{i}.stall_ns")),
-            })
-            .collect();
-        let early_serve = (reg.value_u64("boot.early_serve.present") == 1).then(|| EarlyServe {
-            frac: reg.scalar("boot.early_serve.frac").unwrap_or(0.0),
-            ready_funcs: reg.value_u64("boot.early_serve.ready_funcs") as usize,
-            ready_bytes: reg.value_u64("boot.early_serve.ready_bytes"),
-            ready_ns: reg.value_u64("boot.early_serve.ready_ns"),
-            background_funcs: reg.value_u64("boot.early_serve.background_funcs") as usize,
-            background_bytes: reg.value_u64("boot.early_serve.background_bytes"),
-        });
-        let caches = (reg.value_u64("boot.cache.present") == 1).then(|| CacheStats {
-            template_hits: reg.value_u64("boot.cache.template_hits"),
-            template_misses: reg.value_u64("boot.cache.template_misses"),
-            ..Default::default()
-        });
-        BootStats {
-            threads: reg.value_u64("boot.threads") as usize,
-            decode_ns: reg.value_u64("boot.decode_ns"),
-            lint_repair_ns: reg.value_u64("boot.lint_repair_ns"),
-            prop_slots_ns: reg.value_u64("boot.prop_slots_ns"),
-            pipeline_ns: reg.value_u64("boot.pipeline_ns"),
-            emit_ns: reg.value_u64("boot.emit_ns"),
-            emit_stall_ns: reg.value_u64("boot.emit_stall_ns"),
-            total_ns: reg.value_u64("boot.total_ns"),
-            compiled_funcs: reg.value_u64("boot.compiled_funcs") as usize,
-            compile_bytes: reg.value_u64("boot.compile_bytes"),
-            workers,
-            early_serve,
-            caches,
         }
     }
 }
@@ -446,7 +396,7 @@ pub fn early_serve_prefix_by_heat(
     order.len()
 }
 
-/// What the overlapped translate+emit phase produced.
+/// What one run of the compile stage produced.
 #[derive(Default)]
 pub(crate) struct PipelineResult {
     pub compiled_funcs: usize,
@@ -468,9 +418,7 @@ impl PipelineResult {
         self.emit_stall_ns += later.emit_stall_ns;
         for (w, x) in self.workers.iter_mut().zip(later.workers) {
             w.translated += x.translated;
-            w.stolen += x.stolen;
             w.busy_ns += x.busy_ns;
-            w.steal_ns += x.steal_ns;
             w.stall_ns += x.stall_ns;
         }
     }
@@ -496,16 +444,16 @@ pub(crate) struct PipelineJob<'a, 'r> {
     pub resolver: &'a (dyn Fn(ClassId, StrId) -> Option<u16> + Sync),
     /// Simulate a JIT compiler bug inside a worker (Poison::CompileCrash
     /// with threads > 1): the worker panics and the pipeline must surface
-    /// the panic as an error, not abort.
+    /// the panic as an error, not take the process down.
     pub poison_crash: bool,
     /// Inline-body templates shared by the translation workers.
     pub templates: &'a TemplateCache,
-    /// Per-boot metrics registry: translate/emit duration histograms and
-    /// steal counters land here as the pipeline runs.
+    /// Per-boot metrics registry: translate/emit duration histograms land
+    /// here as the stage runs.
     pub metrics: telemetry::Registry,
 }
 
-/// Runs the compile pipeline, emitting into `engine` strictly in `work`
+/// Runs the compile stage, emitting into `engine` strictly in `work`
 /// order. Returns `Err(())` when a worker crashed (the caller maps this
 /// to `ConsumerError::JitCrash`).
 pub(crate) fn run(
@@ -563,16 +511,10 @@ fn run_sequential(job: &PipelineJob<'_, '_>, engine: &mut JitEngine<'_>) -> Pipe
     out.pipeline_ns = start.elapsed().as_nanos() as u64;
     // The emitter waits inline for each translation; reporting that wait
     // (instead of 0) keeps the column comparable with threaded boots,
-    // whose stall is the reorder-buffer recv time.
+    // whose stall is the time until emission starts.
     out.emit_stall_ns = worker.busy_ns;
     out.workers = vec![worker];
     out
-}
-
-/// How many consecutive units one deque entry carries. Small enough to
-/// keep workers load-balanced, large enough to amortize queue traffic.
-fn chunk_len(work_len: usize, threads: usize) -> usize {
-    (work_len / (threads * 4)).clamp(1, 32)
 }
 
 fn run_parallel(
@@ -582,169 +524,82 @@ fn run_parallel(
 ) -> Result<PipelineResult, ()> {
     let start = Instant::now();
     let total = job.work.len();
-    // Opened before the workers spawn so the span brackets every compile
-    // (on an oversubscribed host the main thread may not run again until
-    // well after the workers have started translating).
     let _pipeline_span = telemetry::span!("pipeline", "threads" => threads, "units" => total);
 
-    // Deal heat-ordered chunks of the compile order round-robin onto the
-    // per-worker deques: worker 0 gets the hottest chunk, and early
-    // chunks — the ones the reorder buffer needs first — are at the front
-    // of every queue.
-    let workers: Vec<deque::Worker<(usize, FuncId)>> =
-        (0..threads).map(|_| deque::Worker::new_fifo()).collect();
-    let chunk = chunk_len(total, threads);
-    for (c, slice) in job.work.chunks(chunk).enumerate() {
-        let base = c * chunk;
-        for (off, &func) in slice.iter().enumerate() {
-            workers[c % threads].push((base + off, func));
-        }
-    }
-    let stealers: Vec<deque::Stealer<(usize, FuncId)>> =
-        workers.iter().map(|w| w.stealer()).collect();
-
-    let (tx, rx) = channel::unbounded::<(usize, VasmUnit, LayoutPlan)>();
-    let abort = AtomicBool::new(false);
+    // The cursor only hands out indices (Relaxed: it publishes nothing);
+    // a parked unit reaches the emitter through its slot and the join.
+    let next = AtomicUsize::new(0);
     let crashed = AtomicBool::new(false);
+    let slots: Vec<OnceLock<(VasmUnit, LayoutPlan)>> =
+        (0..total).map(|_| OnceLock::new()).collect();
 
-    let mut out = PipelineResult::default();
-
-    out.workers = crossbeam::scope(|s| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .enumerate()
-            .map(|(wid, own)| {
-                let tx = tx.clone();
-                let stealers = &stealers;
-                let abort = &abort;
-                let crashed = &crashed;
-                s.spawn(move |_| {
-                    // One trace track per worker: every compile span this
-                    // thread records lands on its own timeline row.
-                    let _track = telemetry::track(format!("worker {wid}"));
-                    let translate_hist = job.metrics.histogram("pipeline.translate_ns");
-                    let steals = job.metrics.counter("pipeline.steals");
-                    let wall = Instant::now();
-                    let mut stats = WorkerStats::default();
-                    'work: loop {
-                        if abort.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        // Own queue first, then steal round-robin.
-                        let (task, was_steal) = match own.pop() {
-                            Some(t) => (t, false),
-                            None => {
-                                let t0 = Instant::now();
-                                let mut found = None;
-                                'steal: loop {
-                                    let mut saw_retry = false;
-                                    for i in 1..stealers.len() {
-                                        let victim = (wid + i) % stealers.len();
-                                        match stealers[victim].steal() {
-                                            deque::Steal::Success(t) => {
-                                                found = Some(t);
-                                                break 'steal;
-                                            }
-                                            deque::Steal::Retry => saw_retry = true,
-                                            deque::Steal::Empty => {}
-                                        }
-                                    }
-                                    if !saw_retry || abort.load(Ordering::Relaxed) {
-                                        break;
-                                    }
-                                }
-                                stats.steal_ns += t0.elapsed().as_nanos() as u64;
-                                match found {
-                                    Some(t) => {
-                                        steals.inc();
-                                        telemetry::instant!(
-                                            "steal",
-                                            "worker" => wid,
-                                            "seq" => t.0
-                                        );
-                                        (t, true)
-                                    }
-                                    None => break 'work,
-                                }
-                            }
-                        };
-                        let (seq, func) = task;
-                        let t0 = Instant::now();
-                        let result = catch_unwind(AssertUnwindSafe(|| {
-                            if job.poison_crash {
-                                panic!("simulated JIT compiler bug (Poison::CompileCrash)");
-                            }
-                            translate_and_plan(job, func)
-                        }));
-                        let translate_ns = t0.elapsed().as_nanos() as u64;
-                        translate_hist.record(translate_ns);
-                        stats.busy_ns += translate_ns;
-                        match result {
-                            Ok((unit, plan)) => {
-                                stats.translated += 1;
-                                if was_steal {
-                                    stats.stolen += 1;
-                                }
-                                // Send only fails when the emitter already
-                                // bailed; nothing left to do then.
-                                if tx.send((seq, unit, plan)).is_err() {
-                                    break;
-                                }
-                            }
-                            Err(_) => {
-                                crashed.store(true, Ordering::Relaxed);
-                                abort.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                        }
-                    }
-                    let wall_ns = wall.elapsed().as_nanos() as u64;
-                    stats.stall_ns = wall_ns.saturating_sub(stats.busy_ns + stats.steal_ns);
-                    stats
-                })
-            })
-            .collect();
-        drop(tx);
-
-        // The emitter: this thread. Reorder buffer keyed by sequence
-        // number; units are placed the instant the in-order prefix is
-        // complete, while translation continues on the workers.
-        let emit_hist = job.metrics.histogram("pipeline.emit_ns");
-        let mut pending: BTreeMap<usize, (VasmUnit, LayoutPlan)> = BTreeMap::new();
-        let mut next_seq = 0usize;
-        let mut received = 0usize;
-        while received < total {
-            let t0 = Instant::now();
-            let Ok((seq, unit, plan)) = rx.recv() else {
-                // All senders gone: a worker crashed (or aborted).
+    let worker = |wid: usize| {
+        // One trace track per worker: every compile span this thread
+        // records lands on its own timeline row.
+        let _track = telemetry::track(format!("worker {wid}"));
+        let translate_hist = job.metrics.histogram("pipeline.translate_ns");
+        let wall = Instant::now();
+        let mut stats = WorkerStats::default();
+        while !crashed.load(Ordering::Relaxed) {
+            let seq = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&func) = job.work.get(seq) else {
                 break;
             };
-            out.emit_stall_ns += t0.elapsed().as_nanos() as u64;
-            received += 1;
-            pending.insert(seq, (unit, plan));
-            while let Some((unit, plan)) = pending.remove(&next_seq) {
-                let t1 = Instant::now();
-                let bytes = {
-                    let _emit_span = telemetry::span!("emit", "seq" => next_seq);
-                    engine.emit_planned(unit, &plan)
-                };
-                let unit_emit_ns = t1.elapsed().as_nanos() as u64;
-                emit_hist.record(unit_emit_ns);
-                out.emit_ns += unit_emit_ns;
-                out.on_emitted(bytes);
-                next_seq += 1;
+            let t0 = Instant::now();
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                if job.poison_crash {
+                    panic!("simulated JIT compiler bug (Poison::CompileCrash)");
+                }
+                translate_and_plan(job, func)
+            }));
+            let translate_ns = t0.elapsed().as_nanos() as u64;
+            translate_hist.record(translate_ns);
+            stats.busy_ns += translate_ns;
+            match result {
+                Ok(done) => {
+                    stats.translated += 1;
+                    assert!(slots[seq].set(done).is_ok(), "unit {seq} claimed twice");
+                }
+                Err(_) => crashed.store(true, Ordering::Relaxed),
             }
         }
+        stats.stall_ns = (wall.elapsed().as_nanos() as u64).saturating_sub(stats.busy_ns);
+        stats
+    };
 
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panics are caught in-thread"))
-            .collect()
-    })
-    .expect("pipeline scope does not panic");
-
+    let workers = std::thread::scope(|s| {
+        let spawned: Vec<_> = (1..threads)
+            .map(|wid| s.spawn(move || worker(wid)))
+            .collect();
+        let mut stats = vec![worker(0)];
+        stats.extend(
+            spawned
+                .into_iter()
+                .map(|h| h.join().expect("worker panics are caught in-thread")),
+        );
+        stats
+    });
     if crashed.load(Ordering::Relaxed) {
         return Err(());
+    }
+
+    let mut out = PipelineResult {
+        workers,
+        emit_stall_ns: start.elapsed().as_nanos() as u64,
+        ..Default::default()
+    };
+    let emit_hist = job.metrics.histogram("pipeline.emit_ns");
+    for (seq, slot) in slots.into_iter().enumerate() {
+        let (unit, plan) = slot.into_inner().expect("every claimed unit was parked");
+        let t0 = Instant::now();
+        let bytes = {
+            let _emit_span = telemetry::span!("emit", "seq" => seq);
+            engine.emit_planned(unit, &plan)
+        };
+        let unit_emit_ns = t0.elapsed().as_nanos() as u64;
+        emit_hist.record(unit_emit_ns);
+        out.emit_ns += unit_emit_ns;
+        out.on_emitted(bytes);
     }
     out.pipeline_ns = start.elapsed().as_nanos() as u64;
     Ok(out)
@@ -783,20 +638,6 @@ mod tests {
     }
 
     #[test]
-    fn chunks_cover_all_work() {
-        for (len, threads) in [(1, 2), (7, 2), (100, 4), (5, 8), (1000, 16)] {
-            let c = chunk_len(len, threads);
-            assert!((1..=32).contains(&c));
-            let covered: usize = (0..len)
-                .collect::<Vec<_>>()
-                .chunks(c)
-                .map(<[usize]>::len)
-                .sum();
-            assert_eq!(covered, len);
-        }
-    }
-
-    #[test]
     fn boot_stats_json_is_well_formed() {
         let stats = BootStats {
             threads: 2,
@@ -824,10 +665,7 @@ mod tests {
     }
 
     #[test]
-    fn boot_stats_round_trip_through_registry() {
-        // Golden property of the stats-as-view design: record() followed
-        // by from_registry() reproduces the struct exactly, including the
-        // Option fields and the f64 fraction.
+    fn boot_stats_record_writes_every_gauge_group() {
         let full = BootStats {
             threads: 3,
             decode_ns: 11,
@@ -840,14 +678,12 @@ mod tests {
             compiled_funcs: 5,
             compile_bytes: 1234,
             workers: vec![
+                WorkerStats::default(),
                 WorkerStats {
                     translated: 3,
-                    stolen: 1,
                     busy_ns: 100,
-                    steal_ns: 10,
                     stall_ns: 1,
                 },
-                WorkerStats::default(),
             ],
             early_serve: Some(EarlyServe {
                 frac: 0.37,
@@ -865,16 +701,10 @@ mod tests {
         };
         let reg = telemetry::Registry::default();
         full.record(&reg);
-        assert_eq!(BootStats::from_registry(&reg), full);
-
-        // None variants survive too (presence markers overwrite).
-        let bare = BootStats {
-            threads: 1,
-            workers: vec![WorkerStats::default()],
-            ..Default::default()
-        };
-        let reg2 = telemetry::Registry::default();
-        bare.record(&reg2);
-        assert_eq!(BootStats::from_registry(&reg2), bare);
+        assert_eq!(reg.value_u64("boot.threads"), 3);
+        assert_eq!(reg.value_u64("boot.worker.1.busy_ns"), 100);
+        assert_eq!(reg.value_u64("boot.early_serve.ready_bytes"), 500);
+        assert_eq!(reg.value_u64("boot.cache.template_hits"), 7);
+        assert_eq!(reg.scalar("boot.early_serve.frac"), Some(0.37));
     }
 }

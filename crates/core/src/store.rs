@@ -20,18 +20,17 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use bytes::Bytes;
-use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
 use crate::chunk::{chunk_package, ChunkPool, Manifest};
 use crate::package::{PackageMeta, ProfilePackage};
 
-/// A published package: serialized bytes plus a meta summary, and — for
-/// chunk-published packages — the chunk manifest.
+/// A published package: serialized bytes plus a meta summary and the
+/// chunk manifest.
 #[derive(Clone, Debug)]
 pub struct StoredPackage {
     /// Store-assigned id.
@@ -40,10 +39,9 @@ pub struct StoredPackage {
     pub bytes: Bytes,
     /// Meta summary (as published; the authoritative copy is in `bytes`).
     pub meta: PackageMeta,
-    /// Chunk manifest, when published via
-    /// [`PackageStore::publish_chunked`]. Consumers with a warm chunk
-    /// cache use it for delta fetch and lazy decode; `None` means the
-    /// package is only available monolithically.
+    /// Chunk manifest. Consumers with a warm chunk cache use it for delta
+    /// fetch and lazy decode; `None` (after [`PackageStore::corrupt`])
+    /// means the package is only available monolithically.
     pub manifest: Option<Arc<Manifest>>,
 }
 
@@ -104,10 +102,12 @@ struct Cell {
     dedup: CellDedup,
 }
 
+type Cells = HashMap<(u32, u32), Cell>;
+
 /// Thread-safe store keyed by (region, bucket).
 #[derive(Debug, Default)]
 pub struct PackageStore {
-    inner: RwLock<HashMap<(u32, u32), Cell>>,
+    inner: RwLock<Cells>,
     next_id: AtomicU64,
 }
 
@@ -117,24 +117,14 @@ impl PackageStore {
         Self::default()
     }
 
-    /// Publishes a validated package as an opaque blob; returns its id.
-    ///
-    /// The legacy full-bytes path: no chunking, no dedup. Prefer
-    /// [`PackageStore::publish_chunked`] for real packages.
-    pub fn publish(&self, meta: PackageMeta, bytes: Bytes) -> u64 {
-        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.inner
-            .write()
-            .entry((meta.region, meta.bucket))
-            .or_default()
-            .packages
-            .push(Arc::new(StoredPackage {
-                id,
-                bytes,
-                meta,
-                manifest: None,
-            }));
-        id
+    // Every update leaves the map valid at every step, so a lock poisoned
+    // by a panicking holder is still safe to take.
+    fn read(&self) -> RwLockReadGuard<'_, Cells> {
+        self.inner.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Cells> {
+        self.inner.write().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Publishes a package as content-addressed chunks, deduplicating
@@ -156,7 +146,7 @@ impl PackageStore {
             ..Default::default()
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         let cell = inner.entry((pkg.meta.region, pkg.meta.bucket)).or_default();
         for c in &cp.chunks {
             receipt.bytes_total += c.bytes.len() as u64;
@@ -186,7 +176,7 @@ impl PackageStore {
         bucket: u32,
         rng: &mut SmallRng,
     ) -> Option<Arc<StoredPackage>> {
-        let inner = self.inner.read();
+        let inner = self.read();
         let list = &inner.get(&(region, bucket))?.packages;
         if list.is_empty() {
             return None;
@@ -196,8 +186,7 @@ impl PackageStore {
 
     /// Number of packages available for (region, bucket).
     pub fn count(&self, region: u32, bucket: u32) -> usize {
-        self.inner
-            .read()
+        self.read()
             .get(&(region, bucket))
             .map_or(0, |c| c.packages.len())
     }
@@ -209,8 +198,7 @@ impl PackageStore {
     /// are `Arc`-shared — fan-out to 2000+ servers clones pointers, not
     /// package state.
     pub fn cell_packages(&self, region: u32, bucket: u32) -> Vec<Arc<StoredPackage>> {
-        self.inner
-            .read()
+        self.read()
             .get(&(region, bucket))
             .map(|c| c.packages.clone())
             .unwrap_or_default()
@@ -220,8 +208,7 @@ impl PackageStore {
     /// reference-counted views). This is what a consumer's chunk cache
     /// warms from.
     pub fn cell_pool(&self, region: u32, bucket: u32) -> ChunkPool {
-        self.inner
-            .read()
+        self.read()
             .get(&(region, bucket))
             .map(|c| c.pool.clone())
             .unwrap_or_default()
@@ -229,8 +216,7 @@ impl PackageStore {
 
     /// Cumulative chunk-dedup accounting for the cell.
     pub fn dedup_stats(&self, region: u32, bucket: u32) -> CellDedup {
-        self.inner
-            .read()
+        self.read()
             .get(&(region, bucket))
             .map(|c| c.dedup)
             .unwrap_or_default()
@@ -240,7 +226,7 @@ impl PackageStore {
     /// The cell's chunk pool is left untouched — other packages may
     /// share the chunks.
     pub fn remove(&self, id: u64) -> bool {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         for cell in inner.values_mut() {
             if let Some(i) = cell.packages.iter().position(|p| p.id == id) {
                 cell.packages.remove(i);
@@ -256,7 +242,7 @@ impl PackageStore {
     /// bytes, and a manifest describing bytes the package no longer has
     /// would be a lie.
     pub fn corrupt(&self, id: u64, byte: usize) -> bool {
-        let mut inner = self.inner.write();
+        let mut inner = self.write();
         for cell in inner.values_mut() {
             if let Some(p) = cell.packages.iter_mut().find(|p| p.id == id) {
                 if p.bytes.is_empty() {
@@ -276,7 +262,7 @@ impl PackageStore {
 
     /// Drops everything (a new release invalidates old profiles).
     pub fn clear(&self) {
-        self.inner.write().clear();
+        self.write().clear();
     }
 }
 
@@ -285,18 +271,14 @@ mod tests {
     use super::*;
     use rand::SeedableRng;
 
-    fn meta(region: u32, bucket: u32, seeder: u64) -> PackageMeta {
-        PackageMeta {
-            region,
-            bucket,
-            seeder_id: seeder,
-            ..Default::default()
-        }
-    }
-
     fn pkg(region: u32, bucket: u32, seeder: u64) -> ProfilePackage {
         ProfilePackage {
-            meta: meta(region, bucket, seeder),
+            meta: PackageMeta {
+                region,
+                bucket,
+                seeder_id: seeder,
+                ..Default::default()
+            },
             ..Default::default()
         }
     }
@@ -305,15 +287,14 @@ mod tests {
     fn publish_and_pick() {
         let store = PackageStore::new();
         assert_eq!(store.count(0, 0), 0);
-        store.publish(meta(0, 0, 1), Bytes::from_static(b"aaa"));
-        store.publish(meta(0, 0, 2), Bytes::from_static(b"bbb"));
-        store.publish(meta(1, 0, 3), Bytes::from_static(b"ccc"));
+        store.publish_chunked(&pkg(0, 0, 1), 0);
+        store.publish_chunked(&pkg(0, 0, 2), 0);
+        store.publish_chunked(&pkg(1, 0, 3), 0);
         assert_eq!(store.count(0, 0), 2);
         assert_eq!(store.count(1, 0), 1);
         let mut rng = SmallRng::seed_from_u64(0);
         let p = store.pick_random(0, 0, &mut rng).unwrap();
         assert!(p.meta.seeder_id == 1 || p.meta.seeder_id == 2);
-        assert!(p.manifest.is_none(), "opaque publish has no manifest");
         assert!(store.pick_random(9, 9, &mut rng).is_none());
     }
 
@@ -321,7 +302,7 @@ mod tests {
     fn random_pick_covers_all_packages() {
         let store = PackageStore::new();
         for s in 0..4 {
-            store.publish(meta(0, 0, s), Bytes::from_static(b"x"));
+            store.publish_chunked(&pkg(0, 0, s), 0);
         }
         let mut rng = SmallRng::seed_from_u64(7);
         let mut seen = std::collections::HashSet::new();
@@ -334,7 +315,7 @@ mod tests {
     #[test]
     fn remove_by_id() {
         let store = PackageStore::new();
-        let id = store.publish(meta(0, 1, 1), Bytes::from_static(b"x"));
+        let (id, _) = store.publish_chunked(&pkg(0, 1, 1), 0);
         assert!(store.remove(id));
         assert!(!store.remove(id));
         assert_eq!(store.count(0, 1), 0);
@@ -358,7 +339,7 @@ mod tests {
     #[test]
     fn clear_empties_the_store() {
         let store = PackageStore::new();
-        store.publish(meta(0, 0, 1), Bytes::from_static(b"x"));
+        store.publish_chunked(&pkg(0, 0, 1), 0);
         store.clear();
         assert_eq!(store.count(0, 0), 0);
     }

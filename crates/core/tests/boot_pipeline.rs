@@ -1,5 +1,5 @@
-//! Determinism property tests for the pipelined work-stealing consumer
-//! boot: for any worker count and early-serve fraction, a parallel boot
+//! Determinism property tests for the parallel consumer boot: for any
+//! worker count and early-serve fraction, a parallel boot
 //! must produce *byte-identical* output to a sequential one — the same
 //! compiled-function set, the same code-cache addresses for every
 //! translation, and the same byte counts. Addresses feed the uarch model,
@@ -88,10 +88,10 @@ proptest! {
     #[test]
     fn parallel_early_serve_boot_is_byte_identical(
         t_idx in 0usize..4,
-        f_idx in 0usize..5,
+        f_idx in 0usize..6,
     ) {
         let threads = [1usize, 2, 4, 8][t_idx];
-        let frac = [1.0f64, 0.9, 0.75, 0.5, 0.25][f_idx];
+        let frac = [1.0f64, 0.9, 0.75, 0.5, 0.25, 0.0][f_idx];
         let (digest, base_placements, funcs, bytes) = baseline();
         let out = boot(threads, frac);
         // Identical code-cache addresses (digest covers every placement,

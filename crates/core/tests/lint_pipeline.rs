@@ -196,14 +196,6 @@ fn stale_package_is_repaired_and_accepted_by_consumer() {
         out.registry.value_u64("repair.mass_matched") > 0,
         "matched counter mass recorded"
     );
-
-    // With repair disabled the consumer refuses the package outright.
-    let no_repair = JumpStartOptions {
-        lint_repair: false,
-        ..Default::default()
-    };
-    let blind = consume(&repo_v2, &pkg, JitOptions::default(), &no_repair, 1).unwrap();
-    assert!(blind.repair.is_none(), "lint_repair off consumes as-is");
 }
 
 /// An unrepairable profile (dangling ids everywhere survive pruning, but a

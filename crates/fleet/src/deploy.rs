@@ -802,10 +802,10 @@ pub fn run_deployment_with_prior(
     let slots_ref = &slots;
     let cells_ref = &cells;
     let mut shard_results: Vec<(Vec<(usize, crate::server::ServerRun)>, u64)> =
-        crossbeam::scope(|scope| {
+        std::thread::scope(|scope| {
             let handles: Vec<_> = (0..shards)
                 .map(|shard| {
-                    scope.spawn(move |_| {
+                    scope.spawn(move || {
                         let local: Vec<usize> = (shard..slots_ref.len()).step_by(shards).collect();
                         let mut tasks: Vec<ServerTask<'_>> = local
                             .iter()
@@ -853,8 +853,7 @@ pub fn run_deployment_with_prior(
                 .into_iter()
                 .map(|h| h.join().expect("shard thread"))
                 .collect()
-        })
-        .expect("shard scope");
+        });
 
     // --- Merge by gid: shard count leaves no trace in the report ---
     let mut merged: Vec<(usize, crate::server::ServerRun)> = Vec::with_capacity(slots.len());

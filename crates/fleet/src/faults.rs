@@ -17,8 +17,7 @@
 //!   with each restart", and the automatic fallback bounds the worst
 //!   case.
 
-use bytes::Bytes;
-use jumpstart::{BootController, BootDecision, PackageMeta, PackageStore, Poison};
+use jumpstart::{BootController, BootDecision, PackageMeta, PackageStore, Poison, ProfilePackage};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -152,16 +151,15 @@ pub fn run_crashloop(params: &CrashLoopParams) -> CrashLoopReport {
         } else {
             Poison::None
         };
-        store.publish(
-            PackageMeta {
-                region: 0,
-                bucket: 0,
+        let pkg = ProfilePackage {
+            meta: PackageMeta {
                 seeder_id: i as u64,
                 poison,
                 ..Default::default()
             },
-            Bytes::from_static(b"pkg"),
-        );
+            ..Default::default()
+        };
+        store.publish_chunked(&pkg, 0);
     }
     let mut rng = SmallRng::seed_from_u64(params.seed);
     let mut controllers: Vec<BootController> = (0..params.servers)

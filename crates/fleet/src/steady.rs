@@ -135,7 +135,7 @@ pub struct SteadyOutcome {
     /// Optimized cold-part code bytes.
     pub cold_bytes: u64,
     /// Boot-phase timeline of the consumer compile (decode, lint,
-    /// translate/steal/stall per worker, emit, early-serve crossing).
+    /// translate busy/stall per worker, emit, early-serve crossing).
     pub boot: BootStats,
 }
 
@@ -182,7 +182,7 @@ pub fn measure_steady_state(
             ..Default::default()
         },
     );
-    if config.no_jumpstart || !config.js.preload_units {
+    if config.no_jumpstart {
         // First-touch order: what the server's own lazy loading produced.
         executor.set_unit_order(&truth.unit_order);
     } else {

@@ -11,8 +11,6 @@
 //! * [`pagepack`] — BOLT-style global plan: hot parts of all functions
 //!   packed into simulated 2 MB huge-page bins, cold parts exiled to a
 //!   4 KiB-page region ([`PagePacker`], [`LayoutPlanOptions`]).
-//! * [`pettis_hansen_order`] — the classic Pettis–Hansen function ordering,
-//!   kept as an ablation baseline.
 //! * [`reorder_props_by_hotness`] / [`reorder_props_by_affinity`] — object
 //!   property reordering (§V-C; the affinity variant implements the paper's
 //!   "future work" suggestion).
@@ -24,7 +22,6 @@ mod c3;
 mod exttsp;
 mod hotcold;
 pub mod pagepack;
-mod pettis;
 mod propreorder;
 
 pub use c3::{c3_clusters, c3_order, CallArc, FuncNode};
@@ -36,5 +33,4 @@ pub use pagepack::{
     pack_extents, FuncExtent, LayoutPlanOptions, PagePackPlan, PagePackStats, PagePacker,
     PlacedExtent, HUGE_PAGE_BYTES, SMALL_PAGE_BYTES,
 };
-pub use pettis::pettis_hansen_order;
 pub use propreorder::{reorder_props_by_affinity, reorder_props_by_hotness, PropAccess};

@@ -88,7 +88,7 @@ pub enum EventKind {
     Begin,
     /// Span closed (matches the innermost open Begin on its track).
     End,
-    /// A point-in-time marker (e.g. a steal, a lifecycle point).
+    /// A point-in-time marker (e.g. a lifecycle point).
     Instant,
     /// A sampled counter value (renders as a counter track in Perfetto).
     Counter(f64),
