@@ -120,8 +120,8 @@ print(f"store gate ok: churn-0.1 wire {wire:.1%} <= 40%, dedup {doc['dedup_ratio
 EOF
 fi
 
-echo "== jsbench smoke (every op of consume_bytes / consume_chunked must hit its 1-thread consume reference digest) =="
-for workload in boot-stale push-lazy; do
+echo "== jsbench smoke (every op of consume_bytes / consume_chunked must hit its 1-thread consume reference digest, every 11000-server N-shard deployment its 1-shard one) =="
+for workload in boot-stale push-lazy fleet-push; do
   cargo run -q --release -p jsbench -- --workload "$workload" --seed 42 --seconds 1 --trace 0 >/dev/null
 done
 if cargo run -q --release -p jsbench -- --workload boot-stale --seed 42 --seconds 1 --trace 0 --flip-reference >/dev/null 2>&1; then
@@ -129,7 +129,7 @@ if cargo run -q --release -p jsbench -- --workload boot-stale --seed 42 --second
   exit 1
 fi
 
-echo "== jsfleet smoke (sharded event core: shard-invariant digest, fault placement, loss reduction) =="
+echo "== jsfleet smoke (sharded fleet: shard-invariant digest, fault placement, loss reduction) =="
 cargo run -q -p bench --bin jsfleet --release -- --check
 
 echo "== fleet baseline gate (BENCH_fleet.json: paper scale, throughput floor, boot tail, loss band) =="

@@ -1,5 +1,5 @@
 //! `jsfleet` — paper-scale fleet benchmark: one full C1/C2/C3 push over
-//! thousands of simulated servers on the sharded event core.
+//! thousands of simulated servers, sharded over threads.
 //!
 //! The default run deploys across 2 regions x 5 semantic buckets (the 10
 //! partitions of §IV-A) with 200 Jump-Start consumers and 20 baselines
@@ -224,7 +224,7 @@ fn check() {
     assert!(one.sim.requests > 0.0, "fleet must serve requests");
     assert!(
         one.sim.steps_executed < one.sim.steps_dense,
-        "event core must skip provably-idle steps"
+        "the driver must skip provably-idle steps"
     );
     assert!(
         one.stats.iter().any(|s| s.slow_host),

@@ -16,7 +16,7 @@
 //!   jstrace FILE --warmup     rebuild per-server warmup timelines from
 //!                             the `rps_norm`/`latency_ms` counter series
 //!                             and `serve-start` instants (the schema
-//!                             `fleet::timelines_to_trace` writes) and
+//!                             `fleet::timelines_to_trace_capped` writes) and
 //!                             print PELT segment boundaries plus each
 //!                             server's warmup classification. With
 //!                             --validate, checks the warmup schema

@@ -15,17 +15,20 @@
 //!    decisions — restart stagger, boot-time jitter, degraded-host roll,
 //!    package pick — are drawn up front from a per-server RNG stream
 //!    keyed only by the deployment seed and the server's global id.
-//!    Shards then execute their slice of slots on the event core
-//!    ([`crate::engine`]), multiplexing thousands of
-//!    [`ServerTask`](crate::server)s on one shard-local event queue.
-//!    Because shards consume no randomness and share no mutable state,
-//!    the report is bit-identical for any shard count (proved by
-//!    `tests/event_equivalence.rs`).
+//!    Servers are independent, so each shard maps
+//!    [`run_server`](crate::run_server) over its slots one at a time and
+//!    reduces each run in place: classify the timeline, fold it into a
+//!    shard-local [`WarmupAccumulator`], compact it to a [`ServerStat`].
+//!    The orchestrator only folds — merges the accumulators, orders the
+//!    stats by gid, sums. Because shards consume no randomness and share
+//!    no mutable state, the report is bit-identical for any shard count
+//!    (proved by `tests/event_equivalence.rs`).
 //!
-//! Memory stays flat at scale: full telemetry registries and Chrome-trace
-//! tracks exist only for each cell's representative servers; everyone
-//! else is carried as a compact [`ServerStat`] that still feeds the
-//! fleet-wide percentiles via [`telemetry::aggregate_values`].
+//! Memory stays flat at scale: one server's state is live per shard at a
+//! time, and only each cell's representative servers keep their timeline
+//! (and with it a telemetry registry and a Chrome-trace track) past the
+//! shard; everyone else leaves it as a compact [`ServerStat`] that still
+//! feeds the fleet-wide percentiles via [`telemetry::aggregate_values`].
 
 use jit::JitOptions;
 use jumpstart::chunk::ChunkPool;
@@ -39,13 +42,14 @@ use workload::{App, RequestMix};
 use crate::distribution::{
     package_wire, simulate_cell_links, DistributionParams, DistributionReport, Fetch, PackageWire,
 };
-use crate::engine::{EventQueue, MS};
 use crate::export::{server_registry, timelines_to_trace_capped};
 use crate::faults::FaultPlan;
 use crate::metrics::Timeline;
 use crate::model::{build_app_model, AppModel, WarmupParams};
-use crate::server::{ServerConfig, ServerTask};
-use crate::warmup::{WarmupAccumulator, WarmupAnalysisParams, WarmupClass, WarmupReport};
+use crate::server::{run_server_with_peak, ServerConfig};
+use crate::warmup::{
+    TimelineClass, WarmupAccumulator, WarmupAnalysisParams, WarmupClass, WarmupReport,
+};
 
 /// Most servers a single Chrome trace will carry per group; beyond this
 /// the export drops tracks (recorded in the trace's `dropped` count).
@@ -70,7 +74,8 @@ pub struct FleetShape {
     /// for any value; this only changes wall time.
     pub shards: u32,
     /// Restarts are staggered uniformly over this window (ms of fleet
-    /// time), like a real rolling push.
+    /// time), like a real rolling push. Timelines are in each server's
+    /// own clock, so this only orders package fetches on the cell links.
     pub restart_stagger_ms: u64,
     /// Per-server boot-time jitter: init/deserialize costs are scaled by
     /// a factor drawn uniformly from `1000 ± jitter` per-mille.
@@ -264,7 +269,7 @@ pub struct ServerStat {
     pub capacity_loss: f64,
     /// Requests served over the simulated duration.
     pub requests: f64,
-    /// Steps the event core actually computed for this server.
+    /// Steps the driver actually computed for this server.
     pub steps_executed: u64,
     /// Steps the dense reference stepper would have computed.
     pub steps_dense: u64,
@@ -276,16 +281,17 @@ pub struct ServerStat {
     pub download_ms: u64,
 }
 
-/// Event-core accounting for one deployment run.
+/// Step accounting for one deployment run.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub struct ShardStats {
     /// Shards (OS threads) the fleet ran on.
     pub shards: u32,
     /// Total servers simulated (consumers + baselines).
     pub servers: usize,
-    /// Events processed across all shard queues.
+    /// Serving steps servers were woken for while active, fleet-wide.
     pub events: u64,
-    /// Steps actually computed (≤ events; boot windows are closed-form).
+    /// Steps actually computed: `events` plus one steady step per
+    /// fast-forwarded server (boot windows are closed-form).
     pub steps_executed: u64,
     /// Steps a dense per-second stepper would have computed.
     pub steps_dense: u64,
@@ -311,7 +317,10 @@ pub struct DeployReport {
     pub server_registries: Vec<telemetry::Registry>,
     /// Compact outcome for every server in the fleet, in gid order.
     pub stats: Vec<ServerStat>,
-    /// Event-core accounting.
+    /// Simulated duration per server (ms) — the window every
+    /// [`ServerStat::capacity_loss`] is taken over.
+    pub duration_ms: u64,
+    /// Step accounting.
     pub sim: ShardStats,
     /// Distribution-model accounting (all-zero when the model is off).
     pub distribution: DistributionReport,
@@ -322,35 +331,34 @@ pub struct DeployReport {
 }
 
 impl DeployReport {
-    /// Mean capacity loss over `window_ms` with Jump-Start, across the
-    /// whole fleet (not just representatives).
+    /// Mean capacity loss over `window_ms` with Jump-Start: across the
+    /// whole fleet when `window_ms` is the simulated duration, across the
+    /// representatives (who alone keep a timeline; 0 if there are none)
+    /// for any other window.
     pub fn mean_loss_js(&self, window_ms: u64) -> f64 {
         self.mean_loss(window_ms, true)
     }
 
-    /// Mean capacity loss without Jump-Start.
+    /// [`DeployReport::mean_loss_js`] for the no-Jump-Start baselines.
     pub fn mean_loss_nojs(&self, window_ms: u64) -> f64 {
         self.mean_loss(window_ms, false)
     }
 
     fn mean_loss(&self, window_ms: u64, jumpstart: bool) -> f64 {
-        // Representatives carry full timelines, so arbitrary windows are
-        // exact for them; everyone else's stat is over the full duration.
-        // Use timelines when the window is custom, stats otherwise.
+        if window_ms == self.duration_ms {
+            return mean(
+                self.stats
+                    .iter()
+                    .filter(|s| s.jumpstart == jumpstart)
+                    .map(|s| s.capacity_loss),
+            );
+        }
         let tls = if jumpstart {
             &self.js_timelines
         } else {
             &self.nojs_timelines
         };
-        if !tls.is_empty() {
-            return mean(tls.iter().map(|t| t.capacity_loss_over(window_ms)));
-        }
-        mean(
-            self.stats
-                .iter()
-                .filter(|s| s.jumpstart == jumpstart)
-                .map(|s| s.capacity_loss),
-        )
+        mean(tls.iter().map(|t| t.capacity_loss_over(window_ms)))
     }
 
     /// The headline metric: relative reduction in capacity loss (the paper
@@ -484,6 +492,17 @@ struct CellData {
     /// Per-package wire pricing against the cell's previous-release chunk
     /// cache (parallel to `packages`; zeros when distribution is off).
     wire: Vec<PackageWire>,
+}
+
+/// What one shard thread hands back: every server it ran, reduced.
+struct ShardResult {
+    stats: Vec<ServerStat>,
+    /// `(gid, timeline, verdict)` of the shard's representatives — the
+    /// only timelines that outlive their server's turn.
+    representatives: Vec<(usize, Timeline, TimelineClass)>,
+    warmup: WarmupAccumulator,
+    /// Serving steps the shard's servers were woken for.
+    events: u64,
 }
 
 /// One server's precomputed plan. All randomness is consumed here,
@@ -639,7 +658,7 @@ fn seed_store(app: &App, params: &DeployParams, store: &PackageStore) -> SeedOut
 /// Runs one deployment: C2 seeders profile their cell's traffic, validate
 /// and publish; C3 consumers in each cell boot with randomized packages
 /// (vs. the no-Jump-Start baselines on identical traffic), fanned out over
-/// shard threads on the event core.
+/// shard threads.
 pub fn run_deployment(app: &App, params: &DeployParams) -> DeployReport {
     run_deployment_with_prior(app, None, params)
 }
@@ -716,11 +735,6 @@ pub fn run_deployment_with_prior(
             });
         }
     }
-    let (published, validation_failures, seeder_crashes) = (
-        seeded.published,
-        seeded.validation_failures,
-        seeded.seeder_crashes,
-    );
 
     // --- C3: every server's randomized plan, drawn sequentially ---
     let mut slots: Vec<Slot> = Vec::new();
@@ -792,149 +806,124 @@ pub fn run_deployment_with_prior(
         }
     }
 
-    // --- Fan-out: shards run disjoint slot slices on the event core ---
+    // --- Fan-out: each shard maps `run_server` over its slots and reduces ---
     let shards = params.fleet.shards.max(1) as usize;
     let _fan_span = telemetry::span!(
         "c3-fanout",
         "servers" => slots.len() as u64,
         "shards" => shards as u64,
     );
-    let slots_ref = &slots;
-    let cells_ref = &cells;
-    let mut shard_results: Vec<(Vec<(usize, crate::server::ServerRun)>, u64)> =
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..shards)
-                .map(|shard| {
-                    scope.spawn(move || {
-                        let local: Vec<usize> = (shard..slots_ref.len()).step_by(shards).collect();
-                        let mut tasks: Vec<ServerTask<'_>> = local
-                            .iter()
-                            .map(|&i| {
-                                let slot = &slots_ref[i];
-                                let data = &cells_ref[slot.cell];
-                                let config = ServerConfig {
-                                    params: slot.params,
-                                    jumpstart: slot.pkg.map(|p| &data.packages[p]),
-                                };
-                                ServerTask::new(
-                                    app,
-                                    &data.model,
-                                    &data.mix,
-                                    &config,
-                                    Some(data.peak_ms_per_req),
-                                )
-                            })
-                            .collect();
-                        let mut queue: EventQueue<usize> = EventQueue::new();
-                        for (k, task) in tasks.iter_mut().enumerate() {
-                            if let Some(first) = task.start() {
-                                let at = slots_ref[local[k]].stagger_ms + first;
-                                queue.schedule(at * MS, k);
-                            }
-                        }
-                        while let Some((at, k)) = queue.pop() {
-                            let now = at / MS - slots_ref[local[k]].stagger_ms;
-                            if let Some(next) = tasks[k].on_step(now) {
-                                let at = slots_ref[local[k]].stagger_ms + next;
-                                queue.schedule(at * MS, k);
-                            }
-                        }
-                        let events = queue.processed();
-                        let runs: Vec<(usize, crate::server::ServerRun)> = local
-                            .into_iter()
-                            .zip(tasks)
-                            .map(|(i, t)| (i, t.into_run()))
-                            .collect();
-                        (runs, events)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("shard thread"))
-                .collect()
-        });
+    let (slots, cells) = (&slots, &cells);
+    let run_shard = |shard: usize| {
+        let mut out = ShardResult {
+            stats: Vec::new(),
+            representatives: Vec::new(),
+            warmup: WarmupAccumulator::new(
+                params.analysis,
+                params.warmup.sample_ms,
+                params.warmup.duration_ms,
+            ),
+            events: 0,
+        };
+        for gid in (shard..slots.len()).step_by(shards) {
+            let slot = &slots[gid];
+            let data = &cells[slot.cell];
+            let config = ServerConfig {
+                params: slot.params,
+                jumpstart: slot.pkg.map(|p| &data.packages[p]),
+            };
+            let peak = Some(data.peak_ms_per_req);
+            let run = run_server_with_peak(app, &data.model, &data.mix, &config, peak);
+            let verdict = out.warmup.add(&run.timeline, slot.jumpstart);
+            out.events += run.events;
+            out.stats.push(ServerStat {
+                gid: gid as u32,
+                region: data.region,
+                bucket: data.bucket,
+                jumpstart: slot.jumpstart,
+                slow_host: slot.slow_host,
+                degrading: slot.degrading,
+                class: verdict.class,
+                steady_ms: verdict.steady_ms,
+                boot_ms: run.timeline.serve_start_ms,
+                ready_ms: run.timeline.time_to_rps(0.9),
+                capacity_loss: run.timeline.capacity_loss_over(slot.params.duration_ms),
+                requests: run.requests,
+                steps_executed: run.steps_executed,
+                steps_dense: run.steps_dense,
+                bytes_on_wire: slot.bytes_on_wire,
+                download_ms: slot.download_ms,
+            });
+            if slot.representative {
+                out.representatives.push((gid, run.timeline, verdict));
+            }
+        }
+        out
+    };
+    let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..shards)
+            .map(|shard| scope.spawn(move || run_shard(shard)))
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("shard thread"))
+            .collect()
+    });
 
-    // --- Merge by gid: shard count leaves no trace in the report ---
-    let mut merged: Vec<(usize, crate::server::ServerRun)> = Vec::with_capacity(slots.len());
-    let mut events = 0u64;
-    for (runs, shard_events) in shard_results.drain(..) {
-        events += shard_events;
-        merged.extend(runs);
+    // --- Fold by gid: shard count leaves no trace in the report ---
+    let mut all = shard_results
+        .into_iter()
+        .reduce(|mut all, shard| {
+            all.stats.extend(shard.stats);
+            all.representatives.extend(shard.representatives);
+            all.warmup.merge(shard.warmup);
+            all.events += shard.events;
+            all
+        })
+        .expect("at least one shard");
+    all.stats.sort_by_key(|s| s.gid);
+    all.representatives.sort_by_key(|(gid, ..)| *gid);
+    let mut sim = ShardStats {
+        shards: shards as u32,
+        servers: slots.len(),
+        events: all.events,
+        ..Default::default()
+    };
+    // `requests` is a float sum: taken here in gid order, never per
+    // shard, so its rounding cannot depend on the shard count.
+    for s in &all.stats {
+        sim.steps_executed += s.steps_executed;
+        sim.steps_dense += s.steps_dense;
+        sim.requests += s.requests;
     }
-    merged.sort_by_key(|(i, _)| *i);
-
     let mut js_timelines = Vec::new();
     let mut nojs_timelines = Vec::new();
     let mut server_registries = Vec::new();
-    let mut stats = Vec::with_capacity(merged.len());
-    let mut sim = ShardStats {
-        shards: shards as u32,
-        servers: merged.len(),
-        events,
-        ..Default::default()
-    };
-    // Classification runs here, post-merge in gid order, because this is
-    // the one place every server's full timeline exists (representatives
-    // keep theirs; everyone else's is dropped right after). Feeding the
-    // accumulator in gid order makes the WarmupReport — median curve
-    // included — byte-identical for any shard count.
-    let mut warmup_acc = WarmupAccumulator::new(
-        params.analysis,
-        params.warmup.sample_ms,
-        params.warmup.duration_ms,
-    );
-    for (i, run) in merged {
-        let slot = &slots[i];
-        let data = &cells[slot.cell];
-        let verdict = warmup_acc.add(&run.timeline, slot.jumpstart);
-        stats.push(ServerStat {
-            gid: i as u32,
-            region: data.region,
-            bucket: data.bucket,
-            jumpstart: slot.jumpstart,
-            slow_host: slot.slow_host,
-            degrading: slot.degrading,
-            class: verdict.class,
-            steady_ms: verdict.steady_ms,
-            boot_ms: run.timeline.serve_start_ms,
-            ready_ms: run.timeline.time_to_rps(0.9),
-            capacity_loss: run.timeline.capacity_loss_over(slot.params.duration_ms),
-            requests: run.requests,
-            steps_executed: run.steps_executed,
-            steps_dense: run.steps_dense,
-            bytes_on_wire: slot.bytes_on_wire,
-            download_ms: slot.download_ms,
-        });
-        sim.steps_executed += run.steps_executed;
-        sim.steps_dense += run.steps_dense;
-        sim.requests += run.requests;
-        if slot.representative {
-            if slot.jumpstart {
-                server_registries.push(server_registry(
-                    &run.timeline,
-                    slot.params.duration_ms,
-                    Some(&verdict),
-                ));
-                js_timelines.push(run.timeline);
-            } else {
-                nojs_timelines.push(run.timeline);
-            }
+    for (gid, timeline, verdict) in all.representatives {
+        if slots[gid].jumpstart {
+            server_registries.push(server_registry(
+                &timeline,
+                params.warmup.duration_ms,
+                Some(&verdict),
+            ));
+            js_timelines.push(timeline);
+        } else {
+            nojs_timelines.push(timeline);
         }
     }
-    let warmup = warmup_acc.finish();
 
     DeployReport {
-        published,
-        validation_failures,
-        seeder_crashes,
+        published: seeded.published,
+        validation_failures: seeded.validation_failures,
+        seeder_crashes: seeded.seeder_crashes,
         js_timelines,
         nojs_timelines,
         server_registries,
-        stats,
+        stats: all.stats,
+        duration_ms: params.warmup.duration_ms,
         sim,
         distribution,
-        warmup,
+        warmup: all.warmup.finish(),
     }
 }
 
@@ -1135,6 +1124,30 @@ mod tests {
     }
 
     #[test]
+    fn one_server_fleet_counts_that_servers_events() {
+        let app = generate(&AppParams::tiny());
+        let params = DeployParams::default()
+            .with_cells(1, 1)
+            .with_seeders(1, 120)
+            .with_warmup(quick_warmup())
+            .with_fleet(FleetShape::default().with_servers(0, 1));
+        let report = run_deployment(&app, &params);
+        assert_eq!(report.sim.servers, 1);
+
+        // The same baseline, run directly on the cell's inputs.
+        let mix = RequestMix::new(&app, 0, 0);
+        let truth = workload::profile_run(&app, &mix, 120, params.seed ^ 0xdead);
+        let config = ServerConfig {
+            params: params.warmup,
+            jumpstart: None,
+        };
+        let run = crate::run_server(&app, &build_app_model(&app, &truth), &mix, &config);
+        assert_eq!(report.nojs_timelines, [run.timeline]);
+        assert_eq!(report.sim.events, run.events);
+        assert_eq!(report.sim.steps_executed, run.events + 1, "it quiesces");
+    }
+
+    #[test]
     fn scaled_fleet_keeps_compact_stats_and_bounded_registries() {
         let app = generate(&AppParams::tiny());
         let params = DeployParams {
@@ -1159,8 +1172,20 @@ mod tests {
         assert_eq!(report.nojs_timelines.len(), 4);
         assert_eq!(report.sim.servers, 30);
         assert!(report.sim.events > 0);
-        // The event core did far less work than dense stepping.
+        // Step-skipping did far less work than dense stepping: beyond the
+        // steps a server was woken for, at most one steady step each.
         assert!(report.sim.steps_executed < report.sim.steps_dense / 2);
+        assert!(report.sim.events <= report.sim.steps_executed);
+        assert!(report.sim.steps_executed <= report.sim.events + report.sim.servers as u64);
+        // Over the full simulated duration the mean loss covers all 24
+        // consumers, not just the 4 that kept a timeline; any other
+        // window can only be read off those timelines.
+        let js = report.stats.iter().filter(|s| s.jumpstart);
+        let fleet_mean = mean(js.map(|s| s.capacity_loss));
+        let kept_mean = |w| mean(report.js_timelines.iter().map(|t| t.capacity_loss_over(w)));
+        assert_eq!(report.mean_loss_js(300_000), fleet_mean);
+        assert_ne!(fleet_mean, kept_mean(300_000));
+        assert_eq!(report.mean_loss_js(200_000), kept_mean(200_000));
         // Jitter spreads boot times across consumers of one cell.
         let agg = report.fleet_aggregate();
         assert_eq!(agg.servers, 24);

@@ -10,14 +10,12 @@
 //!
 //! The model here prices that per cell: every Jump-Start consumer's
 //! fetch goes through its cell's ingress link, a FIFO queue with a fixed
-//! byte rate, driven by the deployment's [`EventQueue`] on the
+//! byte rate: one stable sort by start time and one scan, run on the
 //! orchestrator thread *before* fan-out — so the computed download times
 //! are part of every server's precomputed plan and the deployment report
 //! stays bit-identical for any shard count.
 
 use jumpstart::chunk::{delta_against, ChunkPool, Manifest};
-
-use crate::engine::{EventQueue, MS};
 
 /// Bandwidth/latency model for package distribution.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -111,33 +109,30 @@ pub struct FetchOutcome {
     pub queue_ms: u64,
 }
 
-/// Serializes every fetch through its cell's FIFO ingress link on the
-/// event engine. Returns one outcome per fetch, in input order.
+/// Serializes every fetch through its cell's FIFO ingress link. Returns
+/// one outcome per fetch, in input order.
 ///
 /// Transfers are serviced in arrival order (ties broken by submission
-/// order — the engine's deterministic tie-break), each occupying the
-/// link for `ceil(bytes / link_bytes_per_ms)` ms.
+/// order — the sort is stable), each occupying the link for
+/// `ceil(bytes / link_bytes_per_ms)` ms.
 pub fn simulate_cell_links(
     fetches: &[Fetch],
     cells: usize,
     params: &DistributionParams,
 ) -> Vec<FetchOutcome> {
-    let mut queue: EventQueue<usize> = EventQueue::new();
-    for (i, f) in fetches.iter().enumerate() {
-        debug_assert!(f.cell < cells);
-        queue.schedule(f.start_ms * MS, i);
-    }
+    let mut arrivals: Vec<usize> = (0..fetches.len()).collect();
+    arrivals.sort_by_key(|&i| fetches[i].start_ms);
     let mut link_free_ms = vec![0u64; cells];
     let mut out = vec![FetchOutcome::default(); fetches.len()];
-    while let Some((at, i)) = queue.pop() {
+    for i in arrivals {
         let f = &fetches[i];
-        let arrival_ms = at / MS;
-        let start = arrival_ms.max(link_free_ms[f.cell]);
+        debug_assert!(f.cell < cells);
+        let start = f.start_ms.max(link_free_ms[f.cell]);
         let transfer = f.bytes.div_ceil(params.link_bytes_per_ms.max(1));
         link_free_ms[f.cell] = start + transfer;
         out[i] = FetchOutcome {
-            download_ms: (start - arrival_ms) + transfer + params.base_latency_ms,
-            queue_ms: start - arrival_ms,
+            download_ms: (start - f.start_ms) + transfer + params.base_latency_ms,
+            queue_ms: start - f.start_ms,
         };
     }
     out

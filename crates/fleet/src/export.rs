@@ -72,16 +72,12 @@ fn counter(name: &'static str, t_ms: u64, value: f64) -> Event {
 /// curves as counter series. Simulated milliseconds map to trace
 /// nanoseconds. `jstrace --warmup` rebuilds timelines from exactly these
 /// series, so their names are a schema.
-pub fn timelines_to_trace(timelines: &[Timeline], label: &str) -> Trace {
-    timelines_to_trace_capped(timelines, label, usize::MAX, usize::MAX)
-}
-
-/// [`timelines_to_trace`] with memory bounds for paper-scale fleets: at
-/// most `max_tracks` servers get a track (the rest are counted in
-/// [`Trace::dropped`]), and each track's sample series is thinned to at
-/// most `max_samples` evenly-strided points (the last sample is always
-/// kept so the converged value survives). Lifecycle instants are never
-/// dropped.
+///
+/// Memory is bounded for paper-scale fleets: at most `max_tracks` servers
+/// get a track (the rest are counted in [`Trace::dropped`]), and each
+/// track's sample series is thinned to at most `max_samples`
+/// evenly-strided points (the last sample is always kept so the
+/// converged value survives). Lifecycle instants are never dropped.
 pub fn timelines_to_trace_capped(
     timelines: &[Timeline],
     label: &str,
@@ -190,7 +186,7 @@ mod tests {
     #[test]
     fn fleet_trace_is_chrome_valid_with_one_pid_per_server() {
         let timelines: Vec<Timeline> = (0..3).map(|i| timeline(500 + i * 100)).collect();
-        let trace = timelines_to_trace(&timelines, "jumpstart");
+        let trace = timelines_to_trace_capped(&timelines, "jumpstart", usize::MAX, usize::MAX);
         assert_eq!(trace.tracks.len(), 3);
         let pids: std::collections::BTreeSet<u32> = trace.tracks.iter().map(|t| t.pid).collect();
         assert_eq!(pids.len(), 3, "one process per server");

@@ -8,27 +8,27 @@
 //! across a fleet of more than 2000 servers pushed three times a day.
 //! This crate simulates that:
 //!
-//! * [`engine`] — the discrete-event core: arena-backed event pool,
-//!   binary-heap scheduler, integer-ns timestamps,
 //! * [`AppModel`] — per-function static facts (sizes of each translation
 //!   kind, average work per call, per-endpoint call vectors) measured once
 //!   from the real pipeline,
-//! * [`ServerSim`] / [`simulate_warmup`] — an event-driven single-server
-//!   simulation producing RPS/latency/code-size timelines; the dense
-//!   per-second stepper survives as [`simulate_warmup_dense`], the
+//! * [`ServerSim`] / [`run_server`] / [`simulate_warmup`] — a
+//!   single-server simulation producing RPS/latency/code-size timelines,
+//!   driven by one step-skipping driver (closed-form boot window, steps
+//!   only while the server is active, fast-forward once quiescent); the
+//!   dense per-second stepper survives as [`simulate_warmup_dense`], the
 //!   equivalence oracle,
-//! * [`capacity_loss`] — the area-above-the-curve metric of Fig. 2,
+//! * [`capacity_loss_from`] — the area-above-the-curve metric of Fig. 2,
 //! * [`deploy`] — the two-level C1/C2/C3 push: per-(region, bucket)
-//!   seeding done once and shared read-only, then thousands of consumers
-//!   fanned out over shard threads with per-server RNG streams,
+//!   seeding done once and shared read-only, then a map over thousands
+//!   of independent servers with per-server RNG streams — each shard
+//!   thread runs, classifies and compacts its servers one at a time, and
+//!   the orchestrator only folds the shards' results,
 //! * [`faults`] — crash-loop containment and deployment fault injection
 //!   for §VI,
 //! * [`warmup`](classify_timeline) — PELT changepoint segmentation and
 //!   Barrett-style warmup classification (warmup / slowdown / flat /
 //!   cyclic / no-steady-state) over per-server timelines, rolled up into
 //!   a fleet [`WarmupReport`] with bootstrap confidence intervals.
-
-pub mod engine;
 
 mod deploy;
 mod distribution;
@@ -48,9 +48,9 @@ pub use distribution::{
     package_wire, simulate_cell_links, DistributionParams, DistributionReport, Fetch, FetchOutcome,
     PackageWire,
 };
-pub use export::{server_registry, timelines_to_trace, timelines_to_trace_capped};
+pub use export::{server_registry, timelines_to_trace_capped};
 pub use faults::{run_crashloop, CrashLoopParams, CrashLoopReport, FaultPlan};
-pub use metrics::{capacity_loss, capacity_loss_from, Sample, Timeline};
+pub use metrics::{capacity_loss_from, Sample, Timeline};
 pub use model::{build_app_model, AppModel, WarmupParams};
 pub use server::reference::simulate_warmup_dense;
 pub use server::{run_server, simulate_warmup, ServerConfig, ServerRun, ServerSim};

@@ -69,38 +69,24 @@ impl Timeline {
 }
 
 /// Capacity loss over a window: `1 - mean(rps_norm)` using trapezoidal
-/// integration over `[0, window_ms)`, with samples taken to describe a
-/// server serving from `t = 0` (the first sample interpolates from zero).
-pub fn capacity_loss(samples: &[Sample], window_ms: u64) -> f64 {
-    capacity_loss_impl(samples, 0, 0.0, window_ms)
-}
-
-/// [`capacity_loss`] for a server that only started serving at
-/// `serve_start_ms`: zero capacity over `[0, serve_start_ms)`, then the
-/// first in-window sample's rate held constant back to the serve start.
-/// Without this, a first sample at `t > 0` is read as a linear ramp from
-/// zero at `t = 0`, overstating loss for any server whose samples begin
-/// after the restart gap.
+/// integration over `[0, window_ms)`, for a server that only started
+/// serving at `serve_start_ms`: zero capacity over `[0, serve_start_ms)`,
+/// then the first in-window sample's rate held constant back to the
+/// serve start. (Reading a first sample at `t > 0` as a linear ramp from
+/// zero at `t = 0` instead would overstate loss for any server whose
+/// samples begin after the restart gap.)
 pub fn capacity_loss_from(samples: &[Sample], serve_start_ms: u64, window_ms: u64) -> f64 {
-    if serve_start_ms >= window_ms {
-        return 1.0;
-    }
-    let first_v = samples
-        .iter()
-        .find(|s| s.t_ms >= serve_start_ms)
-        .map_or(0.0, |s| s.rps_norm.min(1.0));
-    capacity_loss_impl(samples, serve_start_ms, first_v, window_ms)
-}
-
-fn capacity_loss_impl(samples: &[Sample], start_ms: u64, start_v: f64, window_ms: u64) -> f64 {
-    if samples.is_empty() || window_ms == 0 {
+    if samples.is_empty() || serve_start_ms >= window_ms {
         return 1.0;
     }
     let mut area = 0.0;
-    let mut prev_t = start_ms;
-    let mut prev_v = start_v;
+    let mut prev_t = serve_start_ms;
+    let mut prev_v = samples
+        .iter()
+        .find(|s| s.t_ms >= serve_start_ms)
+        .map_or(0.0, |s| s.rps_norm.min(1.0));
     for s in samples {
-        if s.t_ms < start_ms {
+        if s.t_ms < serve_start_ms {
             continue;
         }
         if s.t_ms > window_ms {
@@ -136,20 +122,20 @@ mod tests {
     #[test]
     fn full_capacity_has_zero_loss() {
         let samples = vec![s(0, 1.0), s(500, 1.0), s(1000, 1.0)];
-        assert!(capacity_loss(&samples, 1000) < 1e-9);
+        assert!(capacity_loss_from(&samples, 0, 1000) < 1e-9);
     }
 
     #[test]
     fn dead_server_loses_everything() {
         let samples = vec![s(0, 0.0), s(1000, 0.0)];
-        assert!((capacity_loss(&samples, 1000) - 1.0).abs() < 1e-9);
-        assert_eq!(capacity_loss(&[], 1000), 1.0);
+        assert!((capacity_loss_from(&samples, 0, 1000) - 1.0).abs() < 1e-9);
+        assert_eq!(capacity_loss_from(&[], 0, 1000), 1.0);
     }
 
     #[test]
     fn linear_ramp_loses_half() {
         let samples: Vec<Sample> = (0..=10).map(|i| s(i * 100, i as f64 / 10.0)).collect();
-        let loss = capacity_loss(&samples, 1000);
+        let loss = capacity_loss_from(&samples, 0, 1000);
         assert!((loss - 0.5).abs() < 0.01, "got {loss}");
     }
 
@@ -157,10 +143,10 @@ mod tests {
     fn window_truncates() {
         // Full for 500ms then dead: loss over 1000ms = 0.5.
         let samples = vec![s(0, 1.0), s(500, 1.0), s(501, 0.0), s(1000, 0.0)];
-        let loss = capacity_loss(&samples, 1000);
+        let loss = capacity_loss_from(&samples, 0, 1000);
         assert!((loss - 0.5).abs() < 0.01, "got {loss}");
         // Over the first 500ms only: no loss.
-        assert!(capacity_loss(&samples, 500) < 0.01);
+        assert!(capacity_loss_from(&samples, 0, 500) < 0.01);
     }
 
     #[test]
@@ -180,13 +166,6 @@ mod tests {
         };
         let loss = tl.capacity_loss_over(1000);
         assert!((loss - 0.2).abs() < 1e-9, "got {loss}");
-
-        // With serve_start at 0 and a t=0 first sample, the two forms
-        // agree (the hold-back is a no-op).
-        let ramp: Vec<Sample> = (0..=10).map(|i| s(i * 100, i as f64 / 10.0)).collect();
-        let a = capacity_loss(&ramp, 1000);
-        let b = capacity_loss_from(&ramp, 0, 1000);
-        assert!((a - b).abs() < 1e-9);
 
         // A gap covering the whole window is total loss.
         assert_eq!(capacity_loss_from(&[s(2000, 1.0)], 1500, 1000), 1.0);

@@ -1,6 +1,6 @@
 //! Single-server warmup simulation.
 //!
-//! A discrete-event model of one web server's life after a restart,
+//! A per-second model of one web server's life after a restart,
 //! following Fig. 3's workflows exactly:
 //!
 //! * **No Jump-Start** (Fig. 3a): init (sequential warmup requests) →
@@ -16,21 +16,20 @@
 //! dynamic (what compiles when, how much code, how slow interp is) comes
 //! from the measured [`AppModel`].
 //!
-//! The state machine lives in [`sim::ServerSim`]; this module drives it
-//! with the event core: the boot window is closed-form (one event), the
-//! server then wakes once per simulated second only while *active*
-//! (compiling, loading, promoting), and as soon as
+//! The state machine lives in [`sim::ServerSim`]; [`run_server`] is the
+//! step-skipping driver every caller goes through: the boot window is
+//! closed-form, the server is then stepped once per simulated second only
+//! while *active* (compiling, loading, promoting), and as soon as
 //! [`sim::ServerSim::quiescent`] proves the remaining timeline constant,
-//! the tail is replicated without further stepping. The retired dense
-//! stepper survives as [`reference::simulate_warmup_dense`], the
-//! equivalence oracle.
+//! the tail is replicated without further stepping. The dense stepper
+//! lives on as [`reference::simulate_warmup_dense`], the equivalence
+//! oracle.
 
 pub mod reference;
 mod sim;
 
 use workload::{App, RequestMix};
 
-use crate::engine::{EventQueue, MS};
 use crate::metrics::{Sample, Timeline};
 use crate::model::AppModel;
 
@@ -46,159 +45,99 @@ pub struct ServerRun {
     pub timeline: Timeline,
     /// Total requests served over the simulated duration.
     pub requests: f64,
-    /// Steps the event core actually computed.
+    /// Serving steps the server was woken for while still active (the
+    /// boot window and the fast-forwarded tail wake nobody).
+    pub events: u64,
+    /// Steps actually computed: `events`, plus the one steady step a
+    /// fast-forward computes before replicating it.
     pub steps_executed: u64,
     /// Steps the dense reference would have computed (the denominator of
-    /// the event core's work saving).
+    /// the driver's work saving).
     pub steps_dense: u64,
 }
 
-/// One server's event-driven execution: state machine plus timeline
-/// bookkeeping. `deploy` multiplexes many of these on one shard-local
-/// [`EventQueue`]; wake times returned here are in the server's local
-/// clock (ms since its own restart) and the shard adds its stagger
-/// offset.
-pub(crate) struct ServerTask<'a> {
-    sim: ServerSim<'a>,
-    timeline: Timeline,
-    offered_this_step: f64,
-    sample_ms: u64,
-    last_now: u64,
-    requests: f64,
-    steps: u64,
-    done: bool,
-}
-
-impl<'a> ServerTask<'a> {
-    pub(crate) fn new(
-        app: &'a App,
-        model: &'a AppModel,
-        mix: &RequestMix,
-        config: &ServerConfig<'_>,
-        peak_ms_per_req: Option<f64>,
-    ) -> Self {
-        let params = config.params;
-        let sim = ServerSim::new_with_peak(app, model, mix, config, peak_ms_per_req);
-        let peak_rps = params.cores as f64 * 1000.0 / sim.peak_ms_per_req;
-        let offered = peak_rps * params.offered_fraction;
-        let timeline = Timeline {
-            serve_start_ms: sim.serve_start_ms,
-            ..Default::default()
-        };
-        // The dense loop runs steps ending at STEP, 2·STEP, …, up to the
-        // first boundary at or past `duration_ms`.
-        let last_now = params.duration_ms.div_ceil(STEP_MS) * STEP_MS;
-        Self {
-            sim,
-            timeline,
-            offered_this_step: offered * STEP_MS as f64 / 1000.0,
-            sample_ms: params.sample_ms,
-            last_now,
-            requests: 0.0,
-            steps: 0,
-            done: false,
-        }
-    }
-
-    /// Emits the closed-form boot window and returns the first serving
-    /// step boundary, or `None` if the simulation never reaches serving.
-    pub(crate) fn start(&mut self) -> Option<u64> {
-        let mut now = STEP_MS;
-        while now <= self.sim.serve_start_ms && now <= self.last_now {
-            if now.is_multiple_of(self.sample_ms) {
-                self.timeline.samples.push(self.sim.boot_sample(now));
-            }
-            now += STEP_MS;
-        }
-        if now > self.last_now {
-            self.finish();
-            return None;
-        }
-        Some(now)
-    }
-
-    /// Runs the serving step ending at `now`; returns the next wakeup
-    /// (local ms) or `None` when the server's timeline is complete.
-    pub(crate) fn on_step(&mut self, now: u64) -> Option<u64> {
-        debug_assert!(!self.done, "stepping a finished server");
-        let (served, sample) = self.sim.serve_step(now, STEP_MS, self.offered_this_step);
-        self.requests += served;
-        self.steps += 1;
-        if now.is_multiple_of(self.sample_ms) {
-            self.timeline.samples.push(sample);
-        }
-        if now >= self.last_now {
-            self.finish();
-            return None;
-        }
-        if self.sim.quiescent(self.offered_this_step) {
-            self.fast_forward(now);
-            return None;
-        }
-        Some(now + STEP_MS)
-    }
-
-    /// The server is provably in steady state: compute one more real step
-    /// (the first with zero compile interference) and replicate it across
-    /// the remaining sample boundaries. Bit-identical to dense stepping
-    /// because a quiescent [`ServerSim::serve_step`] is a pure function
-    /// of state that no longer changes.
-    fn fast_forward(&mut self, now: u64) {
-        let steady_now = now + STEP_MS;
-        let (served, steady) = self
-            .sim
-            .serve_step(steady_now, STEP_MS, self.offered_this_step);
-        self.requests += served;
-        self.steps += 1;
-        if steady_now.is_multiple_of(self.sample_ms) {
-            self.timeline.samples.push(steady);
-        }
-        let mut t = steady_now + STEP_MS;
-        while t <= self.last_now {
-            self.requests += served;
-            if t.is_multiple_of(self.sample_ms) {
-                self.timeline.samples.push(Sample { t_ms: t, ..steady });
-            }
-            t += STEP_MS;
-        }
-        self.finish();
-    }
-
-    fn finish(&mut self) {
-        self.sim.finish(&mut self.timeline);
-        self.done = true;
-    }
-
-    pub(crate) fn into_run(self) -> ServerRun {
-        debug_assert!(self.done, "collecting an unfinished server");
-        ServerRun {
-            timeline: self.timeline,
-            requests: self.requests,
-            steps_executed: self.steps,
-            steps_dense: self.last_now / STEP_MS,
-        }
-    }
-}
-
-/// Runs one server's warmup on the event core, returning the timeline
-/// plus serving/step accounting.
+/// Runs one server's simulated life — build, closed-form boot window,
+/// step while active, fast-forward once quiescent — returning the
+/// timeline plus serving/step accounting.
 pub fn run_server(
     app: &App,
     model: &AppModel,
     mix: &RequestMix,
     config: &ServerConfig<'_>,
 ) -> ServerRun {
-    let mut task = ServerTask::new(app, model, mix, config, None);
-    let mut queue: EventQueue<()> = EventQueue::new();
-    if let Some(first) = task.start() {
-        queue.schedule(first * MS, ());
+    run_server_with_peak(app, model, mix, config, None)
+}
+
+/// [`run_server`] with the peak request cost supplied by the caller (see
+/// [`ServerSim::new_with_peak`]): a deployment measures it once per cell.
+pub(crate) fn run_server_with_peak(
+    app: &App,
+    model: &AppModel,
+    mix: &RequestMix,
+    config: &ServerConfig<'_>,
+    peak_ms_per_req: Option<f64>,
+) -> ServerRun {
+    let params = config.params;
+    let mut sim = ServerSim::new_with_peak(app, model, mix, config, peak_ms_per_req);
+    let peak_rps = params.cores as f64 * 1000.0 / sim.peak_ms_per_req;
+    let offered = peak_rps * params.offered_fraction;
+    let offered_this_step = offered * STEP_MS as f64 / 1000.0;
+    let mut samples = Vec::new();
+    let mut record = |sample: Sample| {
+        if sample.t_ms.is_multiple_of(params.sample_ms) {
+            samples.push(sample);
+        }
+    };
+    // The dense loop runs steps ending at STEP, 2·STEP, …, up to the
+    // first boundary at or past `duration_ms`.
+    let last_now = params.duration_ms.div_ceil(STEP_MS) * STEP_MS;
+
+    let mut now = STEP_MS;
+    while now <= sim.serve_start_ms.min(last_now) {
+        record(sim.boot_sample(now));
+        now += STEP_MS;
     }
-    while let Some((at, ())) = queue.pop() {
-        if let Some(next) = task.on_step(at / MS) {
-            queue.schedule(next * MS, ());
+
+    let mut requests = 0.0;
+    let mut events = 0u64;
+    let mut fast_forwarded = false;
+    while now <= last_now {
+        let (served, sample) = sim.serve_step(now, STEP_MS, offered_this_step);
+        requests += served;
+        events += 1;
+        record(sample);
+        now += STEP_MS;
+        if now <= last_now && sim.quiescent(offered_this_step) {
+            // Provably steady: compute one more real step (the first with
+            // zero compile interference) and replicate it across the
+            // remaining boundaries. Bit-identical to dense stepping
+            // because a quiescent `serve_step` is a pure function of
+            // state that no longer changes.
+            let (served, steady) = sim.serve_step(now, STEP_MS, offered_this_step);
+            fast_forwarded = true;
+            while now <= last_now {
+                requests += served;
+                record(Sample {
+                    t_ms: now,
+                    ..steady
+                });
+                now += STEP_MS;
+            }
         }
     }
-    task.into_run()
+    let mut timeline = Timeline {
+        samples,
+        serve_start_ms: sim.serve_start_ms,
+        ..Default::default()
+    };
+    sim.finish(&mut timeline);
+    ServerRun {
+        timeline,
+        requests,
+        events,
+        steps_executed: events + u64::from(fast_forwarded),
+        steps_dense: last_now / STEP_MS,
+    }
 }
 
 /// Runs the warmup simulation, returning the timeline.
@@ -433,7 +372,7 @@ mod tests {
     }
 
     #[test]
-    fn event_core_skips_most_steps() {
+    fn quiescent_consumer_skips_most_steps() {
         let (app, model, pkg) = setup();
         let mix = RequestMix::new(&app, 0, 0);
         let run = run_server(

@@ -1,9 +1,9 @@
 //! The dense per-second reference stepper — the equivalence oracle for
-//! the event core.
+//! the step-skipping driver.
 //!
 //! This is the original fleet simulator loop: one [`ServerSim`] step per
 //! simulated second for the whole duration, whether or not anything can
-//! change. It is O(duration) per server and exists so the event-driven
+//! change. It is O(duration) per server and exists so the step-skipping
 //! driver in [`super::run_server`] has ground truth to match bit for bit
 //! (see `tests/event_equivalence.rs`). Keep it dumb: its value is that it
 //! cannot be clever.

@@ -5,7 +5,7 @@
 //! exposes exactly one transition: [`ServerSim::serve_step`], one
 //! simulated second of serving + background compilation. The dense
 //! reference driver ([`super::reference`]) calls it for every second; the
-//! event-core driver ([`super::run_server`]) calls it only while the
+//! step-skipping driver ([`super::run_server`]) calls it only while the
 //! server is *active* and skips ahead once [`ServerSim::quiescent`]
 //! proves no future step can change state. Because every floating-point
 //! operation lives here, in one place, the two drivers agree bit for bit
@@ -36,10 +36,10 @@ pub struct ServerConfig<'p> {
     pub jumpstart: Option<&'p ProfilePackage>,
 }
 
-/// What the event driver watches to prove a server quiescent: the
-/// reachable functions that could still be promoted and the units the
-/// lazy loader will eventually touch. Built once per run (the offered
-/// load is constant), scanned in O(reachable) per check.
+/// What the step-skipping driver watches to prove a server quiescent:
+/// the reachable functions that could still be promoted and the units
+/// the lazy loader will eventually touch. Built once per run (the
+/// offered load is constant), scanned in O(reachable) per check.
 #[derive(Debug, Default)]
 struct Watch {
     dt_requests: f64,

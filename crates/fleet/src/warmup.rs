@@ -618,18 +618,36 @@ struct ArmAccum {
     ttss: Vec<f64>,
     /// `curve[k]` = every server's `rps_norm` at `t = (k+1) · sample_ms`.
     /// Server-local sample times all land on multiples of `sample_ms`
-    /// (stagger offsets are added outside the server's own clock), so
-    /// bucketing by index is exact, not approximate.
+    /// (a server's clock starts at its own restart), so bucketing by
+    /// index is exact, not approximate.
     curve: Vec<Vec<f64>>,
+}
+
+impl ArmAccum {
+    fn merge(&mut self, other: ArmAccum) {
+        for (mine, theirs) in self.counts.counts.iter_mut().zip(other.counts.counts) {
+            *mine += theirs;
+        }
+        self.ttss.extend(other.ttss);
+        if self.curve.len() < other.curve.len() {
+            self.curve.resize_with(other.curve.len(), Vec::new);
+        }
+        for (mine, theirs) in self.curve.iter_mut().zip(other.curve) {
+            mine.extend(theirs);
+        }
+    }
 }
 
 /// Streams per-server timelines into a [`WarmupReport`].
 ///
-/// The deployment merge loop holds every server's full timeline exactly
-/// once (in gid order, before non-representatives are discarded); feeding
-/// each through [`WarmupAccumulator::add`] classifies it and folds it
-/// into the fleet curve without retaining it — memory stays flat at paper
-/// scale, and gid-order feeding makes the report shard-count-invariant.
+/// Each deployment shard owns one: every server's full timeline goes
+/// through [`WarmupAccumulator::add`] right after it is simulated, which
+/// classifies it and folds it into the fleet curve without retaining it —
+/// memory stays flat at paper scale. The orchestrator folds the shards'
+/// accumulators together with [`WarmupAccumulator::merge`]. The report
+/// depends only on the multiset of timelines fed in, never on feed or
+/// merge order ([`WarmupAccumulator::finish`] sorts every series it
+/// reads), so it is shard-count-invariant.
 pub struct WarmupAccumulator {
     params: WarmupAnalysisParams,
     sample_ms: u64,
@@ -679,28 +697,31 @@ impl WarmupAccumulator {
         verdict
     }
 
+    /// Folds in everything `other` was fed. Both must have been created
+    /// with the same parameters.
+    pub fn merge(&mut self, other: WarmupAccumulator) {
+        self.js.merge(other.js);
+        self.nojs.merge(other.nojs);
+    }
+
     /// Finalizes both arms into the fleet report.
     pub fn finish(self) -> WarmupReport {
         let params = self.params;
         let sample_ms = self.sample_ms;
         let summarize = |mut acc: ArmAccum| -> ArmSummary {
             acc.ttss.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
-            let stat = |q: f64| CiStat {
-                value: quantile_sorted(&acc.ttss, q),
-                lo: bootstrap_percentile_ci(
+            let stat = |q: f64| {
+                let (lo, hi) = bootstrap_percentile_ci(
                     &acc.ttss,
                     q,
                     params.bootstrap_resamples,
                     params.bootstrap_seed,
-                )
-                .0,
-                hi: bootstrap_percentile_ci(
-                    &acc.ttss,
-                    q,
-                    params.bootstrap_resamples,
-                    params.bootstrap_seed,
-                )
-                .1,
+                );
+                CiStat {
+                    value: quantile_sorted(&acc.ttss, q),
+                    lo,
+                    hi,
+                }
             };
             let median_curve: Vec<(u64, f64)> = acc
                 .curve
@@ -749,7 +770,7 @@ mod tests {
 
     fn tl_lat(serve_start_ms: u64, rps: &[f64], lat: &[f64]) -> Timeline {
         // Boot-window zeros at every sample boundary up to serve start,
-        // then the post-serve series — the shape ServerTask produces.
+        // then the post-serve series — the shape `run_server` produces.
         let mut samples: Vec<Sample> = Vec::new();
         let mut t = 1000;
         while t <= serve_start_ms {

@@ -1,16 +1,17 @@
-//! The event core's correctness contract, stated as properties:
+//! The fleet simulator's correctness contract, stated as properties:
 //!
-//! 1. **Oracle equivalence.** For any calibration, the event-driven
+//! 1. **Oracle equivalence.** For any calibration, the step-skipping
 //!    driver ([`fleet::run_server`]) must produce a [`fleet::Timeline`]
 //!    *bit-identical* to the dense per-second reference stepper
 //!    ([`fleet::simulate_warmup_dense`]) — not within an epsilon. Both
 //!    drivers share every floating-point operation (the `ServerSim` state
-//!    machine); the event core is only allowed to skip steps it can prove
+//!    machine); the driver is only allowed to skip steps it can prove
 //!    would not change state, so any divergence is a bug in that proof.
 //! 2. **Shard invariance.** A deployment's report is a pure function of
-//!    its parameters: running the same fleet on 1 thread or 4 must give
-//!    byte-identical per-server stats, aggregates and digest, because all
-//!    randomness is drawn from per-server streams before the fan-out.
+//!    its parameters: running the same fleet on 1 thread or many must
+//!    give byte-identical per-server stats, aggregates and digest,
+//!    because all randomness is drawn from per-server streams before the
+//!    fan-out and the fold over shard results is order-independent.
 
 use std::sync::OnceLock;
 
@@ -157,28 +158,33 @@ fn sharded_deploy_params(shards: u32) -> DeployParams {
 fn deployment_is_invariant_under_shard_count() {
     let fx = fixture();
     let one = run_deployment(&fx.app, &sharded_deploy_params(1));
-    let four = run_deployment(&fx.app, &sharded_deploy_params(4));
-
-    // Same servers, same outcomes, same order — bit for bit.
-    assert_eq!(one.stats, four.stats);
-    assert_eq!(one.published, four.published);
-    assert_eq!(one.seeder_crashes, four.seeder_crashes);
-    assert_eq!(one.js_timelines, four.js_timelines);
-    assert_eq!(one.nojs_timelines, four.nojs_timelines);
-    assert_eq!(one.fleet_aggregate(), four.fleet_aggregate());
-    assert_eq!(one.digest(), four.digest());
-
-    // The warmup classification report is built post-merge in gid order,
-    // so it must be byte-identical however the fleet was sharded.
-    assert_eq!(one.warmup.to_json(), four.warmup.to_json());
-    assert_eq!(one.warmup.digest(), four.warmup.digest());
-
-    // Shard count is accounting-visible only where it should be.
     assert_eq!(one.sim.shards, 1);
-    assert_eq!(four.sim.shards, 4);
-    assert_eq!(one.sim.events, four.sim.events);
-    assert_eq!(one.sim.steps_executed, four.sim.steps_executed);
-    assert_eq!(one.sim.requests, four.sim.requests);
+
+    // 64 > 24 servers: most of those shards get no slot at all.
+    for shards in [2, 3, 4, 7, 64] {
+        let many = run_deployment(&fx.app, &sharded_deploy_params(shards));
+
+        // Same servers, same outcomes, same order — bit for bit.
+        assert_eq!(one.stats, many.stats);
+        assert_eq!(one.published, many.published);
+        assert_eq!(one.seeder_crashes, many.seeder_crashes);
+        assert_eq!(one.js_timelines, many.js_timelines);
+        assert_eq!(one.nojs_timelines, many.nojs_timelines);
+        assert_eq!(one.fleet_aggregate(), many.fleet_aggregate());
+        assert_eq!(one.digest(), many.digest());
+
+        // The warmup classification report is folded from per-shard
+        // accumulators, so it must be byte-identical however the fleet
+        // was sharded.
+        assert_eq!(one.warmup.to_json(), many.warmup.to_json());
+        assert_eq!(one.warmup.digest(), many.warmup.digest());
+
+        // Shard count is accounting-visible only where it should be.
+        assert_eq!(many.sim.shards, shards);
+        assert_eq!(one.sim.events, many.sim.events);
+        assert_eq!(one.sim.steps_executed, many.sim.steps_executed);
+        assert_eq!(one.sim.requests, many.sim.requests);
+    }
 }
 
 #[test]

@@ -10,10 +10,14 @@
 //!    identical output across calls — and the pruned solver matches the
 //!    unpruned reference on every input, planted or arbitrary. The
 //!    pruning is a performance trick, never a behavior change.
+//! 4. **Fold invariance.** A [`WarmupAccumulator`]'s report depends only
+//!    on which timelines were fed, not on how they were dealt over
+//!    accumulators or in which order those were merged — what lets every
+//!    deployment shard own one.
 
 use fleet::{
     classify_timeline, pelt_changepoints, pelt_changepoints_reference, segment_series, Sample,
-    Timeline, WarmupAnalysisParams, WarmupClass,
+    Timeline, WarmupAccumulator, WarmupAnalysisParams, WarmupClass,
 };
 use proptest::prelude::*;
 
@@ -126,25 +130,58 @@ proptest! {
     fn classification_is_deterministic(p in arb_planted(0.04)) {
         // A rising piecewise series read as a timeline classifies the
         // same way on every call, including bootstrap-dependent fields.
-        let tl = Timeline {
-            samples: p
-                .xs
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| Sample {
-                    t_ms: (i as u64 + 1) * 5_000,
-                    rps_norm: v.clamp(0.0, 1.0),
-                    latency_ms: 2.0,
-                    code_bytes: 0,
-                })
-                .collect(),
-            ..Default::default()
-        };
+        let tl = planted_timeline(&p);
         let duration = tl.samples.last().map_or(0, |s| s.t_ms);
         let params = WarmupAnalysisParams::default();
         let a = classify_timeline(&tl, duration, &params);
         let b = classify_timeline(&tl, duration, &params);
         prop_assert_eq!(a, b);
+    }
+
+    #[test]
+    fn merged_accumulators_report_identically(
+        // Each server: its series, its arm, and the accumulator it is dealt to.
+        servers in prop::collection::vec((arb_planted(0.04), any::<bool>(), 0usize..4), 0..=12),
+        // One accumulator per key; sorting by key gives the merge order.
+        merge_keys in prop::collection::vec(any::<u64>(), 1..=4),
+    ) {
+        // 400 s at one sample per 5 s covers the longest planted series
+        // (4 × 20 samples).
+        let new_acc = || WarmupAccumulator::new(WarmupAnalysisParams::default(), 5_000, 400_000);
+        let mut whole = new_acc();
+        let mut dealt: Vec<(u64, WarmupAccumulator)> =
+            merge_keys.iter().map(|&key| (key, new_acc())).collect();
+        for (p, jumpstart, part) in &servers {
+            let tl = planted_timeline(p);
+            whole.add(&tl, *jumpstart);
+            dealt[part % merge_keys.len()].1.add(&tl, *jumpstart);
+        }
+        // Folding from an empty accumulator (and over whichever parts
+        // were dealt nothing) also shows empty is `merge`'s identity.
+        dealt.sort_by_key(|(key, _)| *key);
+        let mut merged = new_acc();
+        for (_, part) in dealt {
+            merged.merge(part);
+        }
+        prop_assert_eq!(whole.finish().to_json(), merged.finish().to_json());
+    }
+}
+
+/// A planted series read as a timeline sampled every 5 s from `t = 5 s`.
+fn planted_timeline(p: &Planted) -> Timeline {
+    Timeline {
+        samples: p
+            .xs
+            .iter()
+            .enumerate()
+            .map(|(i, &v)| Sample {
+                t_ms: (i as u64 + 1) * 5_000,
+                rps_norm: v.clamp(0.0, 1.0),
+                latency_ms: 2.0,
+                code_bytes: 0,
+            })
+            .collect(),
+        ..Default::default()
     }
 }
 
