@@ -9,6 +9,9 @@ cargo fmt --all --check
 echo "== clippy =="
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+echo "== doc (dangling or private intra-doc links fail the build) =="
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude jsbench --no-deps -q
+
 echo "== build =="
 cargo build --workspace -q
 

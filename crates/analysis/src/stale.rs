@@ -27,7 +27,7 @@
 //!    Kirchhoff flow lint as a fresh one.
 //!
 //! Functions whose counter mass mostly lands on unmatched blocks are still
-//! dropped ([`MIN_MATCHED_MASS`]), and instruction-indexed counters (call
+//! dropped (`MIN_MATCHED_MASS`), and instruction-indexed counters (call
 //! targets, types, branch outcomes) that no longer point at a matching
 //! profile point are pruned, as before.
 
@@ -62,8 +62,8 @@ pub struct RepairOptions {
     pub mode: MatchMode,
 }
 
-/// Per-level match statistics, mirrored into the consumer's telemetry
-/// registry as `repair.*` counters.
+/// Per-level match statistics; a consumer boot that repaired hands them
+/// back in its `RepairReport`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MatchStats {
     /// Functions whose profile was already exact for the current build.

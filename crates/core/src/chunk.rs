@@ -187,11 +187,6 @@ impl Manifest {
         self.func_entries().map(|(_, f, h)| (f, h)).collect()
     }
 
-    /// Total bytes across all chunks (== payload length).
-    pub fn total_chunk_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.len as u64).sum()
-    }
-
     /// Fraction of payload bytes a lazy boot decodes before serve-start
     /// at `frac`: head + tail + the early-serve prefix of the hot rank,
     /// closed over callees — priced off the manifest alone, without
@@ -561,11 +556,6 @@ impl ChunkPool {
     /// Total distinct bytes pooled.
     pub fn total_bytes(&self) -> u64 {
         self.map.values().map(|b| b.len() as u64).sum()
-    }
-
-    /// The pooled chunk ids.
-    pub fn ids(&self) -> impl Iterator<Item = ChunkId> + '_ {
-        self.map.keys().copied()
     }
 }
 

@@ -79,14 +79,8 @@ pub struct ConsumerOutcome<'r> {
     /// (stale counters remapped, dead entries pruned) before consumption.
     pub repair: Option<RepairReport>,
     /// Boot-phase timeline: decode, lint/repair, prop slots, per-worker
-    /// translate busy/stall, emit, bytes (the `jsboot` telemetry), also
-    /// recorded into [`ConsumerOutcome::registry`].
+    /// translate busy/stall, emit, bytes (the `jsboot` telemetry).
     pub boot: BootStats,
-    /// The per-boot metrics registry: `boot` as `boot.*` gauges, plus the
-    /// pipeline-time histograms (`pipeline.translate_ns`,
-    /// `pipeline.emit_ns`). Fleet runs snapshot this per server and
-    /// aggregate across the fleet.
-    pub registry: telemetry::Registry,
 }
 
 /// Consumers hold every profile — fresh or repaired — to the Kirchhoff
@@ -99,30 +93,6 @@ const CONSUMER_LINT: LintOptions = LintOptions {
     flow_conservation: true,
     type_feasibility: false,
 };
-
-/// Mirrors a repair report into the boot registry as `repair.*` counters,
-/// so fleet aggregation sees per-boot match-ladder quality alongside the
-/// `boot.*` timeline.
-fn record_repair(registry: &telemetry::Registry, report: &RepairReport) {
-    let s = &report.stats;
-    for (name, v) in [
-        ("repair.funcs_repaired", report.repaired.len() as u64),
-        ("repair.funcs_dropped", report.dropped.len() as u64),
-        ("repair.counters_pruned", report.pruned as u64),
-        ("repair.funcs_fresh", s.funcs_fresh),
-        ("repair.funcs_renamed", s.funcs_renamed),
-        ("repair.funcs_rebalanced", s.funcs_rebalanced),
-        ("repair.blocks_exact", s.blocks_exact),
-        ("repair.blocks_opcode", s.blocks_opcode),
-        ("repair.blocks_inferred", s.blocks_inferred),
-        ("repair.blocks_dropped", s.blocks_dropped),
-        ("repair.mass_matched", s.mass_matched),
-        ("repair.mass_dropped", s.mass_dropped),
-        ("repair.branches_synthesized", s.branches_synthesized),
-    ] {
-        registry.counter(name).add(v);
-    }
-}
 
 /// Repairs a package's profile against the current repo: remaps stale
 /// block counters by structural hash, drops unrepairable functions,
@@ -199,22 +169,6 @@ impl ChunkBootStats {
             return 1.0;
         }
         self.hot_bytes as f64 / self.payload_bytes as f64
-    }
-
-    /// Surfaces the accounting as `chunk.*` counters for fleet rollup.
-    fn record(&self, registry: &telemetry::Registry) {
-        for (name, v) in [
-            ("chunk.manifest_bytes", self.manifest_bytes),
-            ("chunk.payload_bytes", self.payload_bytes),
-            ("chunk.hot_bytes", self.hot_bytes),
-            ("chunk.cold_bytes", self.cold_bytes),
-            ("chunk.hot_chunks", self.hot_chunks as u64),
-            ("chunk.cold_chunks", self.cold_chunks as u64),
-            ("chunk.hot_decode_ns", self.hot_decode_ns),
-            ("chunk.cold_decode_ns", self.cold_decode_ns),
-        ] {
-            registry.counter(name).add(v);
-        }
     }
 }
 
@@ -344,7 +298,7 @@ fn decode_guarded(
 /// The one consumer boot, a fixed stage sequence over either source:
 /// acquire → lint/repair → compile order and its serve-ready split →
 /// decode hot → prop slots → compile hot (serve-ready) → decode cold →
-/// compile cold → one `BootStats` write. The decode stages are no-ops for
+/// compile cold → fill in `BootStats`. The decode stages are no-ops for
 /// a materialised package, and lint/repair runs only on one. `decode_ns`
 /// is what the caller already spent turning bytes into the source.
 fn boot<'r>(
@@ -356,12 +310,12 @@ fn boot<'r>(
     threads: usize,
 ) -> Result<(ConsumerOutcome<'r>, ChunkBootStats), ConsumerError> {
     let boot_start = Instant::now();
-    let registry = telemetry::Registry::default();
+    let threads = threads.max(1);
     let span_name = match src {
         Source::Package(_) => "consumer-boot",
         Source::Chunks(..) => "consumer-boot-chunked",
     };
-    let _boot_span = telemetry::span!(span_name, "threads" => threads.max(1));
+    let _boot_span = telemetry::span!(span_name, "threads" => threads);
 
     let mut chunk_stats = ChunkBootStats::default();
     let (mut pkg, loader) = match src {
@@ -396,8 +350,9 @@ fn boot<'r>(
 
     let poison_crash = pkg.meta.poison == Poison::CompileCrash;
     if poison_crash && threads <= 1 {
-        // A sequential boot hits the compiler bug on the first unit; no
-        // worker thread exists to catch a panic from.
+        // A 1-thread boot hits the compiler bug on its first unit; refusing
+        // here keeps a sequential validation compile from printing a
+        // caught panic.
         return Err(ConsumerError::JitCrash);
     }
 
@@ -420,7 +375,6 @@ fn boot<'r>(
                     first: first.to_string(),
                 });
             }
-            record_repair(&registry, &report);
             repair_report = Some(report);
             pkg = Cow::Owned(fixed);
         }
@@ -489,7 +443,6 @@ fn boot<'r>(
             resolver: &resolver,
             poison_crash,
             templates: &templates,
-            metrics: registry.clone(),
         };
         pipeline::run(&job, &mut engine, threads).map_err(|()| ConsumerError::JitCrash)
     };
@@ -507,14 +460,13 @@ fn boot<'r>(
         chunk_stats.cold_bytes = decode_guarded(repo, l, &rest, &mut pkg.to_mut().tier)?;
         chunk_stats.cold_chunks = l.manifest().entries.len() - chunk_stats.hot_chunks;
         chunk_stats.cold_decode_ns = cold_decode_start.elapsed().as_nanos() as u64;
-        chunk_stats.record(&registry);
     }
     if split < work.len() {
         done.absorb(compile(&pkg, &work[split..])?);
     }
 
     let stats = BootStats {
-        threads: threads.max(1),
+        threads,
         decode_ns: decode_ns + chunk_stats.hot_decode_ns,
         lint_repair_ns,
         prop_slots_ns,
@@ -539,7 +491,6 @@ fn boot<'r>(
             ..Default::default()
         }),
     };
-    stats.record(&registry);
     let outcome = ConsumerOutcome {
         engine,
         prop_slots,
@@ -548,7 +499,6 @@ fn boot<'r>(
         compile_bytes: stats.compile_bytes,
         repair: repair_report,
         boot: stats,
-        registry,
     };
     Ok((outcome, chunk_stats))
 }
@@ -906,12 +856,6 @@ mod tests {
         assert_eq!(
             early.ready_funcs + early.background_funcs,
             out.compiled_funcs
-        );
-        // Chunk counters surface in the boot registry for fleet rollup.
-        assert_eq!(out.registry.value_u64("chunk.hot_bytes"), stats.hot_bytes);
-        assert_eq!(
-            out.registry.value_u64("chunk.cold_chunks"),
-            stats.cold_chunks as u64
         );
     }
 

@@ -22,8 +22,9 @@
 //! * **place** — once every worker has joined, the calling thread walks
 //!   the slots in index order and emits each into the code cache. Same
 //!   translation, same order, one emitting thread: the addresses are
-//!   **byte-identical** to a sequential boot by construction (addresses
-//!   feed the uarch model; parallelism may not move a single block).
+//!   **byte-identical** at every thread count by construction (addresses
+//!   feed the uarch model; parallelism may not move a single block). A
+//!   1-thread boot is the same code with nothing spawned.
 //!
 //! Placing while translation is still running would hide only the
 //! emission, and `BENCH_boot.json` measures that (`emit_ns` against
@@ -38,8 +39,10 @@
 //! reports ready ([`EarlyServe`]), and runs it again over the remainder —
 //! the second run emits exactly where the first stopped.
 //!
-//! Every phase is timed into [`BootStats`], the boot-phase telemetry the
-//! `jsboot` bench binary prints and records as `BENCH_boot.json`.
+//! Every phase is timed into [`BootStats`], the one record of a boot: the
+//! `jsboot` bench binary prints it and writes it to `BENCH_boot.json`. The
+//! per-unit distribution is the `compile` / `emit` spans of a traced boot
+//! (`jstrace --top`).
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -176,10 +179,8 @@ pub struct BootStats {
     pub pipeline_ns: u64,
     /// Emitter busy time (placing blocks in the code cache).
     pub emit_ns: u64,
-    /// Time the emitter spent waiting on translations. In a threaded boot
-    /// this is stage start → emission start; in a sequential boot it is
-    /// the translate+plan time (the emitter "waits" inline for each unit),
-    /// so rows are comparable across thread counts.
+    /// Time the emitter spent waiting on translations: stage start →
+    /// emission start (the translate + plan time of a 1-thread boot).
     pub emit_stall_ns: u64,
     /// End-to-end boot wall time (decode excluded unless present).
     pub total_ns: u64,
@@ -187,7 +188,7 @@ pub struct BootStats {
     pub compiled_funcs: usize,
     /// Bytes of optimized code emitted.
     pub compile_bytes: u64,
-    /// Per-worker telemetry (one entry for a sequential boot).
+    /// Per-worker telemetry, worker 0 (the calling thread) first.
     pub workers: Vec<WorkerStats>,
     /// The serve-ready point (`None` only in hand-built stats).
     pub early_serve: Option<EarlyServe>,
@@ -306,47 +307,6 @@ impl BootStats {
             caches,
         )
     }
-
-    /// Writes every field into `reg` as `boot.*` gauges (set semantics —
-    /// re-recording overwrites); fleet aggregation reads these.
-    pub fn record(&self, reg: &telemetry::Registry) {
-        reg.gauge("boot.threads").set(self.threads as u64);
-        reg.gauge("boot.decode_ns").set(self.decode_ns);
-        reg.gauge("boot.lint_repair_ns").set(self.lint_repair_ns);
-        reg.gauge("boot.prop_slots_ns").set(self.prop_slots_ns);
-        reg.gauge("boot.pipeline_ns").set(self.pipeline_ns);
-        reg.gauge("boot.emit_ns").set(self.emit_ns);
-        reg.gauge("boot.emit_stall_ns").set(self.emit_stall_ns);
-        reg.gauge("boot.total_ns").set(self.total_ns);
-        reg.gauge("boot.compiled_funcs")
-            .set(self.compiled_funcs as u64);
-        reg.gauge("boot.compile_bytes").set(self.compile_bytes);
-        reg.gauge("boot.workers").set(self.workers.len() as u64);
-        for (i, w) in self.workers.iter().enumerate() {
-            reg.gauge(&format!("boot.worker.{i}.translated"))
-                .set(w.translated as u64);
-            reg.gauge(&format!("boot.worker.{i}.busy_ns"))
-                .set(w.busy_ns);
-            reg.gauge(&format!("boot.worker.{i}.stall_ns"))
-                .set(w.stall_ns);
-        }
-        if let Some(e) = &self.early_serve {
-            reg.gauge_f64("boot.early_serve.frac").set(e.frac);
-            reg.gauge("boot.early_serve.ready_funcs")
-                .set(e.ready_funcs as u64);
-            reg.gauge("boot.early_serve.ready_bytes").set(e.ready_bytes);
-            reg.gauge("boot.early_serve.ready_ns").set(e.ready_ns);
-            reg.gauge("boot.early_serve.background_funcs")
-                .set(e.background_funcs as u64);
-            reg.gauge("boot.early_serve.background_bytes")
-                .set(e.background_bytes);
-        }
-        if let Some(c) = &self.caches {
-            reg.gauge("boot.cache.template_hits").set(c.template_hits);
-            reg.gauge("boot.cache.template_misses")
-                .set(c.template_misses);
-        }
-    }
 }
 
 /// Length of the shortest prefix of `order` whose cumulative heat covers
@@ -433,7 +393,7 @@ impl PipelineResult {
     }
 }
 
-/// Inputs shared by the sequential and parallel paths.
+/// Inputs of one run of the compile stage.
 pub(crate) struct PipelineJob<'a, 'r> {
     pub repo: &'r Repo,
     pub tier: &'a TierProfile,
@@ -442,30 +402,12 @@ pub(crate) struct PipelineJob<'a, 'r> {
     pub work: &'a [FuncId],
     pub jit_opts: JitOptions,
     pub resolver: &'a (dyn Fn(ClassId, StrId) -> Option<u16> + Sync),
-    /// Simulate a JIT compiler bug inside a worker (Poison::CompileCrash
-    /// with threads > 1): the worker panics and the pipeline must surface
-    /// the panic as an error, not take the process down.
+    /// Simulate a JIT compiler bug inside a worker (Poison::CompileCrash):
+    /// the worker panics and the pipeline must surface the panic as an
+    /// error, not take the process down.
     pub poison_crash: bool,
     /// Inline-body templates shared by the translation workers.
     pub templates: &'a TemplateCache,
-    /// Per-boot metrics registry: translate/emit duration histograms land
-    /// here as the stage runs.
-    pub metrics: telemetry::Registry,
-}
-
-/// Runs the compile stage, emitting into `engine` strictly in `work`
-/// order. Returns `Err(())` when a worker crashed (the caller maps this
-/// to `ConsumerError::JitCrash`).
-pub(crate) fn run(
-    job: &PipelineJob<'_, '_>,
-    engine: &mut JitEngine<'_>,
-    threads: usize,
-) -> Result<PipelineResult, ()> {
-    if threads <= 1 {
-        Ok(run_sequential(job, engine))
-    } else {
-        run_parallel(job, engine, threads)
-    }
 }
 
 fn translate_and_plan(job: &PipelineJob<'_, '_>, func: FuncId) -> (VasmUnit, LayoutPlan) {
@@ -484,40 +426,10 @@ fn translate_and_plan(job: &PipelineJob<'_, '_>, func: FuncId) -> (VasmUnit, Lay
     (unit, plan)
 }
 
-fn run_sequential(job: &PipelineJob<'_, '_>, engine: &mut JitEngine<'_>) -> PipelineResult {
-    let start = Instant::now();
-    let mut out = PipelineResult::default();
-    let mut worker = WorkerStats::default();
-    let translate_hist = job.metrics.histogram("pipeline.translate_ns");
-    let emit_hist = job.metrics.histogram("pipeline.emit_ns");
-    let _pipeline_span = telemetry::span!("pipeline", "threads" => 1u64, "units" => job.work.len());
-    for (seq, &func) in job.work.iter().enumerate() {
-        let t0 = Instant::now();
-        let (unit, plan) = translate_and_plan(job, func);
-        let translate_ns = t0.elapsed().as_nanos() as u64;
-        translate_hist.record(translate_ns);
-        worker.busy_ns += translate_ns;
-        worker.translated += 1;
-        let t1 = Instant::now();
-        let bytes = {
-            let _emit_span = telemetry::span!("emit", "seq" => seq, "func" => func.index());
-            engine.emit_planned(unit, &plan)
-        };
-        let unit_emit_ns = t1.elapsed().as_nanos() as u64;
-        emit_hist.record(unit_emit_ns);
-        out.emit_ns += unit_emit_ns;
-        out.on_emitted(bytes);
-    }
-    out.pipeline_ns = start.elapsed().as_nanos() as u64;
-    // The emitter waits inline for each translation; reporting that wait
-    // (instead of 0) keeps the column comparable with threaded boots,
-    // whose stall is the time until emission starts.
-    out.emit_stall_ns = worker.busy_ns;
-    out.workers = vec![worker];
-    out
-}
-
-fn run_parallel(
+/// Runs the compile stage on `threads` threads (the caller's included),
+/// emitting into `engine` strictly in `work` order. Returns `Err(())` when
+/// a worker crashed (the caller maps this to `ConsumerError::JitCrash`).
+pub(crate) fn run(
     job: &PipelineJob<'_, '_>,
     engine: &mut JitEngine<'_>,
     threads: usize,
@@ -537,7 +449,6 @@ fn run_parallel(
         // One trace track per worker: every compile span this thread
         // records lands on its own timeline row.
         let _track = telemetry::track(format!("worker {wid}"));
-        let translate_hist = job.metrics.histogram("pipeline.translate_ns");
         let wall = Instant::now();
         let mut stats = WorkerStats::default();
         while !crashed.load(Ordering::Relaxed) {
@@ -552,9 +463,7 @@ fn run_parallel(
                 }
                 translate_and_plan(job, func)
             }));
-            let translate_ns = t0.elapsed().as_nanos() as u64;
-            translate_hist.record(translate_ns);
-            stats.busy_ns += translate_ns;
+            stats.busy_ns += t0.elapsed().as_nanos() as u64;
             match result {
                 Ok(done) => {
                     stats.translated += 1;
@@ -588,7 +497,6 @@ fn run_parallel(
         emit_stall_ns: start.elapsed().as_nanos() as u64,
         ..Default::default()
     };
-    let emit_hist = job.metrics.histogram("pipeline.emit_ns");
     for (seq, slot) in slots.into_iter().enumerate() {
         let (unit, plan) = slot.into_inner().expect("every claimed unit was parked");
         let t0 = Instant::now();
@@ -596,9 +504,7 @@ fn run_parallel(
             let _emit_span = telemetry::span!("emit", "seq" => seq);
             engine.emit_planned(unit, &plan)
         };
-        let unit_emit_ns = t0.elapsed().as_nanos() as u64;
-        emit_hist.record(unit_emit_ns);
-        out.emit_ns += unit_emit_ns;
+        out.emit_ns += t0.elapsed().as_nanos() as u64;
         out.on_emitted(bytes);
     }
     out.pipeline_ns = start.elapsed().as_nanos() as u64;
@@ -662,49 +568,5 @@ mod tests {
         let rendered = stats.render();
         assert!(rendered.contains("early-serve"));
         assert!(rendered.contains("worker 0"));
-    }
-
-    #[test]
-    fn boot_stats_record_writes_every_gauge_group() {
-        let full = BootStats {
-            threads: 3,
-            decode_ns: 11,
-            lint_repair_ns: 22,
-            prop_slots_ns: 33,
-            pipeline_ns: 44,
-            emit_ns: 55,
-            emit_stall_ns: 66,
-            total_ns: 77,
-            compiled_funcs: 5,
-            compile_bytes: 1234,
-            workers: vec![
-                WorkerStats::default(),
-                WorkerStats {
-                    translated: 3,
-                    busy_ns: 100,
-                    stall_ns: 1,
-                },
-            ],
-            early_serve: Some(EarlyServe {
-                frac: 0.37,
-                ready_funcs: 2,
-                ready_bytes: 500,
-                ready_ns: 40,
-                background_funcs: 3,
-                background_bytes: 734,
-            }),
-            caches: Some(CacheStats {
-                template_hits: 7,
-                template_misses: 2,
-                ..Default::default()
-            }),
-        };
-        let reg = telemetry::Registry::default();
-        full.record(&reg);
-        assert_eq!(reg.value_u64("boot.threads"), 3);
-        assert_eq!(reg.value_u64("boot.worker.1.busy_ns"), 100);
-        assert_eq!(reg.value_u64("boot.early_serve.ready_bytes"), 500);
-        assert_eq!(reg.value_u64("boot.cache.template_hits"), 7);
-        assert_eq!(reg.scalar("boot.early_serve.frac"), Some(0.37));
     }
 }

@@ -110,23 +110,7 @@ fn traced_parallel_boot_produces_well_formed_worker_trees() {
         .count();
     assert_eq!(worker_compiles, out.compiled_funcs);
 
-    // The registry view: pipeline-time histograms cover every unit, and
-    // the decode gauge matches the rendered BootStats.
-    let snap = out.registry.snapshot();
-    let hist = |name: &str| {
-        snap.histograms
-            .iter()
-            .find(|(n, _)| n == name)
-            .unwrap_or_else(|| panic!("missing histogram {name}"))
-            .1
-    };
-    assert_eq!(
-        hist("pipeline.translate_ns").count,
-        out.compiled_funcs as u64
-    );
-    assert_eq!(hist("pipeline.emit_ns").count, out.compiled_funcs as u64);
     assert!(out.boot.decode_ns > 0, "decode was timed");
-    assert_eq!(out.registry.value_u64("boot.decode_ns"), out.boot.decode_ns);
 
     // The Chrome-trace export round-trips through the schema validator.
     let json = trace.to_chrome_json();
@@ -136,9 +120,9 @@ fn traced_parallel_boot_produces_well_formed_worker_trees() {
 }
 
 #[test]
-fn untraced_boot_still_records_boot_stats_into_registry() {
-    // Tracing off (the default): no spans recorded, but BootStats still
-    // lands in the metrics registry.
+fn untraced_boot_still_fills_boot_stats() {
+    // Tracing off (the default): no spans recorded, BootStats filled all
+    // the same.
     let (repo, pkg) = make_package();
     let bytes = pkg.serialize();
     // The traced test in this binary runs on another thread and turns the
@@ -154,8 +138,6 @@ fn untraced_boot_still_records_boot_stats_into_registry() {
     )
     .unwrap();
     assert!(out.boot.decode_ns > 0);
-    let gauge = |name: &str| out.registry.value_u64(name);
-    assert_eq!(gauge("boot.decode_ns"), out.boot.decode_ns);
-    assert_eq!(gauge("boot.compiled_funcs"), out.boot.compiled_funcs as u64);
-    assert_eq!(gauge("boot.workers"), out.boot.workers.len() as u64);
+    assert!(out.boot.compiled_funcs > 0);
+    assert_eq!(out.boot.workers.len(), 2);
 }

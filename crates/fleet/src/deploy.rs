@@ -26,9 +26,9 @@
 //!
 //! Memory stays flat at scale: one server's state is live per shard at a
 //! time, and only each cell's representative servers keep their timeline
-//! (and with it a telemetry registry and a Chrome-trace track) past the
-//! shard; everyone else leaves it as a compact [`ServerStat`] that still
-//! feeds the fleet-wide percentiles via [`telemetry::aggregate_values`].
+//! (and with it a Chrome-trace track) past the shard. Every server, kept
+//! or not, leaves a compact [`ServerStat`]; those feed the fleet-wide
+//! percentiles via [`telemetry::aggregate_values`].
 
 use jit::JitOptions;
 use jumpstart::chunk::ChunkPool;
@@ -42,14 +42,12 @@ use workload::{App, RequestMix};
 use crate::distribution::{
     package_wire, simulate_cell_links, DistributionParams, DistributionReport, Fetch, PackageWire,
 };
-use crate::export::{server_registry, timelines_to_trace_capped};
+use crate::export::timelines_to_trace_capped;
 use crate::faults::FaultPlan;
 use crate::metrics::Timeline;
 use crate::model::{build_app_model, AppModel, WarmupParams};
 use crate::server::{run_server_with_peak, ServerConfig};
-use crate::warmup::{
-    TimelineClass, WarmupAccumulator, WarmupAnalysisParams, WarmupClass, WarmupReport,
-};
+use crate::warmup::{WarmupAccumulator, WarmupAnalysisParams, WarmupClass, WarmupReport};
 
 /// Most servers a single Chrome trace will carry per group; beyond this
 /// the export drops tracks (recorded in the trace's `dropped` count).
@@ -67,8 +65,8 @@ pub struct FleetShape {
     /// No-Jump-Start baseline servers per cell (the control group the
     /// capacity-loss reduction is measured against).
     pub baselines_per_cell: u32,
-    /// Servers per cell (of each kind) that keep a full timeline, metrics
-    /// registry and Chrome-trace track; the rest are compact stats only.
+    /// Servers per cell (of each kind) that keep a full timeline and a
+    /// Chrome-trace track; the rest are compact stats only.
     pub representatives_per_cell: u32,
     /// OS threads the fleet is sharded across. Results are bit-identical
     /// for any value; this only changes wall time.
@@ -103,7 +101,7 @@ impl FleetShape {
         self
     }
 
-    /// Sets how many servers per cell keep full telemetry.
+    /// Sets how many servers per cell keep their timeline.
     pub fn with_representatives(mut self, n: u32) -> Self {
         self.representatives_per_cell = n;
         self
@@ -223,12 +221,6 @@ impl DeployParams {
         self
     }
 
-    /// Sets the warmup-classification tuning.
-    pub fn with_analysis(mut self, analysis: WarmupAnalysisParams) -> Self {
-        self.analysis = analysis;
-        self
-    }
-
     /// Sets the RNG seed.
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;
@@ -241,7 +233,7 @@ impl DeployParams {
 }
 
 /// Compact per-server outcome — what every server contributes to the
-/// fleet percentiles, whether or not it kept a full registry.
+/// fleet percentiles, whether or not it kept its timeline.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ServerStat {
     /// Global server id (stable across shard counts).
@@ -312,9 +304,6 @@ pub struct DeployReport {
     pub js_timelines: Vec<Timeline>,
     /// Representative baseline timelines (no Jump-Start).
     pub nojs_timelines: Vec<Timeline>,
-    /// Full metrics registry per representative Jump-Start consumer:
-    /// `server.boot_ms`, `server.ready_ms`, `server.capacity_loss`.
-    pub server_registries: Vec<telemetry::Registry>,
     /// Compact outcome for every server in the fleet, in gid order.
     pub stats: Vec<ServerStat>,
     /// Simulated duration per server (ms) — the window every
@@ -497,9 +486,9 @@ struct CellData {
 /// What one shard thread hands back: every server it ran, reduced.
 struct ShardResult {
     stats: Vec<ServerStat>,
-    /// `(gid, timeline, verdict)` of the shard's representatives — the
-    /// only timelines that outlive their server's turn.
-    representatives: Vec<(usize, Timeline, TimelineClass)>,
+    /// `(gid, timeline)` of the shard's representatives — the only
+    /// timelines that outlive their server's turn.
+    representatives: Vec<(usize, Timeline)>,
     warmup: WarmupAccumulator,
     /// Serving steps the shard's servers were woken for.
     events: u64,
@@ -855,7 +844,7 @@ pub fn run_deployment_with_prior(
                 download_ms: slot.download_ms,
             });
             if slot.representative {
-                out.representatives.push((gid, run.timeline, verdict));
+                out.representatives.push((gid, run.timeline));
             }
         }
         out
@@ -898,14 +887,8 @@ pub fn run_deployment_with_prior(
     }
     let mut js_timelines = Vec::new();
     let mut nojs_timelines = Vec::new();
-    let mut server_registries = Vec::new();
-    for (gid, timeline, verdict) in all.representatives {
+    for (gid, timeline) in all.representatives {
         if slots[gid].jumpstart {
-            server_registries.push(server_registry(
-                &timeline,
-                params.warmup.duration_ms,
-                Some(&verdict),
-            ));
             js_timelines.push(timeline);
         } else {
             nojs_timelines.push(timeline);
@@ -918,7 +901,6 @@ pub fn run_deployment_with_prior(
         seeder_crashes: seeded.seeder_crashes,
         js_timelines,
         nojs_timelines,
-        server_registries,
         stats: all.stats,
         duration_ms: params.warmup.duration_ms,
         sim,
@@ -995,8 +977,6 @@ mod tests {
             ..Default::default()
         };
         let report = run_deployment(&app, &params);
-        assert_eq!(report.server_registries.len(), 8);
-
         // Fleet percentiles over all 8 consumers.
         let agg = report.fleet_aggregate();
         assert_eq!(agg.servers, 8);
@@ -1148,7 +1128,7 @@ mod tests {
     }
 
     #[test]
-    fn scaled_fleet_keeps_compact_stats_and_bounded_registries() {
+    fn scaled_fleet_keeps_compact_stats_and_bounded_timelines() {
         let app = generate(&AppParams::tiny());
         let params = DeployParams {
             regions: 1,
@@ -1165,9 +1145,8 @@ mod tests {
             ..Default::default()
         };
         let report = run_deployment(&app, &params);
-        // Every server is in stats; only representatives carry registries.
+        // Every server is in stats; only representatives keep timelines.
         assert_eq!(report.stats.len(), 2 * (12 + 3));
-        assert_eq!(report.server_registries.len(), 2 * 2);
         assert_eq!(report.js_timelines.len(), 4);
         assert_eq!(report.nojs_timelines.len(), 4);
         assert_eq!(report.sim.servers, 30);

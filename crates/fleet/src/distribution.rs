@@ -74,18 +74,6 @@ impl DistributionParams {
         self.link_bytes_per_ms = (mbps * 125).max(1);
         self
     }
-
-    /// Sets the fixed per-fetch latency.
-    pub fn with_latency_ms(mut self, ms: u64) -> Self {
-        self.base_latency_ms = ms;
-        self
-    }
-
-    /// Sets the consumer-side decode cost (ms per MB decoded pre-serve).
-    pub fn with_decode_ms_per_mb(mut self, ms: f64) -> Self {
-        self.decode_ms_per_mb = ms;
-        self
-    }
 }
 
 /// One consumer's planned fetch, fed to [`simulate_cell_links`].

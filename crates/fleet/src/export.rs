@@ -1,52 +1,18 @@
-//! Fleet-run telemetry: per-server registries, fleet-wide aggregation,
-//! and Chrome-trace export of warmup timelines.
+//! Chrome-trace export of fleet warmup timelines.
 //!
 //! A fleet simulation produces one [`Timeline`] per server. This module
-//! renders those into the unified telemetry layer: each server gets a
-//! metrics registry (boot time, ready time, capacity loss) that
-//! [`telemetry::aggregate`] folds into fleet percentiles, and the whole
-//! deployment exports as a Chrome trace with one process track per
-//! simulated server — lifecycle points A/B/C as instants, normalized RPS
-//! and code size as counter series.
+//! renders the kept ones as a Chrome trace with one process track per
+//! simulated server — lifecycle points A/B/C as instants, normalized RPS,
+//! latency and code size as counter series. (The per-server numbers are
+//! `ServerStat`; `DeployReport::fleet_aggregate` folds them.)
 
 use std::borrow::Cow;
 
 use telemetry::{AttrValue, Event, EventKind, Trace, TrackDump};
 
 use crate::metrics::Timeline;
-use crate::warmup::TimelineClass;
 
 const MS_TO_NS: u64 = 1_000_000;
-
-/// Builds one server's metrics registry from its warmup timeline.
-///
-/// Gauges: `server.boot_ms` (serve start), `server.ready_ms` (first time
-/// normalized RPS reaches 0.9; absent if never), and the f64 gauge
-/// `server.capacity_loss` over `window_ms`. When a classifier verdict is
-/// supplied, the class lands as a `warmup.class.<name>` counter (so
-/// [`telemetry::aggregate`]'s `n` field counts servers per class across
-/// the fleet) and the steady time as `warmup.steady_ms`.
-pub fn server_registry(
-    tl: &Timeline,
-    window_ms: u64,
-    class: Option<&TimelineClass>,
-) -> telemetry::Registry {
-    let reg = telemetry::Registry::default();
-    reg.gauge("server.boot_ms").set(tl.serve_start_ms);
-    if let Some(ready) = tl.time_to_rps(0.9) {
-        reg.gauge("server.ready_ms").set(ready);
-    }
-    reg.gauge_f64("server.capacity_loss")
-        .set(tl.capacity_loss_over(window_ms));
-    if let Some(verdict) = class {
-        reg.counter(&format!("warmup.class.{}", verdict.class.name()))
-            .inc();
-        if let Some(steady) = verdict.steady_ms {
-            reg.gauge("warmup.steady_ms").set(steady);
-        }
-    }
-    reg
-}
 
 fn instant(name: &'static str, t_ms: u64, attrs: Vec<(&'static str, AttrValue)>) -> Event {
     Event {
@@ -153,37 +119,6 @@ mod tests {
     }
 
     #[test]
-    fn server_registry_snapshots_boot_ready_loss() {
-        let tl = timeline(500);
-        let reg = server_registry(&tl, 10_000, None);
-        assert_eq!(reg.value_u64("server.boot_ms"), 500);
-        assert_eq!(reg.value_u64("server.ready_ms"), 9_000);
-        let loss = reg.scalar("server.capacity_loss").unwrap();
-        assert!(loss > 0.0 && loss < 1.0, "got {loss}");
-        assert!(!reg.contains("warmup.class.warmup"));
-
-        // A server that never reaches 0.9 has no ready gauge.
-        let mut cold = timeline(500);
-        for s in &mut cold.samples {
-            s.rps_norm = 0.3;
-        }
-        let reg = server_registry(&cold, 10_000, None);
-        assert!(!reg.contains("server.ready_ms"));
-    }
-
-    #[test]
-    fn server_registry_carries_warmup_class() {
-        let tl = timeline(500);
-        let verdict = crate::warmup::classify_timeline(&tl, 10_000, &Default::default());
-        let reg = server_registry(&tl, 10_000, Some(&verdict));
-        let name = format!("warmup.class.{}", verdict.class.name());
-        assert_eq!(reg.value_u64(&name), 1);
-        if let Some(steady) = verdict.steady_ms {
-            assert_eq!(reg.value_u64("warmup.steady_ms"), steady);
-        }
-    }
-
-    #[test]
     fn fleet_trace_is_chrome_valid_with_one_pid_per_server() {
         let timelines: Vec<Timeline> = (0..3).map(|i| timeline(500 + i * 100)).collect();
         let trace = timelines_to_trace_capped(&timelines, "jumpstart", usize::MAX, usize::MAX);
@@ -224,20 +159,5 @@ mod tests {
         }
         let json = trace.to_chrome_json();
         telemetry::validate_chrome(&json).expect("valid Chrome trace");
-    }
-
-    #[test]
-    fn fleet_aggregation_yields_percentiles() {
-        let snaps: Vec<telemetry::Snapshot> = (0..8)
-            .map(|i| server_registry(&timeline(400 + i * 50), 10_000, None).snapshot())
-            .collect();
-        let agg = telemetry::aggregate(&snaps);
-        assert_eq!(agg.servers, 8);
-        let boot = agg.stat("server.boot_ms").expect("boot stat");
-        assert_eq!(boot.n, 8);
-        assert_eq!(boot.min, 400.0);
-        assert_eq!(boot.max, 750.0);
-        assert!(boot.p50 >= boot.min && boot.p50 <= boot.p95);
-        assert!(boot.p95 <= boot.p99 && boot.p99 <= boot.max);
     }
 }

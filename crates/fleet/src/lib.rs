@@ -18,13 +18,13 @@
 //!   dense per-second stepper survives as [`simulate_warmup_dense`], the
 //!   equivalence oracle,
 //! * [`capacity_loss_from`] — the area-above-the-curve metric of Fig. 2,
-//! * [`deploy`] — the two-level C1/C2/C3 push: per-(region, bucket)
-//!   seeding done once and shared read-only, then a map over thousands
-//!   of independent servers with per-server RNG streams — each shard
-//!   thread runs, classifies and compacts its servers one at a time, and
-//!   the orchestrator only folds the shards' results,
-//! * [`faults`] — crash-loop containment and deployment fault injection
-//!   for §VI,
+//! * [`run_deployment`] — the two-level C1/C2/C3 push: per-(region,
+//!   bucket) seeding done once and shared read-only, then a map over
+//!   thousands of independent servers with per-server RNG streams — each
+//!   shard thread runs, classifies and compacts its servers one at a
+//!   time, and the orchestrator only folds the shards' results,
+//! * [`run_crashloop`] / [`FaultPlan`] — crash-loop containment and
+//!   deployment fault injection for §VI,
 //! * [`warmup`](classify_timeline) — PELT changepoint segmentation and
 //!   Barrett-style warmup classification (warmup / slowdown / flat /
 //!   cyclic / no-steady-state) over per-server timelines, rolled up into
@@ -48,7 +48,7 @@ pub use distribution::{
     package_wire, simulate_cell_links, DistributionParams, DistributionReport, Fetch, FetchOutcome,
     PackageWire,
 };
-pub use export::{server_registry, timelines_to_trace_capped};
+pub use export::timelines_to_trace_capped;
 pub use faults::{run_crashloop, CrashLoopParams, CrashLoopReport, FaultPlan};
 pub use metrics::{capacity_loss_from, Sample, Timeline};
 pub use model::{build_app_model, AppModel, WarmupParams};

@@ -127,36 +127,10 @@ impl WarmupParams {
         self
     }
 
-    /// Sets the simulated duration (builder-style; new knobs grow here
-    /// instead of widening struct literals at every call site).
-    pub fn with_duration(mut self, ms: u64) -> Self {
-        self.duration_ms = ms;
-        self
-    }
-
-    /// Sets the timeline sampling period.
-    pub fn with_sample_every(mut self, ms: u64) -> Self {
-        self.sample_ms = ms.max(1);
-        self
-    }
-
-    /// Sets offered load as a fraction of peak capacity.
-    pub fn with_offered_fraction(mut self, frac: f64) -> Self {
-        self.offered_fraction = frac;
-        self
-    }
-
     /// Sets the consumer early-serve threshold (`1.0` = compile all
     /// before serving).
     pub fn with_early_serve(mut self, frac: f64) -> Self {
         self.early_serve_frac = frac;
-        self
-    }
-
-    /// Sets the host-degradation rate (service-time inflation in
-    /// per-mille per minute of uptime; 0 = healthy).
-    pub fn with_degrade(mut self, per_mille_per_min: u32) -> Self {
-        self.degrade_per_mille_per_min = per_mille_per_min;
         self
     }
 }

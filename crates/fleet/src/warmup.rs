@@ -132,26 +132,6 @@ impl WarmupAnalysisParams {
         self.min_segment_len = len.max(1);
         self
     }
-
-    /// Sets the steady-band tolerance.
-    pub fn with_steady_tol(mut self, tol: f64) -> Self {
-        self.steady_tol = tol;
-        self
-    }
-
-    /// Sets the latest fraction of the duration a steady segment may
-    /// begin at.
-    pub fn with_steady_latest(mut self, frac: f64) -> Self {
-        self.steady_latest_frac = frac;
-        self
-    }
-
-    /// Sets the bootstrap resample count and seed.
-    pub fn with_bootstrap(mut self, resamples: u32, seed: u64) -> Self {
-        self.bootstrap_resamples = resamples;
-        self.bootstrap_seed = seed;
-        self
-    }
 }
 
 /// L2 segment cost over `xs[a..b]` from prefix sums: the residual sum of
@@ -197,7 +177,7 @@ fn pelt_penalty(xs: &[f64], penalty_scale: f64) -> f64 {
         return 1.0;
     }
     let mut diffs: Vec<f64> = xs.windows(2).map(|w| (w[1] - w[0]).abs()).collect();
-    diffs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    diffs.sort_by(|a, b| a.total_cmp(b));
     let mad = quantile_sorted(&diffs, 0.5);
     let sigma = mad / 0.6745 / std::f64::consts::SQRT_2;
     let (mut lo, mut hi) = (xs[0], xs[0]);
@@ -709,7 +689,7 @@ impl WarmupAccumulator {
         let params = self.params;
         let sample_ms = self.sample_ms;
         let summarize = |mut acc: ArmAccum| -> ArmSummary {
-            acc.ttss.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            acc.ttss.sort_by(|a, b| a.total_cmp(b));
             let stat = |q: f64| {
                 let (lo, hi) = bootstrap_percentile_ci(
                     &acc.ttss,
@@ -729,7 +709,7 @@ impl WarmupAccumulator {
                 .enumerate()
                 .filter(|(_, vs)| !vs.is_empty())
                 .map(|(k, vs)| {
-                    vs.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                    vs.sort_by(|a, b| a.total_cmp(b));
                     ((k as u64 + 1) * sample_ms, quantile_sorted(vs, 0.5))
                 })
                 .collect();

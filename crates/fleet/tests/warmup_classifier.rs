@@ -218,3 +218,37 @@ fn planted_slowdown_and_warmup_classify_as_such() {
         WarmupClass::Slowdown
     );
 }
+
+#[test]
+fn non_finite_samples_classify_without_panicking() {
+    // `classify_timeline` is public over public sample fields, and a trace
+    // file is outside input: whatever the samples hold, the answer is a
+    // verdict, never a panic. Two infinities make the penalty's
+    // successive differences `|inf − inf| = NaN`.
+    let params = WarmupAnalysisParams::default();
+    for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        for (bad_rps, bad_latency) in [(true, false), (false, true), (true, true)] {
+            let samples: Vec<Sample> = (0..24)
+                .map(|i| {
+                    let poisoned = i % 5 < 2;
+                    Sample {
+                        t_ms: (i + 1) * 5_000,
+                        rps_norm: if poisoned && bad_rps { bad } else { 0.9 },
+                        latency_ms: if poisoned && bad_latency { bad } else { 2.0 },
+                        code_bytes: 0,
+                    }
+                })
+                .collect();
+            let tl = Timeline {
+                samples,
+                ..Default::default()
+            };
+            let verdict = classify_timeline(&tl, 120_000, &params);
+            assert_eq!(verdict.times_ms.len(), 24);
+            // The fleet fold takes the same samples without panicking too.
+            let mut acc = WarmupAccumulator::new(params, 5_000, 120_000);
+            acc.add(&tl, true);
+            acc.finish();
+        }
+    }
+}

@@ -2,12 +2,12 @@
 //! (paper §V).
 //!
 //! * [`exttsp_order`] — Ext-TSP basic-block reordering (Newell & Pupyrev
-//!   [18]), driven by block/branch weights; used with accurate Vasm-level
+//!   \[18\]), driven by block/branch weights; used with accurate Vasm-level
 //!   counters from the Jump-Start package (§V-A).
 //! * [`split_hot_cold`] — hot/cold code splitting, applied together with
 //!   block layout (§V-A).
 //! * [`c3_order`] — the C3 call-chain-clustering function sort (Ottoni &
-//!   Maher [20]), driven by the inlining-aware call graph (§V-B).
+//!   Maher \[20\]), driven by the inlining-aware call graph (§V-B).
 //! * [`pagepack`] — BOLT-style global plan: hot parts of all functions
 //!   packed into simulated 2 MB huge-page bins, cold parts exiled to a
 //!   4 KiB-page region ([`PagePacker`], [`LayoutPlanOptions`]).

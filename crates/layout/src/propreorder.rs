@@ -33,7 +33,7 @@ pub fn reorder_props_by_hotness<K: Clone>(props: &[PropAccess<K>]) -> Vec<K> {
 /// `affinity[i][j]` counts how often props `i` and `j` were accessed within
 /// the same request. Greedy chaining: repeatedly take the highest-affinity
 /// pair whose chain endpoints are free, as in cache-conscious structure
-/// layout [21]. This implements the paper's "future work" suggestion and is
+/// layout \[21\]. This implements the paper's "future work" suggestion and is
 /// evaluated in the ablation bench.
 ///
 /// # Panics

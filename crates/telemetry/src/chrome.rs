@@ -5,12 +5,11 @@
 //! `B`/`E` duration events, `i` instants, `C` counter samples, and `M`
 //! metadata records naming every process and thread. Timestamps are
 //! microseconds (fractional — nanosecond precision survives). Each
-//! [`TrackDump`] becomes one `(pid, tid)` timeline row, so a single-boot
+//! [`TrackDump`](crate::TrackDump) becomes one `(pid, tid)` timeline row, so a single-boot
 //! trace renders with one track per pipeline worker and a fleet trace with
 //! one process group per simulated server.
 
-use crate::json::{self, escape, Json};
-use crate::metrics::fmt_f64;
+use crate::json::{self, escape, fmt_f64, Json};
 use crate::span::{AttrValue, EventKind};
 use crate::trace::Trace;
 

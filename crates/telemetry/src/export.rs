@@ -1,14 +1,14 @@
-//! Fleet-level aggregation: many per-server registry [`Snapshot`]s fold
+//! Fleet-level aggregation: per-server columns of plain numbers fold
 //! into one set of cross-server percentiles.
 //!
-//! A fleet run produces one registry per simulated server (boot time,
-//! ready time, capacity loss, cache hit counts, ...). This module lines
-//! those snapshots up by metric name and reports the distribution of each
-//! scalar across the fleet — the p50/p95/p99 boot- and ready-time numbers
-//! the paper reports fleet-wide.
+//! A fleet run carries every simulated server as a row of scalars (boot
+//! time, ready time, capacity loss, ...). [`aggregate_values`] takes those
+//! columns by metric name and reports the distribution of each across the
+//! fleet — the p50/p95/p99 boot- and ready-time numbers the paper reports
+//! fleet-wide. [`quantile_sorted`] and [`bootstrap_percentile_ci`] are the
+//! shared quantile and confidence-interval definitions.
 
-use crate::json::escape;
-use crate::metrics::{fmt_f64, Snapshot};
+use crate::json::{escape, fmt_f64};
 
 /// Distribution of one scalar metric across servers.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -29,10 +29,10 @@ pub struct AggStat {
     pub p99: f64,
 }
 
-/// Cross-server aggregate of every scalar metric present in any snapshot.
+/// Cross-server aggregate of every scalar metric with at least one value.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FleetAggregate {
-    /// Number of snapshots (servers) aggregated.
+    /// Number of servers aggregated.
     pub servers: usize,
     /// Per-metric distributions, name-sorted.
     pub stats: Vec<(String, AggStat)>,
@@ -42,7 +42,7 @@ pub struct FleetAggregate {
 /// between order statistics. The input must be ascending; `q` is clamped
 /// to `[0, 1]`. This is the quantile definition every fleet percentile in
 /// the repo uses — exposed so derived statistics (bootstrap CIs, warmup
-/// time-to-steady-state bands) agree with [`aggregate`] bit for bit.
+/// time-to-steady-state bands) agree with [`aggregate_values`] bit for bit.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
     match sorted {
         [] => 0.0,
@@ -83,7 +83,7 @@ pub fn bootstrap_percentile_ci(values: &[f64], q: f64, resamples: u32, seed: u64
         [only] => (*only, *only),
         _ => {
             let mut sorted: Vec<f64> = values.to_vec();
-            sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            sorted.sort_by(|a, b| a.total_cmp(b));
             let n = sorted.len();
             let mut state = seed;
             let mut stats: Vec<f64> = Vec::with_capacity(resamples.max(1) as usize);
@@ -96,10 +96,10 @@ pub fn bootstrap_percentile_ci(values: &[f64], q: f64, resamples: u32, seed: u64
                     let idx = ((splitmix64(&mut state) as u128 * n as u128) >> 64) as usize;
                     resample.push(sorted[idx]);
                 }
-                resample.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+                resample.sort_by(|a, b| a.total_cmp(b));
                 stats.push(quantile_sorted(&resample, q));
             }
-            stats.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            stats.sort_by(|a, b| a.total_cmp(b));
             (
                 quantile_sorted(&stats, 0.025),
                 quantile_sorted(&stats, 0.975),
@@ -108,13 +108,25 @@ pub fn bootstrap_percentile_ci(values: &[f64], q: f64, resamples: u32, seed: u64
     }
 }
 
-fn fold(servers: usize, mut by_name: Vec<(String, Vec<f64>)>) -> FleetAggregate {
-    by_name.sort_by(|a, b| a.0.cmp(&b.0));
+/// Folds raw per-metric columns into fleet-wide distributions.
+///
+/// Columns may have different lengths (a metric some servers never
+/// report; `n` records coverage); non-finite values are dropped, and a
+/// column left empty is omitted from the result.
+pub fn aggregate_values(servers: usize, series: &[(&str, Vec<f64>)]) -> FleetAggregate {
+    let mut by_name: Vec<(&str, Vec<f64>)> = series
+        .iter()
+        .map(|(name, vals)| {
+            let finite: Vec<f64> = vals.iter().copied().filter(|v| v.is_finite()).collect();
+            (*name, finite)
+        })
+        .filter(|(_, vals)| !vals.is_empty())
+        .collect();
+    by_name.sort_by(|a, b| a.0.cmp(b.0));
     let stats = by_name
         .into_iter()
-        .filter(|(_, vals)| !vals.is_empty())
         .map(|(name, mut vals)| {
-            vals.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+            vals.sort_by(|a, b| a.total_cmp(b));
             let n = vals.len();
             let sum: f64 = vals.iter().sum();
             let stat = AggStat {
@@ -126,52 +138,10 @@ fn fold(servers: usize, mut by_name: Vec<(String, Vec<f64>)>) -> FleetAggregate 
                 p95: quantile_sorted(&vals, 0.95),
                 p99: quantile_sorted(&vals, 0.99),
             };
-            (name, stat)
+            (name.to_string(), stat)
         })
         .collect();
     FleetAggregate { servers, stats }
-}
-
-/// Folds per-server snapshots into fleet-wide distributions. Metrics
-/// missing on some servers aggregate over the servers that have them
-/// (`n` records coverage).
-pub fn aggregate(snapshots: &[Snapshot]) -> FleetAggregate {
-    let mut by_name: Vec<(String, Vec<f64>)> = Vec::new();
-    for snap in snapshots {
-        for (name, v) in &snap.scalars {
-            if !v.is_finite() {
-                continue;
-            }
-            match by_name.iter_mut().find(|(n, _)| n == name) {
-                Some((_, vals)) => vals.push(*v),
-                None => by_name.push((name.clone(), vec![*v])),
-            }
-        }
-    }
-    fold(snapshots.len(), by_name)
-}
-
-/// Folds raw per-metric columns into the same fleet-wide distributions as
-/// [`aggregate`], without materializing a registry per server.
-///
-/// A full `Registry` costs allocations per server; a 10k-server fleet run
-/// keeps registries only for a few representatives and carries everyone
-/// else as plain numbers. This entry point lets that compact form feed the
-/// same percentile machinery. Columns may have different lengths (a metric
-/// some servers never report); non-finite values are dropped. Empty
-/// columns are omitted from the result, matching `aggregate`'s behavior
-/// for metrics no snapshot carries.
-pub fn aggregate_values(servers: usize, series: &[(&str, Vec<f64>)]) -> FleetAggregate {
-    let by_name = series
-        .iter()
-        .map(|(name, vals)| {
-            (
-                name.to_string(),
-                vals.iter().copied().filter(|v| v.is_finite()).collect(),
-            )
-        })
-        .collect();
-    fold(servers, by_name)
 }
 
 impl FleetAggregate {
@@ -210,21 +180,12 @@ impl FleetAggregate {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Registry;
-
-    fn server_snapshot(boot_ms: u64, loss: f64) -> Snapshot {
-        let reg = Registry::default();
-        reg.gauge("boot_ms").set(boot_ms);
-        reg.gauge_f64("capacity_loss").set(loss);
-        reg.snapshot()
-    }
 
     #[test]
-    fn aggregates_across_servers() {
-        let snaps: Vec<Snapshot> = (1..=10)
-            .map(|i| server_snapshot(i * 100, i as f64 / 100.0))
-            .collect();
-        let agg = aggregate(&snaps);
+    fn aggregate_values_folds_columns_into_percentiles() {
+        let boots: Vec<f64> = (1..=10).map(|i| (i * 100) as f64).collect();
+        let losses: Vec<f64> = (1..=10).map(|i| i as f64 / 100.0).collect();
+        let agg = aggregate_values(10, &[("boot_ms", boots), ("capacity_loss", losses)]);
         assert_eq!(agg.servers, 10);
         let boot = agg.stat("boot_ms").unwrap();
         assert_eq!(boot.n, 10);
@@ -234,48 +195,42 @@ mod tests {
         assert_eq!(boot.p50, 550.0);
         assert!(boot.p95 > boot.p50 && boot.p95 <= boot.max);
         assert!(boot.p99 >= boot.p95);
+        assert_eq!(agg.stat("capacity_loss").unwrap().n, 10);
         let json = agg.to_json();
         assert!(json.contains("\"servers\":10"));
         assert!(json.contains("\"boot_ms\""));
         crate::json::parse(&json).expect("aggregate JSON parses");
-    }
 
-    #[test]
-    fn handles_partial_coverage_and_empty() {
-        assert_eq!(aggregate(&[]).servers, 0);
-        let mut snaps = vec![server_snapshot(100, 0.1)];
-        let reg = Registry::default();
-        reg.gauge("boot_ms").set(300);
-        reg.counter("fallbacks").inc();
-        snaps.push(reg.snapshot());
-        let agg = aggregate(&snaps);
-        assert_eq!(agg.stat("boot_ms").unwrap().n, 2);
-        assert_eq!(agg.stat("capacity_loss").unwrap().n, 1);
-        assert_eq!(agg.stat("fallbacks").unwrap().n, 1);
-        assert_eq!(agg.stat("boot_ms").unwrap().p50, 200.0);
-    }
-
-    #[test]
-    fn aggregate_values_matches_snapshot_aggregation() {
-        let snaps: Vec<Snapshot> = (1..=10)
-            .map(|i| server_snapshot(i * 100, i as f64 / 100.0))
-            .collect();
-        let from_snaps = aggregate(&snaps);
-        let boots: Vec<f64> = (1..=10).map(|i| (i * 100) as f64).collect();
-        let losses: Vec<f64> = (1..=10).map(|i| i as f64 / 100.0).collect();
-        let from_values = aggregate_values(10, &[("boot_ms", boots), ("capacity_loss", losses)]);
-        assert_eq!(from_snaps, from_values);
-        // Ragged coverage and non-finite values are tolerated.
+        // Ragged coverage counts `n` per column, non-finite values are
+        // dropped, and a column nobody reported is omitted.
         let agg = aggregate_values(
             5,
             &[
-                ("ready_ms", vec![1.0, f64::NAN, 3.0]),
+                ("boot_ms", vec![100.0, 300.0]),
+                ("ready_ms", vec![1.0, f64::NAN, 3.0, f64::INFINITY]),
+                ("fallbacks", vec![1.0]),
                 ("never_reported", vec![]),
             ],
         );
         assert_eq!(agg.servers, 5);
+        assert_eq!(agg.stat("boot_ms").unwrap().n, 2);
+        assert_eq!(agg.stat("boot_ms").unwrap().p50, 200.0);
         assert_eq!(agg.stat("ready_ms").unwrap().n, 2);
+        assert_eq!(agg.stat("fallbacks").unwrap().n, 1);
         assert!(agg.stat("never_reported").is_none());
+        // Metrics come back name-sorted whatever order they went in.
+        let names: Vec<&str> = agg.stats.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["boot_ms", "fallbacks", "ready_ms"]);
+
+        // A single value collapses every quantile onto it.
+        let agg = aggregate_values(1, &[("boot_ms", vec![500.0])]);
+        let boot = agg.stat("boot_ms").unwrap();
+        assert_eq!((boot.p50, boot.p99), (500.0, 500.0));
+
+        // Zero servers, zero columns.
+        let empty = aggregate_values(0, &[]);
+        assert_eq!(empty.servers, 0);
+        assert!(empty.stats.is_empty());
     }
 
     #[test]
@@ -304,13 +259,5 @@ mod tests {
         // All-equal samples collapse to a zero-width interval.
         let same = [3.0; 16];
         assert_eq!(bootstrap_percentile_ci(&same, 0.95, 50, 9), (3.0, 3.0));
-    }
-
-    #[test]
-    fn single_value_quantiles_collapse() {
-        let agg = aggregate(&[server_snapshot(500, 0.5)]);
-        let boot = agg.stat("boot_ms").unwrap();
-        assert_eq!(boot.p50, 500.0);
-        assert_eq!(boot.p99, 500.0);
     }
 }

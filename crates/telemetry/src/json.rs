@@ -289,9 +289,12 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| self.err("bad number"))?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| self.err("bad number"))
+        // `1e999` lexes as a number but parses to infinity; no consumer of
+        // a trace or report can use a non-finite value.
+        match text.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(Json::Num(n)),
+            _ => Err(self.err("bad number")),
+        }
     }
 }
 
@@ -310,6 +313,22 @@ pub fn escape(s: &str) -> String {
         }
     }
     out
+}
+
+/// Formats a float as JSON-safe text (non-finite values become `null`).
+/// Public so downstream report writers (e.g. the fleet warmup report)
+/// serialize floats exactly like every exporter here does — a prerequisite
+/// for byte-identical report digests.
+pub fn fmt_f64(v: f64) -> String {
+    if v.is_finite() {
+        if v == v.trunc() && v.abs() < 1e15 {
+            format!("{}", v as i64)
+        } else {
+            format!("{v}")
+        }
+    } else {
+        "null".to_string()
+    }
 }
 
 #[cfg(test)]
@@ -335,6 +354,9 @@ mod tests {
         assert!(parse("{\"a\":1} x").is_err());
         assert!(parse("nul").is_err());
         assert!(parse("\"unterminated").is_err());
+        // Lexes as a number, overflows to infinity: not a usable value.
+        assert_eq!(parse("1e999").unwrap_err().msg, "bad number");
+        assert!(parse("[-1e999]").is_err());
     }
 
     #[test]

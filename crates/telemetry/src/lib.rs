@@ -1,25 +1,26 @@
 //! Unified telemetry for the Jump-Start stack: structured span tracing,
-//! a metrics registry, and exporters.
+//! its exporters, and the small pure helpers report writers share.
 //!
-//! Three layers, usable independently:
+//! Two layers, usable independently:
 //!
-//! - **Tracer** ([`span`] module): per-thread ring buffers of begin/end
-//!   events with typed attributes, RAII span guards, and a global on/off
-//!   switch. Disabled cost is one relaxed atomic load per site; the
-//!   [`span!`] / [`instant!`] macros skip attribute construction too.
-//!   [`drain`] assembles buffers into a [`Trace`]; [`Trace::trees`]
-//!   rebuilds the span hierarchy post-hoc.
-//! - **Metrics** ([`metrics`] module): named counters, gauges, and
-//!   power-of-two-bucket histograms behind a [`Registry`]. `BootStats`,
-//!   `CacheStats`, and `WorkerStats` in `core` are rendered as views of a
-//!   registry rather than hand-threaded structs.
-//! - **Exporters**: Chrome-trace JSON ([`Trace::to_chrome_json`],
-//!   loadable in Perfetto, one track per pipeline worker / one process per
-//!   simulated server) plus a schema validator ([`validate_chrome`]) for
-//!   the CI gate; flat JSON / line-protocol registry dumps
-//!   ([`Snapshot::to_json`], [`Snapshot::to_line_protocol`]); and fleet
-//!   aggregation ([`aggregate`]) folding per-server snapshots into
-//!   fleet-wide p50/p95/p99.
+//! - **Tracer** ([`mod@span`] module): per-thread ring buffers of
+//!   begin/end events with typed attributes, RAII span guards, and a
+//!   global on/off switch. Disabled cost is one relaxed atomic load per
+//!   site; the [`span!`] / [`instant!`] macros skip attribute
+//!   construction too. [`drain`] assembles buffers into a [`Trace`];
+//!   [`Trace::trees`] rebuilds the span hierarchy post-hoc;
+//!   [`Trace::to_chrome_json`] exports Chrome-trace JSON (loadable in
+//!   Perfetto, one track per pipeline worker / one process per simulated
+//!   server) and [`validate_chrome`] is the schema validator behind the
+//!   CI gate.
+//! - **Helpers**: a strict JSON reader and the float/string writers
+//!   ([`json`], [`fmt_f64`]), and fleet statistics over plain columns of
+//!   numbers ([`aggregate_values`], [`quantile_sorted`],
+//!   [`bootstrap_percentile_ci`]).
+//!
+//! Numbers live in typed records next to the code that produces them —
+//! a boot's in `BootStats` (`core`), a simulated server's in `ServerStat`
+//! (`fleet`) — and time is spans.
 //!
 //! The crate is std-only by design so every other crate in the workspace
 //! can depend on it without cycles or new external dependencies.
@@ -27,21 +28,18 @@
 pub mod chrome;
 pub mod export;
 pub mod json;
-pub mod metrics;
 pub mod span;
 pub mod trace;
 
 pub use chrome::{validate_chrome, ChromeSummary};
 pub use export::{
-    aggregate, aggregate_values, bootstrap_percentile_ci, quantile_sorted, AggStat, FleetAggregate,
+    aggregate_values, bootstrap_percentile_ci, quantile_sorted, AggStat, FleetAggregate,
 };
-pub use metrics::{
-    fmt_f64, Counter, Gauge, GaugeF, Histogram, HistogramSummary, Registry, Snapshot,
-};
+pub use json::fmt_f64;
 pub use span::{
-    capture, counter, disable, drain, enable, enabled, instant, instant_attrs, name_current_track,
-    session_lock, set_track_capacity, span, span_attrs, track, track_in, AttrValue, Event,
-    EventKind, SessionGuard, SpanGuard, TrackGuard, DEFAULT_TRACK_CAPACITY,
+    capture, counter, disable, drain, enable, enabled, instant, instant_attrs, session_lock, span,
+    span_attrs, track, track_in, AttrValue, Event, EventKind, SessionGuard, SpanGuard, TrackGuard,
+    DEFAULT_TRACK_CAPACITY,
 };
 pub use trace::{SpanNode, Trace, TrackDump, TreeError};
 

@@ -6,7 +6,7 @@
 //! relaxed atomic load (the global on/off switch) when tracing is
 //! disabled, and an uncontended mutex acquire on the thread's own buffer
 //! when enabled — no cross-thread synchronization until [`drain`]
-//! assembles the buffers into a [`Trace`](crate::Trace).
+//! assembles the buffers into a [`Trace`].
 //!
 //! Spans are RAII: [`span`] records the begin event and the returned
 //! [`SpanGuard`] records the end event on drop, so a span can never be
@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use crate::trace::{Trace, TrackDump};
 
-/// Default per-track ring-buffer capacity (events).
+/// Per-track ring-buffer capacity (events).
 pub const DEFAULT_TRACK_CAPACITY: usize = 1 << 17;
 
 /// A typed span/instant attribute value.
@@ -110,23 +110,15 @@ pub struct Event {
 /// Bounded single-writer event buffer: oldest events are dropped (and
 /// counted) once capacity is reached, so a runaway trace degrades instead
 /// of exhausting memory.
+#[derive(Default)]
 struct Ring {
     events: std::collections::VecDeque<Event>,
-    capacity: usize,
     dropped: u64,
 }
 
 impl Ring {
-    fn new(capacity: usize) -> Self {
-        Ring {
-            events: std::collections::VecDeque::new(),
-            capacity,
-            dropped: 0,
-        }
-    }
-
     fn push(&mut self, ev: Event) {
-        if self.events.len() >= self.capacity {
+        if self.events.len() >= DEFAULT_TRACK_CAPACITY {
             self.events.pop_front();
             self.dropped += 1;
         }
@@ -140,16 +132,12 @@ impl Ring {
     }
 }
 
-struct TrackMeta {
-    name: String,
-    pid: u32,
-    process_name: Option<String>,
-}
-
 /// One thread-owned (or explicitly pushed) event buffer.
 struct TrackBuf {
     id: u64,
-    meta: Mutex<TrackMeta>,
+    name: String,
+    pid: u32,
+    process_name: Option<String>,
     ring: Mutex<Ring>,
 }
 
@@ -157,7 +145,6 @@ struct Shared {
     enabled: AtomicBool,
     tracks: Mutex<Vec<Arc<TrackBuf>>>,
     next_track: AtomicU64,
-    capacity: AtomicU64,
     /// Serializes tracing sessions ([`capture`] / [`session_lock`]): the
     /// tracer is process-global, so concurrent sessions would interleave.
     session: Mutex<()>,
@@ -169,7 +156,6 @@ fn shared() -> &'static Shared {
         enabled: AtomicBool::new(false),
         tracks: Mutex::new(Vec::new()),
         next_track: AtomicU64::new(1),
-        capacity: AtomicU64::new(DEFAULT_TRACK_CAPACITY as u64),
         session: Mutex::new(()),
     })
 }
@@ -202,12 +188,10 @@ fn new_track(name: String, pid: u32, process_name: Option<String>) -> Arc<TrackB
     let sh = shared();
     let buf = Arc::new(TrackBuf {
         id: sh.next_track.fetch_add(1, Ordering::Relaxed),
-        meta: Mutex::new(TrackMeta {
-            name,
-            pid,
-            process_name,
-        }),
-        ring: Mutex::new(Ring::new(sh.capacity.load(Ordering::Relaxed) as usize)),
+        name,
+        pid,
+        process_name,
+        ring: Mutex::new(Ring::default()),
     });
     lock(&sh.tracks).push(buf.clone());
     buf
@@ -257,23 +241,6 @@ pub fn enable() {
 /// events; the assembler closes any such span at the trace end.
 pub fn disable() {
     shared().enabled.store(false, Ordering::SeqCst);
-}
-
-/// Sets the per-track ring-buffer capacity for tracks created after this
-/// call.
-pub fn set_track_capacity(events: usize) {
-    shared()
-        .capacity
-        .store(events.max(16) as u64, Ordering::Relaxed);
-}
-
-/// Renames the current thread's active track.
-pub fn name_current_track(name: impl Into<String>) {
-    if !enabled() {
-        return;
-    }
-    let name = name.into();
-    with_current_track(|track| lock(&track.meta).name = name);
 }
 
 /// RAII span: records End on drop. Inert guards (tracing disabled at
@@ -394,15 +361,14 @@ pub fn drain() -> Trace {
     for track in tracks.iter() {
         let (events, d) = lock(&track.ring).take();
         dropped += d;
-        let meta = lock(&track.meta);
         if events.is_empty() {
             continue;
         }
         dumps.push(TrackDump {
             id: track.id,
-            pid: meta.pid,
-            name: meta.name.clone(),
-            process_name: meta.process_name.clone(),
+            pid: track.pid,
+            name: track.name.clone(),
+            process_name: track.process_name.clone(),
             events,
         });
     }

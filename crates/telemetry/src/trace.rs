@@ -1,6 +1,6 @@
 //! Drained traces and post-hoc span-tree assembly.
 //!
-//! The recorder ([`crate::span`]) writes flat begin/end/instant events to
+//! The recorder ([`mod@crate::span`]) writes flat begin/end/instant events to
 //! per-thread buffers; nothing maintains parent pointers at runtime. This
 //! module reassembles those flat streams into proper span trees — each
 //! track independently, by running a stack over its (chronologically

@@ -107,7 +107,7 @@ pub fn generate(params: &AppParams) -> App {
 
 /// Generates the application's source files without compiling them.
 /// Deterministic in `params.seed`. The churn model
-/// ([`crate::churn`]) edits these sources to simulate a new release
+/// ([`crate::churn_sources`]) edits these sources to simulate a new release
 /// before [`compile_sources`] turns them into a repo.
 pub fn build_sources(params: &AppParams) -> Vec<(String, String)> {
     let mut rng = SmallRng::seed_from_u64(params.seed);
