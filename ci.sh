@@ -21,6 +21,9 @@ cargo test -q
 echo "== test (workspace) =="
 cargo test --workspace -q
 
+echo "== test (layout, release: the bit-for-bit Ext-TSP proptests on the optimized build that ships) =="
+cargo test -p layout --release -q
+
 echo "== jslint self-check =="
 cargo run -q -p bench --bin jslint -- --demo
 

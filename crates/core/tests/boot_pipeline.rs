@@ -124,3 +124,27 @@ proptest! {
         }
     }
 }
+
+/// The Ext-TSP oracle applied to what `translate` actually emits, not only
+/// to random graphs: every optimized unit of the baseline boot must get the
+/// reference order from the fast path.
+#[test]
+fn booted_units_get_the_reference_block_order() {
+    let out = boot(1, 1.0);
+    let params = layout::ExtTspParams::default();
+    let mut checked = 0;
+    for t in out.engine.code_cache.translations().values() {
+        if t.kind != TransKind::Optimized {
+            continue;
+        }
+        let (blocks, edges) = (t.vasm.layout_blocks(), t.vasm.layout_edges());
+        assert_eq!(
+            layout::exttsp_order(&blocks, &edges, &params),
+            layout::exttsp_order_reference(&blocks, &edges, &params),
+            "func {:?}",
+            t.func
+        );
+        checked += 1;
+    }
+    assert_eq!(checked, out.compiled_funcs);
+}

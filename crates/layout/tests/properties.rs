@@ -25,6 +25,55 @@ fn arb_cfg(max_n: usize) -> impl Strategy<Value = (Vec<BlockNode>, Vec<BlockEdge
     })
 }
 
+/// CFGs shaped like the units `translate` hands to Ext-TSP: up to 64 blocks
+/// along a spine of `i -> i+1` edges with random gaps, about one extra
+/// branch per ten blocks (back edges, edges into the entry, self-loops,
+/// duplicates of the spine edge), many zero weights, counts up to 10^6.
+fn arb_unit_cfg() -> impl Strategy<Value = (Vec<BlockNode>, Vec<BlockEdge>)> {
+    let row = (
+        1u32..64,
+        0u64..1_000_000,
+        0u32..100,
+        0u32..100,
+        any::<prop::sample::Index>(),
+        0u64..1_000_000,
+    );
+    prop::collection::vec(row, 2..65).prop_map(|rows| {
+        let n = rows.len();
+        let mut blocks = Vec::with_capacity(n);
+        let mut edges = Vec::new();
+        for (i, &(size, weight, dice, kind, target, branch_weight)) in rows.iter().enumerate() {
+            let weight = if dice % 4 == 0 { 0 } else { weight };
+            blocks.push(BlockNode { size, weight });
+            if i + 1 < n && dice >= 15 {
+                edges.push(BlockEdge {
+                    src: i,
+                    dst: i + 1,
+                    weight,
+                });
+            }
+            let dst = match kind {
+                0..=1 => 0,
+                2..=3 => i,
+                4..=5 => (i + 1) % n,
+                6..=11 => target.index(n),
+                _ => continue,
+            };
+            let weight = if branch_weight % 5 == 0 {
+                0
+            } else {
+                branch_weight
+            };
+            edges.push(BlockEdge {
+                src: i,
+                dst,
+                weight,
+            });
+        }
+        (blocks, edges)
+    })
+}
+
 fn arb_callgraph(max_n: usize) -> impl Strategy<Value = (Vec<FuncNode>, Vec<CallArc>)> {
     // Sizes up to ~1.5 MiB so clusters brush against the 2 MiB merge limit;
     // small weight range so equal-weight arcs (the tie-break case) are common.
@@ -107,6 +156,23 @@ proptest! {
         let fast = exttsp_order(&blocks, &heavy, &p);
         let slow = layout::exttsp_order_reference(&blocks, &heavy, &p);
         prop_assert_eq!(fast, slow);
+    }
+
+    #[test]
+    fn exttsp_matches_reference_on_unit_shaped_cfgs((blocks, edges) in arb_unit_cfg()) {
+        // Same contract as above on graphs shaped like real compile units
+        // (sparse, chain-like, 40-60 blocks), at bench-scale weights and at
+        // weights heavy enough that one ulp of a chain score exceeds 1e-9.
+        let p = ExtTspParams::default();
+        for scale in [1, 1_048_573] {
+            let scaled: Vec<BlockEdge> = edges
+                .iter()
+                .map(|e| BlockEdge { weight: e.weight * scale, ..*e })
+                .collect();
+            let fast = exttsp_order(&blocks, &scaled, &p);
+            let slow = layout::exttsp_order_reference(&blocks, &scaled, &p);
+            prop_assert_eq!(fast, slow);
+        }
     }
 
     #[test]
