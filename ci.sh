@@ -27,9 +27,6 @@ cargo test -p layout --release -q
 echo "== jslint self-check =="
 cargo run -q -p bench --bin jslint -- --demo
 
-echo "== benches compile =="
-cargo bench --workspace --no-run -q
-
 echo "== jsboot smoke (boot determinism, compile-throughput floor, decode timing) =="
 cargo run -q -p bench --bin jsboot --release -- --check --trace TRACE_boot.json
 

@@ -1,9 +1,9 @@
 //! Flow-conservation count inference for stale-profile repair.
 //!
-//! The lint module *checks* Kirchhoff flow conservation: every block's
+//! [`flow_violations`] *checks* Kirchhoff flow conservation: every block's
 //! execution count must equal the flow into it (function entries for the
-//! entry block, predecessor edge counts elsewhere). This module inverts
-//! that check into **inference**: given a CFG, an entry count, and
+//! entry block, predecessor edge counts elsewhere); the lint reports what
+//! it finds. This module also inverts that check into **inference**: given a CFG, an entry count, and
 //! *partial* per-block count hints recovered by the stale matcher, it
 //! constructs an exact integer circulation over the CFG — per-block counts
 //! plus per-branch edge splits — that satisfies the same conservation law
@@ -32,7 +32,7 @@
 //! unmatched blocks receive the unique flow the matched neighborhood
 //! implies along their paths.
 
-use bytecode::{Cfg, Func, FuncId};
+use bytecode::{Cfg, FuncId};
 use jit::{BranchCount, CtxProfile, FuncProfile};
 
 /// A flow-consistent counter assignment for one function.
@@ -40,9 +40,9 @@ use jit::{BranchCount, CtxProfile, FuncProfile};
 pub struct FlowSolution {
     /// Inferred execution count per block (indexed by `BlockId`).
     pub counts: Vec<u64>,
-    /// Synthesized branch splits: `(instr index, taken, not_taken)` for
+    /// Synthesized branch splits by instruction index, ascending, for
     /// every two-successor block whose outflow is nonzero.
-    pub branches: Vec<(u32, u64, u64)>,
+    pub branches: Vec<(u32, BranchCount)>,
 }
 
 /// Infers flow-consistent block counts for `cfg` from `enter_count` and
@@ -266,7 +266,7 @@ pub fn infer_flow(cfg: &Cfg, enter_count: u64, hints: &[Option<u64>]) -> FlowSol
                 )
             };
             if taken + not_taken > 0 {
-                branches.push((at, taken, not_taken));
+                branches.push((at, BranchCount { taken, not_taken }));
             }
         }
     }
@@ -277,33 +277,38 @@ pub fn infer_flow(cfg: &Cfg, enter_count: u64, hints: &[Option<u64>]) -> FlowSol
     }
 }
 
-/// Mirrors the lint module's Kirchhoff check for one function: `true` iff
-/// the profile's block counts and (aggregated) branch counters are
-/// flow-consistent, with the same indeterminate-branch leniency the lint
-/// applies. The consumer's repair path uses this to find functions whose
-/// *counts* survived a push but whose branch data no longer balances.
-pub fn func_flow_consistent(fid: FuncId, func: &Func, fp: &FuncProfile, ctx: &CtxProfile) -> bool {
-    let cfg = Cfg::build(func);
+/// The Kirchhoff check of one function: each block's execution count must
+/// equal the flow into it (function entries for b0, predecessor edge
+/// counts elsewhere). Edge counts come from the context profile's branch
+/// counters aggregated over contexts; a block fed by a branch that was
+/// never recorded, or whose outcomes disagree with its block, is skipped
+/// as indeterminate rather than flagged. `fp` holds one counter per block
+/// of `cfg`. Returns one message per violation: the lint reports each, and
+/// the stale repair rebalances a function that has any.
+pub fn flow_violations(fid: FuncId, cfg: &Cfg, fp: &FuncProfile, ctx: &CtxProfile) -> Vec<String> {
     let n = cfg.len();
-    if fp.block_counts.len() != n {
-        return false;
-    }
+    let mut out = Vec::new();
     let mut inflow = vec![0u64; n];
     let mut indeterminate = vec![false; n];
     inflow[0] = inflow[0].saturating_add(fp.enter_count);
-    for (bi, block) in cfg.blocks().iter().enumerate() {
-        let count = fp.block_counts[bi];
+    for (block, &count) in cfg.blocks().iter().zip(&fp.block_counts) {
         match (block.taken, block.fallthrough) {
             (Some(t), Some(ft)) => {
                 let at = block.end - 1;
-                let bc: BranchCount = ctx.aggregate_branch(fid, at);
+                let bc = ctx.aggregate_branch(fid, at);
                 if bc.total() == 0 {
+                    // No branch data: can't split this block's outflow.
                     if count > 0 {
                         indeterminate[t.index()] = true;
                         indeterminate[ft.index()] = true;
                     }
                 } else if bc.total() != count {
-                    return false;
+                    out.push(format!(
+                        "branch at instr {at} recorded {} outcomes but its block executed {count} times",
+                        bc.total()
+                    ));
+                    indeterminate[t.index()] = true;
+                    indeterminate[ft.index()] = true;
                 } else {
                     inflow[t.index()] = inflow[t.index()].saturating_add(bc.taken);
                     inflow[ft.index()] = inflow[ft.index()].saturating_add(bc.not_taken);
@@ -315,13 +320,21 @@ pub fn func_flow_consistent(fid: FuncId, func: &Func, fp: &FuncProfile, ctx: &Ct
             (None, None) => {}
         }
     }
-    (0..n).all(|b| indeterminate[b] || inflow[b] == fp.block_counts[b])
+    for (block, &count) in fp.block_counts.iter().enumerate().take(n) {
+        if !indeterminate[block] && inflow[block] != count {
+            out.push(format!(
+                "block {block} executed {count} times but flow in is {}",
+                inflow[block]
+            ));
+        }
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytecode::{BinOp, FuncBuilder, Instr, RepoBuilder};
+    use bytecode::{BinOp, Func, FuncBuilder, Instr, RepoBuilder};
 
     fn diamond() -> Func {
         // b0: cond -> b1 / b2; both join at b3.
@@ -372,7 +385,7 @@ mod tests {
         let by_at: std::collections::HashMap<u32, (u64, u64)> = sol
             .branches
             .iter()
-            .map(|&(at, t, nt)| (at, (t, nt)))
+            .map(|&(at, b)| (at, (b.taken, b.not_taken)))
             .collect();
         for (bi, b) in cfg.blocks().iter().enumerate() {
             match (b.taken, b.fallthrough) {
@@ -433,5 +446,34 @@ mod tests {
         let sol = infer_flow(&cfg, 0, &vec![None; cfg.len()]);
         assert!(sol.counts.iter().all(|&c| c == 0));
         assert!(sol.branches.is_empty());
+    }
+
+    #[test]
+    fn flow_violations_names_the_branch_and_the_blocks() {
+        let f = diamond();
+        let cfg = Cfg::build(&f);
+        let sol = infer_flow(&cfg, 100, &[None, Some(70), Some(30), None]);
+        let mut fp = FuncProfile::default();
+        (fp.enter_count, fp.block_counts) = (100, sol.counts);
+        let mut ctx = CtxProfile::default();
+        ctx.replace_branches(f.id, sol.branches);
+        let check = |fp: &FuncProfile| flow_violations(f.id, &cfg, fp, &ctx);
+        assert!(check(&fp).is_empty());
+        // A join block counted 5 extra times: only that block is flagged.
+        fp.block_counts[3] += 5;
+        assert_eq!(
+            check(&fp),
+            ["block 3 executed 105 times but flow in is 100"]
+        );
+        // An entry block that disagrees with its branch: the branch is
+        // flagged and both arms become indeterminate.
+        (fp.block_counts[3], fp.block_counts[0]) = (100, 101);
+        assert_eq!(
+            check(&fp),
+            [
+                "branch at instr 1 recorded 100 outcomes but its block executed 101 times",
+                "block 0 executed 101 times but flow in is 100",
+            ]
+        );
     }
 }

@@ -13,9 +13,9 @@
 //!
 //! * [`dataflow`] — a small reusable forward/backward dataflow framework
 //!   over [`bytecode::Cfg`] (join-semilattice states, worklist solver).
-//! * [`reach`], [`assign`], [`types`] — analyses built on it:
-//!   reachability / dead blocks, definite assignment of locals, and a
-//!   type-lattice abstract interpretation of the operand stack.
+//! * [`reach`], [`types`] — analyses built on it: reachability / dead
+//!   blocks, and a type-lattice abstract interpretation of the operand
+//!   stack.
 //! * [`callgraph`] — the whole-repo static call graph: which callees each
 //!   call site can possibly produce.
 //! * [`lint`] — the profile linter: checks a profile package against the
@@ -28,10 +28,10 @@
 //!   hash ladder: exact → opcode), infers flow-consistent counts for what
 //!   it matched, and prunes
 //!   instruction-indexed counters that no longer fit.
-//! * [`flow`] — the flow-conservation solver behind [`stale`]: turns the
-//!   lint's Kirchhoff *check* into count *inference* over partial matches.
+//! * [`flow`] — Kirchhoff flow conservation: the one check both [`lint`]
+//!   and [`stale`] run, and the solver behind [`stale`] that turns it into
+//!   count *inference* over partial matches.
 
-pub mod assign;
 pub mod callgraph;
 pub mod dataflow;
 pub mod fingerprint;
@@ -41,16 +41,15 @@ pub mod reach;
 pub mod stale;
 pub mod types;
 
-pub use assign::{use_before_assign, UseBeforeAssign};
 pub use callgraph::{CallGraph, CallSite, CallSiteKind};
 pub use dataflow::{solve, Analysis, DataflowResults, Direction, JoinSemiLattice};
 pub use fingerprint::chunk_fingerprint;
-pub use flow::{func_flow_consistent, infer_flow, FlowSolution};
+pub use flow::{flow_violations, infer_flow, FlowSolution};
 pub use lint::{
     is_own_layer_order, lint_profile, lint_profile_with, Diagnostic, LintOptions, LintReport,
     ProfileView, Rule, Severity,
 };
-pub use reach::{reachable_blocks, unreachable_blocks};
+pub use reach::reachable_blocks;
 pub use stale::{
     repair_profile, repair_profile_with, MatchMode, MatchStats, RepairOptions, RepairReport,
 };

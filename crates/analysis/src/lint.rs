@@ -23,6 +23,7 @@ use jit::{CtxProfile, FuncProfile, TierProfile, PARAM_SITE};
 use vm::ValueKind;
 
 use crate::callgraph::CallGraph;
+use crate::flow::flow_violations;
 use crate::reach::reachable_blocks;
 use crate::types::bin_operand_types;
 
@@ -170,11 +171,6 @@ impl LintReport {
             .iter()
             .filter(|d| d.severity == Severity::Error)
     }
-
-    /// The functions named by any error, deduplicated.
-    pub fn flagged_funcs(&self) -> HashSet<FuncId> {
-        self.errors().filter_map(|d| d.func).collect()
-    }
 }
 
 /// Lints a profile against a repo with default [`LintOptions`].
@@ -286,43 +282,40 @@ impl Linter<'_> {
             );
         }
 
-        // Call-target profiles: real call sites, possible callees.
-        for (&site, targets) in &fp.call_targets {
+        // Call-target profiles: real call sites, possible callees. A
+        // phantom site is reported once per callee; the report dedups it.
+        for &((site, callee), _) in fp.call_targets() {
             if !self.is_call_instr(fid, site) {
                 self.error(
                     Rule::PhantomSite,
                     Some(fid),
                     format!("call-target profile at instr {site}, which is not a call"),
                 );
-                continue;
-            }
-            for &callee in targets.keys() {
-                if !self.func_ok(callee) {
-                    self.error(
-                        Rule::DanglingId,
-                        Some(fid),
-                        format!(
-                            "call site {site} records dangling callee #{}",
-                            callee.index()
-                        ),
-                    );
-                } else if !self.graph.can_call(fid, site, callee) {
-                    self.error(
-                        Rule::ImpossibleCallArc,
-                        Some(fid),
-                        format!(
-                            "call site {site} records callee #{} that the site cannot dispatch to",
-                            callee.index()
-                        ),
-                    );
-                }
+            } else if !self.func_ok(callee) {
+                self.error(
+                    Rule::DanglingId,
+                    Some(fid),
+                    format!(
+                        "call site {site} records dangling callee #{}",
+                        callee.index()
+                    ),
+                );
+            } else if !self.graph.can_call(fid, site, callee) {
+                self.error(
+                    Rule::ImpossibleCallArc,
+                    Some(fid),
+                    format!(
+                        "call site {site} records callee #{} that the site cannot dispatch to",
+                        callee.index()
+                    ),
+                );
             }
         }
 
         // Type observations: parameter slots or binary-operator operands.
         let static_types =
             (self.opts.type_feasibility && !stale).then(|| bin_operand_types(func, &cfg));
-        for (&(at, slot), dist) in &fp.types {
+        for &((at, slot), ref dist) in fp.types() {
             if at == PARAM_SITE {
                 if slot as u16 >= func.params || slot >= 8 {
                     self.error(
@@ -363,7 +356,7 @@ impl Linter<'_> {
         }
 
         // Property-access profiles: real property instructions, live classes.
-        for (&site, classes) in &fp.prop_site_classes {
+        for &((site, class), _) in fp.prop_classes() {
             let is_prop = matches!(
                 func.code.get(site as usize),
                 Some(Instr::GetProp(_) | Instr::SetProp(_))
@@ -375,17 +368,15 @@ impl Linter<'_> {
                     format!("property profile at instr {site}, which is not a property access"),
                 );
             }
-            for &class in classes.keys() {
-                if !self.class_ok(class) {
-                    self.error(
-                        Rule::DanglingId,
-                        Some(fid),
-                        format!(
-                            "property site {site} records dangling class #{}",
-                            class.index()
-                        ),
-                    );
-                }
+            if !self.class_ok(class) {
+                self.error(
+                    Rule::DanglingId,
+                    Some(fid),
+                    format!(
+                        "property site {site} records dangling class #{}",
+                        class.index()
+                    ),
+                );
             }
         }
 
@@ -404,70 +395,14 @@ impl Linter<'_> {
         }
 
         if self.opts.flow_conservation && !stale {
-            self.check_flow(ctx, fid, fp, &cfg);
-        }
-    }
-
-    /// Kirchhoff check: each block's execution count must equal the flow
-    /// into it (function entries for b0, predecessor edge counts
-    /// elsewhere). Edge counts are derived from the context profile's
-    /// branch counters; blocks fed by a branch that was never recorded are
-    /// skipped as indeterminate rather than flagged.
-    fn check_flow(&mut self, ctx: &CtxProfile, fid: FuncId, fp: &FuncProfile, cfg: &Cfg) {
-        let n = cfg.len();
-        let mut inflow = vec![0u64; n];
-        let mut indeterminate = vec![false; n];
-        inflow[0] = inflow[0].saturating_add(fp.enter_count);
-        for (bi, block) in cfg.blocks().iter().enumerate() {
-            let count = fp.block_counts[bi];
-            match (block.taken, block.fallthrough) {
-                (Some(t), Some(ft)) => {
-                    let at = block.end - 1;
-                    let bc = ctx.aggregate_branch(fid, at);
-                    if bc.total() == 0 {
-                        // No branch data: can't split this block's outflow.
-                        if count > 0 {
-                            indeterminate[t.index()] = true;
-                            indeterminate[ft.index()] = true;
-                        }
-                    } else if bc.total() != count {
-                        self.error(
-                            Rule::FlowConservation,
-                            Some(fid),
-                            format!(
-                                "branch at instr {at} recorded {} outcomes but its block executed {count} times",
-                                bc.total()
-                            ),
-                        );
-                        indeterminate[t.index()] = true;
-                        indeterminate[ft.index()] = true;
-                    } else {
-                        inflow[t.index()] = inflow[t.index()].saturating_add(bc.taken);
-                        inflow[ft.index()] = inflow[ft.index()].saturating_add(bc.not_taken);
-                    }
-                }
-                (Some(s), None) | (None, Some(s)) => {
-                    inflow[s.index()] = inflow[s.index()].saturating_add(count);
-                }
-                (None, None) => {}
-            }
-        }
-        for b in 0..n {
-            if !indeterminate[b] && inflow[b] != fp.block_counts[b] {
-                self.error(
-                    Rule::FlowConservation,
-                    Some(fid),
-                    format!(
-                        "block {b} executed {} times but flow in is {}",
-                        fp.block_counts[b], inflow[b]
-                    ),
-                );
+            for message in flow_violations(fid, &cfg, fp, ctx) {
+                self.error(Rule::FlowConservation, Some(fid), message);
             }
         }
     }
 
     fn lint_ctx(&mut self, ctx: &CtxProfile) {
-        for &(ictx, fid, at) in ctx.branches.keys() {
+        for &((fid, at, ictx), _) in ctx.branches() {
             if !self.func_ok(fid) {
                 self.error(
                     Rule::DanglingId,
@@ -489,7 +424,7 @@ impl Linter<'_> {
             }
             self.lint_inline_ctx(ictx);
         }
-        for &(ictx, callee) in ctx.entries.keys() {
+        for &((callee, ictx), _) in ctx.entries() {
             if !self.func_ok(callee) {
                 self.error(
                     Rule::DanglingId,
@@ -767,11 +702,8 @@ mod tests {
         let (mut tier, ctx) = collect(&repo, 10);
         let f = repo.func_by_name("f").unwrap().id;
         let fp = tier.funcs.get_mut(&f).unwrap();
-        let site = *fp.call_targets.keys().next().unwrap();
-        fp.call_targets
-            .get_mut(&site)
-            .unwrap()
-            .insert(FuncId::new(777), 3);
+        let site = fp.call_targets()[0].0 .0;
+        fp.record_call(site, FuncId::new(777), 3);
         let report = lint_profile(&repo, &view(&tier, &ctx));
         assert!(report
             .errors()
@@ -784,9 +716,9 @@ mod tests {
         let (mut tier, ctx) = collect(&repo, 10);
         let f = repo.func_by_name("f").unwrap().id;
         let fp = tier.funcs.get_mut(&f).unwrap();
-        let site = *fp.call_targets.keys().next().unwrap();
+        let site = fp.call_targets()[0].0 .0;
         // f itself is a real function, but the site statically calls g.
-        fp.call_targets.get_mut(&site).unwrap().insert(f, 3);
+        fp.record_call(site, f, 3);
         let report = lint_profile(&repo, &view(&tier, &ctx));
         assert!(report.errors().any(|d| d.rule == Rule::ImpossibleCallArc));
     }
@@ -858,9 +790,11 @@ mod tests {
         let (tier, mut ctx) = collect(&repo, 10);
         let f = repo.func_by_name("f").unwrap().id;
         // Instr 0 of f is Int(0), not a conditional branch.
-        ctx.branches.insert(
-            (None, f, 0),
-            jit::BranchCount {
+        ctx.record_branch(
+            None,
+            f,
+            0,
+            &jit::BranchCount {
                 taken: 1,
                 not_taken: 1,
             },
@@ -883,10 +817,9 @@ mod tests {
         let f = repo.func_by_name("f").unwrap().id;
         let fp = tier.funcs.get_mut(&f).unwrap();
         // The Mod at instr 8 sees only ints statically (i and the literal 2).
-        fp.types
-            .entry((8, 1))
-            .or_default()
-            .add_raw(ValueKind::Str, 4);
+        let mut strs = jit::TypeDist::default();
+        strs.add_raw(ValueKind::Str, 4);
+        fp.record_types(8, 1, &strs);
         let report = lint_profile(&repo, &view(&tier, &ctx));
         assert!(report
             .diagnostics
@@ -930,12 +863,10 @@ mod tests {
         let fid = b.define_func(u, f);
         let repo = b.finish();
         let cfg = Cfg::build(repo.func(fid));
-        let mut fp = FuncProfile {
-            enter_count: 1,
-            block_counts: vec![0; cfg.len()],
-            block_hashes: cfg.block_hashes(repo.func(fid), &repo),
-            ..Default::default()
-        };
+        let mut fp = FuncProfile::default();
+        fp.enter_count = 1;
+        fp.block_counts = vec![0; cfg.len()];
+        fp.block_hashes = cfg.block_hashes(repo.func(fid), &repo);
         fp.block_counts[0] = 1;
         fp.block_counts[1] = 7; // the dead block
         fp.block_counts[cfg.len() - 1] = 1;
@@ -959,8 +890,7 @@ mod tests {
         let (mut tier, mut ctx) = collect(&repo, 10);
         let f = repo.func_by_name("f").unwrap().id;
         tier.funcs.get_mut(&f).unwrap().block_counts[1] += 1;
-        ctx.branches
-            .insert((None, FuncId::new(500), 0), Default::default());
+        ctx.record_branch(None, FuncId::new(500), 0, &Default::default());
         let report = lint_profile(&repo, &view(&tier, &ctx));
         assert!(!report.is_clean());
         // Errors come before warnings, and Display is stable.

@@ -47,16 +47,6 @@ pub fn reachable_blocks(cfg: &Cfg) -> Vec<bool> {
         .collect()
 }
 
-/// The blocks no execution can reach — dead code.
-pub fn unreachable_blocks(cfg: &Cfg) -> Vec<BlockId> {
-    reachable_blocks(cfg)
-        .iter()
-        .enumerate()
-        .filter(|(_, &r)| !r)
-        .map(|(i, _)| BlockId(i as u32))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,7 +76,6 @@ mod tests {
         ]);
         let cfg = Cfg::build(&f);
         assert!(reachable_blocks(&cfg).iter().all(|&r| r));
-        assert!(unreachable_blocks(&cfg).is_empty());
     }
 
     #[test]
@@ -98,7 +87,7 @@ mod tests {
             Instr::Ret,    // 3 b2 — NB: needs one stack value
         ]);
         let cfg = Cfg::build(&f);
-        assert_eq!(unreachable_blocks(&cfg), vec![BlockId(1)]);
+        assert_eq!(reachable_blocks(&cfg), vec![true, false, true]);
     }
 
     #[test]

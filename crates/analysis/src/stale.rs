@@ -34,10 +34,10 @@
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
 use bytecode::{Cfg, Fnv, FuncId, Instr, Repo};
-use jit::{BranchCount, CtxProfile, FuncProfile, TierProfile, PARAM_SITE};
+use jit::{CtxProfile, FuncProfile, TierProfile, PARAM_SITE};
 
 use crate::callgraph::CallGraph;
-use crate::flow::{func_flow_consistent, infer_flow};
+use crate::flow::{flow_violations, infer_flow};
 
 /// Minimum fraction of a function's counter mass that must land on
 /// hash-matched blocks for the repair to be trusted.
@@ -263,7 +263,8 @@ pub fn repair_profile_with(
                 fp.block_counts = sol.counts;
                 fp.block_hashes = cur_exact;
                 refresh_signatures(repo, fid, fp, &cfg);
-                report.stats.branches_synthesized += replace_branches(ctx, fid, &sol.branches);
+                report.stats.branches_synthesized += sol.branches.len() as u64;
+                ctx.replace_branches(fid, sol.branches);
                 report.repaired.push(fid);
             }
         }
@@ -293,15 +294,15 @@ pub fn repair_profile_with(
                 continue; // consistent by construction
             }
             let fp = tier.funcs.get_mut(&fid).expect("present");
-            let func = repo.func(fid);
-            if func_flow_consistent(fid, func, fp, ctx) {
+            let cfg = Cfg::build(repo.func(fid));
+            if flow_violations(fid, &cfg, fp, ctx).is_empty() {
                 continue;
             }
-            let cfg = Cfg::build(func);
             let hints: Vec<Option<u64>> = fp.block_counts.iter().map(|&c| Some(c)).collect();
             let sol = infer_flow(&cfg, fp.enter_count, &hints);
             fp.block_counts = sol.counts;
-            report.stats.branches_synthesized += replace_branches(ctx, fid, &sol.branches);
+            report.stats.branches_synthesized += sol.branches.len() as u64;
+            ctx.replace_branches(fid, sol.branches);
             report.stats.funcs_rebalanced += 1;
             report.repaired.push(fid);
         }
@@ -402,46 +403,20 @@ fn resolve_identities(
     }
     report.dropped.sort_by_key(|f| f.index());
 
+    // `claimed` keeps the renaming one-to-one: no two profiles share an id.
     let moved: HashMap<FuncId, FuncId> = resolved.iter().copied().filter(|(o, n)| o != n).collect();
-    let resolved_old: HashSet<FuncId> = resolved.iter().map(|&(o, _)| o).collect();
-    let mut funcs = std::mem::take(&mut tier.funcs);
-    funcs.retain(|f, _| resolved_old.contains(f));
-    if !moved.is_empty() {
-        let map = |f: FuncId| moved.get(&f).copied().unwrap_or(f);
-        let mut rekeyed: HashMap<FuncId, FuncProfile> = HashMap::with_capacity(funcs.len());
-        for (old, mut fp) in funcs.drain() {
-            for targets in fp.call_targets.values_mut() {
-                let mut new_targets: HashMap<FuncId, u64> = HashMap::with_capacity(targets.len());
-                for (callee, c) in targets.drain() {
-                    *new_targets.entry(map(callee)).or_insert(0) += c;
-                }
-                *targets = new_targets;
-            }
-            match rekeyed.entry(map(old)) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(fp);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().merge(&fp),
-            }
+    let map = |f: FuncId| moved.get(&f).copied().unwrap_or(f);
+    let mut old = std::mem::take(&mut tier.funcs);
+    for (fid, new) in resolved {
+        let mut fp = old.remove(&fid).expect("resolved from the tier");
+        if !moved.is_empty() {
+            fp.remap_callees(map);
         }
-        funcs = rekeyed;
-
-        let map_ictx = |ictx: jit::InlineCtx| ictx.map(|(caller, site)| (map(caller), site));
-        let mut branches: HashMap<_, BranchCount> = HashMap::with_capacity(ctx.branches.len());
-        for ((ictx, f, at), bc) in ctx.branches.drain() {
-            branches
-                .entry((map_ictx(ictx), map(f), at))
-                .or_default()
-                .merge(&bc);
-        }
-        ctx.branches = branches;
-        let mut entries: HashMap<_, u64> = HashMap::with_capacity(ctx.entries.len());
-        for ((ictx, callee), c) in ctx.entries.drain() {
-            *entries.entry((map_ictx(ictx), map(callee))).or_insert(0) += c;
-        }
-        ctx.entries = entries;
+        tier.funcs.insert(new, fp);
     }
-    tier.funcs = funcs;
+    if !moved.is_empty() {
+        ctx.remap_funcs(map);
+    }
 }
 
 /// Refreshes a repaired profile's stored signatures to the current build.
@@ -451,68 +426,32 @@ fn refresh_signatures(repo: &Repo, fid: FuncId, fp: &mut FuncProfile, cfg: &Cfg)
     fp.block_opcode_hashes = cfg.block_opcode_hashes(func);
 }
 
-/// Drops every branch counter of `fid` and installs the synthesized
-/// splits; returns how many were installed.
-fn replace_branches(ctx: &mut CtxProfile, fid: FuncId, branches: &[(u32, u64, u64)]) -> u64 {
-    ctx.branches.retain(|&(_, f, _), _| f != fid);
-    for &(at, taken, not_taken) in branches {
-        ctx.branches
-            .insert((None, fid, at), BranchCount { taken, not_taken });
-    }
-    branches.len() as u64
-}
-
 /// Drops instruction-indexed entries of one function profile whose
 /// profile point doesn't exist in the current code. Returns how many.
 fn prune_func_profile(repo: &Repo, graph: &CallGraph, fid: FuncId, fp: &mut FuncProfile) -> usize {
     let func = repo.func(fid);
     let func_count = repo.funcs().len();
     let class_count = repo.classes().len();
-    let mut pruned = 0;
+    let instr = |at: u32| func.code.get(at as usize);
 
-    let is_call = |at: u32| {
+    let mut pruned = fp.retain_call_targets(|site, callee| {
         matches!(
-            func.code.get(at as usize),
+            instr(site),
             Some(Instr::Call { .. } | Instr::CallMethod { .. })
-        )
-    };
-    fp.call_targets.retain(|&site, targets| {
-        if !is_call(site) {
-            pruned += 1;
-            return false;
-        }
-        let before = targets.len();
-        targets
-            .retain(|&callee, _| callee.index() < func_count && graph.can_call(fid, site, callee));
-        pruned += before - targets.len();
-        !targets.is_empty()
+        ) && callee.index() < func_count
+            && graph.can_call(fid, site, callee)
     });
-
-    let before = fp.types.len();
-    fp.types.retain(|&(at, slot), _| {
+    pruned += fp.retain_types(|at, slot| {
         if at == PARAM_SITE {
             (slot as u16) < func.params && slot < 8
         } else {
-            slot <= 1 && matches!(func.code.get(at as usize), Some(Instr::Bin(_)))
+            slot <= 1 && matches!(instr(at), Some(Instr::Bin(_)))
         }
     });
-    pruned += before - fp.types.len();
-
-    fp.prop_site_classes.retain(|&site, classes| {
-        let ok = matches!(
-            func.code.get(site as usize),
-            Some(Instr::GetProp(_) | Instr::SetProp(_))
-        );
-        if !ok {
-            pruned += 1;
-            return false;
-        }
-        let before = classes.len();
-        classes.retain(|c, _| c.index() < class_count);
-        pruned += before - classes.len();
-        !classes.is_empty()
+    pruned += fp.retain_prop_classes(|site, class| {
+        matches!(instr(site), Some(Instr::GetProp(_) | Instr::SetProp(_)))
+            && class.index() < class_count
     });
-
     pruned
 }
 
@@ -530,7 +469,7 @@ fn prune_prop_tables(repo: &Repo, tier: &mut TierProfile) -> usize {
 
 fn prune_ctx(repo: &Repo, graph: &CallGraph, ctx: &mut CtxProfile) -> usize {
     let func_count = repo.funcs().len();
-    let ctx_ok = |ictx: &jit::InlineCtx| match *ictx {
+    let ctx_ok = |ictx: jit::InlineCtx| match ictx {
         None => true,
         Some((caller, site)) => {
             caller.index() < func_count
@@ -540,8 +479,7 @@ fn prune_ctx(repo: &Repo, graph: &CallGraph, ctx: &mut CtxProfile) -> usize {
                 )
         }
     };
-    let before = ctx.branches.len() + ctx.entries.len();
-    ctx.branches.retain(|&(ref ictx, f, at), _| {
+    let pruned = ctx.retain_branches(|ictx, f, at| {
         ctx_ok(ictx)
             && f.index() < func_count
             && matches!(
@@ -549,16 +487,16 @@ fn prune_ctx(repo: &Repo, graph: &CallGraph, ctx: &mut CtxProfile) -> usize {
                 Some(Instr::JmpZ(_) | Instr::JmpNZ(_))
             )
     });
-    ctx.entries.retain(|&(ref ictx, callee), _| {
-        if callee.index() >= func_count || !ctx_ok(ictx) {
-            return false;
-        }
-        match *ictx {
-            None => true,
-            Some((caller, site)) => graph.can_call(caller, site, callee),
-        }
-    });
-    before - (ctx.branches.len() + ctx.entries.len())
+    pruned
+        + ctx.retain_entries(|ictx, callee| {
+            if callee.index() >= func_count || !ctx_ok(ictx) {
+                return false;
+            }
+            match ictx {
+                None => true,
+                Some((caller, site)) => graph.can_call(caller, site, callee),
+            }
+        })
 }
 
 #[cfg(test)]
@@ -795,10 +733,8 @@ mod tests {
     fn dangling_functions_are_dropped() {
         let repo = build_repo(false);
         let (mut tier, mut ctx) = collect(&repo, 5);
-        let phantom = FuncProfile {
-            block_counts: vec![4, 2, 1],
-            ..FuncProfile::default()
-        };
+        let mut phantom = FuncProfile::default();
+        phantom.block_counts = vec![4, 2, 1];
         tier.funcs.insert(FuncId::new(1000), phantom);
         let report = repair_profile(&repo, &mut tier, &mut ctx);
         assert_eq!(report.dropped, vec![FuncId::new(1000)]);
@@ -816,15 +752,15 @@ mod tests {
         let fp = tier.funcs.get_mut(&f).unwrap();
         // Call-target data on a non-call instruction, type data past the
         // end of the function, branch data on a non-branch.
-        fp.call_targets.insert(0, [(f, 3)].into_iter().collect());
-        fp.types.insert((9999, 0), Default::default());
-        ctx.branches.insert((None, f, 0), Default::default());
+        fp.record_call(0, f, 3);
+        fp.record_types(9999, 0, &Default::default());
+        ctx.record_branch(None, f, 0, &Default::default());
         let report = repair_profile(&repo, &mut tier, &mut ctx);
         assert!(report.pruned >= 3, "got {report:?}");
         let fp = &tier.funcs[&f];
-        assert!(!fp.call_targets.contains_key(&0));
-        assert!(!fp.types.contains_key(&(9999, 0)));
-        assert!(!ctx.branches.contains_key(&(None, f, 0)));
+        assert!(fp.call_targets_at(0).is_empty());
+        assert!(fp.type_dist(9999, 0).is_none());
+        assert!(!ctx.branches().iter().any(|&(k, _)| k == (f, 0, None)));
     }
 
     #[test]
@@ -841,15 +777,13 @@ mod tests {
             .position(|i| matches!(i, Instr::Call { .. }))
             .unwrap() as u32;
         // Claim the site also dispatched to f — statically impossible.
-        ctx.entries.insert((Some((f, site)), f), 7);
-        let valid_before = ctx.entries.contains_key(&(Some((f, site)), g));
+        ctx.record_entry(Some((f, site)), f, 7);
+        let valid_before = ctx.entry_count(Some((f, site)), g);
+        assert!(valid_before > 0);
         let report = repair_profile(&repo, &mut tier, &mut ctx);
         assert!(report.pruned >= 1, "got {report:?}");
-        assert!(!ctx.entries.contains_key(&(Some((f, site)), f)));
+        assert_eq!(ctx.entry_count(Some((f, site)), f), 0);
         // The genuine arc survives.
-        assert_eq!(
-            ctx.entries.contains_key(&(Some((f, site)), g)),
-            valid_before
-        );
+        assert_eq!(ctx.entry_count(Some((f, site)), g), valid_before);
     }
 }

@@ -118,7 +118,7 @@ fn main() {
     println!(
         "linting fresh package: {} funcs profiled, {} ctx branches, {} units",
         pkg.tier.profiled_count(),
-        pkg.ctx.branches.len(),
+        pkg.ctx.branches().len(),
         pkg.preload.unit_order.len()
     );
     let report = lint_profile(&lab.app.repo, &view(&pkg));

@@ -1,7 +1,7 @@
-//! Shared experiment plumbing for the benchmark harness and the `figures`
-//! binary: one place that builds the bench-scale application, ground-truth
-//! profiles and calibrated warmup parameters, so Criterion benches and the
-//! figure regenerator measure exactly the same setups.
+//! Shared experiment plumbing for the `figures` and `js*` binaries: one
+//! place that builds the bench-scale application, ground-truth profiles and
+//! calibrated warmup parameters, so every regenerator measures exactly the
+//! same setups.
 
 use fleet::{build_app_model, AppModel, WarmupParams};
 use jumpstart::{build_package, JumpStartOptions, ProfilePackage, SeederInputs};

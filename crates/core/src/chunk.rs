@@ -345,12 +345,7 @@ impl Manifest {
                     }
                     // Function records are canonical: strictly ascending
                     // FuncId, so a duplicated function is corruption.
-                    if last_func.is_some_and(|prev| prev >= func) {
-                        return Err(WireError::Corrupt(format!(
-                            "function chunks out of order at {func:?}"
-                        )));
-                    }
-                    last_func = Some(func);
+                    package::ascending(&mut last_func, func, "function chunk")?;
                     ChunkKind::Func {
                         func,
                         heat,
@@ -460,11 +455,7 @@ pub fn chunk_package(pkg: &ProfilePackage, repo_funcs: usize) -> ChunkedPackage 
     let mut rank: Vec<(u64, FuncId, u32)> = Vec::with_capacity(funcs.len());
     for (f, p) in funcs {
         let heat: u64 = p.block_counts.iter().sum();
-        let mut callees: Vec<FuncId> = p
-            .call_targets
-            .values()
-            .flat_map(|targets| targets.keys().copied())
-            .collect();
+        let mut callees: Vec<FuncId> = p.call_targets().iter().map(|&((_, f), _)| f).collect();
         callees.sort_unstable();
         callees.dedup();
         // Entry index of this function chunk: head + funcs pushed so far.
@@ -1066,9 +1057,7 @@ mod tests {
             .iter()
             .map(|(f, p)| {
                 let mut p = p.clone();
-                for targets in p.call_targets.values_mut() {
-                    *targets = targets.iter().map(|(f2, c)| (shift(*f2), *c)).collect();
-                }
+                p.remap_callees(shift);
                 (shift(*f), p)
             })
             .collect();

@@ -148,11 +148,6 @@ impl ProfilePackage {
         decode_payload(&mut Reader::new_shared(&unseal_shared(data)?))
     }
 
-    /// Exact serialized size in bytes without serializing.
-    pub fn approx_size(&self) -> usize {
-        self.encoded_len() + ENVELOPE_LEN
-    }
-
     /// The profile as the static linter sees it.
     pub(crate) fn view(&self) -> analysis::ProfileView<'_> {
         analysis::ProfileView {
@@ -473,20 +468,19 @@ pub(crate) fn func_record_len(p: &FuncProfile, refs: &HashRefs) -> usize {
     len += 4 + 8 * p.block_counts.len();
     len += 4 + 8 * p.block_hashes.len();
     len += 4 + 8 * p.block_opcode_hashes.len();
-    len += 4;
-    for targets in p.call_targets.values() {
-        len += 4 + 4; // site, target count
-        for f2 in targets.keys() {
-            // tag + (name hash | raw id) + count
-            len += 1 + if refs.hash_of(*f2).is_some() { 8 } else { 4 } + 8;
-        }
+    len += 4 + (4 + 4) * p.call_targets().chunk_by(same_site).count(); // site, target count
+    for &((_, f2), _) in p.call_targets() {
+        // tag + (name hash | raw id) + count
+        len += 1 + if refs.hash_of(f2).is_some() { 8 } else { 4 } + 8;
     }
-    len += 4 + (4 + 1 + 8 * ValueKind::ALL.len()) * p.types.len();
-    len += 4;
-    for classes in p.prop_site_classes.values() {
-        len += 4 + 4 + (4 + 8) * classes.len();
-    }
-    len
+    len += 4 + (4 + 1 + 8 * ValueKind::ALL.len()) * p.types().len();
+    len += 4 + (4 + 4) * p.prop_classes().chunk_by(same_site).count();
+    len + (4 + 8) * p.prop_classes().len()
+}
+
+/// Whether two `((site, _), count)` entries belong to one site's run.
+fn same_site<T>(a: &((u32, T), u64), b: &((u32, T), u64)) -> bool {
+    a.0 .0 == b.0 .0
 }
 
 /// Exact encoded size of the ctx-profile section, mirroring
@@ -499,11 +493,11 @@ fn ctx_encoded_len(ctx: &CtxProfile) -> usize {
         }
     }
     let mut len = 4;
-    for (ictx, _, _) in ctx.branches.keys() {
+    for ((_, _, ictx), _) in ctx.branches() {
         len += ictx_len(ictx) + 4 + 4 + 8 + 8;
     }
     len += 4;
-    for (ictx, _) in ctx.entries.keys() {
+    for ((_, ictx), _) in ctx.entries() {
         len += ictx_len(ictx) + 4 + 8;
     }
     len
@@ -526,24 +520,22 @@ pub(crate) fn write_func_record(w: &mut Writer, p: &FuncProfile, refs: &HashRefs
             w.u64(x);
         }
     }
-    let mut sites: Vec<_> = p.call_targets.iter().collect();
-    sites.sort_by_key(|(s, _)| **s);
-    w.seq(sites.len());
-    for (s, targets) in sites {
-        w.u32(*s);
+    let sites = p.call_targets().chunk_by(same_site);
+    w.seq(sites.clone().count());
+    let mut refs_of_site: Vec<(u8, u64, u64)> = Vec::new();
+    for run in sites {
+        w.u32(run[0].0 .0);
         // Hash-keyed refs first (sorted by hash), raw-id fallbacks after
         // (sorted by id) — a deterministic order that does not depend on
         // the release's FuncId numbering.
-        let mut ts: Vec<(u8, u64, u64)> = targets
-            .iter()
-            .map(|(f2, c)| match refs.hash_of(*f2) {
-                Some(h) => (0u8, h, *c),
-                None => (1u8, f2.0 as u64, *c),
-            })
-            .collect();
-        ts.sort_unstable();
-        w.seq(ts.len());
-        for (tag, key, c) in ts {
+        refs_of_site.clear();
+        refs_of_site.extend(run.iter().map(|&((_, f2), c)| match refs.hash_of(f2) {
+            Some(h) => (0u8, h, c),
+            None => (1u8, f2.0 as u64, c),
+        }));
+        refs_of_site.sort_unstable();
+        w.seq(refs_of_site.len());
+        for &(tag, key, c) in &refs_of_site {
             w.u8(tag);
             match tag {
                 0 => w.u64(key),
@@ -552,29 +544,41 @@ pub(crate) fn write_func_record(w: &mut Writer, p: &FuncProfile, refs: &HashRefs
             w.u64(c);
         }
     }
-    let mut types: Vec<_> = p.types.iter().collect();
-    types.sort_by_key(|((at, slot), _)| (*at, *slot));
-    w.seq(types.len());
-    for ((at, slot), dist) in types {
+    w.seq(p.types().len());
+    for ((at, slot), dist) in p.types() {
         w.u32(*at);
         w.u8(*slot);
         for &c in dist.counts() {
             w.u64(c);
         }
     }
-    let mut props: Vec<_> = p.prop_site_classes.iter().collect();
-    props.sort_by_key(|(at, _)| **at);
-    w.seq(props.len());
-    for (at, classes) in props {
-        w.u32(*at);
-        let mut cs: Vec<_> = classes.iter().collect();
-        cs.sort_by_key(|(c, _)| **c);
-        w.seq(cs.len());
-        for (c, n) in cs {
+    let sites = p.prop_classes().chunk_by(same_site);
+    w.seq(sites.clone().count());
+    for run in sites {
+        w.u32(run[0].0 .0);
+        w.seq(run.len());
+        for ((_, c), n) in run {
             w.u32(c.0);
             w.u64(*n);
         }
     }
+}
+
+/// Requires `key` to follow `prev` strictly and makes it the new `prev`:
+/// the decoder accepts each keyed table only in the order the encoder
+/// writes it, so a duplicate key cannot silently overwrite another.
+pub(crate) fn ascending<K: Ord + Copy + std::fmt::Debug>(
+    prev: &mut Option<K>,
+    key: K,
+    what: &str,
+) -> Result<(), WireError> {
+    if prev.is_some_and(|p| p >= key) {
+        return Err(WireError::Corrupt(format!(
+            "{what} key {key:?} repeats or is out of order"
+        )));
+    }
+    *prev = Some(key);
+    Ok(())
 }
 
 /// Reads one function's tier-profile record back, resolving
@@ -585,11 +589,9 @@ pub(crate) fn read_func_record(
     r: &mut Reader<'_>,
     dir: &FuncDirectory,
 ) -> Result<FuncProfile, WireError> {
-    let mut p = FuncProfile {
-        enter_count: r.u64()?,
-        name_hash: r.u64()?,
-        ..Default::default()
-    };
+    let mut p = FuncProfile::default();
+    p.enter_count = r.u64()?;
+    p.name_hash = r.u64()?;
     for v in [
         &mut p.block_counts,
         &mut p.block_hashes,
@@ -602,65 +604,84 @@ pub(crate) fn read_func_record(
         }
     }
     let ns = r.seq()?;
+    p.reserve(ns.min(1 << 16), 0, 0);
+    let mut prev_site = None;
     for _ in 0..ns {
         let site = r.u32()?;
+        ascending(&mut prev_site, site, "call site")?;
         let nt = r.seq()?;
-        let mut targets = HashMap::with_capacity(nt.min(1 << 10));
+        let mut prev_ref = None;
         for _ in 0..nt {
-            let callee = match r.u8()? {
-                0 => {
-                    let h = r.u64()?;
-                    dir.resolve(h).ok_or_else(|| {
-                        WireError::Corrupt(format!("unresolvable callee hash {h:#018x}"))
-                    })?
-                }
-                1 => FuncId(r.u32()?),
+            let tag = r.u8()?;
+            let key = match tag {
+                0 => r.u64()?,
+                1 => u64::from(r.u32()?),
                 t => return Err(WireError::Corrupt(format!("callee ref tag {t}"))),
             };
-            targets.insert(callee, r.u64()?);
+            ascending(&mut prev_ref, (tag, key), "call target")?;
+            let callee = match tag {
+                0 => dir.resolve(key).ok_or_else(|| {
+                    WireError::Corrupt(format!("unresolvable callee hash {key:#018x}"))
+                })?,
+                _ => FuncId(key as u32),
+            };
+            p.record_call(site, callee, r.u64()?);
         }
-        p.call_targets.insert(site, targets);
+        if nt == 0 || p.call_targets_at(site).len() != nt {
+            return Err(WireError::Corrupt(format!(
+                "call site {site} is empty or names one callee twice"
+            )));
+        }
     }
     let ny = r.seq()?;
+    p.reserve(0, ny.min(1 << 16), 0);
+    let mut prev_type = None;
     for _ in 0..ny {
         let at = r.u32()?;
         let slot = r.u8()?;
+        ascending(&mut prev_type, (at, slot), "type site")?;
         let mut dist = TypeDist::default();
         for kind in ValueKind::ALL {
-            let c = r.u64()?;
-            dist.add_raw(kind, c);
+            dist.add_raw(kind, r.u64()?);
         }
-        p.types.insert((at, slot), dist);
+        p.record_types(at, slot, &dist);
     }
     let np = r.seq()?;
+    p.reserve(0, 0, np.min(1 << 16));
+    let mut prev_site = None;
     for _ in 0..np {
         let at = r.u32()?;
-        let nc = r.seq()?;
-        let mut classes = HashMap::with_capacity(nc.min(1 << 10));
-        for _ in 0..nc {
+        ascending(&mut prev_site, at, "property site")?;
+        let mut prev_class = None;
+        for _ in 0..r.seq()? {
             let c = ClassId(r.u32()?);
-            classes.insert(c, r.u64()?);
+            ascending(&mut prev_class, c, "receiver class")?;
+            p.record_prop_class(at, c, r.u64()?);
         }
-        p.prop_site_classes.insert(at, classes);
+        if prev_class.is_none() {
+            return Err(WireError::Corrupt(format!("property site {at} is empty")));
+        }
     }
     Ok(p)
 }
 
+/// Writes the ctx profile in the wire's `(context, function, instr)`
+/// order.
 fn write_ctx(w: &mut Writer, ctx: &CtxProfile) {
-    let mut branches: Vec<_> = ctx.branches.iter().collect();
-    branches.sort_by_key(|(k, _)| **k);
+    let mut branches: Vec<_> = ctx.branches().iter().collect();
+    branches.sort_unstable_by_key(|((f, at, ictx), _)| (*ictx, *f, *at));
     w.seq(branches.len());
-    for ((ictx, f, at), b) in branches {
+    for ((f, at, ictx), b) in branches {
         write_inline_ctx(w, *ictx);
         w.u32(f.0);
         w.u32(*at);
         w.u64(b.taken);
         w.u64(b.not_taken);
     }
-    let mut entries: Vec<_> = ctx.entries.iter().collect();
-    entries.sort_by_key(|(k, _)| **k);
+    let mut entries: Vec<_> = ctx.entries().iter().collect();
+    entries.sort_unstable_by_key(|((f, ictx), _)| (*ictx, *f));
     w.seq(entries.len());
-    for ((ictx, f), n) in entries {
+    for ((f, ictx), n) in entries {
         write_inline_ctx(w, *ictx);
         w.u32(f.0);
         w.u64(*n);
@@ -668,25 +689,30 @@ fn write_ctx(w: &mut Writer, ctx: &CtxProfile) {
 }
 
 fn read_ctx(r: &mut Reader<'_>) -> Result<CtxProfile, WireError> {
-    let mut ctx = CtxProfile::default();
     let n = r.seq()?;
+    let mut branches = Vec::with_capacity(n.min(1 << 20));
+    let mut prev = None;
     for _ in 0..n {
         let ictx = read_inline_ctx(r)?;
         let f = FuncId(r.u32()?);
         let at = r.u32()?;
+        ascending(&mut prev, (ictx, f, at), "branch")?;
         let b = BranchCount {
             taken: r.u64()?,
             not_taken: r.u64()?,
         };
-        ctx.branches.insert((ictx, f, at), b);
+        branches.push(((f, at, ictx), b));
     }
     let n = r.seq()?;
+    let mut entries = Vec::with_capacity(n.min(1 << 20));
+    let mut prev = None;
     for _ in 0..n {
         let ictx = read_inline_ctx(r)?;
         let f = FuncId(r.u32()?);
-        ctx.entries.insert((ictx, f), r.u64()?);
+        ascending(&mut prev, (ictx, f), "entry")?;
+        entries.push(((f, ictx), r.u64()?));
     }
-    Ok(ctx)
+    Ok(CtxProfile::from_counts(branches, entries))
 }
 
 fn write_inline_ctx(w: &mut Writer, ctx: InlineCtx) {
@@ -784,7 +810,6 @@ mod tests {
         for pkg in [sample_package(), ProfilePackage::default()] {
             let bytes = pkg.serialize();
             assert_eq!(bytes.len(), pkg.encoded_len() + ENVELOPE_LEN);
-            assert_eq!(pkg.approx_size(), bytes.len());
             // Stability: round-tripping must not change the encoded size.
             let back = ProfilePackage::deserialize(&bytes).unwrap();
             assert_eq!(back.encoded_len(), pkg.encoded_len());
@@ -805,11 +830,9 @@ mod tests {
         // A collector-built profile, and a hand-built one with no opcode
         // hashes.
         let full = pkg.tier.funcs[&pkg.func_order[0]].clone();
-        assert!(!full.block_opcode_hashes.is_empty() && !full.call_targets.is_empty());
-        let bare = FuncProfile {
-            block_opcode_hashes: Vec::new(),
-            ..full.clone()
-        };
+        assert!(!full.block_opcode_hashes.is_empty() && !full.call_targets().is_empty());
+        let mut bare = full.clone();
+        bare.block_opcode_hashes.clear();
         for p in [full, bare] {
             let mut w = Writer::new();
             write_func_record(&mut w, &p, &refs);
@@ -906,9 +929,7 @@ mod tests {
             .iter()
             .map(|(f, p)| {
                 let mut p = p.clone();
-                for targets in p.call_targets.values_mut() {
-                    *targets = targets.iter().map(|(f2, c)| (shift(*f2), *c)).collect();
-                }
+                p.remap_callees(shift);
                 (shift(*f), p)
             })
             .collect();
@@ -939,5 +960,124 @@ mod tests {
             records_a, records_b,
             "renumbering FuncIds must not change one record byte"
         );
+    }
+
+    /// Record bytes with no blocks: call sites `(site, [(ref tag, key)])`,
+    /// type sites `(instr, slot)` and property sites `(site, [class])`,
+    /// each written in the order given.
+    fn raw_record(
+        calls: &[(u32, &[(u8, u64)])],
+        types: &[(u32, u8)],
+        props: &[(u32, &[u32])],
+    ) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u64(1);
+        w.u64(0);
+        for n in [0, 0, 0, calls.len()] {
+            w.seq(n);
+        }
+        for &(site, refs) in calls {
+            w.u32(site);
+            w.seq(refs.len());
+            for &(tag, key) in refs {
+                w.u8(tag);
+                match tag {
+                    0 => w.u64(key),
+                    _ => w.u32(key as u32),
+                }
+                w.u64(1);
+            }
+        }
+        w.seq(types.len());
+        for &(at, slot) in types {
+            w.u32(at);
+            w.u8(slot);
+            for _ in ValueKind::ALL {
+                w.u64(1);
+            }
+        }
+        w.seq(props.len());
+        for &(site, classes) in props {
+            w.u32(site);
+            w.seq(classes.len());
+            for &c in classes {
+                w.u32(c);
+                w.u64(1);
+            }
+        }
+        w.finish().to_vec()
+    }
+
+    /// Ctx bytes: branches `(context, func, instr)` and entries
+    /// `(context, func)`, each written in the order given.
+    fn raw_ctx(branches: &[(InlineCtx, u32, u32)], entries: &[(InlineCtx, u32)]) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.seq(branches.len());
+        for &(ictx, f, at) in branches {
+            write_inline_ctx(&mut w, ictx);
+            w.u32(f);
+            w.u32(at);
+            w.u64(2);
+            w.u64(1);
+        }
+        w.seq(entries.len());
+        for &(ictx, f) in entries {
+            write_inline_ctx(&mut w, ictx);
+            w.u32(f);
+            w.u64(3);
+        }
+        w.finish().to_vec()
+    }
+
+    #[test]
+    fn decoder_rejects_repeated_and_descending_keys() {
+        // Raw callee 1 and the callee whose name hash is 0xfeed are one
+        // function.
+        let dir = FuncDirectory::new(vec![(FuncId(1), 0xfeed)]);
+        let record = |bytes: Vec<u8>| read_func_record(&mut Reader::new(&bytes), &dir);
+        let calls: &[(u32, &[(u8, u64)])] = &[(3, &[(0, 0xfeed), (1, 2)]), (4, &[(1, 2)])];
+        let ok = record(raw_record(
+            calls,
+            &[(5, 0), (5, 1), (6, 0)],
+            &[(6, &[1, 2]), (7, &[1])],
+        ));
+        assert_eq!(ok.unwrap().call_targets_at(3).len(), 2);
+        for bad in [
+            raw_record(&[(3, &[(1, 1)]), (3, &[(1, 2)])], &[], &[]),
+            raw_record(&[(4, &[(1, 1)]), (3, &[(1, 1)])], &[], &[]),
+            raw_record(&[(3, &[(1, 2), (1, 1)])], &[], &[]),
+            raw_record(&[(3, &[(1, 1), (1, 1)])], &[], &[]),
+            raw_record(&[(3, &[(0, 0xfeed), (1, 1)])], &[], &[]),
+            raw_record(&[], &[(5, 0), (5, 0)], &[]),
+            raw_record(&[], &[(5, 1), (5, 0)], &[]),
+            raw_record(&[], &[(6, 0), (5, 0)], &[]),
+            raw_record(&[], &[], &[(6, &[1]), (6, &[2])]),
+            raw_record(&[], &[], &[(7, &[1]), (6, &[2])]),
+            raw_record(&[], &[], &[(6, &[2, 1])]),
+            raw_record(&[], &[], &[(6, &[1, 1])]),
+            // An empty run is not a form the encoder writes.
+            raw_record(&[(3, &[])], &[], &[]),
+            raw_record(&[], &[], &[(6, &[])]),
+        ] {
+            assert!(matches!(record(bad), Err(WireError::Corrupt(_))));
+        }
+
+        let ctx = |bytes: Vec<u8>| read_ctx(&mut Reader::new(&bytes));
+        let caller = Some((FuncId(9), 4));
+        let wire = raw_ctx(
+            &[(None, 2, 9), (None, 3, 1), (caller, 1, 3)],
+            &[(None, 5), (caller, 1)],
+        );
+        // Kept in (function, instr, context) order.
+        assert_eq!(ctx(wire).unwrap().branches()[0].0, (FuncId(1), 3, caller));
+        for bad in [
+            raw_ctx(&[(None, 2, 9), (None, 2, 9)], &[]),
+            raw_ctx(&[(None, 2, 9), (None, 2, 8)], &[]),
+            raw_ctx(&[(caller, 1, 3), (None, 2, 9)], &[]),
+            raw_ctx(&[], &[(None, 5), (None, 5)]),
+            raw_ctx(&[], &[(caller, 1), (None, 5)]),
+        ] {
+            assert!(matches!(ctx(bad), Err(WireError::Corrupt(_))));
+        }
     }
 }

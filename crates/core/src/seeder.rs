@@ -160,18 +160,15 @@ fn c3_from_optimized_code(
                     VInstr::CallDynamic { owner, site } => {
                         // Distribute the site's weight over its observed
                         // dynamic targets.
-                        let Some(targets) = tier
+                        let targets = tier
                             .funcs
                             .get(&owner)
-                            .and_then(|p| p.call_targets.get(&site))
-                        else {
-                            continue;
-                        };
-                        let total: u64 = targets.values().sum();
+                            .map_or(&[][..], |p| p.call_targets_at(site));
+                        let total: u64 = targets.iter().map(|&(_, c)| c).sum();
                         if total == 0 {
                             continue;
                         }
-                        for (&callee, &c) in targets {
+                        for &((_, callee), c) in targets {
                             if let Some(&j) = index_of.get(&callee) {
                                 arcs.push(layout::CallArc {
                                     caller: i,
@@ -201,7 +198,7 @@ fn c3_from_optimized_code(
         if enter == 0 {
             continue;
         }
-        let external = ctx.entries.get(&(None, func)).copied().unwrap_or(0);
+        let external = ctx.entry_count(None, func);
         // Arc weights carry the translator's 1024x fixed-point scale.
         let remaining_calls = incoming[i] / 1024 + external;
         let fraction = (remaining_calls as f64 / enter as f64).min(1.0);

@@ -373,15 +373,13 @@ impl<'r> JitEngine<'r> {
                 let Some(&a) = index_of.get(&caller) else {
                     continue;
                 };
-                for targets in fp.call_targets.values() {
-                    for (&callee, &w) in targets {
-                        if let Some(&b) = index_of.get(&callee) {
-                            arcs.push(layout::CallArc {
-                                caller: a,
-                                callee: b,
-                                weight: w,
-                            });
-                        }
+                for &((_, callee), w) in fp.call_targets() {
+                    if let Some(&b) = index_of.get(&callee) {
+                        arcs.push(layout::CallArc {
+                            caller: a,
+                            callee: b,
+                            weight: w,
+                        });
                     }
                 }
             }

@@ -30,11 +30,11 @@ pub mod vasm;
 pub use code_cache::{CodeCache, CodeCacheConfig, EmittedTranslation, Region, TransKind};
 pub use engine::{plan_layout, CompileSizes, FuncState, JitEngine, JitOptions, LayoutPlan};
 pub use profile::{
-    BranchCount, CtxKey, CtxProfile, FuncProfile, InlineCtx, ProfileCollector, TierProfile,
-    TypeDist, PARAM_SITE,
+    BranchCount, CtxProfile, FuncProfile, InlineCtx, ProfileCollector, TierProfile, TypeDist,
+    PARAM_SITE,
 };
 pub use replay::{DataSpace, Executor, ExecutorConfig};
 pub use translate::{
-    propagate_true_weights, translate_live, translate_optimized, translate_optimized_with,
-    translate_profiling, InlineParams, InlineTemplate, TemplateKey, TemplateSource, WeightSource,
+    translate_live, translate_optimized, translate_optimized_with, translate_profiling,
+    InlineParams, InlineTemplate, TemplateKey, TemplateSource, WeightSource,
 };

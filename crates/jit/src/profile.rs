@@ -13,11 +13,19 @@
 //!   depth 1, plus per-caller-site entry counts (the accurate call graph
 //!   of §V-B).
 //!
+//! Every keyed table inside a [`FuncProfile`] or a [`CtxProfile`] is a
+//! private vector sorted by strictly ascending key. A lookup is a binary
+//! search, everything recorded for one site (or one branch, across its
+//! contexts) is one contiguous run, and iteration is key order — the
+//! order the wire format writes. Only this module touches the vectors, so
+//! the sort invariant holds by construction.
+//!
 //! In the simulation both are gathered by one [`ProfileCollector`] driven
 //! by the interpreter; production HHVM gathers them in two phases of the
 //! seeder workflow (Fig. 3b).
 
 use std::collections::HashMap;
+use std::ops::{AddAssign, Range};
 use std::sync::OnceLock;
 
 use bytecode::{BlockId, Cfg, ClassId, FuncId, Repo, StrId};
@@ -50,9 +58,10 @@ impl BranchCount {
             self.taken as f64 / t as f64
         }
     }
+}
 
-    /// Accumulates another count.
-    pub fn merge(&mut self, other: &BranchCount) {
+impl AddAssign<&BranchCount> for BranchCount {
+    fn add_assign(&mut self, other: &BranchCount) {
         self.taken += other.taken;
         self.not_taken += other.not_taken;
     }
@@ -80,38 +89,100 @@ impl TypeDist {
         self.counts.iter().sum()
     }
 
-    /// The dominant kind and its share, if anything was observed.
-    pub fn dominant(&self) -> Option<(ValueKind, f64)> {
-        let total = self.total();
-        if total == 0 {
-            return None;
-        }
-        let (i, &c) = self
-            .counts
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &c)| c)
-            .expect("array non-empty");
-        Some((ValueKind::ALL[i], c as f64 / total as f64))
-    }
-
-    /// Whether a single kind covers at least `threshold` of observations.
+    /// The dominant kind, if it covers at least `threshold` of a nonzero
+    /// number of observations.
     pub fn is_monomorphic(&self, threshold: f64) -> Option<ValueKind> {
-        self.dominant()
-            .and_then(|(k, share)| (share >= threshold).then_some(k))
+        let total = self.total();
+        let (i, &c) = self.counts.iter().enumerate().max_by_key(|(_, &c)| c)?;
+        (total > 0 && c as f64 / total as f64 >= threshold).then_some(ValueKind::ALL[i])
     }
 
     /// Raw per-kind counts (index by [`ValueKind::index`]).
     pub fn counts(&self) -> &[u64; ValueKind::COUNT] {
         &self.counts
     }
+}
 
-    /// Accumulates another distribution.
-    pub fn merge(&mut self, other: &TypeDist) {
+impl AddAssign<&TypeDist> for TypeDist {
+    fn add_assign(&mut self, other: &TypeDist) {
         for (a, b) in self.counts.iter_mut().zip(other.counts.iter()) {
             *a += b;
         }
     }
+}
+
+/// `(key, value)` pairs sorted by strictly ascending key.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct Table<K, V>(Vec<(K, V)>);
+
+impl<K: Ord + Copy, V: Default + for<'a> AddAssign<&'a V>> Table<K, V> {
+    /// Adds `value` under `key`, inserting the key when absent.
+    fn add(&mut self, key: K, value: &V) {
+        match self.0.binary_search_by(|(k, _)| k.cmp(&key)) {
+            Ok(i) => self.0[i].1 += value,
+            Err(i) => {
+                let mut v = V::default();
+                v += value;
+                self.0.insert(i, (key, v));
+            }
+        }
+    }
+
+    fn get(&self, key: &K) -> Option<&V> {
+        let i = self.0.binary_search_by(|(k, _)| k.cmp(key)).ok()?;
+        Some(&self.0[i].1)
+    }
+
+    /// Index range of the run whose keys have `head(key) == want`; keys
+    /// sort by their head first, so the run is contiguous.
+    fn run_range<H: Ord>(&self, want: H, head: impl Fn(&K) -> H) -> Range<usize> {
+        let lo = self.0.partition_point(|(k, _)| head(k) < want);
+        let len = self.0[lo..].partition_point(|(k, _)| head(k) == want);
+        lo..lo + len
+    }
+
+    fn run<H: Ord>(&self, want: H, head: impl Fn(&K) -> H) -> &[(K, V)] {
+        &self.0[self.run_range(want, head)]
+    }
+
+    /// Drops the pairs `keep` rejects, keeping the order; returns how many.
+    fn retain(&mut self, mut keep: impl FnMut(&K) -> bool) -> usize {
+        let before = self.0.len();
+        self.0.retain(|(k, _)| keep(k));
+        before - self.0.len()
+    }
+
+    /// Rewrites every key through `map`; keys that collide are summed.
+    fn rekey(&mut self, map: impl Fn(K) -> K) {
+        for (k, _) in &mut self.0 {
+            *k = map(*k);
+        }
+        self.normalize();
+    }
+
+    /// Restores the invariant: sorts by key and sums equal keys.
+    fn normalize(&mut self) {
+        self.0.sort_by_key(|(k, _)| *k);
+        self.0.dedup_by(|(k, v), (kept, sum)| {
+            let same = k == kept;
+            if same {
+                *sum += v;
+            }
+            same
+        });
+    }
+}
+
+/// The dominant entry of one site's `(key, count)` run and its share of
+/// the run's total (`None` when nothing was counted). Ties go to the
+/// larger key.
+fn dominant<T: Copy>(run: &[((u32, T), u64)]) -> Option<(T, f64)> {
+    let total: u64 = run.iter().map(|(_, c)| c).sum();
+    if total == 0 {
+        return None;
+    }
+    let ((_, t), c) = run.iter().max_by_key(|(_, c)| *c)?;
+    Some((*t, *c as f64 / total as f64))
 }
 
 /// Tier-1 profile of a single function.
@@ -136,12 +207,12 @@ pub struct FuncProfile {
     /// it is empty only in a hand-built profile, which then matches on
     /// exact hashes alone and cannot be re-identified after a rename.
     pub block_opcode_hashes: Vec<u64>,
-    /// Call-target profile per call-site instruction index.
-    pub call_targets: HashMap<u32, HashMap<FuncId, u64>>,
-    /// Observed operand/parameter types per (instruction, operand slot).
-    pub types: HashMap<(u32, u8), TypeDist>,
-    /// Observed receiver classes per property-access site.
-    pub prop_site_classes: HashMap<u32, HashMap<ClassId, u64>>,
+    // Call counts by (call site, callee).
+    call_targets: Table<(u32, FuncId), u64>,
+    // Observed operand/parameter types by (instruction, operand slot).
+    types: Table<(u32, u8), TypeDist>,
+    // Receiver-class counts by (property-access site, class).
+    prop_classes: Table<(u32, ClassId), u64>,
 }
 
 impl FuncProfile {
@@ -159,50 +230,98 @@ impl FuncProfile {
         total as f64 / self.enter_count as f64
     }
 
-    /// The dominant callee at a call site, with its share.
-    pub fn dominant_target(&self, site: u32) -> Option<(FuncId, f64)> {
-        let targets = self.call_targets.get(&site)?;
-        let total: u64 = targets.values().sum();
-        if total == 0 {
-            return None;
-        }
-        let (&f, &c) = targets.iter().max_by_key(|(_, &c)| c)?;
-        Some((f, c as f64 / total as f64))
+    /// Records `count` calls from call site `site` to `callee`.
+    pub fn record_call(&mut self, site: u32, callee: FuncId, count: u64) {
+        self.call_targets.add((site, callee), &count);
     }
 
-    /// Accumulates another function profile.
-    pub fn merge(&mut self, other: &FuncProfile) {
-        self.enter_count += other.enter_count;
-        if self.block_counts.len() < other.block_counts.len() {
-            self.block_counts.resize(other.block_counts.len(), 0);
-        }
-        if self.block_hashes.is_empty() {
-            self.block_hashes = other.block_hashes.clone();
-        }
-        if self.name_hash == 0 {
-            self.name_hash = other.name_hash;
-        }
-        if self.block_opcode_hashes.is_empty() {
-            self.block_opcode_hashes = other.block_opcode_hashes.clone();
-        }
-        for (i, &c) in other.block_counts.iter().enumerate() {
-            self.block_counts[i] += c;
-        }
-        for (site, targets) in &other.call_targets {
-            let e = self.call_targets.entry(*site).or_default();
-            for (f, c) in targets {
-                *e.entry(*f).or_insert(0) += c;
-            }
-        }
-        for (k, d) in &other.types {
-            self.types.entry(*k).or_default().merge(d);
-        }
-        for (site, classes) in &other.prop_site_classes {
-            let e = self.prop_site_classes.entry(*site).or_default();
-            for (c, n) in classes {
-                *e.entry(*c).or_insert(0) += n;
-            }
-        }
+    /// Records the types observed at operand `slot` of instruction `at`
+    /// ([`PARAM_SITE`] for parameters).
+    pub fn record_types(&mut self, at: u32, slot: u8, dist: &TypeDist) {
+        self.types.add((at, slot), dist);
+    }
+
+    /// Records `count` accesses at property site `site` on a receiver of
+    /// `class`.
+    pub fn record_prop_class(&mut self, site: u32, class: ClassId, count: u64) {
+        self.prop_classes.add((site, class), &count);
+    }
+
+    // One observation, as the collector records it.
+    fn observe_type(&mut self, at: u32, slot: u8, kind: ValueKind) {
+        let mut one = TypeDist::default();
+        one.observe(kind);
+        self.record_types(at, slot, &one);
+    }
+
+    /// Reserves room for `calls` more call counts, `types` more type
+    /// observations and `props` more receiver-class counts (a decoder
+    /// knows its counts up front).
+    pub fn reserve(&mut self, calls: usize, types: usize, props: usize) {
+        self.call_targets.0.reserve(calls);
+        self.types.0.reserve(types);
+        self.prop_classes.0.reserve(props);
+    }
+
+    /// Every call count, sorted by `(site, callee)`.
+    pub fn call_targets(&self) -> &[((u32, FuncId), u64)] {
+        &self.call_targets.0
+    }
+
+    /// The call counts of one site, sorted by callee.
+    pub fn call_targets_at(&self, site: u32) -> &[((u32, FuncId), u64)] {
+        self.call_targets.run(site, |&(s, _)| s)
+    }
+
+    /// Every type observation, sorted by `(instruction, slot)`.
+    pub fn types(&self) -> &[((u32, u8), TypeDist)] {
+        &self.types.0
+    }
+
+    /// The types observed at operand `slot` of instruction `at`.
+    pub fn type_dist(&self, at: u32, slot: u8) -> Option<&TypeDist> {
+        self.types.get(&(at, slot))
+    }
+
+    /// The type observations of one instruction, sorted by slot.
+    pub fn types_at(&self, at: u32) -> &[((u32, u8), TypeDist)] {
+        self.types.run(at, |&(a, _)| a)
+    }
+
+    /// Every receiver-class count, sorted by `(site, class)`.
+    pub fn prop_classes(&self) -> &[((u32, ClassId), u64)] {
+        &self.prop_classes.0
+    }
+
+    /// The dominant callee at a call site, with its share.
+    pub fn dominant_target(&self, site: u32) -> Option<(FuncId, f64)> {
+        dominant(self.call_targets_at(site))
+    }
+
+    /// The dominant receiver class at a property site, with its share.
+    pub fn dominant_class(&self, site: u32) -> Option<(ClassId, f64)> {
+        dominant(self.prop_classes.run(site, |&(s, _)| s))
+    }
+
+    /// Drops the call counts `keep(site, callee)` rejects; returns how many.
+    pub fn retain_call_targets(&mut self, mut keep: impl FnMut(u32, FuncId) -> bool) -> usize {
+        self.call_targets.retain(|&(s, f)| keep(s, f))
+    }
+
+    /// Drops the type observations `keep(at, slot)` rejects; returns how many.
+    pub fn retain_types(&mut self, mut keep: impl FnMut(u32, u8) -> bool) -> usize {
+        self.types.retain(|&(at, slot)| keep(at, slot))
+    }
+
+    /// Drops the receiver-class counts `keep(site, class)` rejects; returns how many.
+    pub fn retain_prop_classes(&mut self, mut keep: impl FnMut(u32, ClassId) -> bool) -> usize {
+        self.prop_classes.retain(|&(s, c)| keep(s, c))
+    }
+
+    /// Renames every callee through `map`; counts of callees that collide
+    /// at one site are summed.
+    pub fn remap_callees(&mut self, map: impl Fn(FuncId) -> FuncId) {
+        self.call_targets.rekey(|(s, f)| (s, map(f)));
     }
 }
 
@@ -249,20 +368,6 @@ impl TierProfile {
             .sum()
     }
 
-    /// Accumulates another profile.
-    pub fn merge(&mut self, other: &TierProfile) {
-        for (f, p) in &other.funcs {
-            self.funcs.entry(*f).or_default().merge(p);
-        }
-        for (k, c) in &other.prop_counts {
-            *self.prop_counts.entry(*k).or_insert(0) += c;
-        }
-        for (k, c) in &other.prop_pairs {
-            *self.prop_pairs.entry(*k).or_insert(0) += c;
-        }
-        self.mark_counters_dirty();
-    }
-
     /// Invalidates the cached heat ranking. Must be called after any
     /// direct mutation of `funcs` block counters (the collector and the
     /// stale-profile repair both mutate in place).
@@ -284,15 +389,6 @@ impl TierProfile {
         })
     }
 
-    /// Heat (summed block counters) of one function; 0 when unprofiled.
-    pub fn func_heat(&self, func: FuncId) -> u64 {
-        self.heat_ranked()
-            .iter()
-            .find(|&&(f, _)| f == func)
-            .map(|&(_, h)| h)
-            .unwrap_or(0)
-    }
-
     /// Functions sorted hottest-first by weighted block counts — the order
     /// the optimizing tier compiles them in.
     pub fn functions_by_heat(&self) -> Vec<FuncId> {
@@ -303,72 +399,127 @@ impl TierProfile {
 /// An inline context: the caller and call-site a function was entered from.
 pub type InlineCtx = Option<(FuncId, u32)>;
 
-/// Key for context-sensitive branch counters: (inline context, function,
-/// branch instruction index).
-pub type CtxKey = (InlineCtx, FuncId, u32);
-
 /// Context-sensitive profile from instrumented optimized code (§V-A/B).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct CtxProfile {
-    /// Branch outcomes keyed by inline context.
-    pub branches: HashMap<CtxKey, BranchCount>,
-    /// Entry counts per (context, function) — the accurate, inlining-aware
-    /// call graph of §V-B.
-    pub entries: HashMap<(InlineCtx, FuncId), u64>,
+    // Branch outcomes by (function, branch instruction, inline context):
+    // one branch's counters under every context are one run.
+    branches: Table<(FuncId, u32, InlineCtx), BranchCount>,
+    // Entry counts by (function, inline context) — the accurate,
+    // inlining-aware call graph of §V-B.
+    entries: Table<(FuncId, InlineCtx), u64>,
 }
 
 impl CtxProfile {
+    /// A profile from counters in any order; counts under equal keys are
+    /// summed.
+    pub fn from_counts(
+        branches: Vec<((FuncId, u32, InlineCtx), BranchCount)>,
+        entries: Vec<((FuncId, InlineCtx), u64)>,
+    ) -> CtxProfile {
+        let mut ctx = CtxProfile {
+            branches: Table(branches),
+            entries: Table(entries),
+        };
+        ctx.branches.normalize();
+        ctx.entries.normalize();
+        ctx
+    }
+
+    /// Records outcomes of the branch at instruction `at` of `func`,
+    /// entered under `ctx`.
+    pub fn record_branch(&mut self, ctx: InlineCtx, func: FuncId, at: u32, count: &BranchCount) {
+        self.branches.add((func, at, ctx), count);
+    }
+
+    /// Records `count` entries into `func` under `ctx`.
+    pub fn record_entry(&mut self, ctx: InlineCtx, func: FuncId, count: u64) {
+        self.entries.add((func, ctx), &count);
+    }
+
+    /// Every branch counter, sorted by `(function, instruction, context)`.
+    pub fn branches(&self) -> &[((FuncId, u32, InlineCtx), BranchCount)] {
+        &self.branches.0
+    }
+
+    /// Every entry counter, sorted by `(function, context)`.
+    pub fn entries(&self) -> &[((FuncId, InlineCtx), u64)] {
+        &self.entries.0
+    }
+
+    /// Entries into `func` under `ctx` (0 when never recorded).
+    pub fn entry_count(&self, ctx: InlineCtx, func: FuncId) -> u64 {
+        self.entries.get(&(func, ctx)).copied().unwrap_or(0)
+    }
+
     /// Taken-probability for a branch under `ctx`, falling back to the
     /// aggregate over all contexts, then to 0.5.
     pub fn taken_prob(&self, ctx: InlineCtx, func: FuncId, at: u32) -> f64 {
-        if let Some(b) = self.branches.get(&(ctx, func, at)) {
-            if b.total() > 0 {
-                return b.taken_prob();
-            }
+        match self.branches.get(&(func, at, ctx)) {
+            Some(b) if b.total() > 0 => b.taken_prob(),
+            _ => self.aggregate_branch(func, at).taken_prob(),
         }
-        self.aggregate_branch(func, at).taken_prob()
     }
 
-    /// Branch counts aggregated over every context.
+    /// Branch counts aggregated over every context: one run of the table.
     pub fn aggregate_branch(&self, func: FuncId, at: u32) -> BranchCount {
         let mut total = BranchCount::default();
-        for ((_, f, a), c) in &self.branches {
-            if *f == func && *a == at {
-                total.merge(c);
-            }
+        for (_, b) in self.branches.run((func, at), |&(f, a, _)| (f, a)) {
+            total += b;
         }
         total
     }
 
     /// Call arcs (caller → callee, weight) for the function-sorting call
-    /// graph. With `inlining_aware` the arcs come from context entries
-    /// (what §V-B's instrumented optimized code sees).
+    /// graph, read from the context entries — what §V-B's instrumented
+    /// optimized code sees. Sorted by `(callee, context)`.
     pub fn call_arcs(&self) -> Vec<(FuncId, FuncId, u64)> {
-        let mut arcs = Vec::new();
-        for (&(ctx, callee), &w) in &self.entries {
-            if let Some((caller, _)) = ctx {
-                arcs.push((caller, callee, w));
-            }
-        }
-        arcs
+        self.entries
+            .0
+            .iter()
+            .filter_map(|&((callee, ctx), w)| ctx.map(|(caller, _)| (caller, callee, w)))
+            .collect()
     }
 
-    /// Accumulates another profile.
-    pub fn merge(&mut self, other: &CtxProfile) {
-        for (k, c) in &other.branches {
-            self.branches.entry(*k).or_default().merge(c);
-        }
-        for (k, c) in &other.entries {
-            *self.entries.entry(*k).or_insert(0) += c;
-        }
+    /// Drops the branch counters `keep(ctx, func, at)` rejects; returns how many.
+    pub fn retain_branches(
+        &mut self,
+        mut keep: impl FnMut(InlineCtx, FuncId, u32) -> bool,
+    ) -> usize {
+        self.branches.retain(|&(f, at, ctx)| keep(ctx, f, at))
+    }
+
+    /// Drops the entry counters `keep(ctx, func)` rejects; returns how many.
+    pub fn retain_entries(&mut self, mut keep: impl FnMut(InlineCtx, FuncId) -> bool) -> usize {
+        self.entries.retain(|&(f, ctx)| keep(ctx, f))
+    }
+
+    /// Renames every function — counted ones and inline-context callers —
+    /// through `map`; counters whose keys collide are summed.
+    pub fn remap_funcs(&mut self, map: impl Fn(FuncId) -> FuncId) {
+        let map_ctx = |ctx: InlineCtx| ctx.map(|(caller, site)| (map(caller), site));
+        self.branches
+            .rekey(|(f, at, ctx)| (map(f), at, map_ctx(ctx)));
+        self.entries.rekey(|(f, ctx)| (map(f), map_ctx(ctx)));
+    }
+
+    /// Replaces every branch counter of `func`, under any context, with
+    /// context-free `counts` given in ascending instruction order.
+    pub fn replace_branches(
+        &mut self,
+        func: FuncId,
+        counts: impl IntoIterator<Item = (u32, BranchCount)>,
+    ) {
+        let run = self.branches.run_range(func, |&(f, _, _)| f);
+        self.branches
+            .0
+            .splice(run, counts.into_iter().map(|(at, c)| ((func, at, None), c)));
+        debug_assert!(self.branches.0.windows(2).all(|w| w[0].0 < w[1].0));
     }
 }
 
-/// Collects [`TierProfile`] and [`CtxProfile`] while the interpreter runs.
-///
-/// Implements [`vm::ExecObserver`]; attach with [`vm::Vm::call_observed`].
-#[derive(Debug)]
 // Per-function CFG signatures computed once at first observation.
+#[derive(Debug)]
 struct BlockShape {
     len: usize,
     name_hash: u64,
@@ -376,6 +527,9 @@ struct BlockShape {
     opcode: Vec<u64>,
 }
 
+/// Collects [`TierProfile`] and [`CtxProfile`] while the interpreter runs.
+///
+/// Implements [`vm::ExecObserver`]; attach with [`vm::Vm::call_observed`].
 pub struct ProfileCollector<'r> {
     repo: &'r Repo,
     /// Tier-1 counters.
@@ -461,12 +615,9 @@ impl ExecObserver for ProfileCollector<'_> {
         let p = self.func_profile(func);
         p.enter_count += 1;
         for (i, a) in args.iter().enumerate().take(8) {
-            p.types
-                .entry((PARAM_SITE, i as u8))
-                .or_default()
-                .observe(ValueKind::of(a));
+            p.observe_type(PARAM_SITE, i as u8, ValueKind::of(a));
         }
-        *self.ctx.entries.entry((ctx, func)).or_insert(0) += 1;
+        self.ctx.record_entry(ctx, func, 1);
     }
 
     fn on_block(&mut self, func: FuncId, block: BlockId) {
@@ -478,41 +629,26 @@ impl ExecObserver for ProfileCollector<'_> {
 
     fn on_branch(&mut self, func: FuncId, at: u32, taken: bool) {
         let ctx = self.stack.last().and_then(|&(_, c)| c);
-        let b = self.ctx.branches.entry((ctx, func, at)).or_default();
-        if taken {
-            b.taken += 1;
-        } else {
-            b.not_taken += 1;
-        }
+        let outcome = BranchCount {
+            taken: u64::from(taken),
+            not_taken: u64::from(!taken),
+        };
+        self.ctx.record_branch(ctx, func, at, &outcome);
     }
 
     fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
-        let p = self.func_profile(caller);
-        *p.call_targets
-            .entry(at)
-            .or_default()
-            .entry(callee)
-            .or_insert(0) += 1;
+        self.func_profile(caller).record_call(at, callee, 1);
         self.pending_site = Some((caller, at));
     }
 
     fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, prop: StrId, _write: bool) {
         *self.tier.prop_counts.entry((class, prop)).or_insert(0) += 1;
-        let p = self.func_profile(func);
-        *p.prop_site_classes
-            .entry(at)
-            .or_default()
-            .entry(class)
-            .or_insert(0) += 1;
+        self.func_profile(func).record_prop_class(at, class, 1);
         self.request_props.push((class, prop));
     }
 
     fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
-        self.func_profile(func)
-            .types
-            .entry((at, slot))
-            .or_default()
-            .observe(kind);
+        self.func_profile(func).observe_type(at, slot, kind);
     }
 
     fn on_func_exit(&mut self, _func: FuncId) {
@@ -585,12 +721,12 @@ mod tests {
         let fp = &col.tier.funcs[&f];
         assert_eq!(fp.enter_count, 1);
         assert!(fp.block_counts.iter().sum::<u64>() > 10);
-        // The call site saw g ten times.
-        let (site, targets) = fp.call_targets.iter().next().unwrap();
-        assert_eq!(targets[&g], 10);
-        let _ = site;
+        // The one call site saw g ten times.
+        let &((site, callee), n) = fp.call_targets().first().unwrap();
+        assert_eq!((callee, n), (g, 10));
+        assert_eq!(fp.dominant_target(site), Some((g, 1.0)));
         // Parameter type observed as Int.
-        let d = &fp.types[&(PARAM_SITE, 0)];
+        let d = fp.type_dist(PARAM_SITE, 0).unwrap();
         assert_eq!(d.is_monomorphic(0.9), Some(ValueKind::Int));
 
         let gp = &col.tier.funcs[&g];
@@ -609,13 +745,12 @@ mod tests {
         // g entered 8 times under context (f, site).
         let ctx_entries: Vec<_> = col
             .ctx
-            .entries
+            .entries()
             .iter()
-            .filter(|((ctx, func), _)| *func == g && ctx.is_some())
+            .filter(|((func, ctx), _)| *func == g && ctx.is_some())
             .collect();
         assert_eq!(ctx_entries.len(), 1);
-        assert_eq!(*ctx_entries[0].1, 8);
-        // g's branch under that ctx: taken 4 (arg 0 -> jmpz taken), not 4.
+        assert_eq!(ctx_entries[0].1, 8);
         let arcs = col.ctx.call_arcs();
         assert!(arcs
             .iter()
@@ -640,24 +775,59 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates() {
-        let repo = sample_repo();
-        let f = repo.func_by_name("f").unwrap().id;
-        let run = || {
-            let mut vm = Vm::new(&repo);
-            let mut col = ProfileCollector::new(&repo);
-            vm.call_observed(f, &[Value::Int(5)], &mut col).unwrap();
-            col.end_request();
-            (col.tier, col.ctx)
-        };
-        let (mut t1, mut c1) = run();
-        let (t2, c2) = run();
-        let before = t1.funcs[&f].enter_count;
-        t1.merge(&t2);
-        c1.merge(&c2);
-        assert_eq!(t1.funcs[&f].enter_count, before * 2);
-        assert!(t1.total_counter_mass() > 0);
-        assert_eq!(t1.profiled_count(), 2);
+    fn taken_prob_prefers_the_exact_context_then_the_aggregate() {
+        let (f, g) = (FuncId::new(0), FuncId::new(1));
+        let mut ctx = CtxProfile::default();
+        let under = |taken, not_taken| BranchCount { taken, not_taken };
+        ctx.record_branch(Some((g, 3)), f, 7, &under(9, 1));
+        ctx.record_branch(None, f, 7, &under(1, 9));
+        ctx.record_branch(Some((g, 4)), f, 7, &under(0, 0));
+        // A neighbouring branch must not leak into the run of (f, 7).
+        ctx.record_branch(None, f, 8, &under(100, 0));
+        assert!((ctx.taken_prob(Some((g, 3)), f, 7) - 0.9).abs() < 1e-12);
+        assert!((ctx.taken_prob(None, f, 7) - 0.1).abs() < 1e-12);
+        // Unseen or empty contexts fall back to the aggregate, 10 of 20.
+        assert!((ctx.taken_prob(Some((g, 4)), f, 7) - 0.5).abs() < 1e-12);
+        assert!((ctx.taken_prob(Some((g, 5)), f, 7) - 0.5).abs() < 1e-12);
+        assert_eq!(ctx.aggregate_branch(f, 7), under(10, 10));
+        assert_eq!(ctx.aggregate_branch(g, 7), BranchCount::default());
+        assert_eq!(ctx.taken_prob(None, g, 7), 0.5);
+    }
+
+    #[test]
+    fn tables_stay_sorted_and_sum_repeated_keys() {
+        let (e, f, g) = (FuncId::new(0), FuncId::new(5), FuncId::new(2));
+        let mut fp = FuncProfile::default();
+        for (site, callee, n) in [(4, f, 1), (1, e, 2), (4, g, 3), (1, e, 5), (4, f, 1)] {
+            fp.record_call(site, callee, n);
+        }
+        assert_eq!(fp.call_targets(), &[((1, e), 7), ((4, g), 3), ((4, f), 2)]);
+        assert_eq!(fp.call_targets_at(4), &[((4, g), 3), ((4, f), 2)]);
+        assert!(fp.call_targets_at(2).is_empty());
+        assert_eq!(fp.dominant_target(4), Some((g, 0.6)));
+        // Renaming f to g sums the two counts of site 4.
+        fp.remap_callees(|c| if c == f { g } else { c });
+        assert_eq!(fp.retain_call_targets(|site, _| site != 1), 1);
+        assert_eq!(fp.call_targets(), &[((4, g), 5)]);
+
+        let b = BranchCount::default();
+        let mut ctx = CtxProfile::from_counts(
+            vec![
+                ((f, 4, None), b),
+                ((g, 9, None), b),
+                ((g, 6, Some((f, 2))), b),
+                ((e, 1, None), b),
+            ],
+            vec![((f, None), 1), ((g, Some((f, 0))), 2), ((f, None), 3)],
+        );
+        assert_eq!(ctx.entries(), &[((g, Some((f, 0))), 2), ((f, None), 4)]);
+        // Every counter of g, under any context, is one run.
+        ctx.replace_branches(g, [(3, b), (6, b)]);
+        let keys: Vec<_> = ctx.branches().iter().map(|(k, _)| *k).collect();
+        assert_eq!(
+            keys,
+            [(e, 1, None), (g, 3, None), (g, 6, None), (f, 4, None)]
+        );
     }
 
     #[test]
@@ -678,6 +848,12 @@ mod tests {
         let repo = sample_repo();
         let f = repo.func_by_name("f").unwrap().id;
         let g = repo.func_by_name("g").unwrap().id;
+        let heat = |tier: &TierProfile, func: FuncId| {
+            tier.heat_ranked()
+                .iter()
+                .find(|&&(x, _)| x == func)
+                .map_or(0, |&(_, h)| h)
+        };
         let mut vm = Vm::new(&repo);
         let mut col = ProfileCollector::new(&repo);
         vm.call_observed(f, &[Value::Int(50)], &mut col).unwrap();
@@ -685,8 +861,8 @@ mod tests {
         let mut tier = col.tier;
         // Prime the cache: f (the loop) is hotter than g.
         assert_eq!(tier.functions_by_heat(), vec![f, g]);
-        let f_heat = tier.func_heat(f);
-        assert!(f_heat > tier.func_heat(g));
+        let f_heat = heat(&tier, f);
+        assert!(f_heat > heat(&tier, g));
 
         // Direct counter mutation + explicit dirty marker reranks.
         let gp = tier.funcs.get_mut(&g).unwrap();
@@ -695,15 +871,7 @@ mod tests {
         }
         tier.mark_counters_dirty();
         assert_eq!(tier.functions_by_heat(), vec![g, f]);
-        assert!(tier.func_heat(g) > tier.func_heat(f));
-
-        // merge() invalidates on its own: merging a copy doubles every
-        // counter but keeps the order, and the cached ranking must show
-        // the doubled heat rather than the stale one.
-        let snapshot = tier.clone();
-        let g_heat = tier.func_heat(g);
-        tier.merge(&snapshot);
-        assert_eq!(tier.func_heat(g), 2 * g_heat);
+        assert!(heat(&tier, g) > heat(&tier, f));
 
         // Collector mutation (observer callbacks) also invalidates.
         let mut col2 = ProfileCollector::new(&repo);
@@ -712,7 +880,7 @@ mod tests {
         let mut vm2 = Vm::new(&repo);
         vm2.call_observed(f, &[Value::Int(1)], &mut col2).unwrap();
         assert_eq!(
-            col2.tier.func_heat(f),
+            heat(&col2.tier, f),
             col2.tier.funcs[&f].block_counts.iter().sum::<u64>()
         );
     }

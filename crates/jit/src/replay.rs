@@ -362,19 +362,14 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Executes a single Vasm instruction's data effects (testing hook).
-    pub fn debug_exec(&mut self, instr: VInstr) {
-        self.exec_instr(FuncId::new(0), instr, 0);
-    }
-
     fn sample_target(&mut self, owner: FuncId, site: u32) -> Option<FuncId> {
-        let targets = self.tier.funcs.get(&owner)?.call_targets.get(&site)?;
-        let total: u64 = targets.values().sum();
+        let targets = self.tier.funcs.get(&owner)?.call_targets_at(site);
+        let total: u64 = targets.iter().map(|&(_, c)| c).sum();
         if total == 0 {
             return None;
         }
         let mut pick = self.rng.gen_range(0..total);
-        for (&f, &w) in targets {
+        for &((_, f), w) in targets {
             if pick < w {
                 return Some(f);
             }
@@ -425,10 +420,8 @@ impl<'a> Executor<'a> {
                             .tier
                             .funcs
                             .get(&func)
-                            .and_then(|fp| fp.prop_site_classes.get(&at))
-                            .and_then(|m| m.iter().max_by_key(|(_, &c)| c))
-                            .map(|(&c, _)| c);
-                        if let Some(class) = class {
+                            .and_then(|fp| fp.dominant_class(at));
+                        if let Some((class, _)) = class {
                             let slots = self.data.slot_counts[class.index()].max(1) as u64;
                             let base = self.data.current_obj(class);
                             let slot = self.rng.gen_range(0..slots);

@@ -480,16 +480,11 @@ impl Translator<'_> {
     }
 
     fn emit_entry_guards(&mut self, cur: usize, _func: FuncId, fp: &FuncProfile) {
-        let params: Vec<u16> = fp
-            .types
-            .iter()
-            .filter(|((site, _), d)| *site == PARAM_SITE && d.is_monomorphic(MONO).is_some())
-            .map(|((_, slot), _)| *slot as u16)
-            .collect();
-        let mut sorted = params;
-        sorted.sort_unstable();
-        for p in sorted {
-            self.blocks[cur].instrs.push(VInstr::GuardType { local: p });
+        for ((_, slot), d) in fp.types_at(PARAM_SITE) {
+            if d.is_monomorphic(MONO).is_some() {
+                let local = u16::from(*slot);
+                self.blocks[cur].instrs.push(VInstr::GuardType { local });
+            }
         }
     }
 
@@ -506,9 +501,7 @@ impl Translator<'_> {
             return false;
         }
         // Only inline sites that actually ran (we need some profile signal).
-        fp.call_targets
-            .get(&at)
-            .is_some_and(|t| t.values().sum::<u64>() > 0)
+        fp.call_targets_at(at).iter().any(|&(_, c)| c > 0)
     }
 
     /// Splices `callee`'s translation in place of a call in block `cur`.
@@ -527,9 +520,7 @@ impl Translator<'_> {
         let site_calls: u64 = tier
             .funcs
             .get(&caller)
-            .and_then(|fp| fp.call_targets.get(&at))
-            .map(|t| t.values().sum())
-            .unwrap_or(0);
+            .map_or(0, |fp| fp.call_targets_at(at).iter().map(|&(_, c)| c).sum());
         let scale = if callee_fp.enter_count == 0 {
             0.0
         } else {
@@ -761,20 +752,13 @@ impl Translator<'_> {
 
     fn operands_monomorphic_int(&self, _func: FuncId, at: u32, fp: &FuncProfile) -> bool {
         let mono = |slot: u8| {
-            fp.types
-                .get(&(at, slot))
-                .and_then(|d| d.is_monomorphic(MONO))
-                == Some(ValueKind::Int)
+            fp.type_dist(at, slot).and_then(|d| d.is_monomorphic(MONO)) == Some(ValueKind::Int)
         };
         mono(0) && mono(1)
     }
 
     fn operands_float(&self, _func: FuncId, at: u32, fp: &FuncProfile) -> bool {
-        let kind = |slot: u8| {
-            fp.types
-                .get(&(at, slot))
-                .and_then(|d| d.is_monomorphic(MONO))
-        };
+        let kind = |slot: u8| fp.type_dist(at, slot).and_then(|d| d.is_monomorphic(MONO));
         matches!(
             (kind(0), kind(1)),
             (Some(ValueKind::Float), Some(_)) | (Some(_), Some(ValueKind::Float))
@@ -788,42 +772,12 @@ impl Translator<'_> {
         name: StrId,
         fp: &FuncProfile,
     ) -> Option<(ClassId, u16)> {
-        let classes = fp.prop_site_classes.get(&at)?;
-        let total: u64 = classes.values().sum();
-        let (&class, &count) = classes.iter().max_by_key(|(_, &c)| c)?;
-        if total == 0 || (count as f64 / total as f64) < MONO {
+        let (class, share) = fp.dominant_class(at)?;
+        if share < MONO {
             return None;
         }
         let slot = (self.slot_resolver)(class, name)?;
         Some((class, slot))
-    }
-}
-
-/// Computes `true_weight` for each block by propagating the function entry
-/// count through ground-truth branch probabilities (a few relaxation
-/// passes handle loops). Used for hot/cold decisions in *accurate* mode
-/// and by tests; the replay samples probabilities directly.
-pub fn propagate_true_weights(unit: &mut VasmUnit, entry_count: u64) {
-    let n = unit.blocks.len();
-    let mut w = vec![0f64; n];
-    for _ in 0..12 {
-        let mut next = vec![0f64; n];
-        next[0] = entry_count as f64;
-        for (i, out) in w.iter().copied().enumerate() {
-            match unit.blocks[i].term {
-                Term::Jump(t) => next[t] += out,
-                Term::Cond { taken, fall } => {
-                    let p = unit.blocks[i].true_taken_prob;
-                    next[taken] += out * p;
-                    next[fall] += out * (1.0 - p);
-                }
-                Term::Ret | Term::Exit => {}
-            }
-        }
-        w = next;
-    }
-    for (i, b) in unit.blocks.iter_mut().enumerate() {
-        b.true_weight = w[i] as u64;
     }
 }
 
@@ -1080,37 +1034,6 @@ mod tests {
             .iter()
             .flat_map(|b| &b.instrs)
             .any(|i| matches!(i, VInstr::LoadProp { slot: 7, .. })));
-    }
-
-    #[test]
-    fn true_weight_propagation_follows_probabilities() {
-        let (repo, tier, ctx) = profile_src(
-            "function main($n) { if ($n > 10) { return 1; } return 2; }",
-            "main",
-            &[Value::Int(5)],
-            10,
-        );
-        let f = repo.func_by_name("main").unwrap().id;
-        let mut unit = translate_optimized(
-            &repo,
-            f,
-            &tier,
-            &ctx,
-            WeightSource::Accurate,
-            InlineParams::default(),
-            &|_, _| None,
-        );
-        propagate_true_weights(&mut unit, 1000);
-        assert_eq!(unit.blocks[0].true_weight, 1000);
-        // `$n > 10` is always false for arg 5: JmpZ taken -> return-2 path.
-        let hot: u64 = unit
-            .blocks
-            .iter()
-            .skip(1)
-            .map(|b| b.true_weight)
-            .max()
-            .unwrap();
-        assert!(hot >= 990, "one arm should carry ~all weight, got {hot}");
     }
 
     /// Minimal well-behaved cache for tests: one build per key, shared

@@ -203,7 +203,7 @@ mod tests {
         );
         assert!(!run.unit_order.is_empty());
         assert!(run.tier.total_counter_mass() > 1000);
-        assert!(!run.ctx.branches.is_empty());
+        assert!(!run.ctx.branches().is_empty());
         // Property counts exist (bodies touch object props).
         assert!(!run.tier.prop_counts.is_empty());
     }

@@ -126,38 +126,30 @@ fn arb_func_profile() -> impl Strategy<Value = FuncProfile> {
         (0u64..100_000, any::<u64>()),
         prop::collection::vec((0u64..50_000, any::<u64>()), 0..12),
         prop::collection::vec(any::<u64>(), 0..12),
-        prop::collection::hash_map(
-            0u32..64,
-            prop::collection::hash_map((0u32..512).prop_map(FuncId), 0u64..10_000, 0..4),
-            0..4,
+        prop::collection::vec(
+            (0u32..64, (0u32..512).prop_map(FuncId), 0u64..10_000),
+            0..12,
         ),
-        prop::collection::hash_map((0u32..64, 0u8..4), arb_type_dist(), 0..4),
-        prop::collection::hash_map(
-            0u32..64,
-            prop::collection::hash_map((0u32..64).prop_map(ClassId), 0u64..10_000, 0..3),
-            0..3,
-        ),
+        prop::collection::vec((0u32..64, 0u8..4, arb_type_dist()), 0..4),
+        prop::collection::vec((0u32..64, (0u32..64).prop_map(ClassId), 0u64..10_000), 0..8),
     )
         .prop_map(
-            |(
-                (enter_count, name_hash),
-                blocks,
-                block_opcode_hashes,
-                call_targets,
-                types,
-                prop_site_classes,
-            )| {
-                let (block_counts, block_hashes) = blocks.into_iter().unzip();
-                FuncProfile {
-                    enter_count,
-                    name_hash,
-                    block_counts,
-                    block_hashes,
-                    block_opcode_hashes,
-                    call_targets,
-                    types,
-                    prop_site_classes,
+            |((enter_count, name_hash), blocks, block_opcode_hashes, calls, types, props)| {
+                let mut p = FuncProfile::default();
+                p.enter_count = enter_count;
+                p.name_hash = name_hash;
+                (p.block_counts, p.block_hashes) = blocks.into_iter().unzip();
+                p.block_opcode_hashes = block_opcode_hashes;
+                for (site, callee, n) in calls {
+                    p.record_call(site, callee, n);
                 }
+                for (at, slot, dist) in types {
+                    p.record_types(at, slot, &dist);
+                }
+                for (site, class, n) in props {
+                    p.record_prop_class(site, class, n);
+                }
+                p
             },
         )
 }
@@ -198,20 +190,19 @@ fn arb_package() -> impl Strategy<Value = ProfilePackage> {
             t.prop_counts = prop_counts;
             t
         });
-    let ctx = prop::collection::hash_map(
-        (
-            prop::option::of(((0u32..512).prop_map(FuncId), 0u32..64)),
-            (0u32..512).prop_map(FuncId),
-            0u32..64,
+    let ictx = || prop::option::of(((0u32..512).prop_map(FuncId), 0u32..64));
+    let ctx = (
+        prop::collection::vec(
+            (
+                ((0u32..512).prop_map(FuncId), 0u32..64, ictx()),
+                (0u64..1_000_000, 0u64..1_000_000)
+                    .prop_map(|(taken, not_taken)| BranchCount { taken, not_taken }),
+            ),
+            0..10,
         ),
-        (0u64..1_000_000, 0u64..1_000_000)
-            .prop_map(|(taken, not_taken)| BranchCount { taken, not_taken }),
-        0..10,
+        prop::collection::vec((((0u32..512).prop_map(FuncId), ictx()), 0u64..1_000), 0..6),
     )
-    .prop_map(|branches| CtxProfile {
-        branches,
-        ..Default::default()
-    });
+        .prop_map(|(branches, entries)| CtxProfile::from_counts(branches, entries));
     (
         meta,
         prop::collection::vec((0u32..256).prop_map(UnitId), 0..20),
