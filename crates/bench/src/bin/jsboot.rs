@@ -13,10 +13,11 @@
 //!   jsboot --check    CI smoke: small lab; asserts parallel and early-
 //!                     serve boots stay byte-identical to sequential, that
 //!                     translation sustains a minimum translated-bytes-
-//!                     per-CPU-second rate, that decode time is measured,
-//!                     and (only on >= 2 hardware cores) that the best
-//!                     parallel throughput beats sequential. Writes
-//!                     nothing. Exits nonzero on any violation.
+//!                     per-CPU-second rate, that crc32 sustains a minimum
+//!                     MB/s over the sealed package, that decode time is
+//!                     measured, and (only on >= 2 hardware cores) that
+//!                     the best parallel throughput beats sequential.
+//!                     Writes nothing. Exits nonzero on any violation.
 //!   jsboot --trace F  additionally runs one traced parallel boot and
 //!                     writes the Chrome trace (Perfetto-loadable, one
 //!                     track per pipeline worker) to F. Composes with
@@ -193,6 +194,26 @@ fn main() {
         );
         println!(
             "check ok: {cpu_rate:.0} translated bytes per CPU-second (floor {MIN_CPU_BYTES_PER_SEC:.0})"
+        );
+        // Checksum regression floor: every boot CRCs its whole package in
+        // `unseal`, every chunked push several times over. The table-driven
+        // CRC-32 runs near 2 GB/s and a bit-at-a-time loop near 0.18 GB/s;
+        // the floor sits ~3× from each, so it catches a return to bitwise
+        // CRC without flaking on a slow host. Hashes >= 32 MB in total so
+        // the timing is not one small-lab package long.
+        const MIN_CRC_MB_PER_SEC: f64 = 600.0;
+        let passes = (32 << 20) / pkg.len() + 1;
+        let t0 = std::time::Instant::now();
+        for _ in 0..passes {
+            std::hint::black_box(jumpstart::crc32(std::hint::black_box(&pkg)));
+        }
+        let crc_rate = (passes * pkg.len()) as f64 / 1e6 / t0.elapsed().as_secs_f64();
+        assert!(
+            crc_rate >= MIN_CRC_MB_PER_SEC,
+            "crc32 throughput {crc_rate:.0} MB/s fell below the {MIN_CRC_MB_PER_SEC:.0} MB/s floor"
+        );
+        println!(
+            "check ok: crc32 {crc_rate:.0} MB/s over the sealed package (floor {MIN_CRC_MB_PER_SEC:.0})"
         );
         println!("check ok: all parallel and early-serve boots byte-identical to sequential");
         return;

@@ -431,7 +431,11 @@ pub fn chunk_package(pkg: &ProfilePackage, repo_funcs: usize) -> ChunkedPackage 
     let sealed = pkg.serialize();
     let payload_len = sealed.len() - ENVELOPE_LEN;
     let _span = telemetry::span!("package-chunk", "bytes" => payload_len);
-    let payload_crc = crc32(&sealed[HEADER_LEN..HEADER_LEN + payload_len]);
+    // `serialize` just sealed the payload's CRC into the envelope trailer.
+    let trailer = sealed
+        .last_chunk()
+        .expect("a sealed envelope ends in its CRC");
+    let payload_crc = u32::from_le_bytes(*trailer);
 
     let funcs = sorted_funcs(&pkg.tier);
     let refs = package::hash_refs(&pkg.tier);
@@ -886,6 +890,9 @@ mod tests {
         let sealed = reassemble(&cp.manifest, &pool).unwrap();
         assert_eq!(sealed, cp.sealed);
         assert_eq!(sealed, pkg.serialize());
+        // The manifest's CRC, read off the trailer, covers the payload.
+        let payload = &sealed[HEADER_LEN..sealed.len() - 4];
+        assert_eq!(cp.manifest.payload_crc, crc32(payload));
         // The reassembled bytes decode to the original package.
         assert_eq!(ProfilePackage::deserialize(&sealed).unwrap(), pkg);
     }

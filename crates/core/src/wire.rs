@@ -319,31 +319,35 @@ pub fn seal(payload: Bytes) -> Bytes {
 ///
 /// Returns a [`WireError`] describing the first problem found.
 pub fn unseal(data: &[u8]) -> Result<&[u8], WireError> {
-    if data.len() < MAGIC.len() + 12 {
-        return Err(WireError::Truncated {
-            needed: MAGIC.len() + 12,
-            left: data.len(),
-        });
-    }
-    if &data[..8] != MAGIC {
+    let truncated = |needed| WireError::Truncated {
+        needed,
+        left: data.len(),
+    };
+    let Some((header, body)) = data
+        .split_first_chunk::<HEADER_LEN>()
+        .filter(|(_, body)| body.len() >= 4)
+    else {
+        return Err(truncated(ENVELOPE_LEN));
+    };
+    let [magic @ .., v0, v1, v2, v3, l0, l1, l2, l3] = *header;
+    if magic != *MAGIC {
         return Err(WireError::BadMagic);
     }
-    let version = u32::from_le_bytes(data[8..12].try_into().expect("4 bytes"));
+    let version = u32::from_le_bytes([v0, v1, v2, v3]);
     if version != VERSION {
         return Err(WireError::BadVersion {
             found: version,
             supported: VERSION,
         });
     }
-    let len = u32::from_le_bytes(data[12..16].try_into().expect("4 bytes")) as usize;
-    if data.len() < 16 + len + 4 {
-        return Err(WireError::Truncated {
-            needed: 16 + len + 4,
-            left: data.len(),
-        });
-    }
-    let payload = &data[16..16 + len];
-    let stored = u32::from_le_bytes(data[16 + len..16 + len + 4].try_into().expect("4 bytes"));
+    let len = u32::from_le_bytes([l0, l1, l2, l3]) as usize;
+    let Some((payload, Some(&stored))) = body
+        .split_at_checked(len)
+        .map(|(payload, rest)| (payload, rest.first_chunk::<4>()))
+    else {
+        return Err(truncated(ENVELOPE_LEN + len));
+    };
+    let stored = u32::from_le_bytes(stored);
     let actual = crate::crc32::crc32(payload);
     if stored != actual {
         return Err(WireError::BadChecksum {
