@@ -69,6 +69,8 @@ assert full["itlb_miss_rate"] <= base["itlb_miss_rate"], \
     f"full stack iTLB miss rate above baseline: {full['itlb_miss_rate']:.4%} vs {base['itlb_miss_rate']:.4%}"
 assert full["ipc"] >= base["ipc"], f"full stack IPC {full['ipc']} fell below baseline {base['ipc']}"
 assert full["huge_pages"] >= 1, "full-stack hot text occupies no huge pages"
+retired = {r["instructions"] for r in doc["ablations"]}
+assert len(retired) == 1, f"layout moves cycles, never instructions: ablations retire {sorted(retired)}"
 for name in ("baseline", "c3"):
     r = rows[name]
     assert r["pad_bytes"] == 0 and r["stub_bytes"] == 0 and r["cold_region_used"] == 0, \

@@ -26,6 +26,7 @@
 //!                      reproduces plain bump placement (no pads, no
 //!                      stubs, hot region == code bytes), the full stack
 //!                      does not regress iTLB misses vs either baseline,
+//!                      every ablation retires the same instruction count,
 //!                      and every ablation's plan is byte-identically
 //!                      reproducible across two boots. Writes nothing.
 
@@ -312,7 +313,19 @@ fn main() {
         for r in &rows {
             assert!(r.report.instructions > 10_000, "{}: empty replay", r.name);
             assert!(r.compiled_funcs > 0);
+            // Layout moves cycles, never instructions: the same request
+            // stream retires the same count under every ablation. A replay
+            // that drops or repeats an instruction breaks this first.
+            assert_eq!(
+                r.report.instructions, rows[0].report.instructions,
+                "{}: retired instructions differ from {}",
+                r.name, rows[0].name
+            );
         }
+        println!(
+            "check ok: every ablation retires {} instructions",
+            rows[0].report.instructions
+        );
         // Kill switch = today's plain bump allocator: no boundary padding,
         // no stubs, no cold-region exile, and the hot region holds exactly
         // the emitted code bytes.

@@ -111,13 +111,23 @@ pub struct EmittedTranslation {
     pub vasm: VasmUnit,
     /// Per-Vasm-block (address, size); sizes come from the block encoding.
     pub placement: Vec<(u64, u32)>,
-    /// Hot→cold bind stubs: `(from_block, to_block)` → stub address just
-    /// ahead of this function's cold part. Empty unless global hot/cold
-    /// splitting placed the cold part in the dedicated region.
-    pub stubs: HashMap<(usize, usize), u64>,
+    /// Hot→cold bind stubs: `((from_block, to_block), stub address)`, one
+    /// per edge, sorted by edge; each stub sits just ahead of this
+    /// function's cold part. Empty unless global hot/cold splitting placed
+    /// the cold part in the dedicated region.
+    pub stubs: Vec<((usize, usize), u64)>,
 }
 
 impl EmittedTranslation {
+    /// The bind stub on the `from → to` block edge, if it has one.
+    pub fn stub(&self, from: usize, to: usize) -> Option<u64> {
+        let i = self
+            .stubs
+            .binary_search_by_key(&(from, to), |&(edge, _)| edge)
+            .ok()?;
+        Some(self.stubs[i].1)
+    }
+
     /// Total emitted bytes (stubs excluded).
     pub fn code_bytes(&self) -> u64 {
         self.placement.iter().map(|&(_, s)| s as u64).sum()
@@ -264,7 +274,7 @@ impl CodeCache {
             let addr = self.cold.alloc(size as u64).expect("checked free space");
             placement[b] = (addr, size);
         }
-        self.insert(unit, kind, placement, HashMap::new());
+        self.insert(unit, kind, placement, Vec::new());
         true
     }
 
@@ -333,12 +343,18 @@ impl CodeCache {
         // Bind stubs first, then the cold blocks: a stub shares its cache
         // line with the cold entry it jumps to, so the one bound transfer
         // that executes it also pulls in the target's first line.
-        let mut stubs = HashMap::new();
-        for &edge in &stub_edges {
-            let addr = cold_region.alloc(STUB_BYTES).expect("checked free space");
-            stubs.insert(edge, addr);
-        }
+        let mut stubs: Vec<((usize, usize), u64)> = stub_edges
+            .iter()
+            .map(|&edge| {
+                let addr = cold_region.alloc(STUB_BYTES).expect("checked free space");
+                (edge, addr)
+            })
+            .collect();
         self.stub_count += stub_edges.len() as u64;
+        // A `Cond` whose arms share a target lists its edge twice: both
+        // stubs are emitted, and the later (higher) one is the edge's.
+        stubs.sort_unstable_by_key(|&(edge, addr)| (edge, std::cmp::Reverse(addr)));
+        stubs.dedup_by_key(|&mut (edge, _)| edge);
         for &b in cold_order {
             assert!(!covered[b], "block placed twice");
             covered[b] = true;
@@ -356,7 +372,7 @@ impl CodeCache {
         unit: VasmUnit,
         kind: TransKind,
         placement: Vec<(u64, u32)>,
-        stubs: HashMap<(usize, usize), u64>,
+        stubs: Vec<((usize, usize), u64)>,
     ) {
         let func = unit.func;
         self.translations.insert(
@@ -429,9 +445,7 @@ impl CodeCache {
                 mix(addr);
                 mix(size as u64);
             }
-            let mut stubs: Vec<(&(usize, usize), &u64)> = t.stubs.iter().collect();
-            stubs.sort();
-            for (&(from, to), &addr) in stubs {
+            for &((from, to), addr) in &t.stubs {
                 mix(from as u64);
                 mix(to as u64);
                 mix(addr);
@@ -518,13 +532,26 @@ mod tests {
         assert_eq!(cc.cold.used, 0);
         assert!(cc.optimized_cold.used > 0);
         assert_eq!(t.stubs.len(), 1);
-        let stub = t.stubs[&(1, 2)];
+        let stub = t.stub(1, 2).expect("1 → 2 has a stub");
         // The bind stub sits in the cold region, just ahead of the cold
         // blocks it transfers to; hot text stays pure hot code.
         assert_eq!(stub, cc.optimized_cold.base);
         assert_eq!(t.placement[2].0, stub + STUB_BYTES);
         assert_eq!(cc.stub_bytes(), STUB_BYTES);
         assert_eq!(cc.hot.used, t.code_bytes_hot());
+    }
+
+    #[test]
+    fn a_cond_with_one_target_keeps_the_later_stub() {
+        let mut u = unit(3, 2);
+        u.blocks[0].term = Term::Cond { taken: 1, fall: 1 };
+        let mut cc = CodeCache::with_plan(CodeCacheConfig::default(), LayoutPlanOptions::default());
+        assert!(cc.emit(u, TransKind::Optimized, &[0], &[1]));
+        let t = cc.translation(FuncId::new(3)).unwrap();
+        assert_eq!(cc.stub_count(), 2, "both arms emit a stub");
+        assert_eq!(t.stubs.len(), 1, "one entry per edge");
+        assert_eq!(t.stub(0, 1), Some(cc.optimized_cold.base + STUB_BYTES));
+        assert_eq!(t.stub(1, 0), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ pub use profile::{
     BranchCount, CtxProfile, FuncProfile, InlineCtx, ProfileCollector, TierProfile, TypeDist,
     PARAM_SITE,
 };
-pub use replay::{DataSpace, Executor, ExecutorConfig};
+pub use replay::{Executor, ExecutorConfig};
 pub use translate::{
     translate_live, translate_optimized, translate_optimized_with, translate_profiling,
     InlineParams, InlineTemplate, TemplateKey, TemplateSource, WeightSource,

@@ -8,17 +8,23 @@
 //! what produces Figs. 5 and 6. Data accesses (property slots, arrays,
 //! repo metadata) go through the D-side model, so property reordering and
 //! metadata preload order matter too.
+//!
+//! The translated-code path runs hundreds of times per request, so it
+//! hashes nothing with SipHash: translations and tier profiles are dense
+//! per-`FuncId` tables built once in [`Executor::new`], object counters are
+//! indexed by class, bind stubs are a sorted vector, and the two
+//! address-keyed tables use [`uarch::AddrMap`] / [`uarch::AddrSet`].
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::rc::Rc;
 
 use bytecode::{Cfg, ClassId, FuncId, Instr, Repo, UnitId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use uarch::{CoreModel, CoreParams, MissReport};
+use uarch::{AddrMap, AddrSet, CoreModel, CoreParams, MissReport};
 
-use crate::code_cache::{CodeCache, STUB_BYTES};
-use crate::profile::{CtxProfile, TierProfile};
+use crate::code_cache::{CodeCache, EmittedTranslation, TransKind, STUB_BYTES};
+use crate::profile::{CtxProfile, FuncProfile, TierProfile};
 use crate::vasm::{Term, VInstr};
 
 /// Replay tunables.
@@ -60,8 +66,9 @@ impl Default for ExecutorConfig {
 
 /// Synthesizes data addresses for heap objects, arrays and repo metadata.
 #[derive(Debug)]
-pub struct DataSpace {
-    obj_counter: HashMap<ClassId, u64>,
+struct DataSpace {
+    /// Objects allocated so far, per class index.
+    obj_counter: Vec<u64>,
     obj_pool: u64,
     arr_counter: u64,
     unit_meta_base: Vec<u64>,
@@ -76,7 +83,7 @@ const HTAB_BASE: u64 = 0x50_0000_0000;
 impl DataSpace {
     /// Creates a data space; unit metadata is laid out in repo id order
     /// until [`DataSpace::set_unit_order`] installs a load order.
-    pub fn new(repo: &Repo, obj_pool: u64) -> Self {
+    fn new(repo: &Repo, obj_pool: u64) -> Self {
         let slot_counts = repo
             .classes()
             .iter()
@@ -88,7 +95,7 @@ impl DataSpace {
             })
             .collect();
         let mut ds = Self {
-            obj_counter: HashMap::new(),
+            obj_counter: vec![0; repo.classes().len()],
             obj_pool,
             arr_counter: 0,
             unit_meta_base: vec![0; repo.units().len()],
@@ -102,7 +109,7 @@ impl DataSpace {
     /// Installs the order units were (pre)loaded in; metadata addresses are
     /// assigned cumulatively in that order, so a hot-first preload packs
     /// hot metadata into few pages (paper §IV-B category 1, §VII-A).
-    pub fn set_unit_order(&mut self, repo: &Repo, order: &[UnitId]) {
+    fn set_unit_order(&mut self, repo: &Repo, order: &[UnitId]) {
         let mut off = 0u64;
         let mut placed = vec![false; self.unit_meta_base.len()];
         for &u in order {
@@ -127,12 +134,13 @@ impl DataSpace {
     }
 
     fn current_obj(&self, class: ClassId) -> u64 {
-        let k = self.obj_counter.get(&class).copied().unwrap_or(0) % self.obj_pool;
+        let k = self.obj_counter.get(class.index()).copied().unwrap_or(0) % self.obj_pool;
         OBJ_BASE + class.index() as u64 * 0x10_0000 + k * self.obj_stride(class)
     }
 
+    /// `class` comes from the repo's own `NewObj`, so it is in range.
     fn alloc_obj(&mut self, class: ClassId) -> u64 {
-        *self.obj_counter.entry(class).or_insert(0) += 1;
+        self.obj_counter[class.index()] += 1;
         self.current_obj(class)
     }
 
@@ -154,8 +162,10 @@ impl DataSpace {
 #[derive(Debug)]
 pub struct Executor<'a> {
     repo: &'a Repo,
-    cache: &'a CodeCache,
-    tier: &'a TierProfile,
+    /// Each function's current translation, by `FuncId` index.
+    translations: Vec<Option<&'a EmittedTranslation>>,
+    /// Each function's tier-1 profile, by `FuncId` index.
+    profiles: Vec<Option<&'a FuncProfile>>,
     truth: &'a CtxProfile,
     /// The simulated core (exposed for custom latency parameters).
     pub core: CoreModel,
@@ -163,10 +173,10 @@ pub struct Executor<'a> {
     data: DataSpace,
     config: ExecutorConfig,
     cfg_cache: HashMap<FuncId, Rc<Cfg>>,
-    branch_acc: HashMap<u64, f64>,
+    branch_acc: AddrMap<f64>,
     /// Hot→cold bind stubs already executed and smashed to direct jumps.
     /// Code state, not a counter: survives [`Executor::reset_stats`].
-    bound_stubs: HashSet<u64>,
+    bound_stubs: AddrSet,
     blocks_left: u32,
 }
 
@@ -184,20 +194,25 @@ impl<'a> Executor<'a> {
         if let Some((start, len)) = cache.huge_text_range() {
             core.map_huge_range(start, len);
         }
+        let funcs = repo.funcs().len();
         Self {
             repo,
-            cache,
-            tier,
+            translations: by_func(cache.translations(), funcs),
+            profiles: by_func(&tier.funcs, funcs),
             truth,
             core,
             rng: SmallRng::seed_from_u64(config.seed),
             data: DataSpace::new(repo, config.obj_pool),
             config,
             cfg_cache: HashMap::new(),
-            branch_acc: HashMap::new(),
-            bound_stubs: HashSet::new(),
+            branch_acc: AddrMap::default(),
+            bound_stubs: AddrSet::default(),
             blocks_left: 0,
         }
+    }
+
+    fn profile(&self, func: FuncId) -> Option<&'a FuncProfile> {
+        self.profiles.get(func.index()).copied().flatten()
     }
 
     /// Samples a branch outcome at probability `p`: mostly the site's
@@ -218,7 +233,10 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Installs the unit metadata layout (see [`DataSpace::set_unit_order`]).
+    /// Installs the order units were (pre)loaded in. Unit metadata
+    /// addresses are assigned cumulatively in that order, so a hot-first
+    /// preload packs hot metadata into few pages (paper §IV-B category 1,
+    /// §VII-A); until this is called they follow repo id order.
     pub fn set_unit_order(&mut self, order: &[UnitId]) {
         self.data.set_unit_order(self.repo, order);
     }
@@ -243,15 +261,15 @@ impl<'a> Executor<'a> {
         if depth >= self.config.max_depth || self.blocks_left == 0 {
             return;
         }
-        match self.cache.translation(func) {
+        match self.translations.get(func.index()).copied().flatten() {
             Some(t) => self.replay_translation(t, depth),
             None => self.replay_interp(func, depth),
         }
     }
 
-    fn replay_translation(&mut self, t: &'a crate::code_cache::EmittedTranslation, depth: u32) {
+    fn replay_translation(&mut self, t: &'a EmittedTranslation, depth: u32) {
         let extra_cpi = match t.kind {
-            crate::code_cache::TransKind::Profiling => self.config.profiling_extra_cpi,
+            TransKind::Profiling => self.config.profiling_extra_cpi,
             _ => 0,
         };
         // Touch this function's runtime metadata (Func*, unit tables) —
@@ -269,11 +287,17 @@ impl<'a> Executor<'a> {
             let block = &t.vasm.blocks[bi];
             let (addr, size) = t.placement[bi];
             self.core.fetch(addr, size);
-            let n = block.instr_count();
-            self.core.retire(n, block.base_cycles() + n * extra_cpi);
-            for instr in &block.instrs {
-                self.exec_instr(t.func, *instr, depth);
+            // One pass over the body: sum the base cycles (the terminator
+            // costs one) and run the instructions that touch the model.
+            // Retiring after the calls they make is exact: `retire` only
+            // adds to two totals that nothing reads inside a call.
+            let mut base = 1;
+            for &instr in &block.instrs {
+                base += instr.cycles();
+                self.exec_instr(instr, depth);
             }
+            let n = block.instr_count();
+            self.core.retire(n, base + n * extra_cpi);
             let fall_addr = addr + size as u64;
             match block.term {
                 Term::Jump(t2) => {
@@ -286,7 +310,7 @@ impl<'a> Executor<'a> {
                     // its bind stub (emitted ahead of the cold part); the
                     // stub then smashes the branch to jump directly (lazy
                     // jump binding), so steady state pays nothing extra.
-                    if let Some(&stub) = t.stubs.get(&(bi, t2)) {
+                    if let Some(stub) = t.stub(bi, t2) {
                         if self.bound_stubs.insert(stub) {
                             self.core.fetch(stub, STUB_BYTES as u32);
                         }
@@ -302,7 +326,7 @@ impl<'a> Executor<'a> {
                     // turns hot edges into fallthroughs.
                     let emitted_taken = t.placement[next].0 != fall_addr;
                     self.core.branch(branch_site, emitted_taken);
-                    if let Some(&stub) = t.stubs.get(&(bi, next)) {
+                    if let Some(stub) = t.stub(bi, next) {
                         if self.bound_stubs.insert(stub) {
                             self.core.fetch(stub, STUB_BYTES as u32);
                         }
@@ -314,7 +338,10 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn exec_instr(&mut self, owner_func: FuncId, instr: VInstr, depth: u32) {
+    /// Runs the model side of one instruction: the eight variants below
+    /// touch memory or call; every other one only costs base cycles.
+    #[inline]
+    fn exec_instr(&mut self, instr: VInstr, depth: u32) {
         match instr {
             VInstr::LoadProp { class, slot } | VInstr::StoreProp { class, slot } => {
                 let base = self.data.current_obj(class);
@@ -352,7 +379,6 @@ impl<'a> Executor<'a> {
             }
             VInstr::CallStatic { callee } => self.call(callee, depth + 1),
             VInstr::CallDynamic { owner, site } => {
-                let _ = owner_func;
                 if let Some(target) = self.sample_target(owner, site) {
                     self.core.load(HTAB_BASE + 0x100_0000 + site as u64 * 64, 8);
                     self.call(target, depth + 1);
@@ -363,7 +389,7 @@ impl<'a> Executor<'a> {
     }
 
     fn sample_target(&mut self, owner: FuncId, site: u32) -> Option<FuncId> {
-        let targets = self.tier.funcs.get(&owner)?.call_targets_at(site);
+        let targets = self.profile(owner)?.call_targets_at(site);
         let total: u64 = targets.iter().map(|&(_, c)| c).sum();
         if total == 0 {
             return None;
@@ -416,11 +442,7 @@ impl<'a> Executor<'a> {
                     }
                     Instr::GetProp(_) | Instr::SetProp(_) => {
                         // Receiver class from the site profile when known.
-                        let class = self
-                            .tier
-                            .funcs
-                            .get(&func)
-                            .and_then(|fp| fp.dominant_class(at));
+                        let class = self.profile(func).and_then(|fp| fp.dominant_class(at));
                         if let Some((class, _)) = class {
                             let slots = self.data.slot_counts[class.index()].max(1) as u64;
                             let base = self.data.current_obj(class);
@@ -465,6 +487,19 @@ impl<'a> Executor<'a> {
             }
         }
     }
+}
+
+/// A dense table over `n` function ids (grown if a key lies beyond):
+/// `Some(&value)` where `map` has the id.
+fn by_func<T>(map: &HashMap<FuncId, T>, n: usize) -> Vec<Option<&T>> {
+    let mut dense = vec![None; n];
+    for (f, v) in map {
+        if f.index() >= dense.len() {
+            dense.resize(f.index() + 1, None);
+        }
+        dense[f.index()] = Some(v);
+    }
+    dense
 }
 
 #[cfg(test)]
@@ -610,8 +645,8 @@ mod tests {
         let run = |slot: u16| {
             let mut ex = Executor::new(&repo, &cache, &tier, &ctx, ExecutorConfig::default());
             for _ in 0..4000 {
-                ex.exec_instr(FuncId::new(0), VInstr::NewObjOp { class }, 0);
-                ex.exec_instr(FuncId::new(0), VInstr::LoadProp { class, slot }, 0);
+                ex.exec_instr(VInstr::NewObjOp { class }, 0);
+                ex.exec_instr(VInstr::LoadProp { class, slot }, 0);
             }
             ex.report().dcache.misses
         };

@@ -225,11 +225,6 @@ impl VBlock {
         }
     }
 
-    /// Base cycles for one pass through the block (no penalties).
-    pub fn base_cycles(&self) -> u64 {
-        self.instrs.iter().map(VInstr::cycles).sum::<u64>() + 1
-    }
-
     /// Number of modeled machine instructions.
     pub fn instr_count(&self) -> u64 {
         self.instrs.len() as u64 + 1
@@ -345,7 +340,6 @@ mod tests {
         };
         assert_eq!(b.size(), 3 + 6);
         assert_eq!(b.instr_count(), 2);
-        assert!(b.base_cycles() >= 2);
     }
 
     #[test]

@@ -2,6 +2,10 @@
 
 use crate::metrics::AccessStats;
 
+/// BTB geometry: 128 sets (a power of two, so the set is a mask) of 4 ways.
+const BTB_SETS: usize = 128;
+const BTB_WAYS: usize = 4;
+
 /// Gshare direction predictor plus a set-associative BTB.
 ///
 /// Direction comes from a table of 2-bit saturating counters indexed by
@@ -16,7 +20,7 @@ pub struct BranchPredictor {
     history: u64,
     history_bits: u32,
     // BTB: sets of (tag, lru); tag = pc, u64::MAX = invalid.
-    btb: Vec<Vec<(u64, u64)>>,
+    btb: Vec<[(u64, u64); BTB_WAYS]>,
     btb_tick: u64,
     stats: AccessStats, // misses = mispredictions + BTB misses on taken
 }
@@ -37,7 +41,7 @@ impl BranchPredictor {
             table: vec![1; 1 << table_bits], // weakly not-taken
             history: 0,
             history_bits: history_bits.min(table_bits),
-            btb: vec![vec![(u64::MAX, 0); 4]; 128],
+            btb: vec![[(u64::MAX, 0); BTB_WAYS]; BTB_SETS],
             btb_tick: 0,
             stats: AccessStats::default(),
         }
@@ -76,7 +80,7 @@ impl BranchPredictor {
 
     fn btb_access(&mut self, pc: u64) -> bool {
         self.btb_tick += 1;
-        let set = ((pc >> 2) % self.btb.len() as u64) as usize;
+        let set = (pc >> 2) as usize & (BTB_SETS - 1);
         let ways = &mut self.btb[set];
         if let Some(w) = ways.iter_mut().find(|(t, _)| *t == pc) {
             w.1 = self.btb_tick;

@@ -30,18 +30,31 @@ impl CacheConfig {
     };
 
     /// Number of sets implied by the geometry.
-    pub fn sets(&self) -> u32 {
+    pub const fn sets(&self) -> u32 {
         self.size_bytes / (self.line_bytes * self.ways)
     }
 }
+
+// `Cache` cuts sets out of the address by mask: both shipped geometries
+// must have power-of-two set counts.
+const _: () = assert!(CacheConfig::L1.sets().is_power_of_two());
+const _: () = assert!(CacheConfig::LLC.sets().is_power_of_two());
 
 /// A set-associative cache. Tracks hits/misses; contents are tags only
 /// (data values never matter for miss modeling).
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    // sets[set][way] = (tag, last_use); u64::MAX tag = invalid.
-    sets: Vec<Vec<(u64, u64)>>,
+    /// `log2(line_bytes)`: address → line number.
+    line_shift: u32,
+    /// `log2(sets)`: line number → tag.
+    set_shift: u32,
+    /// `sets - 1`: line number → set.
+    set_mask: u64,
+    ways: usize,
+    /// Set `s` is `lines[s * ways..(s + 1) * ways]`, each way a
+    /// `(tag, last_use)` pair; `u64::MAX` tag = invalid.
+    lines: Vec<(u64, u64)>,
     tick: u64,
     stats: AccessStats,
 }
@@ -51,18 +64,27 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sets or non-power-of-two
-    /// line size).
+    /// Panics if the line size or the set count is not a power of two
+    /// (sets and tags are cut from the address by shift and mask), or if
+    /// the geometry has zero ways.
     pub fn new(config: CacheConfig) -> Self {
         assert!(
             config.line_bytes.is_power_of_two(),
             "line size must be a power of two"
         );
+        assert!(config.ways > 0, "cache must have at least one way");
         let sets = config.sets();
-        assert!(sets > 0, "cache must have at least one set");
+        assert!(
+            sets.is_power_of_two(),
+            "cache set count must be a power of two, got {sets}"
+        );
         Self {
             config,
-            sets: vec![vec![(u64::MAX, 0); config.ways as usize]; sets as usize],
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: sets.trailing_zeros(),
+            set_mask: sets as u64 - 1,
+            ways: config.ways as usize,
+            lines: vec![(u64::MAX, 0); (sets * config.ways) as usize],
             tick: 0,
             stats: AccessStats::default(),
         }
@@ -74,41 +96,26 @@ impl Cache {
     }
 
     /// Accesses one byte address; returns `true` on hit. The whole line is
-    /// filled on miss.
+    /// filled on miss, evicting the set's least-recently-used way (the
+    /// lowest-numbered one among never-used ways).
     pub fn access(&mut self, addr: u64) -> bool {
         self.tick += 1;
         self.stats.accesses += 1;
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        let ways = &mut self.sets[set];
+        let line = addr >> self.line_shift;
+        let set = (line & self.set_mask) as usize;
+        let tag = line >> self.set_shift;
+        let ways = &mut self.lines[set * self.ways..(set + 1) * self.ways];
         if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
             w.1 = self.tick;
             return true;
         }
         self.stats.misses += 1;
-        // Evict LRU.
         let victim = ways
             .iter_mut()
             .min_by_key(|(_, last)| *last)
             .expect("ways is non-empty");
         *victim = (tag, self.tick);
         false
-    }
-
-    /// Accesses a byte range, touching every line it spans; returns the
-    /// number of misses.
-    pub fn access_range(&mut self, addr: u64, len: u32) -> u32 {
-        let line = self.config.line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + len.max(1) as u64 - 1) / line;
-        let mut misses = 0;
-        for l in first..=last {
-            if !self.access(l * line) {
-                misses += 1;
-            }
-        }
-        misses
     }
 
     /// Hit/miss counters.
@@ -159,12 +166,88 @@ mod tests {
         assert!(!c.access(64), "64 was evicted");
     }
 
+    /// The nested-`Vec` cache this module used to be: one vector of ways
+    /// per set, sets and tags by division, `min_by_key` eviction. Kept as
+    /// the behavioral reference for the flat, shift-and-mask version.
+    struct NaiveCache {
+        line_bytes: u64,
+        sets: Vec<Vec<(u64, u64)>>,
+        tick: u64,
+        stats: AccessStats,
+    }
+
+    impl NaiveCache {
+        fn new(config: CacheConfig) -> Self {
+            Self {
+                line_bytes: config.line_bytes as u64,
+                sets: vec![vec![(u64::MAX, 0); config.ways as usize]; config.sets() as usize],
+                tick: 0,
+                stats: AccessStats::default(),
+            }
+        }
+
+        fn access(&mut self, addr: u64) -> bool {
+            self.tick += 1;
+            self.stats.accesses += 1;
+            let line = addr / self.line_bytes;
+            let set = (line % self.sets.len() as u64) as usize;
+            let tag = line / self.sets.len() as u64;
+            let ways = &mut self.sets[set];
+            if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
+                w.1 = self.tick;
+                return true;
+            }
+            self.stats.misses += 1;
+            let victim = ways
+                .iter_mut()
+                .min_by_key(|(_, last)| *last)
+                .expect("ways is non-empty");
+            *victim = (tag, self.tick);
+            false
+        }
+    }
+
     #[test]
-    fn range_access_counts_spanning_lines() {
-        let mut c = tiny();
-        let misses = c.access_range(8, 16); // spans lines 0 and 1
-        assert_eq!(misses, 2);
-        assert_eq!(c.access_range(8, 16), 0);
+    fn flat_cache_matches_naive_reference_access_for_access() {
+        let sixteen_way = CacheConfig {
+            size_bytes: 64 * 1024,
+            line_bytes: 64,
+            ways: 16,
+        };
+        for config in [CacheConfig::L1, sixteen_way, CacheConfig::LLC] {
+            let mut fast = Cache::new(config);
+            let mut naive = NaiveCache::new(config);
+            // ~3x capacity of distinct lines, so sets keep evicting, plus
+            // an occasional far outlier.
+            let span = 3 * (config.size_bytes / config.line_bytes) as u64;
+            let mut x: u64 = 0x9E37_79B9;
+            for i in 0..60_000u64 {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let line = if i % 97 == 0 { x % (1 << 40) } else { x % span };
+                let addr = line * config.line_bytes as u64 + x % config.line_bytes as u64;
+                assert_eq!(
+                    fast.access(addr),
+                    naive.access(addr),
+                    "divergence at access {i} ({}-way)",
+                    config.ways
+                );
+            }
+            assert_eq!(fast.stats(), naive.stats);
+            assert!(naive.stats.misses > 0 && naive.stats.misses < naive.stats.accesses);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "set count must be a power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // 48 KiB / (64 B × 8 ways) = 96 sets.
+        Cache::new(CacheConfig {
+            size_bytes: 48 * 1024,
+            line_bytes: 64,
+            ways: 8,
+        });
     }
 
     #[test]

@@ -54,8 +54,9 @@ impl Default for CoreParams {
 ///
 /// The executor calls [`CoreModel::fetch`] for each basic block it enters,
 /// [`CoreModel::load`]/[`CoreModel::store`] for data accesses, and
-/// [`CoreModel::branch`] for conditional branches; each returns the *added*
-/// cycles from misses, which the caller adds to the instruction base cost.
+/// [`CoreModel::branch`] for conditional branches; each adds its miss
+/// penalties to the cycle total itself. [`CoreModel::retire`] adds the
+/// instructions' base cost, so [`CoreModel::cycles`] is base + penalties.
 #[derive(Clone, Debug)]
 pub struct CoreModel {
     params: CoreParams,
@@ -117,77 +118,50 @@ impl CoreModel {
         self.cycles += base_cycles;
     }
 
-    /// Fetches `len` code bytes at `addr`; returns added cycles.
-    pub fn fetch(&mut self, addr: u64, len: u32) -> u64 {
-        let mut added = 0;
-        match self.itlb.access(addr, self.is_huge(addr)) {
-            TlbLevel::L1 => {}
-            TlbLevel::L2 => added += self.params.tlb_l2_penalty,
-            TlbLevel::Walk => added += self.params.tlb_penalty,
-        }
-        // Walk the lines the block spans.
-        let line = self.l1i.config().line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + len.max(1) as u64 - 1) / line;
-        for l in first..=last {
-            if !self.l1i.access(l * line) {
-                added += if self.llc.access(l * line) {
-                    self.params.llc_hit_penalty
-                } else {
-                    self.params.mem_penalty
-                };
-            }
-        }
-        self.cycles += added;
-        added
+    /// Fetches `len` code bytes at `addr`, adding I-TLB and I-cache miss
+    /// penalties to the cycle total.
+    pub fn fetch(&mut self, addr: u64, len: u32) {
+        let tlb = match self.itlb.access(addr, self.is_huge(addr)) {
+            TlbLevel::L1 => 0,
+            TlbLevel::L2 => self.params.tlb_l2_penalty,
+            TlbLevel::Walk => self.params.tlb_penalty,
+        };
+        let lines = walk_lines(&mut self.l1i, &mut self.llc, &self.params, addr, len);
+        self.cycles += tlb + lines;
     }
 
-    /// Loads `len` data bytes at `addr`; returns added cycles.
-    pub fn load(&mut self, addr: u64, len: u32) -> u64 {
-        self.data_access(addr, len)
+    /// Loads `len` data bytes at `addr`, adding D-TLB and D-cache miss
+    /// penalties to the cycle total.
+    pub fn load(&mut self, addr: u64, len: u32) {
+        self.data_access(addr, len);
     }
 
-    /// Stores `len` data bytes at `addr`; returns added cycles (write-
-    /// allocate, so identical path to loads).
-    pub fn store(&mut self, addr: u64, len: u32) -> u64 {
-        self.data_access(addr, len)
+    /// Stores `len` data bytes at `addr`: write-allocate, so the same path
+    /// and penalties as [`CoreModel::load`].
+    pub fn store(&mut self, addr: u64, len: u32) {
+        self.data_access(addr, len);
     }
 
-    fn data_access(&mut self, addr: u64, len: u32) -> u64 {
-        let mut added = 0;
-        if !self.dtlb.access(addr) {
-            added += self.params.tlb_penalty;
-        }
-        let line = self.l1d.config().line_bytes as u64;
-        let first = addr / line;
-        let last = (addr + len.max(1) as u64 - 1) / line;
-        for l in first..=last {
-            if !self.l1d.access(l * line) {
-                added += if self.llc.access(l * line) {
-                    self.params.llc_hit_penalty
-                } else {
-                    self.params.mem_penalty
-                };
-            }
-        }
-        self.cycles += added;
-        added
+    fn data_access(&mut self, addr: u64, len: u32) {
+        let tlb = if self.dtlb.access(addr) {
+            0
+        } else {
+            self.params.tlb_penalty
+        };
+        let lines = walk_lines(&mut self.l1d, &mut self.llc, &self.params, addr, len);
+        self.cycles += tlb + lines;
     }
 
     /// Resolves a conditional branch at `pc` (with the *emitted* polarity:
-    /// `taken` means the fetch actually redirects); returns added cycles.
-    pub fn branch(&mut self, pc: u64, taken: bool) -> u64 {
-        let correct = self.bp.branch(pc, taken);
-        let mut added = if correct {
-            0
-        } else {
-            self.params.mispredict_penalty
-        };
-        if taken {
-            added += self.params.taken_penalty;
+    /// `taken` means the fetch actually redirects), adding the mispredict
+    /// and taken-redirect penalties to the cycle total.
+    pub fn branch(&mut self, pc: u64, taken: bool) {
+        if !self.bp.branch(pc, taken) {
+            self.cycles += self.params.mispredict_penalty;
         }
-        self.cycles += added;
-        added
+        if taken {
+            self.cycles += self.params.taken_penalty;
+        }
     }
 
     /// Total cycles so far (base + penalties).
@@ -222,6 +196,25 @@ impl CoreModel {
         self.instructions = 0;
         self.cycles = 0;
     }
+}
+
+/// Touches every line of `l1` that `[addr, addr + len)` spans, filling
+/// misses from `llc`; returns the miss penalty cycles.
+fn walk_lines(l1: &mut Cache, llc: &mut Cache, p: &CoreParams, addr: u64, len: u32) -> u64 {
+    let line = l1.config().line_bytes as u64;
+    let first = addr / line;
+    let last = (addr + len.max(1) as u64 - 1) / line;
+    let mut added = 0;
+    for l in first..=last {
+        if !l1.access(l * line) {
+            added += if llc.access(l * line) {
+                p.llc_hit_penalty
+            } else {
+                p.mem_penalty
+            };
+        }
+    }
+    added
 }
 
 impl Default for CoreModel {

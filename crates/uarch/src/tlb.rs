@@ -8,22 +8,22 @@
 //!   second-level array that tracks the page size per entry. This is what
 //!   makes huge-page hot-text packing observable in `MissReport`.
 //!
-//! Both are built on [`LruIndex`], a hash-indexed LRU: O(1) lookup and
-//! eviction regardless of entry count, so large second-level TLBs do not
+//! Both are built on [`LruIndex`]: an [`AddrMap`] from key to slot plus an
+//! intrusive doubly-linked LRU list over the slots, so lookup and eviction
+//! are O(1) regardless of entry count and large second-level TLBs do not
 //! make replay quadratic. Fill and eviction order exactly match the old
 //! linear-scan + `min_by_key` implementation (empty slots claimed in index
 //! order, then true LRU), which the parity test below pins down.
 
-use std::collections::HashMap;
-
+use crate::hash::AddrMap;
 use crate::metrics::AccessStats;
 
 const NIL: usize = usize::MAX;
 
-/// Hash-indexed fully-associative LRU over opaque keys: O(1) `touch`.
+/// Fully-associative LRU over opaque keys: O(1) `touch`.
 #[derive(Clone, Debug)]
 struct LruIndex {
-    slot_of: HashMap<u64, usize>,
+    slot_of: AddrMap<usize>,
     key_of: Vec<u64>,
     prev: Vec<usize>,
     next: Vec<usize>,
@@ -40,7 +40,7 @@ impl LruIndex {
     fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "LRU needs at least one slot");
         Self {
-            slot_of: HashMap::with_capacity(capacity),
+            slot_of: AddrMap::with_capacity_and_hasher(capacity, Default::default()),
             key_of: vec![0; capacity],
             prev: vec![NIL; capacity],
             next: vec![NIL; capacity],
@@ -106,7 +106,8 @@ impl LruIndex {
 #[derive(Clone, Debug)]
 pub struct Tlb {
     index: LruIndex,
-    page_bytes: u64,
+    /// `log2(page_bytes)`: address → page number.
+    page_shift: u32,
     stats: AccessStats,
 }
 
@@ -124,20 +125,15 @@ impl Tlb {
         );
         Self {
             index: LruIndex::new(entries as usize),
-            page_bytes,
+            page_shift: page_bytes.trailing_zeros(),
             stats: AccessStats::default(),
         }
-    }
-
-    /// A 64-entry, 4 KiB-page TLB (Broadwell-like first level).
-    pub fn broadwell() -> Self {
-        Self::new(64, 4096)
     }
 
     /// Translates one address; returns `true` on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
-        let hit = self.index.touch(addr / self.page_bytes);
+        let hit = self.index.touch(addr >> self.page_shift);
         if !hit {
             self.stats.misses += 1;
         }
@@ -152,11 +148,6 @@ impl Tlb {
     /// Clears counters but keeps contents.
     pub fn reset_stats(&mut self) {
         self.stats = AccessStats::default();
-    }
-
-    /// Page size in bytes.
-    pub fn page_bytes(&self) -> u64 {
-        self.page_bytes
     }
 }
 
@@ -218,12 +209,6 @@ impl TlbHierarchy {
         }
     }
 
-    /// Broadwell-like I-TLB: 64×4 KiB + 8×2 MiB first level, 1024-entry
-    /// shared second level.
-    pub fn broadwell_itlb() -> Self {
-        Self::new(64, 8, 1024, 4096, 2 << 20)
-    }
-
     /// Translates `addr`, which lives on a huge page iff `huge`.
     pub fn access(&mut self, addr: u64, huge: bool) -> TlbLevel {
         let l1 = if huge {
@@ -275,6 +260,12 @@ impl TlbHierarchy {
 mod tests {
     use super::*;
 
+    /// Broadwell-like I-TLB: 64×4 KiB + 8×2 MiB first level, 1024-entry
+    /// shared second level (the geometry `CoreParams::default` builds).
+    fn broadwell_itlb() -> TlbHierarchy {
+        TlbHierarchy::new(64, 8, 1024, 4096, 2 << 20)
+    }
+
     #[test]
     fn same_page_hits() {
         let mut t = Tlb::new(4, 4096);
@@ -296,7 +287,7 @@ mod tests {
 
     #[test]
     fn stats_accumulate() {
-        let mut t = Tlb::broadwell();
+        let mut t = Tlb::new(64, 4096);
         for i in 0..100u64 {
             t.access(i * 4096);
         }
@@ -394,7 +385,7 @@ mod tests {
         // 1 MiB of hot code touched page-by-page: 256 small pages thrash a
         // 64-entry L1, but fit entirely in one huge page.
         let run = |huge: bool| {
-            let mut h = TlbHierarchy::broadwell_itlb();
+            let mut h = broadwell_itlb();
             for rep in 0..4 {
                 for i in 0..256u64 {
                     h.access(i * 4096, huge);
@@ -420,7 +411,7 @@ mod tests {
 
     #[test]
     fn hierarchy_reset_clears_counters_only() {
-        let mut h = TlbHierarchy::broadwell_itlb();
+        let mut h = broadwell_itlb();
         h.access(0, false);
         h.reset_stats();
         assert_eq!(h.l1_stats(), AccessStats::default());
