@@ -661,7 +661,7 @@ mod tests {
         let mut col = ProfileCollector::new(repo);
         vm.call_observed(f, &[Value::Int(n)], &mut col).unwrap();
         col.end_request();
-        (col.tier, col.ctx)
+        col.finish()
     }
 
     fn view<'a>(tier: &'a TierProfile, ctx: &'a CtxProfile) -> ProfileView<'a> {

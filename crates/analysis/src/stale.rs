@@ -577,7 +577,7 @@ mod tests {
         let mut col = ProfileCollector::new(repo);
         vm.call_observed(f, &[Value::Int(n)], &mut col).unwrap();
         col.end_request();
-        (col.tier, col.ctx)
+        col.finish()
     }
 
     fn strict_lint_errors(repo: &Repo, tier: &TierProfile, ctx: &CtxProfile) -> usize {

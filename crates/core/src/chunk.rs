@@ -859,6 +859,7 @@ mod tests {
                 .unwrap();
             col.end_request();
         }
+        let (tier, ctx) = col.finish();
         ProfilePackage {
             meta: crate::package::PackageMeta {
                 region: 1,
@@ -870,8 +871,8 @@ mod tests {
             preload: PreloadLists {
                 unit_order: vm.loader().load_order(),
             },
-            tier: col.tier,
-            ctx: col.ctx,
+            tier,
+            ctx,
             prop_orders: vec![],
             func_order: vec![f],
         }

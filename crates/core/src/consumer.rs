@@ -533,7 +533,7 @@ mod tests {
             col.end_request();
         }
         let order = vm.loader().load_order();
-        let (tier, ctx) = (col.tier, col.ctx);
+        let (tier, ctx) = col.finish();
         let pkg = build_package(
             SeederInputs {
                 repo: &repo,
@@ -817,7 +817,7 @@ mod tests {
             col.end_request();
         }
         let order = vm.loader().load_order();
-        let (tier, ctx) = (col.tier, col.ctx);
+        let (tier, ctx) = col.finish();
         let pkg = build_package(
             SeederInputs {
                 repo: &repo,

@@ -765,6 +765,7 @@ mod tests {
             vm.call_observed(f, &[Value::Int(20)], &mut col).unwrap();
             col.end_request();
         }
+        let (tier, ctx) = col.finish();
         let c = repo.class_by_name("C").unwrap().id;
         let a = repo.str_id("a").unwrap();
         let b = repo.str_id("b").unwrap();
@@ -775,8 +776,8 @@ mod tests {
                 seeder_id: 42,
                 created_ms: 1234,
                 coverage: Coverage {
-                    funcs_profiled: col.tier.profiled_count() as u64,
-                    counter_mass: col.tier.total_counter_mass(),
+                    funcs_profiled: tier.profiled_count() as u64,
+                    counter_mass: tier.total_counter_mass(),
                     requests: 3,
                 },
                 poison: Poison::None,
@@ -784,8 +785,8 @@ mod tests {
             preload: PreloadLists {
                 unit_order: vm.loader().load_order(),
             },
-            tier: col.tier,
-            ctx: col.ctx,
+            tier,
+            ctx,
             prop_orders: vec![(c, vec![b, a])],
             func_order: vec![f],
         }

@@ -327,7 +327,7 @@ mod tests {
             col.end_request();
         }
         let order = vm.loader().load_order();
-        let (tier, ctx) = (col.tier, col.ctx);
+        let (tier, ctx) = col.finish();
         (repo, tier, ctx, order)
     }
 

@@ -29,7 +29,7 @@ fn collect_package(src: &str, n: i64, requests: usize) -> (Repo, ProfilePackage)
         col.end_request();
     }
     let order = vm.loader().load_order();
-    let (tier, ctx) = (col.tier, col.ctx);
+    let (tier, ctx) = col.finish();
     let pkg = build_package(
         SeederInputs {
             repo: &repo,

@@ -44,12 +44,13 @@ fn independently_collected_profiles_replay_identically() {
                 vm.call_observed(main, &[Value::Int(i)], &mut col).unwrap();
                 col.end_request();
             }
-            let targets = col.tier.funcs[&main].call_targets_at(site);
+            let (tier, ctx) = col.finish();
+            let targets = tier.funcs[&main].call_targets_at(site);
             assert_eq!(targets.len(), SHAPES);
             // Nothing is compiled, so every call replays on the interpreter
             // path and every method call samples its target.
             let config = ExecutorConfig::default();
-            let mut ex = Executor::new(&repo, &cache, &col.tier, &col.ctx, config);
+            let mut ex = Executor::new(&repo, &cache, &tier, &ctx, config);
             for _ in 0..200 {
                 ex.run_call(main);
             }

@@ -28,7 +28,7 @@ fn make_package() -> (Repo, ProfilePackage) {
         col.end_request();
     }
     let order = vm.loader().load_order();
-    let (tier, ctx) = (col.tier, col.ctx);
+    let (tier, ctx) = col.finish();
     let pkg = build_package(
         SeederInputs {
             repo: &repo,

@@ -416,7 +416,7 @@ mod tests {
             vm.call_observed(f, &[Value::Int(40)], &mut col).unwrap();
             col.end_request();
         }
-        let (tier, ctx) = (col.tier, col.ctx);
+        let (tier, ctx) = col.finish();
         (repo, tier, ctx)
     }
 

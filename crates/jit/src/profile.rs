@@ -369,8 +369,9 @@ impl TierProfile {
     }
 
     /// Invalidates the cached heat ranking. Must be called after any
-    /// direct mutation of `funcs` block counters (the collector and the
-    /// stale-profile repair both mutate in place).
+    /// direct mutation of `funcs` block counters (the stale-profile repair
+    /// mutates in place; the collector marks once, in
+    /// [`ProfileCollector::finish`]).
     pub fn mark_counters_dirty(&mut self) {
         self.heat_cache.take();
     }
@@ -518,31 +519,96 @@ impl CtxProfile {
     }
 }
 
-// Per-function CFG signatures computed once at first observation.
-#[derive(Debug)]
-struct BlockShape {
-    len: usize,
-    name_hash: u64,
-    exact: Vec<u64>,
-    opcode: Vec<u64>,
+// Sentinel in `FuncState::site_of`: the instruction has no site yet.
+const NO_SITE: u32 = u32::MAX;
+
+// Operand slots a type-observation site counts densely; `vm` observes
+// slots 0 and 1 of a binary op.
+const SITE_SLOTS: usize = 2;
+
+// Parameters whose types are observed on function entry.
+const PARAM_SLOTS: usize = 8;
+
+// Counters of one instruction that reported types or branch outcomes.
+#[derive(Default)]
+struct Site {
+    types: [TypeDist; SITE_SLOTS],
+    // Outcomes per inline context, first-seen order: a branch runs under
+    // few contexts, so a linear scan beats any search.
+    branches: Vec<(InlineCtx, BranchCount)>,
+}
+
+// Everything collected for one function, created on its first event.
+struct FuncState {
+    // Entry and block counts, signature hashes, call targets, receiver
+    // classes and the cold type observations (see `on_type_observed`).
+    profile: FuncProfile,
+    // Whether a tier-1 event reached the function: one that only saw
+    // branches has context counters but no `TierProfile` entry.
+    in_tier: bool,
+    // Parameter types, by parameter index.
+    params: Vec<TypeDist>,
+    // Per instruction of the function: its index in `sites`, or `NO_SITE`.
+    site_of: Vec<u32>,
+    sites: Vec<Site>,
+}
+
+impl FuncState {
+    fn new(repo: &Repo, func: FuncId) -> FuncState {
+        let f = repo.func(func);
+        let cfg = Cfg::build(f);
+        FuncState {
+            profile: FuncProfile {
+                block_counts: vec![0; cfg.len()],
+                block_hashes: cfg.block_hashes(f, repo),
+                name_hash: bytecode::fnv_str(repo.str(f.name)),
+                block_opcode_hashes: cfg.block_opcode_hashes(f),
+                ..FuncProfile::default()
+            },
+            in_tier: false,
+            params: Vec::new(),
+            site_of: vec![NO_SITE; f.code.len()],
+            sites: Vec::new(),
+        }
+    }
+
+    // The site of instruction `at`, created on first use; `None` when `at`
+    // is not an instruction of the function.
+    fn site(&mut self, at: u32) -> Option<&mut Site> {
+        let i = self.site_of.get_mut(at as usize)?;
+        if *i == NO_SITE {
+            *i = self.sites.len() as u32;
+            self.sites.push(Site::default());
+        }
+        Some(&mut self.sites[*i as usize])
+    }
 }
 
 /// Collects [`TierProfile`] and [`CtxProfile`] while the interpreter runs.
 ///
-/// Implements [`vm::ExecObserver`]; attach with [`vm::Vm::call_observed`].
+/// Implements [`vm::ExecObserver`]; attach with [`vm::Vm::call_observed`],
+/// call [`ProfileCollector::end_request`] after each request, and take the
+/// profiles with [`ProfileCollector::finish`].
+///
+/// Counting is dense: per-function state sits in a vector indexed by
+/// [`FuncId`], and every type observation and branch reaches its counter
+/// through a per-instruction site index, so block, type and branch events
+/// (most of them) neither hash nor search. Entries, calls and property
+/// accesses add to sorted tables directly. The other tables are built
+/// once, by `finish`.
 pub struct ProfileCollector<'r> {
     repo: &'r Repo,
-    /// Tier-1 counters.
-    pub tier: TierProfile,
-    /// Context-sensitive counters.
-    pub ctx: CtxProfile,
+    // Per-function state, indexed by `FuncId`.
+    funcs: Vec<Option<FuncState>>,
+    // Property hotness and affinity; `funcs` stays empty until `finish`.
+    tier: TierProfile,
+    // Entry counts, and the branches whose `at` is not an instruction of
+    // their function.
+    ctx: CtxProfile,
     // Call stack: (func, inline ctx of this frame).
     stack: Vec<(FuncId, InlineCtx)>,
     // The call site observed immediately before the next func entry.
     pending_site: InlineCtx,
-    // Block counts need sizing and signature hashes need computing exactly
-    // once per function; cache them per func.
-    block_shape: HashMap<FuncId, BlockShape>,
     // Properties touched in the current top-level request, for affinity.
     request_props: Vec<(ClassId, StrId)>,
 }
@@ -550,13 +616,15 @@ pub struct ProfileCollector<'r> {
 impl<'r> ProfileCollector<'r> {
     /// Creates a collector for programs from `repo`.
     pub fn new(repo: &'r Repo) -> Self {
+        let mut funcs = Vec::new();
+        funcs.resize_with(repo.funcs().len(), || None);
         Self {
             repo,
+            funcs,
             tier: TierProfile::default(),
             ctx: CtxProfile::default(),
             stack: Vec::new(),
             pending_site: None,
-            block_shape: HashMap::new(),
             request_props: Vec::new(),
         }
     }
@@ -581,30 +649,53 @@ impl<'r> ProfileCollector<'r> {
         self.pending_site = None;
     }
 
-    fn func_profile(&mut self, func: FuncId) -> &mut FuncProfile {
-        // Callers mutate counters through the returned reference.
-        self.tier.mark_counters_dirty();
-        let repo = self.repo;
-        let shape = self.block_shape.entry(func).or_insert_with(|| {
-            let f = repo.func(func);
-            let cfg = Cfg::build(f);
-            BlockShape {
-                len: cfg.len(),
-                name_hash: bytecode::fnv_str(repo.str(f.name)),
-                exact: cfg.block_hashes(f, repo),
-                opcode: cfg.block_opcode_hashes(f),
+    /// The collected profiles. Builds every sorted table once, from the
+    /// dense per-site counters.
+    pub fn finish(self) -> (TierProfile, CtxProfile) {
+        let mut tier = self.tier;
+        let CtxProfile {
+            branches: Table(mut branches),
+            entries,
+        } = self.ctx;
+        for (i, state) in self.funcs.into_iter().enumerate() {
+            let Some(mut state) = state else { continue };
+            let func = FuncId::new(i as u32);
+            for (at, &s) in state.site_of.iter().enumerate() {
+                if s == NO_SITE {
+                    continue;
+                }
+                let site = &state.sites[s as usize];
+                let at = at as u32;
+                for (slot, dist) in site.types.iter().enumerate() {
+                    if dist.total() > 0 {
+                        state.profile.record_types(at, slot as u8, dist);
+                    }
+                }
+                branches.extend(site.branches.iter().map(|&(ctx, c)| ((func, at, ctx), c)));
             }
-        });
-        let p = self.tier.funcs.entry(func).or_default();
-        if p.block_counts.len() < shape.len {
-            p.block_counts.resize(shape.len, 0);
+            for (slot, dist) in state.params.iter().enumerate() {
+                if dist.total() > 0 {
+                    state.profile.record_types(PARAM_SITE, slot as u8, dist);
+                }
+            }
+            if state.in_tier {
+                tier.funcs.insert(func, state.profile);
+            }
         }
-        if p.block_hashes.is_empty() {
-            p.block_hashes = shape.exact.clone();
-            p.name_hash = shape.name_hash;
-            p.block_opcode_hashes = shape.opcode.clone();
-        }
-        p
+        tier.mark_counters_dirty();
+        (tier, CtxProfile::from_counts(branches, entries.0))
+    }
+
+    fn state(&mut self, func: FuncId) -> &mut FuncState {
+        let repo = self.repo;
+        self.funcs[func.index()].get_or_insert_with(|| FuncState::new(repo, func))
+    }
+
+    // The state of `func` for a tier-1 event.
+    fn tier_state(&mut self, func: FuncId) -> &mut FuncState {
+        let state = self.state(func);
+        state.in_tier = true;
+        state
     }
 }
 
@@ -612,18 +703,22 @@ impl ExecObserver for ProfileCollector<'_> {
     fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
         let ctx = self.pending_site.take();
         self.stack.push((func, ctx));
-        let p = self.func_profile(func);
-        p.enter_count += 1;
-        for (i, a) in args.iter().enumerate().take(8) {
-            p.observe_type(PARAM_SITE, i as u8, ValueKind::of(a));
+        let state = self.tier_state(func);
+        state.profile.enter_count += 1;
+        let observed = args.len().min(PARAM_SLOTS);
+        if state.params.len() < observed {
+            state.params.resize(observed, TypeDist::default());
+        }
+        for (dist, a) in state.params.iter_mut().zip(args) {
+            dist.observe(ValueKind::of(a));
         }
         self.ctx.record_entry(ctx, func, 1);
     }
 
     fn on_block(&mut self, func: FuncId, block: BlockId) {
-        let p = self.func_profile(func);
-        if block.index() < p.block_counts.len() {
-            p.block_counts[block.index()] += 1;
+        let counts = &mut self.tier_state(func).profile.block_counts;
+        if let Some(c) = counts.get_mut(block.index()) {
+            *c += 1;
         }
     }
 
@@ -633,22 +728,40 @@ impl ExecObserver for ProfileCollector<'_> {
             taken: u64::from(taken),
             not_taken: u64::from(!taken),
         };
-        self.ctx.record_branch(ctx, func, at, &outcome);
+        let Some(site) = self.state(func).site(at) else {
+            self.ctx.record_branch(ctx, func, at, &outcome);
+            return;
+        };
+        match site.branches.iter_mut().find(|(c, _)| *c == ctx) {
+            Some((_, count)) => *count += &outcome,
+            None => site.branches.push((ctx, outcome)),
+        }
     }
 
     fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
-        self.func_profile(caller).record_call(at, callee, 1);
+        self.tier_state(caller).profile.record_call(at, callee, 1);
         self.pending_site = Some((caller, at));
     }
 
     fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, prop: StrId, _write: bool) {
         *self.tier.prop_counts.entry((class, prop)).or_insert(0) += 1;
-        self.func_profile(func).record_prop_class(at, class, 1);
+        self.tier_state(func)
+            .profile
+            .record_prop_class(at, class, 1);
         self.request_props.push((class, prop));
     }
 
     fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
-        self.func_profile(func).observe_type(at, slot, kind);
+        let state = self.tier_state(func);
+        if usize::from(slot) < SITE_SLOTS {
+            if let Some(site) = state.site(at) {
+                site.types[usize::from(slot)].observe(kind);
+                return;
+            }
+        }
+        // Not a binary-op operand (a parameter site, a slot past the
+        // operands, an `at` past the code): a sorted-table insert.
+        state.profile.observe_type(at, slot, kind);
     }
 
     fn on_func_exit(&mut self, _func: FuncId) {
@@ -717,8 +830,9 @@ mod tests {
         let mut col = ProfileCollector::new(&repo);
         vm.call_observed(f, &[Value::Int(10)], &mut col).unwrap();
         col.end_request();
+        let (tier, _) = col.finish();
 
-        let fp = &col.tier.funcs[&f];
+        let fp = &tier.funcs[&f];
         assert_eq!(fp.enter_count, 1);
         assert!(fp.block_counts.iter().sum::<u64>() > 10);
         // The one call site saw g ten times.
@@ -729,7 +843,7 @@ mod tests {
         let d = fp.type_dist(PARAM_SITE, 0).unwrap();
         assert_eq!(d.is_monomorphic(0.9), Some(ValueKind::Int));
 
-        let gp = &col.tier.funcs[&g];
+        let gp = &tier.funcs[&g];
         assert_eq!(gp.enter_count, 10);
     }
 
@@ -742,16 +856,16 @@ mod tests {
         let mut col = ProfileCollector::new(&repo);
         vm.call_observed(f, &[Value::Int(8)], &mut col).unwrap();
         col.end_request();
+        let (_, ctx) = col.finish();
         // g entered 8 times under context (f, site).
-        let ctx_entries: Vec<_> = col
-            .ctx
+        let ctx_entries: Vec<_> = ctx
             .entries()
             .iter()
             .filter(|((func, ctx), _)| *func == g && ctx.is_some())
             .collect();
         assert_eq!(ctx_entries.len(), 1);
         assert_eq!(ctx_entries[0].1, 8);
-        let arcs = col.ctx.call_arcs();
+        let arcs = ctx.call_arcs();
         assert!(arcs
             .iter()
             .any(|&(c, callee, w)| c == f && callee == g && w == 8));
@@ -765,11 +879,12 @@ mod tests {
         let mut vm = Vm::new(&repo);
         let mut col = ProfileCollector::new(&repo);
         vm.call_observed(f, &[Value::Int(10)], &mut col).unwrap();
+        let (_, ctx) = col.finish();
         // g's jmpz at instr 1: arg alternates 0,1,... (i%2): taken when 0.
-        let p = col.ctx.taken_prob(None, g, 1);
+        let p = ctx.taken_prob(None, g, 1);
         assert!((p - 0.5).abs() < 0.01, "alternating branch ~50%, got {p}");
         // f's loop exit branch: taken once out of 11 evaluations.
-        let agg = col.ctx.aggregate_branch(f, 5);
+        let agg = ctx.aggregate_branch(f, 5);
         assert_eq!(agg.taken, 1);
         assert_eq!(agg.not_taken, 10);
     }
@@ -858,7 +973,7 @@ mod tests {
         let mut col = ProfileCollector::new(&repo);
         vm.call_observed(f, &[Value::Int(50)], &mut col).unwrap();
         col.end_request();
-        let mut tier = col.tier;
+        let (mut tier, _) = col.finish();
         // Prime the cache: f (the loop) is hotter than g.
         assert_eq!(tier.functions_by_heat(), vec![f, g]);
         let f_heat = heat(&tier, f);
@@ -872,17 +987,6 @@ mod tests {
         tier.mark_counters_dirty();
         assert_eq!(tier.functions_by_heat(), vec![g, f]);
         assert!(heat(&tier, g) > heat(&tier, f));
-
-        // Collector mutation (observer callbacks) also invalidates.
-        let mut col2 = ProfileCollector::new(&repo);
-        col2.tier = tier;
-        assert!(!col2.tier.functions_by_heat().is_empty());
-        let mut vm2 = Vm::new(&repo);
-        vm2.call_observed(f, &[Value::Int(1)], &mut col2).unwrap();
-        assert_eq!(
-            heat(&col2.tier, f),
-            col2.tier.funcs[&f].block_counts.iter().sum::<u64>()
-        );
     }
 
     #[test]
@@ -893,9 +997,246 @@ mod tests {
         let mut vm = Vm::new(&repo);
         let mut col = ProfileCollector::new(&repo);
         vm.call_observed(f, &[Value::Int(50)], &mut col).unwrap();
-        let order = col.tier.functions_by_heat();
+        let order = col.finish().0.functions_by_heat();
         // f executes far more blocks (the loop) than g.
         assert_eq!(order[0], f);
         assert_eq!(order[1], g);
+    }
+
+    // The collector before dense sites, kept as the parity oracle: every
+    // event is a hash lookup plus a sorted-table insert, and the tables it
+    // holds are the profiles.
+    struct TableCollector<'r> {
+        repo: &'r Repo,
+        tier: TierProfile,
+        ctx: CtxProfile,
+        stack: Vec<(FuncId, InlineCtx)>,
+        pending_site: InlineCtx,
+        request_props: Vec<(ClassId, StrId)>,
+    }
+
+    impl<'r> TableCollector<'r> {
+        fn new(repo: &'r Repo) -> Self {
+            Self {
+                repo,
+                tier: TierProfile::default(),
+                ctx: CtxProfile::default(),
+                stack: Vec::new(),
+                pending_site: None,
+                request_props: Vec::new(),
+            }
+        }
+
+        fn end_request(&mut self) {
+            self.request_props.sort();
+            self.request_props.dedup();
+            for (i, &(ca, pa)) in self.request_props.iter().enumerate() {
+                for &(cb, pb) in &self.request_props[i + 1..] {
+                    if ca == cb {
+                        *self
+                            .tier
+                            .prop_pairs
+                            .entry((ca, pa.min(pb), pa.max(pb)))
+                            .or_insert(0) += 1;
+                    }
+                }
+            }
+            self.request_props.clear();
+            self.stack.clear();
+            self.pending_site = None;
+        }
+
+        fn func_profile(&mut self, func: FuncId) -> &mut FuncProfile {
+            let repo = self.repo;
+            self.tier.funcs.entry(func).or_insert_with(|| {
+                let f = repo.func(func);
+                let cfg = Cfg::build(f);
+                FuncProfile {
+                    block_counts: vec![0; cfg.len()],
+                    block_hashes: cfg.block_hashes(f, repo),
+                    name_hash: bytecode::fnv_str(repo.str(f.name)),
+                    block_opcode_hashes: cfg.block_opcode_hashes(f),
+                    ..FuncProfile::default()
+                }
+            })
+        }
+    }
+
+    impl ExecObserver for TableCollector<'_> {
+        fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
+            let ctx = self.pending_site.take();
+            self.stack.push((func, ctx));
+            let p = self.func_profile(func);
+            p.enter_count += 1;
+            for (i, a) in args.iter().enumerate().take(8) {
+                p.observe_type(PARAM_SITE, i as u8, ValueKind::of(a));
+            }
+            self.ctx.record_entry(ctx, func, 1);
+        }
+
+        fn on_block(&mut self, func: FuncId, block: BlockId) {
+            if let Some(c) = self.func_profile(func).block_counts.get_mut(block.index()) {
+                *c += 1;
+            }
+        }
+
+        fn on_branch(&mut self, func: FuncId, at: u32, taken: bool) {
+            let ctx = self.stack.last().and_then(|&(_, c)| c);
+            let outcome = BranchCount {
+                taken: u64::from(taken),
+                not_taken: u64::from(!taken),
+            };
+            self.ctx.record_branch(ctx, func, at, &outcome);
+        }
+
+        fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
+            self.func_profile(caller).record_call(at, callee, 1);
+            self.pending_site = Some((caller, at));
+        }
+
+        fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, prop: StrId, _w: bool) {
+            *self.tier.prop_counts.entry((class, prop)).or_insert(0) += 1;
+            self.func_profile(func).record_prop_class(at, class, 1);
+            self.request_props.push((class, prop));
+        }
+
+        fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
+            self.func_profile(func).observe_type(at, slot, kind);
+        }
+
+        fn on_func_exit(&mut self, _func: FuncId) {
+            self.stack.pop();
+        }
+    }
+
+    // Forwards every event to both collectors.
+    struct Tee<'a, 'r>(&'a mut ProfileCollector<'r>, &'a mut TableCollector<'r>);
+
+    impl ExecObserver for Tee<'_, '_> {
+        fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
+            self.0.on_func_enter(func, args);
+            self.1.on_func_enter(func, args);
+        }
+
+        fn on_block(&mut self, func: FuncId, block: BlockId) {
+            self.0.on_block(func, block);
+            self.1.on_block(func, block);
+        }
+
+        fn on_branch(&mut self, func: FuncId, at: u32, taken: bool) {
+            self.0.on_branch(func, at, taken);
+            self.1.on_branch(func, at, taken);
+        }
+
+        fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
+            self.0.on_call(caller, at, callee);
+            self.1.on_call(caller, at, callee);
+        }
+
+        fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, prop: StrId, w: bool) {
+            self.0.on_prop_access(func, at, class, prop, w);
+            self.1.on_prop_access(func, at, class, prop, w);
+        }
+
+        fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
+            self.0.on_type_observed(func, at, slot, kind);
+            self.1.on_type_observed(func, at, slot, kind);
+        }
+
+        fn on_func_exit(&mut self, func: FuncId) {
+            self.0.on_func_exit(func);
+            self.1.on_func_exit(func);
+        }
+    }
+
+    #[test]
+    fn dense_collector_matches_table_collector_on_generated_traffic() {
+        use workload::{generate, AppParams, RequestMix, RequestSampler};
+        let cases = [
+            (7, 0, 0, 60),
+            (11, 1, 2, 40),
+            (2027, 2, 3, 80),
+            (99, 3, 1, 25),
+        ];
+        for (seed, region, bucket, requests) in cases {
+            let app = generate(&AppParams {
+                seed,
+                ..AppParams::tiny()
+            });
+            let mix = RequestMix::new(&app, region, bucket);
+            let mut sampler = RequestSampler::new(seed + 1);
+            let mut vm = Vm::new(&app.repo);
+            let mut dense = ProfileCollector::new(&app.repo);
+            let mut oracle = TableCollector::new(&app.repo);
+            for _ in 0..requests {
+                let (func, arg) = sampler.request(&app, &mix);
+                vm.call_observed(func, &[arg], &mut Tee(&mut dense, &mut oracle))
+                    .expect("generated requests execute");
+                dense.end_request();
+                oracle.end_request();
+                vm.take_output();
+            }
+            let (tier, ctx) = dense.finish();
+            assert!(tier.profiled_count() > 10 && !ctx.branches().is_empty());
+            assert!(tier.funcs.values().any(|p| !p.types().is_empty()));
+            assert_eq!(tier, oracle.tier, "tier-1 profile, app seed {seed}");
+            assert_eq!(ctx, oracle.ctx, "context profile, app seed {seed}");
+            assert_eq!(tier.functions_by_heat(), oracle.tier.functions_by_heat());
+        }
+    }
+
+    #[test]
+    fn observations_outside_the_code_are_recorded_exactly() {
+        let repo = sample_repo();
+        let f = repo.func_by_name("f").unwrap().id;
+        let g = repo.func_by_name("g").unwrap().id;
+        let past = repo.func(f).code.len() as u32;
+        let mut dense = ProfileCollector::new(&repo);
+        let mut oracle = TableCollector::new(&repo);
+        let mut tee = Tee(&mut dense, &mut oracle);
+        // Only the first eight parameters are observed.
+        let ten: Vec<Value> = (0..10).map(Value::Int).collect();
+        tee.on_func_enter(f, &ten);
+        tee.on_func_enter(f, &[Value::Null]);
+        let observations = [
+            (PARAM_SITE, 0, ValueKind::Str),
+            (PARAM_SITE, 9, ValueKind::Int),
+            (2, 2, ValueKind::Float),
+            (2, 200, ValueKind::Null),
+            (2, 0, ValueKind::Int),
+            (past, 0, ValueKind::Bool),
+            (past + 100, 1, ValueKind::Obj),
+            (PARAM_SITE - 1, 0, ValueKind::Vec),
+        ];
+        for (at, slot, kind) in observations {
+            tee.on_type_observed(f, at, slot, kind);
+            tee.on_type_observed(f, at, slot, kind);
+        }
+        tee.on_branch(f, past, true);
+        tee.on_branch(f, PARAM_SITE, false);
+        tee.on_block(f, BlockId(9_999));
+        tee.on_call(f, past, g);
+        tee.on_prop_access(f, past, ClassId::new(0), StrId::new(0), false);
+        // A function that only ever branched has context counters and no
+        // tier-1 profile.
+        tee.on_branch(g, 1, true);
+        dense.end_request();
+        oracle.end_request();
+
+        let (tier, ctx) = dense.finish();
+        assert_eq!(tier, oracle.tier);
+        assert_eq!(ctx, oracle.ctx);
+        let fp = &tier.funcs[&f];
+        let total = |at, slot| fp.type_dist(at, slot).map(TypeDist::total);
+        assert_eq!(total(PARAM_SITE, 0), Some(4));
+        assert_eq!(total(PARAM_SITE, 7), Some(1));
+        assert_eq!(total(PARAM_SITE, 8), None);
+        assert_eq!(total(PARAM_SITE, 9), Some(2));
+        assert_eq!(total(2, 200), Some(2));
+        assert_eq!(total(past + 100, 1), Some(2));
+        assert_eq!(ctx.aggregate_branch(f, past).taken, 1);
+        assert_eq!(ctx.aggregate_branch(f, PARAM_SITE).not_taken, 1);
+        assert!(!tier.funcs.contains_key(&g));
+        assert_eq!(ctx.aggregate_branch(g, 1).taken, 1);
     }
 }

@@ -524,7 +524,7 @@ mod tests {
             vm.call_observed(f, &[Value::Int(arg)], &mut col).unwrap();
             col.end_request();
         }
-        let (tier, ctx) = (col.tier, col.ctx);
+        let (tier, ctx) = col.finish();
         (repo, tier, ctx, f)
     }
 

@@ -801,7 +801,7 @@ mod tests {
             vm.call_observed(f, args, &mut col).unwrap();
             col.end_request();
         }
-        let (tier, ctx) = (col.tier, col.ctx);
+        let (tier, ctx) = col.finish();
         (repo, tier, ctx)
     }
 

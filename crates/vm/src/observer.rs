@@ -74,17 +74,32 @@ impl ValueKind {
 /// All methods have empty defaults so observers implement only what they
 /// need. Callbacks are only raised when the [`crate::Vm`] runs in observed
 /// mode, so plain execution pays nothing.
+///
+/// # The `at` argument
+///
+/// Every callback that takes `at` names a site of the function it also
+/// names (`func`, or `caller` in [`ExecObserver::on_call`]): the
+/// interpreter always passes the index of the reporting instruction in
+/// that function's `code`, so `at < code.len()`. Parameter types are not
+/// reported through `at`; they arrive as the `args` of
+/// [`ExecObserver::on_func_enter`], and a profile that stores them next
+/// to instruction sites files them under the marker `u32::MAX`
+/// (`jit::PARAM_SITE`). An observer called directly, not by the
+/// interpreter, may see any `at`: it must not assume the bound holds.
 pub trait ExecObserver {
-    /// A function body was entered with the given arguments.
+    /// A function body was entered with the given arguments. Fires before
+    /// any other event of the frame.
     fn on_func_enter(&mut self, _func: FuncId, _args: &[Value]) {}
 
-    /// A bytecode basic block was entered.
+    /// A bytecode basic block of `func` was entered.
     fn on_block(&mut self, _func: FuncId, _block: BlockId) {}
 
-    /// A conditional branch at instruction `at` resolved to `taken`.
+    /// The conditional branch at instruction `at` of `func` (a `JmpZ` or
+    /// `JmpNZ`) resolved to `taken`.
     fn on_branch(&mut self, _func: FuncId, _at: u32, _taken: bool) {}
 
-    /// A call site at instruction `at` dispatched to `callee`.
+    /// The call at instruction `at` of `caller` dispatched to `callee`;
+    /// `callee`'s [`ExecObserver::on_func_enter`] follows.
     fn on_call(&mut self, _caller: FuncId, _at: u32, _callee: FuncId) {}
 
     /// A property was read or written on an instance of `class`, at
@@ -99,8 +114,8 @@ pub trait ExecObserver {
     ) {
     }
 
-    /// A value's type was observed at a profiling point (binary op input,
-    /// instruction `at`, operand index `slot`).
+    /// A value's type was observed at a profiling point: operand `slot`
+    /// (0 = left, 1 = right) of the binary op at instruction `at` of `func`.
     fn on_type_observed(&mut self, _func: FuncId, _at: u32, _slot: u8, _kind: ValueKind) {}
 
     /// A function returned normally.

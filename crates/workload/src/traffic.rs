@@ -140,9 +140,10 @@ pub fn profile_run(app: &App, mix: &RequestMix, requests: usize, seed: u64) -> P
         collector.end_request();
         vm.take_output();
     }
+    let (tier, ctx) = collector.finish();
     ProfileRun {
-        tier: collector.tier,
-        ctx: collector.ctx,
+        tier,
+        ctx,
         unit_order: vm.loader().load_order(),
         requests: requests as u64,
     }

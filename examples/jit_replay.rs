@@ -43,11 +43,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         vm.call_observed(main_fn, &[Value::Int(40)], &mut col)?;
         col.end_request();
     }
+    let (tier, ctx) = col.finish();
     let pkg = build_package(
         SeederInputs {
             repo: &repo,
-            tier: col.tier,
-            ctx: col.ctx,
+            tier,
+            ctx,
             unit_order: vm.loader().load_order(),
             requests: 5,
             region: 0,

@@ -50,6 +50,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // 3. Build, validate and round-trip the profile package.
+    let (tier, ctx) = collector.finish();
     let opts = JumpStartOptions {
         min_funcs_profiled: 1,
         min_counter_mass: 10,
@@ -59,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let pkg = build_package(
         SeederInputs {
             repo: &repo,
-            tier: collector.tier,
-            ctx: collector.ctx,
+            tier,
+            ctx,
             unit_order: vm.loader().load_order(),
             requests: 5,
             region: 0,

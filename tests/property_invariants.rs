@@ -91,9 +91,10 @@ proptest! {
         let mut col = jit::ProfileCollector::new(&repo);
         vm.call_observed(main, &[Value::Int(9)], &mut col).expect("runs");
         col.end_request();
+        let (tier, ctx) = col.finish();
         for ws in [jit::WeightSource::TierOnly, jit::WeightSource::Accurate] {
             let unit = jit::translate_optimized(
-                &repo, main, &col.tier, &col.ctx, ws,
+                &repo, main, &tier, &ctx, ws,
                 jit::InlineParams::default(), &|_, _| None,
             );
             prop_assert!(unit.code_size() > 0);
