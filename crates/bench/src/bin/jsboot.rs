@@ -14,8 +14,10 @@
 //!                     serve boots stay byte-identical to sequential, that
 //!                     translation sustains a minimum translated-bytes-
 //!                     per-CPU-second rate, that crc32 sustains a minimum
-//!                     MB/s over the sealed package, that decode time is
-//!                     measured, that profile collection costs at most
+//!                     MB/s over the sealed package, that Ext-TSP alone
+//!                     sustains a minimum blocks/s over the boot's units,
+//!                     that decode time is measured, that profile
+//!                     collection costs at most
 //!                     2.5x an uninstrumented run of the same requests,
 //!                     and (only on >= 2 hardware cores) that the best
 //!                     parallel throughput beats sequential.
@@ -27,8 +29,9 @@
 
 use bench::Lab;
 use bytes::Bytes;
-use jit::JitOptions;
+use jit::{JitOptions, TransKind};
 use jumpstart::{consume_bytes, BootStats, ConsumerOutcome, JumpStartOptions};
+use layout::{exttsp_order, ExtTspParams};
 use std::time::{Duration, Instant};
 use workload::{profile_run, RequestSampler};
 
@@ -218,12 +221,12 @@ fn main() {
         }
         // Compile-cost regression floor: translated bytes per CPU-second
         // of translation work (worker busy time, so the figure is
-        // thread-count-invariant). The small lab sustains well over
-        // 10 MB per CPU-second; the floor sits far enough below that to
-        // absorb slow or shared CI hosts while still catching an
-        // accidental return to per-site re-translation or from-scratch
-        // Ext-TSP merging (an order of magnitude, not tens of percent).
-        const MIN_CPU_BYTES_PER_SEC: f64 = 2.0e6;
+        // thread-count-invariant). The small lab sustains 38-51 MB per
+        // CPU-second (22 MB while Ext-TSP re-walked whole chains per pair);
+        // the floor sits ~3× below that, to absorb slow or shared CI hosts
+        // while still catching a return to per-site re-translation or
+        // from-scratch Ext-TSP merging.
+        const MIN_CPU_BYTES_PER_SEC: f64 = 15.0e6;
         let busy = thread_boots[0].worker_busy_ns().max(1);
         let cpu_rate = thread_boots[0].compile_bytes as f64 * 1e9 / busy as f64;
         assert!(
@@ -252,6 +255,39 @@ fn main() {
         );
         println!(
             "check ok: crc32 {crc_rate:.0} MB/s over the sealed package (floor {MIN_CRC_MB_PER_SEC:.0})"
+        );
+        // Ext-TSP regression floor: every boot orders the blocks of every
+        // unit it compiles, here timed alone on one thread over this boot's
+        // optimized units. Scoring pairs from cached per-chain edge sets
+        // runs at 5.0-6.5 M blocks per second, re-walking both chains'
+        // edges per pair near 1.0 M; the floor sits ~3× below the former.
+        // Times >= 2 M blocks so the loop is not one small boot long.
+        const MIN_EXTTSP_BLOCKS_PER_SEC: f64 = 2.0e6;
+        let units: Vec<_> = baseline
+            .engine
+            .code_cache
+            .translations()
+            .values()
+            .filter(|t| t.kind == TransKind::Optimized)
+            .map(|t| (t.vasm.layout_blocks(), t.vasm.layout_edges()))
+            .collect();
+        let blocks: usize = units.iter().map(|(b, _)| b.len()).sum();
+        let passes = 2_000_000 / blocks.max(1) + 1;
+        let params = ExtTspParams::default();
+        let t0 = Instant::now();
+        for _ in 0..passes {
+            for (b, e) in &units {
+                std::hint::black_box(exttsp_order(b, e, &params));
+            }
+        }
+        let exttsp_rate = (passes * blocks) as f64 / t0.elapsed().as_secs_f64();
+        assert!(
+            exttsp_rate >= MIN_EXTTSP_BLOCKS_PER_SEC,
+            "Ext-TSP throughput {exttsp_rate:.0} blocks/s fell below the {MIN_EXTTSP_BLOCKS_PER_SEC:.0} floor"
+        );
+        println!(
+            "check ok: Ext-TSP {exttsp_rate:.0} blocks/s over {} units (floor {MIN_EXTTSP_BLOCKS_PER_SEC:.0})",
+            units.len()
         );
         // Collection-cost ceiling: a seeder profiles live traffic before
         // it can publish, so the collector must stay cheap next to the

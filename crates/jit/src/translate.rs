@@ -195,12 +195,15 @@ pub fn translate_optimized_with(
 
 /// Recomputes every block's `est_weight` by propagating `entry_weight`
 /// through the `est_taken_prob` branch estimates (relaxation handles
-/// loops).
+/// loops). At most 12 passes; a pass whose output bit-equals its input is
+/// a fixed point, so every later pass would repeat it and the loop stops
+/// (an acyclic unit gets there after its depth plus one).
 fn propagate_est_weights(unit: &mut VasmUnit, entry_weight: u64) {
     let n = unit.blocks.len();
     let mut w = vec![0f64; n];
+    let mut next = vec![0f64; n];
     for _ in 0..12 {
-        let mut next = vec![0f64; n];
+        next.fill(0.0);
         next[0] = entry_weight as f64;
         for (i, out) in w.iter().copied().enumerate() {
             match unit.blocks[i].term {
@@ -213,7 +216,11 @@ fn propagate_est_weights(unit: &mut VasmUnit, entry_weight: u64) {
                 Term::Ret | Term::Exit => {}
             }
         }
-        w = next;
+        let settled = w.iter().zip(&next).all(|(a, b)| a.to_bits() == b.to_bits());
+        std::mem::swap(&mut w, &mut next);
+        if settled {
+            break;
+        }
     }
     // Fixed-point scale keeps low-traffic functions' blocks from rounding
     // to zero (which would spuriously mark them cold).
@@ -426,8 +433,9 @@ impl Translator<'_> {
                         }
                     }
                     other => {
-                        let lowered = self.lower_simple(func, at, other, fp);
-                        self.blocks[cur].instrs.extend(lowered);
+                        let mut instrs = std::mem::take(&mut self.blocks[cur].instrs);
+                        self.lower_simple(func, at, other, fp, &mut instrs);
+                        self.blocks[cur].instrs = instrs;
                     }
                 }
             }
@@ -661,9 +669,16 @@ impl Translator<'_> {
         }
     }
 
-    fn lower_simple(&self, func: FuncId, at: u32, instr: Instr, fp: &FuncProfile) -> Vec<VInstr> {
+    /// Appends the lowering of one straight-line instruction to `out`.
+    fn lower_simple(
+        &self,
+        func: FuncId,
+        at: u32,
+        instr: Instr,
+        fp: &FuncProfile,
+        out: &mut Vec<VInstr>,
+    ) {
         let optimized = self.kind == Kind::Optimized;
-        let mut out = Vec::with_capacity(2);
         if self.kind == Kind::Profiling {
             // Block counters land on the first instruction of each block in
             // real HHVM; per-instruction is a fine cost approximation.
@@ -747,7 +762,6 @@ impl Translator<'_> {
             | Instr::Call { .. }
             | Instr::CallMethod { .. } => unreachable!("handled by the block loop"),
         }
-        out
     }
 
     fn operands_monomorphic_int(&self, _func: FuncId, at: u32, fp: &FuncProfile) -> bool {
@@ -842,6 +856,67 @@ mod tests {
             .instrs
             .iter()
             .any(|i| matches!(i, VInstr::GuardType { .. })));
+    }
+
+    /// The fixed 12-pass relaxation, kept as the oracle for
+    /// `propagate_est_weights`, which stops at the first settled pass.
+    fn est_weights_twelve_passes(unit: &VasmUnit, entry_weight: u64) -> Vec<u64> {
+        let n = unit.blocks.len();
+        let mut w = vec![0f64; n];
+        for _ in 0..12 {
+            let mut next = vec![0f64; n];
+            next[0] = entry_weight as f64;
+            for (i, out) in w.iter().copied().enumerate() {
+                match unit.blocks[i].term {
+                    Term::Jump(t) => next[t] += out,
+                    Term::Cond { taken, fall } => {
+                        let p = unit.blocks[i].est_taken_prob;
+                        next[taken] += out * p;
+                        next[fall] += out * (1.0 - p);
+                    }
+                    Term::Ret | Term::Exit => {}
+                }
+            }
+            w = next;
+        }
+        w.iter().map(|x| (x * 1024.0).round() as u64).collect()
+    }
+
+    #[test]
+    fn settled_weight_propagation_matches_twelve_passes() {
+        let acyclic = "function main($n) {
+            if ($n > 3) { $n = $n + 1; } else { $n = $n - 1; }
+            if ($n > 4) { return $n * 2; }
+            return $n;
+        }";
+        let looping = "function main($n) {
+            $s = 0;
+            for ($i = 0; $i < $n; $i++) { if ($i % 3 == 0) { $s = $s + $i; } }
+            return $s;
+        }";
+        for (src, arg) in [(acyclic, 4), (acyclic, 1), (looping, 20)] {
+            let (repo, tier, ctx) = profile_src(src, "main", &[Value::Int(arg)], 3);
+            let f = repo.func_by_name("main").unwrap().id;
+            let entry = tier.funcs[&f].enter_count;
+            for ws in [WeightSource::TierOnly, WeightSource::Accurate] {
+                let unit = translate_optimized(
+                    &repo,
+                    f,
+                    &tier,
+                    &ctx,
+                    ws,
+                    InlineParams::default(),
+                    &|_, _| None,
+                );
+                let got: Vec<u64> = unit.blocks.iter().map(|b| b.est_weight).collect();
+                assert_eq!(
+                    got,
+                    est_weights_twelve_passes(&unit, entry),
+                    "{src} weights={ws:?}"
+                );
+                assert!(got[0] > 0);
+            }
+        }
     }
 
     #[test]

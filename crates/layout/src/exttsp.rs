@@ -48,10 +48,13 @@ pub struct ExtTspParams {
 }
 
 /// Above this block count the optimizer falls back to greedy fallthrough
-/// chaining, which bounds one function's planning time: the merge loop
-/// scans every neighbour entry per merge, so its cost grows quadratically —
-/// on chain-shaped CFGs with 1.1 edges per block, 1.5 ms at 400 blocks,
-/// 21 ms at 2 000 and 0.63 s at 10 000. No bench unit exceeds 61 blocks.
+/// chaining, which bounds one function's planning time and memory: the
+/// pair gains are one n × n matrix (1.3 MB at 400 blocks), and each merge
+/// rereads every live chain's cached best. On chain-shaped CFGs with 1.1
+/// edges per block, one call takes 0.39 ms at 400 blocks and 11 ms at
+/// 2 000 (32 MB of gains) on a 2-core Xeon container, against 1.5 ms and
+/// 17 ms when each pair re-walked both chains' edges. No bench unit
+/// exceeds 61 blocks.
 const MAX_EXACT_BLOCKS: usize = 400;
 
 impl Default for ExtTspParams {
@@ -133,15 +136,20 @@ fn edge_gain(src_end: u64, dst: u64, w: f64, params: &ExtTspParams) -> f64 {
 /// merging). Block `0` (the entry) is always first in the result.
 ///
 /// The greedy objective is identical to [`exttsp_order_reference`], but the
-/// inner loop is incremental and sparse: chain scores are cached when a
-/// chain is created, and the only pairs ever scored are chains that share
-/// an edge (two chains no edge joins gain exactly nothing). Each chain keeps
-/// its neighbours' gains in a list sorted by chain id; a merge folds the
-/// absorbed chain's list into the survivor's and rescores just those pairs.
-/// A pair is scored by walking the edges adjacent to the two chains in
-/// global edge order, so every floating-point sum is performed in exactly
-/// the reference order — the result is **bit-identical**, which the
-/// consumer's code-cache layout digest depends on.
+/// inner loop is incremental and sparse: the only pairs ever scored are
+/// chains that share an edge (two chains no edge joins gain exactly
+/// nothing). Each chain keeps two edge sets: its internal edges, whose
+/// contributions concatenation cannot change (it shifts both ends alike)
+/// and are cached, and the edges with exactly one end in it. A pair is
+/// scored by one ascending walk over both chains' internal edges and the
+/// edges joining them, which places only the joining edges and yields both
+/// concatenation orders at once. Every floating-point sum is performed in
+/// exactly the reference order, so the result is **bit-identical**, which
+/// the consumer's code-cache layout digest depends on. Edge and neighbour
+/// sets are bitsets, pair gains one n × n matrix, and each chain caches its
+/// best merge, so a merge rescans only the merged chain's neighbours. All
+/// state lives in a fixed number of flat arrays, so the allocations do not
+/// grow with the merges.
 ///
 /// # Panics
 ///
@@ -163,176 +171,249 @@ pub fn exttsp_order(
         return greedy_fallthrough(blocks, edges);
     }
 
-    // Chains, each a list of block indices; chain_of maps block -> chain id.
-    let mut chains: Vec<Option<Vec<usize>>> = (0..n).map(|b| Some(vec![b])).collect();
-    let mut chain_of: Vec<usize> = (0..n).collect();
-    // Byte offset of each block within its chain, and each chain's size.
-    let mut pos: Vec<u64> = vec![0; n];
-    let mut chain_size: Vec<u64> = blocks.iter().map(|b| b.size as u64).collect();
-    // Edge indices adjacent to each chain, ascending (global edge order).
-    let mut touch: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let (we, wn) = (edges.len().div_ceil(64), n.div_ceil(64));
+    let mut ch = Chains {
+        edges,
+        blocks,
+        params,
+        we,
+        chain_of: (0..n).collect(),
+        pos: vec![0; n],
+        next: vec![usize::MAX; n],
+        tail: (0..n).collect(),
+        size: blocks.iter().map(|b| b.size as u64).collect(),
+        score: vec![0.0; n],
+        inner: vec![0; n * we],
+        outer: vec![0; n * we],
+        contrib: vec![0.0; edges.len()],
+    };
+    // Per chain a, the set of chains an edge joins it to (bit c of row a),
+    // and gain(a -> c) for each. Symmetric; a dead chain's row is empty.
+    let mut nbr = vec![0u64; n * wn];
+    let mut gain = vec![0.0; n * n];
     for (i, e) in edges.iter().enumerate() {
-        touch[e.src].push(i as u32);
-        if e.dst != e.src {
-            touch[e.dst].push(i as u32);
+        let bit = 1 << (i % 64);
+        if e.src == e.dst {
+            // A singleton's internal edges are its self-loops.
+            ch.inner[e.src * we + i / 64] |= bit;
+            ch.contrib[i] = edge_gain(blocks[e.src].size as u64, 0, e.weight as f64, params);
+            ch.score[e.src] += ch.contrib[i];
+        } else {
+            ch.outer[e.src * we + i / 64] |= bit;
+            ch.outer[e.dst * we + i / 64] |= bit;
+            nbr[e.src * wn + e.dst / 64] |= 1 << (e.dst % 64);
+            nbr[e.dst * wn + e.src / 64] |= 1 << (e.src % 64);
         }
     }
-
-    // Score of the concatenation a ++ b (or of a alone when a == b),
-    // summing edge contributions in ascending global edge index — the
-    // exact iteration order of the reference `chain_score`.
-    let merged_score = |a: usize,
-                        b: usize,
-                        chain_of: &[usize],
-                        pos: &[u64],
-                        chain_size: &[u64],
-                        touch: &[Vec<u32>]|
-     -> f64 {
-        let place = |blk: usize| -> Option<u64> {
-            let c = chain_of[blk];
-            if c == a {
-                Some(pos[blk])
-            } else if c == b {
-                Some(chain_size[a] + pos[blk])
-            } else {
-                None
+    let rescore = |a: usize, c: usize, ch: &Chains, gain: &mut [f64]| {
+        let (ac, ca) = ch.pair_scores(a, c);
+        gain[a * n + c] = ch.gain(a, c, ac);
+        gain[c * n + a] = ch.gain(c, a, ca);
+    };
+    for a in 0..n {
+        for w in 0..wn {
+            for c in bits(nbr[a * wn + w]).map(|k| w * 64 + k).filter(|&c| c > a) {
+                rescore(a, c, &ch, &mut gain);
             }
-        };
-        let mut s = 0.0;
-        for ei in union_sorted(&touch[a], &touch[b]) {
-            let e = &edges[ei as usize];
-            let (Some(sp), Some(dp)) = (place(e.src), place(e.dst)) else {
-                continue;
-            };
-            s += edge_gain(sp + blocks[e.src].size as u64, dp, e.weight as f64, params);
-        }
-        s
-    };
-
-    // Cached per-chain scores (singletons only see their self-loops).
-    let mut score: Vec<f64> = (0..n)
-        .map(|c| merged_score(c, c, &chain_of, &pos, &chain_size, &touch))
-        .collect();
-
-    // Gain of appending chain b after chain a. It depends only on the
-    // contents of the two chains. The entry's chain can only be a prefix
-    // and is never appended, so it stays chain 0 for the whole loop.
-    let pair_gain = |a: usize,
-                     b: usize,
-                     chain_of: &[usize],
-                     pos: &[u64],
-                     chain_size: &[u64],
-                     touch: &[Vec<u32>],
-                     score: &[f64]|
-     -> f64 {
-        if b == 0 {
-            return f64::NEG_INFINITY;
-        }
-        merged_score(a, b, chain_of, pos, chain_size, touch) - score[a] - score[b]
-    };
-    // Per chain a, the chains an edge joins it to, ascending by id, each
-    // with gain(a -> c). The relation is symmetric: c is in nbr[a] exactly
-    // when a is in nbr[c]. A dead chain's list is empty.
-    let mut nbr: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n];
-    for e in edges {
-        if e.src != e.dst {
-            nbr[e.src].push((e.dst, 0.0));
-            nbr[e.dst].push((e.src, 0.0));
-        }
-    }
-    for (a, list) in nbr.iter_mut().enumerate() {
-        list.sort_unstable_by_key(|&(c, _)| c);
-        list.dedup_by_key(|&mut (c, _)| c);
-        for (c, g) in list {
-            *g = pair_gain(a, *c, &chain_of, &pos, &chain_size, &touch, &score);
         }
     }
 
-    loop {
-        // Find the best merge (a, b) -> concat(a, b): the reference's scan
-        // order and strict `>` tie-break, restricted to joined pairs.
-        let mut best: Option<(usize, usize, f64)> = None;
-        for (a, list) in nbr.iter().enumerate() {
-            for &(b, g) in list {
-                if g > 1e-9 && best.is_none_or(|(_, _, bg)| g > bg) {
-                    best = Some((a, b, g));
+    // Per chain a, its best merge (gain, b): the first maximum of row a
+    // above the 1e-9 threshold, or (1e-9, usize::MAX) when there is none.
+    let row_best = |a: usize, nbr: &[u64], gain: &[f64]| {
+        let mut best = (1e-9, usize::MAX);
+        for w in 0..wn {
+            for b in bits(nbr[a * wn + w]).map(|k| w * 64 + k) {
+                if gain[a * n + b] > best.0 {
+                    best = (gain[a * n + b], b);
                 }
             }
         }
-        let Some((a, b, _)) = best else { break };
-        // The merged chain keeps slot `a`; its score is the pair score we
-        // already agreed on (recomputed — still bit-identical).
-        let new_score = merged_score(a, b, &chain_of, &pos, &chain_size, &touch);
-        let cb = chains[b].take().expect("live");
-        let shift = chain_size[a];
-        for &blk in &cb {
-            chain_of[blk] = a;
-            pos[blk] += shift;
+        best
+    };
+    let mut best_of: Vec<_> = (0..n).map(|a| row_best(a, &nbr, &gain)).collect();
+    loop {
+        // Find the best merge (a, b) -> concat(a, b): the reference's
+        // row-major scan order and strict `>` tie-break, over joined pairs.
+        let mut best = (1e-9, usize::MAX, usize::MAX);
+        for (a, &(g, b)) in best_of.iter().enumerate() {
+            if g > best.0 {
+                best = (g, a, b);
+            }
         }
-        chain_size[a] += chain_size[b];
-        score[a] = new_score;
-        let tb = std::mem::take(&mut touch[b]);
-        let ta = std::mem::take(&mut touch[a]);
-        touch[a] = union_sorted(&ta, &tb).collect();
-        chains[a].as_mut().expect("live").extend(cb);
+        let (_, a, b) = best;
+        if a == usize::MAX {
+            break;
+        }
+        ch.merge(a, b);
         // Only pairs involving the merged chain changed: b's neighbours
         // become a's, each of them renames b to a, and both directions of
-        // every such pair are rescored.
-        let mut merged = std::mem::take(&mut nbr[a]);
-        merged.append(&mut nbr[b]);
-        merged.retain(|&(c, _)| c != a && c != b);
-        merged.sort_unstable_by_key(|&(c, _)| c);
-        merged.dedup_by_key(|&mut (c, _)| c);
-        for (c, g) in &mut merged {
-            *g = pair_gain(a, *c, &chain_of, &pos, &chain_size, &touch, &score);
-            let back = pair_gain(*c, a, &chain_of, &pos, &chain_size, &touch, &score);
-            let list = &mut nbr[*c];
-            list.retain(|&(x, _)| x != a && x != b);
-            let at = list.partition_point(|&(x, _)| x < a);
-            list.insert(at, (a, back));
+        // every such pair are rescored in one walk.
+        for w in 0..wn {
+            nbr[a * wn + w] |= std::mem::take(&mut nbr[b * wn + w]);
         }
-        nbr[a] = merged;
+        nbr[a * wn + a / 64] &= !(1 << (a % 64));
+        nbr[a * wn + b / 64] &= !(1 << (b % 64));
+        for w in 0..wn {
+            for c in bits(nbr[a * wn + w]).map(|k| w * 64 + k) {
+                nbr[c * wn + b / 64] &= !(1 << (b % 64));
+                nbr[c * wn + a / 64] |= 1 << (a % 64);
+                rescore(a, c, &ch, &mut gain);
+                best_of[c] = row_best(c, &nbr, &gain);
+            }
+        }
+        best_of[a] = row_best(a, &nbr, &gain);
+        best_of[b] = (1e-9, usize::MAX);
     }
 
-    concat_chains(chains, blocks)
+    // Chain c starts with block c, and it is alive while block c is in it.
+    let mut order = Vec::with_capacity(n);
+    let mut ends = Vec::with_capacity(n);
+    for c in (0..n).filter(|&c| ch.chain_of[c] == c) {
+        let mut blk = c;
+        while blk != usize::MAX {
+            order.push(blk);
+            blk = ch.next[blk];
+        }
+        ends.push(order.len());
+    }
+    let starts = std::iter::once(0).chain(ends.iter().copied());
+    concat_chains(starts.zip(&ends).map(|(s, &e)| &order[s..e]), blocks)
 }
 
-/// Ascending union of two ascending `u32` lists, duplicates dropped.
-fn union_sorted<'a>(a: &'a [u32], b: &'a [u32]) -> impl Iterator<Item = u32> + 'a {
-    let (mut i, mut j) = (0usize, 0usize);
+/// Indices of the set bits of `word`, ascending.
+fn bits(mut word: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
-        let next = match (a.get(i), b.get(j)) {
-            (Some(&x), Some(&y)) => x.min(y),
-            (Some(&x), None) => x,
-            (None, Some(&y)) => y,
-            (None, None) => return None,
-        };
-        i += usize::from(a.get(i) == Some(&next));
-        j += usize::from(b.get(j) == Some(&next));
-        Some(next)
+        let k = word.trailing_zeros() as usize;
+        word &= word.wrapping_sub(1);
+        (k < 64).then_some(k)
     })
 }
 
+/// The greedy merger's chains. Chain `c` lives in slot `c` for as long as
+/// it lives; a merge appends the absorbed chain to the survivor.
+struct Chains<'a> {
+    edges: &'a [BlockEdge],
+    blocks: &'a [BlockNode],
+    params: &'a ExtTspParams,
+    /// Words per edge set.
+    we: usize,
+    /// Per block: its chain, its byte offset in it, and the next block
+    /// (`usize::MAX` at the tail).
+    chain_of: Vec<usize>,
+    pos: Vec<u64>,
+    next: Vec<usize>,
+    /// Per chain: its last block, bytes and Ext-TSP score.
+    tail: Vec<usize>,
+    size: Vec<u64>,
+    score: Vec<f64>,
+    /// Per chain, `we` words each: the set of its internal edges, and the
+    /// set of edges with exactly one end in it.
+    inner: Vec<u64>,
+    outer: Vec<u64>,
+    /// Contribution of each internal edge to its chain's score.
+    contrib: Vec<f64>,
+}
+
+impl Chains<'_> {
+    /// Gain of appending chain `b` after chain `a`, given the score of the
+    /// concatenation. The entry's chain can only be a prefix and is never
+    /// appended, so it stays chain 0 for the whole loop.
+    fn gain(&self, a: usize, b: usize, merged: f64) -> f64 {
+        if b == 0 {
+            return f64::NEG_INFINITY;
+        }
+        merged - self.score[a] - self.score[b]
+    }
+
+    /// Scores of `a ++ c` and of `c ++ a`, each summing its edge
+    /// contributions in ascending global edge index: the exact iteration
+    /// order of the reference `chain_score`.
+    fn pair_scores(&self, a: usize, c: usize) -> (f64, f64) {
+        let mut sums = (0.0, 0.0);
+        for w in 0..self.we {
+            let (ia, ic) = (self.inner[a * self.we + w], self.inner[c * self.we + w]);
+            // The edges joining a and c are the ones outer to both.
+            let cross = self.outer[a * self.we + w] & self.outer[c * self.we + w];
+            for k in bits(ia | ic | cross) {
+                let e = w * 64 + k;
+                let (ac, ca) = if cross >> k & 1 == 0 {
+                    (self.contrib[e], self.contrib[e])
+                } else {
+                    self.cross_gains(e, a, c)
+                };
+                sums.0 += ac;
+                sums.1 += ca;
+            }
+        }
+        sums
+    }
+
+    /// Contributions of edge `e`, which joins chains a and c, to `a ++ c`
+    /// (c's blocks shift by |a|) and to `c ++ a` (a's shift by |c|).
+    fn cross_gains(&self, e: usize, a: usize, c: usize) -> (f64, f64) {
+        let e = &self.edges[e];
+        let (ps, pd, sa, sc) = (self.pos[e.src], self.pos[e.dst], self.size[a], self.size[c]);
+        let (s_ac, d_ac, s_ca, d_ca) = if self.chain_of[e.src] == a {
+            (ps, sa + pd, sc + ps, pd)
+        } else {
+            (sa + ps, pd, ps, sc + pd)
+        };
+        let (len, w) = (self.blocks[e.src].size as u64, e.weight as f64);
+        (
+            edge_gain(s_ac + len, d_ac, w, self.params),
+            edge_gain(s_ca + len, d_ca, w, self.params),
+        )
+    }
+
+    /// Appends chain `b` to chain `a`. The edges joining them turn internal
+    /// at their new contributions; what stays outer is the symmetric
+    /// difference of the two outer sets.
+    fn merge(&mut self, a: usize, b: usize) {
+        let score = self.pair_scores(a, b).0;
+        let we = self.we;
+        for w in 0..we {
+            let cross = self.outer[a * we + w] & self.outer[b * we + w];
+            for k in bits(cross) {
+                self.contrib[w * 64 + k] = self.cross_gains(w * 64 + k, a, b).0;
+            }
+            self.inner[a * we + w] |= self.inner[b * we + w] | cross;
+            self.outer[a * we + w] ^= self.outer[b * we + w];
+        }
+        let mut blk = b;
+        while blk != usize::MAX {
+            self.chain_of[blk] = a;
+            self.pos[blk] += self.size[a];
+            blk = self.next[blk];
+        }
+        self.next[self.tail[a]] = b;
+        self.tail[a] = self.tail[b];
+        self.size[a] += self.size[b];
+        self.score[a] = score;
+    }
+}
+
 /// Final concatenation: the entry chain first, then the rest by hotness
-/// density (shared by the fast path and the reference implementation).
-fn concat_chains(chains: Vec<Option<Vec<usize>>>, blocks: &[BlockNode]) -> Vec<usize> {
-    let mut rest: Vec<Vec<usize>> = Vec::new();
-    let mut first: Option<Vec<usize>> = None;
-    for c in chains.into_iter().flatten() {
-        if c[0] == 0 || c.contains(&0) {
+/// density, ties in the given order (shared by the fast path and the
+/// reference implementation).
+fn concat_chains<'c>(
+    chains: impl IntoIterator<Item = &'c [usize]>,
+    blocks: &[BlockNode],
+) -> Vec<usize> {
+    let mut rest: Vec<&[usize]> = Vec::with_capacity(blocks.len());
+    let mut first: Option<&[usize]> = None;
+    for c in chains {
+        if c.contains(&0) {
             first = Some(c);
         } else {
             rest.push(c);
         }
     }
-    rest.sort_by(|a, b| {
-        let da = density(a, blocks);
-        let db = density(b, blocks);
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut order = first.expect("entry chain exists");
+    rest.sort_by(|a, b| density(b, blocks).total_cmp(&density(a, blocks)));
+    let mut order = Vec::with_capacity(blocks.len());
+    order.extend_from_slice(first.expect("entry chain exists"));
     for c in rest {
-        order.extend(c);
+        order.extend_from_slice(c);
     }
     debug_assert_eq!(order.len(), blocks.len());
     order
@@ -449,27 +530,7 @@ pub fn exttsp_order_reference(
         }
     }
 
-    // Concatenate: entry chain first, then by density (hotness per byte).
-    let mut rest: Vec<Vec<usize>> = Vec::new();
-    let mut first: Option<Vec<usize>> = None;
-    for c in chains.into_iter().flatten() {
-        if c[0] == 0 || c.contains(&0) {
-            first = Some(c);
-        } else {
-            rest.push(c);
-        }
-    }
-    rest.sort_by(|a, b| {
-        let da = density(a, blocks);
-        let db = density(b, blocks);
-        db.partial_cmp(&da).unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let mut order = first.expect("entry chain exists");
-    for c in rest {
-        order.extend(c);
-    }
-    debug_assert_eq!(order.len(), n);
-    order
+    concat_chains(chains.iter().flatten().map(Vec::as_slice), blocks)
 }
 
 fn density(chain: &[usize], blocks: &[BlockNode]) -> f64 {

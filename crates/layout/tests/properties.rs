@@ -74,6 +74,33 @@ fn arb_unit_cfg() -> impl Strategy<Value = (Vec<BlockNode>, Vec<BlockEdge>)> {
     })
 }
 
+/// CFGs where exact gain ties are common: block sizes 8 or 16, block and
+/// edge weights in {0, 1, 2}, the edge weights times one scale per graph
+/// (1 or 1 048 573). Many candidate merges then gain bit-for-bit alike, so
+/// only the scan order and the strict `>` choose between them.
+fn arb_tied_cfg(max_n: usize) -> impl Strategy<Value = (Vec<BlockNode>, Vec<BlockEdge>)> {
+    let blocks = prop::collection::vec(
+        (any::<bool>(), 0u64..3).prop_map(|(big, weight)| BlockNode {
+            size: if big { 16 } else { 8 },
+            weight,
+        }),
+        1..max_n,
+    );
+    (blocks, any::<bool>()).prop_flat_map(|(blocks, heavy)| {
+        let n = blocks.len();
+        let scale = if heavy { 1_048_573 } else { 1 };
+        let edges = prop::collection::vec(
+            (0..n, 0..n, 0u64..3).prop_map(move |(src, dst, weight)| BlockEdge {
+                src,
+                dst,
+                weight: weight * scale,
+            }),
+            0..(2 * n).max(1),
+        );
+        (Just(blocks), edges)
+    })
+}
+
 fn arb_callgraph(max_n: usize) -> impl Strategy<Value = (Vec<FuncNode>, Vec<CallArc>)> {
     // Sizes up to ~1.5 MiB so clusters brush against the 2 MiB merge limit;
     // small weight range so equal-weight arcs (the tie-break case) are common.
@@ -302,5 +329,20 @@ proptest! {
         for w in order.windows(2) {
             prop_assert!(counts[w[0]] >= counts[w[1]]);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn exttsp_matches_reference_on_tied_gains((blocks, edges) in arb_tied_cfg(24)) {
+        // Ties are where a reordered or paired scoring would diverge first:
+        // one term summed in the wrong order or into the wrong concatenation
+        // breaks an exact tie that the reference resolves by scan order.
+        let p = ExtTspParams::default();
+        let fast = exttsp_order(&blocks, &edges, &p);
+        let slow = layout::exttsp_order_reference(&blocks, &edges, &p);
+        prop_assert_eq!(fast, slow);
     }
 }
