@@ -29,7 +29,7 @@
 
 use bench::Lab;
 use bytes::Bytes;
-use jit::{JitOptions, TransKind};
+use jit::JitOptions;
 use jumpstart::{consume_bytes, BootStats, ConsumerOutcome, JumpStartOptions};
 use layout::{exttsp_order, ExtTspParams};
 use std::time::{Duration, Instant};
@@ -268,7 +268,6 @@ fn main() {
             .code_cache
             .translations()
             .values()
-            .filter(|t| t.kind == TransKind::Optimized)
             .map(|t| (t.vasm.layout_blocks(), t.vasm.layout_edges()))
             .collect();
         let blocks: usize = units.iter().map(|(b, _)| b.len()).sum();

@@ -182,6 +182,10 @@ impl ChunkBootStats {
 /// With `opts.early_serve_frac < 1.0` the boot reports ready once the
 /// hottest fraction of heat mass is emitted ([`BootStats::early_serve`]).
 ///
+/// The layout weights come from `opts`: `jit_opts.weights` is overwritten
+/// with [`WeightSource::Accurate`] when `opts.accurate_bb_weights` is set
+/// and [`WeightSource::TierOnly`] otherwise, whatever the caller passed.
+///
 /// # Errors
 ///
 /// Returns [`ConsumerError::JitCrash`] for compile-poisoned packages —

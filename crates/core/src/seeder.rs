@@ -61,7 +61,7 @@ pub fn build_package(
             // Pre-Jump-Start HHVM: C3 over the tier-1 call graph, which
             // still contains every arc that inlining will remove (§V-B).
             let engine = JitEngine::new(repo, *jit_opts);
-            engine.function_order(&candidates, &inputs.tier, &inputs.ctx, false, true)
+            engine.tier_graph_order(&candidates, &inputs.tier)
         }
         FuncSort::C3InliningAware => {
             c3_from_optimized_code(repo, &candidates, &inputs.tier, &inputs.ctx, jit_opts)

@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 use std::sync::OnceLock;
 
 use bytecode::FuncId;
-use jit::{JitOptions, TransKind};
+use jit::JitOptions;
 use jumpstart::{build_package, consume, ConsumerOutcome, JumpStartOptions, SeederInputs};
 use proptest::prelude::*;
 use workload::{generate, profile_run, App, AppParams, RequestMix};
@@ -55,7 +55,7 @@ fn boot(threads: usize, frac: f64) -> ConsumerOutcome<'static> {
 }
 
 /// Every translation's placement, in a canonical comparable form.
-type Placements = BTreeMap<FuncId, (TransKind, Vec<(u64, u32)>)>;
+type Placements = BTreeMap<FuncId, Vec<(u64, u32)>>;
 
 /// Digest, placements, compiled-function count, compiled bytes.
 type Baseline = (u64, Placements, usize, u64);
@@ -65,7 +65,7 @@ fn placements(out: &ConsumerOutcome<'_>) -> Placements {
         .code_cache
         .translations()
         .iter()
-        .map(|(&f, t)| (f, (t.kind, t.placement.clone())))
+        .map(|(&f, t)| (f, t.placement.clone()))
         .collect()
 }
 
@@ -94,8 +94,8 @@ proptest! {
         let frac = [1.0f64, 0.9, 0.75, 0.5, 0.25, 0.0][f_idx];
         let (digest, base_placements, funcs, bytes) = baseline();
         let out = boot(threads, frac);
-        // Identical code-cache addresses (digest covers every placement,
-        // region usage, and translation kind).
+        // Identical code-cache addresses (digest covers every placement
+        // and region usage).
         prop_assert_eq!(out.engine.code_cache.layout_digest(), *digest);
         // Identical compiled-function set with identical placements.
         prop_assert_eq!(&placements(&out), base_placements);
@@ -134,9 +134,6 @@ fn booted_units_get_the_reference_block_order() {
     let params = layout::ExtTspParams::default();
     let mut checked = 0;
     for t in out.engine.code_cache.translations().values() {
-        if t.kind != TransKind::Optimized {
-            continue;
-        }
         let (blocks, edges) = (t.vasm.layout_blocks(), t.vasm.layout_edges());
         assert_eq!(
             layout::exttsp_order(&blocks, &edges, &params),

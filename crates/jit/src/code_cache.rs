@@ -1,12 +1,15 @@
-//! The code cache: address regions for emitted translations.
+//! The code cache: address regions for emitted optimized translations.
 //!
 //! HHVM's code cache has separate areas for hot optimized code, cold paths,
 //! live translations and profiling code; optimized code is placed in
 //! function-sorting order (paper §II-B, Fig. 1's relocation step B→C).
+//! A Jump-Start consumer emits only optimized code, so this cache has the
+//! hot and cold areas alone; the live and profiling areas of a server that
+//! JITs while serving are modelled by `fleet::ServerSim`, as byte counts.
 //! Addresses here feed the I-cache/I-TLB model, so *where* a block lands
 //! directly changes the measured locality.
 //!
-//! Optimized placement goes through the global [`layout::pagepack`] plan:
+//! Placement goes through the global [`layout::pagepack`] plan:
 //! with `hugepage_pack`, each function's hot part is kept inside one
 //! simulated 2 MiB huge-page bin; with `global_hotcold`, optimized cold
 //! parts are exiled to a dedicated `optimized_cold` region on 4 KiB pages
@@ -27,17 +30,6 @@ use crate::vasm::VasmUnit;
 /// Bytes of one hot→cold bind stub (a one-shot jump island in the cold
 /// region, smashed to a direct jump after its first execution).
 pub const STUB_BYTES: u64 = 8;
-
-/// Which tier a translation belongs to.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum TransKind {
-    /// Tracelet JIT output (no profile).
-    Live,
-    /// Tier-1 instrumented code.
-    Profiling,
-    /// Tier-2 PGO output.
-    Optimized,
-}
 
 /// A contiguous address region with bump allocation.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -83,10 +75,6 @@ pub struct CodeCacheConfig {
     pub hot_capacity: u64,
     /// Cold (split) region capacity.
     pub cold_capacity: u64,
-    /// Live-translation region capacity.
-    pub live_capacity: u64,
-    /// Profiling-translation region capacity.
-    pub profiling_capacity: u64,
 }
 
 impl Default for CodeCacheConfig {
@@ -94,8 +82,6 @@ impl Default for CodeCacheConfig {
         Self {
             hot_capacity: 24 << 20,
             cold_capacity: 24 << 20,
-            live_capacity: 24 << 20,
-            profiling_capacity: 24 << 20,
         }
     }
 }
@@ -105,8 +91,6 @@ impl Default for CodeCacheConfig {
 pub struct EmittedTranslation {
     /// The translated function.
     pub func: FuncId,
-    /// Translation kind.
-    pub kind: TransKind,
     /// The Vasm body (block indices match `placement`).
     pub vasm: VasmUnit,
     /// Per-Vasm-block (address, size); sizes come from the block encoding.
@@ -139,13 +123,8 @@ impl EmittedTranslation {
 pub struct CodeCache {
     /// Hot optimized code (packed into huge-page bins when enabled).
     pub hot: Region,
-    /// Cold split-off code for live/profiling tiers — and for optimized
-    /// code too when global hot/cold splitting is off.
+    /// Cold split-off code when global hot/cold splitting is off.
     pub cold: Region,
-    /// Live translations.
-    pub live: Region,
-    /// Profiling translations.
-    pub profiling: Region,
     /// Optimized cold parts (4 KiB pages), when global hot/cold is on.
     pub optimized_cold: Region,
     plan: LayoutPlanOptions,
@@ -168,8 +147,6 @@ impl CodeCache {
         Self {
             hot: Region::new(0x1000_0000, config.hot_capacity),
             cold: Region::new(0x4000_0000, config.cold_capacity),
-            live: Region::new(0x7000_0000, config.live_capacity),
-            profiling: Region::new(0xa000_0000, config.profiling_capacity),
             optimized_cold: Region::new(0xd000_0000, config.cold_capacity),
             plan,
             packer: PagePacker::new(plan),
@@ -218,76 +195,26 @@ impl CodeCache {
         self.stub_count
     }
 
-    /// Emits a translation, placing `hot_order` blocks contiguously in the
-    /// translation's main region and `cold_order` blocks in the cold
-    /// region. Returns `false` (emitting nothing) if the region is full —
-    /// HHVM stops JITing when the cache fills (paper §IV-A).
+    /// Emits an optimized translation through the global pagepack plan,
+    /// placing `hot_order` blocks contiguously in the hot region and
+    /// `cold_order` blocks in a cold region. Returns `false` (emitting
+    /// nothing) if a region is full — HHVM stops JITing when the cache
+    /// fills (paper §IV-A). The atomic packing unit is the whole hot part,
+    /// so a function's hot text never straddles a huge-page boundary
+    /// (unless it exceeds one page); bind stubs ride ahead of the
+    /// function's cold part in the cold region. A function emitted twice
+    /// keeps its later translation.
     ///
     /// # Panics
     ///
     /// Panics if `hot_order` + `cold_order` don't cover each block exactly
     /// once.
-    pub fn emit(
-        &mut self,
-        unit: VasmUnit,
-        kind: TransKind,
-        hot_order: &[usize],
-        cold_order: &[usize],
-    ) -> bool {
+    pub fn emit(&mut self, unit: VasmUnit, hot_order: &[usize], cold_order: &[usize]) -> bool {
         assert_eq!(
             hot_order.len() + cold_order.len(),
             unit.blocks.len(),
             "layout must cover all blocks"
         );
-        if kind == TransKind::Optimized {
-            return self.emit_optimized(unit, hot_order, cold_order);
-        }
-        let hot_bytes: u64 = hot_order
-            .iter()
-            .map(|&b| unit.blocks[b].size() as u64)
-            .sum();
-        let cold_bytes: u64 = cold_order
-            .iter()
-            .map(|&b| unit.blocks[b].size() as u64)
-            .sum();
-        let main_region = match kind {
-            TransKind::Live => &mut self.live,
-            TransKind::Profiling => &mut self.profiling,
-            TransKind::Optimized => unreachable!("handled above"),
-        };
-        if main_region.free() < hot_bytes || self.cold.free() < cold_bytes {
-            return false;
-        }
-        let mut placement = vec![(0u64, 0u32); unit.blocks.len()];
-        let mut covered = vec![false; unit.blocks.len()];
-        for &b in hot_order {
-            assert!(!covered[b], "block placed twice");
-            covered[b] = true;
-            let size = unit.blocks[b].size();
-            let addr = main_region.alloc(size as u64).expect("checked free space");
-            placement[b] = (addr, size);
-        }
-        for &b in cold_order {
-            assert!(!covered[b], "block placed twice");
-            covered[b] = true;
-            let size = unit.blocks[b].size();
-            let addr = self.cold.alloc(size as u64).expect("checked free space");
-            placement[b] = (addr, size);
-        }
-        self.insert(unit, kind, placement, Vec::new());
-        true
-    }
-
-    /// Optimized placement through the global pagepack plan. The atomic
-    /// packing unit is the whole hot part, so a function's hot text never
-    /// straddles a huge-page boundary (unless it exceeds one page); bind
-    /// stubs ride ahead of the function's cold part in the cold region.
-    fn emit_optimized(
-        &mut self,
-        unit: VasmUnit,
-        hot_order: &[usize],
-        cold_order: &[usize],
-    ) -> bool {
         let hot_bytes: u64 = hot_order
             .iter()
             .map(|&b| unit.blocks[b].size() as u64)
@@ -363,28 +290,17 @@ impl CodeCache {
             placement[b] = (addr, size);
         }
         self.hot.used = self.packer.hot_used();
-        self.insert(unit, TransKind::Optimized, placement, stubs);
-        true
-    }
-
-    fn insert(
-        &mut self,
-        unit: VasmUnit,
-        kind: TransKind,
-        placement: Vec<(u64, u32)>,
-        stubs: Vec<((usize, usize), u64)>,
-    ) {
         let func = unit.func;
         self.translations.insert(
             func,
             EmittedTranslation {
                 func,
-                kind,
                 vasm: unit,
                 placement,
                 stubs,
             },
         );
+        true
     }
 
     /// Looks up the current translation for a function.
@@ -397,31 +313,19 @@ impl CodeCache {
         &self.translations
     }
 
-    /// Drops a function's translation (used when optimized code replaces
-    /// profiling code).
-    pub fn evict(&mut self, func: FuncId) -> Option<EmittedTranslation> {
-        self.translations.remove(&func)
-    }
-
-    /// Total bytes emitted across all regions (Fig. 1's y-axis); includes
-    /// stub bytes and huge-page boundary padding in the hot region.
-    pub fn total_code_bytes(&self) -> u64 {
-        self.hot.used
-            + self.cold.used
-            + self.live.used
-            + self.profiling.used
-            + self.optimized_cold.used
-    }
-
     /// FNV-1a digest over every placed block address and size, in
     /// function-id order, plus stub addresses and the region fill levels.
     /// Two caches with the same digest have byte-identical layouts — the
     /// determinism oracle for the parallel boot pipeline (addresses feed
     /// the uarch model, so parallel emission may not move a single block).
     ///
-    /// The `optimized_cold` fill level is mixed only when nonzero, so a
-    /// cache with the global layout passes disabled digests exactly like
-    /// the historical four-region cache.
+    /// The digest keeps the words of the four-region cache this one
+    /// replaced, so every recorded digest still holds: a constant `3` per
+    /// translation (the optimized kind), and two zero words for the live
+    /// and profiling regions, which a consumer never filled. The
+    /// `optimized_cold` fill level is mixed only when nonzero, so a cache
+    /// with the global layout passes disabled digests exactly like that
+    /// cache did.
     pub fn layout_digest(&self) -> u64 {
         const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
         const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -436,11 +340,7 @@ impl CodeCache {
         funcs.sort_by_key(|t| t.func);
         for t in funcs {
             mix(t.func.index() as u64);
-            mix(match t.kind {
-                TransKind::Live => 1,
-                TransKind::Profiling => 2,
-                TransKind::Optimized => 3,
-            });
+            mix(3);
             for &(addr, size) in &t.placement {
                 mix(addr);
                 mix(size as u64);
@@ -451,8 +351,8 @@ impl CodeCache {
                 mix(addr);
             }
         }
-        for r in [&self.hot, &self.cold, &self.live, &self.profiling] {
-            mix(r.used);
+        for used in [self.hot.used, self.cold.used, 0, 0] {
+            mix(used);
         }
         if self.optimized_cold.used > 0 {
             mix(self.optimized_cold.used);
@@ -499,7 +399,7 @@ mod tests {
         let mut cc = CodeCache::default();
         let u = unit(0, 3);
         let sizes: Vec<u32> = u.blocks.iter().map(|b| b.size()).collect();
-        assert!(cc.emit(u, TransKind::Optimized, &[0, 2, 1], &[]));
+        assert!(cc.emit(u, &[0, 2, 1], &[]));
         let t = cc.translation(FuncId::new(0)).unwrap();
         let (a0, _) = t.placement[0];
         let (a1, _) = t.placement[1];
@@ -512,7 +412,7 @@ mod tests {
     fn cold_blocks_go_to_the_cold_region() {
         // Plan disabled: optimized cold shares the historical cold region.
         let mut cc = CodeCache::default();
-        assert!(cc.emit(unit(1, 4), TransKind::Optimized, &[0, 1], &[2, 3]));
+        assert!(cc.emit(unit(1, 4), &[0, 1], &[2, 3]));
         let t = cc.translation(FuncId::new(1)).unwrap();
         assert!(t.placement[0].0 >= cc.hot.base && t.placement[0].0 < cc.cold.base);
         assert!(t.placement[2].0 >= cc.cold.base);
@@ -526,7 +426,7 @@ mod tests {
         let mut cc = CodeCache::with_plan(CodeCacheConfig::default(), LayoutPlanOptions::default());
         // Blocks 0→1→2→3 in a chain; 2 and 3 go cold, so the 1→2 jump is
         // the only hot→cold terminator edge.
-        assert!(cc.emit(unit(1, 4), TransKind::Optimized, &[0, 1], &[2, 3]));
+        assert!(cc.emit(unit(1, 4), &[0, 1], &[2, 3]));
         let t = cc.translation(FuncId::new(1)).unwrap();
         assert!(t.placement[2].0 >= cc.optimized_cold.base);
         assert_eq!(cc.cold.used, 0);
@@ -546,7 +446,7 @@ mod tests {
         let mut u = unit(3, 2);
         u.blocks[0].term = Term::Cond { taken: 1, fall: 1 };
         let mut cc = CodeCache::with_plan(CodeCacheConfig::default(), LayoutPlanOptions::default());
-        assert!(cc.emit(u, TransKind::Optimized, &[0], &[1]));
+        assert!(cc.emit(u, &[0], &[1]));
         let t = cc.translation(FuncId::new(3)).unwrap();
         assert_eq!(cc.stub_count(), 2, "both arms emit a stub");
         assert_eq!(t.stubs.len(), 1, "one entry per edge");
@@ -562,9 +462,9 @@ mod tests {
         // optimized_cold/stub contribution.
         let build = || {
             let mut cc = CodeCache::default();
-            assert!(cc.emit(unit(0, 3), TransKind::Optimized, &[0, 1, 2], &[]));
-            assert!(cc.emit(unit(1, 4), TransKind::Optimized, &[0, 1], &[2, 3]));
-            assert!(cc.emit(unit(2, 2), TransKind::Live, &[0, 1], &[]));
+            assert!(cc.emit(unit(0, 3), &[0, 1, 2], &[]));
+            assert!(cc.emit(unit(1, 4), &[0, 1], &[2, 3]));
+            assert!(cc.emit(unit(2, 2), &[0, 1], &[]));
             cc
         };
         let a = build();
@@ -585,7 +485,7 @@ mod tests {
         while emitted <= (2 << 20) + 4096 {
             let u = unit(i, 3);
             let bytes: u64 = u.blocks.iter().map(|b| b.size() as u64).sum();
-            assert!(cc.emit(u, TransKind::Optimized, &[0, 1, 2], &[]));
+            assert!(cc.emit(u, &[0, 1, 2], &[]));
             emitted += bytes;
             i += 1;
         }
@@ -604,50 +504,20 @@ mod tests {
         let mut cc = CodeCache::new(CodeCacheConfig {
             hot_capacity: 40,
             cold_capacity: 40,
-            live_capacity: 40,
-            profiling_capacity: 40,
         });
         // Each unit(_,3) is ~3*(4*3+5) bytes > 40: rejected.
         let u = unit(2, 3);
         let order: Vec<usize> = (0..3).collect();
-        assert!(!cc.emit(u, TransKind::Optimized, &order, &[]));
-        assert_eq!(cc.total_code_bytes(), 0);
+        assert!(!cc.emit(u, &order, &[]));
+        assert_eq!((cc.hot.used, cc.cold.used), (0, 0));
         assert!(cc.translation(FuncId::new(2)).is_none());
-    }
-
-    #[test]
-    fn kinds_use_distinct_regions() {
-        let mut cc = CodeCache::default();
-        assert!(cc.emit(unit(0, 1), TransKind::Live, &[0], &[]));
-        assert!(cc.emit(unit(1, 1), TransKind::Profiling, &[0], &[]));
-        assert!(cc.emit(unit(2, 1), TransKind::Optimized, &[0], &[]));
-        assert!(cc.live.used > 0 && cc.profiling.used > 0 && cc.hot.used > 0);
-        let live_addr = cc.translation(FuncId::new(0)).unwrap().placement[0].0;
-        let opt_addr = cc.translation(FuncId::new(2)).unwrap().placement[0].0;
-        assert!(live_addr > opt_addr, "regions are far apart");
-    }
-
-    #[test]
-    fn evict_replaces_profiling_with_optimized() {
-        let mut cc = CodeCache::default();
-        assert!(cc.emit(unit(5, 2), TransKind::Profiling, &[0, 1], &[]));
-        assert_eq!(
-            cc.translation(FuncId::new(5)).unwrap().kind,
-            TransKind::Profiling
-        );
-        cc.evict(FuncId::new(5));
-        assert!(cc.emit(unit(5, 2), TransKind::Optimized, &[0, 1], &[]));
-        assert_eq!(
-            cc.translation(FuncId::new(5)).unwrap().kind,
-            TransKind::Optimized
-        );
     }
 
     #[test]
     #[should_panic(expected = "cover all blocks")]
     fn incomplete_layout_panics() {
         let mut cc = CodeCache::default();
-        cc.emit(unit(0, 3), TransKind::Optimized, &[0, 1], &[]);
+        cc.emit(unit(0, 3), &[0, 1], &[]);
     }
 
     impl EmittedTranslation {

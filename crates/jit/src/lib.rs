@@ -14,11 +14,19 @@
 //! * [`translate_optimized`] and friends — lowering bytecode to the
 //!   [`vasm`] block IR with profile-driven type specialization, guard
 //!   insertion and depth-1 inlining,
-//! * [`CodeCache`] — hot/cold/live/profiling regions with addresses,
-//! * [`JitEngine`] — per-function tier state machine and code-size
-//!   accounting (Fig. 1),
+//! * [`CodeCache`] — hot and cold regions with addresses for optimized
+//!   code,
+//! * [`JitEngine`] and [`plan_layout`] — block layout, emission and
+//!   code-size accounting for a Jump-Start consumer, which translates
+//!   every profiled function before it serves (§IV-A),
 //! * [`Executor`] — statistical replay of compiled code through the
 //!   [`uarch`] core model, producing the steady-state metrics of Figs. 5/6.
+//!
+//! All three kinds are translated here, but only optimized code is
+//! emitted and replayed: the tiering of a server that JITs while serving
+//! (interpreter, profiling, retranslate-all, live; Fig. 1) has one model,
+//! `fleet::ServerSim`, which needs only the code sizes of
+//! [`translate_profiling`] and [`translate_live`].
 
 mod code_cache;
 mod engine;
@@ -27,8 +35,8 @@ mod replay;
 mod translate;
 pub mod vasm;
 
-pub use code_cache::{CodeCache, CodeCacheConfig, EmittedTranslation, Region, TransKind};
-pub use engine::{plan_layout, CompileSizes, FuncState, JitEngine, JitOptions, LayoutPlan};
+pub use code_cache::{CodeCache, CodeCacheConfig, EmittedTranslation, Region};
+pub use engine::{plan_layout, CompileSizes, JitEngine, JitOptions, LayoutPlan};
 pub use profile::{
     BranchCount, CtxProfile, FuncProfile, InlineCtx, ProfileCollector, TierProfile, TypeDist,
     PARAM_SITE,

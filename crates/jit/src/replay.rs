@@ -23,7 +23,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uarch::{AddrMap, AddrSet, CoreModel, CoreParams, MissReport};
 
-use crate::code_cache::{CodeCache, EmittedTranslation, TransKind, STUB_BYTES};
+use crate::code_cache::{CodeCache, EmittedTranslation, STUB_BYTES};
 use crate::profile::{CtxProfile, FuncProfile, TierProfile};
 use crate::vasm::{Term, VInstr};
 
@@ -35,9 +35,6 @@ pub struct ExecutorConfig {
     /// Cycles per bytecode instruction when interpreting (threaded
     /// interpreters run ~10-20× slower than optimized code).
     pub interp_cpi: u64,
-    /// Extra per-instruction cycles for profiling translations (counter
-    /// overhead beyond the explicit CountOps).
-    pub profiling_extra_cpi: u64,
     /// Maximum call depth.
     pub max_depth: u32,
     /// Block-visit budget per top-level call (loop safety net).
@@ -55,7 +52,6 @@ impl Default for ExecutorConfig {
         Self {
             seed: 0x5eed,
             interp_cpi: 14,
-            profiling_extra_cpi: 2,
             max_depth: 48,
             max_blocks_per_call: 100_000,
             obj_pool: 128,
@@ -268,10 +264,6 @@ impl<'a> Executor<'a> {
     }
 
     fn replay_translation(&mut self, t: &'a EmittedTranslation, depth: u32) {
-        let extra_cpi = match t.kind {
-            TransKind::Profiling => self.config.profiling_extra_cpi,
-            _ => 0,
-        };
         // Touch this function's runtime metadata (Func*, unit tables) —
         // the accesses whose locality the preload order improves (§VII-A).
         let unit = self.repo.func(t.func).unit;
@@ -297,7 +289,7 @@ impl<'a> Executor<'a> {
                 self.exec_instr(instr, depth);
             }
             let n = block.instr_count();
-            self.core.retire(n, base + n * extra_cpi);
+            self.core.retire(n, base);
             let fall_addr = addr + size as u64;
             match block.term {
                 Term::Jump(t2) => {
@@ -505,7 +497,7 @@ fn by_func<T>(map: &HashMap<FuncId, T>, n: usize) -> Vec<Option<&T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::code_cache::{CodeCacheConfig, TransKind};
+    use crate::code_cache::CodeCacheConfig;
     use crate::profile::ProfileCollector;
     use crate::translate::{translate_optimized, InlineParams, WeightSource};
     use vm::{Value, Vm};
@@ -552,7 +544,7 @@ mod tests {
         );
         let order: Vec<usize> = (0..unit.blocks.len()).collect();
         let mut cache = CodeCache::new(CodeCacheConfig::default());
-        assert!(cache.emit(unit, TransKind::Optimized, &order, &[]));
+        assert!(cache.emit(unit, &order, &[]));
 
         let empty_cache = CodeCache::new(CodeCacheConfig::default());
         let mut interp = Executor::new(&repo, &empty_cache, &tier, &ctx, ExecutorConfig::default());

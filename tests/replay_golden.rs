@@ -1,5 +1,6 @@
 //! Golden steady-state replay: a fixed request stream replayed on booted
-//! consumers must reproduce these miss reports exactly.
+//! consumers must reproduce these miss reports exactly, and the booted
+//! code caches these layout digests.
 //!
 //! Every counter of a `MissReport` — instructions, cycles, and each
 //! structure's accesses and misses — is a pure function of the app, the
@@ -108,6 +109,24 @@ fn replay_miss_reports_are_pinned() {
         &pkg.preload.unit_order,
     );
     let interp_report = replay(&app, &truth, &CodeCache::default(), &truth.unit_order);
+
+    // The layout digests of the same three caches. Besides every placed
+    // block, a digest mixes one word per translation and the region fill
+    // levels, zero words included, which no miss report sees.
+    let digests = [
+        full.engine.code_cache.layout_digest(),
+        plain.engine.code_cache.layout_digest(),
+        CodeCache::default().layout_digest(),
+    ];
+    assert_eq!(
+        digests,
+        [
+            0x6d86_e4ca_d365_af3a,
+            0xcfb2_9d48_1538_9629,
+            0x0c82_1078_4d8a_f5a5
+        ],
+        "layout digest moved: {digests:#018x?}"
+    );
 
     let got = [full_report, plain_report, interp_report];
     // Captured on the nested-`Vec` caches and SipHash-keyed lookups that
