@@ -230,6 +230,10 @@ fn check() {
         one.stats.iter().any(|s| s.slow_host),
         "fault plan must place degraded hosts"
     );
+    assert!(
+        one.sim.classified < one.sim.servers as u64,
+        "repeated timelines must be answered by the classifier memo"
+    );
     let reduction = one.capacity_loss_reduction(200_000);
     assert!(
         reduction > 10.0,
@@ -277,8 +281,10 @@ fn check() {
     );
 
     println!(
-        "  ok: digest 0x{:08x}, {} servers, reduction {:.1}%, wire ratio {:.2}, wall {:.0}+{:.0} ms",
+        "  ok: digest 0x{:08x}, {} servers ({}/{} classified), reduction {:.1}%, wire ratio {:.2}, wall {:.0}+{:.0} ms",
         one.digest(),
+        one.sim.servers,
+        one.sim.classified,
         one.sim.servers,
         reduction,
         chunked.distribution.wire_ratio(),

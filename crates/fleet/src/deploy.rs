@@ -19,6 +19,13 @@
 //!    [`run_server`](crate::run_server) over its slots one at a time and
 //!    reduces each run in place: classify the timeline, fold it into a
 //!    shard-local [`WarmupAccumulator`], compact it to a [`ServerStat`].
+//!    Servers of one cell differ only in jitter, host and download
+//!    rolls, which shift when serving starts; on the fixed sample grid
+//!    their post-serve series mostly repeat exactly, so the accumulator
+//!    classifies each distinct one once. Slots are laid out cell by
+//!    cell, and each shard clears that memo when it moves to the next
+//!    cell: it never holds more than one cell's distinct series (a few
+//!    dozen at bench scale).
 //!    The orchestrator only folds — merges the accumulators, orders the
 //!    stats by gid, sums. Because shards consume no randomness and share
 //!    no mutable state, the report is bit-identical for any shard count
@@ -289,6 +296,12 @@ pub struct ShardStats {
     pub steps_dense: u64,
     /// Requests served across the fleet.
     pub requests: f64,
+    /// Timelines the warmup classifier actually ran on: the rest were
+    /// exact repeats answered by its per-cell memo. Like `shards`, this
+    /// depends on the shard count (each shard memoizes on its own), so
+    /// shard-invariance checks (`tests/event_equivalence.rs`) must not
+    /// compare it.
+    pub classified: u64,
 }
 
 /// Outcome of one push.
@@ -814,8 +827,15 @@ pub fn run_deployment_with_prior(
             ),
             events: 0,
         };
+        let mut cell = None;
         for gid in (shard..slots.len()).step_by(shards) {
             let slot = &slots[gid];
+            // Slots are cell-contiguous and timelines repeat within a
+            // cell: clearing here bounds the classifier memo to one cell.
+            if cell != Some(slot.cell) {
+                out.warmup.clear_memo();
+                cell = Some(slot.cell);
+            }
             let data = &cells[slot.cell];
             let config = ServerConfig {
                 params: slot.params,
@@ -823,7 +843,7 @@ pub fn run_deployment_with_prior(
             };
             let peak = Some(data.peak_ms_per_req);
             let run = run_server_with_peak(app, &data.model, &data.mix, &config, peak);
-            let verdict = out.warmup.add(&run.timeline, slot.jumpstart);
+            let (class, steady_ms) = out.warmup.add(&run.timeline, slot.jumpstart);
             out.events += run.events;
             out.stats.push(ServerStat {
                 gid: gid as u32,
@@ -832,8 +852,8 @@ pub fn run_deployment_with_prior(
                 jumpstart: slot.jumpstart,
                 slow_host: slot.slow_host,
                 degrading: slot.degrading,
-                class: verdict.class,
-                steady_ms: verdict.steady_ms,
+                class,
+                steady_ms,
                 boot_ms: run.timeline.serve_start_ms,
                 ready_ms: run.timeline.time_to_rps(0.9),
                 capacity_loss: run.timeline.capacity_loss_over(slot.params.duration_ms),
@@ -876,6 +896,7 @@ pub fn run_deployment_with_prior(
         shards: shards as u32,
         servers: slots.len(),
         events: all.events,
+        classified: all.warmup.classified(),
         ..Default::default()
     };
     // `requests` is a float sum: taken here in gid order, never per

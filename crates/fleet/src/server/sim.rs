@@ -378,17 +378,20 @@ impl<'a> ServerSim<'a> {
     fn build_watch(&self, dt_requests: f64) -> Watch {
         let mut interp_funcs = Vec::new();
         let mut loadable_units = Vec::new();
+        // Seen-bitmaps dedup in first-reached order, in linear time.
+        let mut func_seen = vec![false; self.mode.len()];
+        let mut unit_seen = vec![false; self.unit_loaded.len()];
         for (e, &prob) in self.ep_probs.iter().enumerate() {
             if prob <= 0.0 {
                 continue;
             }
             for &(f, _) in &self.model.endpoint_calls[e] {
                 let i = f.index();
-                if !interp_funcs.contains(&i) {
+                if !std::mem::replace(&mut func_seen[i], true) {
                     interp_funcs.push(i);
                 }
                 let u = self.app.repo.func(f).unit.index();
-                if prob * dt_requests >= 0.5 && !loadable_units.contains(&u) {
+                if prob * dt_requests >= 0.5 && !std::mem::replace(&mut unit_seen[u], true) {
                     loadable_units.push(u);
                 }
             }

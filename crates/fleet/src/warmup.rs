@@ -26,6 +26,22 @@
 //! produce a byte-identical [`WarmupReport::to_json`] (and therefore
 //! [`WarmupReport::digest`]) on every run and any shard count — which is
 //! what lets ci.sh gate on it.
+//!
+//! **Repeated timelines are classified once.** The consumers of one
+//! deployment cell share their traffic, model and packages; boot jitter,
+//! the degraded-host roll and download time only move *when* serving
+//! starts, and the post-serve series sampled on the fixed grid mostly
+//! comes out the same. At bench scale a shard sees a few dozen distinct
+//! series per cell among thousands of servers. [`WarmupAccumulator::add`]
+//! therefore looks each timeline up in an exact memo keyed by every input
+//! [`classify_timeline`] reads (the `serve_start_ms > 0` flag and the bits
+//! of every post-serve sample) and runs the classifier only on a miss. A
+//! hit returns exactly what a miss computes, so the report cannot tell.
+//! The memo holds one entry per distinct series; the deployment clears it
+//! whenever its shard moves to the next cell
+//! ([`WarmupAccumulator::clear_memo`]), which bounds it to one cell.
+
+use std::collections::HashMap;
 
 use telemetry::{bootstrap_percentile_ci, fmt_f64, quantile_sorted};
 
@@ -102,8 +118,8 @@ pub struct WarmupAnalysisParams {
     pub steady_latest_frac: f64,
     /// Bootstrap resamples per confidence interval.
     pub bootstrap_resamples: u32,
-    /// Bootstrap RNG seed (the stream is splitmix64; see
-    /// [`telemetry::bootstrap_percentile_ci`]).
+    /// Bootstrap RNG seed, shared by all three percentiles' CIs (the
+    /// stream is splitmix64; see [`telemetry::bootstrap_percentile_ci`]).
     pub bootstrap_seed: u64,
 }
 
@@ -628,12 +644,26 @@ impl ArmAccum {
 /// depends only on the multiset of timelines fed in, never on feed or
 /// merge order ([`WarmupAccumulator::finish`] sorts every series it
 /// reads), so it is shard-count-invariant.
+///
+/// Classification goes through an exact memo (see the module docs): the
+/// key is the `serve_start_ms > 0` flag followed by `(t_ms, rps_norm bits,
+/// latency_ms bits)` of every sample after `serve_start_ms` — everything
+/// [`classify_timeline`] reads beyond the accumulator's fixed duration
+/// and parameters. A lookup compares whole keys, never a bare hash. The
+/// memo grows by one entry per distinct timeline until
+/// [`WarmupAccumulator::clear_memo`]; [`WarmupAccumulator::classified`]
+/// counts the misses.
 pub struct WarmupAccumulator {
     params: WarmupAnalysisParams,
     sample_ms: u64,
     duration_ms: u64,
     js: ArmAccum,
     nojs: ArmAccum,
+    memo: HashMap<Vec<u64>, (WarmupClass, Option<u64>)>,
+    /// The key of the timeline being added, reused so a memo hit
+    /// allocates nothing.
+    key: Vec<u64>,
+    classified: u64,
 }
 
 impl WarmupAccumulator {
@@ -646,22 +676,40 @@ impl WarmupAccumulator {
             duration_ms,
             js: ArmAccum::default(),
             nojs: ArmAccum::default(),
+            memo: HashMap::new(),
+            key: Vec::new(),
+            classified: 0,
         }
     }
 
-    /// Classifies one timeline, folds it into its arm, and returns the
-    /// verdict (the caller stores class + steady time in its compact
-    /// per-server stat).
-    pub fn add(&mut self, tl: &Timeline, jumpstart: bool) -> TimelineClass {
-        let verdict = classify_timeline(tl, self.duration_ms, &self.params);
+    /// Classifies one timeline, folds it into its arm, and returns its
+    /// class and time-to-steady-state — exactly `classify_timeline`'s
+    /// `class` and `steady_ms`, from the memo when an identical timeline
+    /// was added since the last [`WarmupAccumulator::clear_memo`].
+    pub fn add(&mut self, tl: &Timeline, jumpstart: bool) -> (WarmupClass, Option<u64>) {
+        self.key.clear();
+        self.key.push((tl.serve_start_ms > 0) as u64);
+        for s in tl.samples.iter().filter(|s| s.t_ms > tl.serve_start_ms) {
+            self.key
+                .extend([s.t_ms, s.rps_norm.to_bits(), s.latency_ms.to_bits()]);
+        }
+        let (class, steady_ms) = match self.memo.get(self.key.as_slice()) {
+            Some(&verdict) => verdict,
+            None => {
+                let v = classify_timeline(tl, self.duration_ms, &self.params);
+                self.classified += 1;
+                self.memo.insert(self.key.clone(), (v.class, v.steady_ms));
+                (v.class, v.steady_ms)
+            }
+        };
         let sample_ms = self.sample_ms;
         let arm = if jumpstart {
             &mut self.js
         } else {
             &mut self.nojs
         };
-        arm.counts.add(verdict.class);
-        if let Some(steady) = verdict.steady_ms {
+        arm.counts.add(class);
+        if let Some(steady) = steady_ms {
             arm.ttss.push(steady as f64);
         }
         for s in &tl.samples {
@@ -674,14 +722,28 @@ impl WarmupAccumulator {
             }
             arm.curve[k].push(s.rps_norm);
         }
-        verdict
+        (class, steady_ms)
+    }
+
+    /// Forgets every memoized verdict. The report is unaffected; only
+    /// later repeats of already-seen timelines run the classifier again.
+    pub fn clear_memo(&mut self) {
+        self.memo.clear();
+    }
+
+    /// Timelines the classifier actually ran on (memo misses), summed
+    /// over merged accumulators. Unlike the report, this depends on how
+    /// the timelines were dealt and when the memo was cleared.
+    pub fn classified(&self) -> u64 {
+        self.classified
     }
 
     /// Folds in everything `other` was fed. Both must have been created
-    /// with the same parameters.
+    /// with the same parameters. `other`'s memo is dropped.
     pub fn merge(&mut self, other: WarmupAccumulator) {
         self.js.merge(other.js);
         self.nojs.merge(other.nojs);
+        self.classified += other.classified;
     }
 
     /// Finalizes both arms into the fleet report.
@@ -690,18 +752,17 @@ impl WarmupAccumulator {
         let sample_ms = self.sample_ms;
         let summarize = |mut acc: ArmAccum| -> ArmSummary {
             acc.ttss.sort_by(|a, b| a.total_cmp(b));
-            let stat = |q: f64| {
-                let (lo, hi) = bootstrap_percentile_ci(
-                    &acc.ttss,
-                    q,
-                    params.bootstrap_resamples,
-                    params.bootstrap_seed,
-                );
-                CiStat {
-                    value: quantile_sorted(&acc.ttss, q),
-                    lo,
-                    hi,
-                }
+            const QS: [f64; 3] = [0.50, 0.95, 0.99];
+            let cis = bootstrap_percentile_ci(
+                &acc.ttss,
+                &QS,
+                params.bootstrap_resamples,
+                params.bootstrap_seed,
+            );
+            let stat = |i: usize| CiStat {
+                value: quantile_sorted(&acc.ttss, QS[i]),
+                lo: cis[i].0,
+                hi: cis[i].1,
             };
             let median_curve: Vec<(u64, f64)> = acc
                 .curve
@@ -717,9 +778,9 @@ impl WarmupAccumulator {
                 servers: acc.counts.total(),
                 counts: acc.counts,
                 ttss_n: acc.ttss.len() as u32,
-                ttss_p50: stat(0.50),
-                ttss_p95: stat(0.95),
-                ttss_p99: stat(0.99),
+                ttss_p50: stat(0),
+                ttss_p95: stat(1),
+                ttss_p99: stat(2),
                 median_curve,
             }
         };

@@ -14,6 +14,8 @@
 //!    on which timelines were fed, not on how they were dealt over
 //!    accumulators or in which order those were merged — what lets every
 //!    deployment shard own one.
+//! 5. **Exact memo.** An accumulator classifies a repeated timeline once;
+//!    every answer, hit or miss, is exactly [`classify_timeline`]'s.
 
 use fleet::{
     classify_timeline, pelt_changepoints, pelt_changepoints_reference, segment_series, Sample,
@@ -251,4 +253,97 @@ fn non_finite_samples_classify_without_panicking() {
             acc.finish();
         }
     }
+}
+
+/// A timeline with all-zero boot-window samples every 5 s up to
+/// `serve_start_ms`, then `rps` (one sample per 5 s from `first_ms`) at a
+/// constant `latency_ms`.
+fn served_timeline(serve_start_ms: u64, first_ms: u64, rps: &[f64], latency_ms: f64) -> Timeline {
+    let boot = (5_000..=serve_start_ms).step_by(5_000).map(|t_ms| Sample {
+        t_ms,
+        rps_norm: 0.0,
+        latency_ms: 0.0,
+        code_bytes: 0,
+    });
+    let served = rps.iter().enumerate().map(|(i, &rps_norm)| Sample {
+        t_ms: first_ms + i as u64 * 5_000,
+        rps_norm,
+        latency_ms,
+        code_bytes: 0,
+    });
+    Timeline {
+        samples: boot.chain(served).collect(),
+        serve_start_ms,
+        ..Default::default()
+    }
+}
+
+#[test]
+fn memoized_accumulator_matches_classify_timeline() {
+    let params = WarmupAnalysisParams::default();
+    let (sample_ms, duration_ms) = (5_000, 200_000);
+    let flat = vec![1.0; 30];
+    let ramp: Vec<f64> = (0..30).map(|i| (0.4 + 0.1 * i as f64).min(1.0)).collect();
+    let mut with_nan = ramp.clone();
+    with_nan[3] = f64::NAN;
+    // (timeline, arm). Repeats are the point; the near-misses must not
+    // share a verdict through the memo.
+    let feed: Vec<(Timeline, bool)> = vec![
+        // The same post-serve samples with and without a boot window:
+        // flat from the first sample vs. warmed up during the restart gap.
+        (served_timeline(0, 5_000, &flat, 2.0), true),
+        (served_timeline(1, 5_000, &flat, 2.0), true),
+        (served_timeline(0, 5_000, &flat, 2.0), false),
+        // Equal values at shifted sample times settle at shifted times.
+        (served_timeline(0, 10_000, &flat, 2.0), true),
+        // Different boot windows, identical samples after serve start:
+        // a legitimate hit.
+        (served_timeline(20_000, 25_000, &ramp, 2.0), true),
+        (served_timeline(24_000, 25_000, &ramp, 2.0), true),
+        (served_timeline(20_000, 25_000, &ramp, 2.0), false),
+        // Signed zeros are distinct keys, NaN is its own (bitwise) key.
+        (served_timeline(10_000, 15_000, &ramp, 0.0), true),
+        (served_timeline(10_000, 15_000, &ramp, -0.0), true),
+        (served_timeline(10_000, 15_000, &with_nan, 2.0), true),
+        (served_timeline(10_000, 15_000, &with_nan, 2.0), false),
+        (served_timeline(10_000, 15_000, &ramp, -0.0), false),
+    ];
+    let new_acc = || WarmupAccumulator::new(params, sample_ms, duration_ms);
+
+    // Every answer, hit or miss, is the classifier's.
+    let mut acc = new_acc();
+    for (tl, jumpstart) in &feed {
+        let v = classify_timeline(tl, duration_ms, &params);
+        assert_eq!(acc.add(tl, *jumpstart), (v.class, v.steady_ms));
+    }
+    assert_eq!(
+        classify_timeline(&feed[0].0, duration_ms, &params).class,
+        WarmupClass::Flat
+    );
+    assert_eq!(
+        classify_timeline(&feed[1].0, duration_ms, &params).class,
+        WarmupClass::Warmup
+    );
+    // Distinct keys: flat × {no gap, gap, shifted}, the ramp after a gap,
+    // the ramp at latency 0.0 and -0.0, and the NaN ramp.
+    assert_eq!(acc.classified(), 7);
+
+    // The oracle folds one fresh accumulator per timeline, so no memo
+    // ever hits; the reports must be byte-identical.
+    let mut oracle = new_acc();
+    for (tl, jumpstart) in &feed {
+        let mut one = new_acc();
+        one.add(tl, *jumpstart);
+        oracle.merge(one);
+    }
+    assert_eq!(oracle.classified(), feed.len() as u64);
+
+    // A cleared memo classifies a repeat again, with the same answer.
+    acc.clear_memo();
+    let (tl, jumpstart) = &feed[0];
+    let v = classify_timeline(tl, duration_ms, &params);
+    assert_eq!(acc.add(tl, *jumpstart), (v.class, v.steady_ms));
+    assert_eq!(acc.classified(), 8);
+    oracle.add(tl, *jumpstart);
+    assert_eq!(acc.finish().to_json(), oracle.finish().to_json());
 }

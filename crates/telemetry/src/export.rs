@@ -68,42 +68,64 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Percentile-bootstrap confidence interval for `quantile_sorted(values, q)`.
+/// Percentile-bootstrap confidence intervals for `quantile_sorted(values, q)`
+/// at every `q` in `qs`, returned in `qs` order.
 ///
 /// Draws `resamples` bootstrap resamples (with replacement, splitmix64
-/// stream seeded by `seed`), recomputes the `q` quantile of each, and
-/// returns the (2.5%, 97.5%) quantiles of that bootstrap distribution —
-/// a 95% percentile CI. Deterministic: the same `(values, q, resamples,
-/// seed)` always returns the same interval, so fleet reports carrying CIs
-/// stay byte-identical across runs. Empty input returns `(0.0, 0.0)`;
+/// stream seeded by `seed`), recomputes each `q` quantile of each, and
+/// returns the (2.5%, 97.5%) quantiles of each bootstrap distribution —
+/// a 95% percentile CI. Every quantile reads the same resamples, so one
+/// call equals one single-quantile call per `q` with the same seed, at
+/// the cost of one. Deterministic: the same `(values, qs, resamples,
+/// seed)` always returns the same intervals, so fleet reports carrying
+/// CIs stay byte-identical across runs. Empty input returns `(0.0, 0.0)`;
 /// a single value returns a degenerate `(v, v)` interval.
-pub fn bootstrap_percentile_ci(values: &[f64], q: f64, resamples: u32, seed: u64) -> (f64, f64) {
+///
+/// A resample is never sorted: its draws are indices into the sorted
+/// input, so counting them and expanding the counts in index order
+/// yields the sorted resample directly (`sorted[idx]` is monotone in
+/// `idx` under `total_cmp`, and values equal under it are bit-equal).
+pub fn bootstrap_percentile_ci(
+    values: &[f64],
+    qs: &[f64],
+    resamples: u32,
+    seed: u64,
+) -> Vec<(f64, f64)> {
     match values {
-        [] => (0.0, 0.0),
-        [only] => (*only, *only),
+        [] => vec![(0.0, 0.0); qs.len()],
+        [only] => vec![(*only, *only); qs.len()],
         _ => {
             let mut sorted: Vec<f64> = values.to_vec();
             sorted.sort_by(|a, b| a.total_cmp(b));
             let n = sorted.len();
+            let rounds = resamples.max(1) as usize;
             let mut state = seed;
-            let mut stats: Vec<f64> = Vec::with_capacity(resamples.max(1) as usize);
+            let mut stats: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); qs.len()];
+            let mut counts: Vec<u32> = vec![0; n];
             let mut resample: Vec<f64> = Vec::with_capacity(n);
-            for _ in 0..resamples.max(1) {
-                resample.clear();
+            for _ in 0..rounds {
                 for _ in 0..n {
                     // Multiply-shift maps the 64-bit draw uniformly onto
                     // [0, n) without modulo bias.
                     let idx = ((splitmix64(&mut state) as u128 * n as u128) >> 64) as usize;
-                    resample.push(sorted[idx]);
+                    counts[idx] += 1;
                 }
-                resample.sort_by(|a, b| a.total_cmp(b));
-                stats.push(quantile_sorted(&resample, q));
+                resample.clear();
+                for (&v, c) in sorted.iter().zip(&mut counts) {
+                    resample.extend(std::iter::repeat_n(v, *c as usize));
+                    *c = 0;
+                }
+                for (col, &q) in stats.iter_mut().zip(qs) {
+                    col.push(quantile_sorted(&resample, q));
+                }
             }
-            stats.sort_by(|a, b| a.total_cmp(b));
-            (
-                quantile_sorted(&stats, 0.025),
-                quantile_sorted(&stats, 0.975),
-            )
+            stats
+                .iter_mut()
+                .map(|col| {
+                    col.sort_by(|a, b| a.total_cmp(b));
+                    (quantile_sorted(col, 0.025), quantile_sorted(col, 0.975))
+                })
+                .collect()
         }
     }
 }
@@ -241,23 +263,114 @@ mod tests {
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let p50 = quantile_sorted(&sorted, 0.50);
-        let (lo, hi) = bootstrap_percentile_ci(&values, 0.50, 200, 42);
+        let (lo, hi) = bootstrap_percentile_ci(&values, &[0.50], 200, 42)[0];
         assert!(lo <= hi, "interval is ordered");
         assert!(lo <= p50 && p50 <= hi, "CI brackets the point estimate");
         assert!(lo >= sorted[0] && hi <= sorted[sorted.len() - 1]);
         // Bit-identical across repeat calls with the same seed.
-        assert_eq!((lo, hi), bootstrap_percentile_ci(&values, 0.50, 200, 42));
+        assert_eq!(
+            [(lo, hi)],
+            bootstrap_percentile_ci(&values, &[0.50], 200, 42)[..]
+        );
         // A different seed resamples differently (intervals may coincide on
         // pathological inputs, but not on this spread).
-        assert_ne!((lo, hi), bootstrap_percentile_ci(&values, 0.50, 200, 43));
+        assert_ne!(
+            [(lo, hi)],
+            bootstrap_percentile_ci(&values, &[0.50], 200, 43)[..]
+        );
     }
 
     #[test]
     fn bootstrap_ci_degenerate_inputs() {
-        assert_eq!(bootstrap_percentile_ci(&[], 0.5, 100, 1), (0.0, 0.0));
-        assert_eq!(bootstrap_percentile_ci(&[7.0], 0.5, 100, 1), (7.0, 7.0));
+        assert_eq!(
+            bootstrap_percentile_ci(&[], &[0.5, 0.9], 100, 1),
+            [(0.0, 0.0); 2]
+        );
+        assert_eq!(
+            bootstrap_percentile_ci(&[7.0], &[0.5], 100, 1),
+            [(7.0, 7.0)]
+        );
+        assert!(bootstrap_percentile_ci(&[1.0, 2.0], &[], 100, 1).is_empty());
         // All-equal samples collapse to a zero-width interval.
         let same = [3.0; 16];
-        assert_eq!(bootstrap_percentile_ci(&same, 0.95, 50, 9), (3.0, 3.0));
+        assert_eq!(bootstrap_percentile_ci(&same, &[0.95], 50, 9), [(3.0, 3.0)]);
+    }
+
+    /// The single-quantile bootstrap that sorted every resample — the
+    /// oracle the one-pass, counting [`bootstrap_percentile_ci`] must
+    /// match bit for bit.
+    fn bootstrap_percentile_ci_reference(
+        values: &[f64],
+        q: f64,
+        resamples: u32,
+        seed: u64,
+    ) -> (f64, f64) {
+        match values {
+            [] => (0.0, 0.0),
+            [only] => (*only, *only),
+            _ => {
+                let mut sorted: Vec<f64> = values.to_vec();
+                sorted.sort_by(|a, b| a.total_cmp(b));
+                let n = sorted.len();
+                let mut state = seed;
+                let mut stats: Vec<f64> = Vec::with_capacity(resamples.max(1) as usize);
+                let mut resample: Vec<f64> = Vec::with_capacity(n);
+                for _ in 0..resamples.max(1) {
+                    resample.clear();
+                    for _ in 0..n {
+                        let idx = ((splitmix64(&mut state) as u128 * n as u128) >> 64) as usize;
+                        resample.push(sorted[idx]);
+                    }
+                    resample.sort_by(|a, b| a.total_cmp(b));
+                    stats.push(quantile_sorted(&resample, q));
+                }
+                stats.sort_by(|a, b| a.total_cmp(b));
+                (
+                    quantile_sorted(&stats, 0.025),
+                    quantile_sorted(&stats, 0.975),
+                )
+            }
+        }
+    }
+
+    #[test]
+    fn one_pass_bootstrap_matches_per_quantile_sorting_reference() {
+        let qs = [0.0, 0.025, 0.50, 0.95, 0.99, 1.0];
+        let bits = |cis: &[(f64, f64)]| -> Vec<(u64, u64)> {
+            cis.iter()
+                .map(|&(lo, hi)| (lo.to_bits(), hi.to_bits()))
+                .collect()
+        };
+        let mut state = 0x5eedu64;
+        let big: Vec<f64> = (0..10_000)
+            .map(|_| (splitmix64(&mut state) % 4_000) as f64 * 250.0)
+            .collect();
+        let inputs: Vec<Vec<f64>> = vec![
+            vec![5.0],
+            vec![2.0, 1.0],
+            vec![0.0, -0.0],
+            // Duplicates, unsorted, with both zeros interleaved.
+            vec![3.0, 1.0, 3.0, -0.0, 3.0, 0.0, 1.0, -0.0, 0.0, 7.5, 3.0],
+            vec![-0.0, 0.0, -0.0, 0.0, -1.0, 1.0],
+            big,
+        ];
+        for values in &inputs {
+            // Fewer rounds at n = 10 000 keep the sorting oracle quick in
+            // debug builds; every round is compared all the same.
+            let full = if values.len() > 100 { 20 } else { 200 };
+            for (resamples, seed) in [(full, 0x57a2_b007), (7, 1), (1, 42)] {
+                let got = bootstrap_percentile_ci(values, &qs, resamples, seed);
+                let want: Vec<(f64, f64)> = qs
+                    .iter()
+                    .map(|&q| bootstrap_percentile_ci_reference(values, q, resamples, seed))
+                    .collect();
+                assert_eq!(
+                    bits(&got),
+                    bits(&want),
+                    "n = {}, resamples = {resamples}",
+                    values.len()
+                );
+            }
+        }
     }
 }
