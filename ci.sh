@@ -18,8 +18,8 @@ cargo build --workspace -q
 echo "== test (tier-1: root package) =="
 cargo test -q
 
-echo "== test (workspace) =="
-cargo test --workspace -q
+echo "== test (workspace; the root package ran above) =="
+cargo test --workspace --exclude hhvm-jumpstart-repro -q
 
 echo "== test (layout, release: the bit-for-bit Ext-TSP proptests on the optimized build that ships) =="
 cargo test -p layout --release -q

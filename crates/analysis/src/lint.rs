@@ -221,10 +221,6 @@ impl Linter<'_> {
         c.index() < self.repo.classes().len()
     }
 
-    fn str_ok(&self, s: StrId) -> bool {
-        s.index() < self.repo.string_count()
-    }
-
     fn is_call_instr(&self, f: FuncId, at: u32) -> bool {
         let code = &self.repo.func(f).code;
         matches!(
@@ -479,36 +475,6 @@ impl Linter<'_> {
         true
     }
 
-    fn lint_prop_tables(&mut self, tier: &TierProfile) {
-        for &(class, prop) in tier.prop_counts.keys() {
-            if !self.class_ok(class) {
-                self.error(
-                    Rule::DanglingId,
-                    None,
-                    format!("property counter for dangling class #{}", class.index()),
-                );
-            } else if !self.str_ok(prop) {
-                self.error(
-                    Rule::DanglingId,
-                    None,
-                    format!("property counter for dangling name str#{}", prop.index()),
-                );
-            }
-        }
-        for &(class, a, b) in tier.prop_pairs.keys() {
-            if !self.class_ok(class) || !self.str_ok(a) || !self.str_ok(b) {
-                self.error(
-                    Rule::DanglingId,
-                    None,
-                    format!(
-                        "property pair counter with dangling ids (class #{})",
-                        class.index()
-                    ),
-                );
-            }
-        }
-    }
-
     fn lint_orders(&mut self, view: &ProfileView<'_>) {
         let mut seen_units = HashSet::new();
         for &u in view.unit_order {
@@ -592,7 +558,6 @@ pub fn lint_profile_with(repo: &Repo, view: &ProfileView<'_>, opts: &LintOptions
         l.lint_func_profile(view.ctx, fid, fp);
     }
     l.lint_ctx(view.ctx);
-    l.lint_prop_tables(view.tier);
     l.lint_orders(view);
 
     let mut diagnostics = l.out;

@@ -277,7 +277,6 @@ pub fn repair_profile_with(
     }
     report.dropped.extend(stale_drops);
 
-    report.pruned += prune_prop_tables(repo, tier);
     report.pruned += prune_ctx(repo, &graph, ctx);
 
     // ---- Phase 3: flow rebalance -----------------------------------
@@ -453,18 +452,6 @@ fn prune_func_profile(repo: &Repo, graph: &CallGraph, fid: FuncId, fp: &mut Func
             && class.index() < class_count
     });
     pruned
-}
-
-fn prune_prop_tables(repo: &Repo, tier: &mut TierProfile) -> usize {
-    let class_count = repo.classes().len();
-    let str_count = repo.string_count();
-    let before = tier.prop_counts.len() + tier.prop_pairs.len();
-    tier.prop_counts
-        .retain(|&(c, p), _| c.index() < class_count && p.index() < str_count);
-    tier.prop_pairs.retain(|&(c, a, b), _| {
-        c.index() < class_count && a.index() < str_count && b.index() < str_count
-    });
-    before - (tier.prop_counts.len() + tier.prop_pairs.len())
 }
 
 fn prune_ctx(repo: &Repo, graph: &CallGraph, ctx: &mut CtxProfile) -> usize {

@@ -297,19 +297,6 @@ impl RepoBuilder {
         id
     }
 
-    /// Looks up a class id by name (for forward references resolved by the
-    /// caller in two passes).
-    pub fn class_id_by_name(&self, name: &str) -> Option<ClassId> {
-        let id = self.string_ids.get(name)?;
-        self.class_names.get(id).copied()
-    }
-
-    /// Looks up a function id by name.
-    pub fn func_id_by_name(&self, name: &str) -> Option<FuncId> {
-        let id = self.string_ids.get(name)?;
-        self.func_names.get(id).copied()
-    }
-
     /// Validates and produces the immutable [`Repo`].
     ///
     /// # Errors

@@ -16,7 +16,7 @@
 //! The chunk boundaries are the payload's natural record boundaries
 //! (see [`ProfilePackage::encoded_len`]): one *head* chunk (meta +
 //! preload + function count), one chunk per function record in `FuncId`
-//! order, one *tail* chunk (property counters, ctx profile, orders).
+//! order, one *tail* chunk (ctx profile, orders).
 //! Because chunks are byte slices of the canonical encoding,
 //! [`reassemble`] is lossless by construction: concatenating the chunks
 //! reproduces the monolithic sealed bytes exactly, which the manifest's
@@ -81,7 +81,7 @@ pub enum ChunkKind {
         /// templates always find their callee profiles decoded.
         callees: Vec<FuncId>,
     },
-    /// Property counters, ctx profile, prop orders, function order.
+    /// Ctx profile, prop orders, function order.
     Tail,
 }
 
@@ -737,20 +737,23 @@ impl<'a> LazyLoader<'a> {
         Ok((*meta, preload.clone()))
     }
 
-    /// Decodes the tail chunk into `tier` (property counters) and
-    /// returns the ctx profile and order lists.
+    /// Decodes the tail chunk: the ctx profile and order lists.
+    ///
+    /// `_tier` is unused, since the tail carries no tier-wide table (every
+    /// property access is recorded at its site, in a function chunk); the
+    /// parameter is kept because the `jsbench` benchmark calls this
+    /// function with it.
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] when the chunk is missing or corrupt.
-    pub fn decode_tail(&self, tier: &mut TierProfile) -> Result<package::TailParts, WireError> {
+    pub fn decode_tail(&self, _tier: &mut TierProfile) -> Result<package::TailParts, WireError> {
         let bytes = fetch_verified(self.pool, self.man.ends()?.1)?;
         let mut r = Reader::new(bytes);
-        let parts = read_tail(&mut r, tier)?;
+        let parts = read_tail(&mut r)?;
         if r.remaining() != 0 {
             return Err(WireError::Corrupt("trailing bytes in tail chunk".into()));
         }
-        tier.mark_counters_dirty();
         Ok(parts)
     }
 

@@ -21,8 +21,6 @@ pub enum PropReorder {
     /// Sort by access hotness (the paper's shipped design).
     #[default]
     Hotness,
-    /// Group by co-access affinity (the paper's "future work" extension).
-    Affinity,
 }
 
 /// All Jump-Start options. HHVM exposes these as runtime configuration

@@ -110,12 +110,24 @@ fn repair_package(repo: &Repo, pkg: &ProfilePackage) -> (ProfilePackage, RepairR
         .func_order
         .retain(|f| f.index() < repo.funcs().len() && seen_funcs.insert(*f));
     let mut seen_classes = HashSet::new();
-    fixed.prop_orders.retain(|(c, order)| {
-        c.index() < repo.classes().len()
-            && is_own_layer_order(repo, *c, order)
-            && seen_classes.insert(*c)
-    });
+    fixed
+        .prop_orders
+        .retain(|o| prop_order_fits(repo, &mut seen_classes, o));
     (fixed, report)
+}
+
+/// Whether a package's property order can be installed on `repo`: its
+/// class exists, the order permutes (a subset of) that class's own layer,
+/// and no earlier order — recorded in `seen` — named the same class. The
+/// monolithic boot drops the orders that fail; the lazy boot refuses them.
+fn prop_order_fits(
+    repo: &Repo,
+    seen: &mut HashSet<ClassId>,
+    (class, order): &(ClassId, Vec<StrId>),
+) -> bool {
+    class.index() < repo.classes().len()
+        && is_own_layer_order(repo, *class, order)
+        && seen.insert(*class)
 }
 
 /// Resolves physical property slots for every class, honoring the
@@ -343,6 +355,18 @@ fn boot<'r>(
             };
             (partial.ctx, partial.prop_orders, partial.func_order) =
                 loader.decode_tail(&mut partial.tier)?;
+            // The orders are installed before any translation; one that
+            // does not fit this release is stale data like any other.
+            let mut seen = HashSet::new();
+            if let Some((class, _)) = partial
+                .prop_orders
+                .iter()
+                .find(|o| !prop_order_fits(repo, &mut seen, o))
+            {
+                return Err(stale(format!(
+                    "property order for {class:?} does not fit this release"
+                )));
+            }
             let (head, tail) = man.ends()?;
             chunk_stats.manifest_bytes = man.wire_len() as u64;
             chunk_stats.payload_bytes = man.payload_len as u64;
@@ -897,6 +921,29 @@ mod tests {
                     "threads {threads}: {err}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn chunked_boot_refuses_orders_past_the_repo() {
+        let (repo, mut pkg) = make_package();
+        let past = ClassId::new(repo.classes().len() as u32 + 5);
+        pkg.prop_orders.push((past, Vec::new()));
+        let (man, pool) = chunked(&pkg, &repo);
+        for threads in [1, 2] {
+            let err = consume_chunked(
+                &repo,
+                &man,
+                &pool,
+                JitOptions::default(),
+                &JumpStartOptions::default(),
+                threads,
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, ConsumerError::InvalidProfile { .. }),
+                "threads {threads}: {err}"
+            );
         }
     }
 

@@ -116,9 +116,9 @@ impl ProfilePackage {
     ///
     /// The payload is the concatenation of three regions — head (meta +
     /// preload + function count), one record per profiled function in
-    /// `FuncId` order, and the tail (property counters, ctx profile,
-    /// orders) — which is exactly how [`crate::chunk`] slices it into
-    /// content-addressed chunks.
+    /// `FuncId` order, and the tail (ctx profile, orders) — which is
+    /// exactly how [`crate::chunk`] slices it into content-addressed
+    /// chunks.
     pub fn encoded_len(&self) -> usize {
         let mut len = head_encoded_len(self);
         let refs = hash_refs(&self.tier);
@@ -173,7 +173,7 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<ProfilePackage, WireError> {
         }
         tier.funcs.insert(dir.ids[i], p);
     }
-    let (ctx, prop_orders, func_order) = read_tail(r, &mut tier)?;
+    let (ctx, prop_orders, func_order) = read_tail(r)?;
     if r.remaining() != 0 {
         return Err(WireError::Corrupt(format!(
             "{} trailing bytes",
@@ -371,26 +371,9 @@ pub(crate) fn read_head(
     Ok((meta, PreloadLists { unit_order }, FuncDirectory::new(pairs)))
 }
 
-/// Writes the payload tail: tier-level property counters, the ctx
-/// profile, property orders and the function order.
+/// Writes the payload tail: the ctx profile, property orders and the
+/// function order.
 pub(crate) fn write_tail(w: &mut Writer, pkg: &ProfilePackage) {
-    let mut counts: Vec<_> = pkg.tier.prop_counts.iter().collect();
-    counts.sort_by_key(|((c, p), _)| (*c, *p));
-    w.seq(counts.len());
-    for ((c, p), n) in counts {
-        w.u32(c.0);
-        w.u32(p.0);
-        w.u64(*n);
-    }
-    let mut pairs: Vec<_> = pkg.tier.prop_pairs.iter().collect();
-    pairs.sort_by_key(|((c, a, b), _)| (*c, *a, *b));
-    w.seq(pairs.len());
-    for ((c, a, b), n) in pairs {
-        w.u32(c.0);
-        w.u32(a.0);
-        w.u32(b.0);
-        w.u64(*n);
-    }
     write_ctx(w, &pkg.ctx);
     w.seq(pkg.prop_orders.len());
     for (c, order) in &pkg.prop_orders {
@@ -408,10 +391,7 @@ pub(crate) fn write_tail(w: &mut Writer, pkg: &ProfilePackage) {
 
 /// Exact encoded size of the payload tail, mirroring [`write_tail`].
 pub(crate) fn tail_encoded_len(pkg: &ProfilePackage) -> usize {
-    let mut len = 4 + (4 + 4 + 8) * pkg.tier.prop_counts.len();
-    len += 4 + (4 + 4 + 4 + 8) * pkg.tier.prop_pairs.len();
-    len += ctx_encoded_len(&pkg.ctx);
-    len += 4;
+    let mut len = ctx_encoded_len(&pkg.ctx) + 4;
     for (_, order) in &pkg.prop_orders {
         len += 4 + 4 + 4 * order.len();
     }
@@ -422,25 +402,8 @@ pub(crate) fn tail_encoded_len(pkg: &ProfilePackage) -> usize {
 /// property orders, function order.
 pub(crate) type TailParts = (CtxProfile, Vec<(ClassId, Vec<StrId>)>, Vec<FuncId>);
 
-/// Reads the payload tail back, filling `tier`'s property counters and
-/// returning the remaining package parts.
-pub(crate) fn read_tail(
-    r: &mut Reader<'_>,
-    tier: &mut TierProfile,
-) -> Result<TailParts, WireError> {
-    let n = r.seq()?;
-    for _ in 0..n {
-        let c = ClassId(r.u32()?);
-        let p = StrId(r.u32()?);
-        tier.prop_counts.insert((c, p), r.u64()?);
-    }
-    let n = r.seq()?;
-    for _ in 0..n {
-        let c = ClassId(r.u32()?);
-        let a = StrId(r.u32()?);
-        let b = StrId(r.u32()?);
-        tier.prop_pairs.insert((c, a, b), r.u64()?);
-    }
+/// Reads the payload tail back.
+pub(crate) fn read_tail(r: &mut Reader<'_>) -> Result<TailParts, WireError> {
     let ctx = read_ctx(r)?;
     let n = r.seq()?;
     let mut prop_orders = Vec::with_capacity(n.min(1 << 16));

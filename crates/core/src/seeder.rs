@@ -4,9 +4,9 @@
 
 use std::collections::HashMap;
 
-use bytecode::{ClassId, Repo, StrId, UnitId};
+use bytecode::{ClassId, Instr, Repo, StrId, UnitId};
 use jit::{CtxProfile, JitEngine, JitOptions, TierProfile};
-use layout::{reorder_props_by_affinity, reorder_props_by_hotness, PropAccess};
+use layout::{reorder_props_by_hotness, PropAccess};
 
 use crate::config::{FuncSort, JumpStartOptions, PropReorder};
 use crate::package::{Coverage, PackageMeta, PreloadLists, ProfilePackage};
@@ -49,7 +49,6 @@ pub fn build_package(
     let prop_orders = match opts.prop_reorder {
         PropReorder::Off => Vec::new(),
         PropReorder::Hotness => prop_orders_by_hotness(repo, &inputs.tier),
-        PropReorder::Affinity => prop_orders_by_affinity(repo, &inputs.tier),
     };
     drop(props_span);
 
@@ -213,15 +212,29 @@ fn c3_from_optimized_code(
 /// Sums per-property access counts up the hierarchy: an access reported
 /// against a *receiver* class R counts toward the *declaring* layer K for
 /// every K in R's ancestry that declares the property.
+///
+/// The counts come from the per-site records: each receiver-class count
+/// at a property site is an access to the property the repo's
+/// `GetProp`/`SetProp` at that site names. A record at any other
+/// instruction, or on a class past the repo, counts nothing.
 fn own_layer_counts(repo: &Repo, tier: &TierProfile) -> HashMap<(ClassId, StrId), u64> {
     let mut out: HashMap<(ClassId, StrId), u64> = HashMap::new();
-    for (&(receiver, prop), &count) in &tier.prop_counts {
-        if receiver.index() >= repo.classes().len() {
+    for (&f, p) in &tier.funcs {
+        let Some(func) = repo.funcs().get(f.index()) else {
             continue;
-        }
-        for k in repo.ancestry(receiver) {
-            if repo.class(k).props.iter().any(|p| p.name == prop) {
-                *out.entry((k, prop)).or_insert(0) += count;
+        };
+        for &((at, receiver), count) in p.prop_classes() {
+            let Some(Instr::GetProp(prop) | Instr::SetProp(prop)) = func.code.get(at as usize)
+            else {
+                continue;
+            };
+            if receiver.index() >= repo.classes().len() {
+                continue;
+            }
+            for k in repo.ancestry(receiver) {
+                if repo.class(k).props.iter().any(|p| p.name == *prop) {
+                    *out.entry((k, *prop)).or_insert(0) += count;
+                }
             }
         }
     }
@@ -251,56 +264,12 @@ fn prop_orders_by_hotness(repo: &Repo, tier: &TierProfile) -> Vec<(ClassId, Vec<
     orders
 }
 
-fn prop_orders_by_affinity(repo: &Repo, tier: &TierProfile) -> Vec<(ClassId, Vec<StrId>)> {
-    let counts = own_layer_counts(repo, tier);
-    let mut orders = Vec::new();
-    for class in repo.classes() {
-        let n = class.props.len();
-        if n == 0 {
-            continue;
-        }
-        let accesses: Vec<PropAccess<StrId>> = class
-            .props
-            .iter()
-            .map(|p| PropAccess {
-                prop: p.name,
-                count: counts.get(&(class.id, p.name)).copied().unwrap_or(0),
-            })
-            .collect();
-        if accesses.iter().all(|a| a.count == 0) {
-            continue;
-        }
-        let index_of: HashMap<StrId, usize> = class
-            .props
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (p.name, i))
-            .collect();
-        let mut matrix = vec![vec![0u64; n]; n];
-        for (&(c, a, b), &w) in &tier.prop_pairs {
-            // Pair counts are keyed by receiver class; attribute them to
-            // this layer when both props are declared here.
-            if c.index() >= repo.classes().len() {
-                continue;
-            }
-            if !repo.ancestry(c).contains(&class.id) {
-                continue;
-            }
-            if let (Some(&i), Some(&j)) = (index_of.get(&a), index_of.get(&b)) {
-                matrix[i][j] += w;
-                matrix[j][i] += w;
-            }
-        }
-        orders.push((class.id, reorder_props_by_affinity(&accesses, &matrix)));
-    }
-    orders
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytecode::{BlockId, FuncId};
     use jit::ProfileCollector;
-    use vm::{Value, Vm};
+    use vm::{ExecObserver, Value, ValueKind, Vm};
 
     fn collect() -> (Repo, TierProfile, CtxProfile, Vec<UnitId>) {
         let src = r#"
@@ -414,7 +383,7 @@ mod tests {
     }
 
     #[test]
-    fn affinity_orders_are_valid_permutations() {
+    fn shipped_orders_are_valid_permutations() {
         let (repo, tier, ctx, unit_order) = collect();
         let pkg = build_package(
             SeederInputs {
@@ -428,17 +397,124 @@ mod tests {
                 seeder_id: 1,
                 now_ms: 0,
             },
-            &JumpStartOptions {
-                prop_reorder: PropReorder::Affinity,
-                ..Default::default()
-            },
+            &JumpStartOptions::default(),
             &JitOptions::default(),
         );
+        assert!(!pkg.prop_orders.is_empty());
         for (c, order) in &pkg.prop_orders {
             let declared: std::collections::HashSet<StrId> =
                 repo.class(*c).props.iter().map(|p| p.name).collect();
             let got: std::collections::HashSet<StrId> = order.iter().copied().collect();
             assert_eq!(declared, got, "order must permute the declared layer");
+            assert_eq!(order.len(), declared.len(), "no property listed twice");
         }
+    }
+
+    // Forwards every event to a collector and tallies property accesses by
+    // (receiver class, property) straight from the interpreter's events.
+    struct PropTally<'r> {
+        col: ProfileCollector<'r>,
+        counts: HashMap<(ClassId, StrId), u64>,
+    }
+
+    impl ExecObserver for PropTally<'_> {
+        fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
+            self.col.on_func_enter(func, args);
+        }
+
+        fn on_block(&mut self, func: FuncId, block: BlockId) {
+            self.col.on_block(func, block);
+        }
+
+        fn on_branch(&mut self, func: FuncId, at: u32, taken: bool) {
+            self.col.on_branch(func, at, taken);
+        }
+
+        fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
+            self.col.on_call(caller, at, callee);
+        }
+
+        fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, prop: StrId, w: bool) {
+            *self.counts.entry((class, prop)).or_insert(0) += 1;
+            self.col.on_prop_access(func, at, class, prop, w);
+        }
+
+        fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
+            self.col.on_type_observed(func, at, slot, kind);
+        }
+
+        fn on_func_exit(&mut self, func: FuncId) {
+            self.col.on_func_exit(func);
+        }
+    }
+
+    #[test]
+    fn own_layer_counts_match_a_tally_of_access_events() {
+        let src = r#"
+            class Base { public $cold0 = 0; public $hot = 0; }
+            class Kid extends Base { public $cold1 = 0; public $warm = 0; }
+            function touch($k) {
+                $o = new Kid();
+                $o->hot = $k;
+                return $o->hot + $o->warm;
+            }
+            function peek($k) {
+                $b = new Base();
+                $b->cold0 = $k;
+                return $b->hot + $b->cold0;
+            }
+            function main($n) {
+                $t = 0;
+                for ($i = 0; $i < $n; $i++) { $t += touch($i) + peek($i); }
+                return $t;
+            }
+        "#;
+        let repo = hackc::compile_unit("t.hl", src).unwrap();
+        let main = repo.func_by_name("main").unwrap().id;
+        let mut vm = Vm::new(&repo);
+        let mut tally = PropTally {
+            col: ProfileCollector::new(&repo),
+            counts: HashMap::new(),
+        };
+        for _ in 0..3 {
+            vm.call_observed(main, &[Value::Int(7)], &mut tally)
+                .unwrap();
+            tally.col.end_request();
+        }
+        let (tier, _) = tally.col.finish();
+
+        // The tally attributed up each receiver's ancestry, by hand.
+        let mut expect: HashMap<(ClassId, StrId), u64> = HashMap::new();
+        for (&(receiver, prop), &count) in &tally.counts {
+            for k in repo.ancestry(receiver) {
+                if repo.class(k).props.iter().any(|p| p.name == prop) {
+                    *expect.entry((k, prop)).or_insert(0) += count;
+                }
+            }
+        }
+        let got = own_layer_counts(&repo, &tier);
+        assert_eq!(got, expect);
+
+        let base = repo.class_by_name("Base").unwrap().id;
+        let kid = repo.class_by_name("Kid").unwrap().id;
+        let hot = repo.str_id("hot").unwrap();
+        // `hot` read through a `Kid` receiver counts toward `Base`, the
+        // layer that declares it, beside the reads through `Base` itself.
+        let (via_kid, via_base) = (tally.counts[&(kid, hot)], tally.counts[&(base, hot)]);
+        assert!(via_kid > 0 && via_base > 0);
+        assert_eq!(got[&(base, hot)], via_kid + via_base);
+        assert!(!got.contains_key(&(kid, hot)));
+        // ... and is read from two functions.
+        let readers = tier
+            .funcs
+            .iter()
+            .filter(|(f, p)| {
+                let code = &repo.func(**f).code;
+                p.prop_classes()
+                    .iter()
+                    .any(|&((at, _), _)| code[at as usize] == Instr::GetProp(hot))
+            })
+            .count();
+        assert_eq!(readers, 2);
     }
 }

@@ -275,9 +275,12 @@ pub const MAGIC: &[u8; 8] = b"HHJSPKG\0";
 /// retired once nothing in the tree produced v5. v7 dropped the neighbor
 /// and anchor arrays from the function record (the match rungs they fed
 /// never paired a block), leaving counts, exact hashes and opcode hashes.
-/// A consumer handed an older envelope gets [`WireError::BadVersion`] and
-/// falls back (§VI-A.3).
-pub const VERSION: u32 = 7;
+/// v8 dropped the tail's two tier-wide property tables (per-(class,
+/// property) access counts and per-request co-access pairs): property
+/// hotness is derived from the per-site records the function records
+/// already carry. A consumer handed an older envelope gets
+/// [`WireError::BadVersion`] and falls back (§VI-A.3).
+pub const VERSION: u32 = 8;
 
 /// Envelope bytes before the payload: magic, version, payload length.
 pub const HEADER_LEN: usize = 16;

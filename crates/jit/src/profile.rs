@@ -325,17 +325,13 @@ impl FuncProfile {
     }
 }
 
-/// The whole tier-1 profile: per-function data plus the global property
-/// hotness table used by §V-C.
+/// The whole tier-1 profile: one [`FuncProfile`] per profiled function.
+/// Property hotness (§V-C) is not a table of its own: each access is
+/// recorded once, at its site, in [`FuncProfile::prop_classes`].
 #[derive(Clone, Debug, Default)]
 pub struct TierProfile {
     /// Per-function profiles (absent = never profiled).
     pub funcs: HashMap<FuncId, FuncProfile>,
-    /// Accesses per (class, property) — drives property reordering.
-    pub prop_counts: HashMap<(ClassId, StrId), u64>,
-    /// Co-access counts per (class, propA, propB) within one request —
-    /// drives the affinity extension (paper §V-C "future work").
-    pub prop_pairs: HashMap<(ClassId, StrId, StrId), u64>,
     // Lazily computed hottest-first (func, heat) ranking. The seeder,
     // consumer and validator all ask for the heat order of the same frozen
     // profile, so the sort is paid once; any counter mutation must call
@@ -348,8 +344,6 @@ pub struct TierProfile {
 impl PartialEq for TierProfile {
     fn eq(&self, other: &TierProfile) -> bool {
         self.funcs == other.funcs
-            && self.prop_counts == other.prop_counts
-            && self.prop_pairs == other.prop_pairs
     }
 }
 
@@ -600,8 +594,6 @@ pub struct ProfileCollector<'r> {
     repo: &'r Repo,
     // Per-function state, indexed by `FuncId`.
     funcs: Vec<Option<FuncState>>,
-    // Property hotness and affinity; `funcs` stays empty until `finish`.
-    tier: TierProfile,
     // Entry counts, and the branches whose `at` is not an instruction of
     // their function.
     ctx: CtxProfile,
@@ -609,8 +601,6 @@ pub struct ProfileCollector<'r> {
     stack: Vec<(FuncId, InlineCtx)>,
     // The call site observed immediately before the next func entry.
     pending_site: InlineCtx,
-    // Properties touched in the current top-level request, for affinity.
-    request_props: Vec<(ClassId, StrId)>,
 }
 
 impl<'r> ProfileCollector<'r> {
@@ -621,30 +611,15 @@ impl<'r> ProfileCollector<'r> {
         Self {
             repo,
             funcs,
-            tier: TierProfile::default(),
             ctx: CtxProfile::default(),
             stack: Vec::new(),
             pending_site: None,
-            request_props: Vec::new(),
         }
     }
 
-    /// Marks a request boundary (flushes per-request affinity pairs).
+    /// Marks a request boundary: the call stack and the pending call site
+    /// start afresh, so no inline context leaks into the next request.
     pub fn end_request(&mut self) {
-        // Record unordered co-access pairs per class.
-        self.request_props.sort();
-        self.request_props.dedup();
-        for i in 0..self.request_props.len() {
-            for j in (i + 1)..self.request_props.len() {
-                let (ca, pa) = self.request_props[i];
-                let (cb, pb) = self.request_props[j];
-                if ca == cb {
-                    let key = if pa <= pb { (ca, pa, pb) } else { (ca, pb, pa) };
-                    *self.tier.prop_pairs.entry(key).or_insert(0) += 1;
-                }
-            }
-        }
-        self.request_props.clear();
         self.stack.clear();
         self.pending_site = None;
     }
@@ -652,7 +627,7 @@ impl<'r> ProfileCollector<'r> {
     /// The collected profiles. Builds every sorted table once, from the
     /// dense per-site counters.
     pub fn finish(self) -> (TierProfile, CtxProfile) {
-        let mut tier = self.tier;
+        let mut tier = TierProfile::default();
         let CtxProfile {
             branches: Table(mut branches),
             entries,
@@ -743,12 +718,17 @@ impl ExecObserver for ProfileCollector<'_> {
         self.pending_site = Some((caller, at));
     }
 
-    fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, prop: StrId, _write: bool) {
-        *self.tier.prop_counts.entry((class, prop)).or_insert(0) += 1;
+    fn on_prop_access(
+        &mut self,
+        func: FuncId,
+        at: u32,
+        class: ClassId,
+        _prop: StrId,
+        _write: bool,
+    ) {
         self.tier_state(func)
             .profile
             .record_prop_class(at, class, 1);
-        self.request_props.push((class, prop));
     }
 
     fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
@@ -1012,7 +992,6 @@ mod tests {
         ctx: CtxProfile,
         stack: Vec<(FuncId, InlineCtx)>,
         pending_site: InlineCtx,
-        request_props: Vec<(ClassId, StrId)>,
     }
 
     impl<'r> TableCollector<'r> {
@@ -1023,25 +1002,10 @@ mod tests {
                 ctx: CtxProfile::default(),
                 stack: Vec::new(),
                 pending_site: None,
-                request_props: Vec::new(),
             }
         }
 
         fn end_request(&mut self) {
-            self.request_props.sort();
-            self.request_props.dedup();
-            for (i, &(ca, pa)) in self.request_props.iter().enumerate() {
-                for &(cb, pb) in &self.request_props[i + 1..] {
-                    if ca == cb {
-                        *self
-                            .tier
-                            .prop_pairs
-                            .entry((ca, pa.min(pb), pa.max(pb)))
-                            .or_insert(0) += 1;
-                    }
-                }
-            }
-            self.request_props.clear();
             self.stack.clear();
             self.pending_site = None;
         }
@@ -1094,10 +1058,8 @@ mod tests {
             self.pending_site = Some((caller, at));
         }
 
-        fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, prop: StrId, _w: bool) {
-            *self.tier.prop_counts.entry((class, prop)).or_insert(0) += 1;
+        fn on_prop_access(&mut self, func: FuncId, at: u32, class: ClassId, _: StrId, _w: bool) {
             self.func_profile(func).record_prop_class(at, class, 1);
-            self.request_props.push((class, prop));
         }
 
         fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {

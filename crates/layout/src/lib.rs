@@ -11,9 +11,8 @@
 //! * [`pagepack`] — BOLT-style global plan: hot parts of all functions
 //!   packed into simulated 2 MB huge-page bins, cold parts exiled to a
 //!   4 KiB-page region ([`PagePacker`], [`LayoutPlanOptions`]).
-//! * [`reorder_props_by_hotness`] / [`reorder_props_by_affinity`] — object
-//!   property reordering (§V-C; the affinity variant implements the paper's
-//!   "future work" suggestion).
+//! * [`reorder_props_by_hotness`] — object property reordering by access
+//!   hotness (§V-C).
 //!
 //! All functions here are pure: they map weights to orders and know nothing
 //! about the VM, so they are directly property-testable.
@@ -33,4 +32,4 @@ pub use pagepack::{
     pack_extents, FuncExtent, LayoutPlanOptions, PagePackPlan, PagePackStats, PagePacker,
     PlacedExtent, HUGE_PAGE_BYTES, SMALL_PAGE_BYTES,
 };
-pub use propreorder::{reorder_props_by_affinity, reorder_props_by_hotness, PropAccess};
+pub use propreorder::{reorder_props_by_hotness, PropAccess};

@@ -119,11 +119,6 @@ impl ClassTable {
         }
     }
 
-    /// Whether `class` has been resolved yet.
-    pub fn is_resolved(&self, class: ClassId) -> bool {
-        self.resolved[class.index()].is_some()
-    }
-
     /// Resolves `class` (and transitively its ancestors), returning the
     /// runtime class.
     pub fn resolve(&mut self, repo: &Repo, class: ClassId) -> &RuntimeClass {

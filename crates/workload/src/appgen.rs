@@ -50,11 +50,6 @@ impl AppParams {
             zipf_s: 0.8,
         }
     }
-
-    /// Total function count (endpoints + helpers + methods).
-    pub fn approx_funcs(&self) -> usize {
-        self.endpoints + self.helpers_per_level.iter().sum::<usize>() + self.classes
-    }
 }
 
 impl Default for AppParams {

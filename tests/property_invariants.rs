@@ -177,18 +177,10 @@ fn arb_package() -> impl Strategy<Value = ProfilePackage> {
                 poison: Poison::None,
             },
         );
-    let tier = (
-        prop::collection::hash_map((0u32..512).prop_map(FuncId), arb_func_profile(), 0..6),
-        prop::collection::hash_map(
-            ((0u32..64).prop_map(ClassId), (0u32..512).prop_map(StrId)),
-            0u64..100_000,
-            0..8,
-        ),
-    )
-        .prop_map(|(funcs, prop_counts)| {
+    let tier = prop::collection::hash_map((0u32..512).prop_map(FuncId), arb_func_profile(), 0..6)
+        .prop_map(|funcs| {
             let mut t = TierProfile::default();
             t.funcs = funcs;
-            t.prop_counts = prop_counts;
             t
         });
     let ictx = || prop::option::of(((0u32..512).prop_map(FuncId), 0u32..64));
