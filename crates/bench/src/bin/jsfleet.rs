@@ -11,9 +11,10 @@
 //! Usage:
 //!   jsfleet              paper-scale run, writes BENCH_fleet.json
 //!   jsfleet --check      CI smoke: small fleet twice (1 shard vs 2),
-//!                        asserts the reports are bit-identical and the
-//!                        counters sane. Writes nothing. Exits nonzero on
-//!                        any violation.
+//!                        asserts the reports are bit-identical, the
+//!                        digest equals its pinned value and the counters
+//!                        are sane. Writes nothing. Exits nonzero on any
+//!                        violation.
 //!   jsfleet --shards N   override the shard (thread) count
 //!   jsfleet --servers N  override consumers per cell
 //!   jsfleet --trace F    additionally write the representative servers'
@@ -45,6 +46,11 @@ fn lenient_js_opts() -> JumpStartOptions {
         ..Default::default()
     }
 }
+
+/// The small fleet's [`DeployReport::digest`]: every per-server outcome
+/// of `--check`'s run. A change that moves it changes what the fleet
+/// computes and must re-pin it with the reason.
+const CHECK_DIGEST: u32 = 0x30a1_a28a;
 
 /// The release churn between consecutive pushes the distribution model
 /// prices deltas against (matches the paper's ~3 pushes/day cadence).
@@ -210,6 +216,12 @@ fn check() {
         one.digest(),
         two.digest(),
         "digest must not depend on shard count"
+    );
+    assert_eq!(
+        one.digest(),
+        CHECK_DIGEST,
+        "the small fleet's digest moved: 0x{:08x}, pinned 0x{CHECK_DIGEST:08x}",
+        one.digest(),
     );
     assert_eq!(
         one.stats, two.stats,

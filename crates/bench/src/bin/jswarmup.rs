@@ -21,8 +21,9 @@
 //!   jswarmup             paper-scale sweep (fault-free + faulted arms),
 //!                        writes BENCH_warmup.json
 //!   jswarmup --check     CI smoke: small fleet, asserts shard-invariant
-//!                        byte-identical reports, sane classes, and that
-//!                        degrading victims never read as settled.
+//!                        byte-identical reports, the pinned digest, sane
+//!                        classes, and that degrading victims never read
+//!                        as settled.
 //!                        Writes nothing unless --trace is given.
 //!   jswarmup --shards N  override the shard (thread) count
 //!   jswarmup --servers N override consumers per cell
@@ -54,6 +55,11 @@ fn lenient_js_opts() -> JumpStartOptions {
         ..Default::default()
     }
 }
+
+/// The small fleet's [`WarmupReport::digest`], a CRC of `--check`'s
+/// whole report. A change that moves it changes what the fleet computes
+/// and must re-pin it with the reason.
+const CHECK_DIGEST: u32 = 0xb264_7c21;
 
 /// The fault-free paper-scale arm: 2 regions x 5 buckets, staggered and
 /// jittered but with no fault plan, so every class other than `warmup`
@@ -170,6 +176,12 @@ fn check(trace_path: Option<&str>) {
         "WarmupReport must be byte-identical across shard counts"
     );
     assert_eq!(one.warmup.digest(), two.warmup.digest());
+    assert_eq!(
+        one.warmup.digest(),
+        CHECK_DIGEST,
+        "the small fleet's warmup digest moved: 0x{:08x}, pinned 0x{CHECK_DIGEST:08x}",
+        one.warmup.digest(),
+    );
     let rerun = run_deployment(&app, &small_fleet(1));
     assert_eq!(
         one.warmup.to_json(),

@@ -53,7 +53,7 @@ use crate::export::timelines_to_trace_capped;
 use crate::faults::FaultPlan;
 use crate::metrics::Timeline;
 use crate::model::{build_app_model, AppModel, WarmupParams};
-use crate::server::{run_server_with_peak, ServerConfig};
+use crate::server::{run_planned, ServerPlan};
 use crate::warmup::{WarmupAccumulator, WarmupAnalysisParams, WarmupClass, WarmupReport};
 
 /// Most servers a single Chrome trace will carry per group; beyond this
@@ -479,16 +479,13 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 }
 
 /// One cell's read-only consumer inputs, prepared once and shared by
-/// every server in the cell.
+/// every server in the cell. The cell's [`ServerPlan`] borrows `model`
+/// and is built beside it.
 struct CellData {
     region: u32,
     bucket: u32,
     mix: RequestMix,
     model: AppModel,
-    /// Per-cell peak request cost: identical for every server in the cell
-    /// (jitter and host faults touch boot and compile costs, never the
-    /// optimized-mode service time), so it is computed once.
-    peak_ms_per_req: f64,
     /// The cell's published packages, deserialized once.
     packages: Vec<ProfilePackage>,
     /// Per-package wire pricing against the cell's previous-release chunk
@@ -507,7 +504,7 @@ struct ShardResult {
     events: u64,
 }
 
-/// One server's precomputed plan. All randomness is consumed here,
+/// One server's precomputed rolls. All randomness is consumed here,
 /// sequentially in gid order, before any shard thread exists.
 struct Slot {
     cell: usize,
@@ -700,7 +697,6 @@ pub fn run_deployment_with_prior(
             let truth =
                 workload::profile_run(app, &mix, params.seeder_requests, params.seed ^ 0xdead);
             let model = build_app_model(app, &truth);
-            let peak_ms_per_req = model.peak_request_core_ms(app, &mix, &params.warmup);
             let stored = store.cell_packages(region, bucket);
             // Zero-copy: section tables alias the stored buffers.
             let packages: Vec<ProfilePackage> = stored
@@ -731,14 +727,22 @@ pub fn run_deployment_with_prior(
                 bucket,
                 mix,
                 model,
-                peak_ms_per_req,
                 packages,
                 wire,
             });
         }
     }
 
-    // --- C3: every server's randomized plan, drawn sequentially ---
+    // Each cell's server plan: the peak request cost, the flat call
+    // terms, every package's boot prefix and the quiescence watch. Jitter
+    // and host faults touch only boot and compile costs, which the plan
+    // does not read, so every server of the cell steps over it.
+    let plans: Vec<ServerPlan<'_>> = cells
+        .iter()
+        .map(|c| ServerPlan::new(app, &c.model, &c.mix, &params.warmup, &c.packages))
+        .collect();
+
+    // --- C3: every server's randomized rolls, drawn sequentially ---
     let mut slots: Vec<Slot> = Vec::new();
     for (c, data) in cells.iter().enumerate() {
         for k in 0..params.fleet.servers_per_cell {
@@ -815,7 +819,7 @@ pub fn run_deployment_with_prior(
         "servers" => slots.len() as u64,
         "shards" => shards as u64,
     );
-    let (slots, cells) = (&slots, &cells);
+    let (slots, cells, plans) = (&slots, &cells, &plans);
     let run_shard = |shard: usize| {
         let mut out = ShardResult {
             stats: Vec::new(),
@@ -837,12 +841,7 @@ pub fn run_deployment_with_prior(
                 cell = Some(slot.cell);
             }
             let data = &cells[slot.cell];
-            let config = ServerConfig {
-                params: slot.params,
-                jumpstart: slot.pkg.map(|p| &data.packages[p]),
-            };
-            let peak = Some(data.peak_ms_per_req);
-            let run = run_server_with_peak(app, &data.model, &data.mix, &config, peak);
+            let run = run_planned(&plans[slot.cell], &slot.params, slot.pkg);
             let (class, steady_ms) = out.warmup.add(&run.timeline, slot.jumpstart);
             out.events += run.events;
             out.stats.push(ServerStat {
@@ -933,6 +932,7 @@ pub fn run_deployment_with_prior(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::server::ServerConfig;
     use workload::{generate, AppParams};
 
     fn quick_warmup() -> WarmupParams {

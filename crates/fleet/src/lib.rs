@@ -11,18 +11,19 @@
 //! * [`AppModel`] — per-function static facts (sizes of each translation
 //!   kind, average work per call, per-endpoint call vectors) measured once
 //!   from the real pipeline,
-//! * [`ServerSim`] / [`run_server`] / [`simulate_warmup`] — a
-//!   single-server simulation producing RPS/latency/code-size timelines,
-//!   driven by one step-skipping driver (closed-form boot window, steps
-//!   only while the server is active, fast-forward once quiescent); the
-//!   dense per-second stepper survives as [`simulate_warmup_dense`], the
+//! * [`run_server`] / [`simulate_warmup`] — a single-server simulation
+//!   producing RPS/latency/code-size timelines, driven by one
+//!   step-skipping driver (closed-form boot window, steps only while the
+//!   server is active, fast-forward once quiescent); the dense
+//!   per-second stepper survives as [`simulate_warmup_dense`], the
 //!   equivalence oracle,
 //! * [`capacity_loss_from`] — the area-above-the-curve metric of Fig. 2,
 //! * [`run_deployment`] — the two-level C1/C2/C3 push: per-(region,
-//!   bucket) seeding done once and shared read-only, then a map over
-//!   thousands of independent servers with per-server RNG streams — each
-//!   shard thread runs, classifies and compacts its servers one at a
-//!   time, and the orchestrator only folds the shards' results,
+//!   bucket) seeding and one server plan per cell, built once and shared
+//!   read-only, then a map over thousands of independent servers with
+//!   per-server RNG streams — each shard thread runs, classifies and
+//!   compacts its servers one at a time, and the orchestrator only folds
+//!   the shards' results,
 //! * [`run_crashloop`] / [`FaultPlan`] — crash-loop containment and
 //!   deployment fault injection for §VI,
 //! * [`warmup`](classify_timeline) — PELT changepoint segmentation and
@@ -53,7 +54,7 @@ pub use faults::{run_crashloop, CrashLoopParams, CrashLoopReport, FaultPlan};
 pub use metrics::{capacity_loss_from, Sample, Timeline};
 pub use model::{build_app_model, AppModel, WarmupParams};
 pub use server::reference::simulate_warmup_dense;
-pub use server::{run_server, simulate_warmup, ServerConfig, ServerRun, ServerSim};
+pub use server::{run_server, simulate_warmup, ServerConfig, ServerRun};
 pub use steady::{measure_steady_state, SteadyConfig, SteadyOutcome, SteadyParams};
 pub use warmup::{
     classify_timeline, pelt_changepoints, pelt_changepoints_reference, segment_series, ArmSummary,

@@ -16,14 +16,17 @@
 //! dynamic (what compiles when, how much code, how slow interp is) comes
 //! from the measured [`AppModel`].
 //!
-//! The state machine lives in [`sim::ServerSim`]; [`run_server`] is the
-//! step-skipping driver every caller goes through: the boot window is
-//! closed-form, the server is then stepped once per simulated second only
-//! while *active* (compiling, loading, promoting), and as soon as
+//! [`run_server`] is the entry point: the step-skipping driver every
+//! caller goes through. The boot window is closed-form, the server is
+//! then stepped once per simulated second only while *active*
+//! (compiling, loading, promoting), and as soon as
 //! [`sim::ServerSim::quiescent`] proves the remaining timeline constant,
-//! the tail is replicated without further stepping. The dense stepper
-//! lives on as [`reference::simulate_warmup_dense`], the equivalence
-//! oracle.
+//! the tail is replicated without further stepping. The per-server state
+//! machine lives in [`sim::ServerSim`] and steps over a read-only
+//! [`sim::ServerPlan`] (the flat call terms, each package's boot prefix,
+//! the quiescence watch): `run_server` builds one per call, a deployment
+//! one per cell for all of the cell's servers. The dense stepper lives
+//! on as [`reference::simulate_warmup_dense`], the equivalence oracle.
 
 pub mod reference;
 mod sim;
@@ -31,9 +34,11 @@ mod sim;
 use workload::{App, RequestMix};
 
 use crate::metrics::{Sample, Timeline};
-use crate::model::AppModel;
+use crate::model::{AppModel, WarmupParams};
 
-pub use sim::{ServerConfig, ServerSim};
+pub use sim::ServerConfig;
+pub(crate) use sim::ServerPlan;
+use sim::ServerSim;
 
 /// The per-second step quantum shared by both drivers (ms).
 pub(crate) const STEP_MS: u64 = 1000;
@@ -58,30 +63,28 @@ pub struct ServerRun {
 
 /// Runs one server's simulated life — build, closed-form boot window,
 /// step while active, fast-forward once quiescent — returning the
-/// timeline plus serving/step accounting.
+/// timeline plus serving/step accounting. This is the entry point for a
+/// single server; a deployment shares one plan per cell instead of
+/// building one per server.
 pub fn run_server(
     app: &App,
     model: &AppModel,
     mix: &RequestMix,
     config: &ServerConfig<'_>,
 ) -> ServerRun {
-    run_server_with_peak(app, model, mix, config, None)
+    let plan = ServerPlan::new(app, model, mix, &config.params, config.jumpstart);
+    run_planned(&plan, &config.params, config.jumpstart.map(|_| 0))
 }
 
-/// [`run_server`] with the peak request cost supplied by the caller (see
-/// [`ServerSim::new_with_peak`]): a deployment measures it once per cell.
-pub(crate) fn run_server_with_peak(
-    app: &App,
-    model: &AppModel,
-    mix: &RequestMix,
-    config: &ServerConfig<'_>,
-    peak_ms_per_req: Option<f64>,
+/// [`run_server`] over a plan built by the caller: a consumer boots the
+/// plan's package `pkg`, a baseline passes `None`.
+pub(crate) fn run_planned(
+    plan: &ServerPlan<'_>,
+    params: &WarmupParams,
+    pkg: Option<usize>,
 ) -> ServerRun {
-    let params = config.params;
-    let mut sim = ServerSim::new_with_peak(app, model, mix, config, peak_ms_per_req);
-    let peak_rps = params.cores as f64 * 1000.0 / sim.peak_ms_per_req;
-    let offered = peak_rps * params.offered_fraction;
-    let offered_this_step = offered * STEP_MS as f64 / 1000.0;
+    let mut sim = ServerSim::new(plan, params, pkg);
+    let offered_this_step = plan.offered_this_step;
     let mut samples = Vec::new();
     let mut record = |sample: Sample| {
         if sample.t_ms.is_multiple_of(params.sample_ms) {
@@ -107,7 +110,7 @@ pub(crate) fn run_server_with_peak(
         events += 1;
         record(sample);
         now += STEP_MS;
-        if now <= last_now && sim.quiescent(offered_this_step) {
+        if now <= last_now && sim.quiescent() {
             // Provably steady: compute one more real step (the first with
             // zero compile interference) and replicate it across the
             // remaining boundaries. Bit-identical to dense stepping
@@ -163,7 +166,7 @@ mod tests {
     use jumpstart::{build_package, JumpStartOptions, ProfilePackage, SeederInputs};
     use workload::{generate, profile_run, AppParams};
 
-    fn setup() -> (App, AppModel, ProfilePackage) {
+    pub(super) fn setup() -> (App, AppModel, ProfilePackage) {
         let app = generate(&AppParams::tiny());
         let mix = RequestMix::new(&app, 0, 0);
         let run = profile_run(&app, &mix, 150, 11);
@@ -186,7 +189,7 @@ mod tests {
         (app, model, pkg)
     }
 
-    fn quick_params(model: &AppModel) -> WarmupParams {
+    pub(super) fn quick_params(model: &AppModel) -> WarmupParams {
         WarmupParams {
             duration_ms: 300_000,
             sample_ms: 5_000,

@@ -13,7 +13,7 @@ use workload::{App, RequestMix};
 use crate::metrics::Timeline;
 use crate::model::AppModel;
 
-use super::sim::{ServerConfig, ServerSim};
+use super::sim::{ServerConfig, ServerPlan, ServerSim};
 
 /// Runs the warmup simulation by dense per-second stepping, returning
 /// the timeline. Semantically identical to [`super::simulate_warmup`];
@@ -25,8 +25,9 @@ pub fn simulate_warmup_dense(
     config: &ServerConfig<'_>,
 ) -> Timeline {
     let params = config.params;
-    let mut sim = ServerSim::new(app, model, mix, config);
-    let peak_rps = params.cores as f64 * 1000.0 / sim.peak_ms_per_req;
+    let plan = ServerPlan::new(app, model, mix, &params, config.jumpstart);
+    let mut sim = ServerSim::new(&plan, &params, config.jumpstart.map(|_| 0));
+    let peak_rps = params.cores as f64 * 1000.0 / plan.peak_ms_per_req;
     let offered = peak_rps * params.offered_fraction;
 
     let mut timeline = Timeline {

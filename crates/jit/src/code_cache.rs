@@ -5,7 +5,7 @@
 //! function-sorting order (paper §II-B, Fig. 1's relocation step B→C).
 //! A Jump-Start consumer emits only optimized code, so this cache has the
 //! hot and cold areas alone; the live and profiling areas of a server that
-//! JITs while serving are modelled by `fleet::ServerSim`, as byte counts.
+//! JITs while serving are modelled by `fleet::run_server`, as byte counts.
 //! Addresses here feed the I-cache/I-TLB model, so *where* a block lands
 //! directly changes the measured locality.
 //!

@@ -5,7 +5,7 @@
 //! §IV-A), so the engine has one tier: optimized code, emitted in
 //! function-sorting order. The lifecycle of a server that JITs while it
 //! serves (interpreter, profiling translations, retranslate-all, live
-//! translations; Fig. 1) has one model, `fleet::ServerSim`, which takes
+//! translations; Fig. 1) has one model, `fleet::run_server`, which takes
 //! its per-function code sizes from [`translate_profiling`] and
 //! [`translate_live`].
 //!

@@ -25,7 +25,7 @@
 //! All three kinds are translated here, but only optimized code is
 //! emitted and replayed: the tiering of a server that JITs while serving
 //! (interpreter, profiling, retranslate-all, live; Fig. 1) has one model,
-//! `fleet::ServerSim`, which needs only the code sizes of
+//! `fleet::run_server`, which needs only the code sizes of
 //! [`translate_profiling`] and [`translate_live`].
 
 mod code_cache;
