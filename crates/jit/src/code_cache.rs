@@ -103,13 +103,12 @@ pub struct EmittedTranslation {
 }
 
 impl EmittedTranslation {
-    /// The bind stub on the `from → to` block edge, if it has one.
-    pub fn stub(&self, from: usize, to: usize) -> Option<u64> {
-        let i = self
-            .stubs
+    /// Where in [`EmittedTranslation::stubs`] the bind stub on the
+    /// `from → to` block edge is, if the edge has one.
+    pub fn stub_index(&self, from: usize, to: usize) -> Option<usize> {
+        self.stubs
             .binary_search_by_key(&(from, to), |&(edge, _)| edge)
-            .ok()?;
-        Some(self.stubs[i].1)
+            .ok()
     }
 
     /// Total emitted bytes (stubs excluded).
@@ -432,7 +431,7 @@ mod tests {
         assert_eq!(cc.cold.used, 0);
         assert!(cc.optimized_cold.used > 0);
         assert_eq!(t.stubs.len(), 1);
-        let stub = t.stub(1, 2).expect("1 → 2 has a stub");
+        let stub = t.stubs[t.stub_index(1, 2).expect("1 → 2 has a stub")].1;
         // The bind stub sits in the cold region, just ahead of the cold
         // blocks it transfers to; hot text stays pure hot code.
         assert_eq!(stub, cc.optimized_cold.base);
@@ -450,8 +449,11 @@ mod tests {
         let t = cc.translation(FuncId::new(3)).unwrap();
         assert_eq!(cc.stub_count(), 2, "both arms emit a stub");
         assert_eq!(t.stubs.len(), 1, "one entry per edge");
-        assert_eq!(t.stub(0, 1), Some(cc.optimized_cold.base + STUB_BYTES));
-        assert_eq!(t.stub(1, 0), None);
+        assert_eq!(
+            t.stubs[t.stub_index(0, 1).unwrap()].1,
+            cc.optimized_cold.base + STUB_BYTES
+        );
+        assert_eq!(t.stub_index(1, 0), None);
     }
 
     #[test]

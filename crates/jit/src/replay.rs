@@ -10,10 +10,14 @@
 //! metadata preload order matter too.
 //!
 //! The translated-code path runs hundreds of times per request, so it
-//! hashes nothing with SipHash: translations and tier profiles are dense
-//! per-`FuncId` tables built once in [`Executor::new`], object counters are
-//! indexed by class, bind stubs are a sorted vector, and the two
-//! address-keyed tables use [`uarch::AddrMap`] / [`uarch::AddrSet`].
+//! hashes nothing and matches each instruction at most once.
+//! [`Executor::new`] builds one plan per translated block, in `FuncId`
+//! order: the block's base cycles summed up front, the slice of its
+//! instructions that touch the model (loads, stores, allocations, calls),
+//! and its branch accumulator; each bind stub gets a bound bit. Tier
+//! profiles and interpreter CFGs are dense per-`FuncId` tables and object
+//! counters are indexed by class. Only the interpreter's branch sites stay
+//! address-keyed, in a [`uarch::AddrMap`].
 
 use std::collections::HashMap;
 use std::rc::Rc;
@@ -21,7 +25,7 @@ use std::rc::Rc;
 use bytecode::{Cfg, ClassId, FuncId, Instr, Repo, UnitId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use uarch::{AddrMap, AddrSet, CoreModel, CoreParams, MissReport};
+use uarch::{AddrMap, CoreModel, CoreParams, MissReport};
 
 use crate::code_cache::{CodeCache, EmittedTranslation, STUB_BYTES};
 use crate::profile::{CtxProfile, FuncProfile, TierProfile};
@@ -154,12 +158,74 @@ impl DataSpace {
     }
 }
 
+/// A translation and where its blocks and stubs start in the executor's
+/// flat tables.
+#[derive(Clone, Copy, Debug)]
+struct Translated<'a> {
+    t: &'a EmittedTranslation,
+    /// Index of the plan of `t`'s block 0 in `Executor::blocks`.
+    first_block: usize,
+    /// Index of `t.stubs[0]`'s bit in `Executor::stub_bound`.
+    first_stub: usize,
+}
+
+/// What replaying one translated block needs beyond its placement and
+/// terminator.
+#[derive(Clone, Copy, Debug)]
+struct BlockPlan {
+    /// Bresenham accumulator of the block's conditional branch; the
+    /// branch site (`fall_addr - term_size`) lies inside the block, so no
+    /// two blocks share a site.
+    acc: f64,
+    /// Base cycles of the body, plus one for the terminator.
+    base: u32,
+    /// The block's model-touching instructions are
+    /// `effects[first_effect..]`, up to the next plan's `first_effect`.
+    first_effect: u32,
+}
+
+/// Whether [`Executor::exec_instr`] touches the model for `instr`: a data
+/// access or a call. Every other instruction only costs base cycles.
+fn touches_model(instr: &VInstr) -> bool {
+    instr.data_access()
+        || matches!(
+            instr,
+            VInstr::CallStatic { .. } | VInstr::CallDynamic { .. }
+        )
+}
+
+/// Samples a branch outcome at probability `p`: mostly the site's
+/// deterministic periodic pattern (the Bresenham accumulator `acc`), with
+/// a `noise` share of pure noise.
+fn sample_branch(rng: &mut SmallRng, noise: f64, acc: &mut f64, p: f64) -> bool {
+    let p = p.clamp(0.0, 1.0);
+    if rng.gen_bool(noise.clamp(0.0, 1.0)) {
+        return rng.gen_bool(p);
+    }
+    *acc += p;
+    if *acc >= 1.0 {
+        *acc -= 1.0;
+        true
+    } else {
+        false
+    }
+}
+
 /// Replays calls through translations/interpreter and the core model.
 #[derive(Debug)]
 pub struct Executor<'a> {
     repo: &'a Repo,
     /// Each function's current translation, by `FuncId` index.
-    translations: Vec<Option<&'a EmittedTranslation>>,
+    translations: Vec<Option<Translated<'a>>>,
+    /// One plan per translated block, translations in `FuncId` order,
+    /// plus a final sentinel whose `first_effect` ends the last range.
+    blocks: Vec<BlockPlan>,
+    /// The model-touching instructions of every translated block.
+    effects: Vec<VInstr>,
+    /// Per bind stub, whether it has executed and been smashed to a
+    /// direct jump. Code state, not a counter: survives
+    /// [`Executor::reset_stats`].
+    stub_bound: Vec<bool>,
     /// Each function's tier-1 profile, by `FuncId` index.
     profiles: Vec<Option<&'a FuncProfile>>,
     truth: &'a CtxProfile,
@@ -168,11 +234,12 @@ pub struct Executor<'a> {
     rng: SmallRng,
     data: DataSpace,
     config: ExecutorConfig,
-    cfg_cache: HashMap<FuncId, Rc<Cfg>>,
-    branch_acc: AddrMap<f64>,
-    /// Hot→cold bind stubs already executed and smashed to direct jumps.
-    /// Code state, not a counter: survives [`Executor::reset_stats`].
-    bound_stubs: AddrSet,
+    /// Each interpreted function's bytecode CFG, by `FuncId` index, built
+    /// on its first call.
+    cfgs: Vec<Option<Rc<Cfg>>>,
+    /// Bresenham accumulators of interpreted branch sites, by metadata
+    /// address (see [`Executor::replay_interp`]).
+    interp_acc: AddrMap<f64>,
     blocks_left: u32,
 }
 
@@ -191,42 +258,62 @@ impl<'a> Executor<'a> {
             core.map_huge_range(start, len);
         }
         let funcs = repo.funcs().len();
+        let mut emitted: Vec<&EmittedTranslation> = cache.translations().values().collect();
+        emitted.sort_unstable_by_key(|t| t.func);
+        let mut translations = vec![None; funcs];
+        let n_blocks = emitted.iter().map(|t| t.vasm.blocks.len()).sum::<usize>();
+        let n_effects = emitted
+            .iter()
+            .flat_map(|t| &t.vasm.blocks)
+            .map(|b| b.instrs.iter().filter(|i| touches_model(i)).count())
+            .sum();
+        let mut blocks = Vec::with_capacity(n_blocks + 1);
+        let mut effects = Vec::with_capacity(n_effects);
+        let mut stub_bound = Vec::with_capacity(emitted.iter().map(|t| t.stubs.len()).sum());
+        for t in emitted {
+            if t.func.index() >= translations.len() {
+                translations.resize(t.func.index() + 1, None);
+            }
+            translations[t.func.index()] = Some(Translated {
+                t,
+                first_block: blocks.len(),
+                first_stub: stub_bound.len(),
+            });
+            for block in &t.vasm.blocks {
+                blocks.push(BlockPlan {
+                    acc: 0.5,
+                    base: 1 + block.instrs.iter().map(|i| i.cycles() as u32).sum::<u32>(),
+                    first_effect: effects.len() as u32,
+                });
+                effects.extend(block.instrs.iter().copied().filter(touches_model));
+            }
+            stub_bound.resize(stub_bound.len() + t.stubs.len(), false);
+        }
+        blocks.push(BlockPlan {
+            acc: 0.5,
+            base: 0,
+            first_effect: effects.len() as u32,
+        });
         Self {
             repo,
-            translations: by_func(cache.translations(), funcs),
+            translations,
+            blocks,
+            effects,
+            stub_bound,
             profiles: by_func(&tier.funcs, funcs),
             truth,
             core,
             rng: SmallRng::seed_from_u64(config.seed),
             data: DataSpace::new(repo, config.obj_pool),
             config,
-            cfg_cache: HashMap::new(),
-            branch_acc: AddrMap::default(),
-            bound_stubs: AddrSet::default(),
+            cfgs: vec![None; funcs],
+            interp_acc: AddrMap::default(),
             blocks_left: 0,
         }
     }
 
     fn profile(&self, func: FuncId) -> Option<&'a FuncProfile> {
         self.profiles.get(func.index()).copied().flatten()
-    }
-
-    /// Samples a branch outcome at probability `p`: mostly the site's
-    /// deterministic periodic pattern (Bresenham accumulator), with a
-    /// configurable share of pure noise.
-    fn sample_branch(&mut self, site: u64, p: f64) -> bool {
-        let p = p.clamp(0.0, 1.0);
-        if self.rng.gen_bool(self.config.branch_noise.clamp(0.0, 1.0)) {
-            return self.rng.gen_bool(p);
-        }
-        let acc = self.branch_acc.entry(site).or_insert(0.5);
-        *acc += p;
-        if *acc >= 1.0 {
-            *acc -= 1.0;
-            true
-        } else {
-            false
-        }
     }
 
     /// Installs the order units were (pre)loaded in. Unit metadata
@@ -263,7 +350,8 @@ impl<'a> Executor<'a> {
         }
     }
 
-    fn replay_translation(&mut self, t: &'a EmittedTranslation, depth: u32) {
+    fn replay_translation(&mut self, tr: Translated<'a>, depth: u32) {
+        let t = tr.t;
         // Touch this function's runtime metadata (Func*, unit tables) —
         // the accesses whose locality the preload order improves (§VII-A).
         let unit = self.repo.func(t.func).unit;
@@ -279,59 +367,62 @@ impl<'a> Executor<'a> {
             let block = &t.vasm.blocks[bi];
             let (addr, size) = t.placement[bi];
             self.core.fetch(addr, size);
-            // One pass over the body: sum the base cycles (the terminator
-            // costs one) and run the instructions that touch the model.
-            // Retiring after the calls they make is exact: `retire` only
-            // adds to two totals that nothing reads inside a call.
-            let mut base = 1;
-            for &instr in &block.instrs {
-                base += instr.cycles();
-                self.exec_instr(instr, depth);
+            // Run the instructions that touch the model, then retire the
+            // block at its pre-summed base cycles. Retiring after the
+            // calls they make is exact: `retire` only adds to two totals
+            // that nothing reads inside a call.
+            let g = tr.first_block + bi;
+            let plan = self.blocks[g];
+            for k in plan.first_effect..self.blocks[g + 1].first_effect {
+                self.exec_instr(self.effects[k as usize], depth);
             }
-            let n = block.instr_count();
-            self.core.retire(n, base);
+            self.core.retire(block.instr_count(), plan.base as u64);
             let fall_addr = addr + size as u64;
-            match block.term {
+            let next = match block.term {
                 Term::Jump(t2) => {
                     // A jump to the physically-next block is free; anything
                     // else redirects the front end.
                     if t.placement[t2].0 != fall_addr {
                         self.core.branch(fall_addr - block.term_size() as u64, true);
                     }
-                    // The first transfer through a hot→cold edge executes
-                    // its bind stub (emitted ahead of the cold part); the
-                    // stub then smashes the branch to jump directly (lazy
-                    // jump binding), so steady state pays nothing extra.
-                    if let Some(stub) = t.stub(bi, t2) {
-                        if self.bound_stubs.insert(stub) {
-                            self.core.fetch(stub, STUB_BYTES as u32);
-                        }
-                    }
-                    bi = t2;
+                    t2
                 }
                 Term::Cond { taken, fall } => {
                     let branch_site = fall_addr - block.term_size() as u64;
-                    let go = self.sample_branch(branch_site, block.true_taken_prob);
+                    let go = sample_branch(
+                        &mut self.rng,
+                        self.config.branch_noise,
+                        &mut self.blocks[g].acc,
+                        block.true_taken_prob,
+                    );
                     let next = if go { taken } else { fall };
                     // Emitted polarity: the branch is "taken" iff the
                     // successor is not the physically-next block — layout
                     // turns hot edges into fallthroughs.
                     let emitted_taken = t.placement[next].0 != fall_addr;
                     self.core.branch(branch_site, emitted_taken);
-                    if let Some(stub) = t.stub(bi, next) {
-                        if self.bound_stubs.insert(stub) {
-                            self.core.fetch(stub, STUB_BYTES as u32);
-                        }
-                    }
-                    bi = next;
+                    next
                 }
                 Term::Ret | Term::Exit => return,
+            };
+            // The first transfer through a hot→cold edge executes its bind
+            // stub (emitted ahead of the cold part); the stub then smashes
+            // the branch to jump directly (lazy jump binding), so steady
+            // state pays nothing extra.
+            if let Some(i) = t.stub_index(bi, next) {
+                let bound = &mut self.stub_bound[tr.first_stub + i];
+                if !*bound {
+                    *bound = true;
+                    self.core.fetch(t.stubs[i].1, STUB_BYTES as u32);
+                }
             }
+            bi = next;
         }
     }
 
     /// Runs the model side of one instruction: the eight variants below
-    /// touch memory or call; every other one only costs base cycles.
+    /// touch memory or call ([`touches_model`]); every other one only
+    /// costs base cycles.
     #[inline]
     fn exec_instr(&mut self, instr: VInstr, depth: u32) {
         match instr {
@@ -397,16 +488,22 @@ impl<'a> Executor<'a> {
     }
 
     fn cfg_of(&mut self, func: FuncId) -> Rc<Cfg> {
-        if let Some(c) = self.cfg_cache.get(&func) {
-            return c.clone();
-        }
-        let c = Rc::new(Cfg::build(self.repo.func(func)));
-        self.cfg_cache.insert(func, c.clone());
-        c
+        let repo = self.repo;
+        self.cfgs[func.index()]
+            .get_or_insert_with(|| Rc::new(Cfg::build(repo.func(func))))
+            .clone()
     }
 
     /// Replays an un-translated function at interpreter cost, walking its
     /// bytecode CFG with ground-truth branch probabilities.
+    ///
+    /// A conditional jump's branch site, which keys both its Bresenham
+    /// accumulator and the predictor's pc, is `meta_addr(unit, at * 4)`:
+    /// the unit's metadata base plus the jump's bytecode offset. It does
+    /// not name the function, so two functions of one unit with a
+    /// conditional jump at the same offset share one accumulator and one
+    /// predictor entry. Translated code has no such aliasing (its sites
+    /// are code addresses, one per block).
     fn replay_interp(&mut self, func: FuncId, depth: u32) {
         let cfg = self.cfg_of(func);
         let f = self.repo.func(func);
@@ -457,7 +554,12 @@ impl<'a> Executor<'a> {
                     Instr::JmpZ(target) | Instr::JmpNZ(target) => {
                         let p = self.truth.taken_prob(None, func, at);
                         let site = self.data.meta_addr(unit, at as u64 * 4);
-                        let go = self.sample_branch(site, p);
+                        let go = sample_branch(
+                            &mut self.rng,
+                            self.config.branch_noise,
+                            self.interp_acc.entry(site).or_insert(0.5),
+                            p,
+                        );
                         self.core.branch(site, go);
                         next = Some(if go {
                             cfg.block_of(target).index()
@@ -616,6 +718,75 @@ mod tests {
         // helper's unit metadata was touched (same unit here) and the
         // instruction count reflects both bodies.
         assert!(ex.report().instructions > 300);
+    }
+
+    /// The premise of the executor's dense per-block and per-stub tables:
+    /// they equal the address-keyed tables they replaced only if no two
+    /// translated conditional branches share a site, no two stubs share an
+    /// address, and no translated site can meet an interpreter site (those
+    /// stay keyed by metadata address).
+    #[test]
+    fn branch_sites_and_stubs_are_unique_per_block() {
+        use crate::engine::{plan_layout, JitEngine, JitOptions};
+        use workload::{generate, AppParams, RequestMix, RequestSampler};
+
+        let app = generate(&AppParams::tiny());
+        let mix = RequestMix::new(&app, 0, 0);
+        let mut sampler = RequestSampler::new(0x5EED);
+        let mut vm = Vm::new(&app.repo);
+        let mut col = ProfileCollector::new(&app.repo);
+        for _ in 0..200 {
+            let (func, arg) = sampler.request(&app, &mix);
+            vm.call_observed(func, &[arg], &mut col)
+                .expect("generated requests execute");
+            col.end_request();
+            vm.take_output();
+        }
+        let (tier, ctx) = col.finish();
+        // Default options: huge-page packing and global hot/cold, so
+        // hot→cold edges get bind stubs.
+        let options = JitOptions::default();
+        let mut engine = JitEngine::new(&app.repo, options);
+        for func in tier.functions_by_heat() {
+            let unit = translate_optimized(
+                &app.repo,
+                func,
+                &tier,
+                &ctx,
+                options.weights,
+                options.inline,
+                &|_, _| None,
+            );
+            let plan = plan_layout(&options, &unit);
+            engine.emit_planned(unit, &plan);
+        }
+        let cache = &engine.code_cache;
+        assert!(cache.stub_count() > 0, "the cache must exercise stubs");
+
+        let mut sites = Vec::new();
+        let mut stubs = Vec::new();
+        for t in cache.translations().values() {
+            for (block, &(addr, size)) in t.vasm.blocks.iter().zip(&t.placement) {
+                if let Term::Cond { .. } = block.term {
+                    sites.push(addr + size as u64 - block.term_size() as u64);
+                }
+            }
+            stubs.extend(t.stubs.iter().map(|&(_, addr)| addr));
+        }
+        let (n_sites, n_stubs) = (sites.len(), stubs.len());
+        assert!(n_sites > 100, "only {n_sites} conditional branches");
+        sites.sort_unstable();
+        sites.dedup();
+        assert_eq!(sites.len(), n_sites, "two blocks share a branch site");
+        stubs.sort_unstable();
+        stubs.dedup();
+        assert_eq!(stubs.len(), n_stubs, "two stubs share an address");
+        assert!(
+            sites
+                .iter()
+                .all(|site| !(META_BASE..HTAB_BASE).contains(site)),
+            "a translated branch site lies among interpreter sites"
+        );
     }
 
     #[test]

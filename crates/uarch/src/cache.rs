@@ -1,4 +1,4 @@
-//! Set-associative cache with true LRU replacement.
+//! Set-associative cache with LRU replacement over recency-ordered ways.
 
 use crate::metrics::AccessStats;
 
@@ -52,10 +52,9 @@ pub struct Cache {
     /// `sets - 1`: line number → set.
     set_mask: u64,
     ways: usize,
-    /// Set `s` is `lines[s * ways..(s + 1) * ways]`, each way a
-    /// `(tag, last_use)` pair; `u64::MAX` tag = invalid.
-    lines: Vec<(u64, u64)>,
-    tick: u64,
+    /// Set `s` is `tags[s * ways..(s + 1) * ways]`, most recently used
+    /// first; `u64::MAX` = invalid (never-filled ways sit at the end).
+    tags: Vec<u64>,
     stats: AccessStats,
 }
 
@@ -84,8 +83,7 @@ impl Cache {
             set_shift: sets.trailing_zeros(),
             set_mask: sets as u64 - 1,
             ways: config.ways as usize,
-            lines: vec![(u64::MAX, 0); (sets * config.ways) as usize],
-            tick: 0,
+            tags: vec![u64::MAX; (sets * config.ways) as usize],
             stats: AccessStats::default(),
         }
     }
@@ -95,27 +93,43 @@ impl Cache {
         self.config
     }
 
+    /// `log2(line_bytes)`: the shift that turns an address into a line
+    /// number.
+    pub(crate) fn line_shift(&self) -> u32 {
+        self.line_shift
+    }
+
     /// Accesses one byte address; returns `true` on hit. The whole line is
-    /// filled on miss, evicting the set's least-recently-used way (the
-    /// lowest-numbered one among never-used ways).
+    /// filled on miss, evicting the set's least-recently-used way (a
+    /// never-filled one while the set has any).
+    ///
+    /// Each set keeps its tags in recency order, so a hit moves the tag to
+    /// the front and a miss drops the last way: the same hits and misses
+    /// as stamping every way with a use tick and evicting the minimum.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
-        self.tick += 1;
         self.stats.accesses += 1;
         let line = addr >> self.line_shift;
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_shift;
-        let ways = &mut self.lines[set * self.ways..(set + 1) * self.ways];
-        if let Some(w) = ways.iter_mut().find(|(t, _)| *t == tag) {
-            w.1 = self.tick;
+        if self.tags[set * self.ways] == tag {
             return true;
         }
-        self.stats.misses += 1;
-        let victim = ways
-            .iter_mut()
-            .min_by_key(|(_, last)| *last)
-            .expect("ways is non-empty");
-        *victim = (tag, self.tick);
-        false
+        self.refill(set, tag)
+    }
+
+    /// The rest of [`Cache::access`] once way 0 of `set` missed: an
+    /// older way or a miss.
+    fn refill(&mut self, set: usize, tag: u64) -> bool {
+        let ways = &mut self.tags[set * self.ways..(set + 1) * self.ways];
+        // Both shipped geometries get a body unrolled for their width.
+        let hit = match ways.len() {
+            8 => touch::<8>(ways.try_into().expect("8 ways"), tag),
+            16 => touch::<16>(ways.try_into().expect("16 ways"), tag),
+            _ => touch_any(ways, tag),
+        };
+        self.stats.misses += u64::from(!hit);
+        hit
     }
 
     /// Hit/miss counters.
@@ -130,9 +144,49 @@ impl Cache {
     }
 }
 
+/// Looks `key` up in a recency-ordered set (most recently used first)
+/// and moves it to the front; on a miss the last way drops out. Returns
+/// `true` on hit. A hit at way 0 is one compare; otherwise every way is
+/// compared and shifted without a data-dependent branch.
+#[inline(always)]
+pub(crate) fn touch<const W: usize>(ways: &mut [u64; W], key: u64) -> bool {
+    if ways[0] == key {
+        return true;
+    }
+    let mut way = W - 1;
+    let mut hit = false;
+    for (j, &k) in ways.iter().enumerate().skip(1) {
+        if k == key {
+            way = j;
+            hit = true;
+        }
+    }
+    let old = *ways;
+    for j in 1..W {
+        ways[j] = if j <= way { old[j - 1] } else { old[j] };
+    }
+    ways[0] = key;
+    hit
+}
+
+/// [`touch`] for a set of any width.
+fn touch_any(ways: &mut [u64], key: u64) -> bool {
+    if ways[0] == key {
+        return true;
+    }
+    let (hit, way) = match ways.iter().position(|&k| k == key) {
+        Some(i) => (true, i),
+        None => (false, ways.len() - 1),
+    };
+    ways.copy_within(..way, 1);
+    ways[0] = key;
+    hit
+}
+
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::streams::run_heavy;
 
     fn tiny() -> Cache {
         // 4 sets x 2 ways x 16B lines = 128 bytes.
@@ -167,17 +221,18 @@ mod tests {
     }
 
     /// The nested-`Vec` cache this module used to be: one vector of ways
-    /// per set, sets and tags by division, `min_by_key` eviction. Kept as
-    /// the behavioral reference for the flat, shift-and-mask version.
-    struct NaiveCache {
+    /// per set, sets and tags by division, each way stamped with a use
+    /// tick and `min_by_key` eviction. Kept as the behavioral reference
+    /// for the flat, recency-ordered version.
+    pub(crate) struct NaiveCache {
         line_bytes: u64,
         sets: Vec<Vec<(u64, u64)>>,
         tick: u64,
-        stats: AccessStats,
+        pub(crate) stats: AccessStats,
     }
 
     impl NaiveCache {
-        fn new(config: CacheConfig) -> Self {
+        pub(crate) fn new(config: CacheConfig) -> Self {
             Self {
                 line_bytes: config.line_bytes as u64,
                 sets: vec![vec![(u64::MAX, 0); config.ways as usize]; config.sets() as usize],
@@ -186,7 +241,7 @@ mod tests {
             }
         }
 
-        fn access(&mut self, addr: u64) -> bool {
+        pub(crate) fn access(&mut self, addr: u64) -> bool {
             self.tick += 1;
             self.stats.accesses += 1;
             let line = addr / self.line_bytes;
@@ -214,28 +269,52 @@ mod tests {
             line_bytes: 64,
             ways: 16,
         };
-        for config in [CacheConfig::L1, sixteen_way, CacheConfig::LLC] {
-            let mut fast = Cache::new(config);
-            let mut naive = NaiveCache::new(config);
-            // ~3x capacity of distinct lines, so sets keep evicting, plus
-            // an occasional far outlier.
+        let direct_mapped = CacheConfig {
+            size_bytes: 4096,
+            line_bytes: 64,
+            ways: 1,
+        };
+        for config in [
+            CacheConfig::L1,
+            sixteen_way,
+            CacheConfig::LLC,
+            direct_mapped,
+        ] {
+            let line_bytes = config.line_bytes as u64;
+            // ~3x capacity of distinct lines, so sets keep evicting.
             let span = 3 * (config.size_bytes / config.line_bytes) as u64;
+            // Uniform lines with an occasional far outlier, then the
+            // run-heavy stream: repeats hit way 0, sequential walks cross
+            // sets, and evictions still come from the wide span.
             let mut x: u64 = 0x9E37_79B9;
-            for i in 0..60_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                let line = if i % 97 == 0 { x % (1 << 40) } else { x % span };
-                let addr = line * config.line_bytes as u64 + x % config.line_bytes as u64;
-                assert_eq!(
-                    fast.access(addr),
-                    naive.access(addr),
-                    "divergence at access {i} ({}-way)",
-                    config.ways
-                );
+            let uniform: Vec<u64> = (0..60_000u64)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let line = if i % 97 == 0 { x % (1 << 40) } else { x % span };
+                    line * line_bytes + x % line_bytes
+                })
+                .collect();
+            let runs: Vec<u64> = run_heavy(0x5EED_CAFE, span, 60_000)
+                .iter()
+                .enumerate()
+                .map(|(i, &line)| line * line_bytes + (i as u64 * 13) % line_bytes)
+                .collect();
+            for (name, stream) in [("uniform", uniform), ("run-heavy", runs)] {
+                let mut fast = Cache::new(config);
+                let mut naive = NaiveCache::new(config);
+                for (i, &addr) in stream.iter().enumerate() {
+                    assert_eq!(
+                        fast.access(addr),
+                        naive.access(addr),
+                        "{name}: divergence at access {i} ({}-way)",
+                        config.ways
+                    );
+                }
+                assert_eq!(fast.stats(), naive.stats);
+                assert!(naive.stats.misses > 0 && naive.stats.misses < naive.stats.accesses);
             }
-            assert_eq!(fast.stats(), naive.stats);
-            assert!(naive.stats.misses > 0 && naive.stats.misses < naive.stats.accesses);
         }
     }
 

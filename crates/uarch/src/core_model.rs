@@ -108,11 +108,13 @@ impl CoreModel {
         self.huge_ranges.sort_unstable();
     }
 
+    #[inline]
     fn is_huge(&self, addr: u64) -> bool {
         self.huge_ranges.iter().any(|&(s, e)| addr >= s && addr < e)
     }
 
     /// Adds `n` executed instructions at `base_cycles` total.
+    #[inline]
     pub fn retire(&mut self, n: u64, base_cycles: u64) {
         self.instructions += n;
         self.cycles += base_cycles;
@@ -120,6 +122,7 @@ impl CoreModel {
 
     /// Fetches `len` code bytes at `addr`, adding I-TLB and I-cache miss
     /// penalties to the cycle total.
+    #[inline]
     pub fn fetch(&mut self, addr: u64, len: u32) {
         let tlb = match self.itlb.access(addr, self.is_huge(addr)) {
             TlbLevel::L1 => 0,
@@ -132,16 +135,19 @@ impl CoreModel {
 
     /// Loads `len` data bytes at `addr`, adding D-TLB and D-cache miss
     /// penalties to the cycle total.
+    #[inline]
     pub fn load(&mut self, addr: u64, len: u32) {
         self.data_access(addr, len);
     }
 
     /// Stores `len` data bytes at `addr`: write-allocate, so the same path
     /// and penalties as [`CoreModel::load`].
+    #[inline]
     pub fn store(&mut self, addr: u64, len: u32) {
         self.data_access(addr, len);
     }
 
+    #[inline]
     fn data_access(&mut self, addr: u64, len: u32) {
         let tlb = if self.dtlb.access(addr) {
             0
@@ -155,6 +161,7 @@ impl CoreModel {
     /// Resolves a conditional branch at `pc` (with the *emitted* polarity:
     /// `taken` means the fetch actually redirects), adding the mispredict
     /// and taken-redirect penalties to the cycle total.
+    #[inline]
     pub fn branch(&mut self, pc: u64, taken: bool) {
         if !self.bp.branch(pc, taken) {
             self.cycles += self.params.mispredict_penalty;
@@ -200,14 +207,15 @@ impl CoreModel {
 
 /// Touches every line of `l1` that `[addr, addr + len)` spans, filling
 /// misses from `llc`; returns the miss penalty cycles.
+#[inline]
 fn walk_lines(l1: &mut Cache, llc: &mut Cache, p: &CoreParams, addr: u64, len: u32) -> u64 {
-    let line = l1.config().line_bytes as u64;
-    let first = addr / line;
-    let last = (addr + len.max(1) as u64 - 1) / line;
+    let shift = l1.line_shift();
+    let first = addr >> shift;
+    let last = (addr + len.max(1) as u64 - 1) >> shift;
     let mut added = 0;
     for l in first..=last {
-        if !l1.access(l * line) {
-            added += if llc.access(l * line) {
+        if !l1.access(l << shift) {
+            added += if llc.access(l << shift) {
                 p.llc_hit_penalty
             } else {
                 p.mem_penalty
@@ -226,6 +234,172 @@ impl Default for CoreModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::branch::tests::TickBranchPredictor;
+    use crate::cache::tests::NaiveCache;
+    use crate::streams::run_heavy;
+    use crate::tlb::tests::NaiveTlb;
+
+    /// `CoreModel` rebuilt from the test-module references: tick-stamped
+    /// caches, TLBs and BTB with `min_by_key` eviction, lines and pages cut
+    /// by division, and the second-level I-TLB as a linear-scan TLB over
+    /// `(page, size class)` keys.
+    struct ReferenceCore {
+        params: CoreParams,
+        l1i: NaiveCache,
+        l1d: NaiveCache,
+        llc: NaiveCache,
+        itlb_small: NaiveTlb,
+        itlb_huge: NaiveTlb,
+        itlb_l2: NaiveTlb,
+        dtlb: NaiveTlb,
+        bp: TickBranchPredictor,
+        huge: Vec<(u64, u64)>,
+        instructions: u64,
+        cycles: u64,
+    }
+
+    impl ReferenceCore {
+        fn new(params: CoreParams) -> Self {
+            Self {
+                params,
+                l1i: NaiveCache::new(CacheConfig::L1),
+                l1d: NaiveCache::new(CacheConfig::L1),
+                llc: NaiveCache::new(CacheConfig::LLC),
+                itlb_small: NaiveTlb::new(params.itlb_entries, 4096),
+                itlb_huge: NaiveTlb::new(params.itlb_huge_entries, 2 << 20),
+                itlb_l2: NaiveTlb::new(params.itlb_l2_entries, 1),
+                dtlb: NaiveTlb::new(params.dtlb_entries, 4096),
+                bp: TickBranchPredictor::new(12, 8),
+                huge: Vec::new(),
+                instructions: 0,
+                cycles: 0,
+            }
+        }
+
+        fn lines(&mut self, code: bool, addr: u64, len: u32) -> u64 {
+            let l1 = if code { &mut self.l1i } else { &mut self.l1d };
+            let mut added = 0;
+            for l in addr / 64..=(addr + len.max(1) as u64 - 1) / 64 {
+                if !l1.access(l * 64) {
+                    added += if self.llc.access(l * 64) {
+                        self.params.llc_hit_penalty
+                    } else {
+                        self.params.mem_penalty
+                    };
+                }
+            }
+            added
+        }
+
+        fn fetch(&mut self, addr: u64, len: u32) {
+            let huge = self.huge.iter().any(|&(s, e)| addr >= s && addr < e);
+            let (l1, page) = if huge {
+                (&mut self.itlb_huge, 2 << 20)
+            } else {
+                (&mut self.itlb_small, 4096)
+            };
+            let tlb = if l1.access(addr) {
+                0
+            } else if self.itlb_l2.access((addr / page) << 1 | huge as u64) {
+                self.params.tlb_l2_penalty
+            } else {
+                self.params.tlb_penalty
+            };
+            self.cycles += tlb + self.lines(true, addr, len);
+        }
+
+        fn data(&mut self, addr: u64, len: u32) {
+            let tlb = if self.dtlb.access(addr) {
+                0
+            } else {
+                self.params.tlb_penalty
+            };
+            self.cycles += tlb + self.lines(false, addr, len);
+        }
+
+        fn branch(&mut self, pc: u64, taken: bool) {
+            if !self.bp.branch(pc, taken) {
+                self.cycles += self.params.mispredict_penalty;
+            }
+            if taken {
+                self.cycles += self.params.taken_penalty;
+            }
+        }
+
+        fn report(&self) -> MissReport {
+            MissReport {
+                branch: self.bp.stats,
+                icache: self.l1i.stats,
+                itlb: self.itlb_small.stats + self.itlb_huge.stats,
+                itlb_l2: self.itlb_l2.stats,
+                dcache: self.l1d.stats,
+                dtlb: self.dtlb.stats,
+                llc: self.llc.stats,
+                instructions: self.instructions,
+                cycles: self.cycles,
+            }
+        }
+    }
+
+    #[test]
+    fn core_model_matches_tick_lru_reference() {
+        // 4 MiB of small-page code (starting mid-page, so 1 025 pages)
+        // plus 2 MiB of huge-mapped hot text: more I-TLB keys than the
+        // 1 024-entry second level holds, and a 16 MiB data footprint
+        // against the 2 MiB LLC. Code lines come in runs (loop bodies
+        // re-fetched back to back), data is uniform with short repeats.
+        const CODE: u64 = 0x40_0800;
+        const HOT: u64 = 0x200_0000;
+        const DATA: u64 = 0x1000_0000;
+        let lines = run_heavy(0xC0DE_5EED, (4 << 20) / 64, 150_000);
+        let mut fast = CoreModel::default();
+        let mut reference = ReferenceCore::new(CoreParams::default());
+        fast.map_huge_range(HOT, 2 << 20);
+        reference.huge.push((HOT, HOT + (2 << 20)));
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        let mut data = DATA;
+        for (i, &line) in lines.iter().enumerate() {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let pc = if x >> 62 == 0 {
+                HOT + ((x >> 20) & 0x1F_FFC0)
+            } else {
+                CODE + line * 64 + (x >> 40) % 32
+            };
+            let len = 1 + (x >> 10) as u32 % 96;
+            fast.fetch(pc, len);
+            reference.fetch(pc, len);
+            if !x.is_multiple_of(4) {
+                data = DATA + ((x >> 33) & 0xFF_FFF8);
+            }
+            let width = [8, 16, 64][(x >> 5) as usize % 3];
+            if x & 8 == 0 {
+                fast.load(data, width);
+            } else {
+                fast.store(data, width);
+            }
+            reference.data(data, width);
+            // One branch per code line, so repeated lines repeat a site.
+            let site = pc | 60;
+            let taken = !(x >> 3).is_multiple_of(3);
+            fast.branch(site, taken);
+            reference.branch(site, taken);
+            fast.retire(len as u64 / 4 + 1, len as u64 / 2 + 1);
+            reference.instructions += len as u64 / 4 + 1;
+            reference.cycles += len as u64 / 2 + 1;
+            if i % 10_000 == 0 {
+                assert_eq!(fast.report(), reference.report(), "at step {i}");
+            }
+        }
+        let r = reference.report();
+        assert_eq!(fast.report(), r);
+        // Evictions everywhere: more LLC misses than the LLC has lines,
+        // and more page walks than distinct second-level keys.
+        assert!(r.llc.misses > 32_768, "{:?}", r.llc);
+        assert!(r.itlb_l2.misses > 1_026, "{:?}", r.itlb_l2);
+        assert!(r.branch.misses > 0 && r.dtlb.misses > 0);
+    }
 
     #[test]
     fn compact_code_fetches_cheaper_than_scattered() {

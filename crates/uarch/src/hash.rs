@@ -1,13 +1,13 @@
 //! A multiplicative hasher for address-keyed maps.
 //!
-//! The replay looks up simulated addresses (pages, branch sites, stub
-//! addresses) hundreds of times per request. Those keys are not chosen by
+//! The replay looks up simulated addresses (TLB pages, interpreter branch
+//! sites) hundreds of times per request. Those keys are not chosen by
 //! an adversary, so SipHash's flooding resistance buys nothing there and
 //! costs most of each lookup. One multiply by an odd constant mixes the key
 //! into the high bits; `finish` rotates them down, because the table picks
 //! buckets with the low bits.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Odd multiplier with well-spread bits (the golden-ratio constant).
@@ -47,9 +47,6 @@ impl Hasher for AddrHasher {
 
 /// `HashMap` keyed by simulated addresses, hashed with [`AddrHasher`].
 pub type AddrMap<V> = HashMap<u64, V, BuildHasherDefault<AddrHasher>>;
-
-/// `HashSet` of simulated addresses, hashed with [`AddrHasher`].
-pub type AddrSet = HashSet<u64, BuildHasherDefault<AddrHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -11,7 +11,8 @@
 //! Both are built on [`LruIndex`]: an [`AddrMap`] from key to slot plus an
 //! intrusive doubly-linked LRU list over the slots, so lookup and eviction
 //! are O(1) regardless of entry count and large second-level TLBs do not
-//! make replay quadratic. Fill and eviction order exactly match the old
+//! make replay quadratic; a key that already is the most recently used one
+//! returns before any hashing. Fill and eviction order exactly match the old
 //! linear-scan + `min_by_key` implementation (empty slots claimed in index
 //! order, then true LRU), which the parity test below pins down.
 
@@ -76,8 +77,18 @@ impl LruIndex {
     }
 
     /// Looks up `key`, marking it most-recently-used; on miss, inserts it
-    /// (evicting the LRU key if full). Returns `true` on hit.
+    /// (evicting the LRU key if full). Returns `true` on hit. A key that
+    /// already is the most recently used returns before any hashing.
+    #[inline]
     fn touch(&mut self, key: u64) -> bool {
+        if self.tail != NIL && self.key_of[self.tail] == key {
+            return true;
+        }
+        self.touch_slow(key)
+    }
+
+    /// The hashing rest of [`LruIndex::touch`].
+    fn touch_slow(&mut self, key: u64) -> bool {
         if let Some(&slot) = self.slot_of.get(&key) {
             if self.tail != slot {
                 self.unlink(slot);
@@ -131,6 +142,7 @@ impl Tlb {
     }
 
     /// Translates one address; returns `true` on hit.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> bool {
         self.stats.accesses += 1;
         let hit = self.index.touch(addr >> self.page_shift);
@@ -210,6 +222,7 @@ impl TlbHierarchy {
     }
 
     /// Translates `addr`, which lives on a huge page iff `huge`.
+    #[inline]
     pub fn access(&mut self, addr: u64, huge: bool) -> TlbLevel {
         let l1 = if huge {
             &mut self.l1_huge
@@ -257,8 +270,9 @@ impl TlbHierarchy {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::streams::run_heavy;
 
     /// Broadwell-like I-TLB: 64×4 KiB + 8×2 MiB first level, 1024-entry
     /// shared second level (the geometry `CoreParams::default` builds).
@@ -300,15 +314,15 @@ mod tests {
     /// The old O(entries) implementation: linear scan + `min_by_key`
     /// eviction over (page, last-use-tick) pairs. Kept as the behavioral
     /// reference for the indexed version.
-    struct NaiveTlb {
+    pub(crate) struct NaiveTlb {
         entries: Vec<(u64, u64)>,
         page_bytes: u64,
         tick: u64,
-        stats: AccessStats,
+        pub(crate) stats: AccessStats,
     }
 
     impl NaiveTlb {
-        fn new(entries: u32, page_bytes: u64) -> Self {
+        pub(crate) fn new(entries: u32, page_bytes: u64) -> Self {
             Self {
                 entries: vec![(u64::MAX, 0); entries as usize],
                 page_bytes,
@@ -317,7 +331,7 @@ mod tests {
             }
         }
 
-        fn access(&mut self, addr: u64) -> bool {
+        pub(crate) fn access(&mut self, addr: u64) -> bool {
             self.tick += 1;
             self.stats.accesses += 1;
             let page = addr / self.page_bytes;
@@ -338,27 +352,40 @@ mod tests {
 
     #[test]
     fn indexed_tlb_matches_naive_reference_access_for_access() {
-        // Pseudo-random but deterministic address stream with enough page
-        // reuse to exercise hits, refills, and repeated evictions.
+        // Pseudo-random but deterministic address streams with enough page
+        // reuse to exercise hits, refills, and repeated evictions: uniform
+        // pages, then runs that repeat one page back to back (the MRU fast
+        // path) and walk consecutive pages.
         for entries in [1u32, 2, 3, 8, 64] {
-            let mut fast = Tlb::new(entries, 4096);
-            let mut naive = NaiveTlb::new(entries, 4096);
+            // ~3x entries distinct pages; occasional far outlier.
+            let span = entries as u64 * 3 + 1;
             let mut x: u64 = 0x9E37_79B9;
-            for i in 0..20_000u64 {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                // ~3x entries distinct pages; occasional far outlier.
-                let span = entries as u64 * 3 + 1;
-                let page = if i % 97 == 0 { x % 10_000 } else { x % span };
-                let addr = page * 4096 + (x % 4096);
-                assert_eq!(
-                    fast.access(addr),
-                    naive.access(addr),
-                    "divergence at access {i} (entries {entries})"
-                );
+            let uniform: Vec<u64> = (0..20_000u64)
+                .map(|i| {
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let page = if i % 97 == 0 { x % 10_000 } else { x % span };
+                    page * 4096 + (x % 4096)
+                })
+                .collect();
+            let runs: Vec<u64> = run_heavy(0x7AB1_E5EED, span, 20_000)
+                .iter()
+                .enumerate()
+                .map(|(i, &page)| page * 4096 + (i as u64 * 97) % 4096)
+                .collect();
+            for (name, stream) in [("uniform", uniform), ("run-heavy", runs)] {
+                let mut fast = Tlb::new(entries, 4096);
+                let mut naive = NaiveTlb::new(entries, 4096);
+                for (i, &addr) in stream.iter().enumerate() {
+                    assert_eq!(
+                        fast.access(addr),
+                        naive.access(addr),
+                        "{name}: divergence at access {i} (entries {entries})"
+                    );
+                }
+                assert_eq!(fast.stats(), naive.stats);
             }
-            assert_eq!(fast.stats(), naive.stats);
         }
     }
 
