@@ -10,8 +10,9 @@
 //!
 //! Usage:
 //!   jsfleet              paper-scale run, writes BENCH_fleet.json
-//!   jsfleet --check      CI smoke: small fleet twice (1 shard vs 2),
-//!                        asserts the reports are bit-identical, the
+//!   jsfleet --check      CI smoke: small fleet on 1, 2 and 3 shards (3
+//!                        leaves a ragged last seeding window), asserts
+//!                        the reports are bit-identical, the
 //!                        digest equals its pinned value and the counters
 //!                        are sane. Writes nothing. Exits nonzero on any
 //!                        violation.
@@ -211,27 +212,32 @@ fn check() {
     let t1 = Instant::now();
     let two = run_deployment(&app, &small_fleet(2));
     let wall_two = t1.elapsed().as_secs_f64() * 1e3;
+    // 4 seeding jobs on 3 shards: one full window and one of a single job.
+    let three = run_deployment(&app, &small_fleet(3));
 
-    assert_eq!(
-        one.digest(),
-        two.digest(),
-        "digest must not depend on shard count"
-    );
     assert_eq!(
         one.digest(),
         CHECK_DIGEST,
         "the small fleet's digest moved: 0x{:08x}, pinned 0x{CHECK_DIGEST:08x}",
         one.digest(),
     );
-    assert_eq!(
-        one.stats, two.stats,
-        "per-server stats must not depend on shard count"
-    );
-    assert_eq!(
-        one.fleet_aggregate(),
-        two.fleet_aggregate(),
-        "aggregates must not depend on shard count"
-    );
+    for many in [&two, &three] {
+        let shards = many.sim.shards;
+        assert_eq!(
+            many.digest(),
+            CHECK_DIGEST,
+            "digest must not depend on shard count ({shards} shards)"
+        );
+        assert_eq!(
+            one.stats, many.stats,
+            "per-server stats must not depend on shard count ({shards} shards)"
+        );
+        assert_eq!(
+            one.fleet_aggregate(),
+            many.fleet_aggregate(),
+            "aggregates must not depend on shard count ({shards} shards)"
+        );
+    }
     assert!(one.published > 0, "seeding must publish packages");
     assert!(one.sim.requests > 0.0, "fleet must serve requests");
     assert!(

@@ -1,16 +1,30 @@
 //! The continuous-deployment pipeline at paper scale: C1 → C2 (seeders) →
 //! C3 (consumers), per §II-C and §IV-A.
 //!
-//! Two-level orchestration:
+//! Every stage is a map over independent jobs, spread over
+//! [`FleetShape::shards`] threads. What a job computes is fixed by the
+//! deployment seed and the job's own key, never by the thread it runs
+//! on or what runs beside it, so the report is bit-identical for any
+//! shard count (proved by `tests/event_equivalence.rs`):
 //!
-//! 1. **Per-cell work, once.** For each (region, bucket) cell the C2
-//!    seeders profile, validate and publish (with [`FaultPlan`] rolls for
-//!    crashed or undersampled seeders), then the cell's consumer-side
-//!    inputs are prepared a single time: the request mix, the measured
-//!    [`AppModel`], the peak request cost, and every published package
-//!    decoded once. All of it is shared read-only with every server in
-//!    the cell — 2000 consumers cost one deserialization, not 2000.
-//! 2. **Fan-out over shards.** Every server (Jump-Start consumers and
+//! 1. **C2 seeding, a bounded window at a time.** Each (region, bucket,
+//!    seeder) job rolls its [`FaultPlan`] faults (a crashed or an
+//!    undersampled seeder), profiles its cell's traffic, builds a package
+//!    and validates it. Up to `shards` jobs run at once, as in the paper,
+//!    where every cell has its own seeder machines. After each window the
+//!    orchestrator publishes the validated packages, or counts each
+//!    failure, strictly in (region, bucket, seeder) order. Package ids,
+//!    chunk dedup and every cell's package order are therefore those of
+//!    a one-at-a-time run, and at most `shards` unpublished packages are
+//!    alive. A prior release is seeded the same way into a shadow store.
+//! 2. **Per-cell inputs, once, a window of cells at a time.** Each
+//!    (region, bucket) cell's consumer-side inputs are prepared a single
+//!    time: the request mix, the measured [`AppModel`], every published
+//!    package decoded once and priced on the wire. The orchestrator then
+//!    builds each cell's [`ServerPlan`] beside them. All of it is shared
+//!    read-only with every server in the cell — 2000 consumers cost one
+//!    deserialization, not 2000.
+//! 3. **Fan-out over shards.** Every server (Jump-Start consumers and
 //!    no-Jump-Start baselines) becomes a [`Slot`] whose randomized
 //!    decisions — restart stagger, boot-time jitter, degraded-host roll,
 //!    package pick — are drawn up front from a per-server RNG stream
@@ -26,10 +40,14 @@
 //!    cell, and each shard clears that memo when it moves to the next
 //!    cell: it never holds more than one cell's distinct series (a few
 //!    dozen at bench scale).
-//!    The orchestrator only folds — merges the accumulators, orders the
-//!    stats by gid, sums. Because shards consume no randomness and share
-//!    no mutable state, the report is bit-identical for any shard count
-//!    (proved by `tests/event_equivalence.rs`).
+//! 4. **Fold.** The orchestrator merges the accumulators, orders the
+//!    stats by gid and sums. Shards consume no randomness and share no
+//!    mutable state, so nothing here depends on the shard count.
+//!
+//! Each stage is a telemetry span on the orchestrator's track:
+//! `c2-seeding` (one `publish` per package), `cell-prep`, `c3-fanout`
+//! and `fold`, inside `deployment`. A job on another thread opens its
+//! `seeder` or `cell-prep` span on that thread's track.
 //!
 //! Memory stays flat at scale: one server's state is live per shard at a
 //! time, and only each cell's representative servers keep their timeline
@@ -75,8 +93,10 @@ pub struct FleetShape {
     /// Servers per cell (of each kind) that keep a full timeline and a
     /// Chrome-trace track; the rest are compact stats only.
     pub representatives_per_cell: u32,
-    /// OS threads the fleet is sharded across. Results are bit-identical
-    /// for any value; this only changes wall time.
+    /// OS threads the deployment runs on: up to this many C2 seeders and
+    /// cell preparations at a time, then the fleet's servers sharded
+    /// across this many. Results are bit-identical for any value; this
+    /// only changes wall time.
     pub shards: u32,
     /// Restarts are staggered uniformly over this window (ms of fleet
     /// time), like a real rolling push. Timelines are in each server's
@@ -597,61 +617,183 @@ struct SeedOutcome {
     publish_bytes_new: u64,
 }
 
+/// Runs `work` over `jobs` in windows of at most `width`. A window's jobs
+/// run at once, on scoped threads and the calling thread (which takes
+/// the last job), and `sink` receives their results in job order before
+/// the next window starts — so at most `width` results are alive, and
+/// whatever `sink` does happens in job order for any `width`.
+fn map_windows<J: Sync, R: Send>(
+    jobs: &[J],
+    width: usize,
+    work: impl Fn(&J) -> R + Sync,
+    mut sink: impl FnMut(R),
+) {
+    let work = &work;
+    for window in jobs.chunks(width.max(1)) {
+        let (last, spawned) = window.split_last().expect("windows are non-empty");
+        let results: Vec<R> = std::thread::scope(|scope| {
+            let handles: Vec<_> = spawned
+                .iter()
+                .map(|job| scope.spawn(move || work(job)))
+                .collect();
+            let last = work(last);
+            let mut results: Vec<R> = handles
+                .into_iter()
+                .map(|h| h.join().expect("window thread"))
+                .collect();
+            results.push(last);
+            results
+        });
+        results.into_iter().for_each(&mut sink);
+    }
+}
+
+/// Every (region, bucket) cell of the grid, in region-major order.
+fn cell_ids(params: &DeployParams) -> Vec<(u32, u32)> {
+    (0..params.regions)
+        .flat_map(|r| (0..params.buckets).map(move |b| (r, b)))
+        .collect()
+}
+
+/// Why a C2 seeder published nothing.
+enum SeederFailure {
+    /// Died mid-profile: nothing reached validation.
+    Crashed,
+    /// Its package failed validation.
+    Rejected,
+}
+
+/// One C2 seeder: the fault rolls, then profile, build and validate,
+/// ending in a package to publish. The RNG stream is keyed only by the
+/// deployment seed and (region, bucket, seeder), so the outcome does not
+/// depend on where or when it runs.
+fn run_seeder(
+    app: &App,
+    params: &DeployParams,
+    validator: &Validator,
+    (region, bucket, s): (u32, u32, u32),
+) -> Result<ProfilePackage, SeederFailure> {
+    let _span = telemetry::span!("seeder", "region" => region, "bucket" => bucket, "seeder" => s);
+    let seed = params.seed ^ (region as u64) << 32 ^ (bucket as u64) << 16 ^ s as u64;
+    let mut frng = SmallRng::seed_from_u64(seed ^ 0xfa17);
+    if FaultPlan::roll(&mut frng, params.faults.seeder_crash_per_mille) {
+        return Err(SeederFailure::Crashed);
+    }
+    let requests = if FaultPlan::roll(&mut frng, params.faults.undersample_per_mille) {
+        // Drained cell (§VI-B): almost no traffic to profile.
+        params.seeder_requests.min(2)
+    } else {
+        params.seeder_requests
+    };
+    let mix = RequestMix::new(app, region as usize, bucket as usize);
+    let profile_span = telemetry::span!("seed-profile", "requests" => requests);
+    let run = workload::profile_run(app, &mix, requests, seed);
+    drop(profile_span);
+    let pkg = build_package(
+        SeederInputs {
+            repo: &app.repo,
+            tier: run.tier,
+            ctx: run.ctx,
+            unit_order: run.unit_order,
+            requests: run.requests,
+            region,
+            bucket,
+            seeder_id: seed,
+            now_ms: 0,
+        },
+        &params.js_opts,
+        &params.jit_opts,
+    );
+    match validator.validate_package(&app.repo, &pkg, 0) {
+        Ok(_) => Ok(pkg),
+        Err(_) => Err(SeederFailure::Rejected),
+    }
+}
+
 /// C2: every cell's seeders profile their traffic, validate, and publish
-/// chunked into `store`. The per-seeder RNG stream is keyed only by the
-/// deployment seed and (region, bucket, seeder), so seeding the previous
-/// release with the same params replays the same seeder fleet against the
-/// old code — which is exactly the chunk cache a consumer holds.
+/// chunked into `store`. Seeders run a window of up to `shards` at a
+/// time; the orchestrator publishes each window's packages in (region,
+/// bucket, seeder) order, so package ids, chunk dedup and every cell's
+/// package order match a one-at-a-time run. Seeding the previous release
+/// with the same params replays the same seeder fleet against the old
+/// code — which is exactly the chunk cache a consumer holds.
 fn seed_store(app: &App, params: &DeployParams, store: &PackageStore) -> SeedOutcome {
     let _seed_span = telemetry::span!("c2-seeding", "cells" => params.cells() as u64);
     let validator = Validator::new(params.js_opts, params.jit_opts);
+    let jobs: Vec<(u32, u32, u32)> = cell_ids(params)
+        .into_iter()
+        .flat_map(|(r, b)| (0..params.seeders_per_cell).map(move |s| (r, b, s)))
+        .collect();
     let mut out = SeedOutcome::default();
-    for region in 0..params.regions {
-        for bucket in 0..params.buckets {
-            let mix = RequestMix::new(app, region as usize, bucket as usize);
-            for s in 0..params.seeders_per_cell {
-                let seed = params.seed ^ (region as u64) << 32 ^ (bucket as u64) << 16 ^ s as u64;
-                let mut frng = SmallRng::seed_from_u64(seed ^ 0xfa17);
-                if FaultPlan::roll(&mut frng, params.faults.seeder_crash_per_mille) {
-                    // Died mid-profile: nothing reaches validation.
-                    out.seeder_crashes += 1;
-                    continue;
-                }
-                let requests = if FaultPlan::roll(&mut frng, params.faults.undersample_per_mille) {
-                    // Drained cell (§VI-B): almost no traffic to profile.
-                    params.seeder_requests.min(2)
-                } else {
-                    params.seeder_requests
-                };
-                let run = workload::profile_run(app, &mix, requests, seed);
-                let pkg = build_package(
-                    SeederInputs {
-                        repo: &app.repo,
-                        tier: run.tier,
-                        ctx: run.ctx,
-                        unit_order: run.unit_order,
-                        requests: run.requests,
-                        region,
-                        bucket,
-                        seeder_id: seed,
-                        now_ms: 0,
-                    },
-                    &params.js_opts,
-                    &params.jit_opts,
-                );
-                match validator.validate_package(&app.repo, &pkg, 0) {
-                    Ok(_) => {
-                        let (_, receipt) = store.publish_chunked(&pkg, app.repo.funcs().len());
-                        out.publish_bytes_total += receipt.bytes_total;
-                        out.publish_bytes_new += receipt.bytes_new;
-                        out.published += 1;
-                    }
-                    Err(_) => out.validation_failures += 1,
-                }
+    map_windows(
+        &jobs,
+        params.fleet.shards as usize,
+        |&job| run_seeder(app, params, &validator, job),
+        |seeded| match seeded {
+            Err(SeederFailure::Crashed) => out.seeder_crashes += 1,
+            Err(SeederFailure::Rejected) => out.validation_failures += 1,
+            Ok(pkg) => {
+                let _span = telemetry::span!("publish", "seeder" => pkg.meta.seeder_id);
+                let (_, receipt) = store.publish_chunked(&pkg, app.repo.funcs().len());
+                out.publish_bytes_total += receipt.bytes_total;
+                out.publish_bytes_new += receipt.bytes_new;
+                out.published += 1;
             }
-        }
-    }
+        },
+    );
     out
+}
+
+/// One cell's consumer-side inputs: its request mix, the [`AppModel`]
+/// measured on that mix, its published packages decoded once, and their
+/// wire pricing against `prior_store`'s chunk pool for the cell.
+fn prepare_cell(
+    app: &App,
+    params: &DeployParams,
+    store: &PackageStore,
+    prior_store: Option<&PackageStore>,
+    (region, bucket): (u32, u32),
+) -> CellData {
+    let _span = telemetry::span!("cell-prep", "region" => region, "bucket" => bucket);
+    let mix = RequestMix::new(app, region as usize, bucket as usize);
+    // The consumer's model is measured on its own cell's traffic.
+    let truth_span = telemetry::span!("truth-profile", "requests" => params.seeder_requests);
+    let truth = workload::profile_run(app, &mix, params.seeder_requests, params.seed ^ 0xdead);
+    drop(truth_span);
+    let model_span = telemetry::span!("app-model");
+    let model = build_app_model(app, &truth);
+    drop(model_span);
+    let stored = store.cell_packages(region, bucket);
+    // Zero-copy: section tables alias the stored buffers.
+    let packages: Vec<ProfilePackage> = stored
+        .iter()
+        .map(|p| ProfilePackage::deserialize_shared(&p.bytes).expect("validated"))
+        .collect();
+    let wire = if params.distribution.enabled {
+        let cache = prior_store.map_or_else(ChunkPool::new, |s| s.cell_pool(region, bucket));
+        stored
+            .iter()
+            .map(|p| {
+                package_wire(
+                    p.manifest.as_deref(),
+                    p.bytes.len() as u64,
+                    &cache,
+                    params.warmup.early_serve_frac,
+                    &params.distribution,
+                )
+            })
+            .collect()
+    } else {
+        vec![PackageWire::default(); stored.len()]
+    };
+    CellData {
+        region,
+        bucket,
+        mix,
+        model,
+        packages,
+        wire,
+    }
 }
 
 /// Runs one deployment: C2 seeders profile their cell's traffic, validate
@@ -678,6 +820,7 @@ pub fn run_deployment_with_prior(
         "buckets" => params.buckets,
         "shards" => params.fleet.shards,
     );
+    let shards = params.fleet.shards.max(1) as usize;
     let store = PackageStore::new();
     let seeded = seed_store(app, params, &store);
 
@@ -688,50 +831,14 @@ pub fn run_deployment_with_prior(
         shadow
     });
 
-    // --- Per-cell consumer inputs, prepared once ---
+    // --- Per-cell consumer inputs, prepared once, a window of cells at a time ---
     let mut cells: Vec<CellData> = Vec::with_capacity(params.cells());
-    for region in 0..params.regions {
-        for bucket in 0..params.buckets {
-            let mix = RequestMix::new(app, region as usize, bucket as usize);
-            // The consumer's model is measured on its own cell's traffic.
-            let truth =
-                workload::profile_run(app, &mix, params.seeder_requests, params.seed ^ 0xdead);
-            let model = build_app_model(app, &truth);
-            let stored = store.cell_packages(region, bucket);
-            // Zero-copy: section tables alias the stored buffers.
-            let packages: Vec<ProfilePackage> = stored
-                .iter()
-                .map(|p| ProfilePackage::deserialize_shared(&p.bytes).expect("validated"))
-                .collect();
-            let wire = if params.distribution.enabled {
-                let cache = prior_store
-                    .as_ref()
-                    .map_or_else(ChunkPool::new, |s| s.cell_pool(region, bucket));
-                stored
-                    .iter()
-                    .map(|p| {
-                        package_wire(
-                            p.manifest.as_deref(),
-                            p.bytes.len() as u64,
-                            &cache,
-                            params.warmup.early_serve_frac,
-                            &params.distribution,
-                        )
-                    })
-                    .collect()
-            } else {
-                vec![PackageWire::default(); stored.len()]
-            };
-            cells.push(CellData {
-                region,
-                bucket,
-                mix,
-                model,
-                packages,
-                wire,
-            });
-        }
-    }
+    map_windows(
+        &cell_ids(params),
+        shards,
+        |&cell| prepare_cell(app, params, &store, prior_store.as_ref(), cell),
+        |data| cells.push(data),
+    );
 
     // Each cell's server plan: the peak request cost, the flat call
     // terms, every package's boot prefix and the quiescence watch. Jitter
@@ -813,14 +920,13 @@ pub fn run_deployment_with_prior(
     }
 
     // --- Fan-out: each shard maps `run_server` over its slots and reduces ---
-    let shards = params.fleet.shards.max(1) as usize;
-    let _fan_span = telemetry::span!(
+    let fan_span = telemetry::span!(
         "c3-fanout",
         "servers" => slots.len() as u64,
         "shards" => shards as u64,
     );
     let (slots, cells, plans) = (&slots, &cells, &plans);
-    let run_shard = |shard: usize| {
+    let run_shard = |&shard: &usize| {
         let mut out = ShardResult {
             stats: Vec::new(),
             representatives: Vec::new(),
@@ -868,17 +974,13 @@ pub fn run_deployment_with_prior(
         }
         out
     };
-    let shard_results: Vec<ShardResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| scope.spawn(move || run_shard(shard)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("shard thread"))
-            .collect()
-    });
+    let shard_ids: Vec<usize> = (0..shards).collect();
+    let mut shard_results: Vec<ShardResult> = Vec::with_capacity(shards);
+    map_windows(&shard_ids, shards, run_shard, |r| shard_results.push(r));
+    drop(fan_span);
 
     // --- Fold by gid: shard count leaves no trace in the report ---
+    let _fold_span = telemetry::span!("fold", "shards" => shards as u64);
     let mut all = shard_results
         .into_iter()
         .reduce(|mut all, shard| {
@@ -935,6 +1037,13 @@ mod tests {
     use crate::server::ServerConfig;
     use workload::{generate, AppParams};
 
+    /// Runs a deployment under the tracer's session lock, so no test's
+    /// deployment lands inside another test's `telemetry::capture`.
+    fn deploy(app: &App, prior: Option<&App>, params: &DeployParams) -> DeployReport {
+        let _quiet = telemetry::session_lock();
+        run_deployment_with_prior(app, prior, params)
+    }
+
     fn quick_warmup() -> WarmupParams {
         WarmupParams {
             duration_ms: 300_000,
@@ -969,7 +1078,7 @@ mod tests {
             js_opts: lenient_js_opts(),
             ..Default::default()
         };
-        let report = run_deployment(&app, &params);
+        let report = deploy(&app, None, &params);
         assert_eq!(report.published, 2);
         assert_eq!(report.validation_failures, 0);
         assert_eq!(report.seeder_crashes, 0);
@@ -997,7 +1106,7 @@ mod tests {
             js_opts: lenient_js_opts(),
             ..Default::default()
         };
-        let report = run_deployment(&app, &params);
+        let report = deploy(&app, None, &params);
         // Fleet percentiles over all 8 consumers.
         let agg = report.fleet_aggregate();
         assert_eq!(agg.servers, 8);
@@ -1038,7 +1147,7 @@ mod tests {
             },
             ..Default::default()
         };
-        let report = run_deployment(&app, &params);
+        let report = deploy(&app, None, &params);
         assert_eq!(report.published, 0);
         assert_eq!(report.validation_failures, 1);
     }
@@ -1066,12 +1175,12 @@ mod tests {
                 .with_stagger(10_000),
             ..Default::default()
         };
-        let full = run_deployment_with_prior(
+        let full = deploy(
             &app,
             Some(&prior),
             &base.with_distribution(DistributionParams::full().with_link_mbps(100)),
         );
-        let delta = run_deployment_with_prior(
+        let delta = deploy(
             &app,
             Some(&prior),
             &base.with_distribution(DistributionParams::chunked().with_link_mbps(100)),
@@ -1109,7 +1218,7 @@ mod tests {
 
         // The distribution plan is computed pre-fan-out: shard count
         // still leaves no trace in the report.
-        let sharded = run_deployment_with_prior(
+        let sharded = deploy(
             &app,
             Some(&prior),
             &base
@@ -1132,7 +1241,7 @@ mod tests {
             .with_seeders(1, 120)
             .with_warmup(quick_warmup())
             .with_fleet(FleetShape::default().with_servers(0, 1));
-        let report = run_deployment(&app, &params);
+        let report = deploy(&app, None, &params);
         assert_eq!(report.sim.servers, 1);
 
         // The same baseline, run directly on the cell's inputs.
@@ -1165,7 +1274,7 @@ mod tests {
                 .with_jitter(100),
             ..Default::default()
         };
-        let report = run_deployment(&app, &params);
+        let report = deploy(&app, None, &params);
         // Every server is in stats; only representatives keep timelines.
         assert_eq!(report.stats.len(), 2 * (12 + 3));
         assert_eq!(report.js_timelines.len(), 4);
@@ -1196,6 +1305,76 @@ mod tests {
             assert_eq!(s.gid as usize, i);
         }
         // The digest is reproducible.
-        assert_eq!(report.digest(), run_deployment(&app, &params).digest());
+        assert_eq!(report.digest(), deploy(&app, None, &params).digest());
+    }
+
+    #[test]
+    fn windows_hand_results_over_in_job_order() {
+        let jobs: Vec<u32> = (0..10).collect();
+        for width in [0, 1, 2, 3, 4, 10, 64] {
+            let mut seen = Vec::new();
+            map_windows(&jobs, width, |&j| j * j, |r| seen.push(r));
+            let squares: Vec<u32> = jobs.iter().map(|j| j * j).collect();
+            assert_eq!(seen, squares, "width {width}");
+        }
+    }
+
+    #[test]
+    fn every_serial_stage_of_a_deployment_is_a_span() {
+        let app_params = AppParams::tiny();
+        let (prior, _) =
+            workload::generate_release(&app_params, &workload::ChurnParams { seed: 3, rate: 0.0 });
+        let (app, _) =
+            workload::generate_release(&app_params, &workload::ChurnParams { seed: 3, rate: 0.1 });
+        let params = DeployParams {
+            regions: 1,
+            buckets: 2,
+            seeders_per_cell: 2,
+            seeder_requests: 120,
+            warmup: quick_warmup(),
+            js_opts: lenient_js_opts(),
+            distribution: DistributionParams::chunked(),
+            fleet: FleetShape::default().with_servers(3, 1).with_shards(2),
+            ..Default::default()
+        };
+        let (report, trace) =
+            telemetry::capture(|| run_deployment_with_prior(&app, Some(&prior), &params));
+        assert_eq!(trace.dropped, 0);
+        assert_eq!(report.published, 4);
+
+        // Every deployment span opens inside `deployment` on the calling
+        // thread, or inside a `seeder` / `cell-prep` job on a window
+        // thread. Counting only those subtrees leaves out spans that
+        // other tests' threads record meanwhile.
+        let mut counts = std::collections::BTreeMap::<String, usize>::new();
+        let mut work: Vec<telemetry::SpanNode> = trace
+            .trees()
+            .expect("well-formed tracks")
+            .into_iter()
+            .flat_map(|(_, roots)| roots)
+            .filter(|r| ["deployment", "seeder", "cell-prep"].contains(&r.name.as_str()))
+            .collect();
+        while let Some(node) = work.pop() {
+            *counts.entry(node.name.clone()).or_default() += 1;
+            work.extend(node.children);
+        }
+        let count = |name: &str| counts.get(name).copied().unwrap_or(0);
+        assert_eq!(count("deployment"), 1);
+        // Both releases: two cells of two seeders each.
+        assert_eq!(count("c2-seeding"), 2);
+        for name in [
+            "seeder",
+            "seed-profile",
+            "seeder-build",
+            "validate",
+            "publish",
+        ] {
+            assert_eq!(count(name), 8, "{name}");
+        }
+        for name in ["cell-prep", "truth-profile", "app-model"] {
+            assert_eq!(count(name), 2, "{name}");
+        }
+        assert_eq!(count("c3-fanout"), 1);
+        assert_eq!(count("fold"), 1);
     }
 }

@@ -18,9 +18,10 @@
 //!   per-second stepper survives as [`simulate_warmup_dense`], the
 //!   equivalence oracle,
 //! * [`capacity_loss_from`] — the area-above-the-curve metric of Fig. 2,
-//! * [`run_deployment`] — the two-level C1/C2/C3 push: per-(region,
-//!   bucket) seeding and one server plan per cell, built once and shared
-//!   read-only, then a map over thousands of independent servers with
+//! * [`run_deployment`] — the C1/C2/C3 push as maps over shard threads:
+//!   every (region, bucket, seeder) seeds in bounded windows published in
+//!   a fixed order, each cell's inputs and server plan are built once and
+//!   shared read-only, then a map over thousands of independent servers with
 //!   per-server RNG streams — each shard thread runs, classifies and
 //!   compacts its servers one at a time, and the orchestrator only folds
 //!   the shards' results,

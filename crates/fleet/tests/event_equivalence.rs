@@ -11,18 +11,22 @@
 //!    its parameters: running the same fleet on 1 thread or many must
 //!    give byte-identical per-server stats, aggregates and digest,
 //!    because all randomness is drawn from per-server streams before the
-//!    fan-out and the fold over shard results is order-independent.
+//!    fan-out and the fold over shard results is order-independent. The
+//!    seeders, which run a window of up to `shards` at a time, are
+//!    published in one fixed order, so seeding counts and publish bytes
+//!    match too.
 
 use std::sync::OnceLock;
 
 use fleet::{
-    build_app_model, run_deployment, run_server, simulate_warmup_dense, AppModel, DeployParams,
-    FaultPlan, FleetShape, ServerConfig, WarmupParams,
+    build_app_model, run_deployment, run_deployment_with_prior, run_server, simulate_warmup_dense,
+    AppModel, DeployParams, DeployReport, DistributionParams, FaultPlan, FleetShape, ServerConfig,
+    WarmupParams,
 };
 use jit::JitOptions;
 use jumpstart::{build_package, JumpStartOptions, ProfilePackage, SeederInputs};
 use proptest::prelude::*;
-use workload::{generate, App, AppParams, RequestMix};
+use workload::{generate, generate_release, App, AppParams, ChurnParams, RequestMix};
 
 struct Fixture {
     app: App,
@@ -154,37 +158,87 @@ fn sharded_deploy_params(shards: u32) -> DeployParams {
         .with_seed(0x5eed)
 }
 
+/// A push against a prior release with chunked distribution, two
+/// seeders per cell, crashed and undersampled seeders: the seeding
+/// windows then publish some packages and drop others, in both releases.
+fn prior_release_deploy(shards: u32) -> DeployReport {
+    static RELEASES: OnceLock<(App, App)> = OnceLock::new();
+    let (prior, current) = RELEASES.get_or_init(|| {
+        let params = AppParams::tiny();
+        let (prior, _) = generate_release(&params, &ChurnParams::none());
+        let (current, _) = generate_release(
+            &params,
+            &ChurnParams {
+                seed: 0x5eed,
+                rate: 0.1,
+            },
+        );
+        (prior, current)
+    });
+    let params = sharded_deploy_params(shards)
+        .with_js_opts(JumpStartOptions {
+            min_funcs_profiled: 5,
+            min_counter_mass: 100,
+            min_requests: 10,
+            ..Default::default()
+        })
+        .with_distribution(DistributionParams::chunked())
+        .with_faults(
+            FaultPlan::default()
+                .with_seeder_crashes(200)
+                .with_undersampling(150)
+                .with_slow_consumers(150, 300),
+        )
+        // At this seed one cell publishes both of its seeders' packages
+        // from one window, so their publish order shows in the report.
+        .with_seed(16);
+    run_deployment_with_prior(current, Some(prior), &params)
+}
+
 #[test]
 fn deployment_is_invariant_under_shard_count() {
     let fx = fixture();
-    let one = run_deployment(&fx.app, &sharded_deploy_params(1));
-    assert_eq!(one.sim.shards, 1);
+    let plain = |shards| run_deployment(&fx.app, &sharded_deploy_params(shards));
+    let cases: [&dyn Fn(u32) -> DeployReport; 2] = [&plain, &prior_release_deploy];
+    let mut seeded = Vec::new();
+    for deploy in cases {
+        let one = deploy(1);
+        assert_eq!(one.sim.shards, 1);
+        seeded.push((one.published, one.validation_failures, one.seeder_crashes));
 
-    // 64 > 24 servers: most of those shards get no slot at all.
-    for shards in [2, 3, 4, 7, 64] {
-        let many = run_deployment(&fx.app, &sharded_deploy_params(shards));
+        // 64 > 24 servers: most of those shards get no slot at all.
+        for shards in [2, 3, 4, 7, 64] {
+            let many = deploy(shards);
 
-        // Same servers, same outcomes, same order — bit for bit.
-        assert_eq!(one.stats, many.stats);
-        assert_eq!(one.published, many.published);
-        assert_eq!(one.seeder_crashes, many.seeder_crashes);
-        assert_eq!(one.js_timelines, many.js_timelines);
-        assert_eq!(one.nojs_timelines, many.nojs_timelines);
-        assert_eq!(one.fleet_aggregate(), many.fleet_aggregate());
-        assert_eq!(one.digest(), many.digest());
+            // Same servers, same outcomes, same order — bit for bit.
+            assert_eq!(one.stats, many.stats);
+            assert_eq!(one.published, many.published);
+            assert_eq!(one.seeder_crashes, many.seeder_crashes);
+            assert_eq!(one.validation_failures, many.validation_failures);
+            // Publish bytes, and the wire price of every package a
+            // consumer picked.
+            assert_eq!(one.distribution, many.distribution);
+            assert_eq!(one.js_timelines, many.js_timelines);
+            assert_eq!(one.nojs_timelines, many.nojs_timelines);
+            assert_eq!(one.fleet_aggregate(), many.fleet_aggregate());
+            assert_eq!(one.digest(), many.digest());
 
-        // The warmup classification report is folded from per-shard
-        // accumulators, so it must be byte-identical however the fleet
-        // was sharded.
-        assert_eq!(one.warmup.to_json(), many.warmup.to_json());
-        assert_eq!(one.warmup.digest(), many.warmup.digest());
+            // The warmup classification report is folded from per-shard
+            // accumulators, so it must be byte-identical however the fleet
+            // was sharded.
+            assert_eq!(one.warmup.to_json(), many.warmup.to_json());
+            assert_eq!(one.warmup.digest(), many.warmup.digest());
 
-        // Shard count is accounting-visible only where it should be.
-        assert_eq!(many.sim.shards, shards);
-        assert_eq!(one.sim.events, many.sim.events);
-        assert_eq!(one.sim.steps_executed, many.sim.steps_executed);
-        assert_eq!(one.sim.requests, many.sim.requests);
+            // Shard count is accounting-visible only where it should be.
+            assert_eq!(many.sim.shards, shards);
+            assert_eq!(one.sim.events, many.sim.events);
+            assert_eq!(one.sim.steps_executed, many.sim.steps_executed);
+            assert_eq!(one.sim.requests, many.sim.requests);
+        }
     }
+    // The prior-release case exercises every seeding outcome.
+    let (published, failures, crashes) = seeded[1];
+    assert!(published > 0 && failures > 0 && crashes > 0, "{seeded:?}");
 }
 
 #[test]

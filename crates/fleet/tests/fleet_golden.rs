@@ -112,7 +112,12 @@ fn chunked_push_against_a_prior_release() {
     );
     assert!(churn.total_edits() > 0, "release must churn");
     let params = base(0.25).with_distribution(DistributionParams::chunked().with_link_mbps(100));
-    let report = run_deployment_with_prior(&current, Some(&prior), &params);
-    assert!(report.distribution.chunks_cached > 0);
-    assert_eq!(digests(&report), (0x5389_7eb8, 0x5e1f_f337));
+    // Three shards seed both releases in windows of three jobs (the last
+    // one ragged): the same literals hold.
+    let sharded = params.with_fleet(params.fleet.with_shards(3));
+    for params in [params, sharded] {
+        let report = run_deployment_with_prior(&current, Some(&prior), &params);
+        assert!(report.distribution.chunks_cached > 0);
+        assert_eq!(digests(&report), (0x5389_7eb8, 0x5e1f_f337));
+    }
 }
