@@ -221,12 +221,15 @@ fn main() {
         }
         // Compile-cost regression floor: translated bytes per CPU-second
         // of translation work (worker busy time, so the figure is
-        // thread-count-invariant). The small lab sustains 38-51 MB per
-        // CPU-second (22 MB while Ext-TSP re-walked whole chains per pair);
-        // the floor sits ~3× below that, to absorb slow or shared CI hosts
+        // thread-count-invariant). On a shared 2-core host, six runs each,
+        // the small lab sustained 28-46 MB per CPU-second (median 37)
+        // while every Vasm block owned its own instruction vector, and
+        // 36-51 MB (median 45) since a unit keeps one instruction arena
+        // (22 MB while Ext-TSP re-walked whole chains per pair). The floor
+        // sits ~3× below the median, to absorb slow or shared CI hosts
         // while still catching a return to per-site re-translation or
         // from-scratch Ext-TSP merging.
-        const MIN_CPU_BYTES_PER_SEC: f64 = 15.0e6;
+        const MIN_CPU_BYTES_PER_SEC: f64 = 16.0e6;
         let busy = thread_boots[0].worker_busy_ns().max(1);
         let cpu_rate = thread_boots[0].compile_bytes as f64 * 1e9 / busy as f64;
         assert!(

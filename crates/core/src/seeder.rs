@@ -10,6 +10,7 @@ use layout::{reorder_props_by_hotness, PropAccess};
 
 use crate::config::{FuncSort, JumpStartOptions, PropReorder};
 use crate::package::{Coverage, PackageMeta, PreloadLists, ProfilePackage};
+use crate::pipeline::TemplateCache;
 
 /// Everything a seeder has gathered by the time it serializes.
 #[derive(Debug)]
@@ -109,6 +110,11 @@ pub fn build_package(
 /// consumer will, then records the call arcs that actually remain after
 /// inlining, weighted by the (context-sensitive) block counts. The C3
 /// order computed from this graph matches the code the fleet will run.
+///
+/// Like the consumer, it translates through a [`TemplateCache`], so each
+/// inlined callee is lowered once and spliced at every site. The cache is
+/// an exact memo: the units, and so the order, equal those of uncached
+/// [`jit::translate_optimized`].
 fn c3_from_optimized_code(
     repo: &Repo,
     candidates: &[bytecode::FuncId],
@@ -130,8 +136,9 @@ fn c3_from_optimized_code(
         candidates.len()
     ];
     let mut arcs: Vec<layout::CallArc> = Vec::new();
+    let templates = TemplateCache::default();
     for (i, &func) in candidates.iter().enumerate() {
-        let unit = jit::translate_optimized(
+        let unit = jit::translate_optimized_with(
             repo,
             func,
             tier,
@@ -139,13 +146,14 @@ fn c3_from_optimized_code(
             jit::WeightSource::Accurate,
             jit_opts.inline,
             &|_, _| None,
+            Some(&templates),
         );
         nodes[i] = layout::FuncNode {
             size: unit.code_size().max(16),
             weight: unit.blocks.iter().map(|b| b.est_weight).sum(),
         };
         for block in &unit.blocks {
-            for instr in &block.instrs {
+            for instr in unit.instrs_of(block) {
                 match *instr {
                     VInstr::CallStatic { callee } => {
                         if let Some(&j) = index_of.get(&callee) {

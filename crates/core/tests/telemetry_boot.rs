@@ -102,13 +102,54 @@ fn traced_parallel_boot_produces_well_formed_worker_trees() {
     assert_eq!(count("emit"), out.compiled_funcs);
 
     // Compile spans live on worker tracks, inside that worker's stream.
-    let worker_compiles: usize = trees
+    let worker_compiles: Vec<&telemetry::SpanNode> = trees
         .iter()
         .filter(|(t, _)| t.name.starts_with("worker "))
         .flat_map(|(_, roots)| roots)
         .filter(|r| r.name == "compile")
-        .count();
-    assert_eq!(worker_compiles, out.compiled_funcs);
+        .collect();
+    assert_eq!(worker_compiles.len(), out.compiled_funcs);
+
+    // Translation's two child spans sit directly under a unit's
+    // `translate-optimized` span: one weight pass per unit, and one
+    // template build per cache miss (lowering and splicing are the
+    // parent's self time). Counted under the boot's compile spans, since
+    // this binary's other test may build a package, which translates
+    // too, while the tracer is on.
+    let translates: Vec<&telemetry::SpanNode> = worker_compiles
+        .iter()
+        .flat_map(|c| &c.children)
+        .filter(|n| n.name == "translate-optimized")
+        .collect();
+    assert_eq!(translates.len(), out.compiled_funcs);
+    let under = |name: &str| {
+        translates
+            .iter()
+            .flat_map(|t| &t.children)
+            .filter(|n| n.name == name)
+            .count()
+    };
+    let misses = out
+        .boot
+        .caches
+        .expect("boot records its caches")
+        .template_misses;
+    assert!(misses > 0, "main inlines both helpers");
+    assert_eq!(under("est-weights"), out.compiled_funcs);
+    assert_eq!(under("inline-template") as u64, misses);
+    let mut work: Vec<&telemetry::SpanNode> = trees.iter().flat_map(|(_, r)| r).collect();
+    while let Some(node) = work.pop() {
+        for child in &node.children {
+            if matches!(child.name.as_str(), "inline-template" | "est-weights") {
+                assert_eq!(
+                    node.name, "translate-optimized",
+                    "{} nests there",
+                    child.name
+                );
+            }
+            work.push(child);
+        }
+    }
 
     assert!(out.boot.decode_ns > 0, "decode was timed");
 

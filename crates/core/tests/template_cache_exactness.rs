@@ -4,11 +4,17 @@
 //! VasmUnit stream identical to direct translation, and a consumer boot
 //! (which always splices templates, at any thread count) must emit a code
 //! cache byte-identical to a template-free translate → plan → emit loop
-//! staged here from public calls.
+//! staged here from public calls. The seeder's inlining-aware function
+//! order, which splices templates too, must equal the order recomputed
+//! here from uncached translations.
 
+use std::collections::HashMap;
+
+use bytecode::FuncId;
+use jit::vasm::VInstr;
 use jit::{
-    plan_layout, translate_optimized, translate_optimized_with, InlineParams, JitEngine,
-    JitOptions, TemplateSource, WeightSource,
+    plan_layout, translate_optimized, translate_optimized_with, CtxProfile, InlineParams,
+    JitEngine, JitOptions, TemplateSource, TierProfile, WeightSource,
 };
 use jumpstart::{build_package, consume, JumpStartOptions, SeederInputs, TemplateCache};
 use proptest::prelude::*;
@@ -16,6 +22,84 @@ use workload::{generate, profile_run, AppParams, RequestMix};
 
 fn no_slots(_c: bytecode::ClassId, _p: bytecode::StrId) -> Option<u16> {
     None
+}
+
+/// The §V-B inlining-aware C3 order, from uncached translations: each
+/// candidate's node weighs its units' estimated block weights, scaled by
+/// the share of its entries still made as real calls (the arcs that
+/// survive inlining) or as request entries.
+fn inlining_aware_c3_order(
+    repo: &bytecode::Repo,
+    tier: &TierProfile,
+    ctx: &CtxProfile,
+    inline: InlineParams,
+) -> Vec<FuncId> {
+    let candidates = tier.functions_by_heat();
+    let index_of: HashMap<FuncId, usize> = candidates
+        .iter()
+        .enumerate()
+        .map(|(i, &f)| (f, i))
+        .collect();
+    let mut nodes = Vec::with_capacity(candidates.len());
+    let mut arcs = Vec::new();
+    for (i, &func) in candidates.iter().enumerate() {
+        let unit = translate_optimized(
+            repo,
+            func,
+            tier,
+            ctx,
+            WeightSource::Accurate,
+            inline,
+            &no_slots,
+        );
+        nodes.push(layout::FuncNode {
+            size: unit.code_size().max(16),
+            weight: unit.blocks.iter().map(|b| b.est_weight).sum(),
+        });
+        for block in &unit.blocks {
+            let mut arc = |callee: FuncId, weight: u64| {
+                if let Some(&j) = index_of.get(&callee) {
+                    arcs.push(layout::CallArc {
+                        caller: i,
+                        callee: j,
+                        weight,
+                    });
+                }
+            };
+            for &instr in unit.instrs_of(block) {
+                match instr {
+                    VInstr::CallStatic { callee } => arc(callee, block.est_weight),
+                    VInstr::CallDynamic { owner, site } => {
+                        let targets = tier
+                            .funcs
+                            .get(&owner)
+                            .map_or(&[][..], |p| p.call_targets_at(site));
+                        let total: u64 = targets.iter().map(|&(_, c)| c).sum();
+                        for &((_, callee), c) in targets.iter().filter(|_| total > 0) {
+                            arc(callee, block.est_weight * c / total);
+                        }
+                    }
+                    _ => {}
+                }
+            }
+        }
+    }
+    let mut incoming = vec![0u64; candidates.len()];
+    for a in &arcs {
+        incoming[a.callee] += a.weight;
+    }
+    for (node, (&func, &calls)) in nodes.iter_mut().zip(candidates.iter().zip(&incoming)) {
+        let enter = tier.funcs.get(&func).map_or(0, |p| p.enter_count);
+        if enter > 0 {
+            let remaining = calls / 1024 + ctx.entry_count(None, func);
+            let fraction = (remaining as f64 / enter as f64).min(1.0);
+            node.weight = (node.weight as f64 * fraction) as u64;
+        }
+    }
+    layout::c3_order(&nodes, &arcs, 4096)
+        .into_iter()
+        .map(|i| candidates[i])
+        .collect()
 }
 
 proptest! {
@@ -80,6 +164,7 @@ proptest! {
             accurate_bb_weights: accurate,
             ..Default::default()
         };
+        let c3_oracle = inlining_aware_c3_order(&app.repo, &run.tier, &run.ctx, inline);
         let pkg = build_package(
             SeederInputs {
                 repo: &app.repo,
@@ -117,5 +202,9 @@ proptest! {
         );
         prop_assert_eq!(boot.compiled_funcs, compiled_funcs);
         prop_assert_eq!(boot.compile_bytes, compile_bytes);
+
+        // (3) The seeder's order, translated through its own template
+        // cache, is the order uncached translations give.
+        prop_assert_eq!(&pkg.func_order, &c3_oracle);
     }
 }

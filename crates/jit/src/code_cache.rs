@@ -214,14 +214,9 @@ impl CodeCache {
             unit.blocks.len(),
             "layout must cover all blocks"
         );
-        let hot_bytes: u64 = hot_order
-            .iter()
-            .map(|&b| unit.blocks[b].size() as u64)
-            .sum();
-        let cold_bytes: u64 = cold_order
-            .iter()
-            .map(|&b| unit.blocks[b].size() as u64)
-            .sum();
+        let block_bytes = |b: usize| unit.block_size(&unit.blocks[b]);
+        let hot_bytes: u64 = hot_order.iter().map(|&b| block_bytes(b) as u64).sum();
+        let cold_bytes: u64 = cold_order.iter().map(|&b| block_bytes(b) as u64).sum();
         let mut is_cold = vec![false; unit.blocks.len()];
         for &b in cold_order {
             is_cold[b] = true;
@@ -262,7 +257,7 @@ impl CodeCache {
         for &b in hot_order {
             assert!(!covered[b], "block placed twice");
             covered[b] = true;
-            let size = unit.blocks[b].size();
+            let size = block_bytes(b);
             placement[b] = (cursor, size);
             cursor += size as u64;
         }
@@ -284,7 +279,7 @@ impl CodeCache {
         for &b in cold_order {
             assert!(!covered[b], "block placed twice");
             covered[b] = true;
-            let size = unit.blocks[b].size();
+            let size = block_bytes(b);
             let addr = cold_region.alloc(size as u64).expect("checked free space");
             placement[b] = (addr, size);
         }
@@ -372,32 +367,26 @@ mod tests {
     use crate::vasm::{Term, VBlock, VInstr};
 
     fn unit(func: u32, nblocks: usize) -> VasmUnit {
-        let blocks = (0..nblocks)
-            .map(|i| VBlock {
-                instrs: vec![VInstr::IntArith; 4],
-                term: if i + 1 < nblocks {
-                    Term::Jump(i + 1)
-                } else {
-                    Term::Ret
-                },
-                est_weight: 10,
-                true_weight: 10,
-                true_taken_prob: 0.0,
-                est_taken_prob: 0.0,
-                bc_origin: None,
-            })
-            .collect();
-        VasmUnit {
-            func: FuncId::new(func),
-            blocks,
+        let mut u = VasmUnit::new(FuncId::new(func));
+        for i in 0..nblocks {
+            let term = if i + 1 < nblocks {
+                Term::Jump(i + 1)
+            } else {
+                Term::Ret
+            };
+            u.push_block(VBlock::new(term, 10, None));
+            for _ in 0..4 {
+                u.push_instr(VInstr::IntArith);
+            }
         }
+        u
     }
 
     #[test]
     fn emit_places_blocks_contiguously_in_order() {
         let mut cc = CodeCache::default();
         let u = unit(0, 3);
-        let sizes: Vec<u32> = u.blocks.iter().map(|b| b.size()).collect();
+        let sizes: Vec<u32> = u.blocks.iter().map(|b| u.block_size(b)).collect();
         assert!(cc.emit(u, &[0, 2, 1], &[]));
         let t = cc.translation(FuncId::new(0)).unwrap();
         let (a0, _) = t.placement[0];
@@ -486,7 +475,7 @@ mod tests {
         let mut i = 0u32;
         while emitted <= (2 << 20) + 4096 {
             let u = unit(i, 3);
-            let bytes: u64 = u.blocks.iter().map(|b| b.size() as u64).sum();
+            let bytes = u64::from(u.code_size());
             assert!(cc.emit(u, &[0, 1, 2], &[]));
             emitted += bytes;
             i += 1;

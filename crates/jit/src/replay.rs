@@ -264,9 +264,9 @@ impl<'a> Executor<'a> {
         let n_blocks = emitted.iter().map(|t| t.vasm.blocks.len()).sum::<usize>();
         let n_effects = emitted
             .iter()
-            .flat_map(|t| &t.vasm.blocks)
-            .map(|b| b.instrs.iter().filter(|i| touches_model(i)).count())
-            .sum();
+            .flat_map(|t| &t.vasm.instrs)
+            .filter(|i| touches_model(i))
+            .count();
         let mut blocks = Vec::with_capacity(n_blocks + 1);
         let mut effects = Vec::with_capacity(n_effects);
         let mut stub_bound = Vec::with_capacity(emitted.iter().map(|t| t.stubs.len()).sum());
@@ -280,12 +280,13 @@ impl<'a> Executor<'a> {
                 first_stub: stub_bound.len(),
             });
             for block in &t.vasm.blocks {
+                let instrs = t.vasm.instrs_of(block);
                 blocks.push(BlockPlan {
                     acc: 0.5,
-                    base: 1 + block.instrs.iter().map(|i| i.cycles() as u32).sum::<u32>(),
+                    base: 1 + instrs.iter().map(|i| i.cycles() as u32).sum::<u32>(),
                     first_effect: effects.len() as u32,
                 });
-                effects.extend(block.instrs.iter().copied().filter(touches_model));
+                effects.extend(instrs.iter().copied().filter(touches_model));
             }
             stub_bound.resize(stub_bound.len() + t.stubs.len(), false);
         }

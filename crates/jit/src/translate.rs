@@ -68,13 +68,16 @@ const MONO: f64 = 0.95;
 /// specialization and slot resolution depend only on the callee's own
 /// profile. The template stores terminator targets as *template-local*
 /// indices and the unscaled tier-1 block counters, so splicing is a pure
-/// rebase + rescale.
+/// rebase + rescale: one copy of the body's instruction arena, plus one
+/// rebased header per block.
 #[derive(Clone, Debug)]
 pub struct InlineTemplate {
-    /// Translated body blocks; `Term` targets are template-local. Branch
+    /// The translated body; `Term` targets and instruction spans are
+    /// template-local, and its returns are still `Term::Ret` (lowered
+    /// without a `RetOp`, as every inlined return is). Branch
     /// probabilities carry the TierOnly (site-independent) estimates and
     /// aggregate truth, both patched per site when spliced.
-    pub blocks: Vec<VBlock>,
+    pub body: VasmUnit,
     /// Per-block unscaled tier-1 block counter (0 for synthetic blocks
     /// such as the side-exit funnel).
     pub raw_weights: Vec<u64>,
@@ -170,7 +173,7 @@ pub fn translate_optimized_with(
         weights,
         inline,
         slot_resolver,
-        blocks: Vec::new(),
+        unit: VasmUnit::new(func),
         kind: Kind::Optimized,
         depth: 0,
         templates,
@@ -182,14 +185,17 @@ pub fn translate_optimized_with(
         .unwrap_or_else(|| empty_func_profile());
     let entry_weight = fp.enter_count;
     tr.translate_function(func, fp, None, 1.0, true);
-    let mut unit = VasmUnit {
-        func,
-        blocks: tr.blocks,
-    };
+    let mut unit = tr.unit;
     // Block weights derive from the entry count flowed through the branch
     // probabilities of the chosen weight source — so TierOnly and Accurate
     // weights differ exactly where their probability estimates differ.
+    let weights_span = telemetry::span!("est-weights");
     propagate_est_weights(&mut unit, entry_weight);
+    drop(weights_span);
+    // The unit lives as long as the code cache that emits it: drop the
+    // arena's regrowth slack.
+    unit.blocks.shrink_to_fit();
+    unit.instrs.shrink_to_fit();
     unit
 }
 
@@ -265,17 +271,14 @@ fn translate_unoptimized(
             ..Default::default()
         },
         slot_resolver: &|_, _| None,
-        blocks: Vec::new(),
+        unit: VasmUnit::new(func),
         kind,
         depth: 0,
         templates: None,
         branch_sites: Vec::new(),
     };
     tr.translate_function(func, empty_func_profile(), None, 1.0, false);
-    VasmUnit {
-        func,
-        blocks: tr.blocks,
-    }
+    tr.unit
 }
 
 static EMPTY_TIER: once_tier::Lazy = once_tier::Lazy;
@@ -305,7 +308,9 @@ struct Translator<'a> {
     weights: WeightSource,
     inline: InlineParams,
     slot_resolver: &'a dyn Fn(ClassId, StrId) -> Option<u16>,
-    blocks: Vec<VBlock>,
+    /// The unit being built. The block being lowered into is always its
+    /// last one.
+    unit: VasmUnit,
     kind: Kind,
     depth: u32,
     templates: Option<&'a dyn TemplateSource>,
@@ -320,6 +325,7 @@ impl Translator<'_> {
     /// mapping from its bytecode blocks to Vasm entry indices. `scale` is
     /// the weight multiplier for inlined bodies under TierOnly estimation.
     /// Ret terminators are kept as `Term::Ret`; the inliner rewrites them.
+    /// An inlined body (`depth > 0`) lowers its returns without a `RetOp`.
     fn translate_function(
         &mut self,
         func: FuncId,
@@ -330,13 +336,19 @@ impl Translator<'_> {
     ) -> Vec<usize> {
         let f = self.repo.func(func);
         let cfg = Cfg::build(f);
+        // Each bytecode block opens a Vasm block (plus the exit funnel), and
+        // most bytecode instructions lower to one Vasm instruction: reserve
+        // that much rather than regrow from empty.
+        self.unit.blocks.reserve(cfg.len() + 1);
+        self.unit.instrs.reserve(f.code.len());
         let profiled = self.kind == Kind::Optimized && !fp.block_counts.is_empty();
         // First pass: translate each bytecode block into one or more Vasm
         // blocks. Record the entry index per bytecode block, plus pending
         // outer-branch fixups (targets as bytecode block ids).
         let mut entry_of: Vec<usize> = Vec::with_capacity(cfg.len());
-        // (vasm block idx, bc target for taken, optional bc target for fall)
-        let mut fixups: Vec<(usize, BlockId, Option<BlockId>)> = Vec::new();
+        // (vasm block idx, bc target for taken, optional bc target for fall);
+        // at most one per bytecode block.
+        let mut fixups: Vec<(usize, BlockId, Option<BlockId>)> = Vec::with_capacity(cfg.len());
 
         for (bi, bblock) in cfg.blocks().iter().enumerate() {
             let bc_id = BlockId(bi as u32);
@@ -358,15 +370,15 @@ impl Translator<'_> {
                 match instr {
                     Instr::Jmp(_) => {
                         let t = cfg.block_of(instr.jump_target().expect("jmp"));
-                        self.blocks[cur].term = Term::Jump(usize::MAX);
+                        self.unit.blocks[cur].term = Term::Jump(usize::MAX);
                         fixups.push((cur, t, None));
                         terminated = true;
                     }
                     Instr::JmpZ(_) | Instr::JmpNZ(_) => {
                         let t = cfg.block_of(instr.jump_target().expect("branch"));
                         let fall = cfg.block_of(bblock.end.min(f.code.len() as u32 - 1));
-                        self.blocks[cur].instrs.push(VInstr::CmpInt);
-                        self.blocks[cur].term = Term::Cond {
+                        self.emit(cur, VInstr::CmpInt);
+                        self.unit.blocks[cur].term = Term::Cond {
                             taken: usize::MAX,
                             fall: usize::MAX,
                         };
@@ -392,15 +404,17 @@ impl Translator<'_> {
                                 }
                             }
                         };
-                        self.blocks[cur].true_taken_prob = true_p;
-                        self.blocks[cur].est_taken_prob = est_p;
+                        self.unit.blocks[cur].true_taken_prob = true_p;
+                        self.unit.blocks[cur].est_taken_prob = est_p;
                         self.branch_sites.push((cur, at));
                         fixups.push((cur, t, Some(fall)));
                         terminated = true;
                     }
                     Instr::Ret => {
-                        self.blocks[cur].instrs.push(VInstr::RetOp);
-                        self.blocks[cur].term = Term::Ret;
+                        if self.depth == 0 {
+                            self.emit(cur, VInstr::RetOp);
+                        }
+                        self.unit.blocks[cur].term = Term::Ret;
                         terminated = true;
                     }
                     Instr::Call {
@@ -410,7 +424,7 @@ impl Translator<'_> {
                         if self.should_inline(func, at, callee, fp) {
                             cur = self.inline_call(cur, func, at, callee);
                         } else {
-                            self.blocks[cur].instrs.push(VInstr::CallStatic { callee });
+                            self.emit(cur, VInstr::CallStatic { callee });
                         }
                     }
                     Instr::CallMethod { .. } => {
@@ -421,35 +435,34 @@ impl Translator<'_> {
                                 if share >= self.inline.min_target_share
                                     && self.should_inline(func, at, target, fp) =>
                             {
-                                self.blocks[cur].instrs.push(VInstr::GuardType { local: 0 });
+                                self.emit(cur, VInstr::GuardType { local: 0 });
                                 cur = self.inline_call(cur, func, at, target);
                             }
                             _ => {
-                                self.blocks[cur].instrs.push(VInstr::CallDynamic {
-                                    owner: func,
-                                    site: at,
-                                });
+                                self.emit(
+                                    cur,
+                                    VInstr::CallDynamic {
+                                        owner: func,
+                                        site: at,
+                                    },
+                                );
                             }
                         }
                     }
-                    other => {
-                        let mut instrs = std::mem::take(&mut self.blocks[cur].instrs);
-                        self.lower_simple(func, at, other, fp, &mut instrs);
-                        self.blocks[cur].instrs = instrs;
-                    }
+                    other => self.lower_simple(cur, func, at, other, fp),
                 }
             }
             if !terminated {
                 // Fallthrough into the next bytecode block.
                 let next = BlockId(bi as u32 + 1);
-                self.blocks[cur].term = Term::Jump(usize::MAX);
+                self.unit.blocks[cur].term = Term::Jump(usize::MAX);
                 fixups.push((cur, next, None));
             }
         }
 
         // Patch branch targets to Vasm indices.
         for (vi, t, fall) in fixups {
-            match (&mut self.blocks[vi].term, fall) {
+            match (&mut self.unit.blocks[vi].term, fall) {
                 (Term::Jump(slot), None) => *slot = entry_of[t.index()],
                 (Term::Cond { taken, fall: fslot }, Some(fb)) => {
                     *taken = entry_of[t.index()];
@@ -461,37 +474,36 @@ impl Translator<'_> {
 
         // One side-exit block per function body (guard/exception funnel).
         if self.kind == Kind::Optimized {
-            self.blocks.push(VBlock {
-                instrs: vec![VInstr::InterpOne, VInstr::InterpOne, VInstr::InterpOne],
-                term: Term::Exit,
-                est_weight: 0,
-                true_weight: 0,
-                true_taken_prob: 0.0,
-                est_taken_prob: 0.0,
-                bc_origin: None,
-            });
+            let exit = self.unit.push_block(VBlock::new(Term::Exit, 0, None));
+            for _ in 0..3 {
+                self.emit(exit, VInstr::InterpOne);
+            }
         }
         entry_of
     }
 
     fn start_block(&mut self, func: FuncId, bc: BlockId, est_weight: u64) -> usize {
-        self.blocks.push(VBlock {
-            instrs: Vec::new(),
-            term: Term::Ret, // replaced when the block is finished
-            est_weight,
-            true_weight: est_weight,
-            true_taken_prob: 0.0,
-            est_taken_prob: 0.0,
-            bc_origin: Some((func, bc)),
-        });
-        self.blocks.len() - 1
+        // `Term::Ret` is replaced when the block is finished.
+        self.unit
+            .push_block(VBlock::new(Term::Ret, est_weight, Some((func, bc))))
+    }
+
+    /// Appends `instr` to block `cur`, which must be the last block: a
+    /// block's instructions are one span of the unit's arena.
+    fn emit(&mut self, cur: usize, instr: VInstr) {
+        debug_assert_eq!(
+            cur + 1,
+            self.unit.blocks.len(),
+            "lowering into a finished block"
+        );
+        self.unit.push_instr(instr);
     }
 
     fn emit_entry_guards(&mut self, cur: usize, _func: FuncId, fp: &FuncProfile) {
         for ((_, slot), d) in fp.types_at(PARAM_SITE) {
             if d.is_monomorphic(MONO).is_some() {
                 let local = u16::from(*slot);
-                self.blocks[cur].instrs.push(VInstr::GuardType { local });
+                self.emit(cur, VInstr::GuardType { local });
             }
         }
     }
@@ -539,13 +551,16 @@ impl Translator<'_> {
         // template when a cache is installed, else by re-translating from
         // bytecode. Under Accurate weights the context-sensitive counters
         // give per-site truth; under TierOnly the callee average is scaled.
-        let mark = self.blocks.len();
+        let mark = self.unit.blocks.len();
         if let Some(src) = self.templates {
             let key = TemplateKey {
                 callee,
                 weights: self.weights,
             };
-            let tpl = src.get_or_build(key, &mut || self.build_inline_template(callee, callee_fp));
+            let tpl = src.get_or_build(key, &mut || {
+                let _span = telemetry::span!("inline-template", "callee" => callee.index());
+                self.build_inline_template(callee, callee_fp)
+            });
             self.splice_template(&tpl, callee, ctx, scale);
         } else {
             self.depth += 1;
@@ -555,32 +570,19 @@ impl Translator<'_> {
         }
         let callee_entry = mark;
         // Continuation block: rest of the caller's bytecode block.
-        let cont = {
-            let origin = self.blocks[cur].bc_origin;
-            let est = self.blocks[cur].est_weight;
-            self.blocks.push(VBlock {
-                instrs: Vec::new(),
-                term: Term::Ret,
-                est_weight: est,
-                true_weight: est,
-                true_taken_prob: 0.0,
-                est_taken_prob: 0.0,
-                bc_origin: origin,
-            });
-            self.blocks.len() - 1
-        };
-        // Rewrite the callee's Ret terminators to jump to the continuation,
-        // and remove the RetOp they emitted.
-        for b in mark..cont {
-            if self.blocks[b].term == Term::Ret {
-                if let Some(VInstr::RetOp) = self.blocks[b].instrs.last() {
-                    self.blocks[b].instrs.pop();
-                }
-                self.blocks[b].term = Term::Jump(cont);
+        let caller = self.unit.blocks[cur];
+        let cont =
+            self.unit
+                .push_block(VBlock::new(Term::Ret, caller.est_weight, caller.bc_origin));
+        // The callee's returns (lowered without a `RetOp`) jump to the
+        // continuation.
+        for b in &mut self.unit.blocks[mark..cont] {
+            if b.term == Term::Ret {
+                b.term = Term::Jump(cont);
             }
         }
         // Jump from the call block into the inlined entry.
-        self.blocks[cur].term = Term::Jump(callee_entry);
+        self.unit.blocks[cur].term = Term::Jump(callee_entry);
         cont
     }
 
@@ -599,7 +601,7 @@ impl Translator<'_> {
             weights: WeightSource::TierOnly,
             inline: self.inline,
             slot_resolver: self.slot_resolver,
-            blocks: Vec::new(),
+            unit: VasmUnit::new(callee),
             kind: Kind::Optimized,
             depth: 1,
             templates: None,
@@ -611,6 +613,7 @@ impl Translator<'_> {
         // f64 scaling), so splicing computes bit-for-bit the same
         // `(raw * scale) as u64` as direct translation.
         let raw_weights: Vec<u64> = tr
+            .unit
             .blocks
             .iter()
             .map(|b| match b.bc_origin {
@@ -621,17 +624,18 @@ impl Translator<'_> {
             })
             .collect();
         InlineTemplate {
-            blocks: tr.blocks,
+            body: tr.unit,
             raw_weights,
             branch_sites: tr.branch_sites,
             profiled,
         }
     }
 
-    /// Appends a template's blocks to the unit: rebases terminator targets
-    /// by the splice point, rescales weights for this site, and patches
-    /// branch probabilities with the context-sensitive truth (which also
-    /// drives the layout estimate in Accurate mode).
+    /// Appends a template's body to the unit: copies its instruction arena
+    /// whole, rebases each header's span and terminator targets by the
+    /// splice point, rescales weights for this site, and patches branch
+    /// probabilities with the context-sensitive truth (which also drives
+    /// the layout estimate in Accurate mode).
     fn splice_template(
         &mut self,
         tpl: &InlineTemplate,
@@ -639,9 +643,14 @@ impl Translator<'_> {
         ctx: InlineCtx,
         scale: f64,
     ) {
-        let mark = self.blocks.len();
-        for (tb, &raw) in tpl.blocks.iter().zip(&tpl.raw_weights) {
-            let mut b = tb.clone();
+        let mark = self.unit.blocks.len();
+        let base = self.unit.instrs.len() as u32;
+        self.unit.instrs.extend_from_slice(&tpl.body.instrs);
+        self.unit.blocks.reserve(tpl.body.blocks.len());
+        for (tb, &raw) in tpl.body.blocks.iter().zip(&tpl.raw_weights) {
+            let mut b = *tb;
+            b.start += base;
+            b.end += base;
             b.term = match b.term {
                 Term::Jump(t) => Term::Jump(t + mark),
                 Term::Cond { taken, fall } => Term::Cond {
@@ -657,11 +666,11 @@ impl Translator<'_> {
             };
             b.est_weight = est;
             b.true_weight = est;
-            self.blocks.push(b);
+            self.unit.blocks.push(b);
         }
         for &(bi, bat) in &tpl.branch_sites {
             let true_p = self.ctx_profile.taken_prob(ctx, callee, bat);
-            let b = &mut self.blocks[mark + bi];
+            let b = &mut self.unit.blocks[mark + bi];
             b.true_taken_prob = true_p;
             if self.weights == WeightSource::Accurate {
                 b.est_taken_prob = true_p;
@@ -669,71 +678,71 @@ impl Translator<'_> {
         }
     }
 
-    /// Appends the lowering of one straight-line instruction to `out`.
-    fn lower_simple(
-        &self,
-        func: FuncId,
-        at: u32,
-        instr: Instr,
-        fp: &FuncProfile,
-        out: &mut Vec<VInstr>,
-    ) {
+    /// Appends the lowering of one straight-line instruction to block
+    /// `cur`.
+    fn lower_simple(&mut self, cur: usize, func: FuncId, at: u32, instr: Instr, fp: &FuncProfile) {
         let optimized = self.kind == Kind::Optimized;
         if self.kind == Kind::Profiling {
             // Block counters land on the first instruction of each block in
             // real HHVM; per-instruction is a fine cost approximation.
             if at == 0 {
-                out.push(VInstr::CountOp);
+                self.emit(cur, VInstr::CountOp);
             }
         }
         match instr {
             Instr::Null | Instr::True | Instr::False | Instr::Int(_) | Instr::Double(_) => {
-                out.push(VInstr::ConstSmall);
+                self.emit(cur, VInstr::ConstSmall);
             }
-            Instr::Str(_) | Instr::LitArr(_) => out.push(VInstr::ConstStr),
-            Instr::Pop | Instr::Dup => out.push(VInstr::ConstSmall),
-            Instr::GetL(l) => out.push(VInstr::LoadLocal(l)),
-            Instr::SetL(l) => out.push(VInstr::StoreLocal(l)),
+            Instr::Str(_) | Instr::LitArr(_) => self.emit(cur, VInstr::ConstStr),
+            Instr::Pop | Instr::Dup => self.emit(cur, VInstr::ConstSmall),
+            Instr::GetL(l) => self.emit(cur, VInstr::LoadLocal(l)),
+            Instr::SetL(l) => self.emit(cur, VInstr::StoreLocal(l)),
             Instr::IncL(l, _) => {
-                out.push(VInstr::LoadLocal(l));
-                out.push(VInstr::IntArith);
-                out.push(VInstr::StoreLocal(l));
+                self.emit(cur, VInstr::LoadLocal(l));
+                self.emit(cur, VInstr::IntArith);
+                self.emit(cur, VInstr::StoreLocal(l));
             }
             Instr::Bin(op) => {
                 let spec = optimized && self.operands_monomorphic_int(func, at, fp);
                 let float = optimized && self.operands_float(func, at, fp);
-                out.push(match op {
-                    bytecode::BinOp::Concat => VInstr::ConcatOp,
-                    bytecode::BinOp::Eq
-                    | bytecode::BinOp::Neq
-                    | bytecode::BinOp::Lt
-                    | bytecode::BinOp::Le
-                    | bytecode::BinOp::Gt
-                    | bytecode::BinOp::Ge => {
-                        if spec {
-                            VInstr::CmpInt
-                        } else {
-                            VInstr::GenCmp
+                self.emit(
+                    cur,
+                    match op {
+                        bytecode::BinOp::Concat => VInstr::ConcatOp,
+                        bytecode::BinOp::Eq
+                        | bytecode::BinOp::Neq
+                        | bytecode::BinOp::Lt
+                        | bytecode::BinOp::Le
+                        | bytecode::BinOp::Gt
+                        | bytecode::BinOp::Ge => {
+                            if spec {
+                                VInstr::CmpInt
+                            } else {
+                                VInstr::GenCmp
+                            }
                         }
-                    }
-                    _ => {
-                        if spec {
-                            VInstr::IntArith
-                        } else if float {
-                            VInstr::FloatArith
-                        } else {
-                            VInstr::GenBin
+                        _ => {
+                            if spec {
+                                VInstr::IntArith
+                            } else if float {
+                                VInstr::FloatArith
+                            } else {
+                                VInstr::GenBin
+                            }
                         }
-                    }
-                });
+                    },
+                );
             }
-            Instr::Un(_) => out.push(if optimized {
-                VInstr::IntArith
-            } else {
-                VInstr::GenBin
-            }),
-            Instr::CallBuiltin { builtin, .. } => out.push(VInstr::BuiltinOp { builtin }),
-            Instr::NewObj(class) => out.push(VInstr::NewObjOp { class }),
+            Instr::Un(_) => self.emit(
+                cur,
+                if optimized {
+                    VInstr::IntArith
+                } else {
+                    VInstr::GenBin
+                },
+            ),
+            Instr::CallBuiltin { builtin, .. } => self.emit(cur, VInstr::BuiltinOp { builtin }),
+            Instr::NewObj(class) => self.emit(cur, VInstr::NewObjOp { class }),
             Instr::GetProp(name) | Instr::SetProp(name) => {
                 let spec = if optimized {
                     self.prop_site_slot(func, at, name, fp)
@@ -742,19 +751,22 @@ impl Translator<'_> {
                 };
                 match spec {
                     Some((class, slot)) => {
-                        out.push(VInstr::GuardType { local: 0 });
-                        out.push(if matches!(instr, Instr::GetProp(_)) {
-                            VInstr::LoadProp { class, slot }
-                        } else {
-                            VInstr::StoreProp { class, slot }
-                        });
+                        self.emit(cur, VInstr::GuardType { local: 0 });
+                        self.emit(
+                            cur,
+                            if matches!(instr, Instr::GetProp(_)) {
+                                VInstr::LoadProp { class, slot }
+                            } else {
+                                VInstr::StoreProp { class, slot }
+                            },
+                        );
                     }
-                    None => out.push(VInstr::GenProp),
+                    None => self.emit(cur, VInstr::GenProp),
                 }
             }
-            Instr::This => out.push(VInstr::LoadLocal(0)),
-            Instr::NewVec(_) | Instr::NewDict(_) => out.push(VInstr::NewArrOp),
-            Instr::Idx | Instr::SetIdx => out.push(VInstr::IdxOp),
+            Instr::This => self.emit(cur, VInstr::LoadLocal(0)),
+            Instr::NewVec(_) | Instr::NewDict(_) => self.emit(cur, VInstr::NewArrOp),
+            Instr::Idx | Instr::SetIdx => self.emit(cur, VInstr::IdxOp),
             Instr::Jmp(_)
             | Instr::JmpZ(_)
             | Instr::JmpNZ(_)
@@ -838,22 +850,20 @@ mod tests {
             &|_, _| None,
         );
         let ints = unit
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .filter(|i| matches!(i, VInstr::IntArith))
             .count();
         let gens = unit
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .filter(|i| matches!(i, VInstr::GenBin))
             .count();
         assert!(ints > 0, "loop arithmetic should specialize to IntArith");
         assert_eq!(gens, 0, "no generic binops expected in a monomorphic loop");
         // Entry guards for the int parameter.
-        assert!(unit.blocks[0]
-            .instrs
+        assert!(unit
+            .instrs_of(&unit.blocks[0])
             .iter()
             .any(|i| matches!(i, VInstr::GuardType { .. })));
     }
@@ -929,15 +939,10 @@ mod tests {
         );
         let f = repo.func_by_name("main").unwrap().id;
         let unit = translate_live(&repo, f, &ctx);
-        assert!(unit
-            .blocks
-            .iter()
-            .flat_map(|b| &b.instrs)
-            .any(|i| matches!(i, VInstr::GenBin)));
+        assert!(unit.instrs.iter().any(|i| matches!(i, VInstr::GenBin)));
         assert!(!unit
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .any(|i| matches!(i, VInstr::IntArith | VInstr::GuardType { .. })));
     }
 
@@ -989,9 +994,8 @@ mod tests {
             &|_, _| None,
         );
         let calls = |u: &VasmUnit| {
-            u.blocks
+            u.instrs
                 .iter()
-                .flat_map(|b| &b.instrs)
                 .filter(|i| matches!(i, VInstr::CallStatic { .. }))
                 .count()
         };
@@ -1105,9 +1109,8 @@ mod tests {
             &resolver,
         );
         assert!(unit
-            .blocks
+            .instrs
             .iter()
-            .flat_map(|b| &b.instrs)
             .any(|i| matches!(i, VInstr::LoadProp { slot: 7, .. })));
     }
 
@@ -1255,6 +1258,19 @@ mod tests {
                     assert!(s < unit.blocks.len(), "dangling successor");
                 }
             }
+            // The blocks' spans tile the arena in push order.
+            let mut at = 0;
+            for b in &unit.blocks {
+                assert_eq!((b.start, b.start <= b.end), (at, true), "span out of order");
+                at = b.end;
+            }
+            assert_eq!(at as usize, unit.instrs.len());
+            // Only the outer function's returns carry a return sequence; an
+            // inlined return became a jump to its continuation.
+            let rets = unit.blocks.iter().filter(|b| b.term == Term::Ret).count();
+            let ret_ops = unit.instrs.iter().filter(|&&i| i == VInstr::RetOp).count();
+            assert!(rets > 0);
+            assert_eq!(ret_ops, rets);
         }
     }
 }

@@ -6,6 +6,17 @@
 //! carry encoded *size in bytes* and *base cycles*, so a translation's
 //! blocks can be placed at concrete code-cache addresses and replayed
 //! through the micro-architecture simulator.
+//!
+//! A [`VasmUnit`] is two flat vectors: block headers ([`VBlock`]) and one
+//! instruction arena ([`VasmUnit::instrs`]). A block's instructions are
+//! the span `instrs[start..end]` its header names. Blocks are appended
+//! strictly in push order: an instruction only ever goes to the last
+//! block ([`VasmUnit::push_instr`]), so the spans are contiguous, ascending
+//! and cover the arena. A finished block's header (terminator, weights,
+//! probabilities) may still be patched; its instructions never change.
+//! That is why an inlined callee lowers its `Ret` without a
+//! [`VInstr::RetOp`]: the inliner turns the terminator into a jump to the
+//! continuation instead of popping the return sequence afterwards.
 
 use bytecode::{BlockId, Builtin, ClassId, FuncId};
 
@@ -176,21 +187,26 @@ pub enum Term {
 }
 
 impl Term {
-    /// Successor block indices.
-    pub fn successors(&self) -> Vec<usize> {
-        match *self {
-            Term::Jump(t) => vec![t],
-            Term::Cond { taken, fall } => vec![taken, fall],
-            Term::Ret | Term::Exit => vec![],
-        }
+    /// Successor block indices (taken before fallthrough), without
+    /// allocating.
+    pub fn successors(&self) -> impl Iterator<Item = usize> {
+        let (first, second) = match *self {
+            Term::Jump(t) => (Some(t), None),
+            Term::Cond { taken, fall } => (Some(taken), Some(fall)),
+            Term::Ret | Term::Exit => (None, None),
+        };
+        first.into_iter().chain(second)
     }
 }
 
-/// One Vasm basic block.
-#[derive(Clone, Debug, PartialEq)]
+/// One Vasm basic block's header. Its instructions (terminator encoded
+/// separately) are `VasmUnit::instrs[start..end]`.
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct VBlock {
-    /// Instructions (terminator encoded separately).
-    pub instrs: Vec<VInstr>,
+    /// Arena index of the first instruction.
+    pub start: u32,
+    /// Arena index one past the last instruction.
+    pub end: u32,
     /// Terminator.
     pub term: Term,
     /// Weight used for *layout decisions* — from tier-1 counters mapped
@@ -209,10 +225,19 @@ pub struct VBlock {
 }
 
 impl VBlock {
-    /// Code size in bytes, including the terminator's encoding.
-    pub fn size(&self) -> u32 {
-        let body: u32 = self.instrs.iter().map(VInstr::size).sum();
-        body + self.term_size()
+    /// A header with an empty span, `weight` as both its estimated and
+    /// true weight, and zero branch probabilities.
+    pub fn new(term: Term, weight: u64, bc_origin: Option<(FuncId, BlockId)>) -> Self {
+        Self {
+            start: 0,
+            end: 0,
+            term,
+            est_weight: weight,
+            true_weight: weight,
+            true_taken_prob: 0.0,
+            est_taken_prob: 0.0,
+            bc_origin,
+        }
     }
 
     /// Encoded size of the terminator.
@@ -227,7 +252,7 @@ impl VBlock {
 
     /// Number of modeled machine instructions.
     pub fn instr_count(&self) -> u64 {
-        self.instrs.len() as u64 + 1
+        u64::from(self.end - self.start) + 1
     }
 }
 
@@ -236,19 +261,69 @@ impl VBlock {
 pub struct VasmUnit {
     /// The translated function.
     pub func: FuncId,
-    /// Blocks; index 0 is the entry.
+    /// Block headers; index 0 is the entry.
     pub blocks: Vec<VBlock>,
+    /// Every block's instructions, in block order.
+    pub instrs: Vec<VInstr>,
 }
 
 impl VasmUnit {
+    /// An empty unit for `func`.
+    pub fn new(func: FuncId) -> Self {
+        Self {
+            func,
+            blocks: Vec::new(),
+            instrs: Vec::new(),
+        }
+    }
+
+    /// Appends `block` with an empty span at the end of the arena and
+    /// returns its index; it is the block [`Self::push_instr`] fills.
+    pub fn push_block(&mut self, mut block: VBlock) -> usize {
+        let at = self.instrs.len() as u32;
+        (block.start, block.end) = (at, at);
+        self.blocks.push(block);
+        self.blocks.len() - 1
+    }
+
+    /// Appends `instr` to the last block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the unit has no block.
+    pub fn push_instr(&mut self, instr: VInstr) {
+        self.instrs.push(instr);
+        self.blocks
+            .last_mut()
+            .expect("an instruction needs a block")
+            .end += 1;
+    }
+
+    /// `block`'s instructions (terminator excluded).
+    pub fn instrs_of(&self, block: &VBlock) -> &[VInstr] {
+        &self.instrs[block.start as usize..block.end as usize]
+    }
+
+    /// `block`'s code size in bytes, including the terminator's encoding.
+    pub fn block_size(&self, block: &VBlock) -> u32 {
+        let body: u32 = self.instrs_of(block).iter().map(VInstr::size).sum();
+        body + block.term_size()
+    }
+
     /// Total code size in bytes.
     pub fn code_size(&self) -> u32 {
-        self.blocks.iter().map(VBlock::size).sum()
+        let body: u32 = self.instrs.iter().map(VInstr::size).sum();
+        body + self.blocks.iter().map(VBlock::term_size).sum::<u32>()
     }
 
     /// Edge list with *estimated* weights for the layout algorithms.
     pub fn layout_edges(&self) -> Vec<layout::BlockEdge> {
-        let mut edges = Vec::new();
+        let n: usize = self
+            .blocks
+            .iter()
+            .map(|b| b.term.successors().count())
+            .sum();
+        let mut edges = Vec::with_capacity(n);
         for (i, b) in self.blocks.iter().enumerate() {
             match b.term {
                 Term::Jump(t) => {
@@ -282,7 +357,7 @@ impl VasmUnit {
         self.blocks
             .iter()
             .map(|b| layout::BlockNode {
-                size: b.size(),
+                size: self.block_size(b),
                 weight: b.est_weight,
             })
             .collect()
@@ -329,52 +404,47 @@ mod tests {
 
     #[test]
     fn block_size_includes_terminator() {
-        let b = VBlock {
-            instrs: vec![VInstr::IntArith],
-            term: Term::Cond { taken: 1, fall: 2 },
-            est_weight: 0,
-            true_weight: 0,
-            true_taken_prob: 0.5,
-            est_taken_prob: 0.5,
-            bc_origin: None,
-        };
-        assert_eq!(b.size(), 3 + 6);
-        assert_eq!(b.instr_count(), 2);
+        let mut unit = VasmUnit::new(FuncId::new(0));
+        let b = unit.push_block(VBlock::new(Term::Cond { taken: 1, fall: 2 }, 0, None));
+        unit.push_instr(VInstr::IntArith);
+        let block = unit.blocks[b];
+        assert_eq!(unit.block_size(&block), 3 + 6);
+        assert_eq!(block.instr_count(), 2);
+    }
+
+    #[test]
+    fn blocks_span_the_arena_in_push_order() {
+        let mut unit = VasmUnit::new(FuncId::new(0));
+        unit.push_block(VBlock::new(Term::Jump(1), 0, None));
+        unit.push_instr(VInstr::ConstSmall);
+        unit.push_instr(VInstr::IntArith);
+        unit.push_block(VBlock::new(Term::Jump(2), 0, None));
+        unit.push_block(VBlock::new(Term::Ret, 0, None));
+        unit.push_instr(VInstr::RetOp);
+        let spans: Vec<(u32, u32)> = unit.blocks.iter().map(|b| (b.start, b.end)).collect();
+        assert_eq!(spans, [(0, 2), (2, 2), (2, 3)]);
+        assert_eq!(unit.instrs_of(&unit.blocks[2]), [VInstr::RetOp]);
+        let sizes: u32 = unit.blocks.iter().map(|b| unit.block_size(b)).sum();
+        assert_eq!(unit.code_size(), sizes);
     }
 
     #[test]
     fn layout_edges_split_by_probability() {
+        let block = |term, est_weight, true_weight, est_taken_prob, true_taken_prob| VBlock {
+            est_weight,
+            true_weight,
+            est_taken_prob,
+            true_taken_prob,
+            ..VBlock::new(term, 0, None)
+        };
         let unit = VasmUnit {
             func: FuncId::new(0),
             blocks: vec![
-                VBlock {
-                    instrs: vec![],
-                    term: Term::Cond { taken: 1, fall: 2 },
-                    est_weight: 100,
-                    true_weight: 100,
-                    true_taken_prob: 0.9,
-                    est_taken_prob: 0.25,
-                    bc_origin: None,
-                },
-                VBlock {
-                    instrs: vec![],
-                    term: Term::Ret,
-                    est_weight: 25,
-                    true_weight: 90,
-                    true_taken_prob: 0.0,
-                    est_taken_prob: 0.0,
-                    bc_origin: None,
-                },
-                VBlock {
-                    instrs: vec![],
-                    term: Term::Ret,
-                    est_weight: 75,
-                    true_weight: 10,
-                    true_taken_prob: 0.0,
-                    est_taken_prob: 0.0,
-                    bc_origin: None,
-                },
+                block(Term::Cond { taken: 1, fall: 2 }, 100, 100, 0.25, 0.9),
+                block(Term::Ret, 25, 90, 0.0, 0.0),
+                block(Term::Ret, 75, 10, 0.0, 0.0),
             ],
+            instrs: Vec::new(),
         };
         let edges = unit.layout_edges();
         assert_eq!(edges.len(), 2);
@@ -385,8 +455,10 @@ mod tests {
 
     #[test]
     fn term_successors() {
-        assert_eq!(Term::Jump(3).successors(), vec![3]);
-        assert_eq!(Term::Cond { taken: 1, fall: 2 }.successors(), vec![1, 2]);
-        assert!(Term::Ret.successors().is_empty());
+        let succ = |t: Term| t.successors().collect::<Vec<_>>();
+        assert_eq!(succ(Term::Jump(3)), [3]);
+        assert_eq!(succ(Term::Cond { taken: 1, fall: 2 }), [1, 2]);
+        assert!(succ(Term::Ret).is_empty());
+        assert!(succ(Term::Exit).is_empty());
     }
 }

@@ -92,8 +92,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         for (i, b) in unit.blocks.iter().enumerate() {
             println!(
                 "  b{i}: {} instrs, {} bytes, est weight {:>6}, est taken p {:.2}, true p {:.2} ({:?})",
-                b.instrs.len(),
-                b.size(),
+                unit.instrs_of(b).len(),
+                unit.block_size(b),
                 b.est_weight,
                 b.est_taken_prob,
                 b.true_taken_prob,
