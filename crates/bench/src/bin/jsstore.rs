@@ -13,8 +13,9 @@
 //!   chunks reused vs shipped.
 //! * **Lazy decode.** A chunk-granular boot at `early_serve_frac=0.25`
 //!   vs the monolithic boot on the same package: fraction of payload
-//!   bytes decoded before serve-start, decode time split hot/cold, and a
-//!   layout-digest proof that laziness never changes the emitted code.
+//!   bytes decoded before serve-start (measured, and as the manifest
+//!   prices it), decode time split hot/cold, and a layout-digest proof
+//!   that laziness never changes the emitted code.
 //! * **Fleet distribution.** A small deployment with the per-cell link
 //!   model on: chunk deltas vs full-package sends, download times, and
 //!   time-to-early-serve across the fleet.
@@ -26,8 +27,9 @@
 //!                     round-trip is byte-identical, the churn-0.1 delta
 //!                     is under the wire-ratio ceiling, the frac=0.25
 //!                     lazy boot stays under the small-lab decode ceiling
-//!                     and matches the monolithic layout digest, and the
-//!                     fleet distribution plan is shard-invariant.
+//!                     and matches the monolithic layout digest, the
+//!                     manifest's priced pre-serve fraction is in (0, 1],
+//!                     and the fleet distribution plan is shard-invariant.
 //!                     Writes nothing. Exits nonzero on any violation.
 //!                     (The <50% pre-serve decode criterion is enforced
 //!                     at bench scale by ci.sh on BENCH_store.json.)
@@ -167,6 +169,10 @@ struct LazyRow {
     early_serve_frac: f64,
     payload_bytes: u64,
     before_serve_frac: f64,
+    /// What the manifest prices the same boot at
+    /// (`Manifest::early_decode_frac`): the heat-order prefix's closure,
+    /// where the consumer decodes the `func_order` prefix's.
+    priced_before_serve_frac: f64,
     hot_chunks: usize,
     cold_chunks: usize,
     hot_decode_ns: u64,
@@ -210,6 +216,7 @@ fn lazy_boot(lab: &str, params: &AppParams, requests: usize) -> LazyRow {
         early_serve_frac: EARLY_FRAC,
         payload_bytes: cs.payload_bytes,
         before_serve_frac: cs.before_serve_frac(),
+        priced_before_serve_frac: cp.manifest.early_decode_frac(EARLY_FRAC),
         hot_chunks: cs.hot_chunks,
         cold_chunks: cs.cold_chunks,
         hot_decode_ns: cs.hot_decode_ns,
@@ -221,9 +228,10 @@ fn lazy_boot(lab: &str, params: &AppParams, requests: usize) -> LazyRow {
     };
     println!(
         "[{lab}] lazy frac={EARLY_FRAC}: {:.1}% of {} payload B decoded pre-serve \
-         ({} hot / {} cold chunks), layout {}, {} of {} funcs ready",
+         (manifest prices {:.1}%; {} hot / {} cold chunks), layout {}, {} of {} funcs ready",
         row.before_serve_frac * 100.0,
         row.payload_bytes,
+        row.priced_before_serve_frac * 100.0,
         row.hot_chunks,
         row.cold_chunks,
         if row.layout_match {
@@ -397,6 +405,11 @@ fn main() {
             lazy.before_serve_frac * 100.0,
             MAX_EARLY_DECODE_FRAC_SMALL * 100.0
         );
+        assert!(
+            lazy.priced_before_serve_frac > 0.0 && lazy.priced_before_serve_frac <= 1.0,
+            "manifest priced the pre-serve decode at {} (must be in (0, 1])",
+            lazy.priced_before_serve_frac
+        );
         assert!(lazy.cold_chunks > 0, "a cold tail must exist to defer");
         assert!(
             lazy.ready_funcs < lazy.total_funcs,
@@ -475,13 +488,15 @@ fn main() {
     json.push_str(&format!(
         concat!(
             "  \"lazy\": {{\"early_serve_frac\": {}, \"payload_bytes\": {}, ",
-            "\"before_serve_frac\": {:.4}, \"hot_chunks\": {}, \"cold_chunks\": {}, ",
+            "\"before_serve_frac\": {:.4}, \"priced_before_serve_frac\": {:.4}, ",
+            "\"hot_chunks\": {}, \"cold_chunks\": {}, ",
             "\"hot_decode_ns\": {}, \"cold_decode_ns\": {}, \"decode_ns_per_mb\": {:.0}, ",
             "\"layout_match\": {}, \"ready_funcs\": {}, \"total_funcs\": {}}},\n"
         ),
         lazy.early_serve_frac,
         lazy.payload_bytes,
         lazy.before_serve_frac,
+        lazy.priced_before_serve_frac,
         lazy.hot_chunks,
         lazy.cold_chunks,
         lazy.hot_decode_ns,

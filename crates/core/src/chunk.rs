@@ -13,10 +13,12 @@
 //!   chunks' bytes before serve-start ([`LazyLoader`]), leaving the cold
 //!   tail to the background pipeline.
 //!
-//! The chunk boundaries are the payload's natural record boundaries
-//! (see [`ProfilePackage::encoded_len`]): one *head* chunk (meta +
-//! preload + function count), one chunk per function record in `FuncId`
-//! order, one *tail* chunk (ctx profile, orders).
+//! The chunk boundaries are the payload's natural record boundaries,
+//! read off the one write pass that also produces
+//! [`ProfilePackage::serialize`]'s bytes: one *head* chunk (meta +
+//! preload + function directory), one chunk per function record in
+//! `FuncId` order, one *tail* chunk (ctx profile, orders). No record
+//! length is computed apart from its writer.
 //! Because chunks are byte slices of the canonical encoding,
 //! [`reassemble`] is lossless by construction: concatenating the chunks
 //! reproduces the monolithic sealed bytes exactly, which the manifest's
@@ -37,7 +39,7 @@ use jit::TierProfile;
 
 use crate::crc32::crc32;
 use crate::package::{
-    self, head_encoded_len, read_func_record, read_head, read_tail, sorted_funcs, PackageMeta,
+    self, read_func_record, read_head, read_tail, sorted_funcs, write_sealed, PackageMeta,
     PreloadLists, ProfilePackage,
 };
 use crate::wire::{
@@ -187,11 +189,16 @@ impl Manifest {
         self.func_entries().map(|(_, f, h)| (f, h)).collect()
     }
 
-    /// Fraction of payload bytes a lazy boot decodes before serve-start
-    /// at `frac`: head + tail + the early-serve prefix of the hot rank,
-    /// closed over callees — priced off the manifest alone, without
-    /// touching a single chunk. This is exactly the set
-    /// [`LazyLoader::hot_closure`] decodes for the same fraction.
+    /// Fraction of payload bytes the manifest prices a lazy boot to
+    /// decode before serve-start at `frac`: head + tail + the
+    /// early-serve prefix of the *hot rank*, closed over callees — read
+    /// off the manifest alone, without touching a single chunk.
+    ///
+    /// This is a price, not the consumer's decode set: a consumer takes
+    /// its early-serve prefix along the package's `func_order` (the
+    /// seeder's C3 order) when it has one, and that prefix can close over
+    /// far more chunks than the heat-order one (`jsstore`'s lazy row
+    /// prints both).
     pub fn early_decode_frac(&self, frac: f64) -> f64 {
         if self.payload_len == 0 {
             return 1.0;
@@ -199,12 +206,26 @@ impl Manifest {
         let order = self.funcs_by_heat();
         let hot_count = crate::pipeline::early_serve_prefix_by_heat(&self.heat_map(), &order, frac);
         let by_func: HashMap<FuncId, usize> = self.func_entries().map(|(i, f, _)| (f, i)).collect();
-        let mut seen: HashSet<usize> = HashSet::new();
-        let mut stack: Vec<usize> = order[..hot_count]
-            .iter()
-            .filter_map(|f| by_func.get(f).copied())
+        let closure = self.hot_closure(&by_func, order[..hot_count].iter().copied());
+        let mut bytes: u64 = closure.iter().map(|&i| self.entries[i].len as u64).sum();
+        bytes += self.entries.first().map_or(0, |e| e.len as u64);
+        bytes += self.entries.last().map_or(0, |e| e.len as u64);
+        (bytes as f64 / self.payload_len as f64).min(1.0)
+    }
+
+    /// Entry indices, ascending, of `hot` plus every function
+    /// transitively reachable through the entries' callee lists;
+    /// `by_func` maps a function to its entry index.
+    fn hot_closure(
+        &self,
+        by_func: &HashMap<FuncId, usize>,
+        hot: impl IntoIterator<Item = FuncId>,
+    ) -> Vec<usize> {
+        let mut stack: Vec<usize> = hot
+            .into_iter()
+            .filter_map(|f| by_func.get(&f).copied())
             .collect();
-        seen.extend(stack.iter().copied());
+        let mut seen: HashSet<usize> = stack.iter().copied().collect();
         while let Some(i) = stack.pop() {
             if let ChunkKind::Func { callees, .. } = &self.entries[i].kind {
                 for c in callees {
@@ -216,37 +237,20 @@ impl Manifest {
                 }
             }
         }
-        let mut bytes: u64 = seen.iter().map(|&i| self.entries[i].len as u64).sum();
-        bytes += self.entries.first().map_or(0, |e| e.len as u64);
-        bytes += self.entries.last().map_or(0, |e| e.len as u64);
-        (bytes as f64 / self.payload_len as f64).min(1.0)
+        let mut out: Vec<usize> = seen.into_iter().collect();
+        out.sort_unstable();
+        out
     }
 
-    /// Exact size [`Manifest::encode`] produces, envelope included.
+    /// Size of [`Manifest::encode`]'s output, envelope included.
     pub fn wire_len(&self) -> usize {
-        self.encoded_len() + ENVELOPE_LEN
-    }
-
-    /// Exact payload size of the encoded manifest, mirroring the writer.
-    pub fn encoded_len(&self) -> usize {
-        // tag, version, region, bucket, repo_funcs, payload_len,
-        // payload_crc (u32) + seeder, created (u64).
-        let mut len = 7 * 4 + 2 * 8;
-        len += 4; // entry count
-        for e in &self.entries {
-            len += 1 + 8 + 4 + 4; // kind tag, id, len, crc
-            if let ChunkKind::Func { callees, .. } = &e.kind {
-                len += 4 + 8 + 4 + 4 * callees.len(); // func, heat, callee seq
-            }
-        }
-        len + 4 + 4 * self.hot_rank.len()
+        self.encode().len()
     }
 
     /// Encodes to the sealed wire format (shared envelope, manifest tag).
     pub fn encode(&self) -> Bytes {
-        let payload_len = self.encoded_len();
-        let mut w = Writer::with_capacity(payload_len + ENVELOPE_LEN);
-        begin_sealed(&mut w, payload_len);
+        let mut w = Writer::new();
+        begin_sealed(&mut w);
         w.u32(MANIFEST_TAG);
         w.u32(MANIFEST_VERSION);
         w.u32(self.region);
@@ -284,11 +288,6 @@ impl Manifest {
         for &i in &self.hot_rank {
             w.u32(i);
         }
-        debug_assert_eq!(
-            w.len(),
-            payload_len + ENVELOPE_LEN - 4,
-            "encoded_len must mirror the writer exactly"
-        );
         finish_sealed(w)
     }
 
@@ -425,63 +424,58 @@ pub struct ChunkedPackage {
 /// profile was collected against (the lazy-decode release guard).
 ///
 /// The chunks are byte slices of the canonical [`ProfilePackage::serialize`]
-/// output, so reassembling them reproduces the monolithic encoding
-/// byte for byte.
+/// output, cut where the writer ended each record, so reassembling them
+/// reproduces the monolithic encoding byte for byte.
 pub fn chunk_package(pkg: &ProfilePackage, repo_funcs: usize) -> ChunkedPackage {
-    let sealed = pkg.serialize();
+    let (sealed, ends) = write_sealed(pkg);
     let payload_len = sealed.len() - ENVELOPE_LEN;
     let _span = telemetry::span!("package-chunk", "bytes" => payload_len);
-    // `serialize` just sealed the payload's CRC into the envelope trailer.
+    // The write pass just sealed the payload's CRC into the envelope
+    // trailer.
     let trailer = sealed
         .last_chunk()
         .expect("a sealed envelope ends in its CRC");
     let payload_crc = u32::from_le_bytes(*trailer);
 
+    // Record kinds in payload order, parallel to `ends`.
     let funcs = sorted_funcs(&pkg.tier);
-    let refs = package::hash_refs(&pkg.tier);
-    let mut entries = Vec::with_capacity(funcs.len() + 2);
-    let mut chunks = Vec::with_capacity(funcs.len() + 2);
-    let mut pos = HEADER_LEN;
-    let mut push = |pos: &mut usize, len: usize, kind: ChunkKind| {
-        let bytes = sealed.slice(*pos..*pos + len);
-        *pos += len;
+    let kinds = std::iter::once(ChunkKind::Head)
+        .chain(funcs.iter().map(|&(f, p)| {
+            let mut callees: Vec<FuncId> = p.call_targets().iter().map(|&((_, f), _)| f).collect();
+            callees.sort_unstable();
+            callees.dedup();
+            ChunkKind::Func {
+                func: *f,
+                heat: p.block_counts.iter().sum(),
+                callees,
+            }
+        }))
+        .chain(std::iter::once(ChunkKind::Tail));
+    let mut entries = Vec::with_capacity(ends.len());
+    let mut chunks = Vec::with_capacity(ends.len());
+    let mut start = HEADER_LEN;
+    for (end, kind) in ends.into_iter().zip(kinds) {
+        let bytes = sealed.slice(start..end);
+        start = end;
         let id = ChunkId(analysis::chunk_fingerprint(&bytes));
         entries.push(ManifestEntry {
             id,
-            len: len as u32,
+            len: bytes.len() as u32,
             crc: crc32(&bytes),
             kind,
         });
         chunks.push(Chunk { id, bytes });
-    };
-
-    push(&mut pos, head_encoded_len(pkg), ChunkKind::Head);
-    let mut rank: Vec<(u64, FuncId, u32)> = Vec::with_capacity(funcs.len());
-    for (f, p) in funcs {
-        let heat: u64 = p.block_counts.iter().sum();
-        let mut callees: Vec<FuncId> = p.call_targets().iter().map(|&((_, f), _)| f).collect();
-        callees.sort_unstable();
-        callees.dedup();
-        // Entry index of this function chunk: head + funcs pushed so far.
-        rank.push((heat, *f, (1 + rank.len()) as u32));
-        push(
-            &mut pos,
-            package::func_record_len(p, &refs),
-            ChunkKind::Func {
-                func: *f,
-                heat,
-                callees,
-            },
-        );
     }
-    push(&mut pos, package::tail_encoded_len(pkg), ChunkKind::Tail);
-    debug_assert_eq!(
-        pos,
-        HEADER_LEN + payload_len,
-        "chunk boundaries must tile the payload exactly"
-    );
 
     // Hottest first, FuncId tie-break — identical to heat_ranked().
+    let mut rank: Vec<(u64, FuncId, u32)> = entries
+        .iter()
+        .enumerate()
+        .filter_map(|(i, e)| match e.kind {
+            ChunkKind::Func { func, heat, .. } => Some((heat, func, i as u32)),
+            _ => None,
+        })
+        .collect();
     rank.sort_by_key(|&(heat, f, _)| (std::cmp::Reverse(heat), f));
     let hot_rank = rank.into_iter().map(|(_, _, i)| i).collect();
 
@@ -592,7 +586,7 @@ fn fetch_verified<'p>(pool: &'p ChunkPool, e: &ManifestEntry) -> Result<&'p Byte
 pub fn reassemble(man: &Manifest, pool: &ChunkPool) -> Result<Bytes, WireError> {
     let payload_len = man.payload_len as usize;
     let mut w = Writer::with_capacity(payload_len + ENVELOPE_LEN);
-    begin_sealed(&mut w, payload_len);
+    begin_sealed(&mut w);
     for e in &man.entries {
         w.raw(fetch_verified(pool, e)?);
     }
@@ -809,25 +803,7 @@ impl<'a> LazyLoader<'a> {
     /// translation, so compiling the hot set against a partial tier is
     /// only sound once this closure is decoded.
     pub fn hot_closure(&self, hot: impl IntoIterator<Item = FuncId>) -> Vec<usize> {
-        let mut seen: HashSet<usize> = HashSet::new();
-        let mut stack: Vec<usize> = hot.into_iter().filter_map(|f| self.entry_of(f)).collect();
-        for &i in &stack {
-            seen.insert(i);
-        }
-        while let Some(i) = stack.pop() {
-            if let ChunkKind::Func { callees, .. } = &self.man.entries[i].kind {
-                for c in callees {
-                    if let Some(j) = self.entry_of(*c) {
-                        if seen.insert(j) {
-                            stack.push(j);
-                        }
-                    }
-                }
-            }
-        }
-        let mut out: Vec<usize> = seen.into_iter().collect();
-        out.sort_unstable();
-        out
+        self.man.hot_closure(&self.by_func, hot)
     }
 
     /// Every function-chunk entry index, in payload order.

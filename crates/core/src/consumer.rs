@@ -228,7 +228,7 @@ pub fn consume_bytes<'r>(
 ) -> Result<ConsumerOutcome<'r>, ConsumerError> {
     let t0 = Instant::now();
     let decode_span = telemetry::span!("decode", "bytes" => data.len());
-    let pkg = ProfilePackage::deserialize_shared(data)?;
+    let pkg = ProfilePackage::deserialize(data)?;
     drop(decode_span);
     let decode_ns = t0.elapsed().as_nanos() as u64;
     let src = Source::Package(&pkg);

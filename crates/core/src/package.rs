@@ -1,4 +1,10 @@
 //! The profile-data package: contents and serialization (paper §IV-B).
+//!
+//! The payload is three regions written by one pass: a head (meta,
+//! preload lists, function directory), one record per profiled function
+//! in `FuncId` order, and a tail (ctx profile, orders). That pass also
+//! reports where each record ended, which is where [`crate::chunk`] cuts
+//! its chunks; the writers below are the only statement of the layout.
 
 use std::collections::{HashMap, HashSet};
 
@@ -8,9 +14,7 @@ use bytecode::{ClassId, FuncId, StrId, UnitId};
 use jit::{BranchCount, CtxProfile, FuncProfile, InlineCtx, TierProfile, TypeDist};
 use vm::ValueKind;
 
-use crate::wire::{
-    begin_sealed, finish_sealed, unseal, unseal_shared, Reader, WireError, Writer, ENVELOPE_LEN,
-};
+use crate::wire::{begin_sealed, finish_sealed, unseal, Reader, WireError, Writer};
 
 /// Fault-injection marker for the §VI reliability experiments: a package
 /// whose profile data triggers a JIT bug.
@@ -87,45 +91,10 @@ pub struct ProfilePackage {
 }
 
 impl ProfilePackage {
-    /// Serializes to the sealed wire format. The exact encoded size is
-    /// computed up front ([`ProfilePackage::encoded_len`]) and the
-    /// envelope is written inline, so the whole package lands in one
-    /// exactly-sized buffer: no payload copy, no reallocation.
+    /// Serializes to the sealed wire format: the envelope is written
+    /// inline and the payload straight after it, in one growing buffer.
     pub fn serialize(&self) -> Bytes {
-        let payload_len = self.encoded_len();
-        let _span = telemetry::span!("package-serialize", "bytes" => payload_len + ENVELOPE_LEN);
-        let mut w = Writer::with_capacity(payload_len + ENVELOPE_LEN);
-        begin_sealed(&mut w, payload_len);
-        let funcs = sorted_funcs(&self.tier);
-        let refs = hash_refs(&self.tier);
-        write_head(&mut w, self, &funcs);
-        for (_, p) in funcs {
-            write_func_record(&mut w, p, &refs);
-        }
-        write_tail(&mut w, self);
-        debug_assert_eq!(
-            w.len(),
-            payload_len + ENVELOPE_LEN - 4,
-            "encoded_len must mirror the writers exactly"
-        );
-        finish_sealed(w)
-    }
-
-    /// Exact payload size [`ProfilePackage::serialize`] will produce
-    /// (excluding the envelope), mirroring the writers field for field.
-    ///
-    /// The payload is the concatenation of three regions — head (meta +
-    /// preload + function count), one record per profiled function in
-    /// `FuncId` order, and the tail (ctx profile, orders) — which is
-    /// exactly how [`crate::chunk`] slices it into content-addressed
-    /// chunks.
-    pub fn encoded_len(&self) -> usize {
-        let mut len = head_encoded_len(self);
-        let refs = hash_refs(&self.tier);
-        for p in self.tier.funcs.values() {
-            len += func_record_len(p, &refs);
-        }
-        len + tail_encoded_len(self)
+        write_sealed(self).0
     }
 
     /// Deserializes from the sealed wire format.
@@ -137,15 +106,15 @@ impl ProfilePackage {
         decode_payload(&mut Reader::new(unseal(data)?))
     }
 
-    /// Deserializes from shared bytes (a stored package): the payload is
-    /// accessed as a zero-copy slice of `data`'s backing allocation —
-    /// no intermediate payload `Vec`.
+    /// The same decode as [`ProfilePackage::deserialize`] (which already
+    /// reads the payload in place), kept under this name for callers
+    /// holding shared [`Bytes`].
     ///
     /// # Errors
     ///
     /// Returns a [`WireError`] on any corruption; never panics.
     pub fn deserialize_shared(data: &Bytes) -> Result<ProfilePackage, WireError> {
-        decode_payload(&mut Reader::new_shared(&unseal_shared(data)?))
+        Self::deserialize(data)
     }
 
     /// The profile as the static linter sees it.
@@ -197,6 +166,29 @@ pub(crate) fn sorted_funcs(tier: &TierProfile) -> Vec<(&FuncId, &FuncProfile)> {
     let mut funcs: Vec<_> = tier.funcs.iter().collect();
     funcs.sort_by_key(|(f, _)| **f);
     funcs
+}
+
+/// The one write pass behind [`ProfilePackage::serialize`] and
+/// [`crate::chunk::chunk_package`]: the sealed package, plus the end
+/// offset in it of each payload record — the head, one record per
+/// profiled function in `FuncId` order, then the tail. Those offsets are
+/// the chunk boundaries; nothing else describes the record lengths.
+pub(crate) fn write_sealed(pkg: &ProfilePackage) -> (Bytes, Vec<usize>) {
+    let _span = telemetry::span!("package-serialize");
+    let funcs = sorted_funcs(&pkg.tier);
+    let refs = hash_refs(&pkg.tier);
+    let mut ends = Vec::with_capacity(funcs.len() + 2);
+    let mut w = Writer::new();
+    begin_sealed(&mut w);
+    write_head(&mut w, pkg, &funcs);
+    ends.push(w.len());
+    for (_, p) in funcs {
+        write_func_record(&mut w, p, &refs);
+        ends.push(w.len());
+    }
+    write_tail(&mut w, pkg);
+    ends.push(w.len());
+    (finish_sealed(w), ends)
 }
 
 /// Function-identity directory of the payload head: the per-record
@@ -267,7 +259,7 @@ fn usable_hashes(pairs: impl Iterator<Item = (FuncId, u64)>) -> HashMap<u64, Fun
 
 /// Write-side view of which callees can be referenced by name hash —
 /// the exact inverse of [`FuncDirectory::resolve`] over the same tier.
-pub(crate) struct HashRefs {
+struct HashRefs {
     by_id: HashMap<FuncId, u64>,
 }
 
@@ -279,7 +271,7 @@ impl HashRefs {
 }
 
 /// Builds the write-side hash-reference view of a tier.
-pub(crate) fn hash_refs(tier: &TierProfile) -> HashRefs {
+fn hash_refs(tier: &TierProfile) -> HashRefs {
     let usable = usable_hashes(tier.funcs.iter().map(|(f, p)| (*f, p.name_hash)));
     HashRefs {
         by_id: usable.into_iter().map(|(h, f)| (f, h)).collect(),
@@ -289,7 +281,7 @@ pub(crate) fn hash_refs(tier: &TierProfile) -> HashRefs {
 /// Writes the payload head: package meta, preload lists, the count of
 /// function records that follow, and the function-identity directory
 /// ([`FuncDirectory`]) in record order.
-pub(crate) fn write_head(w: &mut Writer, pkg: &ProfilePackage, funcs: &[(&FuncId, &FuncProfile)]) {
+fn write_head(w: &mut Writer, pkg: &ProfilePackage, funcs: &[(&FuncId, &FuncProfile)]) {
     w.u32(pkg.meta.region);
     w.u32(pkg.meta.bucket);
     w.u64(pkg.meta.seeder_id);
@@ -314,19 +306,6 @@ pub(crate) fn write_head(w: &mut Writer, pkg: &ProfilePackage, funcs: &[(&FuncId
         w.u32(f.0);
         w.u64(p.name_hash);
     }
-}
-
-/// Exact encoded size of the payload head, mirroring [`write_head`].
-pub(crate) fn head_encoded_len(pkg: &ProfilePackage) -> usize {
-    // meta: region, bucket (u32) + seeder, created, 3×coverage (u64).
-    let mut len = 4 + 4 + 5 * 8;
-    len += match pkg.meta.poison {
-        Poison::RuntimeCrash { .. } => 1 + 4,
-        _ => 1,
-    };
-    len += 4 + 4 * pkg.preload.unit_order.len();
-    len += 4; // function-record count
-    len + (4 + 8) * pkg.tier.funcs.len() // function-identity directory
 }
 
 /// Reads the payload head back: meta, preload, and the
@@ -373,7 +352,7 @@ pub(crate) fn read_head(
 
 /// Writes the payload tail: the ctx profile, property orders and the
 /// function order.
-pub(crate) fn write_tail(w: &mut Writer, pkg: &ProfilePackage) {
+fn write_tail(w: &mut Writer, pkg: &ProfilePackage) {
     write_ctx(w, &pkg.ctx);
     w.seq(pkg.prop_orders.len());
     for (c, order) in &pkg.prop_orders {
@@ -387,15 +366,6 @@ pub(crate) fn write_tail(w: &mut Writer, pkg: &ProfilePackage) {
     for f in &pkg.func_order {
         w.u32(f.0);
     }
-}
-
-/// Exact encoded size of the payload tail, mirroring [`write_tail`].
-pub(crate) fn tail_encoded_len(pkg: &ProfilePackage) -> usize {
-    let mut len = ctx_encoded_len(&pkg.ctx) + 4;
-    for (_, order) in &pkg.prop_orders {
-        len += 4 + 4 + 4 * order.len();
-    }
-    len + 4 + 4 * pkg.func_order.len()
 }
 
 /// The non-function parts decoded from the payload tail: ctx profile,
@@ -424,57 +394,21 @@ pub(crate) fn read_tail(r: &mut Reader<'_>) -> Result<TailParts, WireError> {
     Ok((ctx, prop_orders, func_order))
 }
 
-/// Exact encoded size of one function record, mirroring
-/// [`write_func_record`] — the chunk length of that function's chunk.
-pub(crate) fn func_record_len(p: &FuncProfile, refs: &HashRefs) -> usize {
-    let mut len = 8 + 8; // enter_count, name_hash
-    len += 4 + 8 * p.block_counts.len();
-    len += 4 + 8 * p.block_hashes.len();
-    len += 4 + 8 * p.block_opcode_hashes.len();
-    len += 4 + (4 + 4) * p.call_targets().chunk_by(same_site).count(); // site, target count
-    for &((_, f2), _) in p.call_targets() {
-        // tag + (name hash | raw id) + count
-        len += 1 + if refs.hash_of(f2).is_some() { 8 } else { 4 } + 8;
-    }
-    len += 4 + (4 + 1 + 8 * ValueKind::ALL.len()) * p.types().len();
-    len += 4 + (4 + 4) * p.prop_classes().chunk_by(same_site).count();
-    len + (4 + 8) * p.prop_classes().len()
-}
-
 /// Whether two `((site, _), count)` entries belong to one site's run.
 fn same_site<T>(a: &((u32, T), u64), b: &((u32, T), u64)) -> bool {
     a.0 .0 == b.0 .0
 }
 
-/// Exact encoded size of the ctx-profile section, mirroring
-/// [`write_ctx`].
-fn ctx_encoded_len(ctx: &CtxProfile) -> usize {
-    fn ictx_len(ictx: &InlineCtx) -> usize {
-        match ictx {
-            None => 1,
-            Some(_) => 1 + 4 + 4,
-        }
-    }
-    let mut len = 4;
-    for ((_, _, ictx), _) in ctx.branches() {
-        len += ictx_len(ictx) + 4 + 4 + 8 + 8;
-    }
-    len += 4;
-    for ((_, ictx), _) in ctx.entries() {
-        len += ictx_len(ictx) + 4 + 8;
-    }
-    len
-}
-
 /// Writes one function's tier-profile record. Records are
-/// self-delimiting ([`func_record_len`]) and deliberately id-free: the
+/// self-delimiting (every table is count-prefixed) and deliberately
+/// id-free: the
 /// function's identity lives in the head directory and call targets are
 /// referenced by callee *name hash* (with a raw-id fallback for refs the
 /// package cannot hash), so an unchanged profile encodes to
 /// byte-identical — and therefore chunk-identical — bytes even when a
 /// release renumbers every `FuncId`. One record is exactly one
 /// content-addressed chunk.
-pub(crate) fn write_func_record(w: &mut Writer, p: &FuncProfile, refs: &HashRefs) {
+fn write_func_record(w: &mut Writer, p: &FuncProfile, refs: &HashRefs) {
     w.u64(p.enter_count);
     w.u64(p.name_hash);
     for v in [&p.block_counts, &p.block_hashes, &p.block_opcode_hashes] {
@@ -761,24 +695,14 @@ mod tests {
         let bytes = pkg.serialize();
         let back = ProfilePackage::deserialize(&bytes).unwrap();
         assert_eq!(pkg, back);
+        // Stability: re-encoding the decoded package reproduces the bytes.
+        assert_eq!(back.serialize(), bytes);
     }
 
     #[test]
     fn serialization_is_deterministic() {
         let pkg = sample_package();
         assert_eq!(pkg.serialize(), pkg.serialize());
-    }
-
-    #[test]
-    fn encoded_len_is_exact_and_stable() {
-        for pkg in [sample_package(), ProfilePackage::default()] {
-            let bytes = pkg.serialize();
-            assert_eq!(bytes.len(), pkg.encoded_len() + ENVELOPE_LEN);
-            // Stability: round-tripping must not change the encoded size.
-            let back = ProfilePackage::deserialize(&bytes).unwrap();
-            assert_eq!(back.encoded_len(), pkg.encoded_len());
-            assert_eq!(back.serialize(), bytes);
-        }
     }
 
     #[test]
@@ -801,7 +725,6 @@ mod tests {
             let mut w = Writer::new();
             write_func_record(&mut w, &p, &refs);
             let bytes = w.finish();
-            assert_eq!(bytes.len(), func_record_len(&p, &refs));
             let mut r = Reader::new(&bytes);
             assert_eq!(read_func_record(&mut r, &dir).unwrap(), p);
             assert_eq!(r.remaining(), 0);
@@ -814,21 +737,6 @@ mod tests {
                     .sum::<usize>();
             assert!(read_func_record(&mut Reader::new(&bytes[..opcode_end - 1]), &dir).is_err());
         }
-    }
-
-    #[test]
-    fn deserialize_shared_matches_plain_decode() {
-        let pkg = sample_package();
-        let bytes = pkg.serialize();
-        let shared = ProfilePackage::deserialize_shared(&bytes).unwrap();
-        let plain = ProfilePackage::deserialize(&bytes).unwrap();
-        assert_eq!(shared, plain);
-        assert_eq!(shared, pkg);
-
-        // Corruption surfaces identically through the shared path.
-        let mut bad = bytes.to_vec();
-        bad[20] ^= 0x11;
-        assert!(ProfilePackage::deserialize_shared(&Bytes::from(bad)).is_err());
     }
 
     #[test]
@@ -880,10 +788,9 @@ mod tests {
 
     #[test]
     fn records_reference_callees_by_name_hash_not_id() {
-        // Renumber every FuncId in the package; the per-function record
-        // bytes must be unaffected (identity lives in the head directory),
-        // which is what keeps content-addressed chunks stable across
-        // releases that insert or reorder units.
+        // Renumber every FuncId in the package: records name callees by
+        // hash and identity lives in the head directory, so decoding must
+        // resolve every callee back to its new id.
         let pkg = sample_package();
         let shift = |f: FuncId| FuncId(f.0 + 1000);
         let mut pkg2 = pkg.clone();
@@ -899,30 +806,12 @@ mod tests {
             .collect();
         pkg2.func_order = pkg.func_order.iter().map(|f| shift(*f)).collect();
 
-        // Both packages round-trip losslessly...
+        // The renumbered package round-trips losslessly through the
+        // head directory (that its record bytes are unchanged is
+        // `chunk::func_chunks_survive_funcid_renumbering`).
         assert_eq!(
             ProfilePackage::deserialize(&pkg2.serialize()).unwrap(),
             pkg2
-        );
-        // ... and their function-record regions are byte-identical: only
-        // the head (directory ids) and tail (func_order) moved.
-        let refs = hash_refs(&pkg.tier);
-        let a = pkg.serialize();
-        let b = pkg2.serialize();
-        let head_a = head_encoded_len(&pkg);
-        let funcs_len: usize = pkg
-            .tier
-            .funcs
-            .values()
-            .map(|p| func_record_len(p, &refs))
-            .sum();
-        use crate::wire::HEADER_LEN;
-        let records_a = &a[HEADER_LEN + head_a..HEADER_LEN + head_a + funcs_len];
-        let head_b = head_encoded_len(&pkg2);
-        let records_b = &b[HEADER_LEN + head_b..HEADER_LEN + head_b + funcs_len];
-        assert_eq!(
-            records_a, records_b,
-            "renumbering FuncIds must not change one record byte"
         );
     }
 

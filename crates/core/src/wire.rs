@@ -2,14 +2,17 @@
 //!
 //! HHVM's profile serializer is bespoke (acknowledgments credit its
 //! initial implementation); this reproduction's codec is likewise
-//! hand-rolled on top of [`bytes`]: little-endian primitives,
-//! length-prefixed sequences, and a trailing CRC-32 over the payload.
+//! hand-rolled: little-endian integers, length-prefixed sequences, and an
+//! envelope (magic, version, payload length, trailing CRC-32). The
+//! package and manifest writers are the only description of the layout:
+//! a record's length is wherever its writer stopped ([`Writer::len`]),
+//! never a size computed beside it.
 //! Every decode path returns a typed [`WireError`] — a corrupted package
 //! must never panic a consumer (§VI-A.3 falls back instead).
 
 use std::fmt;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::Bytes;
 
 /// Decoding failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -52,10 +55,10 @@ impl fmt::Display for WireError {
 
 impl std::error::Error for WireError {}
 
-/// Write cursor.
+/// Write cursor: appends little-endian fields to one growing buffer.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
@@ -64,16 +67,15 @@ impl Writer {
         Self::default()
     }
 
-    /// Creates a writer with `cap` bytes reserved up front. A caller that
-    /// knows its exact encoded size (see `ProfilePackage::encoded_len`)
-    /// never triggers a buffer reallocation while writing.
+    /// Creates a writer with `cap` bytes reserved up front.
     pub fn with_capacity(cap: usize) -> Self {
         Self {
-            buf: BytesMut::with_capacity(cap),
+            buf: Vec::with_capacity(cap),
         }
     }
 
-    /// Bytes written so far.
+    /// Bytes written so far: the end offset of the last field. Read after
+    /// each record, these are the boundaries [`crate::chunk`] cuts at.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -90,38 +92,22 @@ impl Writer {
 
     /// Appends raw bytes with no length prefix (envelope fields).
     pub fn raw(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a `u8`.
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a `u32` (LE).
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.raw(&v.to_le_bytes());
     }
 
     /// Appends a `u64` (LE).
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
-    }
-
-    /// Appends an `f64` (LE bits).
-    pub fn f64(&mut self, v: f64) {
-        self.buf.put_f64_le(v);
-    }
-
-    /// Appends a length-prefixed byte string.
-    pub fn bytes(&mut self, v: &[u8]) {
-        self.u32(v.len() as u32);
-        self.buf.put_slice(v);
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, v: &str) {
-        self.bytes(v.as_bytes());
+        self.raw(&v.to_le_bytes());
     }
 
     /// Appends a sequence length (for the caller to follow with items).
@@ -129,20 +115,19 @@ impl Writer {
         self.u32(len as u32);
     }
 
-    /// Finishes, returning the raw payload (no envelope).
-    pub fn finish(self) -> Bytes {
-        self.buf.freeze()
+    /// Finishes, returning the raw payload (no envelope). Growth can
+    /// leave up to half the buffer unused, and a package outlives its
+    /// writer in every store, so the slack is handed back first.
+    pub fn finish(mut self) -> Bytes {
+        self.buf.shrink_to_fit();
+        Bytes::from(self.buf)
     }
 }
 
-/// Read cursor.
+/// Read cursor over a borrowed payload.
 #[derive(Debug)]
 pub struct Reader<'a> {
     buf: &'a [u8],
-    /// Set when the reader was built over shared [`Bytes`]: byte-string
-    /// fields can then be decoded as zero-copy slices of the backing
-    /// allocation instead of fresh `Vec`s.
-    shared: Option<&'a Bytes>,
 }
 
 /// Cap on decoded sequence lengths; anything bigger is corruption, not a
@@ -152,96 +137,44 @@ const MAX_SEQ: u32 = 64 << 20;
 impl<'a> Reader<'a> {
     /// Creates a reader over a payload.
     pub fn new(buf: &'a [u8]) -> Self {
-        Self { buf, shared: None }
-    }
-
-    /// Creates a reader over shared bytes; [`Reader::bytes_shared`] then
-    /// returns zero-copy sub-slices.
-    pub fn new_shared(buf: &'a Bytes) -> Self {
-        Self {
-            buf,
-            shared: Some(buf),
-        }
+        Self { buf }
     }
 
     fn need(&self, n: usize) -> Result<(), WireError> {
-        if self.buf.remaining() < n {
+        if self.buf.len() < n {
             Err(WireError::Truncated {
                 needed: n,
-                left: self.buf.remaining(),
+                left: self.buf.len(),
             })
         } else {
             Ok(())
         }
     }
 
+    /// Consumes the next `N` bytes.
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        self.need(N)?;
+        let (head, tail) = self
+            .buf
+            .split_first_chunk()
+            .expect("need checked the length");
+        self.buf = tail;
+        Ok(*head)
+    }
+
     /// Reads a `u8`.
     pub fn u8(&mut self) -> Result<u8, WireError> {
-        self.need(1)?;
-        Ok(self.buf.get_u8())
+        Ok(self.take::<1>()?[0])
     }
 
     /// Reads a `u32`.
     pub fn u32(&mut self) -> Result<u32, WireError> {
-        self.need(4)?;
-        Ok(self.buf.get_u32_le())
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     /// Reads a `u64`.
     pub fn u64(&mut self) -> Result<u64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_u64_le())
-    }
-
-    /// Reads an `f64`.
-    pub fn f64(&mut self) -> Result<f64, WireError> {
-        self.need(8)?;
-        Ok(self.buf.get_f64_le())
-    }
-
-    /// Reads a length-prefixed byte string.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, WireError> {
-        Ok(self.bytes_ref()?.to_vec())
-    }
-
-    /// Reads a length-prefixed byte string as a borrowed slice of the
-    /// input buffer — no allocation. Decode paths that only *validate*
-    /// (checksum a section, compare against a manifest entry) should use
-    /// this instead of [`Reader::bytes`], which copies into a `Vec`.
-    pub fn bytes_ref(&mut self) -> Result<&'a [u8], WireError> {
-        let len = self.u32()?;
-        if len > MAX_SEQ {
-            return Err(WireError::Corrupt(format!("byte string of {len} bytes")));
-        }
-        self.need(len as usize)?;
-        let buf: &'a [u8] = self.buf;
-        let (head, tail) = buf.split_at(len as usize);
-        self.buf = tail;
-        Ok(head)
-    }
-
-    /// Reads a length-prefixed byte string as a zero-copy slice of the
-    /// shared backing buffer. Falls back to a copy when the reader was
-    /// built with [`Reader::new`] over a plain slice.
-    pub fn bytes_shared(&mut self) -> Result<Bytes, WireError> {
-        let Some(origin) = self.shared else {
-            return Ok(Bytes::from(self.bytes()?));
-        };
-        let len = self.u32()?;
-        if len > MAX_SEQ {
-            return Err(WireError::Corrupt(format!("byte string of {len} bytes")));
-        }
-        self.need(len as usize)?;
-        let pos = origin.len() - self.buf.remaining();
-        let out = origin.slice(pos..pos + len as usize);
-        let (_, tail) = self.buf.split_at(len as usize);
-        self.buf = tail;
-        Ok(out)
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, WireError> {
-        String::from_utf8(self.bytes()?).map_err(|_| WireError::Corrupt("invalid utf-8".into()))
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     /// Reads a sequence length.
@@ -255,7 +188,7 @@ impl<'a> Reader<'a> {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len()
     }
 }
 
@@ -288,32 +221,25 @@ pub const HEADER_LEN: usize = 16;
 /// Total envelope overhead: [`HEADER_LEN`] plus the trailing CRC-32.
 pub const ENVELOPE_LEN: usize = HEADER_LEN + 4;
 
-/// Writes the envelope header into `w`; the caller appends exactly
-/// `payload_len` payload bytes and then calls [`finish_sealed`]. Writing
-/// the envelope inline (instead of sealing a finished payload buffer)
-/// avoids copying the whole payload a second time.
-pub fn begin_sealed(w: &mut Writer, payload_len: usize) {
+/// Starts a sealed envelope in `w`: magic, version and a zero length
+/// placeholder. The caller writes the payload straight after it and
+/// calls [`finish_sealed`], which fills the length in — so a payload is
+/// written exactly once and nothing needs its size up front.
+pub fn begin_sealed(w: &mut Writer) {
     w.raw(MAGIC);
     w.u32(VERSION);
-    w.u32(payload_len as u32);
+    w.u32(0);
 }
 
-/// Appends the CRC-32 of everything after the header and freezes. The
-/// writer must hold exactly a header plus payload.
+/// Patches the payload length into the header [`begin_sealed`] wrote,
+/// appends the CRC-32 of the payload and freezes. The writer must hold
+/// exactly a header plus payload.
 pub fn finish_sealed(mut w: Writer) -> Bytes {
+    let payload_len = (w.len() - HEADER_LEN) as u32;
+    w.buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&payload_len.to_le_bytes());
     let crc = crate::crc32::crc32(&w.as_slice()[HEADER_LEN..]);
     w.u32(crc);
     w.finish()
-}
-
-/// Wraps a payload in the envelope: magic, version, length, payload, CRC.
-/// (Copies the payload once; writers that know their encoded length use
-/// [`begin_sealed`]/[`finish_sealed`] instead.)
-pub fn seal(payload: Bytes) -> Bytes {
-    let mut out = Writer::with_capacity(payload.len() + ENVELOPE_LEN);
-    begin_sealed(&mut out, payload.len());
-    out.raw(&payload);
-    finish_sealed(out)
 }
 
 /// Unwraps the envelope, verifying magic, version, length and checksum.
@@ -361,21 +287,18 @@ pub fn unseal(data: &[u8]) -> Result<&[u8], WireError> {
     Ok(payload)
 }
 
-/// Like [`unseal`], but over shared bytes: the returned payload is a
-/// zero-copy slice of `data`'s backing allocation.
-///
-/// # Errors
-///
-/// Returns a [`WireError`] describing the first problem found.
-pub fn unseal_shared(data: &Bytes) -> Result<Bytes, WireError> {
-    let payload = unseal(data)?;
-    let len = payload.len();
-    Ok(data.slice(HEADER_LEN..HEADER_LEN + len))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Seals `payload` the way every writer does: header first, payload
+    /// bytes, then the patched length and CRC.
+    fn sealed(payload: &[u8]) -> Bytes {
+        let mut w = Writer::new();
+        begin_sealed(&mut w);
+        w.raw(payload);
+        finish_sealed(w)
+    }
 
     #[test]
     fn primitives_round_trip() {
@@ -383,16 +306,12 @@ mod tests {
         w.u8(7);
         w.u32(0xdead_beef);
         w.u64(u64::MAX);
-        w.f64(0.25);
-        w.str("héllo");
         w.seq(3);
         let payload = w.finish();
         let mut r = Reader::new(&payload);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX);
-        assert_eq!(r.f64().unwrap(), 0.25);
-        assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.seq().unwrap(), 3);
         assert_eq!(r.remaining(), 0);
     }
@@ -401,6 +320,8 @@ mod tests {
     fn truncation_is_detected() {
         let mut r = Reader::new(&[1, 2]);
         assert!(matches!(r.u32(), Err(WireError::Truncated { .. })));
+        // A failed read consumes nothing.
+        assert_eq!(r.remaining(), 2);
     }
 
     #[test]
@@ -414,87 +335,21 @@ mod tests {
 
     #[test]
     fn envelope_round_trips() {
-        let mut w = Writer::new();
-        w.str("payload");
-        let sealed = seal(w.finish());
-        let payload = unseal(&sealed).unwrap();
-        let mut r = Reader::new(payload);
-        assert_eq!(r.str().unwrap(), "payload");
-    }
-
-    #[test]
-    fn inline_envelope_matches_seal_and_never_reallocates() {
-        let mut plain = Writer::new();
-        plain.str("payload");
-        plain.u64(77);
-        let payload = plain.finish();
-        let sealed = seal(payload.clone());
-
-        let mut inline = Writer::with_capacity(payload.len() + ENVELOPE_LEN);
-        begin_sealed(&mut inline, payload.len());
-        inline.str("payload");
-        inline.u64(77);
-        assert_eq!(inline.len(), HEADER_LEN + payload.len());
-        let inlined = finish_sealed(inline);
-        assert_eq!(sealed, inlined, "inline envelope is byte-identical");
-    }
-
-    #[test]
-    fn unseal_shared_is_zero_copy() {
-        let mut w = Writer::new();
-        w.bytes(b"0123456789");
-        let sealed = seal(w.finish());
-        let payload = unseal_shared(&sealed).unwrap();
-        // The payload view aliases the sealed buffer — no copy.
-        assert_eq!(
-            payload.as_ref().as_ptr(),
-            sealed.as_ref()[HEADER_LEN..].as_ptr()
-        );
-        let mut r = Reader::new_shared(&payload);
-        let table = r.bytes_shared().unwrap();
-        assert_eq!(&table[..], b"0123456789");
-        // ... and the decoded byte table aliases it too.
-        assert_eq!(table.as_ref().as_ptr(), payload.as_ref()[4..].as_ptr());
-        assert_eq!(r.remaining(), 0);
-    }
-
-    #[test]
-    fn bytes_shared_falls_back_to_copy_on_plain_readers() {
-        let mut w = Writer::new();
-        w.bytes(b"abc");
-        w.u8(9);
-        let payload = w.finish();
-        let mut r = Reader::new(&payload);
-        assert_eq!(&r.bytes_shared().unwrap()[..], b"abc");
-        assert_eq!(r.u8().unwrap(), 9);
-    }
-
-    #[test]
-    fn bytes_ref_borrows_without_copying() {
-        let mut w = Writer::new();
-        w.bytes(b"zero-copy");
-        w.u8(5);
-        let payload = w.finish();
-        let mut r = Reader::new(&payload);
-        let slice = r.bytes_ref().unwrap();
-        assert_eq!(slice, b"zero-copy");
-        // The slice aliases the payload buffer — no allocation happened.
-        assert_eq!(slice.as_ptr(), payload[4..].as_ptr());
-        assert_eq!(r.u8().unwrap(), 5);
-        assert_eq!(r.remaining(), 0);
-
-        let mut truncated = Reader::new(&payload[..7]);
-        assert!(matches!(
-            truncated.bytes_ref(),
-            Err(WireError::Truncated { .. })
-        ));
+        // Empty, one byte, and past 64 KiB (a length that needs the
+        // placeholder's upper bytes); none declares its length up front.
+        for len in [0, 1, 70_000] {
+            let payload: Vec<u8> = (0..len).map(|i| (i * 7 % 251) as u8).collect();
+            let sealed = sealed(&payload);
+            assert_eq!(sealed.len(), payload.len() + ENVELOPE_LEN);
+            assert_eq!(&sealed[..8], MAGIC);
+            assert_eq!(sealed[12..16], (len as u32).to_le_bytes());
+            assert_eq!(unseal(&sealed).unwrap(), &payload[..]);
+        }
     }
 
     #[test]
     fn other_version_envelopes_are_rejected() {
-        let mut w = Writer::new();
-        w.str("payload");
-        let sealed = seal(w.finish());
+        let sealed = sealed(b"payload");
         // The crc covers only the payload, so rewriting the version field
         // yields an otherwise well-formed envelope of another version.
         for found in [VERSION - 2, VERSION - 1, VERSION + 1] {
@@ -512,9 +367,7 @@ mod tests {
 
     #[test]
     fn envelope_rejects_corruption() {
-        let mut w = Writer::new();
-        w.u64(12345);
-        let sealed = seal(w.finish());
+        let sealed = sealed(&12345u64.to_le_bytes());
 
         let mut bad_magic = sealed.to_vec();
         bad_magic[0] ^= 0xff;

@@ -764,10 +764,10 @@ fn prepare_cell(
     let model = build_app_model(app, &truth);
     drop(model_span);
     let stored = store.cell_packages(region, bucket);
-    // Zero-copy: section tables alias the stored buffers.
+    // Decoded in place from the stored buffers: no payload copy.
     let packages: Vec<ProfilePackage> = stored
         .iter()
-        .map(|p| ProfilePackage::deserialize_shared(&p.bytes).expect("validated"))
+        .map(|p| ProfilePackage::deserialize(&p.bytes).expect("validated"))
         .collect();
     let wire = if params.distribution.enabled {
         let cache = prior_store.map_or_else(ChunkPool::new, |s| s.cell_pool(region, bucket));

@@ -1,7 +1,6 @@
-//! Offline drop-in subset of the `bytes` crate: cheap-to-clone [`Bytes`]
-//! with zero-copy [`Bytes::slice`], a growable [`BytesMut`], and the
-//! [`Buf`]/[`BufMut`] cursor traits — exactly the surface the package wire
-//! codec and store use.
+//! Offline drop-in subset of the `bytes` crate: only [`Bytes`], a
+//! cheap-to-clone shared buffer with zero-copy [`Bytes::slice`] — the
+//! surface the package codec, chunk store and package store use.
 
 use std::ops::{Bound, Deref, RangeBounds};
 use std::sync::Arc;
@@ -16,11 +15,6 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Wraps a static byte slice.
-    pub fn from_static(bytes: &'static [u8]) -> Bytes {
-        Bytes::from(bytes.to_vec())
-    }
-
     /// Number of bytes in this view.
     pub fn len(&self) -> usize {
         self.len
@@ -29,11 +23,6 @@ impl Bytes {
     /// Whether the view is empty.
     pub fn is_empty(&self) -> bool {
         self.len == 0
-    }
-
-    /// Copies the contents into a fresh `Vec`.
-    pub fn to_vec(&self) -> Vec<u8> {
-        self.as_slice().to_vec()
     }
 
     /// Returns a sub-view sharing the same backing allocation — no copy.
@@ -127,168 +116,9 @@ impl std::fmt::Debug for Bytes {
     }
 }
 
-/// Growable byte buffer, frozen into [`Bytes`] when complete.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BytesMut {
-    data: Vec<u8>,
-}
-
-impl BytesMut {
-    /// Creates an empty buffer.
-    pub fn new() -> BytesMut {
-        BytesMut::default()
-    }
-
-    /// Creates an empty buffer with reserved capacity.
-    pub fn with_capacity(cap: usize) -> BytesMut {
-        BytesMut {
-            data: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Reserves capacity for at least `additional` more bytes, so a writer
-    /// that knows its exact encoded size up front never reallocates.
-    pub fn reserve(&mut self, additional: usize) {
-        self.data.reserve(additional);
-    }
-
-    /// Total allocated capacity.
-    pub fn capacity(&self) -> usize {
-        self.data.capacity()
-    }
-
-    /// Number of bytes written.
-    pub fn len(&self) -> usize {
-        self.data.len()
-    }
-
-    /// Whether nothing has been written.
-    pub fn is_empty(&self) -> bool {
-        self.data.is_empty()
-    }
-
-    /// Converts into an immutable [`Bytes`].
-    pub fn freeze(self) -> Bytes {
-        Bytes::from(self.data)
-    }
-}
-
-impl Deref for BytesMut {
-    type Target = [u8];
-
-    fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-/// Read cursor over a byte source. All `get_*` methods advance the cursor.
-///
-/// # Panics
-///
-/// Like the upstream crate, `get_*`/`copy_to_slice` panic when fewer bytes
-/// remain than requested — callers bounds-check with [`Buf::remaining`].
-pub trait Buf {
-    /// Bytes left to read.
-    fn remaining(&self) -> usize;
-
-    /// Reads `dst.len()` bytes into `dst`.
-    fn copy_to_slice(&mut self, dst: &mut [u8]);
-
-    /// Reads one byte.
-    fn get_u8(&mut self) -> u8 {
-        let mut b = [0u8; 1];
-        self.copy_to_slice(&mut b);
-        b[0]
-    }
-
-    /// Reads a little-endian `u32`.
-    fn get_u32_le(&mut self) -> u32 {
-        let mut b = [0u8; 4];
-        self.copy_to_slice(&mut b);
-        u32::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `u64`.
-    fn get_u64_le(&mut self) -> u64 {
-        let mut b = [0u8; 8];
-        self.copy_to_slice(&mut b);
-        u64::from_le_bytes(b)
-    }
-
-    /// Reads a little-endian `f64`.
-    fn get_f64_le(&mut self) -> f64 {
-        f64::from_bits(self.get_u64_le())
-    }
-}
-
-impl Buf for &[u8] {
-    fn remaining(&self) -> usize {
-        self.len()
-    }
-
-    fn copy_to_slice(&mut self, dst: &mut [u8]) {
-        assert!(self.len() >= dst.len(), "Buf::copy_to_slice out of bounds");
-        let (head, tail) = self.split_at(dst.len());
-        dst.copy_from_slice(head);
-        *self = tail;
-    }
-}
-
-/// Write cursor appending to a growable buffer.
-pub trait BufMut {
-    /// Appends a byte slice.
-    fn put_slice(&mut self, src: &[u8]);
-
-    /// Appends one byte.
-    fn put_u8(&mut self, v: u8) {
-        self.put_slice(&[v]);
-    }
-
-    /// Appends a little-endian `u32`.
-    fn put_u32_le(&mut self, v: u32) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `u64`.
-    fn put_u64_le(&mut self, v: u64) {
-        self.put_slice(&v.to_le_bytes());
-    }
-
-    /// Appends a little-endian `f64`.
-    fn put_f64_le(&mut self, v: f64) {
-        self.put_u64_le(v.to_bits());
-    }
-}
-
-impl BufMut for BytesMut {
-    fn put_slice(&mut self, src: &[u8]) {
-        self.data.extend_from_slice(src);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn round_trip_through_cursors() {
-        let mut w = BytesMut::with_capacity(32);
-        w.put_u8(7);
-        w.put_u32_le(0xdead_beef);
-        w.put_u64_le(u64::MAX - 3);
-        w.put_f64_le(1.5);
-        w.put_slice(b"xyz");
-        let frozen = w.freeze();
-        let mut r: &[u8] = &frozen;
-        assert_eq!(r.get_u8(), 7);
-        assert_eq!(r.get_u32_le(), 0xdead_beef);
-        assert_eq!(r.get_u64_le(), u64::MAX - 3);
-        assert_eq!(r.get_f64_le(), 1.5);
-        let mut tail = [0u8; 3];
-        r.copy_to_slice(&mut tail);
-        assert_eq!(&tail, b"xyz");
-        assert_eq!(r.remaining(), 0);
-    }
 
     #[test]
     fn bytes_clone_is_shallow_and_equal() {
@@ -297,7 +127,7 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(&a[..], &[1, 2, 3]);
         assert_eq!(a.len(), 3);
-        assert_eq!(Bytes::from_static(b"hi").to_vec(), vec![b'h', b'i']);
+        assert_eq!(Bytes::from(&b"hi"[..]).to_vec(), vec![b'h', b'i']);
     }
 
     #[test]
@@ -324,24 +154,5 @@ mod tests {
     fn slice_out_of_bounds_panics() {
         let a = Bytes::from(vec![1, 2, 3]);
         let _ = a.slice(1..5);
-    }
-
-    #[test]
-    fn reserve_prevents_reallocation() {
-        let mut w = BytesMut::new();
-        w.reserve(16);
-        let cap = w.capacity();
-        assert!(cap >= 16);
-        w.put_u64_le(1);
-        w.put_u64_le(2);
-        assert_eq!(w.capacity(), cap);
-        assert_eq!(w.len(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of bounds")]
-    fn overread_panics_like_upstream() {
-        let mut r: &[u8] = &[1, 2];
-        let _ = r.get_u32_le();
     }
 }
