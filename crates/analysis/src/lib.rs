@@ -11,18 +11,14 @@
 //!
 //! Layers:
 //!
-//! * [`dataflow`] — a small reusable forward/backward dataflow framework
-//!   over [`bytecode::Cfg`] (join-semilattice states, worklist solver).
-//! * [`reach`], [`types`] — analyses built on it: reachability / dead
-//!   blocks, and a type-lattice abstract interpretation of the operand
-//!   stack.
+//! * [`reach`] — block reachability from the entry: dead blocks.
 //! * [`callgraph`] — the whole-repo static call graph: which callees each
 //!   call site can possibly produce.
 //! * [`lint`] — the profile linter: checks a profile package against the
 //!   repo for dangling ids, stale counter shapes, flow-conservation
 //!   (Kirchhoff) violations, call arcs no static site can produce,
-//!   counters on unreachable blocks, and type observations the abstract
-//!   interpretation proves impossible.
+//!   counters on unreachable blocks and malformed order lists. Every
+//!   finding is an error: a package with any is rejected or repaired.
 //! * [`stale`] — the stale-profile matcher: re-identifies functions and
 //!   blocks from a profile collected against an older build (two-level
 //!   hash ladder: exact → opcode), infers flow-consistent counts for what
@@ -33,24 +29,20 @@
 //!   count *inference* over partial matches.
 
 pub mod callgraph;
-pub mod dataflow;
 pub mod fingerprint;
 pub mod flow;
 pub mod lint;
 pub mod reach;
 pub mod stale;
-pub mod types;
 
 pub use callgraph::{CallGraph, CallSite, CallSiteKind};
-pub use dataflow::{solve, Analysis, DataflowResults, Direction, JoinSemiLattice};
 pub use fingerprint::chunk_fingerprint;
 pub use flow::{flow_violations, infer_flow, FlowSolution};
 pub use lint::{
     is_own_layer_order, lint_profile, lint_profile_with, Diagnostic, LintOptions, LintReport,
-    ProfileView, Rule, Severity,
+    ProfileView, Rule,
 };
 pub use reach::reachable_blocks;
 pub use stale::{
     repair_profile, repair_profile_with, MatchMode, MatchStats, RepairOptions, RepairReport,
 };
-pub use types::{bin_operand_types, local_type_analysis, TypeSet, TypeState};

@@ -6,35 +6,22 @@
 //! *can this profile possibly have been collected from this repo?* It
 //! cross-checks every id against the repo tables, every counter against
 //! the profile point that claims to have produced it, block counters
-//! against Kirchhoff flow conservation, call arcs against the static call
-//! graph and observed types against the type abstract interpretation.
+//! against Kirchhoff flow conservation and call arcs against the static
+//! call graph.
 //!
-//! Severity is two-level: [`Severity::Error`] means the profile is
-//! structurally wrong for this repo (dangling ids, phantom profile
-//! points, stale counter shapes) — consuming it risks crashes or
-//! nonsense layout decisions. [`Severity::Warning`] means the data is
-//! merely suspicious (flow imbalance from a truncated collection window,
-//! statically impossible type observations).
+//! Every finding is an error: the profile cannot describe this repo, and
+//! consuming it risks crashes or nonsense layout decisions. The seeder
+//! rejects a package with any; the consumer repairs it ([`crate::stale`])
+//! and lints again.
 
 use std::collections::HashSet;
 
 use bytecode::{Cfg, ClassId, FuncId, Instr, Repo, StrId, UnitId};
 use jit::{CtxProfile, FuncProfile, TierProfile, PARAM_SITE};
-use vm::ValueKind;
 
 use crate::callgraph::CallGraph;
 use crate::flow::flow_violations;
 use crate::reach::reachable_blocks;
-use crate::types::bin_operand_types;
-
-/// How bad a diagnostic is.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum Severity {
-    /// The profile cannot describe this repo; consuming it is unsafe.
-    Error,
-    /// The data is suspicious but structurally consumable.
-    Warning,
-}
 
 /// Which check produced a diagnostic.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -52,8 +39,6 @@ pub enum Rule {
     FlowConservation,
     /// A counter claims an unreachable block executed.
     UnreachableCounter,
-    /// An observed type the abstract interpretation proves impossible.
-    TypeImpossible,
     /// A malformed order list (duplicates, non-own-layer properties).
     BadOrder,
 }
@@ -68,17 +53,14 @@ impl Rule {
             Rule::ImpossibleCallArc => "impossible-call-arc",
             Rule::FlowConservation => "flow-conservation",
             Rule::UnreachableCounter => "unreachable-counter",
-            Rule::TypeImpossible => "type-impossible",
             Rule::BadOrder => "bad-order",
         }
     }
 }
 
-/// One finding.
+/// One finding; every finding is an error.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Diagnostic {
-    /// How bad it is.
-    pub severity: Severity,
     /// Which check fired.
     pub rule: Rule,
     /// The function the finding is about, when there is one.
@@ -89,11 +71,7 @@ pub struct Diagnostic {
 
 impl std::fmt::Display for Diagnostic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let sev = match self.severity {
-            Severity::Error => "error",
-            Severity::Warning => "warning",
-        };
-        write!(f, "{sev}[{}]", self.rule.name())?;
+        write!(f, "error[{}]", self.rule.name())?;
         if let Some(func) = self.func {
             write!(f, " func#{}", func.index())?;
         }
@@ -101,25 +79,14 @@ impl std::fmt::Display for Diagnostic {
     }
 }
 
-/// Which optional checks to run.
+/// Former lint switches. Neither field has any effect: [`lint_profile`]
+/// always runs every check, flow conservation included.
 #[derive(Clone, Copy, Debug)]
 pub struct LintOptions {
-    /// Check block counters for flow conservation. The stale-profile
-    /// repairer infers counts that satisfy this check by construction
-    /// ([`crate::flow`]), so repaired profiles are held to the same
-    /// standard as fresh ones.
+    /// No effect; flow conservation is always checked.
     pub flow_conservation: bool,
-    /// Cross-check observed types against the abstract interpretation.
+    /// No effect; no check reads it.
     pub type_feasibility: bool,
-}
-
-impl Default for LintOptions {
-    fn default() -> Self {
-        LintOptions {
-            flow_conservation: true,
-            type_feasibility: true,
-        }
-    }
 }
 
 /// Borrowed view of the profile parts of a package. The linter doesn't
@@ -139,25 +106,17 @@ pub struct ProfileView<'a> {
     pub func_order: &'a [FuncId],
 }
 
-/// Everything the linter found, errors first.
+/// Everything the linter found.
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
-    /// All findings, sorted by severity then function.
+    /// All findings, sorted by rule, then function, then message.
     pub diagnostics: Vec<Diagnostic>,
 }
 
 impl LintReport {
-    /// Number of error-severity findings.
+    /// Number of findings.
     pub fn error_count(&self) -> usize {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
-            .count()
-    }
-
-    /// Number of warning-severity findings.
-    pub fn warning_count(&self) -> usize {
-        self.diagnostics.len() - self.error_count()
+        self.diagnostics.len()
     }
 
     /// Whether nothing at all was found.
@@ -165,17 +124,10 @@ impl LintReport {
         self.diagnostics.is_empty()
     }
 
-    /// The error-severity findings.
+    /// The findings.
     pub fn errors(&self) -> impl Iterator<Item = &Diagnostic> {
-        self.diagnostics
-            .iter()
-            .filter(|d| d.severity == Severity::Error)
+        self.diagnostics.iter()
     }
-}
-
-/// Lints a profile against a repo with default [`LintOptions`].
-pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
-    lint_profile_with(repo, view, &LintOptions::default())
 }
 
 /// Whether `order` is a valid physical order for `class`'s own property
@@ -190,27 +142,17 @@ pub fn is_own_layer_order(repo: &Repo, class: ClassId, order: &[StrId]) -> bool 
 
 struct Linter<'a> {
     repo: &'a Repo,
-    opts: &'a LintOptions,
     graph: CallGraph,
     out: Vec<Diagnostic>,
 }
 
 impl Linter<'_> {
-    fn push(&mut self, severity: Severity, rule: Rule, func: Option<FuncId>, message: String) {
+    fn error(&mut self, rule: Rule, func: Option<FuncId>, message: String) {
         self.out.push(Diagnostic {
-            severity,
             rule,
             func,
             message,
         });
-    }
-
-    fn error(&mut self, rule: Rule, func: Option<FuncId>, message: String) {
-        self.push(Severity::Error, rule, func, message);
-    }
-
-    fn warn(&mut self, rule: Rule, func: Option<FuncId>, message: String) {
-        self.push(Severity::Warning, rule, func, message);
     }
 
     fn func_ok(&self, f: FuncId) -> bool {
@@ -309,9 +251,7 @@ impl Linter<'_> {
         }
 
         // Type observations: parameter slots or binary-operator operands.
-        let static_types =
-            (self.opts.type_feasibility && !stale).then(|| bin_operand_types(func, &cfg));
-        for &((at, slot), ref dist) in fp.types() {
+        for &((at, slot), _) in fp.types() {
             if at == PARAM_SITE {
                 if slot as u16 >= func.params || slot >= 8 {
                     self.error(
@@ -332,22 +272,6 @@ impl Linter<'_> {
                     Some(fid),
                     format!("type profile at (instr {at}, slot {slot}), which is not a binary-op operand"),
                 );
-                continue;
-            }
-            if let Some(static_types) = &static_types {
-                if let Some(&possible) = static_types.get(&(at, slot)) {
-                    for kind in ValueKind::ALL {
-                        if dist.counts()[kind.index()] > 0 && !possible.contains(kind) {
-                            self.warn(
-                                Rule::TypeImpossible,
-                                Some(fid),
-                                format!(
-                                    "observed {kind:?} at (instr {at}, slot {slot}) where only {possible:?} can flow"
-                                ),
-                            );
-                        }
-                    }
-                }
             }
         }
 
@@ -376,7 +300,7 @@ impl Linter<'_> {
             }
         }
 
-        // Counters on provably dead blocks.
+        // Counters on provably dead blocks, and flow conservation.
         if !stale {
             let reachable = reachable_blocks(&cfg);
             for (b, (&count, &r)) in fp.block_counts.iter().zip(&reachable).enumerate() {
@@ -388,9 +312,6 @@ impl Linter<'_> {
                     );
                 }
             }
-        }
-
-        if self.opts.flow_conservation && !stale {
             for message in flow_violations(fid, &cfg, fp, ctx) {
                 self.error(Rule::FlowConservation, Some(fid), message);
             }
@@ -539,14 +460,18 @@ impl Linter<'_> {
     }
 }
 
+/// [`lint_profile`]; `opts` has no effect.
+pub fn lint_profile_with(repo: &Repo, view: &ProfileView<'_>, _opts: &LintOptions) -> LintReport {
+    lint_profile(repo, view)
+}
+
 /// Lints a profile against a repo.
 ///
 /// The repo is assumed to pass [`bytecode::verify_repo`]; the linter
 /// checks the *profile*, not the code.
-pub fn lint_profile_with(repo: &Repo, view: &ProfileView<'_>, opts: &LintOptions) -> LintReport {
+pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
     let mut l = Linter {
         repo,
-        opts,
         graph: CallGraph::build(repo),
         out: Vec::new(),
     };
@@ -562,8 +487,7 @@ pub fn lint_profile_with(repo: &Repo, view: &ProfileView<'_>, opts: &LintOptions
 
     let mut diagnostics = l.out;
     diagnostics.sort_by(|a, b| {
-        (a.severity, a.rule, a.func.map(|f| f.index()), &a.message).cmp(&(
-            b.severity,
+        (a.rule, a.func.map(|f| f.index()), &a.message).cmp(&(
             b.rule,
             b.func.map(|f| f.index()),
             &b.message,
@@ -707,19 +631,24 @@ mod tests {
             "got: {:?}",
             report.diagnostics
         );
-        // And the check can be disabled.
-        let lenient = lint_profile_with(
-            &repo,
-            &view(&tier, &ctx),
-            &LintOptions {
-                flow_conservation: false,
-                ..Default::default()
-            },
-        );
-        assert!(!lenient
-            .diagnostics
-            .iter()
-            .any(|d| d.rule == Rule::FlowConservation));
+    }
+
+    #[test]
+    fn options_do_not_change_the_report() {
+        let repo = sample_repo();
+        let (mut tier, ctx) = collect(&repo, 10);
+        let f = repo.func_by_name("f").unwrap().id;
+        tier.funcs.get_mut(&f).unwrap().block_counts[1] += 1;
+        let v = view(&tier, &ctx);
+        let report = lint_profile(&repo, &v).diagnostics;
+        assert!(report.iter().any(|d| d.rule == Rule::FlowConservation));
+        for (flow_conservation, type_feasibility) in [(false, false), (true, true)] {
+            let opts = LintOptions {
+                flow_conservation,
+                type_feasibility,
+            };
+            assert_eq!(lint_profile_with(&repo, &v, &opts).diagnostics, report);
+        }
     }
 
     #[test]
@@ -764,32 +693,8 @@ mod tests {
                 not_taken: 1,
             },
         );
-        let report = lint_profile_with(
-            &repo,
-            &view(&tier, &ctx),
-            &LintOptions {
-                flow_conservation: false,
-                ..Default::default()
-            },
-        );
-        assert!(report.errors().any(|d| d.rule == Rule::PhantomSite));
-    }
-
-    #[test]
-    fn impossible_type_observation_is_a_warning() {
-        let repo = sample_repo();
-        let (mut tier, ctx) = collect(&repo, 10);
-        let f = repo.func_by_name("f").unwrap().id;
-        let fp = tier.funcs.get_mut(&f).unwrap();
-        // The Mod at instr 8 sees only ints statically (i and the literal 2).
-        let mut strs = jit::TypeDist::default();
-        strs.add_raw(ValueKind::Str, 4);
-        fp.record_types(8, 1, &strs);
         let report = lint_profile(&repo, &view(&tier, &ctx));
-        assert!(report
-            .diagnostics
-            .iter()
-            .any(|d| d.rule == Rule::TypeImpossible && d.severity == Severity::Warning));
+        assert!(report.errors().any(|d| d.rule == Rule::PhantomSite));
     }
 
     #[test]
@@ -838,14 +743,7 @@ mod tests {
         let mut tier = TierProfile::default();
         tier.funcs.insert(fid, fp);
         let ctx = CtxProfile::default();
-        let report = lint_profile_with(
-            &repo,
-            &view(&tier, &ctx),
-            &LintOptions {
-                flow_conservation: false,
-                ..Default::default()
-            },
-        );
+        let report = lint_profile(&repo, &view(&tier, &ctx));
         assert!(report.errors().any(|d| d.rule == Rule::UnreachableCounter));
     }
 
@@ -854,20 +752,35 @@ mod tests {
         let repo = sample_repo();
         let (mut tier, mut ctx) = collect(&repo, 10);
         let f = repo.func_by_name("f").unwrap().id;
-        tier.funcs.get_mut(&f).unwrap().block_counts[1] += 1;
+        let fp = tier.funcs.get_mut(&f).unwrap();
+        fp.block_counts[1] += 1;
+        let site = fp.call_targets()[0].0 .0;
+        fp.record_call(site, f, 3);
         ctx.record_branch(None, FuncId::new(500), 0, &Default::default());
-        let report = lint_profile(&repo, &view(&tier, &ctx));
-        assert!(!report.is_clean());
-        // Errors come before warnings, and Display is stable.
+        let report = lint_profile(
+            &repo,
+            &ProfileView {
+                tier: &tier,
+                ctx: &ctx,
+                unit_order: &[UnitId::new(0), UnitId::new(0)],
+                prop_orders: &[],
+                func_order: &[],
+            },
+        );
+        // The exact lines, in (rule, func, message) order: the validator
+        // and the consumer ship the count and the first line.
         let rendered: Vec<String> = report.diagnostics.iter().map(|d| d.to_string()).collect();
-        assert!(rendered.iter().any(|s| s.starts_with("error[")));
-        let first_warning = report
-            .diagnostics
-            .iter()
-            .position(|d| d.severity == Severity::Warning)
-            .unwrap_or(report.diagnostics.len());
-        assert!(report.diagnostics[..first_warning]
-            .iter()
-            .all(|d| d.severity == Severity::Error));
+        assert_eq!(
+            rendered,
+            [
+                "error[dangling-id] func#500: branch counters for dangling function #500",
+                "error[impossible-call-arc] func#1: call site 9 records callee #1 that the site cannot dispatch to",
+                "error[flow-conservation] func#1: block 1 executed 12 times but flow in is 11",
+                "error[flow-conservation] func#1: branch at instr 5 recorded 11 outcomes but its block executed 12 times",
+                "error[bad-order]: unit order repeats unit #0",
+            ]
+        );
+        assert_eq!(report.error_count(), rendered.len());
+        assert_eq!(report.errors().count(), rendered.len());
     }
 }

@@ -1,50 +1,24 @@
-//! Block reachability and dead-code detection, built on [`crate::dataflow`].
+//! Block reachability and dead-code detection.
 
 use bytecode::{BlockId, Cfg};
 
-use crate::dataflow::{solve, Analysis, Direction, JoinSemiLattice};
-
-/// The two-point reachability lattice: unreached (bottom) or reached.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Reached(pub bool);
-
-impl JoinSemiLattice for Reached {
-    fn join(&mut self, other: &Self) -> bool {
-        let changed = !self.0 && other.0;
-        self.0 |= other.0;
-        changed
-    }
-}
-
-struct Reachability;
-
-impl Analysis for Reachability {
-    type State = Reached;
-
-    fn direction(&self) -> Direction {
-        Direction::Forward
-    }
-
-    fn boundary(&self) -> Reached {
-        Reached(true)
-    }
-
-    fn bottom(&self) -> Reached {
-        Reached(false)
-    }
-
-    fn transfer(&self, _cfg: &Cfg, _b: BlockId, s: &Reached) -> Reached {
-        *s
-    }
-}
-
 /// Per-block reachability from the entry block, indexed by [`BlockId`].
 pub fn reachable_blocks(cfg: &Cfg) -> Vec<bool> {
-    solve(cfg, &Reachability)
-        .input
-        .iter()
-        .map(|r| r.0)
-        .collect()
+    let mut reached = vec![false; cfg.len()];
+    if cfg.is_empty() {
+        return reached;
+    }
+    let mut stack = vec![BlockId::ENTRY];
+    reached[BlockId::ENTRY.index()] = true;
+    while let Some(b) = stack.pop() {
+        for s in cfg.block(b).successors() {
+            if !reached[s.index()] {
+                reached[s.index()] = true;
+                stack.push(s);
+            }
+        }
+    }
+    reached
 }
 
 #[cfg(test)]

@@ -167,8 +167,8 @@ fn match_blocks(old_counts: &[u64], levels: [(&[u64], &[u64]); 2]) -> Vec<Option
 /// Repairs `tier` and `ctx` in place against `repo` with default options
 /// (the full v2 matching pipeline).
 ///
-/// After a successful repair the profile passes the *strict* lint rules,
-/// including flow conservation: matched counts are turned into an exact
+/// After a successful repair the profile passes the lint, flow
+/// conservation included: matched counts are turned into an exact
 /// integer circulation and branch counters are resynthesized from its edge
 /// flows, so repaired functions balance just like fresh ones.
 pub fn repair_profile(repo: &Repo, tier: &mut TierProfile, ctx: &mut CtxProfile) -> RepairReport {
@@ -283,7 +283,7 @@ pub fn repair_profile_with(
     // Pruning can remove part of a fresh function's branch data (e.g. its
     // caller's inline context vanished), leaving counts that no longer
     // balance. Resynthesize those functions' branch counters from their
-    // own (already consistent) counts so the strict flow lint passes.
+    // own (already consistent) counts so the flow lint passes.
     if opts.mode == MatchMode::Full {
         let mut fids: Vec<FuncId> = tier.funcs.keys().copied().collect();
         fids.sort_by_key(|f| f.index());
@@ -309,9 +309,6 @@ pub fn repair_profile_with(
 
     report.repaired.sort_by_key(|f| f.index());
     report.repaired.dedup();
-    // Counters were dropped/remapped in place; any cached heat ranking on
-    // the profile is stale now.
-    tier.mark_counters_dirty();
     report
 }
 
@@ -489,7 +486,7 @@ fn prune_ctx(repo: &Repo, graph: &CallGraph, ctx: &mut CtxProfile) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lint::{lint_profile_with, LintOptions, ProfileView};
+    use crate::lint::{lint_profile, ProfileView};
     use jit::ProfileCollector;
     use vm::{Value, Vm};
 
@@ -567,8 +564,8 @@ mod tests {
         col.finish()
     }
 
-    fn strict_lint_errors(repo: &Repo, tier: &TierProfile, ctx: &CtxProfile) -> usize {
-        lint_profile_with(
+    fn lint_errors(repo: &Repo, tier: &TierProfile, ctx: &CtxProfile) -> usize {
+        lint_profile(
             repo,
             &ProfileView {
                 tier,
@@ -576,10 +573,6 @@ mod tests {
                 unit_order: &[],
                 prop_orders: &[],
                 func_order: &[],
-            },
-            &LintOptions {
-                flow_conservation: true,
-                type_feasibility: false,
             },
         )
         .error_count()
@@ -620,9 +613,9 @@ mod tests {
             "{mass_after} vs {loop_mass_before}"
         );
 
-        // And the repaired profile passes the *strict* lint: inference
-        // produces flow-consistent counts, so flow conservation stays on.
-        assert_eq!(strict_lint_errors(&v2, &tier, &ctx), 0);
+        // And the repaired profile passes the lint: inference produces
+        // flow-consistent counts.
+        assert_eq!(lint_errors(&v2, &tier, &ctx), 0);
     }
 
     #[test]
@@ -642,7 +635,7 @@ mod tests {
         // rung matches every block and flow reproduces the counts exactly.
         let mass_after: u64 = fp.block_counts.iter().sum();
         assert_eq!(mass_after, mass_before);
-        assert_eq!(strict_lint_errors(&v2, &tier, &ctx), 0);
+        assert_eq!(lint_errors(&v2, &tier, &ctx), 0);
     }
 
     #[test]
@@ -659,7 +652,7 @@ mod tests {
         assert!(report.dropped.is_empty(), "got {report:?}");
         let mass_after: u64 = tier.funcs[&new_f].block_counts.iter().sum();
         assert_eq!(mass_after, mass_before);
-        assert_eq!(strict_lint_errors(&v2, &tier, &ctx), 0);
+        assert_eq!(lint_errors(&v2, &tier, &ctx), 0);
     }
 
     #[test]

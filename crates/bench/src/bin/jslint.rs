@@ -3,7 +3,7 @@
 //! The `analysis` crate's profile linter decides, without compiling or
 //! booting anything, whether a package's profile data can possibly
 //! describe the deployed repo. This tool runs it against the bench-scale
-//! application and prints severity-ranked diagnostics.
+//! application and prints its diagnostics, every one an error.
 //!
 //! Usage:
 //!   jslint            lint a freshly built package (expected clean)
@@ -12,11 +12,13 @@
 //!                     criteria name (dangling id, flow-conservation
 //!                     violation, stale CFG) and verify the linter flags
 //!                     each AND the seeder validator rejects each as a
-//!                     static-lint failure. Exits nonzero on any miss.
+//!                     static-lint failure carrying the printed report's
+//!                     error count and first line. Exits nonzero on any
+//!                     miss.
 
 use analysis::{lint_profile, LintReport, ProfileView, Rule};
 use bytecode::FuncId;
-use jit::JitOptions;
+use jit::{FuncProfile, JitOptions};
 use jumpstart::{JumpStartOptions, ProfilePackage, ValidationError, Validator};
 
 fn view(pkg: &ProfilePackage) -> ProfileView<'_> {
@@ -33,11 +35,7 @@ fn print_report(report: &LintReport) {
     for d in &report.diagnostics {
         println!("  {d}");
     }
-    println!(
-        "  -> {} errors, {} warnings",
-        report.error_count(),
-        report.warning_count()
-    );
+    println!("  -> {} errors", report.error_count());
 }
 
 /// One injected corruption: a name, a mutation, and the rule it must trip.
@@ -47,23 +45,34 @@ struct Corruption {
     mutate: fn(&mut ProfilePackage),
 }
 
+/// The lowest-id profile `keep` accepts, so every run corrupts the same
+/// function.
+fn lowest_profile(pkg: &mut ProfilePackage, keep: fn(&FuncProfile) -> bool) -> &mut FuncProfile {
+    let func = pkg
+        .tier
+        .funcs
+        .iter()
+        .filter(|(_, p)| keep(p))
+        .map(|(&f, _)| f)
+        .min()
+        .expect("lab profile has a function to corrupt");
+    pkg.tier.funcs.get_mut(&func).expect("just found")
+}
+
 fn inject_dangling_id(pkg: &mut ProfilePackage) {
     // Reference a function id past the end of the repo's function table,
     // as if the profile came from a build with more functions.
     let max = pkg.tier.funcs.keys().map(|f| f.0).max().unwrap_or(0);
-    let donor = pkg.tier.funcs.values().next().unwrap().clone();
+    let donor = lowest_profile(pkg, |_| true).clone();
     pkg.tier.funcs.insert(FuncId::new(max + 10_000), donor);
 }
 
 fn inject_flow_violation(pkg: &mut ProfilePackage) {
     // Perturb one block counter so inflow no longer matches the block's
     // own count (a Kirchhoff violation — bit flip / torn write model).
-    let prof = pkg
-        .tier
-        .funcs
-        .values_mut()
-        .find(|p| p.block_counts.len() >= 2 && p.block_counts.iter().sum::<u64>() > 0)
-        .expect("lab profile has a multi-block function");
+    let prof = lowest_profile(pkg, |p| {
+        p.block_counts.len() >= 2 && p.block_counts.iter().sum::<u64>() > 0
+    });
     let last = prof.block_counts.len() - 1;
     prof.block_counts[last] += 987_654_321;
 }
@@ -71,12 +80,7 @@ fn inject_flow_violation(pkg: &mut ProfilePackage) {
 fn inject_stale_cfg(pkg: &mut ProfilePackage) {
     // Flip a block hash: the profile claims it was collected against a
     // different body for this function (source changed between builds).
-    let prof = pkg
-        .tier
-        .funcs
-        .values_mut()
-        .find(|p| !p.block_hashes.is_empty())
-        .expect("lab profile stores block hashes");
+    let prof = lowest_profile(pkg, |p| !p.block_hashes.is_empty());
     prof.block_hashes[0] ^= 0xdead_beef;
 }
 
@@ -163,6 +167,13 @@ fn main() {
         match validator.validate_package(&lab.app.repo, &bad, 0) {
             Err(ValidationError::Static { errors, first }) => {
                 println!("validator: rejected ({errors} static errors; first: {first})");
+                let expected = (report.error_count(), report.diagnostics[0].to_string());
+                if (errors, first) != expected {
+                    eprintln!(
+                        "MISS: validator's rejection differs from the lint report {expected:?}"
+                    );
+                    missed += 1;
+                }
             }
             other => {
                 eprintln!("MISS: validator returned {other:?} instead of a static-lint rejection");
@@ -182,7 +193,7 @@ fn main() {
 
     // Stale-release demo: churn the app into a new release and surface
     // what the repairer did — the per-rung match histogram plus the
-    // flow-inference counts — then hold the result to the strict lint.
+    // flow-inference counts — then hold the result to the lint.
     println!("\n=== stale release: repair report ===");
     let (release, churn) = workload::generate_release(
         &lab.app.params,
@@ -222,7 +233,7 @@ fn main() {
         "  mass: {} matched, {} dropped; {} branches synthesized",
         s.mass_matched, s.mass_dropped, s.branches_synthesized
     );
-    let strict = analysis::lint_profile_with(
+    let relint = lint_profile(
         &release.repo,
         &ProfileView {
             tier: &tier,
@@ -231,17 +242,13 @@ fn main() {
             prop_orders: &[],
             func_order: &[],
         },
-        &analysis::LintOptions {
-            flow_conservation: true,
-            type_feasibility: false,
-        },
     );
-    if strict.error_count() > 0 {
-        for d in strict.errors().take(5) {
+    if relint.error_count() > 0 {
+        for d in relint.errors().take(5) {
             eprintln!("  {d}");
         }
-        eprintln!("FAIL: repaired profile must pass the strict (flow) lint");
+        eprintln!("FAIL: repaired profile must pass the lint");
         std::process::exit(1);
     }
-    println!("repaired profile passes the strict lint (flow conservation on)");
+    println!("repaired profile passes the lint (flow conservation included)");
 }

@@ -12,7 +12,7 @@
 //!
 //! For each (rate, mode) it reports recovered counter-mass fraction, the
 //! match-ladder histogram, and whether the repaired profile passes the
-//! *strict* lint (flow conservation on) — repaired functions are held to
+//! lint (flow conservation included) — repaired functions are held to
 //! the same Kirchhoff standard as fresh ones. At one representative rate
 //! it also boots a consumer on the churned repo from each repaired
 //! package and replays traffic through the micro-architecture model, so
@@ -29,8 +29,7 @@
 //!                     committed BENCH_stale.json. Writes nothing.
 
 use analysis::{
-    lint_profile_with, repair_profile_with, LintOptions, MatchMode, ProfileView, RepairOptions,
-    RepairReport,
+    lint_profile, repair_profile_with, MatchMode, ProfileView, RepairOptions, RepairReport,
 };
 use jit::{Executor, ExecutorConfig, JitOptions};
 use jumpstart::{build_package, consume, JumpStartOptions, SeederInputs};
@@ -46,11 +45,6 @@ const UARCH_RATE: f64 = 0.1;
 /// The acceptance floor: at churn 0.1 the full matcher must recover at
 /// least this fraction of the pre-churn counter mass.
 const MIN_RECOVERED_AT_0P1: f64 = 0.8;
-
-const STRICT_LINT: LintOptions = LintOptions {
-    flow_conservation: true,
-    type_feasibility: false,
-};
 
 struct ModeRow {
     mode: &'static str,
@@ -92,7 +86,7 @@ fn repair_against(
     let mut ctx = run.ctx.clone();
     let report = repair_profile_with(&release.repo, &mut tier, &mut ctx, &RepairOptions { mode });
     let mass_after = tier.total_counter_mass();
-    let errors = lint_profile_with(
+    let errors = lint_profile(
         &release.repo,
         &ProfileView {
             tier: &tier,
@@ -101,7 +95,6 @@ fn repair_against(
             prop_orders: &[],
             func_order: &[],
         },
-        &STRICT_LINT,
     )
     .error_count();
     (

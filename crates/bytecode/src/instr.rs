@@ -69,14 +69,6 @@ impl BinOp {
             BinOp::Shr => "shr",
         }
     }
-
-    /// Whether this operator produces a boolean.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge
-        )
-    }
 }
 
 /// Unary operators for [`Instr::Un`].
@@ -431,13 +423,5 @@ mod tests {
             assert!(b.arity() >= 1 && b.arity() <= 3);
         }
         assert_eq!(Builtin::by_name("no_such_builtin"), None);
-    }
-
-    #[test]
-    fn comparison_classification() {
-        assert!(BinOp::Eq.is_comparison());
-        assert!(BinOp::Ge.is_comparison());
-        assert!(!BinOp::Add.is_comparison());
-        assert!(!BinOp::Concat.is_comparison());
     }
 }

@@ -793,7 +793,6 @@ impl<'a> LazyLoader<'a> {
             touched += bytes.len() as u64;
             tier.funcs.insert(func, p);
         }
-        tier.mark_counters_dirty();
         Ok(touched)
     }
 

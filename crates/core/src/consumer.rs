@@ -9,7 +9,7 @@ use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use analysis::{is_own_layer_order, lint_profile_with, repair_profile, LintOptions, RepairReport};
+use analysis::{is_own_layer_order, lint_profile, repair_profile, RepairReport};
 use bytecode::{ClassId, FuncId, Repo, StrId, UnitId};
 use jit::{JitEngine, JitOptions, TierProfile, WeightSource};
 use vm::ClassTable;
@@ -31,7 +31,7 @@ pub enum ConsumerError {
     /// The static linter found structural errors the stale-profile
     /// repairer could not fix — the package cannot describe this repo.
     InvalidProfile {
-        /// Error-severity diagnostics remaining after repair.
+        /// Lint diagnostics remaining after repair.
         errors: usize,
         /// The first diagnostic, rendered.
         first: String,
@@ -82,17 +82,6 @@ pub struct ConsumerOutcome<'r> {
     /// translate busy/stall, emit, bytes (the `jsboot` telemetry).
     pub boot: BootStats,
 }
-
-/// Consumers hold every profile — fresh or repaired — to the Kirchhoff
-/// flow-conservation standard: the stale matcher's count inference
-/// produces flow-consistent counters by construction, so a violation
-/// after repair means the package cannot describe this repo. Type
-/// feasibility stays a warning: an impossible observation skews layout
-/// but cannot feed garbage into translation.
-const CONSUMER_LINT: LintOptions = LintOptions {
-    flow_conservation: true,
-    type_feasibility: false,
-};
 
 /// Repairs a package's profile against the current repo: remaps stale
 /// block counters by structural hash, drops unrepairable functions,
@@ -393,7 +382,11 @@ fn boot<'r>(
     if loader.is_none() {
         let lint_start = Instant::now();
         let _lint_span = telemetry::span!("lint-repair");
-        let lint = |p: &ProfilePackage| lint_profile_with(repo, &p.view(), &CONSUMER_LINT);
+        // The seeder's lint, flow conservation included: the stale
+        // matcher's count inference is flow-consistent by construction, so
+        // a violation after repair means the package cannot describe this
+        // repo.
+        let lint = |p: &ProfilePackage| lint_profile(repo, &p.view());
         if lint(&pkg).error_count() > 0 {
             let (fixed, report) = repair_package(repo, &pkg);
             let relint = lint(&fixed);
@@ -414,7 +407,7 @@ fn boot<'r>(
     // either source orders and splits the work identically.
     let heat: HashMap<FuncId, u64> = match &loader {
         Some(l) => l.manifest().heat_map(),
-        None => pkg.tier.heat_ranked().iter().copied().collect(),
+        None => pkg.tier.heat_ranked().into_iter().collect(),
     };
     let order = if !pkg.func_order.is_empty() && opts.func_sort != FuncSort::SourceOrder {
         pkg.func_order.clone()

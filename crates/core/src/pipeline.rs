@@ -35,9 +35,10 @@
 //! kept.
 //!
 //! Early serve is not this module's business: the consumer runs the stage
-//! once over the hot prefix of the compile order ([`early_serve_prefix`]),
-//! reports ready ([`EarlyServe`]), and runs it again over the remainder —
-//! the second run emits exactly where the first stopped.
+//! once over the hot prefix of the compile order
+//! ([`early_serve_prefix_by_heat`]), reports ready ([`EarlyServe`]), and
+//! runs it again over the remainder — the second run emits exactly where
+//! the first stopped.
 //!
 //! Every phase is timed into [`BootStats`], the one record of a boot: the
 //! `jsboot` bench binary prints it and writes it to `BENCH_boot.json`. The
@@ -169,7 +170,9 @@ pub struct EarlyServe {
 pub struct BootStats {
     /// Worker threads used for translation.
     pub threads: usize,
-    /// Package decode time (0 unless booted via [`crate::consume_bytes`]).
+    /// Package decode time: the whole decode under
+    /// [`crate::consume_bytes`], the hot chunks' decode under
+    /// [`crate::consume_chunked`], 0 under [`crate::consume`].
     pub decode_ns: u64,
     /// Static lint + stale-profile repair time.
     pub lint_repair_ns: u64,
@@ -319,7 +322,7 @@ pub fn early_serve_prefix(tier: &TierProfile, order: &[FuncId], frac: f64) -> us
     if frac <= 0.0 {
         return 0;
     }
-    let heat: HashMap<FuncId, u64> = tier.heat_ranked().iter().copied().collect();
+    let heat: HashMap<FuncId, u64> = tier.heat_ranked().into_iter().collect();
     early_serve_prefix_by_heat(&heat, order, frac)
 }
 

@@ -39,7 +39,7 @@ pub enum ValidationError {
     /// (dangling ids, stale counters, impossible arcs...). Caught before
     /// any compile or boot is attempted.
     Static {
-        /// Number of error-severity diagnostics.
+        /// Number of lint diagnostics.
         errors: usize,
         /// The first diagnostic, rendered.
         first: String,
@@ -143,19 +143,16 @@ impl Validator {
             }
         }
         drop(coverage_span);
-        // Static lint — strict on the seeder: a seeder collects against
-        // the exact repo it validates with, so *any* structural error
-        // means corruption, and rejecting here costs no compile or boot.
+        // Static lint — the consumer's lint, answered by rejection rather
+        // than repair: a seeder collects against the exact repo it
+        // validates with, so *any* error means corruption, and rejecting
+        // here costs no compile or boot.
         let lint_span = telemetry::span!("static-lint");
         let report = lint_profile(repo, &pkg.view());
-        if report.error_count() > 0 {
+        if let Some(first) = report.errors().next() {
             return Err(ValidationError::Static {
                 errors: report.error_count(),
-                first: report
-                    .errors()
-                    .next()
-                    .map(ToString::to_string)
-                    .unwrap_or_default(),
+                first: first.to_string(),
             });
         }
         drop(lint_span);

@@ -142,8 +142,8 @@ fn corruption_is_rejected_before_compile_and_boot() {
 }
 
 /// The §VI stale-profile scenario: a package collected against build v1
-/// reaches a consumer running build v2. The seeder-side validator (strict)
-/// refuses it, but the consumer repairs it — block counters are remapped
+/// reaches a consumer running build v2. The seeder-side validator refuses
+/// it, but the consumer repairs it — block counters are remapped
 /// onto the new CFG by structural hash — and boots with it.
 #[test]
 fn stale_package_is_repaired_and_accepted_by_consumer() {
@@ -228,7 +228,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Whatever the workload looked like, a freshly collected package
-    /// passes the strict lint (flow conservation included).
+    /// passes the lint (flow conservation included).
     #[test]
     fn fresh_packages_lint_clean(n in 1i64..50, requests in 1usize..8) {
         let (repo, pkg) = collect_package(SRC_V2, n, requests);

@@ -26,7 +26,6 @@
 
 use std::collections::HashMap;
 use std::ops::{AddAssign, Range};
-use std::sync::OnceLock;
 
 use bytecode::{BlockId, Cfg, ClassId, FuncId, Repo, StrId};
 use vm::{ExecObserver, Value, ValueKind};
@@ -328,23 +327,10 @@ impl FuncProfile {
 /// The whole tier-1 profile: one [`FuncProfile`] per profiled function.
 /// Property hotness (§V-C) is not a table of its own: each access is
 /// recorded once, at its site, in [`FuncProfile::prop_classes`].
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TierProfile {
     /// Per-function profiles (absent = never profiled).
     pub funcs: HashMap<FuncId, FuncProfile>,
-    // Lazily computed hottest-first (func, heat) ranking. The seeder,
-    // consumer and validator all ask for the heat order of the same frozen
-    // profile, so the sort is paid once; any counter mutation must call
-    // `mark_counters_dirty` to drop it.
-    heat_cache: OnceLock<Vec<(FuncId, u64)>>,
-}
-
-// The cache is derived state: two profiles are equal iff their counters
-// are, regardless of which one has ranked itself already.
-impl PartialEq for TierProfile {
-    fn eq(&self, other: &TierProfile) -> bool {
-        self.funcs == other.funcs
-    }
 }
 
 impl TierProfile {
@@ -362,32 +348,22 @@ impl TierProfile {
             .sum()
     }
 
-    /// Invalidates the cached heat ranking. Must be called after any
-    /// direct mutation of `funcs` block counters (the stale-profile repair
-    /// mutates in place; the collector marks once, in
-    /// [`ProfileCollector::finish`]).
-    pub fn mark_counters_dirty(&mut self) {
-        self.heat_cache.take();
-    }
-
     /// Hottest-first `(function, heat)` ranking, where heat is the summed
-    /// block counters. Computed once and cached until counters change.
-    pub fn heat_ranked(&self) -> &[(FuncId, u64)] {
-        self.heat_cache.get_or_init(|| {
-            let mut v: Vec<(FuncId, u64)> = self
-                .funcs
-                .iter()
-                .map(|(&f, p)| (f, p.block_counts.iter().sum::<u64>()))
-                .collect();
-            v.sort_by_key(|&(f, heat)| (std::cmp::Reverse(heat), f));
-            v
-        })
+    /// block counters, `FuncId` breaking ties.
+    pub fn heat_ranked(&self) -> Vec<(FuncId, u64)> {
+        let mut v: Vec<(FuncId, u64)> = self
+            .funcs
+            .iter()
+            .map(|(&f, p)| (f, p.block_counts.iter().sum::<u64>()))
+            .collect();
+        v.sort_by_key(|&(f, heat)| (std::cmp::Reverse(heat), f));
+        v
     }
 
     /// Functions sorted hottest-first by weighted block counts — the order
     /// the optimizing tier compiles them in.
     pub fn functions_by_heat(&self) -> Vec<FuncId> {
-        self.heat_ranked().iter().map(|&(f, _)| f).collect()
+        self.heat_ranked().into_iter().map(|(f, _)| f).collect()
     }
 }
 
@@ -657,7 +633,6 @@ impl<'r> ProfileCollector<'r> {
                 tier.funcs.insert(func, state.profile);
             }
         }
-        tier.mark_counters_dirty();
         (tier, CtxProfile::from_counts(branches, entries.0))
     }
 
@@ -939,7 +914,7 @@ mod tests {
     }
 
     #[test]
-    fn heat_cache_invalidates_after_counter_updates() {
+    fn heat_ranking_follows_counter_edits() {
         let repo = sample_repo();
         let f = repo.func_by_name("f").unwrap().id;
         let g = repo.func_by_name("g").unwrap().id;
@@ -954,17 +929,16 @@ mod tests {
         vm.call_observed(f, &[Value::Int(50)], &mut col).unwrap();
         col.end_request();
         let (mut tier, _) = col.finish();
-        // Prime the cache: f (the loop) is hotter than g.
+        // f (the loop) is hotter than g.
         assert_eq!(tier.functions_by_heat(), vec![f, g]);
         let f_heat = heat(&tier, f);
         assert!(f_heat > heat(&tier, g));
 
-        // Direct counter mutation + explicit dirty marker reranks.
+        // A direct counter edit reranks, with no call in between.
         let gp = tier.funcs.get_mut(&g).unwrap();
         for c in gp.block_counts.iter_mut() {
             *c += 10 * f_heat;
         }
-        tier.mark_counters_dirty();
         assert_eq!(tier.functions_by_heat(), vec![g, f]);
         assert!(heat(&tier, g) > heat(&tier, f));
     }

@@ -37,9 +37,8 @@ pub use export::{
 };
 pub use json::fmt_f64;
 pub use span::{
-    capture, counter, disable, drain, enable, enabled, instant, instant_attrs, session_lock, span,
-    span_attrs, track, track_in, AttrValue, Event, EventKind, SessionGuard, SpanGuard, TrackGuard,
-    DEFAULT_TRACK_CAPACITY,
+    capture, disable, drain, enable, enabled, instant, instant_attrs, session_lock, span,
+    span_attrs, track, AttrValue, Event, EventKind, SessionGuard, SpanGuard, TrackGuard,
 };
 pub use trace::{SpanNode, Trace, TrackDump, TreeError};
 

@@ -23,7 +23,7 @@ use std::time::Instant;
 use crate::trace::{Trace, TrackDump};
 
 /// Per-track ring-buffer capacity (events).
-pub const DEFAULT_TRACK_CAPACITY: usize = 1 << 17;
+const DEFAULT_TRACK_CAPACITY: usize = 1 << 17;
 
 /// A typed span/instant attribute value.
 #[derive(Clone, Debug, PartialEq)]
@@ -132,12 +132,11 @@ impl Ring {
     }
 }
 
-/// One thread-owned (or explicitly pushed) event buffer.
+/// One thread-owned (or explicitly pushed) event buffer. Every live track
+/// belongs to process 1.
 struct TrackBuf {
     id: u64,
     name: String,
-    pid: u32,
-    process_name: Option<String>,
     ring: Mutex<Ring>,
 }
 
@@ -184,13 +183,11 @@ thread_local! {
     static TRACK_STACK: RefCell<Vec<Arc<TrackBuf>>> = const { RefCell::new(Vec::new()) };
 }
 
-fn new_track(name: String, pid: u32, process_name: Option<String>) -> Arc<TrackBuf> {
+fn new_track(name: String) -> Arc<TrackBuf> {
     let sh = shared();
     let buf = Arc::new(TrackBuf {
         id: sh.next_track.fetch_add(1, Ordering::Relaxed),
         name,
-        pid,
-        process_name,
         ring: Mutex::new(Ring::default()),
     });
     lock(&sh.tracks).push(buf.clone());
@@ -205,7 +202,7 @@ fn with_current_track(f: impl FnOnce(&TrackBuf)) {
                 .name()
                 .map(ToString::to_string)
                 .unwrap_or_else(|| format!("thread {:?}", std::thread::current().id()));
-            stack.push(new_track(name, 1, None));
+            stack.push(new_track(name));
         }
         f(stack.last().expect("seeded above"));
     });
@@ -307,14 +304,6 @@ pub fn instant_attrs(name: impl Into<Cow<'static, str>>, attrs: Vec<(&'static st
     }
 }
 
-/// Samples a counter series on the current thread's track (a counter
-/// track in Perfetto).
-pub fn counter(name: impl Into<Cow<'static, str>>, value: f64) {
-    if enabled() {
-        record(EventKind::Counter(value), name.into(), Vec::new());
-    }
-}
-
 /// RAII handle for an explicitly pushed track (see [`track`]).
 #[must_use = "the track pops when its guard drops"]
 pub struct TrackGuard {
@@ -335,17 +324,10 @@ impl Drop for TrackGuard {
 /// thread land on it until the guard drops. Used for pipeline workers
 /// (`worker 3`) so each gets its own timeline row.
 pub fn track(name: impl Into<String>) -> TrackGuard {
-    track_in(1, None, name)
-}
-
-/// [`track`] under an explicit process: the fleet simulator gives every
-/// simulated server its own pid so Perfetto renders one process group per
-/// server.
-pub fn track_in(pid: u32, process_name: Option<String>, name: impl Into<String>) -> TrackGuard {
     if !enabled() {
         return TrackGuard { armed: false };
     }
-    let buf = new_track(name.into(), pid, process_name);
+    let buf = new_track(name.into());
     TRACK_STACK.with(|stack| stack.borrow_mut().push(buf));
     TrackGuard { armed: true }
 }
@@ -366,9 +348,9 @@ pub fn drain() -> Trace {
         }
         dumps.push(TrackDump {
             id: track.id,
-            pid: track.pid,
+            pid: 1,
             name: track.name.clone(),
-            process_name: track.process_name.clone(),
+            process_name: None,
             events,
         });
     }

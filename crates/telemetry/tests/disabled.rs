@@ -39,14 +39,13 @@ fn allocs_on_this_thread() -> u64 {
 }
 
 /// The compile-hot-path instrumentation pattern, exactly as the pipeline
-/// uses it: a span with typed attributes, an instant, a counter sample.
+/// uses it: a span with typed attributes and an instant.
 #[inline(never)]
 fn instrumented_compile(func: usize) {
     let _span = telemetry::span!("translate", "func" => func, "hot" => true);
     if func.is_multiple_of(7) {
         telemetry::instant!("steal", "victim" => func % 3);
     }
-    telemetry::counter("queue-depth", func as f64);
 }
 
 #[test]
@@ -89,7 +88,7 @@ fn enable_disable_boundary_is_respected() {
     instrumented_compile(2); // off again: ignored
 
     let trace = telemetry::drain();
-    // One span pair + counter from the single enabled call.
+    // One span pair from the single enabled call.
     let spans = trace.all_spans().expect("well-formed");
     assert_eq!(spans.len(), 1);
     assert_eq!(spans[0].1.name, "translate");

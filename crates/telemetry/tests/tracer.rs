@@ -34,7 +34,6 @@ proptest! {
                             if f % 3 == 0 {
                                 telemetry::instant!("steal", "victim" => (wid + 1) % workers);
                             }
-                            telemetry::counter("queue-depth", (funcs - f) as f64);
                             drop(guards);
                             recorded.fetch_add(1, Ordering::Relaxed);
                         }

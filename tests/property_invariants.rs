@@ -178,11 +178,7 @@ fn arb_package() -> impl Strategy<Value = ProfilePackage> {
             },
         );
     let tier = prop::collection::hash_map((0u32..512).prop_map(FuncId), arb_func_profile(), 0..6)
-        .prop_map(|funcs| {
-            let mut t = TierProfile::default();
-            t.funcs = funcs;
-            t
-        });
+        .prop_map(|funcs| TierProfile { funcs });
     let ictx = || prop::option::of(((0u32..512).prop_map(FuncId), 0u32..64));
     let ctx = (
         prop::collection::vec(
@@ -308,7 +304,7 @@ proptest! {
     }
 
     /// Whatever the churn, the repaired profile's counts satisfy flow
-    /// conservation: the strict lint (Kirchhoff check on) reports zero
+    /// conservation: the lint (Kirchhoff check included) reports zero
     /// errors against the new release.
     #[test]
     fn repaired_counts_satisfy_kirchhoff(seed in any::<u64>(), rate_ix in 0usize..4) {
@@ -318,7 +314,7 @@ proptest! {
         let mut tier = tier0.clone();
         let mut ctx = ctx0.clone();
         analysis::repair_profile(&release.repo, &mut tier, &mut ctx);
-        let report = analysis::lint_profile_with(
+        let report = analysis::lint_profile(
             &release.repo,
             &analysis::ProfileView {
                 tier: &tier,
@@ -327,7 +323,6 @@ proptest! {
                 prop_orders: &[],
                 func_order: &[],
             },
-            &analysis::LintOptions { flow_conservation: true, type_feasibility: false },
         );
         let first = report.errors().next();
         prop_assert_eq!(report.error_count(), 0, "repaired profile flow-dirty: {first:?}");
