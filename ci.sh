@@ -24,6 +24,9 @@ cargo test --workspace --exclude hhvm-jumpstart-repro -q
 echo "== test (layout, release: the bit-for-bit Ext-TSP proptests on the optimized build that ships) =="
 cargo test -p layout --release -q
 
+echo "== test (telemetry + fleet, release: the bootstrap and warmup-fold exactness oracles on the optimized build that ships) =="
+cargo test -p telemetry -p fleet --release -q
+
 echo "== jslint self-check =="
 cargo run -q -p bench --bin jslint -- --demo
 

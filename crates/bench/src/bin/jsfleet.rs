@@ -299,6 +299,10 @@ fn check() {
     );
 
     println!(
+        "  fold: {} distinct timelines for {} servers",
+        one.sim.classified, one.sim.servers
+    );
+    println!(
         "  ok: digest 0x{:08x}, {} servers ({}/{} classified), reduction {:.1}%, wire ratio {:.2}, wall {:.0}+{:.0} ms",
         one.digest(),
         one.sim.servers,

@@ -316,11 +316,11 @@ pub struct ShardStats {
     pub steps_dense: u64,
     /// Requests served across the fleet.
     pub requests: f64,
-    /// Timelines the warmup classifier actually ran on: the rest were
-    /// exact repeats answered by its per-cell memo. Like `shards`, this
-    /// depends on the shard count (each shard memoizes on its own), so
-    /// shard-invariance checks (`tests/event_equivalence.rs`) must not
-    /// compare it.
+    /// Timelines the warmup classifier actually ran on, i.e. the distinct
+    /// timelines the fold stored: the rest were exact repeats answered by
+    /// its per-cell memo. Like `shards`, this depends on the shard count
+    /// (each shard memoizes on its own), so shard-invariance checks
+    /// (`tests/event_equivalence.rs`) must not compare it.
     pub classified: u64,
 }
 
@@ -980,7 +980,13 @@ pub fn run_deployment_with_prior(
     drop(fan_span);
 
     // --- Fold by gid: shard count leaves no trace in the report ---
-    let _fold_span = telemetry::span!("fold", "shards" => shards as u64);
+    let distinct: u64 = shard_results.iter().map(|r| r.warmup.classified()).sum();
+    let _fold_span = telemetry::span!(
+        "fold",
+        "shards" => shards as u64,
+        "servers" => slots.len() as u64,
+        "distinct" => distinct,
+    );
     let mut all = shard_results
         .into_iter()
         .reduce(|mut all, shard| {
@@ -1354,8 +1360,12 @@ mod tests {
             .flat_map(|(_, roots)| roots)
             .filter(|r| ["deployment", "seeder", "cell-prep"].contains(&r.name.as_str()))
             .collect();
+        let mut fold_attrs = Vec::new();
         while let Some(node) = work.pop() {
             *counts.entry(node.name.clone()).or_default() += 1;
+            if node.name == "fold" {
+                fold_attrs = node.attrs.clone();
+            }
             work.extend(node.children);
         }
         let count = |name: &str| counts.get(name).copied().unwrap_or(0);
@@ -1376,5 +1386,19 @@ mod tests {
         }
         assert_eq!(count("c3-fanout"), 1);
         assert_eq!(count("fold"), 1);
+
+        // The fold says how many servers it folded and how many distinct
+        // timelines (warmup entries) they came to: 2 cells of 3 + 1.
+        let u64_attr = telemetry::AttrValue::U64;
+        assert_eq!(report.sim.servers, 8);
+        assert_eq!(
+            fold_attrs,
+            [
+                ("shards", u64_attr(2)),
+                ("servers", u64_attr(8)),
+                ("distinct", u64_attr(report.sim.classified)),
+            ]
+        );
+        assert!((1..=8).contains(&report.sim.classified));
     }
 }

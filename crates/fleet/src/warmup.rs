@@ -27,25 +27,31 @@
 //! [`WarmupReport::digest`]) on every run and any shard count — which is
 //! what lets ci.sh gate on it.
 //!
-//! **Repeated timelines are classified once.** The consumers of one
-//! deployment cell share their traffic, model and packages; boot jitter,
-//! the degraded-host roll and download time only move *when* serving
-//! starts, and the post-serve series sampled on the fixed grid mostly
-//! comes out the same. At bench scale a shard sees a few dozen distinct
-//! series per cell among thousands of servers. [`WarmupAccumulator::add`]
+//! **Repeated timelines are classified and stored once.** The consumers
+//! of one deployment cell share their traffic, model and packages; boot
+//! jitter, the degraded-host roll and download time only move *when*
+//! serving starts, and the series sampled on the fixed grid mostly comes
+//! out the same. At bench scale a shard sees a few dozen distinct series
+//! per cell among thousands of servers. [`WarmupAccumulator::add`]
 //! therefore looks each timeline up in an exact memo keyed by every input
-//! [`classify_timeline`] reads (the `serve_start_ms > 0` flag and the bits
-//! of every post-serve sample) and runs the classifier only on a miss. A
-//! hit returns exactly what a miss computes, so the report cannot tell.
-//! The memo holds one entry per distinct series; the deployment clears it
-//! whenever its shard moves to the next cell
-//! ([`WarmupAccumulator::clear_memo`]), which bounds it to one cell.
+//! [`classify_timeline`] and the fleet curve read (the `serve_start_ms >
+//! 0` flag, the grid samples of the boot window and the bits of every
+//! post-serve sample). A miss runs the classifier and stores the verdict
+//! and the curve points as one entry; a hit only bumps that entry's
+//! per-arm server count. The report reads every statistic from
+//! `(value, servers)` runs ([`telemetry::quantile_runs`],
+//! [`telemetry::bootstrap_percentile_ci`]), which equal the per-server
+//! statistics bit for bit, so it cannot tell. The deployment clears the
+//! lookup map whenever its shard moves to the next cell
+//! ([`WarmupAccumulator::clear_memo`]), which bounds it to one cell; the
+//! entries (one per distinct timeline per cell) live until
+//! [`WarmupAccumulator::finish`].
 
 use std::collections::HashMap;
 
-use telemetry::{bootstrap_percentile_ci, fmt_f64, quantile_sorted};
+use telemetry::{bootstrap_percentile_ci, fmt_f64, quantile_runs, quantile_sorted};
 
-use crate::metrics::Timeline;
+use crate::metrics::{Sample, Timeline};
 
 /// Warmup class of one server timeline, after Barrett et al.'s taxonomy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -386,7 +392,7 @@ pub fn classify_timeline(
     duration_ms: u64,
     params: &WarmupAnalysisParams,
 ) -> TimelineClass {
-    let serving: Vec<&crate::metrics::Sample> = tl
+    let serving: Vec<&Sample> = tl
         .samples
         .iter()
         .filter(|s| s.t_ms > tl.serve_start_ms)
@@ -607,63 +613,53 @@ impl WarmupReport {
     }
 }
 
-/// Per-arm accumulation state.
-#[derive(Default)]
-struct ArmAccum {
-    counts: ClassCounts,
-    ttss: Vec<f64>,
-    /// `curve[k]` = every server's `rps_norm` at `t = (k+1) · sample_ms`.
-    /// Server-local sample times all land on multiples of `sample_ms`
-    /// (a server's clock starts at its own restart), so bucketing by
-    /// index is exact, not approximate.
-    curve: Vec<Vec<f64>>,
-}
-
-impl ArmAccum {
-    fn merge(&mut self, other: ArmAccum) {
-        for (mine, theirs) in self.counts.counts.iter_mut().zip(other.counts.counts) {
-            *mine += theirs;
-        }
-        self.ttss.extend(other.ttss);
-        if self.curve.len() < other.curve.len() {
-            self.curve.resize_with(other.curve.len(), Vec::new);
-        }
-        for (mine, theirs) in self.curve.iter_mut().zip(other.curve) {
-            mine.extend(theirs);
-        }
-    }
+/// One distinct timeline, stored once however many servers fed it.
+struct Entry {
+    class: WarmupClass,
+    steady_ms: Option<u64>,
+    /// `(k, rps_norm)` of every sample at `t = (k+1) · sample_ms`.
+    /// Server-local sample times all land on multiples of `sample_ms` (a
+    /// server's clock starts at its own restart), so bucketing by index is
+    /// exact, not approximate.
+    curve: Box<[(u64, f64)]>,
+    /// Servers that fed this timeline, per arm: `[js, nojs]`.
+    servers: [u32; 2],
 }
 
 /// Streams per-server timelines into a [`WarmupReport`].
 ///
 /// Each deployment shard owns one: every server's full timeline goes
 /// through [`WarmupAccumulator::add`] right after it is simulated, which
-/// classifies it and folds it into the fleet curve without retaining it —
-/// memory stays flat at paper scale. The orchestrator folds the shards'
-/// accumulators together with [`WarmupAccumulator::merge`]. The report
-/// depends only on the multiset of timelines fed in, never on feed or
-/// merge order ([`WarmupAccumulator::finish`] sorts every series it
-/// reads), so it is shard-count-invariant.
+/// classifies it and counts it against its distinct timeline without
+/// retaining it — memory grows with distinct timelines, not servers. The
+/// orchestrator folds the shards' accumulators together with
+/// [`WarmupAccumulator::merge`]. The report depends only on the multiset
+/// of timelines fed in, never on feed or merge order
+/// ([`WarmupAccumulator::finish`] sorts every series it reads), so it is
+/// shard-count-invariant.
 ///
-/// Classification goes through an exact memo (see the module docs): the
-/// key is the `serve_start_ms > 0` flag followed by `(t_ms, rps_norm bits,
-/// latency_ms bits)` of every sample after `serve_start_ms` — everything
-/// [`classify_timeline`] reads beyond the accumulator's fixed duration
-/// and parameters. A lookup compares whole keys, never a bare hash. The
-/// memo grows by one entry per distinct timeline until
-/// [`WarmupAccumulator::clear_memo`]; [`WarmupAccumulator::classified`]
-/// counts the misses.
+/// Timelines are deduplicated through an exact memo (see the module
+/// docs). The key is the `serve_start_ms > 0` flag, then the count and
+/// `(t_ms, rps_norm bits)` of the boot-window samples the fleet curve
+/// reads (on the `sample_ms` grid, at or before `serve_start_ms`), then
+/// `(t_ms, rps_norm bits, latency_ms bits)` of every sample after
+/// `serve_start_ms` — everything [`classify_timeline`] and the curve read
+/// beyond the accumulator's fixed duration and parameters. A lookup
+/// compares whole keys, never a bare hash. A miss classifies the timeline
+/// and stores its verdict and curve points as a new entry; a hit only
+/// counts one more server of its arm. The lookup map grows by one key per
+/// entry until [`WarmupAccumulator::clear_memo`]; the entries live until
+/// [`WarmupAccumulator::finish`].
 pub struct WarmupAccumulator {
     params: WarmupAnalysisParams,
     sample_ms: u64,
     duration_ms: u64,
-    js: ArmAccum,
-    nojs: ArmAccum,
-    memo: HashMap<Vec<u64>, (WarmupClass, Option<u64>)>,
+    entries: Vec<Entry>,
+    /// Key → index into `entries`.
+    memo: HashMap<Vec<u64>, usize>,
     /// The key of the timeline being added, reused so a memo hit
     /// allocates nothing.
     key: Vec<u64>,
-    classified: u64,
 }
 
 impl WarmupAccumulator {
@@ -674,11 +670,9 @@ impl WarmupAccumulator {
             params,
             sample_ms: sample_ms.max(1),
             duration_ms,
-            js: ArmAccum::default(),
-            nojs: ArmAccum::default(),
+            entries: Vec::new(),
             memo: HashMap::new(),
             key: Vec::new(),
-            classified: 0,
         }
     }
 
@@ -687,97 +681,125 @@ impl WarmupAccumulator {
     /// `class` and `steady_ms`, from the memo when an identical timeline
     /// was added since the last [`WarmupAccumulator::clear_memo`].
     pub fn add(&mut self, tl: &Timeline, jumpstart: bool) -> (WarmupClass, Option<u64>) {
+        let sample_ms = self.sample_ms;
+        let on_grid = |s: &&Sample| s.t_ms != 0 && s.t_ms.is_multiple_of(sample_ms);
+        let boot = tl
+            .samples
+            .iter()
+            .filter(|s| s.t_ms <= tl.serve_start_ms)
+            .filter(on_grid);
         self.key.clear();
         self.key.push((tl.serve_start_ms > 0) as u64);
+        self.key.push(boot.clone().count() as u64);
+        for s in boot {
+            self.key.extend([s.t_ms, s.rps_norm.to_bits()]);
+        }
         for s in tl.samples.iter().filter(|s| s.t_ms > tl.serve_start_ms) {
             self.key
                 .extend([s.t_ms, s.rps_norm.to_bits(), s.latency_ms.to_bits()]);
         }
-        let (class, steady_ms) = match self.memo.get(self.key.as_slice()) {
-            Some(&verdict) => verdict,
+        let entry = match self.memo.get(self.key.as_slice()) {
+            Some(&entry) => entry,
             None => {
                 let v = classify_timeline(tl, self.duration_ms, &self.params);
-                self.classified += 1;
-                self.memo.insert(self.key.clone(), (v.class, v.steady_ms));
-                (v.class, v.steady_ms)
+                let curve = tl
+                    .samples
+                    .iter()
+                    .filter(on_grid)
+                    .map(|s| (s.t_ms / sample_ms - 1, s.rps_norm))
+                    .collect();
+                self.entries.push(Entry {
+                    class: v.class,
+                    steady_ms: v.steady_ms,
+                    curve,
+                    servers: [0; 2],
+                });
+                self.memo.insert(self.key.clone(), self.entries.len() - 1);
+                self.entries.len() - 1
             }
         };
-        let sample_ms = self.sample_ms;
-        let arm = if jumpstart {
-            &mut self.js
-        } else {
-            &mut self.nojs
-        };
-        arm.counts.add(class);
-        if let Some(steady) = steady_ms {
-            arm.ttss.push(steady as f64);
-        }
-        for s in &tl.samples {
-            if s.t_ms == 0 || !s.t_ms.is_multiple_of(sample_ms) {
-                continue;
-            }
-            let k = (s.t_ms / sample_ms - 1) as usize;
-            if arm.curve.len() <= k {
-                arm.curve.resize_with(k + 1, Vec::new);
-            }
-            arm.curve[k].push(s.rps_norm);
-        }
-        (class, steady_ms)
+        let entry = &mut self.entries[entry];
+        entry.servers[usize::from(!jumpstart)] += 1;
+        (entry.class, entry.steady_ms)
     }
 
-    /// Forgets every memoized verdict. The report is unaffected; only
-    /// later repeats of already-seen timelines run the classifier again.
+    /// Forgets the lookup map. The report is unaffected; only later
+    /// repeats of already-seen timelines run the classifier again and
+    /// start an entry of their own.
     pub fn clear_memo(&mut self) {
         self.memo.clear();
     }
 
-    /// Timelines the classifier actually ran on (memo misses), summed
-    /// over merged accumulators. Unlike the report, this depends on how
-    /// the timelines were dealt and when the memo was cleared.
+    /// Timelines the classifier actually ran on (memo misses) — the
+    /// number of stored entries — summed over merged accumulators. Unlike
+    /// the report, this depends on how the timelines were dealt and when
+    /// the memo was cleared.
     pub fn classified(&self) -> u64 {
-        self.classified
+        self.entries.len() as u64
     }
 
     /// Folds in everything `other` was fed. Both must have been created
     /// with the same parameters. `other`'s memo is dropped.
     pub fn merge(&mut self, other: WarmupAccumulator) {
-        self.js.merge(other.js);
-        self.nojs.merge(other.nojs);
-        self.classified += other.classified;
+        self.entries.extend(other.entries);
     }
 
-    /// Finalizes both arms into the fleet report.
+    /// Finalizes both arms into the fleet report. Every statistic reads
+    /// `(value, servers)` runs — one per entry — so percentiles and
+    /// bootstrap CIs equal those of the per-server values bit for bit.
     pub fn finish(self) -> WarmupReport {
         let params = self.params;
         let sample_ms = self.sample_ms;
-        let summarize = |mut acc: ArmAccum| -> ArmSummary {
-            acc.ttss.sort_by(|a, b| a.total_cmp(b));
+        let summarize = |arm: usize| -> ArmSummary {
+            let mut counts = ClassCounts::default();
+            let mut ttss: Vec<(f64, u64)> = Vec::new();
+            let mut ttss_n = 0;
+            // curve[k]: `(rps_norm, servers)` at `t = (k+1) · sample_ms`.
+            let mut curve: Vec<Vec<(f64, u64)>> = Vec::new();
+            for entry in &self.entries {
+                let servers = entry.servers[arm];
+                if servers == 0 {
+                    continue;
+                }
+                counts.counts[entry.class.code() as usize] += servers;
+                if let Some(steady) = entry.steady_ms {
+                    ttss.push((steady as f64, u64::from(servers)));
+                    ttss_n += servers;
+                }
+                for &(k, rps) in &entry.curve {
+                    let k = k as usize;
+                    if curve.len() <= k {
+                        curve.resize_with(k + 1, Vec::new);
+                    }
+                    curve[k].push((rps, u64::from(servers)));
+                }
+            }
+            ttss.sort_by(|a, b| a.0.total_cmp(&b.0));
             const QS: [f64; 3] = [0.50, 0.95, 0.99];
             let cis = bootstrap_percentile_ci(
-                &acc.ttss,
+                &ttss,
                 &QS,
                 params.bootstrap_resamples,
                 params.bootstrap_seed,
             );
             let stat = |i: usize| CiStat {
-                value: quantile_sorted(&acc.ttss, QS[i]),
+                value: quantile_runs(&ttss, QS[i]),
                 lo: cis[i].0,
                 hi: cis[i].1,
             };
-            let median_curve: Vec<(u64, f64)> = acc
-                .curve
+            let median_curve: Vec<(u64, f64)> = curve
                 .iter_mut()
                 .enumerate()
-                .filter(|(_, vs)| !vs.is_empty())
-                .map(|(k, vs)| {
-                    vs.sort_by(|a, b| a.total_cmp(b));
-                    ((k as u64 + 1) * sample_ms, quantile_sorted(vs, 0.5))
+                .filter(|(_, runs)| !runs.is_empty())
+                .map(|(k, runs)| {
+                    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+                    ((k as u64 + 1) * sample_ms, quantile_runs(runs, 0.5))
                 })
                 .collect();
             ArmSummary {
-                servers: acc.counts.total(),
-                counts: acc.counts,
-                ttss_n: acc.ttss.len() as u32,
+                servers: counts.total(),
+                counts,
+                ttss_n,
                 ttss_p50: stat(0),
                 ttss_p95: stat(1),
                 ttss_p99: stat(2),
@@ -786,8 +808,8 @@ impl WarmupAccumulator {
         };
         WarmupReport {
             params,
-            js: summarize(self.js),
-            nojs: summarize(self.nojs),
+            js: summarize(0),
+            nojs: summarize(1),
         }
     }
 }
@@ -795,7 +817,6 @@ impl WarmupAccumulator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Sample;
 
     fn series(segments: &[(usize, f64)]) -> Vec<f64> {
         let mut xs = Vec::new();

@@ -6,7 +6,9 @@
 //! columns by metric name and reports the distribution of each across the
 //! fleet — the p50/p95/p99 boot- and ready-time numbers the paper reports
 //! fleet-wide. [`quantile_sorted`] and [`bootstrap_percentile_ci`] are the
-//! shared quantile and confidence-interval definitions.
+//! shared quantile and confidence-interval definitions; [`quantile_runs`]
+//! and the bootstrap read a sample set as `(value, count)` runs, so a
+//! fleet of servers sharing a few distinct values is never expanded.
 
 use crate::json::{escape, fmt_f64};
 
@@ -44,15 +46,41 @@ pub struct FleetAggregate {
 /// the repo uses — exposed so derived statistics (bootstrap CIs, warmup
 /// time-to-steady-state bands) agree with [`aggregate_values`] bit for bit.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> f64 {
-    match sorted {
-        [] => 0.0,
-        [only] => *only,
+    interpolate(sorted.len(), q, |i| sorted[i])
+}
+
+/// [`quantile_sorted`] of the sample set `runs` stands for, without
+/// expanding it: each `(value, count)` is `count` copies of `value`, and
+/// the runs are ascending under [`f64::total_cmp`] (zero counts allowed).
+/// It picks the same order statistics and interpolates with the same
+/// expression, so it equals `quantile_sorted` of the expansion bit for
+/// bit.
+pub fn quantile_runs(runs: &[(f64, u64)], q: f64) -> f64 {
+    let n: u64 = runs.iter().map(|&(_, count)| count).sum();
+    interpolate(n as usize, q, |i| {
+        let mut seen = 0;
+        runs.iter()
+            .find(|&&(_, count)| {
+                seen += count;
+                seen > i as u64
+            })
+            .map_or(0.0, |&(value, _)| value)
+    })
+}
+
+/// The one quantile rule: order statistics `⌊rank⌋` and `⌈rank⌉` of `n`
+/// ascending values, read through `nth`, interpolated linearly.
+fn interpolate(n: usize, q: f64, nth: impl Fn(usize) -> f64) -> f64 {
+    match n {
+        0 => 0.0,
+        1 => nth(0),
         _ => {
-            let rank = q.clamp(0.0, 1.0) * (sorted.len() - 1) as f64;
+            let rank = q.clamp(0.0, 1.0) * (n - 1) as f64;
             let lo = rank.floor() as usize;
             let hi = rank.ceil() as usize;
             let frac = rank - lo as f64;
-            sorted[lo] + frac * (sorted[hi] - sorted[lo])
+            let (lo, hi) = (nth(lo), nth(hi));
+            lo + frac * (hi - lo)
         }
     }
 }
@@ -68,55 +96,97 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Percentile-bootstrap confidence intervals for `quantile_sorted(values, q)`
-/// at every `q` in `qs`, returned in `qs` order.
+/// Percentile-bootstrap confidence intervals for the `q` quantile
+/// ([`quantile_runs`]) of the sample set `runs` stands for, at every `q`
+/// in `qs`, returned in `qs` order. Each `(value, count)` is `count`
+/// copies of `value`; runs may come in any order, and runs of equal
+/// values may be split.
 ///
-/// Draws `resamples` bootstrap resamples (with replacement, splitmix64
-/// stream seeded by `seed`), recomputes each `q` quantile of each, and
-/// returns the (2.5%, 97.5%) quantiles of each bootstrap distribution —
-/// a 95% percentile CI. Every quantile reads the same resamples, so one
-/// call equals one single-quantile call per `q` with the same seed, at
-/// the cost of one. Deterministic: the same `(values, qs, resamples,
-/// seed)` always returns the same intervals, so fleet reports carrying
-/// CIs stay byte-identical across runs. Empty input returns `(0.0, 0.0)`;
-/// a single value returns a degenerate `(v, v)` interval.
+/// Draws `resamples` bootstrap resamples of the `n` expanded values (with
+/// replacement, splitmix64 stream seeded by `seed`), recomputes each `q`
+/// quantile of each, and returns the (2.5%, 97.5%) quantiles of each
+/// bootstrap distribution — a 95% percentile CI. Every quantile reads the
+/// same resamples, so one call equals one single-quantile call per `q`
+/// with the same seed, at the cost of one. Deterministic: the same
+/// `(runs, qs, resamples, seed)` always returns the same intervals, so
+/// fleet reports carrying CIs stay byte-identical across runs. Empty
+/// input returns `(0.0, 0.0)`; a single value returns a degenerate
+/// `(v, v)` interval.
 ///
-/// A resample is never sorted: its draws are indices into the sorted
-/// input, so counting them and expanding the counts in index order
-/// yields the sorted resample directly (`sorted[idx]` is monotone in
-/// `idx` under `total_cmp`, and values equal under it are bit-equal).
+/// No resample is ever built, and memory is O(runs), not O(n). Each of a
+/// round's `n` draws stands for a position in the sorted expansion,
+/// mapped uniformly onto `[0, n)` by multiply-shift; it only increments
+/// the count of the run holding that position, and each quantile is read
+/// from the round's run counts. The draws and the order statistics are
+/// exactly those of sorting the `n` values and drawing indices into them
+/// (values equal under `total_cmp` are bit-equal), so the intervals do
+/// not depend on how the values are grouped into runs.
 pub fn bootstrap_percentile_ci(
-    values: &[f64],
+    runs: &[(f64, u64)],
     qs: &[f64],
     resamples: u32,
     seed: u64,
 ) -> Vec<(f64, f64)> {
-    match values {
-        [] => vec![(0.0, 0.0); qs.len()],
-        [only] => vec![(*only, *only); qs.len()],
+    // Maximal runs, ascending: fewer runs make every draw cheaper.
+    let mut sorted: Vec<(f64, u64)> = runs.iter().copied().filter(|&(_, c)| c > 0).collect();
+    sorted.sort_by(|a, b| a.0.total_cmp(&b.0));
+    sorted.dedup_by(|next, run| {
+        let same = next.0.to_bits() == run.0.to_bits();
+        if same {
+            run.1 += next.1;
+        }
+        same
+    });
+    let n: u64 = sorted.iter().map(|&(_, count)| count).sum();
+    match n {
+        0 => vec![(0.0, 0.0); qs.len()],
+        1 => vec![(sorted[0].0, sorted[0].0); qs.len()],
         _ => {
-            let mut sorted: Vec<f64> = values.to_vec();
-            sorted.sort_by(|a, b| a.total_cmp(b));
-            let n = sorted.len();
+            // Multiply-shift maps a 64-bit draw `x` uniformly onto the
+            // positions [0, n) without modulo bias: `x·n >> 64`. Run r
+            // ends at position `end` exactly when the draws it takes end
+            // at `last[r] = (end·2^64 − 1) / n`, so a draw is placed by
+            // comparing it with `last` — no position is computed.
+            let mut end = 0u128;
+            let last: Vec<u64> = sorted
+                .iter()
+                .map(|&(_, count)| {
+                    end += u128::from(count);
+                    (((end << 64) - 1) / u128::from(n)) as u64
+                })
+                .collect();
+            // guide[b] is the run of the first draw whose top `bits` bits
+            // are b: a draw's run is found by stepping forward from its
+            // slice's guide. With eight slices per run, most slices lie
+            // inside one run and most draws take no step.
+            let slices = (sorted.len() * 8).min(n as usize).next_power_of_two();
+            let bits = slices.trailing_zeros();
+            let guide: Vec<u32> = (0..slices as u64)
+                .map(|b| {
+                    let run = last.partition_point(|&l| l < b << (64 - bits));
+                    u32::try_from(run).expect("fewer than 2^32 runs")
+                })
+                .collect();
+            // The current round's resample, as draw counts per run.
+            let mut counts: Vec<u64> = vec![0; sorted.len()];
+            let mut drawn: Vec<(f64, u64)> = sorted.clone();
             let rounds = resamples.max(1) as usize;
             let mut state = seed;
             let mut stats: Vec<Vec<f64>> = vec![Vec::with_capacity(rounds); qs.len()];
-            let mut counts: Vec<u32> = vec![0; n];
-            let mut resample: Vec<f64> = Vec::with_capacity(n);
             for _ in 0..rounds {
                 for _ in 0..n {
-                    // Multiply-shift maps the 64-bit draw uniformly onto
-                    // [0, n) without modulo bias.
-                    let idx = ((splitmix64(&mut state) as u128 * n as u128) >> 64) as usize;
-                    counts[idx] += 1;
+                    let x = splitmix64(&mut state);
+                    let mut run = guide[(x >> (64 - bits)) as usize] as usize;
+                    while x > last[run] {
+                        run += 1;
+                    }
+                    counts[run] += 1;
                 }
-                resample.clear();
-                for (&v, c) in sorted.iter().zip(&mut counts) {
-                    resample.extend(std::iter::repeat_n(v, *c as usize));
-                    *c = 0;
+                for (run, count) in drawn.iter_mut().zip(&mut counts) {
+                    run.1 = std::mem::take(count);
                 }
                 for (col, &q) in stats.iter_mut().zip(qs) {
-                    col.push(quantile_sorted(&resample, q));
+                    col.push(quantile_runs(&drawn, q));
                 }
             }
             stats
@@ -203,6 +273,11 @@ impl FleetAggregate {
 mod tests {
     use super::*;
 
+    /// One run of count 1 per value.
+    fn singles(values: &[f64]) -> Vec<(f64, u64)> {
+        values.iter().map(|&v| (v, 1)).collect()
+    }
+
     #[test]
     fn aggregate_values_folds_columns_into_percentiles() {
         let boots: Vec<f64> = (1..=10).map(|i| (i * 100) as f64).collect();
@@ -263,20 +338,20 @@ mod tests {
         let mut sorted = values.clone();
         sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
         let p50 = quantile_sorted(&sorted, 0.50);
-        let (lo, hi) = bootstrap_percentile_ci(&values, &[0.50], 200, 42)[0];
+        let (lo, hi) = bootstrap_percentile_ci(&singles(&values), &[0.50], 200, 42)[0];
         assert!(lo <= hi, "interval is ordered");
         assert!(lo <= p50 && p50 <= hi, "CI brackets the point estimate");
         assert!(lo >= sorted[0] && hi <= sorted[sorted.len() - 1]);
         // Bit-identical across repeat calls with the same seed.
         assert_eq!(
             [(lo, hi)],
-            bootstrap_percentile_ci(&values, &[0.50], 200, 42)[..]
+            bootstrap_percentile_ci(&singles(&values), &[0.50], 200, 42)[..]
         );
         // A different seed resamples differently (intervals may coincide on
         // pathological inputs, but not on this spread).
         assert_ne!(
             [(lo, hi)],
-            bootstrap_percentile_ci(&values, &[0.50], 200, 43)[..]
+            bootstrap_percentile_ci(&singles(&values), &[0.50], 200, 43)[..]
         );
     }
 
@@ -287,17 +362,29 @@ mod tests {
             [(0.0, 0.0); 2]
         );
         assert_eq!(
-            bootstrap_percentile_ci(&[7.0], &[0.5], 100, 1),
+            bootstrap_percentile_ci(&[(7.0, 1)], &[0.5], 100, 1),
             [(7.0, 7.0)]
         );
-        assert!(bootstrap_percentile_ci(&[1.0, 2.0], &[], 100, 1).is_empty());
+        assert!(bootstrap_percentile_ci(&singles(&[1.0, 2.0]), &[], 100, 1).is_empty());
         // All-equal samples collapse to a zero-width interval.
         let same = [3.0; 16];
-        assert_eq!(bootstrap_percentile_ci(&same, &[0.95], 50, 9), [(3.0, 3.0)]);
+        assert_eq!(
+            bootstrap_percentile_ci(&singles(&same), &[0.95], 50, 9),
+            [(3.0, 3.0)]
+        );
+        assert_eq!(
+            bootstrap_percentile_ci(&[(3.0, 16)], &[0.95], 50, 9),
+            [(3.0, 3.0)]
+        );
+        // Zero-count runs stand for nothing.
+        assert_eq!(
+            bootstrap_percentile_ci(&[(1.0, 0), (7.0, 1), (9.0, 0)], &[0.5], 100, 1),
+            [(7.0, 7.0)]
+        );
     }
 
     /// The single-quantile bootstrap that sorted every resample — the
-    /// oracle the one-pass, counting [`bootstrap_percentile_ci`] must
+    /// oracle the one-pass, run-counting [`bootstrap_percentile_ci`] must
     /// match bit for bit.
     fn bootstrap_percentile_ci_reference(
         values: &[f64],
@@ -359,7 +446,7 @@ mod tests {
             // debug builds; every round is compared all the same.
             let full = if values.len() > 100 { 20 } else { 200 };
             for (resamples, seed) in [(full, 0x57a2_b007), (7, 1), (1, 42)] {
-                let got = bootstrap_percentile_ci(values, &qs, resamples, seed);
+                let got = bootstrap_percentile_ci(&singles(values), &qs, resamples, seed);
                 let want: Vec<(f64, f64)> = qs
                     .iter()
                     .map(|&q| bootstrap_percentile_ci_reference(values, q, resamples, seed))

@@ -15,8 +15,9 @@
 //!   CI gate.
 //! - **Helpers**: a strict JSON reader and the float/string writers
 //!   ([`json`], [`fmt_f64`]), and fleet statistics over plain columns of
-//!   numbers ([`aggregate_values`], [`quantile_sorted`],
-//!   [`bootstrap_percentile_ci`]).
+//!   numbers ([`aggregate_values`], [`quantile_sorted`], and
+//!   [`quantile_runs`] / [`bootstrap_percentile_ci`] over `(value, count)`
+//!   runs).
 //!
 //! Numbers live in typed records next to the code that produces them —
 //! a boot's in `BootStats` (`core`), a simulated server's in `ServerStat`
@@ -33,7 +34,8 @@ pub mod trace;
 
 pub use chrome::{validate_chrome, ChromeSummary};
 pub use export::{
-    aggregate_values, bootstrap_percentile_ci, quantile_sorted, AggStat, FleetAggregate,
+    aggregate_values, bootstrap_percentile_ci, quantile_runs, quantile_sorted, AggStat,
+    FleetAggregate,
 };
 pub use json::fmt_f64;
 pub use span::{
