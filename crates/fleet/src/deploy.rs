@@ -70,7 +70,9 @@ use crate::distribution::{
 use crate::export::timelines_to_trace_capped;
 use crate::faults::FaultPlan;
 use crate::metrics::Timeline;
-use crate::model::{build_app_model, AppModel, WarmupParams};
+use crate::model::{
+    build_app_model_with, measure_endpoint_calls, AppModel, EndpointCalls, WarmupParams,
+};
 use crate::server::{run_planned, ServerPlan};
 use crate::warmup::{WarmupAccumulator, WarmupAnalysisParams, WarmupClass, WarmupReport};
 
@@ -745,13 +747,15 @@ fn seed_store(app: &App, params: &DeployParams, store: &PackageStore) -> SeedOut
 }
 
 /// One cell's consumer-side inputs: its request mix, the [`AppModel`]
-/// measured on that mix, its published packages decoded once, and their
-/// wire pricing against `prior_store`'s chunk pool for the cell.
+/// measured on that mix (sharing the deployment's `endpoint_calls`), its
+/// published packages decoded once, and their wire pricing against
+/// `prior_store`'s chunk pool for the cell.
 fn prepare_cell(
     app: &App,
     params: &DeployParams,
     store: &PackageStore,
     prior_store: Option<&PackageStore>,
+    endpoint_calls: &EndpointCalls,
     (region, bucket): (u32, u32),
 ) -> CellData {
     let _span = telemetry::span!("cell-prep", "region" => region, "bucket" => bucket);
@@ -761,7 +765,7 @@ fn prepare_cell(
     let truth = workload::profile_run(app, &mix, params.seeder_requests, params.seed ^ 0xdead);
     drop(truth_span);
     let model_span = telemetry::span!("app-model");
-    let model = build_app_model(app, &truth);
+    let model = build_app_model_with(app, &truth, endpoint_calls.clone());
     drop(model_span);
     let stored = store.cell_packages(region, bucket);
     // Decoded in place from the stored buffers: no payload copy.
@@ -832,11 +836,18 @@ pub fn run_deployment_with_prior(
     });
 
     // --- Per-cell consumer inputs, prepared once, a window of cells at a time ---
+    let endpoint_calls = {
+        let _span = telemetry::span!("endpoint-calls");
+        measure_endpoint_calls(app)
+    };
     let mut cells: Vec<CellData> = Vec::with_capacity(params.cells());
     map_windows(
         &cell_ids(params),
         shards,
-        |&cell| prepare_cell(app, params, &store, prior_store.as_ref(), cell),
+        |&cell| {
+            let prior_store = prior_store.as_ref();
+            prepare_cell(app, params, &store, prior_store, &endpoint_calls, cell)
+        },
         |data| cells.push(data),
     );
 
@@ -850,7 +861,12 @@ pub fn run_deployment_with_prior(
         .collect();
 
     // --- C3: every server's randomized rolls, drawn sequentially ---
-    let mut slots: Vec<Slot> = Vec::new();
+    // Sized once, like every per-server vector of the fan-out and fold:
+    // a doubling vector's first small buffer may be one the main thread
+    // recycled from a window thread's malloc arena, and every realloc of
+    // it then grows that arena (EXPERIMENTS.md, "Peak RSS has one mode").
+    let per_cell = params.fleet.servers_per_cell + params.fleet.baselines_per_cell;
+    let mut slots: Vec<Slot> = Vec::with_capacity(cells.len() * per_cell as usize);
     for (c, data) in cells.iter().enumerate() {
         for k in 0..params.fleet.servers_per_cell {
             let mut slot = build_slot(slots.len() as u32, c, true, data, params);
@@ -928,7 +944,7 @@ pub fn run_deployment_with_prior(
     let (slots, cells, plans) = (&slots, &cells, &plans);
     let run_shard = |&shard: &usize| {
         let mut out = ShardResult {
-            stats: Vec::new(),
+            stats: Vec::with_capacity(slots.len().div_ceil(shards)),
             representatives: Vec::new(),
             warmup: WarmupAccumulator::new(
                 params.analysis,
@@ -987,16 +1003,21 @@ pub fn run_deployment_with_prior(
         "servers" => slots.len() as u64,
         "distinct" => distinct,
     );
-    let mut all = shard_results
-        .into_iter()
-        .reduce(|mut all, shard| {
-            all.stats.extend(shard.stats);
-            all.representatives.extend(shard.representatives);
-            all.warmup.merge(shard.warmup);
-            all.events += shard.events;
-            all
-        })
-        .expect("at least one shard");
+    let mut shard_results = shard_results.into_iter();
+    let mut all = shard_results.next().expect("at least one shard");
+    if all.stats.capacity() < slots.len() {
+        // A fresh buffer on this thread: a realloc of the first shard's
+        // would grow that shard thread's arena.
+        let mut stats = Vec::with_capacity(slots.len());
+        stats.append(&mut all.stats);
+        all.stats = stats;
+    }
+    for shard in shard_results {
+        all.stats.extend(shard.stats);
+        all.representatives.extend(shard.representatives);
+        all.warmup.merge(shard.warmup);
+        all.events += shard.events;
+    }
     all.stats.sort_by_key(|s| s.gid);
     all.representatives.sort_by_key(|(gid, ..)| *gid);
     let mut sim = ShardStats {
@@ -1257,7 +1278,7 @@ mod tests {
             params: params.warmup,
             jumpstart: None,
         };
-        let run = crate::run_server(&app, &build_app_model(&app, &truth), &mix, &config);
+        let run = crate::run_server(&app, &crate::build_app_model(&app, &truth), &mix, &config);
         assert_eq!(report.nojs_timelines, [run.timeline]);
         assert_eq!(report.sim.events, run.events);
         assert_eq!(report.sim.steps_executed, run.events + 1, "it quiesces");
@@ -1384,6 +1405,8 @@ mod tests {
         for name in ["cell-prep", "truth-profile", "app-model"] {
             assert_eq!(count(name), 2, "{name}");
         }
+        // The endpoint call vectors are measured once, for every cell.
+        assert_eq!(count("endpoint-calls"), 1);
         assert_eq!(count("c3-fanout"), 1);
         assert_eq!(count("fold"), 1);
 

@@ -53,7 +53,10 @@ pub use distribution::{
 pub use export::timelines_to_trace_capped;
 pub use faults::{run_crashloop, CrashLoopParams, CrashLoopReport, FaultPlan};
 pub use metrics::{capacity_loss_from, Sample, Timeline};
-pub use model::{build_app_model, AppModel, WarmupParams};
+pub use model::{
+    build_app_model, build_app_model_with, measure_endpoint_calls, AppModel, EndpointCalls,
+    WarmupParams,
+};
 pub use server::reference::simulate_warmup_dense;
 pub use server::{run_server, simulate_warmup, ServerConfig, ServerRun};
 pub use steady::{measure_steady_state, SteadyConfig, SteadyOutcome, SteadyParams};

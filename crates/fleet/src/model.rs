@@ -1,7 +1,7 @@
 //! Static per-application facts the warmup simulation needs, measured once
 //! from the real compilation pipeline (not assumed).
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use bytecode::FuncId;
 use jit::{translate_live, translate_optimized, translate_profiling, InlineParams, WeightSource};
@@ -155,7 +155,7 @@ pub struct AppModel {
     /// Unit metadata bytes per function's unit (lazy-load cost).
     pub unit_bytes: Vec<u64>,
     /// Expected calls per request, per endpoint: `(func, calls)`.
-    pub endpoint_calls: Vec<Vec<(FuncId, f64)>>,
+    pub endpoint_calls: EndpointCalls,
     /// Functions with tier-1 profile data (the optimize-all set).
     pub profiled: Vec<FuncId>,
     /// Total optimized bytes across the optimize-all set.
@@ -193,19 +193,65 @@ impl AppModel {
     }
 }
 
+/// Expected calls per request, per endpoint: `(func, calls)` in
+/// function order. They depend on the app alone, so every cell of a
+/// deployment shares one measurement.
+pub type EndpointCalls = Arc<[Vec<(FuncId, f64)>]>;
+
+// Entries per function, indexed by `FuncId`.
 struct CallCounter {
-    calls: HashMap<FuncId, u64>,
+    calls: Vec<u64>,
 }
 
 impl ExecObserver for CallCounter {
     fn on_func_enter(&mut self, func: FuncId, _args: &[Value]) {
-        *self.calls.entry(func).or_insert(0) += 1;
+        self.calls[func.index()] += 1;
     }
+}
+
+/// Per-endpoint call vectors from real interpretation: each endpoint runs
+/// on a few fixed arguments.
+pub fn measure_endpoint_calls(app: &App) -> EndpointCalls {
+    const TRIALS: [i64; 3] = [1, 497, 910];
+    let mut vm = Vm::new(&app.repo);
+    let mut counter = CallCounter {
+        calls: vec![0; app.repo.funcs().len()],
+    };
+    app.endpoints
+        .iter()
+        .map(|ep| {
+            for arg in TRIALS {
+                vm.call_observed(ep.func, &[Value::Int(arg)], &mut counter)
+                    .expect("endpoint executes");
+                vm.take_output();
+            }
+            counter
+                .calls
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, c)| **c > 0)
+                .map(|(f, c)| {
+                    let calls = std::mem::take(c) as f64 / TRIALS.len() as f64;
+                    (FuncId::new(f as u32), calls)
+                })
+                .collect()
+        })
+        .collect()
 }
 
 /// Measures the app model: translation sizes from the real translators,
 /// per-endpoint call vectors from real interpretation.
 pub fn build_app_model(app: &App, run: &ProfileRun) -> AppModel {
+    build_app_model_with(app, run, measure_endpoint_calls(app))
+}
+
+/// [`build_app_model`] with the endpoint call vectors measured already
+/// (by [`measure_endpoint_calls`] on the same app).
+pub fn build_app_model_with(
+    app: &App,
+    run: &ProfileRun,
+    endpoint_calls: EndpointCalls,
+) -> AppModel {
     let repo = &app.repo;
     let n = repo.funcs().len();
     let mut avg_instrs = vec![0f64; n];
@@ -237,28 +283,6 @@ pub fn build_app_model(app: &App, run: &ProfileRun) -> AppModel {
         } else {
             avg_instrs[i] = func.code.len() as f64 * 0.6;
         }
-    }
-
-    // Per-endpoint call vectors: interpret a few sampled arguments.
-    let mut endpoint_calls = Vec::with_capacity(app.endpoints.len());
-    let mut vm = Vm::new(repo);
-    for ep in &app.endpoints {
-        let mut counter = CallCounter {
-            calls: HashMap::new(),
-        };
-        let trials: [i64; 3] = [1, 497, 910];
-        for arg in trials {
-            vm.call_observed(ep.func, &[Value::Int(arg)], &mut counter)
-                .expect("endpoint executes");
-            vm.take_output();
-        }
-        let mut v: Vec<(FuncId, f64)> = counter
-            .calls
-            .into_iter()
-            .map(|(f, c)| (f, c as f64 / trials.len() as f64))
-            .collect();
-        v.sort_by_key(|&(f, _)| f);
-        endpoint_calls.push(v);
     }
 
     let profiled: Vec<FuncId> = run.tier.functions_by_heat();

@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 use std::ops::{AddAssign, Range};
 
-use bytecode::{BlockId, Cfg, ClassId, FuncId, Repo, StrId};
+use bytecode::{BlockId, Cfg, ClassId, FuncId, Instr, Repo, StrId};
 use vm::{ExecObserver, Value, ValueKind};
 
 /// Marker "instruction index" under which parameter types are recorded.
@@ -489,7 +489,7 @@ impl CtxProfile {
     }
 }
 
-// Sentinel in `FuncState::site_of`: the instruction has no site yet.
+// Sentinel in `FuncState::site_of`: the instruction has no site.
 const NO_SITE: u32 = u32::MAX;
 
 // Operand slots a type-observation site counts densely; `vm` observes
@@ -499,7 +499,8 @@ const SITE_SLOTS: usize = 2;
 // Parameters whose types are observed on function entry.
 const PARAM_SLOTS: usize = 8;
 
-// Counters of one instruction that reported types or branch outcomes.
+// Counters of one binary op or conditional branch: the instructions the
+// interpreter reports operand types or branch outcomes at.
 #[derive(Default)]
 struct Site {
     types: [TypeDist; SITE_SLOTS],
@@ -511,7 +512,7 @@ struct Site {
 // Everything collected for one function, created on its first event.
 struct FuncState {
     // Entry and block counts, signature hashes, call targets, receiver
-    // classes and the cold type observations (see `on_type_observed`).
+    // classes and the observations no site holds (see `site`).
     profile: FuncProfile,
     // Whether a tier-1 event reached the function: one that only saw
     // branches has context counters but no `TierProfile` entry.
@@ -527,6 +528,18 @@ impl FuncState {
     fn new(repo: &Repo, func: FuncId) -> FuncState {
         let f = repo.func(func);
         let cfg = Cfg::build(f);
+        let mut sites = Vec::new();
+        let site_of = f
+            .code
+            .iter()
+            .map(|instr| match instr {
+                Instr::Bin(_) | Instr::JmpZ(_) | Instr::JmpNZ(_) => {
+                    sites.push(Site::default());
+                    sites.len() as u32 - 1
+                }
+                _ => NO_SITE,
+            })
+            .collect();
         FuncState {
             profile: FuncProfile {
                 block_counts: vec![0; cfg.len()],
@@ -537,20 +550,19 @@ impl FuncState {
             },
             in_tier: false,
             params: Vec::new(),
-            site_of: vec![NO_SITE; f.code.len()],
-            sites: Vec::new(),
+            site_of,
+            sites,
         }
     }
 
-    // The site of instruction `at`, created on first use; `None` when `at`
-    // is not an instruction of the function.
+    // The site of instruction `at`: `None` when `at` is not a binary op
+    // or a conditional branch of the function.
+    #[inline]
     fn site(&mut self, at: u32) -> Option<&mut Site> {
-        let i = self.site_of.get_mut(at as usize)?;
-        if *i == NO_SITE {
-            *i = self.sites.len() as u32;
-            self.sites.push(Site::default());
+        match self.site_of.get(at as usize) {
+            Some(&i) if i != NO_SITE => Some(&mut self.sites[i as usize]),
+            _ => None,
         }
-        Some(&mut self.sites[*i as usize])
     }
 }
 
@@ -561,11 +573,13 @@ impl FuncState {
 /// profiles with [`ProfileCollector::finish`].
 ///
 /// Counting is dense: per-function state sits in a vector indexed by
-/// [`FuncId`], and every type observation and branch reaches its counter
-/// through a per-instruction site index, so block, type and branch events
-/// (most of them) neither hash nor search. Entries, calls and property
-/// accesses add to sorted tables directly. The other tables are built
-/// once, by `finish`.
+/// [`FuncId`], and each binary op and conditional branch has a site laid
+/// out when its function's state is built, so a block, type or branch
+/// event (most of them) is an indexed increment that neither hashes,
+/// searches nor allocates. Entries, calls and property accesses add to
+/// sorted tables directly, as does an observation at any other
+/// instruction (an observer called directly may report one). The other
+/// tables are built once, by `finish`.
 pub struct ProfileCollector<'r> {
     repo: &'r Repo,
     // Per-function state, indexed by `FuncId`.
@@ -636,12 +650,14 @@ impl<'r> ProfileCollector<'r> {
         (tier, CtxProfile::from_counts(branches, entries.0))
     }
 
+    #[inline]
     fn state(&mut self, func: FuncId) -> &mut FuncState {
         let repo = self.repo;
         self.funcs[func.index()].get_or_insert_with(|| FuncState::new(repo, func))
     }
 
     // The state of `func` for a tier-1 event.
+    #[inline]
     fn tier_state(&mut self, func: FuncId) -> &mut FuncState {
         let state = self.state(func);
         state.in_tier = true;
@@ -650,6 +666,7 @@ impl<'r> ProfileCollector<'r> {
 }
 
 impl ExecObserver for ProfileCollector<'_> {
+    #[inline]
     fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
         let ctx = self.pending_site.take();
         self.stack.push((func, ctx));
@@ -665,6 +682,7 @@ impl ExecObserver for ProfileCollector<'_> {
         self.ctx.record_entry(ctx, func, 1);
     }
 
+    #[inline]
     fn on_block(&mut self, func: FuncId, block: BlockId) {
         let counts = &mut self.tier_state(func).profile.block_counts;
         if let Some(c) = counts.get_mut(block.index()) {
@@ -672,6 +690,7 @@ impl ExecObserver for ProfileCollector<'_> {
         }
     }
 
+    #[inline]
     fn on_branch(&mut self, func: FuncId, at: u32, taken: bool) {
         let ctx = self.stack.last().and_then(|&(_, c)| c);
         let outcome = BranchCount {
@@ -688,11 +707,13 @@ impl ExecObserver for ProfileCollector<'_> {
         }
     }
 
+    #[inline]
     fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
         self.tier_state(caller).profile.record_call(at, callee, 1);
         self.pending_site = Some((caller, at));
     }
 
+    #[inline]
     fn on_prop_access(
         &mut self,
         func: FuncId,
@@ -706,19 +727,21 @@ impl ExecObserver for ProfileCollector<'_> {
             .record_prop_class(at, class, 1);
     }
 
+    #[inline]
     fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
         let state = self.tier_state(func);
-        if usize::from(slot) < SITE_SLOTS {
-            if let Some(site) = state.site(at) {
+        match state.site(at) {
+            Some(site) if usize::from(slot) < SITE_SLOTS => {
                 site.types[usize::from(slot)].observe(kind);
-                return;
             }
+            // Not a binary-op operand (a parameter site, a slot past the
+            // operands, any other instruction, an `at` past the code): a
+            // sorted-table insert.
+            _ => state.profile.observe_type(at, slot, kind),
         }
-        // Not a binary-op operand (a parameter site, a slot past the
-        // operands, an `at` past the code): a sorted-table insert.
-        state.profile.observe_type(at, slot, kind);
     }
 
+    #[inline]
     fn on_func_exit(&mut self, _func: FuncId) {
         self.stack.pop();
     }

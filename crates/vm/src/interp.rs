@@ -52,6 +52,12 @@ pub struct ExecStats {
 /// One `Vm` models one HHVM server process's request-handling state. It is
 /// deliberately single-threaded (HHVM request execution is share-nothing);
 /// the fleet simulator runs many `Vm`s.
+///
+/// Every frame's arguments, locals and operands live in one stack the
+/// `Vm` owns. A call's arguments are the caller's top operands and become
+/// the callee's first locals where they lie; a return truncates the stack
+/// to the callee's base. So a call allocates nothing of its own once the
+/// stack has grown to the program's deepest frame.
 #[derive(Debug)]
 pub struct Vm<'r> {
     repo: &'r Repo,
@@ -62,6 +68,10 @@ pub struct Vm<'r> {
     options: VmOptions,
     fuel: u64,
     block_maps: Vec<Option<Rc<BlockMap>>>,
+    /// The frame stack: every live frame's arguments, then its other
+    /// locals, then its operands, one frame after another. A frame is
+    /// a base offset into it.
+    stack: Vec<Value>,
 }
 
 /// Per-function map from instruction index to the basic block starting
@@ -98,6 +108,7 @@ impl<'r> Vm<'r> {
             options,
             fuel: 0,
             block_maps: vec![None; repo.funcs().len()],
+            stack: Vec::new(),
         }
     }
 
@@ -166,14 +177,21 @@ impl<'r> Vm<'r> {
     /// # Errors
     ///
     /// Propagates any [`VmError`] raised during execution.
-    pub fn call_observed(
+    pub fn call_observed<O: ExecObserver + ?Sized>(
         &mut self,
         func: FuncId,
         args: &[Value],
-        obs: &mut dyn ExecObserver,
+        obs: &mut O,
     ) -> Result<Value, VmError> {
         self.fuel = self.options.fuel;
-        self.exec(func, args.to_vec(), None, obs, 0)
+        let entry = self.stack.len();
+        self.stack.extend_from_slice(args);
+        let result = self.exec(func, args.len(), None, obs, 0);
+        // An error leaves the frames it unwound on the stack.
+        self.stack.truncate(entry);
+        // Each executed instruction spent one unit of fuel.
+        self.stats.instrs += self.options.fuel - self.fuel;
+        result
     }
 
     fn block_map(&mut self, func: FuncId) -> Rc<BlockMap> {
@@ -193,13 +211,17 @@ impl<'r> Vm<'r> {
         self.loader.ensure_loaded(self.repo, unit);
     }
 
+    /// Runs `func_id` on the top `argc` slots of the frame stack, which
+    /// become its first locals in place. On a normal return the stack is
+    /// back to what it was below those arguments; on an error it is left
+    /// as it stood, for `call_observed` to truncate.
     #[allow(clippy::too_many_lines)]
-    fn exec(
+    fn exec<O: ExecObserver + ?Sized>(
         &mut self,
         func_id: FuncId,
-        args: Vec<Value>,
+        argc: usize,
         this: Option<ObjRef>,
-        obs: &mut dyn ExecObserver,
+        obs: &mut O,
         depth: u32,
     ) -> Result<Value, VmError> {
         if depth >= self.options.max_depth {
@@ -207,20 +229,29 @@ impl<'r> Vm<'r> {
         }
         self.autoload_for_func(func_id);
         let func = self.repo.func(func_id);
-        debug_assert_eq!(args.len(), func.params as usize);
-        obs.on_func_enter(func_id, &args);
+        debug_assert_eq!(argc, func.params as usize);
+        let base = self.stack.len() - argc;
+        obs.on_func_enter(func_id, &self.stack[base..]);
         let bm = self.block_map(func_id);
-
-        let mut locals = vec![Value::Null; func.locals as usize];
-        for (i, a) in args.into_iter().enumerate() {
-            locals[i] = a;
-        }
-        let mut stack: Vec<Value> = Vec::with_capacity(8);
+        self.stack.resize(base + func.locals as usize, Value::Null);
         let mut pc: usize = 0;
 
+        macro_rules! push {
+            ($v:expr) => {{
+                let v = $v;
+                self.stack.push(v)
+            }};
+        }
         macro_rules! pop {
             () => {
-                stack.pop().expect("verified bytecode cannot underflow")
+                self.stack
+                    .pop()
+                    .expect("verified bytecode cannot underflow")
+            };
+        }
+        macro_rules! local {
+            ($l:expr) => {
+                self.stack[base + $l as usize]
             };
         }
 
@@ -229,50 +260,59 @@ impl<'r> Vm<'r> {
                 return Err(VmError::FuelExhausted);
             }
             self.fuel -= 1;
-            self.stats.instrs += 1;
             if let Some(b) = bm.start_of[pc] {
                 obs.on_block(func_id, b);
             }
             let instr = func.code[pc];
             match instr {
-                Instr::Null => stack.push(Value::Null),
-                Instr::True => stack.push(Value::Bool(true)),
-                Instr::False => stack.push(Value::Bool(false)),
-                Instr::Int(v) => stack.push(Value::Int(v)),
-                Instr::Double(v) => stack.push(Value::Float(v)),
-                Instr::Str(s) => stack.push(Value::str(self.repo.str(s))),
-                Instr::LitArr(a) => stack.push(crate::classes::materialize_lit_array(self.repo, a)),
+                Instr::Null => push!(Value::Null),
+                Instr::True => push!(Value::Bool(true)),
+                Instr::False => push!(Value::Bool(false)),
+                Instr::Int(v) => push!(Value::Int(v)),
+                Instr::Double(v) => push!(Value::Float(v)),
+                Instr::Str(s) => push!(Value::str(self.repo.str(s))),
+                Instr::LitArr(a) => push!(crate::classes::materialize_lit_array(self.repo, a)),
                 Instr::Pop => {
                     let _ = pop!();
                 }
-                Instr::Dup => {
-                    let v = stack.last().expect("verified").clone();
-                    stack.push(v);
-                }
-                Instr::GetL(l) => stack.push(locals[l as usize].clone()),
-                Instr::SetL(l) => locals[l as usize] = pop!(),
-                Instr::IncL(l, d) => {
-                    let old = locals[l as usize].clone();
-                    match old {
-                        Value::Int(i) => {
-                            locals[l as usize] = Value::Int(i.wrapping_add(d as i64));
-                            stack.push(Value::Int(i));
+                Instr::Dup => push!(self.stack.last().expect("verified").clone()),
+                Instr::GetL(l) => push!(local!(l).clone()),
+                Instr::SetL(l) => local!(l) = pop!(),
+                Instr::IncL(l, d) => match local!(l) {
+                    Value::Int(i) => {
+                        local!(l) = Value::Int(i.wrapping_add(d as i64));
+                        push!(Value::Int(i));
+                    }
+                    ref other => {
+                        return Err(VmError::TypeError {
+                            func: func_id,
+                            at: pc as u32,
+                            detail: format!("incl on {}", other.type_name()),
+                        })
+                    }
+                },
+                Instr::Bin(op) => {
+                    let [a, b] = &self.stack[self.stack.len() - 2..] else {
+                        unreachable!("verified bytecode cannot underflow")
+                    };
+                    obs.on_type_observed(func_id, pc as u32, 0, ValueKind::of(a));
+                    obs.on_type_observed(func_id, pc as u32, 1, ValueKind::of(b));
+                    // Two ints: the result overwrites the left operand.
+                    let fast = match (a, b) {
+                        (&Value::Int(x), &Value::Int(y)) => int_binop(op, x, y),
+                        _ => None,
+                    };
+                    match fast {
+                        Some(v) => {
+                            self.stack.pop();
+                            *self.stack.last_mut().expect("verified") = v;
                         }
-                        other => {
-                            return Err(VmError::TypeError {
-                                func: func_id,
-                                at: pc as u32,
-                                detail: format!("incl on {}", other.type_name()),
-                            })
+                        None => {
+                            let b = pop!();
+                            let a = pop!();
+                            push!(self.binop(func_id, pc as u32, op, a, b)?);
                         }
                     }
-                }
-                Instr::Bin(op) => {
-                    let b = pop!();
-                    let a = pop!();
-                    obs.on_type_observed(func_id, pc as u32, 0, ValueKind::of(&a));
-                    obs.on_type_observed(func_id, pc as u32, 1, ValueKind::of(&b));
-                    stack.push(self.binop(func_id, pc as u32, op, a, b)?);
                 }
                 Instr::Un(op) => {
                     let a = pop!();
@@ -289,7 +329,7 @@ impl<'r> Vm<'r> {
                             })
                         }
                     };
-                    stack.push(v);
+                    push!(v);
                 }
                 Instr::Jmp(t) => {
                     pc = t as usize;
@@ -317,17 +357,16 @@ impl<'r> Vm<'r> {
                 }
                 Instr::Call { func: callee, argc } => {
                     self.stats.calls += 1;
-                    let mut call_args = split_args(&mut stack, argc as usize);
                     obs.on_call(func_id, pc as u32, callee);
-                    let ret =
-                        self.exec(callee, std::mem::take(&mut call_args), None, obs, depth + 1)?;
-                    stack.push(ret);
+                    let ret = self.exec(callee, argc as usize, None, obs, depth + 1)?;
+                    push!(ret);
                 }
                 Instr::CallMethod { name, argc } => {
                     self.stats.calls += 1;
-                    let call_args = split_args(&mut stack, argc as usize);
-                    let recv = pop!();
-                    let obj = match recv {
+                    // The receiver sits below the arguments; its slot takes
+                    // the return value.
+                    let recv_at = self.stack.len() - argc as usize - 1;
+                    let obj = match std::mem::take(&mut self.stack[recv_at]) {
                         Value::Obj(o) => o,
                         other => {
                             return Err(VmError::NotAnObject {
@@ -349,12 +388,12 @@ impl<'r> Vm<'r> {
                             method: self.repo.str(name).to_owned(),
                         })?;
                     obs.on_call(func_id, pc as u32, method);
-                    let ret = self.exec(method, call_args, Some(obj), obs, depth + 1)?;
-                    stack.push(ret);
+                    let ret = self.exec(method, argc as usize, Some(obj), obs, depth + 1)?;
+                    self.stack[recv_at] = ret;
                 }
                 Instr::CallBuiltin { builtin, argc } => {
-                    let call_args = split_args(&mut stack, argc as usize);
-                    let ret = call_builtin(self.repo, builtin, &call_args, &mut self.output)
+                    let at = self.stack.len() - argc as usize;
+                    let ret = call_builtin(self.repo, builtin, &self.stack[at..], &mut self.output)
                         .map_err(|e| match e {
                             VmError::TypeError { detail, .. } => VmError::TypeError {
                                 func: func_id,
@@ -363,11 +402,13 @@ impl<'r> Vm<'r> {
                             },
                             other => other,
                         })?;
-                    stack.push(ret);
+                    self.stack.truncate(at);
+                    push!(ret);
                 }
                 Instr::Ret => {
                     let v = pop!();
                     obs.on_func_exit(func_id);
+                    self.stack.truncate(base);
                     return Ok(v);
                 }
                 Instr::NewObj(class) => {
@@ -375,7 +416,7 @@ impl<'r> Vm<'r> {
                     let unit = self.repo.class(class).unit;
                     self.loader.ensure_loaded(self.repo, unit);
                     let obj = self.classes.instantiate(self.repo, class);
-                    stack.push(Value::Obj(Rc::new(std::cell::RefCell::new(obj))));
+                    push!(Value::Obj(Rc::new(std::cell::RefCell::new(obj))));
                 }
                 Instr::GetProp(name) => {
                     self.stats.prop_reads += 1;
@@ -385,7 +426,7 @@ impl<'r> Vm<'r> {
                     obs.on_prop_access(func_id, pc as u32, class, name, false);
                     let slot = self.prop_slot(class, name)?;
                     let v = obj.borrow().slots[slot].clone();
-                    stack.push(v);
+                    push!(v);
                 }
                 Instr::SetProp(name) => {
                     self.stats.prop_writes += 1;
@@ -398,15 +439,15 @@ impl<'r> Vm<'r> {
                     obj.borrow_mut().slots[slot] = value;
                 }
                 Instr::This => match &this {
-                    Some(o) => stack.push(Value::Obj(o.clone())),
+                    Some(o) => push!(Value::Obj(o.clone())),
                     None => return Err(VmError::NoThis { func: func_id }),
                 },
                 Instr::NewVec(n) => {
-                    let items = split_args(&mut stack, n as usize);
-                    stack.push(Value::vec(items));
+                    let items = split_args(&mut self.stack, n as usize);
+                    push!(Value::vec(items));
                 }
                 Instr::NewDict(n) => {
-                    let mut items = split_args(&mut stack, 2 * n as usize);
+                    let mut items = split_args(&mut self.stack, 2 * n as usize);
                     let mut pairs = Vec::with_capacity(n as usize);
                     for chunk in items.chunks_exact_mut(2) {
                         let k = chunk[0].as_dict_key().ok_or_else(|| VmError::TypeError {
@@ -416,19 +457,19 @@ impl<'r> Vm<'r> {
                         })?;
                         pairs.push((k, std::mem::take(&mut chunk[1])));
                     }
-                    stack.push(Value::dict(pairs));
+                    push!(Value::dict(pairs));
                 }
                 Instr::Idx => {
                     let key = pop!();
                     let container = pop!();
-                    stack.push(index_get(func_id, pc as u32, &container, &key)?);
+                    push!(index_get(func_id, pc as u32, &container, &key)?);
                 }
                 Instr::SetIdx => {
                     let value = pop!();
                     let key = pop!();
                     let container = pop!();
                     index_set(func_id, pc as u32, &container, &key, value)?;
-                    stack.push(container);
+                    push!(container);
                 }
             }
             pc += 1;
@@ -566,6 +607,27 @@ impl<'r> Vm<'r> {
             },
         })
     }
+}
+
+/// `op` on two ints, for the ops whose int case [`Vm::binop`] computes
+/// without a branch of its own: wrapping arithmetic and `loose_cmp` /
+/// `loose_eq`, which on two ints are the integer comparisons. `None`
+/// sends the rest (`div`, `mod`, `concat`, the bit ops) to `binop`.
+#[inline]
+fn int_binop(op: bytecode::BinOp, x: i64, y: i64) -> Option<Value> {
+    use bytecode::BinOp::*;
+    Some(match op {
+        Add => Value::Int(x.wrapping_add(y)),
+        Sub => Value::Int(x.wrapping_sub(y)),
+        Mul => Value::Int(x.wrapping_mul(y)),
+        Lt => Value::Bool(x < y),
+        Le => Value::Bool(x <= y),
+        Gt => Value::Bool(x > y),
+        Ge => Value::Bool(x >= y),
+        Eq => Value::Bool(x == y),
+        Neq => Value::Bool(x != y),
+        _ => return None,
+    })
 }
 
 fn numeric_pair(a: &Value, b: &Value) -> Option<(f64, f64)> {
@@ -720,6 +782,40 @@ mod tests {
                 .unwrap(),
             Value::Bool(false)
         );
+    }
+
+    #[test]
+    fn int_fast_paths_match_binop() {
+        use BinOp::*;
+        let ops = [
+            Add, Sub, Mul, Div, Mod, Concat, Eq, Neq, Lt, Le, Gt, Ge, BitAnd, BitOr, BitXor, Shl,
+            Shr,
+        ];
+        let repo = build_repo(|b, u| {
+            for op in ops {
+                let mut f = FuncBuilder::new(op.mnemonic(), 2);
+                f.emit(Instr::GetL(0));
+                f.emit(Instr::GetL(1));
+                f.emit(Instr::Bin(op));
+                f.emit(Instr::Ret);
+                b.define_func(u, f);
+            }
+        });
+        let ints = [i64::MIN, -7, -1, 0, 1, 3, 7, 64, i64::MAX];
+        let mut vm = Vm::new(&repo);
+        for (k, op) in ops.into_iter().enumerate() {
+            let f = FuncId::new(k as u32);
+            for x in ints {
+                for y in ints {
+                    if op == Div && (x, y) == (i64::MIN, -1) {
+                        continue;
+                    }
+                    let (a, b) = (Value::Int(x), Value::Int(y));
+                    let want = vm.binop(f, 2, op, a.clone(), b.clone());
+                    assert_eq!(vm.call(f, &[a, b]), want, "{} {x} {y}", op.mnemonic());
+                }
+            }
+        }
     }
 
     #[test]
@@ -986,6 +1082,176 @@ mod tests {
             },
         );
         assert_eq!(vm.call_by_name("rec", &[]), Err(VmError::StackOverflow));
+    }
+
+    // outer(kind, x) = 7 + middle(kind, x); middle(kind, x) = 5 +
+    // leaf(kind, x); leaf(0, x) = new C->m(x) + x with m(y) = y * y, and
+    // leaf(k, x) for k = 1..=4 fails two frames down, with operands of
+    // every frame still on the stack: a type error, a spin that runs out
+    // of fuel, an unbounded recursion, a call of an undefined method.
+    fn unwinding_repo() -> Repo {
+        let mut b = RepoBuilder::new();
+        let u = b.declare_unit("unwind.hl");
+        let c = b.declare_class(u, "C", None, vec![]);
+        let (m, nope, s) = (b.intern("m"), b.intern("nope"), b.intern("s"));
+        let mut method = FuncBuilder::new("C::m", 1);
+        method.emit(Instr::GetL(0));
+        method.emit(Instr::GetL(0));
+        method.emit(Instr::Bin(BinOp::Mul));
+        method.emit(Instr::Ret);
+        b.define_method(u, c, method);
+        let mut rec = FuncBuilder::new("rec", 0);
+        let rec_id = bytecode::FuncId::new(1);
+        rec.emit(Instr::Call {
+            func: rec_id,
+            argc: 0,
+        });
+        rec.emit(Instr::Ret);
+        assert_eq!(b.define_func(u, rec), rec_id);
+
+        let mut leaf = FuncBuilder::new("leaf", 2);
+        let [fail, not_type, not_fuel, not_depth, spin] = [(); 5].map(|()| leaf.new_label());
+        leaf.emit(Instr::GetL(0));
+        leaf.emit_jmp_nz(fail);
+        leaf.emit(Instr::NewObj(c));
+        leaf.emit(Instr::GetL(1));
+        leaf.emit(Instr::CallMethod { name: m, argc: 1 });
+        leaf.emit(Instr::GetL(1));
+        leaf.emit(Instr::Bin(BinOp::Add));
+        leaf.emit(Instr::Ret);
+        leaf.bind(fail);
+        let case = |leaf: &mut FuncBuilder, k: i64, next: bytecode::Label| {
+            leaf.emit(Instr::GetL(0));
+            leaf.emit(Instr::Int(k));
+            leaf.emit(Instr::Bin(BinOp::Eq));
+            leaf.emit_jmp_z(next);
+        };
+        case(&mut leaf, 1, not_type);
+        leaf.emit(Instr::GetL(1));
+        leaf.emit(Instr::Str(s));
+        leaf.emit(Instr::Bin(BinOp::Sub));
+        leaf.emit(Instr::Ret);
+        leaf.bind(not_type);
+        case(&mut leaf, 2, not_fuel);
+        leaf.bind(spin);
+        leaf.emit_jmp(spin);
+        leaf.bind(not_fuel);
+        case(&mut leaf, 3, not_depth);
+        leaf.emit(Instr::Call {
+            func: rec_id,
+            argc: 0,
+        });
+        leaf.emit(Instr::Ret);
+        leaf.bind(not_depth);
+        leaf.emit(Instr::NewObj(c));
+        leaf.emit(Instr::GetL(1));
+        leaf.emit(Instr::CallMethod {
+            name: nope,
+            argc: 1,
+        });
+        leaf.emit(Instr::Ret);
+        let mut callee = b.define_func(u, leaf);
+        for (name, k) in [("middle", 5), ("outer", 7)] {
+            let mut f = FuncBuilder::new(name, 2);
+            f.emit(Instr::Int(k));
+            f.emit(Instr::GetL(0));
+            f.emit(Instr::GetL(1));
+            f.emit(Instr::Call {
+                func: callee,
+                argc: 2,
+            });
+            f.emit(Instr::Bin(BinOp::Add));
+            f.emit(Instr::Ret);
+            callee = b.define_func(u, f);
+        }
+        b.finish()
+    }
+
+    const UNWIND_OPTIONS: VmOptions = VmOptions {
+        fuel: 10_000,
+        max_depth: 16,
+    };
+
+    fn stats_since(now: ExecStats, then: ExecStats) -> ExecStats {
+        ExecStats {
+            instrs: now.instrs - then.instrs,
+            calls: now.calls - then.calls,
+            branches: now.branches - then.branches,
+            prop_reads: now.prop_reads - then.prop_reads,
+            prop_writes: now.prop_writes - then.prop_writes,
+            allocations: now.allocations - then.allocations,
+        }
+    }
+
+    #[test]
+    fn an_error_deep_in_the_frame_stack_leaves_the_vm_as_new() {
+        let repo = unwinding_repo();
+        let outer = repo.func_by_name("outer").unwrap().id;
+        let ok_args = [Value::Int(0), Value::Int(3)];
+        let mut fresh = Vm::with_options(&repo, UNWIND_OPTIONS);
+        let want = fresh.call(outer, &ok_args);
+        assert_eq!(want, Ok(Value::Int(7 + 5 + 3 * 3 + 3)));
+        let failures = [
+            (1, "TypeError"),
+            (2, "FuelExhausted"),
+            (3, "StackOverflow"),
+            (4, "UndefinedMethod"),
+        ];
+        for (kind, expected) in failures {
+            let mut vm = Vm::with_options(&repo, UNWIND_OPTIONS);
+            // Twice: a second failure starts from the state the first left.
+            for _ in 0..2 {
+                let err = vm
+                    .call(outer, &[Value::Int(kind), Value::Int(3)])
+                    .unwrap_err();
+                assert!(format!("{err:?}").starts_with(expected), "{err:?}");
+                assert!(vm.stack.is_empty(), "kind {kind}: frames left behind");
+                let before = vm.stats();
+                assert_eq!(vm.call(outer, &ok_args), want, "kind {kind}");
+                assert_eq!(
+                    stats_since(vm.stats(), before),
+                    fresh.stats(),
+                    "kind {kind}"
+                );
+                assert!(vm.stack.is_empty());
+            }
+        }
+    }
+
+    #[test]
+    fn func_enter_sees_exactly_the_callee_parameters() {
+        #[derive(Default)]
+        struct Enters(Vec<(FuncId, Vec<Value>)>);
+        impl ExecObserver for Enters {
+            fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
+                self.0.push((func, args.to_vec()));
+            }
+        }
+        let repo = unwinding_repo();
+        let id = |name: &str| repo.func_by_name(name).unwrap().id;
+        let method = repo.funcs().iter().find(|f| f.class.is_some()).unwrap().id;
+        let (zero, three) = (Value::Int(0), Value::Int(3));
+        let mut vm = Vm::with_options(&repo, UNWIND_OPTIONS);
+        // After a failure, through `&mut dyn`, the events are the same.
+        let failed = vm.call(id("outer"), &[Value::Int(4), three.clone()]);
+        assert!(failed.is_err());
+        let mut enters = Enters::default();
+        let dynamic: &mut dyn ExecObserver = &mut enters;
+        vm.call_observed(id("outer"), &[zero.clone(), three.clone()], dynamic)
+            .unwrap();
+        let both = vec![zero.clone(), three.clone()];
+        assert_eq!(
+            enters.0,
+            vec![
+                (id("outer"), both.clone()),
+                (id("middle"), both.clone()),
+                (id("leaf"), both),
+                (method, vec![three]),
+            ]
+        );
+        for (f, args) in &enters.0 {
+            assert_eq!(args.len(), usize::from(repo.func(*f).params));
+        }
     }
 
     #[test]

@@ -72,8 +72,12 @@ impl ValueKind {
 /// Callbacks raised by the interpreter while executing instrumented code.
 ///
 /// All methods have empty defaults so observers implement only what they
-/// need. Callbacks are only raised when the [`crate::Vm`] runs in observed
-/// mode, so plain execution pays nothing.
+/// need. The interpreter is generic over its observer:
+/// [`crate::Vm::call`] runs it with [`NullObserver`], whose empty
+/// callbacks compile away, and a concrete observer passed to
+/// [`crate::Vm::call_observed`] (`jit::ProfileCollector`, whose callbacks
+/// are `#[inline]`) is compiled into the dispatch loop. A `&mut dyn
+/// ExecObserver` works too, at the price of a virtual call per event.
 ///
 /// # The `at` argument
 ///
