@@ -7,7 +7,7 @@
 //! these); builtin calls never reach repo functions. The linter uses the
 //! graph's over-approximation to reject call arcs no site can produce.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 use bytecode::{Builtin, FuncId, Instr, Repo, StrId};
 
@@ -34,7 +34,8 @@ pub struct CallSite {
 /// Call sites and possible targets for every function in a repo.
 #[derive(Clone, Debug, Default)]
 pub struct CallGraph {
-    sites: HashMap<FuncId, Vec<CallSite>>,
+    /// Call sites in code order, indexed by `FuncId`.
+    sites: Vec<Vec<CallSite>>,
     /// Method name → every function registered under it on some class.
     method_impls: HashMap<StrId, Vec<FuncId>>,
 }
@@ -51,31 +52,32 @@ impl CallGraph {
                 }
             }
         }
-        let mut sites = HashMap::new();
-        for func in repo.funcs() {
-            let mut list = Vec::new();
-            for (i, instr) in func.code.iter().enumerate() {
-                let kind = match *instr {
-                    Instr::Call { func: callee, .. } => CallSiteKind::Static(callee),
-                    Instr::CallMethod { name, .. } => CallSiteKind::Method(name),
-                    Instr::CallBuiltin { builtin, .. } => CallSiteKind::Builtin(builtin),
-                    _ => continue,
-                };
-                list.push(CallSite { at: i as u32, kind });
-            }
-            if !list.is_empty() {
-                sites.insert(func.id, list);
-            }
-        }
+        let sites = repo
+            .funcs()
+            .iter()
+            .map(|func| {
+                let calls = func.code.iter().enumerate().filter_map(|(i, instr)| {
+                    let kind = match *instr {
+                        Instr::Call { func: callee, .. } => CallSiteKind::Static(callee),
+                        Instr::CallMethod { name, .. } => CallSiteKind::Method(name),
+                        Instr::CallBuiltin { builtin, .. } => CallSiteKind::Builtin(builtin),
+                        _ => return None,
+                    };
+                    Some(CallSite { at: i as u32, kind })
+                });
+                calls.collect()
+            })
+            .collect();
         CallGraph {
             sites,
             method_impls,
         }
     }
 
-    /// The call sites of a function, in code order.
+    /// The call sites of a function, in code order; empty for a function
+    /// the repo does not have.
     pub fn sites(&self, func: FuncId) -> &[CallSite] {
-        self.sites.get(&func).map(Vec::as_slice).unwrap_or(&[])
+        self.sites.get(func.index()).map_or(&[], Vec::as_slice)
     }
 
     /// The site at an exact instruction index, if that instruction calls.
@@ -105,34 +107,6 @@ impl CallGraph {
                 .is_some_and(|v| v.contains(&callee)),
             Some(CallSiteKind::Builtin(_)) | None => false,
         }
-    }
-
-    /// All repo functions a function can call, from any of its sites.
-    pub fn callees(&self, func: FuncId) -> Vec<FuncId> {
-        let mut out = Vec::new();
-        let mut seen = HashSet::new();
-        for site in self.sites(func) {
-            for t in self.possible_targets(func, site.at) {
-                if seen.insert(t) {
-                    out.push(t);
-                }
-            }
-        }
-        out
-    }
-
-    /// The set of functions transitively callable from `roots`.
-    pub fn reachable_from(&self, roots: &[FuncId]) -> HashSet<FuncId> {
-        let mut seen: HashSet<FuncId> = roots.iter().copied().collect();
-        let mut work: Vec<FuncId> = roots.to_vec();
-        while let Some(f) = work.pop() {
-            for callee in self.callees(f) {
-                if seen.insert(callee) {
-                    work.push(callee);
-                }
-            }
-        }
-        seen
     }
 }
 
@@ -221,17 +195,5 @@ mod tests {
         assert!(g.possible_targets(main, 6).is_empty());
         assert!(g.possible_targets(main, 1).is_empty(), "Pop is not a call");
         assert!(!g.can_call(main, 1, FuncId::new(0)));
-    }
-
-    #[test]
-    fn reachability_is_transitive() {
-        let repo = sample_repo();
-        let g = CallGraph::build(&repo);
-        let main = repo.func_by_name("main").unwrap().id;
-        let reach = g.reachable_from(&[main]);
-        // main + helper + both run impls.
-        assert_eq!(reach.len(), 4);
-        let helper_only = g.reachable_from(&[FuncId::new(0)]);
-        assert_eq!(helper_only.len(), 1);
     }
 }

@@ -28,6 +28,10 @@
 //!   and [`stale`] run, and the solver behind [`stale`] that turns it into
 //!   count *inference* over partial matches.
 
+// Profiles and code caches iterate in `FuncId` order; a loop over a hash
+// container would bring hash order back.
+#![warn(clippy::iter_over_hash_type)]
+
 pub mod callgraph;
 pub mod fingerprint;
 pub mod flow;

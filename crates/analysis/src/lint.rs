@@ -476,10 +476,7 @@ pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
         out: Vec::new(),
     };
 
-    // Deterministic order regardless of hash-map iteration.
-    let mut funcs: Vec<(&FuncId, &FuncProfile)> = view.tier.funcs.iter().collect();
-    funcs.sort_by_key(|(f, _)| f.index());
-    for (&fid, fp) in funcs {
+    for (&fid, fp) in &view.tier.funcs {
         l.lint_func_profile(view.ctx, fid, fp);
     }
     l.lint_ctx(view.ctx);

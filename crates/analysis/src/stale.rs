@@ -189,11 +189,8 @@ pub fn repair_profile_with(
     resolve_identities(repo, tier, ctx, opts.mode, &mut report);
 
     // ---- Phase 2: per-function block matching + flow inference -----
-    let mut fids: Vec<FuncId> = tier.funcs.keys().copied().collect();
-    fids.sort_by_key(|f| f.index());
     let mut stale_drops = Vec::new();
-    for fid in fids {
-        let fp = tier.funcs.get_mut(&fid).expect("resolved id");
+    for (&fid, fp) in tier.funcs.iter_mut() {
         let func = repo.func(fid);
         let cfg = Cfg::build(func);
         let cur_exact = cfg.block_hashes(func, repo);
@@ -268,10 +265,8 @@ pub fn repair_profile_with(
                 report.repaired.push(fid);
             }
         }
-        let fp = tier.funcs.get_mut(&fid).expect("still present");
         report.pruned += prune_func_profile(repo, &graph, fid, fp);
     }
-    stale_drops.sort_by_key(|f| f.index());
     for f in &stale_drops {
         tier.funcs.remove(f);
     }
@@ -285,14 +280,11 @@ pub fn repair_profile_with(
     // balance. Resynthesize those functions' branch counters from their
     // own (already consistent) counts so the flow lint passes.
     if opts.mode == MatchMode::Full {
-        let mut fids: Vec<FuncId> = tier.funcs.keys().copied().collect();
-        fids.sort_by_key(|f| f.index());
         let repaired: HashSet<FuncId> = report.repaired.iter().copied().collect();
-        for fid in fids {
+        for (&fid, fp) in tier.funcs.iter_mut() {
             if repaired.contains(&fid) {
                 continue; // consistent by construction
             }
-            let fp = tier.funcs.get_mut(&fid).expect("present");
             let cfg = Cfg::build(repo.func(fid));
             if flow_violations(fid, &cfg, fp, ctx).is_empty() {
                 continue;
@@ -349,13 +341,10 @@ fn resolve_identities(
         }
     }
 
-    let mut old_fids: Vec<FuncId> = tier.funcs.keys().copied().collect();
-    old_fids.sort_by_key(|f| f.index());
     let mut claimed: HashSet<FuncId> = HashSet::new();
     let mut resolved: Vec<(FuncId, FuncId)> = Vec::new();
     let mut second_chance: Vec<FuncId> = Vec::new();
-    for &fid in &old_fids {
-        let fp = &tier.funcs[&fid];
+    for (&fid, fp) in &tier.funcs {
         let target = if full && fp.name_hash != 0 {
             by_name.get(&fp.name_hash).copied().flatten()
         } else if fid.index() < func_count {

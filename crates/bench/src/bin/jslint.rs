@@ -48,21 +48,17 @@ struct Corruption {
 /// The lowest-id profile `keep` accepts, so every run corrupts the same
 /// function.
 fn lowest_profile(pkg: &mut ProfilePackage, keep: fn(&FuncProfile) -> bool) -> &mut FuncProfile {
-    let func = pkg
-        .tier
+    pkg.tier
         .funcs
-        .iter()
-        .filter(|(_, p)| keep(p))
-        .map(|(&f, _)| f)
-        .min()
-        .expect("lab profile has a function to corrupt");
-    pkg.tier.funcs.get_mut(&func).expect("just found")
+        .values_mut()
+        .find(|p| keep(p))
+        .expect("lab profile has a function to corrupt")
 }
 
 fn inject_dangling_id(pkg: &mut ProfilePackage) {
     // Reference a function id past the end of the repo's function table,
     // as if the profile came from a build with more functions.
-    let max = pkg.tier.funcs.keys().map(|f| f.0).max().unwrap_or(0);
+    let max = pkg.tier.funcs.last_key_value().map_or(0, |(f, _)| f.0);
     let donor = lowest_profile(pkg, |_| true).clone();
     pkg.tier.funcs.insert(FuncId::new(max + 10_000), donor);
 }

@@ -202,20 +202,6 @@ impl Cfg {
             })
             .collect()
     }
-
-    /// Predecessor counts per block (entry gets an implicit +1).
-    pub fn pred_counts(&self) -> Vec<u32> {
-        let mut preds = vec![0u32; self.blocks.len()];
-        if !self.blocks.is_empty() {
-            preds[0] += 1;
-        }
-        for b in &self.blocks {
-            for s in b.successors() {
-                preds[s.index()] += 1;
-            }
-        }
-        preds
-    }
 }
 
 /// FNV-1a, enough for structural fingerprints (no adversarial inputs).
@@ -454,7 +440,6 @@ mod tests {
         let b2 = cfg.block(BlockId(2));
         assert_eq!(b2.taken, None);
         assert_eq!(b2.fallthrough, Some(BlockId(3)));
-        assert_eq!(cfg.pred_counts(), vec![1, 1, 1, 2]);
     }
 
     #[test]

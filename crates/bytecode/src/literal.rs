@@ -48,12 +48,6 @@ impl LitArray {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Approximate in-memory footprint in bytes, used by the lazy loader
-    /// and the warmup model to cost repo metadata loading.
-    pub fn footprint_bytes(&self) -> usize {
-        16 + self.len() * 24
-    }
 }
 
 #[cfg(test)]
@@ -66,14 +60,12 @@ mod tests {
     }
 
     #[test]
-    fn lit_array_len_and_footprint() {
+    fn lit_array_len() {
         let v = LitArray::Vec(vec![Literal::Int(1), Literal::Int(2)]);
         assert_eq!(v.len(), 2);
         assert!(!v.is_empty());
-        assert_eq!(v.footprint_bytes(), 16 + 48);
 
         let d = LitArray::Dict(vec![]);
         assert!(d.is_empty());
-        assert_eq!(d.footprint_bytes(), 16);
     }
 }

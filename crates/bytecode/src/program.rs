@@ -75,15 +75,6 @@ pub struct Class {
     pub methods: Vec<(StrId, FuncId)>,
 }
 
-impl Class {
-    /// Looks up a method declared directly on this class.
-    pub fn declared_method(&self, name: StrId) -> Option<FuncId> {
-        self.methods
-            .iter()
-            .find_map(|&(n, f)| (n == name).then_some(f))
-    }
-}
-
 /// A compilation unit: one source file's worth of functions and classes.
 ///
 /// Units are loaded lazily at runtime (autoloader); the Jump-Start package
@@ -122,19 +113,5 @@ mod tests {
         let f = mk_func(0, vec![Instr::Null, Instr::Ret]);
         assert_eq!(f.bytecode_bytes(), 8);
         assert!(!f.is_method());
-    }
-
-    #[test]
-    fn declared_method_lookup() {
-        let c = Class {
-            id: ClassId::new(0),
-            name: StrId::new(1),
-            parent: None,
-            unit: UnitId::new(0),
-            props: vec![],
-            methods: vec![(StrId::new(2), FuncId::new(9))],
-        };
-        assert_eq!(c.declared_method(StrId::new(2)), Some(FuncId::new(9)));
-        assert_eq!(c.declared_method(StrId::new(3)), None);
     }
 }

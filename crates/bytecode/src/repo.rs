@@ -2,7 +2,6 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
 
 use crate::builder::FuncBuilder;
 use crate::ids::{ClassId, FuncId, LitArrId, StrId, UnitId};
@@ -42,7 +41,7 @@ impl std::error::Error for RepoError {}
 /// The immutable, whole-program bytecode container.
 ///
 /// A `Repo` is cheap to share across simulated servers (it is deployed to
-/// the whole fleet, paper §II-A); wrap it in [`Arc`] via [`Repo::into_shared`].
+/// the whole fleet, paper §II-A) behind an `Arc`.
 #[derive(Debug)]
 pub struct Repo {
     strings: Vec<String>,
@@ -146,24 +145,6 @@ impl Repo {
         }
         chain.reverse();
         chain
-    }
-
-    /// Resolves a method by name on `class`, walking up the hierarchy.
-    pub fn resolve_method(&self, class: ClassId, name: StrId) -> Option<FuncId> {
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            let cls = self.class(c);
-            if let Some(f) = cls.declared_method(name) {
-                return Some(f);
-            }
-            cur = cls.parent;
-        }
-        None
-    }
-
-    /// Wraps the repo for sharing across simulated servers.
-    pub fn into_shared(self) -> Arc<Repo> {
-        Arc::new(self)
     }
 }
 
@@ -420,37 +401,12 @@ mod tests {
     }
 
     #[test]
-    fn method_resolution_walks_ancestry() {
+    fn ancestry_lists_the_root_first() {
         let mut b = RepoBuilder::new();
         let u = b.declare_unit("x.hl");
         let base = b.declare_class(u, "Base", None, vec![]);
         let derived = b.declare_class(u, "Derived", Some(base), vec![]);
-        let mut m = FuncBuilder::new("Base::greet", 0);
-        m.emit(Instr::Null);
-        m.emit(Instr::Ret);
-        let mid = b.define_method(u, base, m);
         let repo = b.finish();
-        let greet = repo.str_id("greet").unwrap();
-        assert_eq!(repo.resolve_method(derived, greet), Some(mid));
         assert_eq!(repo.ancestry(derived), vec![base, derived]);
-    }
-
-    #[test]
-    fn override_shadows_parent_method() {
-        let mut b = RepoBuilder::new();
-        let u = b.declare_unit("x.hl");
-        let base = b.declare_class(u, "Base", None, vec![]);
-        let derived = b.declare_class(u, "Derived", Some(base), vec![]);
-        let mut m1 = FuncBuilder::new("Base::f", 0);
-        m1.emit(Instr::Int(1));
-        m1.emit(Instr::Ret);
-        b.define_method(u, base, m1);
-        let mut m2 = FuncBuilder::new("Derived::f", 0);
-        m2.emit(Instr::Int(2));
-        m2.emit(Instr::Ret);
-        let over = b.define_method(u, derived, m2);
-        let repo = b.finish();
-        let f = repo.str_id("f").unwrap();
-        assert_eq!(repo.resolve_method(derived, f), Some(over));
     }
 }

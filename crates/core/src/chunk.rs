@@ -39,8 +39,8 @@ use jit::TierProfile;
 
 use crate::crc32::crc32;
 use crate::package::{
-    self, read_func_record, read_head, read_tail, sorted_funcs, write_sealed, PackageMeta,
-    PreloadLists, ProfilePackage,
+    self, read_func_record, read_head, read_tail, write_sealed, PackageMeta, PreloadLists,
+    ProfilePackage,
 };
 use crate::wire::{
     begin_sealed, finish_sealed, unseal, Reader, WireError, Writer, ENVELOPE_LEN, HEADER_LEN,
@@ -205,41 +205,43 @@ impl Manifest {
         }
         let order = self.funcs_by_heat();
         let hot_count = crate::pipeline::early_serve_prefix_by_heat(&self.heat_map(), &order, frac);
-        let by_func: HashMap<FuncId, usize> = self.func_entries().map(|(i, f, _)| (f, i)).collect();
-        let closure = self.hot_closure(&by_func, order[..hot_count].iter().copied());
+        let closure = self.hot_closure(order[..hot_count].iter().copied());
         let mut bytes: u64 = closure.iter().map(|&i| self.entries[i].len as u64).sum();
         bytes += self.entries.first().map_or(0, |e| e.len as u64);
         bytes += self.entries.last().map_or(0, |e| e.len as u64);
         (bytes as f64 / self.payload_len as f64).min(1.0)
     }
 
+    /// Entry index of `func`'s chunk, if the package profiles it. A
+    /// binary search: [`Manifest::decode`] admits function chunks only in
+    /// strictly ascending `FuncId` order. On a hand-built manifest out of
+    /// that order it may miss a function, but never returns another
+    /// function's entry.
+    fn entry_of(&self, func: FuncId) -> Option<usize> {
+        let funcs = self.entries.get(1..self.entries.len().saturating_sub(1))?;
+        let i = funcs
+            .binary_search_by_key(&Some(func), |e| match e.kind {
+                ChunkKind::Func { func, .. } => Some(func),
+                _ => None,
+            })
+            .ok()?;
+        Some(i + 1)
+    }
+
     /// Entry indices, ascending, of `hot` plus every function
-    /// transitively reachable through the entries' callee lists;
-    /// `by_func` maps a function to its entry index.
-    fn hot_closure(
-        &self,
-        by_func: &HashMap<FuncId, usize>,
-        hot: impl IntoIterator<Item = FuncId>,
-    ) -> Vec<usize> {
-        let mut stack: Vec<usize> = hot
-            .into_iter()
-            .filter_map(|f| by_func.get(&f).copied())
-            .collect();
-        let mut seen: HashSet<usize> = stack.iter().copied().collect();
+    /// transitively reachable through the entries' callee lists.
+    fn hot_closure(&self, hot: impl IntoIterator<Item = FuncId>) -> Vec<usize> {
+        let mut stack: Vec<usize> = hot.into_iter().filter_map(|f| self.entry_of(f)).collect();
+        let mut seen = vec![false; self.entries.len()];
         while let Some(i) = stack.pop() {
+            if std::mem::replace(&mut seen[i], true) {
+                continue;
+            }
             if let ChunkKind::Func { callees, .. } = &self.entries[i].kind {
-                for c in callees {
-                    if let Some(&j) = by_func.get(c) {
-                        if seen.insert(j) {
-                            stack.push(j);
-                        }
-                    }
-                }
+                stack.extend(callees.iter().filter_map(|&c| self.entry_of(c)));
             }
         }
-        let mut out: Vec<usize> = seen.into_iter().collect();
-        out.sort_unstable();
-        out
+        (0..seen.len()).filter(|&i| seen[i]).collect()
     }
 
     /// Size of [`Manifest::encode`]'s output, envelope included.
@@ -438,9 +440,8 @@ pub fn chunk_package(pkg: &ProfilePackage, repo_funcs: usize) -> ChunkedPackage 
     let payload_crc = u32::from_le_bytes(*trailer);
 
     // Record kinds in payload order, parallel to `ends`.
-    let funcs = sorted_funcs(&pkg.tier);
     let kinds = std::iter::once(ChunkKind::Head)
-        .chain(funcs.iter().map(|&(f, p)| {
+        .chain(pkg.tier.funcs.iter().map(|(f, p)| {
             let mut callees: Vec<FuncId> = p.call_targets().iter().map(|&((_, f), _)| f).collect();
             callees.sort_unstable();
             callees.dedup();
@@ -668,8 +669,6 @@ pub fn delta_against(man: &Manifest, have: &ChunkPool) -> DeltaReport {
 pub struct LazyLoader<'a> {
     man: &'a Manifest,
     pool: &'a ChunkPool,
-    /// Function → entry index, for closure walks.
-    by_func: HashMap<FuncId, usize>,
     /// The decoded head chunk, fetched and verified once on first use.
     /// Function records are id-free, so decoding any of them needs the
     /// head's directory for callee-hash resolution.
@@ -679,11 +678,9 @@ pub struct LazyLoader<'a> {
 impl<'a> LazyLoader<'a> {
     /// Creates a loader over a manifest and a pool holding its chunks.
     pub fn new(man: &'a Manifest, pool: &'a ChunkPool) -> Self {
-        let by_func = man.func_entries().map(|(i, f, _)| (f, i)).collect();
         Self {
             man,
             pool,
-            by_func,
             head: OnceCell::new(),
         }
     }
@@ -717,7 +714,7 @@ impl<'a> LazyLoader<'a> {
 
     /// Entry index of `func`'s chunk, if the package profiles it.
     pub fn entry_of(&self, func: FuncId) -> Option<usize> {
-        self.by_func.get(&func).copied()
+        self.man.entry_of(func)
     }
 
     /// Decodes the head chunk: meta, preload lists, function count.
@@ -802,7 +799,7 @@ impl<'a> LazyLoader<'a> {
     /// translation, so compiling the hot set against a partial tier is
     /// only sound once this closure is decoded.
     pub fn hot_closure(&self, hot: impl IntoIterator<Item = FuncId>) -> Vec<usize> {
-        self.man.hot_closure(&self.by_func, hot)
+        self.man.hot_closure(hot)
     }
 
     /// Every function-chunk entry index, in payload order.
@@ -997,6 +994,18 @@ mod tests {
             closure.len() >= 3,
             "closure {closure:?} must reach mid and leaf"
         );
+    }
+
+    #[test]
+    fn entry_of_finds_every_function_chunk() {
+        let pkg = sample();
+        let cp = chunk_package(&pkg, 64);
+        let pool = ChunkPool::new();
+        let loader = LazyLoader::new(&cp.manifest, &pool);
+        for (i, f, _) in cp.manifest.func_entries() {
+            assert_eq!(loader.entry_of(f), Some(i));
+        }
+        assert_eq!(loader.entry_of(FuncId(9_999)), None);
     }
 
     #[test]

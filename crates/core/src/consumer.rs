@@ -917,6 +917,36 @@ mod tests {
         }
     }
 
+    /// `Manifest::entries` is public, so a hand-built manifest can list
+    /// function chunks out of `FuncId` order. The loader's binary search
+    /// may then miss a function, but every swapped chunk still meets the
+    /// record-id cross-check against the head directory.
+    #[test]
+    fn chunked_boot_rejects_swapped_function_entries() {
+        let (repo, pkg) = make_wide_package();
+        let (man, pool) = chunked(&pkg, &repo);
+        let funcs = 1..man.entries.len() - 1;
+        for i in funcs.clone() {
+            for j in funcs.clone().filter(|&j| j > i) {
+                let mut swapped = man.clone();
+                swapped.entries.swap(i, j);
+                for (frac, threads) in [(0.25, 1), (1.0, 2)] {
+                    let opts = JumpStartOptions {
+                        early_serve_frac: frac,
+                        ..Default::default()
+                    };
+                    let jit = JitOptions::default();
+                    let err =
+                        consume_chunked(&repo, &swapped, &pool, jit, &opts, threads).unwrap_err();
+                    assert!(
+                        matches!(err, ConsumerError::Wire(WireError::Corrupt(_))),
+                        "entries {i} and {j}, frac {frac}: {err}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn chunked_boot_refuses_orders_past_the_repo() {
         let (repo, mut pkg) = make_package();

@@ -159,30 +159,22 @@ fn decode_payload(r: &mut Reader<'_>) -> Result<ProfilePackage, WireError> {
     })
 }
 
-/// The tier's functions in `FuncId` order — the canonical record order of
-/// the payload's function region (and the chunk order of
-/// [`crate::chunk::chunk_package`]).
-pub(crate) fn sorted_funcs(tier: &TierProfile) -> Vec<(&FuncId, &FuncProfile)> {
-    let mut funcs: Vec<_> = tier.funcs.iter().collect();
-    funcs.sort_by_key(|(f, _)| **f);
-    funcs
-}
-
 /// The one write pass behind [`ProfilePackage::serialize`] and
 /// [`crate::chunk::chunk_package`]: the sealed package, plus the end
 /// offset in it of each payload record — the head, one record per
-/// profiled function in `FuncId` order, then the tail. Those offsets are
-/// the chunk boundaries; nothing else describes the record lengths.
+/// profiled function, then the tail. Those offsets are the chunk
+/// boundaries; nothing else describes the record lengths. Records follow
+/// the tier's map, whose order is `FuncId` order — the canonical record
+/// order, and the chunk order of [`crate::chunk::chunk_package`].
 pub(crate) fn write_sealed(pkg: &ProfilePackage) -> (Bytes, Vec<usize>) {
     let _span = telemetry::span!("package-serialize");
-    let funcs = sorted_funcs(&pkg.tier);
     let refs = hash_refs(&pkg.tier);
-    let mut ends = Vec::with_capacity(funcs.len() + 2);
+    let mut ends = Vec::with_capacity(pkg.tier.funcs.len() + 2);
     let mut w = Writer::new();
     begin_sealed(&mut w);
-    write_head(&mut w, pkg, &funcs);
+    write_head(&mut w, pkg);
     ends.push(w.len());
-    for (_, p) in funcs {
+    for p in pkg.tier.funcs.values() {
         write_func_record(&mut w, p, &refs);
         ends.push(w.len());
     }
@@ -281,7 +273,7 @@ fn hash_refs(tier: &TierProfile) -> HashRefs {
 /// Writes the payload head: package meta, preload lists, the count of
 /// function records that follow, and the function-identity directory
 /// ([`FuncDirectory`]) in record order.
-fn write_head(w: &mut Writer, pkg: &ProfilePackage, funcs: &[(&FuncId, &FuncProfile)]) {
+fn write_head(w: &mut Writer, pkg: &ProfilePackage) {
     w.u32(pkg.meta.region);
     w.u32(pkg.meta.bucket);
     w.u64(pkg.meta.seeder_id);
@@ -301,8 +293,8 @@ fn write_head(w: &mut Writer, pkg: &ProfilePackage, funcs: &[(&FuncId, &FuncProf
     for u in &pkg.preload.unit_order {
         w.u32(u.0);
     }
-    w.seq(funcs.len());
-    for (f, p) in funcs {
+    w.seq(pkg.tier.funcs.len());
+    for (f, p) in &pkg.tier.funcs {
         w.u32(f.0);
         w.u64(p.name_hash);
     }
@@ -710,9 +702,10 @@ mod tests {
         let pkg = sample_package();
         let refs = hash_refs(&pkg.tier);
         let dir = FuncDirectory::new(
-            sorted_funcs(&pkg.tier)
+            pkg.tier
+                .funcs
                 .iter()
-                .map(|(f, p)| (**f, p.name_hash))
+                .map(|(f, p)| (*f, p.name_hash))
                 .collect(),
         );
         // A collector-built profile, and a hand-built one with no opcode

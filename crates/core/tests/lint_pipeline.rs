@@ -86,9 +86,9 @@ fn lax_validator() -> Validator {
     )
 }
 
-/// The smallest profiled FuncId — deterministic, unlike HashMap order.
+/// The smallest profiled FuncId.
 fn first_func(pkg: &ProfilePackage) -> FuncId {
-    *pkg.tier.funcs.keys().min().unwrap()
+    *pkg.tier.funcs.keys().next().unwrap()
 }
 
 fn inject_dangling_id(pkg: &mut ProfilePackage) {

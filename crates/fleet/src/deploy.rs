@@ -436,7 +436,11 @@ impl DeployReport {
     /// plus the seeding counters, CRC'd bit-exactly. Identical across
     /// shard counts and hosts; `jsfleet --check` pins it in CI.
     pub fn digest(&self) -> u32 {
-        let mut buf = Vec::with_capacity(24 + self.stats.len() * 56);
+        // Three counters, then per server: gid, four flag bytes and eight
+        // 8-byte fields.
+        const PER_SERVER: usize = 4 + 4 + 8 * 8;
+        let len = 24 + self.stats.len() * PER_SERVER;
+        let mut buf = Vec::with_capacity(len);
         for n in [
             self.published as u64,
             self.validation_failures as u64,
@@ -459,6 +463,7 @@ impl DeployReport {
             buf.extend_from_slice(&s.bytes_on_wire.to_le_bytes());
             buf.extend_from_slice(&s.download_ms.to_le_bytes());
         }
+        debug_assert_eq!(buf.len(), len);
         jumpstart::crc32(&buf)
     }
 

@@ -148,12 +148,6 @@ impl WarmupAnalysisParams {
         self.penalty_scale = scale;
         self
     }
-
-    /// Sets the minimum segment length.
-    pub fn with_min_segment_len(mut self, len: usize) -> Self {
-        self.min_segment_len = len.max(1);
-        self
-    }
 }
 
 /// L2 segment cost over `xs[a..b]` from prefix sums: the residual sum of
@@ -909,7 +903,10 @@ mod tests {
     #[test]
     fn min_segment_len_is_respected() {
         let xs = series(&[(2, 0.0), (48, 1.0)]);
-        let p = WarmupAnalysisParams::default().with_min_segment_len(5);
+        let p = WarmupAnalysisParams {
+            min_segment_len: 5,
+            ..WarmupAnalysisParams::default()
+        };
         for w in segment_series(&xs, &p).windows(1) {
             assert!(w[0].end - w[0].start >= 5);
         }

@@ -20,7 +20,7 @@
 //! With [`LayoutPlanOptions::disabled`] both fall back to the historical
 //! plain bump allocation, bit-for-bit.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use bytecode::FuncId;
 use layout::{LayoutPlanOptions, PagePackStats, PagePacker};
@@ -129,7 +129,7 @@ pub struct CodeCache {
     plan: LayoutPlanOptions,
     packer: PagePacker,
     stub_count: u64,
-    translations: HashMap<FuncId, EmittedTranslation>,
+    translations: BTreeMap<FuncId, EmittedTranslation>,
 }
 
 impl CodeCache {
@@ -150,7 +150,7 @@ impl CodeCache {
             plan,
             packer: PagePacker::new(plan),
             stub_count: 0,
-            translations: HashMap::new(),
+            translations: BTreeMap::new(),
         }
     }
 
@@ -302,8 +302,8 @@ impl CodeCache {
         self.translations.get(&func)
     }
 
-    /// All translations.
-    pub fn translations(&self) -> &HashMap<FuncId, EmittedTranslation> {
+    /// All translations, in function-id order.
+    pub fn translations(&self) -> &BTreeMap<FuncId, EmittedTranslation> {
         &self.translations
     }
 
@@ -330,9 +330,7 @@ impl CodeCache {
                 h = h.wrapping_mul(FNV_PRIME);
             }
         };
-        let mut funcs: Vec<&EmittedTranslation> = self.translations.values().collect();
-        funcs.sort_by_key(|t| t.func);
-        for t in funcs {
+        for t in self.translations.values() {
             mix(t.func.index() as u64);
             mix(3);
             for &(addr, size) in &t.placement {

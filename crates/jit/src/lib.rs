@@ -28,6 +28,10 @@
 //! `fleet::run_server`, which needs only the code sizes of
 //! [`translate_profiling`] and [`translate_live`].
 
+// Profiles and code caches iterate in `FuncId` order; a loop over a hash
+// container would bring hash order back.
+#![warn(clippy::iter_over_hash_type)]
+
 mod code_cache;
 mod engine;
 mod profile;

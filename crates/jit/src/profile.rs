@@ -18,13 +18,15 @@
 //! search, everything recorded for one site (or one branch, across its
 //! contexts) is one contiguous run, and iteration is key order — the
 //! order the wire format writes. Only this module touches the vectors, so
-//! the sort invariant holds by construction.
+//! the sort invariant holds by construction. One level up,
+//! [`TierProfile::funcs`] is a `BTreeMap`, so iterating the functions is
+//! `FuncId` order too: no consumer of a profile sorts its functions.
 //!
 //! In the simulation both are gathered by one [`ProfileCollector`] driven
 //! by the interpreter; production HHVM gathers them in two phases of the
 //! seeder workflow (Fig. 3b).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::ops::{AddAssign, Range};
 
 use bytecode::{BlockId, Cfg, ClassId, FuncId, Instr, Repo, StrId};
@@ -329,8 +331,9 @@ impl FuncProfile {
 /// recorded once, at its site, in [`FuncProfile::prop_classes`].
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct TierProfile {
-    /// Per-function profiles (absent = never profiled).
-    pub funcs: HashMap<FuncId, FuncProfile>,
+    /// Per-function profiles (absent = never profiled), in `FuncId`
+    /// order.
+    pub funcs: BTreeMap<FuncId, FuncProfile>,
 }
 
 impl TierProfile {

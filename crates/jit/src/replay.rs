@@ -19,7 +19,7 @@
 //! counters are indexed by class. Only the interpreter's branch sites stay
 //! address-keyed, in a [`uarch::AddrMap`].
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use bytecode::{Cfg, ClassId, FuncId, Instr, Repo, UnitId};
@@ -258,19 +258,18 @@ impl<'a> Executor<'a> {
             core.map_huge_range(start, len);
         }
         let funcs = repo.funcs().len();
-        let mut emitted: Vec<&EmittedTranslation> = cache.translations().values().collect();
-        emitted.sort_unstable_by_key(|t| t.func);
+        let emitted = cache.translations();
         let mut translations = vec![None; funcs];
-        let n_blocks = emitted.iter().map(|t| t.vasm.blocks.len()).sum::<usize>();
+        let n_blocks = emitted.values().map(|t| t.vasm.blocks.len()).sum::<usize>();
         let n_effects = emitted
-            .iter()
+            .values()
             .flat_map(|t| &t.vasm.instrs)
             .filter(|i| touches_model(i))
             .count();
         let mut blocks = Vec::with_capacity(n_blocks + 1);
         let mut effects = Vec::with_capacity(n_effects);
-        let mut stub_bound = Vec::with_capacity(emitted.iter().map(|t| t.stubs.len()).sum());
-        for t in emitted {
+        let mut stub_bound = Vec::with_capacity(emitted.values().map(|t| t.stubs.len()).sum());
+        for t in emitted.values() {
             if t.func.index() >= translations.len() {
                 translations.resize(t.func.index() + 1, None);
             }
@@ -586,7 +585,7 @@ impl<'a> Executor<'a> {
 
 /// A dense table over `n` function ids (grown if a key lies beyond):
 /// `Some(&value)` where `map` has the id.
-fn by_func<T>(map: &HashMap<FuncId, T>, n: usize) -> Vec<Option<&T>> {
+fn by_func<T>(map: &BTreeMap<FuncId, T>, n: usize) -> Vec<Option<&T>> {
     let mut dense = vec![None; n];
     for (f, v) in map {
         if f.index() >= dense.len() {

@@ -534,10 +534,11 @@ impl<'r> Vm<'r> {
                     if *y == 0 {
                         return Err(VmError::DivisionByZero { func, at });
                     }
-                    if x % y == 0 {
-                        Value::Int(x / y)
-                    } else {
-                        Value::Float(*x as f64 / *y as f64)
+                    // `i64::MIN / -1` overflows; like any inexact int
+                    // division it yields the float quotient.
+                    match (x.checked_rem(*y), x.checked_div(*y)) {
+                        (Some(0), Some(q)) => Value::Int(q),
+                        _ => Value::Float(*x as f64 / *y as f64),
                     }
                 }
                 _ => {
@@ -807,9 +808,6 @@ mod tests {
             let f = FuncId::new(k as u32);
             for x in ints {
                 for y in ints {
-                    if op == Div && (x, y) == (i64::MIN, -1) {
-                        continue;
-                    }
                     let (a, b) = (Value::Int(x), Value::Int(y));
                     let want = vm.binop(f, 2, op, a.clone(), b.clone());
                     assert_eq!(vm.call(f, &[a, b]), want, "{} {x} {y}", op.mnemonic());
@@ -853,6 +851,11 @@ mod tests {
         assert_eq!(
             vm.call_by_name("f", &[7.into(), 2.into()]).unwrap(),
             Value::Float(3.5)
+        );
+        assert_eq!(
+            vm.call_by_name("f", &[i64::MIN.into(), (-1).into()])
+                .unwrap(),
+            Value::Float(-(i64::MIN as f64))
         );
         assert!(matches!(
             vm.call_by_name("f", &[1.into(), 0.into()]),

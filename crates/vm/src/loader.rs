@@ -36,11 +36,6 @@ impl Loader {
         }
     }
 
-    /// Whether `unit` is loaded.
-    pub fn is_loaded(&self, unit: UnitId) -> bool {
-        self.loaded[unit.index()]
-    }
-
     /// Ensures `unit` is loaded; returns `true` if this call loaded it.
     pub fn ensure_loaded(&mut self, repo: &Repo, unit: UnitId) -> bool {
         if self.loaded[unit.index()] {
@@ -136,6 +131,5 @@ mod tests {
         let order = vec![repo.units()[0].id, repo.units()[1].id];
         l.preload(&repo, order.clone());
         assert_eq!(l.load_order(), order);
-        assert!(l.is_loaded(order[0]));
     }
 }

@@ -55,9 +55,7 @@ fn digest(run: &ProfileRun) -> u64 {
             h.u64(u64::from(site));
         }
     };
-    let mut funcs: Vec<_> = run.tier.funcs.iter().collect();
-    funcs.sort_by_key(|&(f, _)| *f);
-    for (f, p) in funcs {
+    for (f, p) in &run.tier.funcs {
         h.u64(f.index() as u64);
         h.u64(p.enter_count);
         h.u64(p.name_hash);

@@ -9,8 +9,7 @@
 //!   a `TestCaseResult`.
 //! * Strategies are sampled eagerly; there is no lazy value tree.
 
-use std::collections::HashMap;
-use std::hash::Hash;
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 use rand::rngs::SmallRng;
@@ -253,39 +252,39 @@ pub mod collection {
         }
     }
 
-    /// Strategy for `HashMap<K, V>` with a random entry count.
-    pub struct HashMapStrategy<K, V> {
+    /// Strategy for `BTreeMap<K, V>` with a random entry count.
+    pub struct BTreeMapStrategy<K, V> {
         key: K,
         value: V,
         size: SizeRange,
     }
 
-    /// Generates hash maps; key collisions may produce fewer entries than
-    /// sampled, matching upstream behavior loosely.
-    pub fn hash_map<K, V>(key: K, value: V, size: impl Into<SizeRange>) -> HashMapStrategy<K, V>
+    /// Generates ordered maps; key collisions may produce fewer entries
+    /// than sampled, matching upstream behavior loosely.
+    pub fn btree_map<K, V>(key: K, value: V, size: impl Into<SizeRange>) -> BTreeMapStrategy<K, V>
     where
         K: Strategy,
-        K::Value: Eq + Hash,
+        K::Value: Ord,
         V: Strategy,
     {
-        HashMapStrategy {
+        BTreeMapStrategy {
             key,
             value,
             size: size.into(),
         }
     }
 
-    impl<K, V> Strategy for HashMapStrategy<K, V>
+    impl<K, V> Strategy for BTreeMapStrategy<K, V>
     where
         K: Strategy,
-        K::Value: Eq + Hash,
+        K::Value: Ord,
         V: Strategy,
     {
-        type Value = HashMap<K::Value, V::Value>;
+        type Value = BTreeMap<K::Value, V::Value>;
 
-        fn generate(&self, rng: &mut TestRng) -> HashMap<K::Value, V::Value> {
+        fn generate(&self, rng: &mut TestRng) -> BTreeMap<K::Value, V::Value> {
             let n = self.size.sample(rng);
-            let mut m = HashMap::with_capacity(n);
+            let mut m = BTreeMap::new();
             for _ in 0..n {
                 m.insert(self.key.generate(rng), self.value.generate(rng));
             }
@@ -437,7 +436,7 @@ mod tests {
         #[test]
         fn combinators_compose(
             v in prop::collection::vec((0u32..10).prop_map(|n| n * 2), 1..8),
-            m in prop::collection::hash_map(0u32..100, 0u64..9, 0..5),
+            m in prop::collection::btree_map(0u32..100, 0u64..9, 0..5),
             o in prop::option::of(0u32..3),
             idx in any::<prop::sample::Index>(),
         ) {

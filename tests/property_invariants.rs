@@ -177,7 +177,7 @@ fn arb_package() -> impl Strategy<Value = ProfilePackage> {
                 poison: Poison::None,
             },
         );
-    let tier = prop::collection::hash_map((0u32..512).prop_map(FuncId), arb_func_profile(), 0..6)
+    let tier = prop::collection::btree_map((0u32..512).prop_map(FuncId), arb_func_profile(), 0..6)
         .prop_map(|funcs| TierProfile { funcs });
     let ictx = || prop::option::of(((0u32..512).prop_map(FuncId), 0u32..64));
     let ctx = (
