@@ -30,6 +30,9 @@ cargo test -p telemetry -p fleet --release -q
 echo "== test (vm + jit + workload, release: the frame-stack unwinding tests, the collector parity oracle and the profiling allocation pin with the observer inlined into the interpreter) =="
 cargo test -p vm -p jit -p workload --release -q
 
+echo "== test (jumpstart, release: every boot source against the monolithic boot, stale chunked packages included, on the optimized build that ships) =="
+cargo test -p jumpstart --release -q
+
 echo "== jslint self-check =="
 cargo run -q -p bench --bin jslint -- --demo
 

@@ -15,7 +15,8 @@
 //! * [`callgraph`] — the whole-repo static call graph: which callees each
 //!   call site can possibly produce.
 //! * [`lint`] — the profile linter: checks a profile package against the
-//!   repo for dangling ids, stale counter shapes, flow-conservation
+//!   repo for dangling ids, records naming another function than the
+//!   one at their id, stale counter shapes, flow-conservation
 //!   (Kirchhoff) violations, call arcs no static site can produce,
 //!   counters on unreachable blocks and malformed order lists. Every
 //!   finding is an error: a package with any is rejected or repaired.

@@ -4,7 +4,8 @@
 //! validation compile and smoke boots — a full consumer boot just to find
 //! out the data is garbage. The linter answers a cheaper question first:
 //! *can this profile possibly have been collected from this repo?* It
-//! cross-checks every id against the repo tables, every counter against
+//! cross-checks every id against the repo tables, every record's name
+//! hash against the function at its id, every counter against
 //! the profile point that claims to have produced it, block counters
 //! against Kirchhoff flow conservation and call arcs against the static
 //! call graph.
@@ -12,7 +13,8 @@
 //! Every finding is an error: the profile cannot describe this repo, and
 //! consuming it risks crashes or nonsense layout decisions. The seeder
 //! rejects a package with any; the consumer repairs it ([`crate::stale`])
-//! and lints again.
+//! and lints again. The lint is the consumer's only admission check, for
+//! a sealed package and a chunked one alike.
 
 use std::collections::HashSet;
 
@@ -28,6 +30,9 @@ use crate::reach::reachable_blocks;
 pub enum Rule {
     /// An id (function, class, string, unit) is out of range for the repo.
     DanglingId,
+    /// A function record's name hash names a different function than the
+    /// repo's at that id: the record was collected for another function.
+    MisnamedRecord,
     /// Block counters don't match the function's current CFG shape/hashes.
     StaleCounts,
     /// Profile data attached to an instruction that can't produce it
@@ -48,6 +53,7 @@ impl Rule {
     pub fn name(self) -> &'static str {
         match self {
             Rule::DanglingId => "dangling-id",
+            Rule::MisnamedRecord => "misnamed-record",
             Rule::StaleCounts => "stale-counts",
             Rule::PhantomSite => "phantom-site",
             Rule::ImpossibleCallArc => "impossible-call-arc",
@@ -200,6 +206,20 @@ impl Linter<'_> {
             return;
         }
         let func = self.repo.func(fid);
+        // Legacy records carry no name hash (0) and keep id-as-is identity.
+        let name_hash = bytecode::fnv_str(self.repo.str(func.name));
+        if fp.name_hash != 0 && fp.name_hash != name_hash {
+            self.error(
+                Rule::MisnamedRecord,
+                Some(fid),
+                format!(
+                    "record's name hash {:#x} is not that of function #{} ({name_hash:#x})",
+                    fp.name_hash,
+                    fid.index(),
+                ),
+            );
+            return;
+        }
         let cfg = Cfg::build(func);
 
         let stale = self.func_is_stale(fid, fp, &cfg);
@@ -607,6 +627,31 @@ mod tests {
         fp.record_call(site, f, 3);
         let report = lint_profile(&repo, &view(&tier, &ctx));
         assert!(report.errors().any(|d| d.rule == Rule::ImpossibleCallArc));
+    }
+
+    #[test]
+    fn a_record_naming_another_function_is_an_error() {
+        let repo = sample_repo();
+        let (mut tier, ctx) = collect(&repo, 10);
+        let (f, g) = (
+            repo.func_by_name("f").unwrap().id,
+            repo.func_by_name("g").unwrap().id,
+        );
+        // g's record under f's id: the collector named it g.
+        let record = tier.funcs[&g].clone();
+        tier.funcs.insert(f, record);
+        let report = lint_profile(&repo, &view(&tier, &ctx));
+        let rules: Vec<(Rule, Option<FuncId>)> =
+            report.errors().map(|d| (d.rule, d.func)).collect();
+        assert_eq!(
+            rules,
+            [(Rule::MisnamedRecord, Some(f))],
+            "one finding, no cascade"
+        );
+        // A legacy record carries no name hash and keeps id-as-is identity.
+        let (mut tier, ctx) = collect(&repo, 10);
+        tier.funcs.get_mut(&f).unwrap().name_hash = 0;
+        assert!(lint_profile(&repo, &view(&tier, &ctx)).is_clean());
     }
 
     #[test]

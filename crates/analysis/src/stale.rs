@@ -394,6 +394,11 @@ fn resolve_identities(
     let mut old = std::mem::take(&mut tier.funcs);
     for (fid, new) in resolved {
         let mut fp = old.remove(&fid).expect("resolved from the tier");
+        if fp.name_hash != 0 {
+            // A record names the function it was resolved to: a rename's
+            // record keeps its counters under the new name.
+            fp.name_hash = bytecode::fnv_str(repo.str(repo.func(new).name));
+        }
         if !moved.is_empty() {
             fp.remap_callees(map);
         }

@@ -11,7 +11,8 @@
 //!   does not already hold ([`delta_against`]),
 //! * a consumer boot with `early_serve_frac < 1` decodes only the hot
 //!   chunks' bytes before serve-start ([`LazyLoader`]), leaving the cold
-//!   tail to the background pipeline.
+//!   tail to the background pipeline; a lint finding in any decoded
+//!   stage boots the [`reassemble`]d bytes whole instead.
 //!
 //! The chunk boundaries are the payload's natural record boundaries,
 //! read off the one write pass that also produces
@@ -113,9 +114,10 @@ pub struct Manifest {
     pub seeder_id: u64,
     /// Collection timestamp (mirrors the head meta).
     pub created_ms: u64,
-    /// Function count of the repo the profile was collected against; a
-    /// consumer on a different release must fall back to the monolithic
-    /// lint-and-repair path instead of lazy decode.
+    /// Function count of the repo the profile was collected against. A
+    /// record of what the seeder saw, not a guard: a consumer admits the
+    /// profile by lint alone, whatever release it runs
+    /// ([`crate::consume_chunked`]).
     pub repo_funcs: u32,
     /// Total payload length (sum of all chunk lengths).
     pub payload_len: u32,
@@ -423,7 +425,7 @@ pub struct ChunkedPackage {
 
 /// Splits a package into content-addressed chunks at its record
 /// boundaries. `repo_funcs` is the function count of the repo the
-/// profile was collected against (the lazy-decode release guard).
+/// profile was collected against ([`Manifest::repo_funcs`]).
 ///
 /// The chunks are byte slices of the canonical [`ProfilePackage::serialize`]
 /// output, cut where the writer ended each record, so reassembling them

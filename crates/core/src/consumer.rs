@@ -4,17 +4,19 @@
 //!
 //! [`consume`], [`consume_bytes`] and [`consume_chunked`] are adapters over
 //! one stage sequence, [`boot`]; early serve is its compile-stage boundary.
+//! The profile lint ([`lint_profile`]) is the one check that admits
+//! profile data from either source.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 
-use analysis::{is_own_layer_order, lint_profile, repair_profile, RepairReport};
+use analysis::{is_own_layer_order, lint_profile, repair_profile, ProfileView, RepairReport};
 use bytecode::{ClassId, FuncId, Repo, StrId, UnitId};
 use jit::{JitEngine, JitOptions, TierProfile, WeightSource};
 use vm::ClassTable;
 
-use crate::chunk::{ChunkKind, ChunkPool, LazyLoader, Manifest};
+use crate::chunk::{reassemble, ChunkPool, LazyLoader, Manifest};
 use crate::config::{FuncSort, JumpStartOptions, PropReorder};
 use crate::package::{Poison, ProfilePackage};
 use crate::pipeline::{self, BootStats, EarlyServe, PipelineJob};
@@ -28,8 +30,10 @@ pub enum ConsumerError {
     /// The profile data triggered a (simulated) JIT compiler crash —
     /// §VI-A's widespread-bug scenario.
     JitCrash,
-    /// The static linter found structural errors the stale-profile
-    /// repairer could not fix — the package cannot describe this repo.
+    /// The profile failed the static lint, and the stale-profile repairer
+    /// could not fix it: the package cannot describe this repo. Either
+    /// source ends here only after repair, a chunked one once its lint
+    /// has turned it into a whole-package boot.
     InvalidProfile {
         /// Lint diagnostics remaining after repair.
         errors: usize,
@@ -98,25 +102,16 @@ fn repair_package(repo: &Repo, pkg: &ProfilePackage) -> (ProfilePackage, RepairR
     fixed
         .func_order
         .retain(|f| f.index() < repo.funcs().len() && seen_funcs.insert(*f));
+    // A property order is installable when its class exists, it permutes
+    // (a subset of) that class's own layer and no earlier order named the
+    // same class.
     let mut seen_classes = HashSet::new();
-    fixed
-        .prop_orders
-        .retain(|o| prop_order_fits(repo, &mut seen_classes, o));
+    fixed.prop_orders.retain(|(class, order)| {
+        class.index() < repo.classes().len()
+            && is_own_layer_order(repo, *class, order)
+            && seen_classes.insert(*class)
+    });
     (fixed, report)
-}
-
-/// Whether a package's property order can be installed on `repo`: its
-/// class exists, the order permutes (a subset of) that class's own layer,
-/// and no earlier order — recorded in `seen` — named the same class. The
-/// monolithic boot drops the orders that fail; the lazy boot refuses them.
-fn prop_order_fits(
-    repo: &Repo,
-    seen: &mut HashSet<ClassId>,
-    (class, order): &(ClassId, Vec<StrId>),
-) -> bool {
-    class.index() < repo.classes().len()
-        && is_own_layer_order(repo, *class, order)
-        && seen.insert(*class)
 }
 
 /// Resolves physical property slots for every class, honoring the
@@ -140,7 +135,8 @@ fn resolve_prop_slots(
     slots
 }
 
-/// Chunk-level accounting of a lazy consumer boot.
+/// Chunk-level accounting of a lazy consumer boot. A boot the lint sent
+/// whole decoded every chunk before serve-start (no cold chunks).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChunkBootStats {
     /// Encoded manifest size (always fetched and decoded up front).
@@ -235,17 +231,19 @@ pub fn consume_bytes<'r>(
 /// serve-start; [`ChunkBootStats`] reports exactly how many bytes that
 /// touched. The code-cache layout is byte-identical to a monolithic boot.
 ///
-/// The lazy path never lints or repairs — it is reserved for packages
-/// whose manifest matches the running release (`repo_funcs`, per-record
-/// name hashes). Anything stale fails fast with
-/// [`ConsumerError::InvalidProfile`] and the boot controller falls back
-/// to the monolithic lint-and-repair path.
+/// The lazy path is held to the same lint as a sealed package: before
+/// each compile stage it lints what it has decoded (head, tail and the
+/// hot closure, then the cold records). A package with any finding — a
+/// stale one, typically one push behind its consumer — is booted whole
+/// instead: [`reassemble`]d and then linted, repaired and relinted exactly
+/// as [`consume_bytes`] would boot those bytes. The outcome is the same
+/// either way; only [`ChunkBootStats`] tells the two apart (everything
+/// decoded before serve-start).
 ///
 /// # Errors
 ///
-/// [`ConsumerError::Wire`] for missing/corrupt chunks,
-/// [`ConsumerError::InvalidProfile`] for release mismatches, and
-/// [`ConsumerError::JitCrash`] as in [`consume`].
+/// [`ConsumerError::Wire`] for missing/corrupt chunks, and otherwise as
+/// [`consume_bytes`] over the reassembled bytes.
 pub fn consume_chunked<'r>(
     repo: &'r Repo,
     man: &Manifest,
@@ -258,6 +256,7 @@ pub fn consume_chunked<'r>(
 }
 
 /// Where a boot's profile comes from.
+#[derive(Clone, Copy)]
 enum Source<'a> {
     /// A materialised package: every record is already decoded.
     Package(&'a ProfilePackage),
@@ -265,47 +264,53 @@ enum Source<'a> {
     Chunks(&'a Manifest, &'a ChunkPool),
 }
 
-fn stale(first: String) -> ConsumerError {
-    ConsumerError::InvalidProfile { errors: 1, first }
+/// Lints what a lazy boot has decoded so far, adding the time to `ns`.
+fn lints_clean(repo: &Repo, view: &ProfileView<'_>, ns: &mut u64) -> bool {
+    let start = Instant::now();
+    let _span = telemetry::span!("lint-repair");
+    let clean = lint_profile(repo, view).is_clean();
+    *ns += start.elapsed().as_nanos() as u64;
+    clean
 }
 
-/// Decodes the not-yet-decoded function chunks among `entries` into
-/// `tier`, each behind the release guards that stand in for the lint on
-/// the lazy path: no record may profile a function beyond this release
-/// (checked before its chunk is touched) or name a different function
-/// than the repo does. Returns the chunk bytes decoded.
-fn decode_guarded(
-    repo: &Repo,
-    loader: &LazyLoader<'_>,
-    entries: &[usize],
-    tier: &mut TierProfile,
-) -> Result<u64, ConsumerError> {
-    let mut bytes = 0;
-    for &i in entries {
-        let func = match loader.manifest().entries[i].kind {
-            ChunkKind::Func { func, .. } if !tier.funcs.contains_key(&func) => func,
-            _ => continue,
-        };
-        if func.index() >= repo.funcs().len() {
-            return Err(stale(format!("profile for {func:?} beyond this release")));
-        }
-        bytes += loader.decode_funcs(&[i], tier)?;
-        let hash = tier.funcs[&func].name_hash;
-        if hash != 0 && hash != bytecode::fnv_str(repo.str(repo.func(func).name)) {
-            return Err(stale(format!(
-                "profile for {func:?} names a different function"
-            )));
-        }
-    }
-    Ok(bytes)
+/// A lazy boot whose lint found anything boots the whole package
+/// instead: the reassembled bytes, linted, repaired and relinted as
+/// [`consume_bytes`] boots them. What the abandoned lazy stages spent
+/// since `started` counts as decode time.
+fn boot_reassembled<'r>(
+    repo: &'r Repo,
+    (man, pool): (&Manifest, &ChunkPool),
+    started: Instant,
+    jit_opts: JitOptions,
+    opts: &JumpStartOptions,
+    threads: usize,
+) -> Result<(ConsumerOutcome<'r>, ChunkBootStats), ConsumerError> {
+    let span = telemetry::span!("reassemble", "bytes" => man.payload_len);
+    let pkg = ProfilePackage::deserialize(&reassemble(man, pool)?)?;
+    drop(span);
+    let decode_ns = started.elapsed().as_nanos() as u64;
+    let whole = Source::Package(&pkg);
+    let (outcome, _) = boot(repo, whole, decode_ns, jit_opts, opts, threads)?;
+    let payload_bytes = man.payload_len as u64;
+    let stats = ChunkBootStats {
+        manifest_bytes: man.wire_len() as u64,
+        payload_bytes,
+        hot_bytes: payload_bytes,
+        hot_chunks: man.entries.len(),
+        hot_decode_ns: decode_ns,
+        ..Default::default()
+    };
+    Ok((outcome, stats))
 }
 
 /// The one consumer boot, a fixed stage sequence over either source:
 /// acquire → lint/repair → compile order and its serve-ready split →
-/// decode hot → prop slots → compile hot (serve-ready) → decode cold →
-/// compile cold → fill in `BootStats`. The decode stages are no-ops for
-/// a materialised package, and lint/repair runs only on one. `decode_ns`
-/// is what the caller already spent turning bytes into the source.
+/// decode and lint hot → prop slots → compile hot (serve-ready) → decode
+/// and lint cold → compile cold → fill in `BootStats`. The decode stages
+/// are no-ops for a materialised package, which is linted (and repaired)
+/// whole up front; a chunked one whose lint finds anything is booted
+/// whole ([`boot_reassembled`]). `decode_ns` is what the caller already
+/// spent turning bytes into the source.
 fn boot<'r>(
     repo: &'r Repo,
     src: Source<'_>,
@@ -326,15 +331,6 @@ fn boot<'r>(
     let (mut pkg, loader) = match src {
         Source::Package(pkg) => (Cow::Borrowed(pkg), None),
         Source::Chunks(man, pool) => {
-            // The manifest records which repo the profile was collected
-            // against; another release's must not get as far as a decode.
-            if man.repo_funcs as usize != repo.funcs().len() {
-                return Err(stale(format!(
-                    "manifest built against a {}-function release, this repo has {}",
-                    man.repo_funcs,
-                    repo.funcs().len()
-                )));
-            }
             let loader = LazyLoader::new(man, pool);
             let (meta, preload) = loader.decode_head()?;
             let mut partial = ProfilePackage {
@@ -344,18 +340,6 @@ fn boot<'r>(
             };
             (partial.ctx, partial.prop_orders, partial.func_order) =
                 loader.decode_tail(&mut partial.tier)?;
-            // The orders are installed before any translation; one that
-            // does not fit this release is stale data like any other.
-            let mut seen = HashSet::new();
-            if let Some((class, _)) = partial
-                .prop_orders
-                .iter()
-                .find(|o| !prop_order_fits(repo, &mut seen, o))
-            {
-                return Err(stale(format!(
-                    "property order for {class:?} does not fit this release"
-                )));
-            }
             let (head, tail) = man.ends()?;
             chunk_stats.manifest_bytes = man.wire_len() as u64;
             chunk_stats.payload_bytes = man.payload_len as u64;
@@ -373,10 +357,11 @@ fn boot<'r>(
         return Err(ConsumerError::JitCrash);
     }
 
-    // Static lint: refuse to feed structurally impossible profile data
-    // into translation. A dirty package gets one repair attempt
-    // (stale-counter remap + pruning) before the consumer gives up and
-    // lets the boot controller fall back (§VI-A.3).
+    // Static lint, the one admission check: refuse to feed structurally
+    // impossible profile data into translation. A dirty package gets one
+    // repair attempt (stale-counter remap + pruning) before the consumer
+    // gives up and lets the boot controller fall back (§VI-A.3). A lazy
+    // boot lints stage by stage instead, below.
     let mut repair_report = None;
     let mut lint_repair_ns = 0;
     if loader.is_none() {
@@ -420,13 +405,17 @@ fn boot<'r>(
     let split = pipeline::early_serve_prefix_by_heat(&heat, &work, opts.early_serve_frac);
 
     // Hot decode: the serve-ready prefix plus every function transitively
-    // reachable through its recorded call targets.
-    if let Some(l) = &loader {
+    // reachable through its recorded call targets. Then the lint, over
+    // everything decoded so far, before the repo resolves any of it.
+    if let (Some(l), Source::Chunks(man, pool)) = (&loader, src) {
         let hot_entries = l.hot_closure(work[..split].iter().copied());
-        chunk_stats.hot_bytes += decode_guarded(repo, l, &hot_entries, &mut pkg.to_mut().tier)?;
+        chunk_stats.hot_bytes += l.decode_funcs(&hot_entries, &mut pkg.to_mut().tier)?;
         chunk_stats.hot_chunks += hot_entries.len();
         // All a lazy boot has done so far is manifest-driven decode.
         chunk_stats.hot_decode_ns = boot_start.elapsed().as_nanos() as u64;
+        if !lints_clean(repo, &pkg.view(), &mut lint_repair_ns) {
+            return boot_reassembled(repo, (man, pool), boot_start, jit_opts, opts, threads);
+        }
     }
 
     // Property layout must be installed before any translation resolves
@@ -475,12 +464,31 @@ fn boot<'r>(
         (done.compiled_funcs, done.compile_bytes, done.pipeline_ns);
     telemetry::instant!("early-serve-ready", "funcs" => ready_funcs, "bytes" => ready_bytes);
 
-    if let Some(l) = &loader {
+    // Cold decode, into a tier of its own so that the lint sees only the
+    // records it has not seen yet.
+    if let (Some(l), Source::Chunks(man, pool)) = (&loader, src) {
         let cold_decode_start = Instant::now();
-        let rest = l.all_func_entries();
-        chunk_stats.cold_bytes = decode_guarded(repo, l, &rest, &mut pkg.to_mut().tier)?;
+        let rest: Vec<usize> = l
+            .manifest()
+            .func_entries()
+            .filter(|(_, f, _)| !pkg.tier.funcs.contains_key(f))
+            .map(|(i, _, _)| i)
+            .collect();
+        let mut cold = TierProfile::default();
+        chunk_stats.cold_bytes = l.decode_funcs(&rest, &mut cold)?;
         chunk_stats.cold_chunks = l.manifest().entries.len() - chunk_stats.hot_chunks;
         chunk_stats.cold_decode_ns = cold_decode_start.elapsed().as_nanos() as u64;
+        let view = ProfileView {
+            tier: &cold,
+            ctx: &pkg.ctx,
+            unit_order: &[],
+            prop_orders: &[],
+            func_order: &[],
+        };
+        if !lints_clean(repo, &view, &mut lint_repair_ns) {
+            return boot_reassembled(repo, (man, pool), boot_start, jit_opts, opts, threads);
+        }
+        pkg.to_mut().tier.funcs.append(&mut cold.funcs);
     }
     if split < work.len() {
         done.absorb(compile(&pkg, &work[split..])?);
@@ -527,6 +535,7 @@ fn boot<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunk::ChunkKind;
     use crate::seeder::{build_package, SeederInputs};
     use jit::ProfileCollector;
     use vm::{Value, Vm};
@@ -880,39 +889,156 @@ mod tests {
         );
     }
 
+    /// A chunked boot ends as `consume_bytes` over its reassembled bytes
+    /// does: the same outcome, or the same error. Returns the chunk
+    /// accounting of a successful boot.
+    fn boots_like_reassembled(
+        repo: &Repo,
+        (man, pool): (&Manifest, &ChunkPool),
+        frac: f64,
+        threads: usize,
+    ) -> Option<ChunkBootStats> {
+        let (jit, opts) = (
+            JitOptions::default(),
+            JumpStartOptions {
+                early_serve_frac: frac,
+                ..Default::default()
+            },
+        );
+        let row = format!("frac {frac} threads {threads}");
+        let whole = reassemble(man, pool).expect("the chunks reassemble");
+        match (
+            consume_chunked(repo, man, pool, jit, &opts, threads),
+            consume_bytes(repo, &whole, jit, &opts, threads),
+        ) {
+            (Ok((got, stats)), Ok(want)) => {
+                assert_eq!(
+                    got.engine.code_cache.layout_digest(),
+                    want.engine.code_cache.layout_digest(),
+                    "{row}"
+                );
+                assert_eq!(got.compiled_funcs, want.compiled_funcs, "{row}");
+                assert_eq!(got.compile_bytes, want.compile_bytes, "{row}");
+                assert_eq!(got.prop_slots, want.prop_slots, "{row}");
+                assert_eq!(got.unit_order, want.unit_order, "{row}");
+                assert_eq!(got.repair, want.repair, "{row}");
+                assert_eq!(
+                    stats.hot_bytes + stats.cold_bytes,
+                    stats.payload_bytes,
+                    "{row}: every chunk is decoded exactly once"
+                );
+                Some(stats)
+            }
+            (Err(got), Err(want)) => {
+                assert_eq!(got, want, "{row}");
+                None
+            }
+            (got, want) => panic!(
+                "{row}: chunked {:?}, monolithic {:?}",
+                got.map(|(o, _)| o.compiled_funcs),
+                want.map(|o| o.compiled_funcs)
+            ),
+        }
+    }
+
     #[test]
-    fn cold_records_face_the_release_guards() {
+    fn cold_records_face_the_lint() {
         let (repo, pkg) = make_wide_package();
-        let jit = JitOptions::default();
-        let opts = JumpStartOptions {
-            early_serve_frac: 0.25,
-            ..Default::default()
-        };
         let (man, pool) = chunked(&pkg, &repo);
-        let (_, healthy) = consume_chunked(&repo, &man, &pool, jit, &opts, 1).unwrap();
+        let healthy = boots_like_reassembled(&repo, (&man, &pool), 0.25, 1).unwrap();
         assert_eq!(healthy.hot_chunks, 3, "head, tail, `hot`: cold_b is cold");
         let cold_b = repo.func_by_name("cold_b").unwrap().id;
 
-        // A cold record that names a different function than the repo does.
+        // A cold record that names a different function than the repo
+        // does (the repair finds cold_b again by its body), and one that
+        // profiles a function this release does not have (dropped).
         let mut renamed = pkg.clone();
         renamed.tier.funcs.get_mut(&cold_b).unwrap().name_hash ^= 1;
-        // A cold manifest entry for a function this release does not have.
-        let mut beyond = man.clone();
-        for e in &mut beyond.entries {
+        let mut beyond = pkg.clone();
+        let past = FuncId::new(repo.funcs().len() as u32);
+        let record = beyond.tier.funcs[&cold_b].clone();
+        beyond.tier.funcs.insert(past, record);
+        for stale in [renamed, beyond] {
+            let (man, pool) = chunked(&stale, &repo);
+            for (frac, threads) in [(0.25, 1), (1.0, 2)] {
+                let stats = boots_like_reassembled(&repo, (&man, &pool), frac, threads);
+                let stats = stats.expect("the repair admits both");
+                assert_eq!(stats.hot_bytes, stats.payload_bytes, "booted whole");
+            }
+        }
+
+        // A manifest that lies about a chunk's function is a corrupt
+        // download, whatever its bytes reassemble to.
+        let mut lying = man.clone();
+        for e in &mut lying.entries {
             match &mut e.kind {
-                ChunkKind::Func { func, .. } if *func == cold_b => {
-                    *func = FuncId::new(repo.funcs().len() as u32);
-                }
+                ChunkKind::Func { func, .. } if *func == cold_b => *func = past,
                 _ => {}
             }
         }
-        for (man, pool) in [chunked(&renamed, &repo), (beyond, pool)] {
-            for threads in [1, 2] {
-                let err = consume_chunked(&repo, &man, &pool, jit, &opts, threads).unwrap_err();
-                assert!(
-                    matches!(err, ConsumerError::InvalidProfile { .. }),
-                    "threads {threads}: {err}"
-                );
+        for threads in [1, 2] {
+            let jit = JitOptions::default();
+            let opts = JumpStartOptions {
+                early_serve_frac: 0.25,
+                ..Default::default()
+            };
+            let err = consume_chunked(&repo, &lying, &pool, jit, &opts, threads).unwrap_err();
+            assert!(
+                matches!(err, ConsumerError::Wire(WireError::Corrupt(_))),
+                "threads {threads}: {err}"
+            );
+        }
+    }
+
+    /// A cold record whose function kept its id and name but changed its
+    /// body: no identity check can see it, only the lint's CFG hashes.
+    #[test]
+    fn a_body_stale_cold_record_is_repaired_as_in_a_monolithic_boot() {
+        let (repo, mut pkg) = make_wide_package();
+        let cold_b = repo.func_by_name("cold_b").unwrap().id;
+        pkg.tier.funcs.get_mut(&cold_b).unwrap().block_hashes[0] ^= 1;
+        let (man, pool) = chunked(&pkg, &repo);
+        for (frac, threads) in [(0.25, 1), (1.0, 2)] {
+            let stats = boots_like_reassembled(&repo, (&man, &pool), frac, threads).unwrap();
+            assert_eq!(stats.hot_bytes, stats.payload_bytes, "booted whole");
+        }
+        let jit = JitOptions::default();
+        let out = consume_chunked(&repo, &man, &pool, jit, &Default::default(), 1).unwrap();
+        let repair = out.0.repair.expect("the stale record was repaired");
+        assert_eq!(repair.repaired, vec![cold_b]);
+    }
+
+    /// Releases churned at several rates: the prior release's package,
+    /// chunked, boots on the current repo exactly as its reassembled
+    /// bytes do.
+    #[test]
+    fn a_stale_chunked_package_boots_like_its_reassembled_bytes() {
+        use workload::{generate_release, profile_run, AppParams, ChurnParams, RequestMix};
+        let params = AppParams::tiny();
+        let (prior, _) = generate_release(&params, &ChurnParams::none());
+        let mix = RequestMix::new(&prior, 0, 0);
+        let run = profile_run(&prior, &mix, 60, 21);
+        let pkg = build_package(
+            SeederInputs {
+                repo: &prior.repo,
+                tier: run.tier,
+                ctx: run.ctx,
+                unit_order: run.unit_order,
+                requests: run.requests,
+                region: 0,
+                bucket: 0,
+                seeder_id: 1,
+                now_ms: 0,
+            },
+            &JumpStartOptions::default(),
+            &JitOptions::default(),
+        );
+        let (man, pool) = chunked(&pkg, &prior.repo);
+        for rate in [0.0, 0.05, 0.1, 0.4] {
+            let (current, _) = generate_release(&params, &ChurnParams { seed: 3, rate });
+            for (frac, threads) in [(0.25, 1), (1.0, 2)] {
+                let stats = boots_like_reassembled(&current.repo, (&man, &pool), frac, threads);
+                assert!(stats.is_some(), "rate {rate}: the boot returns Ok");
             }
         }
     }
@@ -948,46 +1074,32 @@ mod tests {
     }
 
     #[test]
-    fn chunked_boot_refuses_orders_past_the_repo() {
+    fn chunked_boot_lints_orders_past_the_repo() {
         let (repo, mut pkg) = make_package();
         let past = ClassId::new(repo.classes().len() as u32 + 5);
         pkg.prop_orders.push((past, Vec::new()));
         let (man, pool) = chunked(&pkg, &repo);
         for threads in [1, 2] {
-            let err = consume_chunked(
-                &repo,
-                &man,
-                &pool,
-                JitOptions::default(),
-                &JumpStartOptions::default(),
-                threads,
-            )
-            .unwrap_err();
-            assert!(
-                matches!(err, ConsumerError::InvalidProfile { .. }),
-                "threads {threads}: {err}"
-            );
+            boots_like_reassembled(&repo, (&man, &pool), 1.0, threads)
+                .expect("the order is dropped");
         }
     }
 
+    /// `Manifest::repo_funcs` admits nothing: a manifest that claims
+    /// another release boots as its bytes do.
     #[test]
-    fn chunked_boot_rejects_release_mismatch() {
-        let (repo, pkg) = make_package();
+    fn chunked_boot_ignores_the_manifest_release_count() {
+        let (repo, pkg) = make_wide_package();
         let cp = crate::chunk::chunk_package(&pkg, repo.funcs().len() + 1);
         let mut pool = ChunkPool::new();
         for c in &cp.chunks {
             pool.insert(c);
         }
-        let err = consume_chunked(
-            &repo,
-            &cp.manifest,
-            &pool,
-            JitOptions::default(),
-            &JumpStartOptions::default(),
-            1,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ConsumerError::InvalidProfile { .. }));
+        let stats = boots_like_reassembled(&repo, (&cp.manifest, &pool), 0.25, 1).unwrap();
+        assert!(
+            stats.before_serve_frac() < 1.0,
+            "a clean package boots lazily"
+        );
     }
 
     #[test]

@@ -18,7 +18,10 @@
 //!   adapters: [`consume`] over a decoded package, [`consume_bytes`] over
 //!   sealed bytes (timing the decode into the boot), [`consume_chunked`]
 //!   over a [`Manifest`] and a [`ChunkPool`], decoding function records
-//!   lazily either side of the serve-ready point,
+//!   lazily either side of the serve-ready point. One lint admits profile
+//!   data from every source: a dirty sealed package is repaired and
+//!   relinted, and a chunked one the lint rejects boots as its
+//!   [`reassemble`]d bytes do,
 //! * [`Validator`] — seeder-side validation incl. coverage thresholds and
 //!   a static profile lint via the `analysis` crate (§VI-A.1, §VI-B),
 //! * [`PackageStore`] — multiple randomized packages per (region, bucket)
@@ -53,8 +56,7 @@ pub use crc32::crc32;
 pub use fallback::{BootController, BootDecision};
 pub use package::{Coverage, PackageMeta, Poison, PreloadLists, ProfilePackage};
 pub use pipeline::{
-    early_serve_prefix, early_serve_prefix_by_heat, BootStats, CacheStats, EarlyServe,
-    TemplateCache, WorkerStats,
+    early_serve_prefix_by_heat, BootStats, CacheStats, EarlyServe, TemplateCache, WorkerStats,
 };
 pub use seeder::{build_package, SeederInputs};
 pub use store::{CellDedup, PackageStore, PublishReceipt, StoredPackage};

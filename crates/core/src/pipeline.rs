@@ -172,9 +172,10 @@ pub struct BootStats {
     pub threads: usize,
     /// Package decode time: the whole decode under
     /// [`crate::consume_bytes`], the hot chunks' decode under
-    /// [`crate::consume_chunked`], 0 under [`crate::consume`].
+    /// [`crate::consume_chunked`] (all its lazy stages plus the
+    /// reassembly when the lint sent it whole), 0 under [`crate::consume`].
     pub decode_ns: u64,
-    /// Static lint + stale-profile repair time.
+    /// Static lint + stale-profile repair time (a lazy boot's stage lints).
     pub lint_repair_ns: u64,
     /// Property-slot resolution time (§V-C layout install).
     pub prop_slots_ns: u64,
@@ -314,22 +315,9 @@ impl BootStats {
 
 /// Length of the shortest prefix of `order` whose cumulative heat covers
 /// `frac` of the total heat mass over `order` (heat = summed tier-1 block
-/// counters). `frac >= 1` covers everything; `frac <= 0` covers nothing.
-pub fn early_serve_prefix(tier: &TierProfile, order: &[FuncId], frac: f64) -> usize {
-    if frac >= 1.0 {
-        return order.len();
-    }
-    if frac <= 0.0 {
-        return 0;
-    }
-    let heat: HashMap<FuncId, u64> = tier.heat_ranked().into_iter().collect();
-    early_serve_prefix_by_heat(&heat, order, frac)
-}
-
-/// [`early_serve_prefix`] over an externally supplied heat map — the
-/// chunk-lazy boot path computes the prefix from manifest heats before
-/// any function chunk is decoded, and must agree with the tier-based
-/// computation exactly.
+/// counters, [`TierProfile::heat_ranked`] or the chunk manifest's, which
+/// agree exactly). `frac >= 1` covers everything; `frac <= 0` covers
+/// nothing.
 pub fn early_serve_prefix_by_heat(
     heat: &HashMap<FuncId, u64>,
     order: &[FuncId],
@@ -518,32 +506,32 @@ pub(crate) fn run(
 mod tests {
     use super::*;
 
-    fn tier_with_heat(heats: &[(u32, u64)]) -> TierProfile {
+    fn heat_of(heats: &[(u32, u64)]) -> HashMap<FuncId, u64> {
         let mut t = TierProfile::default();
         for &(f, h) in heats {
             let p = t.funcs.entry(FuncId::new(f)).or_default();
             p.block_counts = vec![h];
         }
-        t
+        t.heat_ranked().into_iter().collect()
     }
 
     #[test]
     fn early_serve_prefix_covers_heat_mass() {
-        let tier = tier_with_heat(&[(0, 70), (1, 20), (2, 10)]);
+        let heat = heat_of(&[(0, 70), (1, 20), (2, 10)]);
         let order = vec![FuncId::new(0), FuncId::new(1), FuncId::new(2)];
-        assert_eq!(early_serve_prefix(&tier, &order, 1.0), 3);
-        assert_eq!(early_serve_prefix(&tier, &order, 0.0), 0);
-        assert_eq!(early_serve_prefix(&tier, &order, 0.5), 1);
-        assert_eq!(early_serve_prefix(&tier, &order, 0.7), 1);
-        assert_eq!(early_serve_prefix(&tier, &order, 0.71), 2);
-        assert_eq!(early_serve_prefix(&tier, &order, 0.95), 3);
+        let prefix = |frac| early_serve_prefix_by_heat(&heat, &order, frac);
+        assert_eq!(prefix(1.0), 3);
+        assert_eq!(prefix(0.0), 0);
+        assert_eq!(prefix(0.5), 1);
+        assert_eq!(prefix(0.7), 1);
+        assert_eq!(prefix(0.71), 2);
+        assert_eq!(prefix(0.95), 3);
     }
 
     #[test]
     fn early_serve_prefix_with_no_heat_serves_everything() {
-        let tier = TierProfile::default();
         let order = vec![FuncId::new(0), FuncId::new(1)];
-        assert_eq!(early_serve_prefix(&tier, &order, 0.5), 2);
+        assert_eq!(early_serve_prefix_by_heat(&heat_of(&[]), &order, 0.5), 2);
     }
 
     #[test]

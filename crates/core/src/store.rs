@@ -132,8 +132,7 @@ impl PackageStore {
     /// publish actually stored.
     ///
     /// `repo_funcs` is the function count of the release the profile was
-    /// collected against (recorded in the manifest as the lazy-decode
-    /// guard).
+    /// collected against ([`crate::Manifest::repo_funcs`]).
     pub fn publish_chunked(
         &self,
         pkg: &ProfilePackage,

@@ -28,6 +28,8 @@
 //! nested walk bit for bit (see [`Term::base`]); the test module keeps
 //! that walk as the step-level oracle.
 
+use std::collections::HashMap;
+
 use jumpstart::ProfilePackage;
 use workload::{App, RequestMix};
 
@@ -172,14 +174,15 @@ impl<'a> ServerPlan<'a> {
         let boots = packages
             .into_iter()
             .map(|pkg| {
-                let order: Vec<bytecode::FuncId> = pkg
-                    .tier
-                    .functions_by_heat()
-                    .into_iter()
+                let ranked = pkg.tier.heat_ranked();
+                let order: Vec<bytecode::FuncId> = ranked
+                    .iter()
+                    .map(|&(f, _)| f)
                     .filter(|f| f.index() < funcs)
                     .collect();
+                let heat: HashMap<bytecode::FuncId, u64> = ranked.into_iter().collect();
                 let ready =
-                    jumpstart::early_serve_prefix(&pkg.tier, &order, params.early_serve_frac);
+                    jumpstart::early_serve_prefix_by_heat(&heat, &order, params.early_serve_frac);
                 let order: Vec<usize> = order.iter().map(|f| f.index()).collect();
                 let ready_bytes = order[..ready].iter().map(|&i| model.opt_bytes[i]).sum();
                 let mut preload_units = Vec::new();
