@@ -33,6 +33,9 @@ cargo test -p vm -p jit -p workload --release -q
 echo "== test (jumpstart, release: every boot source against the monolithic boot, stale chunked packages included, on the optimized build that ships) =="
 cargo test -p jumpstart --release -q
 
+echo "== test (analysis, release: the lint and repair unit tests, which share one check per admission rule, on the optimized build that ships) =="
+cargo test -p analysis --release -q
+
 echo "== jslint self-check =="
 cargo run -q -p bench --bin jslint -- --demo
 

@@ -23,11 +23,12 @@
 //! * [`stale`] — the stale-profile matcher: re-identifies functions and
 //!   blocks from a profile collected against an older build (two-level
 //!   hash ladder: exact → opcode), infers flow-consistent counts for what
-//!   it matched, and prunes
-//!   instruction-indexed counters that no longer fit.
-//! * [`flow`] — Kirchhoff flow conservation: the one check both [`lint`]
-//!   and [`stale`] run, and the solver behind [`stale`] that turns it into
-//!   count *inference* over partial matches.
+//!   it matched, and prunes every entry the lint's site checks reject.
+//! * [`flow`] — Kirchhoff flow conservation, and the solver behind
+//!   [`stale`] that turns it into count *inference* over partial matches.
+//!   The flow check and the site checks (one per rule, in [`lint`]) are
+//!   the checks [`lint`] and [`stale`] share: a repaired profile passes
+//!   them by construction.
 
 // Profiles and code caches iterate in `FuncId` order; a loop over a hash
 // container would bring hash order back.
@@ -44,8 +45,8 @@ pub use callgraph::{CallGraph, CallSite, CallSiteKind};
 pub use fingerprint::chunk_fingerprint;
 pub use flow::{flow_violations, infer_flow, FlowSolution};
 pub use lint::{
-    is_own_layer_order, lint_profile, lint_profile_with, Diagnostic, LintOptions, LintReport,
-    ProfileView, Rule,
+    is_own_layer_order, lint_profile, lint_profile_with, prune_orders, Diagnostic, LintOptions,
+    LintReport, ProfileView, Rule,
 };
 pub use reach::reachable_blocks;
 pub use stale::{

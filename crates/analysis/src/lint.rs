@@ -12,14 +12,23 @@
 //!
 //! Every finding is an error: the profile cannot describe this repo, and
 //! consuming it risks crashes or nonsense layout decisions. The seeder
-//! rejects a package with any; the consumer repairs it ([`crate::stale`])
-//! and lints again. The lint is the consumer's only admission check, for
-//! a sealed package and a chunked one alike.
+//! rejects a package with any; the consumer repairs it ([`crate::stale`],
+//! [`prune_orders`]) and lints again. The lint is the consumer's only
+//! admission check, for a sealed package and a chunked one alike.
+//!
+//! Each rule the repair also enforces is one check here, written once:
+//! the site rules (call targets, type observations, receiver classes, ctx
+//! branch and entry counters), the block-counter shape and the order-list
+//! rules. A check reports each failure it finds and returns whether the
+//! entry is admissible; the lint formats the failures into diagnostics,
+//! and the repair drops every entry a check rejects without formatting
+//! anything. A repaired profile never trips these rules by construction.
 
 use std::collections::HashSet;
+use std::fmt::Arguments;
 
 use bytecode::{Cfg, ClassId, FuncId, Instr, Repo, StrId, UnitId};
-use jit::{CtxProfile, FuncProfile, TierProfile, PARAM_SITE};
+use jit::{CtxProfile, FuncProfile, InlineCtx, TierProfile, PARAM_SITE};
 
 use crate::callgraph::CallGraph;
 use crate::flow::flow_violations;
@@ -146,336 +155,348 @@ pub fn is_own_layer_order(repo: &Repo, class: ClassId, order: &[StrId]) -> bool 
     order.iter().all(|s| own.contains(s) && seen.insert(*s))
 }
 
-struct Linter<'a> {
-    repo: &'a Repo,
-    graph: CallGraph,
-    out: Vec<Diagnostic>,
+/// Where a check reports each failure it finds: the lint formats it into
+/// a [`Diagnostic`], the repair passes [`ignore`].
+pub(crate) type Flag<'f> = dyn FnMut(Rule, Option<FuncId>, Arguments<'_>) + 'f;
+
+/// The [`Flag`] of a caller that only wants the verdict.
+pub(crate) fn ignore(_: Rule, _: Option<FuncId>, _: Arguments<'_>) {}
+
+/// Whether `f` names a function of `repo`.
+pub(crate) fn func_ok(repo: &Repo, f: FuncId) -> bool {
+    f.index() < repo.funcs().len()
 }
 
-impl Linter<'_> {
-    fn error(&mut self, rule: Rule, func: Option<FuncId>, message: String) {
-        self.out.push(Diagnostic {
-            rule,
-            func,
-            message,
-        });
+/// Whether stored block counters fit a function's current CFG, given its
+/// `current` block hashes: one counter per block and, when the record
+/// carries hashes, the current ones.
+pub(crate) fn counters_fit(fp: &FuncProfile, current: &[u64]) -> bool {
+    fp.block_counts.len() == current.len()
+        && (fp.block_hashes.is_empty() || fp.block_hashes == current)
+}
+
+/// The site rules: which instruction-indexed entries a function's code
+/// and the static call graph admit.
+pub(crate) struct Sites<'a> {
+    repo: &'a Repo,
+    graph: CallGraph,
+}
+
+impl<'a> Sites<'a> {
+    pub(crate) fn new(repo: &'a Repo) -> Self {
+        Sites {
+            repo,
+            graph: CallGraph::build(repo),
+        }
     }
 
-    fn func_ok(&self, f: FuncId) -> bool {
-        f.index() < self.repo.funcs().len()
+    fn instr(&self, f: FuncId, at: u32) -> Option<&'a Instr> {
+        self.repo.func(f).code.get(at as usize)
     }
 
-    fn class_ok(&self, c: ClassId) -> bool {
-        c.index() < self.repo.classes().len()
-    }
-
-    fn is_call_instr(&self, f: FuncId, at: u32) -> bool {
-        let code = &self.repo.func(f).code;
+    fn is_call(&self, f: FuncId, at: u32) -> bool {
         matches!(
-            code.get(at as usize),
+            self.instr(f, at),
             Some(Instr::Call { .. } | Instr::CallMethod { .. })
         )
     }
 
-    /// True when the stored counters can't belong to the function's
-    /// current CFG (length or structural-hash mismatch).
-    fn func_is_stale(&self, fid: FuncId, fp: &FuncProfile, cfg: &Cfg) -> bool {
-        if fp.block_counts.len() != cfg.len() {
+    /// A call target: at a call instruction, to a callee that exists and
+    /// that the site can dispatch to.
+    pub(crate) fn call_target(
+        &self,
+        fid: FuncId,
+        site: u32,
+        callee: FuncId,
+        flag: &mut Flag<'_>,
+    ) -> bool {
+        let idx = callee.index();
+        if !self.is_call(fid, site) {
+            let m = format_args!("call-target profile at instr {site}, which is not a call");
+            flag(Rule::PhantomSite, Some(fid), m);
+        } else if !func_ok(self.repo, callee) {
+            let m = format_args!("call site {site} records dangling callee #{idx}");
+            flag(Rule::DanglingId, Some(fid), m);
+        } else if !self.graph.can_call(fid, site, callee) {
+            let m = format_args!(
+                "call site {site} records callee #{idx} that the site cannot dispatch to"
+            );
+            flag(Rule::ImpossibleCallArc, Some(fid), m);
+        } else {
             return true;
-        }
-        if !fp.block_hashes.is_empty() {
-            let current = cfg.block_hashes(self.repo.func(fid), self.repo);
-            if fp.block_hashes != current {
-                return true;
-            }
         }
         false
     }
 
-    fn lint_func_profile(&mut self, ctx: &CtxProfile, fid: FuncId, fp: &FuncProfile) {
-        if !self.func_ok(fid) {
-            self.error(
-                Rule::DanglingId,
-                Some(fid),
-                format!(
-                    "profile for function #{} but repo has {}",
-                    fid.index(),
-                    self.repo.funcs().len()
-                ),
+    /// A type observation: at a parameter slot (below the function's
+    /// parameter count, and below 8) or at operand 0 or 1 of a binary op.
+    pub(crate) fn type_site(&self, fid: FuncId, at: u32, slot: u8, flag: &mut Flag<'_>) -> bool {
+        let params = self.repo.func(fid).params;
+        if at == PARAM_SITE {
+            if (slot as u16) < params && slot < 8 {
+                return true;
+            }
+            let m = format_args!("type profile for parameter {slot} of a {params}-param function");
+            flag(Rule::PhantomSite, Some(fid), m);
+        } else {
+            if slot <= 1 && matches!(self.instr(fid, at), Some(Instr::Bin(_))) {
+                return true;
+            }
+            let m = format_args!(
+                "type profile at (instr {at}, slot {slot}), which is not a binary-op operand"
             );
-            return;
+            flag(Rule::PhantomSite, Some(fid), m);
         }
-        let func = self.repo.func(fid);
-        // Legacy records carry no name hash (0) and keep id-as-is identity.
-        let name_hash = bytecode::fnv_str(self.repo.str(func.name));
-        if fp.name_hash != 0 && fp.name_hash != name_hash {
-            self.error(
-                Rule::MisnamedRecord,
-                Some(fid),
-                format!(
-                    "record's name hash {:#x} is not that of function #{} ({name_hash:#x})",
-                    fp.name_hash,
-                    fid.index(),
-                ),
+        false
+    }
+
+    /// A receiver class: at a `GetProp`/`SetProp`, naming a class that
+    /// exists. Each failure is reported.
+    pub(crate) fn prop_class(
+        &self,
+        fid: FuncId,
+        site: u32,
+        class: ClassId,
+        flag: &mut Flag<'_>,
+    ) -> bool {
+        let at_prop = matches!(
+            self.instr(fid, site),
+            Some(Instr::GetProp(_) | Instr::SetProp(_))
+        );
+        if !at_prop {
+            let m =
+                format_args!("property profile at instr {site}, which is not a property access");
+            flag(Rule::PhantomSite, Some(fid), m);
+        }
+        let class_ok = class.index() < self.repo.classes().len();
+        if !class_ok {
+            let m = format_args!(
+                "property site {site} records dangling class #{}",
+                class.index()
             );
-            return;
+            flag(Rule::DanglingId, Some(fid), m);
         }
-        let cfg = Cfg::build(func);
+        at_prop && class_ok
+    }
 
-        let stale = self.func_is_stale(fid, fp, &cfg);
-        if stale {
-            self.error(
-                Rule::StaleCounts,
-                Some(fid),
-                format!(
-                    "block counters ({} blocks) don't match the current CFG ({} blocks{})",
-                    fp.block_counts.len(),
-                    cfg.len(),
-                    if fp.block_counts.len() == cfg.len() {
-                        ", hashes differ"
-                    } else {
-                        ""
-                    },
-                ),
-            );
+    /// A ctx branch counter: at a conditional jump of a function that
+    /// exists, under an inline context that is a real call site.
+    pub(crate) fn ctx_branch(
+        &self,
+        fid: FuncId,
+        at: u32,
+        ictx: InlineCtx,
+        flag: &mut Flag<'_>,
+    ) -> bool {
+        if !func_ok(self.repo, fid) {
+            let m = format_args!("branch counters for dangling function #{}", fid.index());
+            flag(Rule::DanglingId, Some(fid), m);
+            return false;
         }
-
-        // Call-target profiles: real call sites, possible callees. A
-        // phantom site is reported once per callee; the report dedups it.
-        for &((site, callee), _) in fp.call_targets() {
-            if !self.is_call_instr(fid, site) {
-                self.error(
-                    Rule::PhantomSite,
-                    Some(fid),
-                    format!("call-target profile at instr {site}, which is not a call"),
-                );
-            } else if !self.func_ok(callee) {
-                self.error(
-                    Rule::DanglingId,
-                    Some(fid),
-                    format!(
-                        "call site {site} records dangling callee #{}",
-                        callee.index()
-                    ),
-                );
-            } else if !self.graph.can_call(fid, site, callee) {
-                self.error(
-                    Rule::ImpossibleCallArc,
-                    Some(fid),
-                    format!(
-                        "call site {site} records callee #{} that the site cannot dispatch to",
-                        callee.index()
-                    ),
-                );
-            }
+        let at_branch = matches!(self.instr(fid, at), Some(Instr::JmpZ(_) | Instr::JmpNZ(_)));
+        if !at_branch {
+            let m =
+                format_args!("branch counters at instr {at}, which is not a conditional branch");
+            flag(Rule::PhantomSite, Some(fid), m);
         }
+        self.inline_ctx(ictx, flag) && at_branch
+    }
 
-        // Type observations: parameter slots or binary-operator operands.
-        for &((at, slot), _) in fp.types() {
-            if at == PARAM_SITE {
-                if slot as u16 >= func.params || slot >= 8 {
-                    self.error(
-                        Rule::PhantomSite,
-                        Some(fid),
-                        format!(
-                            "type profile for parameter {slot} of a {}-param function",
-                            func.params
-                        ),
-                    );
-                }
-                continue;
-            }
-            let is_bin = matches!(func.code.get(at as usize), Some(Instr::Bin(_)));
-            if !is_bin || slot > 1 {
-                self.error(
-                    Rule::PhantomSite,
-                    Some(fid),
-                    format!("type profile at (instr {at}, slot {slot}), which is not a binary-op operand"),
-                );
-            }
+    /// A ctx entry counter: into a function that exists, from an inline
+    /// context that is a real call site able to dispatch to it.
+    pub(crate) fn ctx_entry(&self, callee: FuncId, ictx: InlineCtx, flag: &mut Flag<'_>) -> bool {
+        if !func_ok(self.repo, callee) {
+            let m = format_args!("entry counters for dangling function #{}", callee.index());
+            flag(Rule::DanglingId, Some(callee), m);
+            return false;
         }
-
-        // Property-access profiles: real property instructions, live classes.
-        for &((site, class), _) in fp.prop_classes() {
-            let is_prop = matches!(
-                func.code.get(site as usize),
-                Some(Instr::GetProp(_) | Instr::SetProp(_))
-            );
-            if !is_prop {
-                self.error(
-                    Rule::PhantomSite,
-                    Some(fid),
-                    format!("property profile at instr {site}, which is not a property access"),
-                );
-            }
-            if !self.class_ok(class) {
-                self.error(
-                    Rule::DanglingId,
-                    Some(fid),
-                    format!(
-                        "property site {site} records dangling class #{}",
-                        class.index()
-                    ),
-                );
-            }
+        if !self.inline_ctx(ictx, flag) {
+            return false;
         }
-
-        // Counters on provably dead blocks, and flow conservation.
-        if !stale {
-            let reachable = reachable_blocks(&cfg);
-            for (b, (&count, &r)) in fp.block_counts.iter().zip(&reachable).enumerate() {
-                if count > 0 && !r {
-                    self.error(
-                        Rule::UnreachableCounter,
-                        Some(fid),
-                        format!("block {b} is unreachable but counted {count} executions"),
-                    );
-                }
+        match ictx {
+            Some((caller, site)) if !self.graph.can_call(caller, site, callee) => {
+                let m = format_args!(
+                    "entry arc from (func#{}, instr {site}) which cannot dispatch to func#{}",
+                    caller.index(),
+                    callee.index()
+                );
+                flag(Rule::ImpossibleCallArc, Some(callee), m);
+                false
             }
-            for message in flow_violations(fid, &cfg, fp, ctx) {
-                self.error(Rule::FlowConservation, Some(fid), message);
-            }
+            _ => true,
         }
     }
 
-    fn lint_ctx(&mut self, ctx: &CtxProfile) {
-        for &((fid, at, ictx), _) in ctx.branches() {
-            if !self.func_ok(fid) {
-                self.error(
-                    Rule::DanglingId,
-                    Some(fid),
-                    format!("branch counters for dangling function #{}", fid.index()),
-                );
-                continue;
-            }
-            let code = &self.repo.func(fid).code;
-            if !matches!(
-                code.get(at as usize),
-                Some(Instr::JmpZ(_) | Instr::JmpNZ(_))
-            ) {
-                self.error(
-                    Rule::PhantomSite,
-                    Some(fid),
-                    format!("branch counters at instr {at}, which is not a conditional branch"),
-                );
-            }
-            self.lint_inline_ctx(ictx);
-        }
-        for &((callee, ictx), _) in ctx.entries() {
-            if !self.func_ok(callee) {
-                self.error(
-                    Rule::DanglingId,
-                    Some(callee),
-                    format!("entry counters for dangling function #{}", callee.index()),
-                );
-                continue;
-            }
-            if self.lint_inline_ctx(ictx) {
-                if let Some((caller, site)) = ictx {
-                    if !self.graph.can_call(caller, site, callee) {
-                        self.error(
-                            Rule::ImpossibleCallArc,
-                            Some(callee),
-                            format!(
-                                "entry arc from (func#{}, instr {site}) which cannot dispatch to func#{}",
-                                caller.index(),
-                                callee.index()
-                            ),
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    /// Checks an inline-context key; returns whether it was structurally
-    /// valid (so arc checks can build on it).
-    fn lint_inline_ctx(&mut self, ictx: jit::InlineCtx) -> bool {
+    /// An inline-context key: none, or a call instruction of a function
+    /// that exists.
+    fn inline_ctx(&self, ictx: InlineCtx, flag: &mut Flag<'_>) -> bool {
         let Some((caller, site)) = ictx else {
             return true;
         };
-        if !self.func_ok(caller) {
-            self.error(
-                Rule::DanglingId,
-                Some(caller),
-                format!("inline context names dangling caller #{}", caller.index()),
+        if !func_ok(self.repo, caller) {
+            let m = format_args!("inline context names dangling caller #{}", caller.index());
+            flag(Rule::DanglingId, Some(caller), m);
+        } else if !self.is_call(caller, site) {
+            let m = format_args!(
+                "inline context site (func#{}, instr {site}) is not a call",
+                caller.index()
             );
-            return false;
+            flag(Rule::PhantomSite, Some(caller), m);
+        } else {
+            return true;
         }
-        if !self.is_call_instr(caller, site) {
-            self.error(
-                Rule::PhantomSite,
-                Some(caller),
-                format!(
-                    "inline context site (func#{}, instr {site}) is not a call",
-                    caller.index()
-                ),
-            );
-            return false;
+        false
+    }
+}
+
+/// The order-list rules, applied to each list in order: an entry is
+/// admissible when its id is in range and no earlier admissible entry
+/// named the same unit, function or class; a property order must also
+/// permute (a subset of) its class's own layer.
+#[derive(Default)]
+struct Orders {
+    units: HashSet<UnitId>,
+    funcs: HashSet<FuncId>,
+    classes: HashSet<ClassId>,
+}
+
+impl Orders {
+    fn unit(&mut self, repo: &Repo, u: UnitId, flag: &mut Flag<'_>) -> bool {
+        let idx = u.index();
+        if idx >= repo.units().len() {
+            let m = format_args!("unit order names dangling unit #{idx}");
+            flag(Rule::DanglingId, None, m);
+        } else if !self.units.insert(u) {
+            let m = format_args!("unit order repeats unit #{idx}");
+            flag(Rule::BadOrder, None, m);
+        } else {
+            return true;
         }
-        true
+        false
     }
 
-    fn lint_orders(&mut self, view: &ProfileView<'_>) {
-        let mut seen_units = HashSet::new();
-        for &u in view.unit_order {
-            if u.index() >= self.repo.units().len() {
-                self.error(
-                    Rule::DanglingId,
-                    None,
-                    format!("unit order names dangling unit #{}", u.index()),
-                );
-            } else if !seen_units.insert(u) {
-                self.error(
-                    Rule::BadOrder,
-                    None,
-                    format!("unit order repeats unit #{}", u.index()),
-                );
+    fn func(&mut self, repo: &Repo, f: FuncId, flag: &mut Flag<'_>) -> bool {
+        let idx = f.index();
+        if !func_ok(repo, f) {
+            let m = format_args!("function order names dangling function #{idx}");
+            flag(Rule::DanglingId, Some(f), m);
+        } else if !self.funcs.insert(f) {
+            let m = format_args!("function order repeats function #{idx}");
+            flag(Rule::BadOrder, Some(f), m);
+        } else {
+            return true;
+        }
+        false
+    }
+
+    fn prop_order(
+        &mut self,
+        repo: &Repo,
+        class: ClassId,
+        order: &[StrId],
+        flag: &mut Flag<'_>,
+    ) -> bool {
+        let idx = class.index();
+        if idx >= repo.classes().len() {
+            let m = format_args!("property order for dangling class #{idx}");
+            flag(Rule::DanglingId, None, m);
+            return false;
+        }
+        let own = is_own_layer_order(repo, class, order);
+        if !own {
+            let m = format_args!(
+                "property order for class #{idx} is not a permutation of its own properties"
+            );
+            flag(Rule::BadOrder, None, m);
+        }
+        if self.classes.contains(&class) {
+            let m = format_args!("duplicate property order for class #{idx}");
+            flag(Rule::BadOrder, None, m);
+            return false;
+        }
+        own && self.classes.insert(class)
+    }
+}
+
+/// Drops every order-list entry the lint flags, keeping the rest in
+/// order: dangling and repeated units and functions, property orders for
+/// a dangling class, ones that do not permute the class's own layer, and
+/// any after the first admissible order for a class.
+pub fn prune_orders(
+    repo: &Repo,
+    unit_order: &mut Vec<UnitId>,
+    func_order: &mut Vec<FuncId>,
+    prop_orders: &mut Vec<(ClassId, Vec<StrId>)>,
+) {
+    let mut o = Orders::default();
+    unit_order.retain(|&u| o.unit(repo, u, &mut ignore));
+    func_order.retain(|&f| o.func(repo, f, &mut ignore));
+    prop_orders.retain(|(class, order)| o.prop_order(repo, *class, order, &mut ignore));
+}
+
+fn lint_func_profile(
+    sites: &Sites<'_>,
+    ctx: &CtxProfile,
+    fid: FuncId,
+    fp: &FuncProfile,
+    flag: &mut Flag<'_>,
+) {
+    let repo = sites.repo;
+    if !func_ok(repo, fid) {
+        let m = format_args!(
+            "profile for function #{} but repo has {}",
+            fid.index(),
+            repo.funcs().len()
+        );
+        flag(Rule::DanglingId, Some(fid), m);
+        return;
+    }
+    let func = repo.func(fid);
+    // Legacy records carry no name hash (0) and keep id-as-is identity.
+    let name_hash = bytecode::fnv_str(repo.str(func.name));
+    if fp.name_hash != 0 && fp.name_hash != name_hash {
+        let m = format_args!(
+            "record's name hash {:#x} is not that of function #{} ({name_hash:#x})",
+            fp.name_hash,
+            fid.index(),
+        );
+        flag(Rule::MisnamedRecord, Some(fid), m);
+        return;
+    }
+    let cfg = Cfg::build(func);
+
+    let fits = counters_fit(fp, &cfg.block_hashes(func, repo));
+    if !fits {
+        let (have, want) = (fp.block_counts.len(), cfg.len());
+        let hashes = if have == want { ", hashes differ" } else { "" };
+        let m = format_args!(
+            "block counters ({have} blocks) don't match the current CFG ({want} blocks{hashes})"
+        );
+        flag(Rule::StaleCounts, Some(fid), m);
+    }
+
+    // A phantom call site is reported once per callee; the report dedups it.
+    for &((site, callee), _) in fp.call_targets() {
+        sites.call_target(fid, site, callee, flag);
+    }
+    for &((at, slot), _) in fp.types() {
+        sites.type_site(fid, at, slot, flag);
+    }
+    for &((site, class), _) in fp.prop_classes() {
+        sites.prop_class(fid, site, class, flag);
+    }
+
+    // Counters on provably dead blocks, and flow conservation.
+    if fits {
+        let reachable = reachable_blocks(&cfg);
+        for (b, (&count, &r)) in fp.block_counts.iter().zip(&reachable).enumerate() {
+            if count > 0 && !r {
+                let m = format_args!("block {b} is unreachable but counted {count} executions");
+                flag(Rule::UnreachableCounter, Some(fid), m);
             }
         }
-        let mut seen_funcs = HashSet::new();
-        for &f in view.func_order {
-            if !self.func_ok(f) {
-                self.error(
-                    Rule::DanglingId,
-                    Some(f),
-                    format!("function order names dangling function #{}", f.index()),
-                );
-            } else if !seen_funcs.insert(f) {
-                self.error(
-                    Rule::BadOrder,
-                    Some(f),
-                    format!("function order repeats function #{}", f.index()),
-                );
-            }
-        }
-        let mut seen_classes = HashSet::new();
-        for (class, order) in view.prop_orders {
-            if !self.class_ok(*class) {
-                self.error(
-                    Rule::DanglingId,
-                    None,
-                    format!("property order for dangling class #{}", class.index()),
-                );
-                continue;
-            }
-            if !seen_classes.insert(*class) {
-                self.error(
-                    Rule::BadOrder,
-                    None,
-                    format!("duplicate property order for class #{}", class.index()),
-                );
-            }
-            if !is_own_layer_order(self.repo, *class, order) {
-                self.error(
-                    Rule::BadOrder,
-                    None,
-                    format!(
-                        "property order for class #{} is not a permutation of its own properties",
-                        class.index()
-                    ),
-                );
-            }
+        for message in flow_violations(fid, &cfg, fp, ctx) {
+            flag(Rule::FlowConservation, Some(fid), format_args!("{message}"));
         }
     }
 }
@@ -490,26 +511,37 @@ pub fn lint_profile_with(repo: &Repo, view: &ProfileView<'_>, _opts: &LintOption
 /// The repo is assumed to pass [`bytecode::verify_repo`]; the linter
 /// checks the *profile*, not the code.
 pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
-    let mut l = Linter {
-        repo,
-        graph: CallGraph::build(repo),
-        out: Vec::new(),
+    let sites = Sites::new(repo);
+    let mut orders = Orders::default();
+    let mut diagnostics = Vec::new();
+    let flag: &mut Flag<'_> = &mut |rule, func, message| {
+        diagnostics.push(Diagnostic {
+            rule,
+            func,
+            message: message.to_string(),
+        })
     };
 
     for (&fid, fp) in &view.tier.funcs {
-        l.lint_func_profile(view.ctx, fid, fp);
+        lint_func_profile(&sites, view.ctx, fid, fp, flag);
     }
-    l.lint_ctx(view.ctx);
-    l.lint_orders(view);
+    for &((fid, at, ictx), _) in view.ctx.branches() {
+        sites.ctx_branch(fid, at, ictx, flag);
+    }
+    for &((callee, ictx), _) in view.ctx.entries() {
+        sites.ctx_entry(callee, ictx, flag);
+    }
+    for &u in view.unit_order {
+        orders.unit(repo, u, flag);
+    }
+    for &f in view.func_order {
+        orders.func(repo, f, flag);
+    }
+    for (class, order) in view.prop_orders {
+        orders.prop_order(repo, *class, order, flag);
+    }
 
-    let mut diagnostics = l.out;
-    diagnostics.sort_by(|a, b| {
-        (a.rule, a.func.map(|f| f.index()), &a.message).cmp(&(
-            b.rule,
-            b.func.map(|f| f.index()),
-            &b.message,
-        ))
-    });
+    diagnostics.sort_by(|a, b| (a.rule, a.func, &a.message).cmp(&(b.rule, b.func, &b.message)));
     diagnostics.dedup();
     LintReport { diagnostics }
 }
@@ -517,7 +549,7 @@ pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bytecode::{BinOp, FuncBuilder, RepoBuilder};
+    use bytecode::{BinOp, FuncBuilder, Literal, RepoBuilder, Visibility};
     use jit::ProfileCollector;
     use vm::{Value, Vm};
 
@@ -757,6 +789,40 @@ mod tests {
         assert!(report.errors().any(|d| d.rule == Rule::BadOrder));
         assert!(report.errors().any(|d| d.rule == Rule::DanglingId));
         assert!(report.error_count() >= 3);
+    }
+
+    #[test]
+    fn the_first_admissible_property_order_is_the_class_order() {
+        let mut b = RepoBuilder::new();
+        let u = b.declare_unit("k.hl");
+        let prop = |n: &str| (n.to_string(), Literal::Null, Visibility::Public);
+        let k = b.declare_class(u, "K", None, vec![prop("a"), prop("b")]);
+        let repo = b.finish();
+        let name = |s: &str| repo.str_id(s).unwrap();
+        let (tier, ctx) = (TierProfile::default(), CtxProfile::default());
+        // The class's own name is no property: the first order is
+        // inadmissible, so the second is K's order and the third repeats it.
+        let mut prop_orders = vec![
+            (k, vec![name("K")]),
+            (k, vec![name("b"), name("a")]),
+            (k, vec![name("a")]),
+        ];
+        let lint = |prop_orders: &[(ClassId, Vec<StrId>)]| -> Vec<String> {
+            let v = ProfileView {
+                prop_orders,
+                ..view(&tier, &ctx)
+            };
+            lint_profile(&repo, &v)
+                .errors()
+                .map(|d| d.to_string())
+                .collect()
+        };
+        let not_own = "error[bad-order]: property order for class #0 is not a permutation of its own properties";
+        let repeat = "error[bad-order]: duplicate property order for class #0";
+        assert_eq!(lint(&prop_orders[..2]), [not_own]);
+        assert_eq!(lint(&prop_orders), [repeat, not_own]);
+        prune_orders(&repo, &mut Vec::new(), &mut Vec::new(), &mut prop_orders);
+        assert_eq!(prop_orders, [(k, vec![name("b"), name("a")])]);
     }
 
     #[test]

@@ -27,17 +27,20 @@
 //!    Kirchhoff flow lint as a fresh one.
 //!
 //! Functions whose counter mass mostly lands on unmatched blocks are still
-//! dropped (`MIN_MATCHED_MASS`), and instruction-indexed counters (call
-//! targets, types, branch outcomes) that no longer point at a matching
-//! profile point are pruned, as before.
+//! dropped (`MIN_MATCHED_MASS`). Freshness and pruning are the lint's own
+//! checks ([`crate::lint`]): a function is fresh when its counters fit the
+//! current CFG by the lint's shape rule, and every instruction-indexed
+//! entry (call targets, types, receiver classes, ctx branches and entries)
+//! the lint's site rules reject is pruned, so the repaired profile trips
+//! none of them.
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use bytecode::{Cfg, Fnv, FuncId, Instr, Repo};
-use jit::{CtxProfile, FuncProfile, TierProfile, PARAM_SITE};
+use bytecode::{Cfg, Fnv, FuncId, Repo};
+use jit::{CtxProfile, FuncProfile, TierProfile};
 
-use crate::callgraph::CallGraph;
 use crate::flow::{flow_violations, infer_flow};
+use crate::lint::{counters_fit, func_ok, ignore, Sites};
 
 /// Minimum fraction of a function's counter mass that must land on
 /// hash-matched blocks for the repair to be trusted.
@@ -183,7 +186,7 @@ pub fn repair_profile_with(
     opts: &RepairOptions,
 ) -> RepairReport {
     let mut report = RepairReport::default();
-    let graph = CallGraph::build(repo);
+    let sites = Sites::new(repo);
 
     // ---- Phase 1: function identity --------------------------------
     resolve_identities(repo, tier, ctx, opts.mode, &mut report);
@@ -194,11 +197,9 @@ pub fn repair_profile_with(
         let func = repo.func(fid);
         let cfg = Cfg::build(func);
         let cur_exact = cfg.block_hashes(func, repo);
-        let fresh = fp.block_counts.len() == cfg.len()
-            && (fp.block_hashes.is_empty() || fp.block_hashes == cur_exact);
-        if fresh {
+        if counters_fit(fp, &cur_exact) {
             report.stats.funcs_fresh += 1;
-            report.pruned += prune_func_profile(repo, &graph, fid, fp);
+            report.pruned += prune_func_profile(&sites, fid, fp);
             continue;
         }
         let total: u64 = fp.block_counts.iter().sum();
@@ -265,14 +266,14 @@ pub fn repair_profile_with(
                 report.repaired.push(fid);
             }
         }
-        report.pruned += prune_func_profile(repo, &graph, fid, fp);
+        report.pruned += prune_func_profile(&sites, fid, fp);
     }
     for f in &stale_drops {
         tier.funcs.remove(f);
     }
     report.dropped.extend(stale_drops);
 
-    report.pruned += prune_ctx(repo, &graph, ctx);
+    report.pruned += prune_ctx(&sites, ctx);
 
     // ---- Phase 3: flow rebalance -----------------------------------
     // Pruning can remove part of a fresh function's branch data (e.g. its
@@ -317,7 +318,6 @@ fn resolve_identities(
     mode: MatchMode,
     report: &mut RepairReport,
 ) {
-    let func_count = repo.funcs().len();
     let full = mode == MatchMode::Full;
 
     let mut by_name: HashMap<u64, Option<FuncId>> = HashMap::new();
@@ -347,7 +347,7 @@ fn resolve_identities(
     for (&fid, fp) in &tier.funcs {
         let target = if full && fp.name_hash != 0 {
             by_name.get(&fp.name_hash).copied().flatten()
-        } else if fid.index() < func_count {
+        } else if func_ok(repo, fid) {
             Some(fid)
         } else {
             None
@@ -416,65 +416,19 @@ fn refresh_signatures(repo: &Repo, fid: FuncId, fp: &mut FuncProfile, cfg: &Cfg)
     fp.block_opcode_hashes = cfg.block_opcode_hashes(func);
 }
 
-/// Drops instruction-indexed entries of one function profile whose
-/// profile point doesn't exist in the current code. Returns how many.
-fn prune_func_profile(repo: &Repo, graph: &CallGraph, fid: FuncId, fp: &mut FuncProfile) -> usize {
-    let func = repo.func(fid);
-    let func_count = repo.funcs().len();
-    let class_count = repo.classes().len();
-    let instr = |at: u32| func.code.get(at as usize);
-
-    let mut pruned = fp.retain_call_targets(|site, callee| {
-        matches!(
-            instr(site),
-            Some(Instr::Call { .. } | Instr::CallMethod { .. })
-        ) && callee.index() < func_count
-            && graph.can_call(fid, site, callee)
-    });
-    pruned += fp.retain_types(|at, slot| {
-        if at == PARAM_SITE {
-            (slot as u16) < func.params && slot < 8
-        } else {
-            slot <= 1 && matches!(instr(at), Some(Instr::Bin(_)))
-        }
-    });
-    pruned += fp.retain_prop_classes(|site, class| {
-        matches!(instr(site), Some(Instr::GetProp(_) | Instr::SetProp(_)))
-            && class.index() < class_count
-    });
-    pruned
+/// Drops the instruction-indexed entries of one function profile that the
+/// lint's site rules reject. Returns how many.
+fn prune_func_profile(sites: &Sites<'_>, fid: FuncId, fp: &mut FuncProfile) -> usize {
+    fp.retain_call_targets(|site, callee| sites.call_target(fid, site, callee, &mut ignore))
+        + fp.retain_types(|at, slot| sites.type_site(fid, at, slot, &mut ignore))
+        + fp.retain_prop_classes(|site, class| sites.prop_class(fid, site, class, &mut ignore))
 }
 
-fn prune_ctx(repo: &Repo, graph: &CallGraph, ctx: &mut CtxProfile) -> usize {
-    let func_count = repo.funcs().len();
-    let ctx_ok = |ictx: jit::InlineCtx| match ictx {
-        None => true,
-        Some((caller, site)) => {
-            caller.index() < func_count
-                && matches!(
-                    repo.func(caller).code.get(site as usize),
-                    Some(Instr::Call { .. } | Instr::CallMethod { .. })
-                )
-        }
-    };
-    let pruned = ctx.retain_branches(|ictx, f, at| {
-        ctx_ok(ictx)
-            && f.index() < func_count
-            && matches!(
-                repo.func(f).code.get(at as usize),
-                Some(Instr::JmpZ(_) | Instr::JmpNZ(_))
-            )
-    });
-    pruned
-        + ctx.retain_entries(|ictx, callee| {
-            if callee.index() >= func_count || !ctx_ok(ictx) {
-                return false;
-            }
-            match ictx {
-                None => true,
-                Some((caller, site)) => graph.can_call(caller, site, callee),
-            }
-        })
+/// Drops the ctx branch and entry counters the lint's site rules reject.
+/// Returns how many.
+fn prune_ctx(sites: &Sites<'_>, ctx: &mut CtxProfile) -> usize {
+    ctx.retain_branches(|ictx, f, at| sites.ctx_branch(f, at, ictx, &mut ignore))
+        + ctx.retain_entries(|ictx, callee| sites.ctx_entry(callee, ictx, &mut ignore))
 }
 
 #[cfg(test)]
@@ -484,7 +438,7 @@ mod tests {
     use jit::ProfileCollector;
     use vm::{Value, Vm};
 
-    use bytecode::{BinOp, FuncBuilder, RepoBuilder};
+    use bytecode::{BinOp, FuncBuilder, Instr, RepoBuilder};
 
     /// Builds one program in several "push" variants:
     /// * `guard` — v2 inserts a prologue guard block into `f`,

@@ -322,13 +322,9 @@ fn section_json(s: &Section) -> String {
     j
 }
 
-/// Pulls `"<key>": <float>` out of the committed baseline without a JSON
-/// parser (the CI gate proper uses python's).
+/// The number under top-level `key` of the committed baseline document.
 fn baseline_value(doc: &str, key: &str) -> Option<f64> {
-    let at = doc.find(&format!("\"{key}\":"))?;
-    let rest = &doc[at + key.len() + 3..];
-    let end = rest.find([',', '\n', '}'])?;
-    rest[..end].trim().parse().ok()
+    telemetry::json::parse(doc).ok()?.get(key)?.as_f64()
 }
 
 fn usage() -> ! {

@@ -8,10 +8,10 @@
 //! profile data from either source.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 
-use analysis::{is_own_layer_order, lint_profile, repair_profile, ProfileView, RepairReport};
+use analysis::{lint_profile, prune_orders, repair_profile, ProfileView, RepairReport};
 use bytecode::{ClassId, FuncId, Repo, StrId, UnitId};
 use jit::{JitEngine, JitOptions, TierProfile, WeightSource};
 use vm::ClassTable;
@@ -88,29 +88,17 @@ pub struct ConsumerOutcome<'r> {
 }
 
 /// Repairs a package's profile against the current repo: remaps stale
-/// block counters by structural hash, drops unrepairable functions,
-/// prunes dangling/phantom entries and sanitizes the order lists.
+/// block counters by structural hash, drops unrepairable functions, and
+/// drops every entry and order the lint's site and order rules reject.
 fn repair_package(repo: &Repo, pkg: &ProfilePackage) -> (ProfilePackage, RepairReport) {
     let mut fixed = pkg.clone();
     let report = repair_profile(repo, &mut fixed.tier, &mut fixed.ctx);
-    let mut seen_units = HashSet::new();
-    fixed
-        .preload
-        .unit_order
-        .retain(|u| u.index() < repo.units().len() && seen_units.insert(*u));
-    let mut seen_funcs = HashSet::new();
-    fixed
-        .func_order
-        .retain(|f| f.index() < repo.funcs().len() && seen_funcs.insert(*f));
-    // A property order is installable when its class exists, it permutes
-    // (a subset of) that class's own layer and no earlier order named the
-    // same class.
-    let mut seen_classes = HashSet::new();
-    fixed.prop_orders.retain(|(class, order)| {
-        class.index() < repo.classes().len()
-            && is_own_layer_order(repo, *class, order)
-            && seen_classes.insert(*class)
-    });
+    prune_orders(
+        repo,
+        &mut fixed.preload.unit_order,
+        &mut fixed.func_order,
+        &mut fixed.prop_orders,
+    );
     (fixed, report)
 }
 

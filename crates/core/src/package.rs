@@ -35,6 +35,19 @@ pub enum Poison {
     },
 }
 
+impl Poison {
+    /// Whether one simulated boot with a package carrying this marker
+    /// crashes. A latent bug draws once from `rng`; the other markers
+    /// draw nothing.
+    pub fn boot_crashes(self, rng: &mut impl rand::Rng) -> bool {
+        match self {
+            Poison::None => false,
+            Poison::CompileCrash => true,
+            Poison::RuntimeCrash { per_mille } => rng.gen_range(0..1000) < per_mille as u32,
+        }
+    }
+}
+
 /// Profile coverage, checked against thresholds before publication
 /// (§VI-B).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]

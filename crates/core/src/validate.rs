@@ -14,11 +14,11 @@ use analysis::lint_profile;
 use bytecode::Repo;
 use jit::JitOptions;
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::config::JumpStartOptions;
 use crate::consumer::{consume, ConsumerError};
-use crate::package::{Poison, ProfilePackage};
+use crate::package::ProfilePackage;
 use crate::wire::WireError;
 
 /// Why validation rejected a package.
@@ -173,7 +173,7 @@ impl Validator {
         let mut rng =
             SmallRng::seed_from_u64(pkg.meta.seeder_id ^ pkg.meta.created_ms.rotate_left(17));
         for trial in 0..self.opts.validation_trials {
-            if boot_crashes(pkg, &mut rng) {
+            if pkg.meta.poison.boot_crashes(&mut rng) {
                 return Err(ValidationError::Unhealthy { trial });
             }
         }
@@ -186,19 +186,10 @@ impl Validator {
     }
 }
 
-/// Whether one simulated boot with this package crashes (latent-bug model).
-pub(crate) fn boot_crashes(pkg: &ProfilePackage, rng: &mut SmallRng) -> bool {
-    match pkg.meta.poison {
-        Poison::None => false,
-        Poison::CompileCrash => true,
-        Poison::RuntimeCrash { per_mille } => rng.gen_range(0..1000) < per_mille as u32,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::package::{Coverage, PackageMeta};
+    use crate::package::{Coverage, PackageMeta, Poison};
     use crate::seeder::{build_package, SeederInputs};
     use jit::ProfileCollector;
     use vm::{Value, Vm};

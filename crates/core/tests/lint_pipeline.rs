@@ -6,10 +6,12 @@
 //! * a hash-matched stale package (collected against an older build) is
 //!   repaired by the consumer and accepted,
 //! * property tests: freshly collected packages lint clean, randomly
-//!   mutated ones are flagged.
+//!   mutated ones are flagged, and the repair drops exactly the entries
+//!   the lint flags at their sites and in the order lists.
 
-use bytecode::{FuncId, Repo};
-use jit::{JitOptions, ProfileCollector};
+use analysis::{LintReport, ProfileView, Rule};
+use bytecode::{ClassId, FuncId, Instr, Repo, UnitId};
+use jit::{BranchCount, JitOptions, ProfileCollector, TypeDist, PARAM_SITE};
 use jumpstart::{
     build_package, consume, JumpStartOptions, Poison, ProfilePackage, SeederInputs,
     ValidationError, Validator,
@@ -72,7 +74,37 @@ const SRC_V2: &str = r#"
     }
 "#;
 
+/// A class, a call, binary ops and property accesses in one loop: every
+/// kind of instruction-indexed profile entry.
+const SRC_SITES: &str = r#"
+    class K { public $a = 1; public $b = 2; }
+    function work($x) { return $x * 3 + 1; }
+    function main($n) {
+        $o = new K();
+        $s = 0;
+        for ($i = 0; $i < $n; $i++) {
+            $s += work($i);
+            $o->a = $s;
+            $s = $s + $o->b;
+        }
+        return $s;
+    }
+"#;
+
 type Inject = fn(&mut ProfilePackage);
+
+fn lint(repo: &Repo, pkg: &ProfilePackage) -> LintReport {
+    analysis::lint_profile(
+        repo,
+        &ProfileView {
+            tier: &pkg.tier,
+            ctx: &pkg.ctx,
+            unit_order: &pkg.preload.unit_order,
+            prop_orders: &pkg.prop_orders,
+            func_order: &pkg.func_order,
+        },
+    )
+}
 
 fn lax_validator() -> Validator {
     Validator::new(
@@ -106,6 +138,58 @@ fn inject_stale_cfg(pkg: &mut ProfilePackage) {
     let f = first_func(pkg);
     let prof = pkg.tier.funcs.get_mut(&f).unwrap();
     prof.block_hashes[0] ^= 0xbad_cafe;
+}
+
+/// Kinds of site-level corruption [`inject_site_corruption`] knows; the
+/// first [`PROFILE_CORRUPTIONS`] are profile entries, the rest order-list
+/// entries.
+const SITE_CORRUPTIONS: u32 = 14;
+const PROFILE_CORRUPTIONS: u32 = 9;
+
+/// Adds one inadmissible entry of kind `kind` to a fresh [`SRC_SITES`]
+/// package and returns the rule the lint must flag it under.
+fn inject_site_corruption(repo: &Repo, pkg: &mut ProfilePackage, kind: u32, salt: u64) -> Rule {
+    let main = repo.func_by_name("main").unwrap().id;
+    let work = repo.func_by_name("work").unwrap().id;
+    let code = &repo.func(main).code;
+    let at = |want: fn(&Instr) -> bool| code.iter().position(want).unwrap() as u32;
+    let call = at(|i| matches!(i, Instr::Call { .. }));
+    let bin = at(|i| matches!(i, Instr::Bin(_)));
+    let prop = at(|i| matches!(i, Instr::GetProp(_) | Instr::SetProp(_)));
+    let classes = repo.classes().len() as u32;
+    let fp = pkg.tier.funcs.get_mut(&main).unwrap();
+    let branch = BranchCount {
+        taken: salt,
+        not_taken: 1,
+    };
+    match kind {
+        // Call targets: at a non-call, to a dangling callee, to a callee
+        // the site cannot dispatch to.
+        0 => fp.record_call(bin, work, salt),
+        1 => fp.record_call(call, FuncId::new(9_999), salt),
+        2 => fp.record_call(call, main, salt),
+        // Types: a binary op's third operand, a parameter past main's one.
+        3 => fp.record_types(bin, 2, &TypeDist::default()),
+        4 => fp.record_types(PARAM_SITE, 1, &TypeDist::default()),
+        5 => fp.record_prop_class(prop, ClassId::new(classes + 3), salt),
+        // Ctx: a branch counter at a non-branch; entries from a site that
+        // cannot dispatch to the callee, and from a non-call.
+        6 => pkg.ctx.record_branch(None, main, bin, &branch),
+        7 => pkg.ctx.record_entry(Some((main, call)), main, salt),
+        8 => pkg.ctx.record_entry(Some((main, bin)), work, salt),
+        // Orders: dangling and repeated entries, a dangling class.
+        9 => pkg.func_order.push(FuncId::new(9_999)),
+        10 => pkg.func_order.push(pkg.func_order[0]),
+        11 => pkg.preload.unit_order.push(UnitId::new(999)),
+        12 => pkg.preload.unit_order.push(pkg.preload.unit_order[0]),
+        _ => pkg.prop_orders.push((ClassId::new(classes), Vec::new())),
+    }
+    match kind {
+        1 | 5 | 9 | 11 | 13 => Rule::DanglingId,
+        2 | 7 => Rule::ImpossibleCallArc,
+        10 | 12 => Rule::BadOrder,
+        _ => Rule::PhantomSite,
+    }
 }
 
 /// Each corruption class must be rejected as a *static* failure even when
@@ -232,16 +316,7 @@ proptest! {
     #[test]
     fn fresh_packages_lint_clean(n in 1i64..50, requests in 1usize..8) {
         let (repo, pkg) = collect_package(SRC_V2, n, requests);
-        let report = analysis::lint_profile(
-            &repo,
-            &analysis::ProfileView {
-                tier: &pkg.tier,
-                ctx: &pkg.ctx,
-                unit_order: &pkg.preload.unit_order,
-                prop_orders: &pkg.prop_orders,
-                func_order: &pkg.func_order,
-            },
-        );
+        let report = lint(&repo, &pkg);
         prop_assert!(report.is_clean(), "fresh package dirty: {:?}", report.diagnostics);
     }
 
@@ -256,16 +331,54 @@ proptest! {
             1 => bad.tier.funcs.get_mut(&f).unwrap().block_counts[0] += salt,
             _ => bad.tier.funcs.get_mut(&f).unwrap().block_hashes[0] ^= salt,
         }
-        let report = analysis::lint_profile(
-            &repo,
-            &analysis::ProfileView {
-                tier: &bad.tier,
-                ctx: &bad.ctx,
-                unit_order: &bad.preload.unit_order,
-                prop_orders: &bad.prop_orders,
-                func_order: &bad.func_order,
-            },
-        );
+        let report = lint(&repo, &bad);
         prop_assert!(report.error_count() > 0, "mutation kind {kind} went undetected");
+    }
+
+    /// Site-level corruption, any mix of it: the lint flags each injected
+    /// entry once, the repair drops exactly those (the clean entries survive
+    /// unchanged, so the repaired package is the fresh one), the relint is
+    /// clean, and the consumer boots the dirty package as the fresh one.
+    #[test]
+    fn the_repair_drops_exactly_what_the_lint_flags(mask in 1u32..1 << 14, salt in 1u64..1_000) {
+        let (repo, fresh) = collect_package(SRC_SITES, 12, 4);
+        prop_assert!(!fresh.func_order.is_empty() && !fresh.preload.unit_order.is_empty());
+        let mut bad = fresh.clone();
+        let kinds: Vec<u32> = (0..SITE_CORRUPTIONS).filter(|k| mask >> k & 1 == 1).collect();
+        let mut want: Vec<Rule> =
+            kinds.iter().map(|&k| inject_site_corruption(&repo, &mut bad, k, salt)).collect();
+        want.sort();
+        let flagged: Vec<Rule> = lint(&repo, &bad).errors().map(|d| d.rule).collect();
+        prop_assert_eq!(&flagged, &want, "one finding per injected entry");
+
+        // The consumer's repair: the profile, then the order lists.
+        let mut fixed = bad.clone();
+        let report = analysis::repair_profile(&repo, &mut fixed.tier, &mut fixed.ctx);
+        analysis::prune_orders(
+            &repo,
+            &mut fixed.preload.unit_order,
+            &mut fixed.func_order,
+            &mut fixed.prop_orders,
+        );
+        let in_profile = kinds.iter().filter(|&&k| k < PROFILE_CORRUPTIONS).count();
+        prop_assert_eq!(report.pruned, in_profile);
+        prop_assert!(report.repaired.is_empty() && report.dropped.is_empty(), "{:?}", report);
+        prop_assert!(lint(&repo, &fixed).is_clean());
+        prop_assert_eq!(&fixed.tier, &fresh.tier);
+        prop_assert_eq!(&fixed.ctx, &fresh.ctx);
+        prop_assert_eq!(&fixed.preload.unit_order, &fresh.preload.unit_order);
+        prop_assert_eq!(&fixed.func_order, &fresh.func_order);
+        prop_assert_eq!(&fixed.prop_orders, &fresh.prop_orders);
+
+        let boot = |pkg: &ProfilePackage| {
+            consume(&repo, pkg, JitOptions::default(), &JumpStartOptions::default(), 1)
+        };
+        let (got, clean) = (boot(&bad).unwrap(), boot(&fresh).unwrap());
+        prop_assert_eq!(got.repair, Some(report));
+        prop_assert!(clean.repair.is_none());
+        let digest = |out: &jumpstart::ConsumerOutcome<'_>| out.engine.code_cache.layout_digest();
+        prop_assert_eq!(digest(&got), digest(&clean));
+        prop_assert_eq!(got.unit_order, clean.unit_order);
+        prop_assert_eq!(got.prop_slots, clean.prop_slots);
     }
 }

@@ -181,14 +181,7 @@ pub fn run_crashloop(params: &CrashLoopParams) -> CrashLoopReport {
                     via_fallback[s] = true;
                 }
                 BootDecision::TryPackage(pkg) => {
-                    let crashes = match pkg.meta.poison {
-                        Poison::None => false,
-                        Poison::CompileCrash => true,
-                        Poison::RuntimeCrash { per_mille } => {
-                            rng.gen_range(0..1000) < per_mille as u32
-                        }
-                    };
-                    if crashes {
+                    if pkg.meta.poison.boot_crashes(&mut rng) {
                         crashed += 1;
                     } else {
                         ctl.record_healthy();
