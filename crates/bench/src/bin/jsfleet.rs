@@ -8,14 +8,21 @@
 //! numbers and writes `BENCH_fleet.json` (events/sec, wall time, fleet
 //! p50/p95/p99 boot and ready times, capacity loss) for the CI gate.
 //!
+//! `events` and `events_per_sec` count accounted server steps: each
+//! server's steps up to quiescence, as if it were stepped alone. Servers
+//! of a cell share their post-serve lives, so far fewer steps are
+//! simulated; `lives` and `life_steps` say how many lives and steps were.
+//!
 //! Usage:
 //!   jsfleet              paper-scale run, writes BENCH_fleet.json
 //!   jsfleet --check      CI smoke: small fleet on 1, 2 and 3 shards (3
 //!                        leaves a ragged last seeding window), asserts
 //!                        the reports are bit-identical, the
 //!                        digest equals its pinned value and the counters
-//!                        are sane. Writes nothing. Exits nonzero on any
-//!                        violation.
+//!                        are sane (on every shard count, no more lives
+//!                        than servers and no more life steps than
+//!                        accounted steps). Writes nothing. Exits nonzero
+//!                        on any violation.
 //!   jsfleet --shards N   override the shard (thread) count
 //!   jsfleet --servers N  override consumers per cell
 //!   jsfleet --trace F    additionally write the representative servers'
@@ -156,6 +163,10 @@ fn print_summary(report: &DeployReport, wall_ms: f64, events_per_sec: f64) {
         sim.steps_dense as f64 / sim.steps_executed.max(1) as f64,
     );
     println!(
+        "  {} distinct lives simulated {} steps for them all",
+        sim.lives, sim.life_steps,
+    );
+    println!(
         "  {:.2}M simulated requests in {:.0} ms wall ({:.0} events/sec)",
         sim.requests / 1e6,
         wall_ms,
@@ -238,6 +249,18 @@ fn check() {
             "aggregates must not depend on shard count ({shards} shards)"
         );
     }
+    for run in [&one, &two, &three] {
+        let (sim, shards) = (run.sim, run.sim.shards);
+        // Not equal across shard counts: each shard keeps its own lives.
+        assert!(
+            sim.lives <= sim.servers as u64,
+            "more lives than servers ({shards} shards)"
+        );
+        assert!(
+            sim.life_steps <= sim.steps_executed,
+            "lives computed more steps than the servers account ({shards} shards)"
+        );
+    }
     assert!(one.published > 0, "seeding must publish packages");
     assert!(one.sim.requests > 0.0, "fleet must serve requests");
     assert!(
@@ -302,6 +325,12 @@ fn check() {
         "  fold: {} distinct timelines for {} servers",
         one.sim.classified, one.sim.servers
     );
+    for run in [&one, &two, &three] {
+        println!(
+            "  fan-out on {} shard(s): {} lives, {} life steps for {} accounted",
+            run.sim.shards, run.sim.lives, run.sim.life_steps, run.sim.steps_executed
+        );
+    }
     println!(
         "  ok: digest 0x{:08x}, {} servers ({}/{} classified), reduction {:.1}%, wire ratio {:.2}, wall {:.0}+{:.0} ms",
         one.digest(),
@@ -382,6 +411,7 @@ fn main() {
          \"servers\":{},\"consumers\":{},\"baselines\":{},\
          \"published\":{},\"validation_failures\":{},\"seeder_crashes\":{},\
          \"events\":{},\"steps_executed\":{},\"steps_dense\":{},\
+         \"lives\":{},\"life_steps\":{},\
          \"total_requests\":{:.0},\"wall_ms\":{wall_ms:.1},\"events_per_sec\":{events_per_sec:.0},\
          \"digest\":{},",
         sim.shards,
@@ -396,6 +426,8 @@ fn main() {
         sim.events,
         sim.steps_executed,
         sim.steps_dense,
+        sim.lives,
+        sim.life_steps,
         sim.requests,
         report.digest(),
     );

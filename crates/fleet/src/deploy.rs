@@ -29,27 +29,37 @@
 //!    decisions — restart stagger, boot-time jitter, degraded-host roll,
 //!    package pick — are drawn up front from a per-server RNG stream
 //!    keyed only by the deployment seed and the server's global id.
-//!    Servers are independent, so each shard maps
-//!    [`run_server`](crate::run_server) over its slots one at a time and
-//!    reduces each run in place: classify the timeline, fold it into a
-//!    shard-local [`WarmupAccumulator`], compact it to a [`ServerStat`].
-//!    Servers of one cell differ only in jitter, host and download
-//!    rolls, which shift when serving starts; on the fixed sample grid
-//!    their post-serve series mostly repeat exactly, so the accumulator
-//!    classifies each distinct one once. Slots are laid out cell by
-//!    cell, and each shard clears that memo when it moves to the next
-//!    cell: it never holds more than one cell's distinct series (a few
-//!    dozen at bench scale).
+//!    Servers are independent, so each shard runs its slots one at a
+//!    time and reduces each run in place: classify the timeline, fold it
+//!    into a shard-local [`WarmupAccumulator`], compact it to a
+//!    [`ServerStat`]. Servers of one cell differ only in jitter, host and
+//!    download rolls, which move only their boot costs and so when
+//!    serving starts. Their serving steps then repeat exactly whenever
+//!    they agree on the package, the non-boot calibration, a baseline's
+//!    point-A step and, on a degrading host, the first step's end (the
+//!    life key; the argument is in [`crate::server`]'s docs). So each
+//!    shard runs its servers through one [`Lives`] cache: a cell's
+//!    distinct lives are stepped once, every server reads its samples,
+//!    requests and lifecycle points off one, shifted to its own clock
+//!    and cut at its own window, and a hit builds no simulation state.
+//!    On the fixed sample grid the post-serve series then mostly repeat
+//!    too, so the accumulator classifies each distinct one once. Slots
+//!    are laid out cell by cell, and each shard resets its lives and
+//!    clears the classifier memo when it moves to the next cell: it
+//!    never holds more than one cell's distinct lives and series (a few
+//!    and a few dozen at bench scale).
 //! 4. **Fold.** The orchestrator merges the accumulators, orders the
-//!    stats by gid and sums. Shards consume no randomness and share no
-//!    mutable state, so nothing here depends on the shard count.
+//!    stats by gid and sums, then summarizes the two arms side by side.
+//!    Shards consume no randomness and share no mutable state, so
+//!    nothing here depends on the shard count.
 //!
 //! Each stage is a telemetry span on the orchestrator's track:
 //! `c2-seeding` (one `publish` per package), `cell-prep`, `c3-fanout`
+//! (ending with the `lives` simulated and the `life_steps` they took)
 //! and `fold`, inside `deployment`. A job on another thread opens its
 //! `seeder` or `cell-prep` span on that thread's track.
 //!
-//! Memory stays flat at scale: one server's state is live per shard at a
+//! Memory stays flat at scale: one cell's lives are live per shard at a
 //! time, and only each cell's representative servers keep their timeline
 //! (and with it a Chrome-trace track) past the shard. Every server, kept
 //! or not, leaves a compact [`ServerStat`]; those feed the fleet-wide
@@ -73,7 +83,7 @@ use crate::metrics::Timeline;
 use crate::model::{
     build_app_model_with, measure_endpoint_calls, AppModel, EndpointCalls, WarmupParams,
 };
-use crate::server::{run_planned, ServerPlan};
+use crate::server::{Lives, ServerPlan};
 use crate::warmup::{WarmupAccumulator, WarmupAnalysisParams, WarmupClass, WarmupReport};
 
 /// Most servers a single Chrome trace will carry per group; beyond this
@@ -324,6 +334,14 @@ pub struct ShardStats {
     /// (each shard memoizes on its own), so shard-invariance checks
     /// (`tests/event_equivalence.rs`) must not compare it.
     pub classified: u64,
+    /// Distinct server lives the fan-out simulated: every other server
+    /// re-used the steps of one of these. Like `classified`, this depends
+    /// on how servers were dealt to shards.
+    pub lives: u64,
+    /// Serving steps those lives computed — the simulation work behind
+    /// `steps_executed`, which counts steps per server. Shard-dependent
+    /// like `lives`.
+    pub life_steps: u64,
 }
 
 /// Outcome of one push.
@@ -529,6 +547,9 @@ struct ShardResult {
     warmup: WarmupAccumulator,
     /// Serving steps the shard's servers were woken for.
     events: u64,
+    /// Lives the shard simulated, and the steps they computed.
+    lives: u64,
+    life_steps: u64,
 }
 
 /// One server's precomputed rolls. All randomness is consumed here,
@@ -957,18 +978,22 @@ pub fn run_deployment_with_prior(
                 params.warmup.duration_ms,
             ),
             events: 0,
+            lives: 0,
+            life_steps: 0,
         };
+        let mut lives = Lives::default();
         let mut cell = None;
         for gid in (shard..slots.len()).step_by(shards) {
             let slot = &slots[gid];
-            // Slots are cell-contiguous and timelines repeat within a
-            // cell: clearing here bounds the classifier memo to one cell.
+            // Slots are cell-contiguous, and lives and timelines repeat
+            // within a cell: clearing here bounds both memos to one cell.
             if cell != Some(slot.cell) {
                 out.warmup.clear_memo();
+                lives.reset(&plans[slot.cell]);
                 cell = Some(slot.cell);
             }
             let data = &cells[slot.cell];
-            let run = run_planned(&plans[slot.cell], &slot.params, slot.pkg);
+            let run = lives.run(&slot.params, slot.pkg);
             let (class, steady_ms) = out.warmup.add(&run.timeline, slot.jumpstart);
             out.events += run.events;
             out.stats.push(ServerStat {
@@ -993,12 +1018,18 @@ pub fn run_deployment_with_prior(
                 out.representatives.push((gid, run.timeline));
             }
         }
+        (out.lives, out.life_steps) = (lives.simulated, lives.life_steps);
         out
     };
     let shard_ids: Vec<usize> = (0..shards).collect();
     let mut shard_results: Vec<ShardResult> = Vec::with_capacity(shards);
     map_windows(&shard_ids, shards, run_shard, |r| shard_results.push(r));
-    drop(fan_span);
+    let lives: u64 = shard_results.iter().map(|r| r.lives).sum();
+    let life_steps: u64 = shard_results.iter().map(|r| r.life_steps).sum();
+    fan_span.end_with(vec![
+        ("lives", lives.into()),
+        ("life_steps", life_steps.into()),
+    ]);
 
     // --- Fold by gid: shard count leaves no trace in the report ---
     let distinct: u64 = shard_results.iter().map(|r| r.warmup.classified()).sum();
@@ -1030,6 +1061,8 @@ pub fn run_deployment_with_prior(
         servers: slots.len(),
         events: all.events,
         classified: all.warmup.classified(),
+        lives,
+        life_steps,
         ..Default::default()
     };
     // `requests` is a float sum: taken here in gid order, never per
@@ -1039,6 +1072,18 @@ pub fn run_deployment_with_prior(
         sim.steps_dense += s.steps_dense;
         sim.requests += s.requests;
     }
+    // The two arms' summaries (each a bootstrap) side by side, on the
+    // calling thread alone for one shard.
+    let mut arms = Vec::with_capacity(2);
+    let acc = &all.warmup;
+    map_windows(
+        &[true, false],
+        shards,
+        |&js| acc.summarize(js),
+        |arm| arms.push(arm),
+    );
+    let nojs = arms.pop().expect("baseline arm");
+    let js = arms.pop().expect("Jump-Start arm");
     let mut js_timelines = Vec::new();
     let mut nojs_timelines = Vec::new();
     for (gid, timeline) in all.representatives {
@@ -1059,7 +1104,11 @@ pub fn run_deployment_with_prior(
         duration_ms: params.warmup.duration_ms,
         sim,
         distribution,
-        warmup: all.warmup.finish(),
+        warmup: WarmupReport {
+            params: params.analysis,
+            js,
+            nojs,
+        },
     }
 }
 
@@ -1386,11 +1435,13 @@ mod tests {
             .flat_map(|(_, roots)| roots)
             .filter(|r| ["deployment", "seeder", "cell-prep"].contains(&r.name.as_str()))
             .collect();
-        let mut fold_attrs = Vec::new();
+        let (mut fold_attrs, mut fanout_attrs) = (Vec::new(), Vec::new());
         while let Some(node) = work.pop() {
             *counts.entry(node.name.clone()).or_default() += 1;
-            if node.name == "fold" {
-                fold_attrs = node.attrs.clone();
+            match node.name.as_str() {
+                "fold" => fold_attrs = node.attrs.clone(),
+                "c3-fanout" => fanout_attrs = node.attrs.clone(),
+                _ => {}
             }
             work.extend(node.children);
         }
@@ -1428,5 +1479,17 @@ mod tests {
             ]
         );
         assert!((1..=8).contains(&report.sim.classified));
+        // The fan-out says, at its end, how many lives its servers shared.
+        assert_eq!(
+            fanout_attrs,
+            [
+                ("servers", u64_attr(8)),
+                ("shards", u64_attr(2)),
+                ("lives", u64_attr(report.sim.lives)),
+                ("life_steps", u64_attr(report.sim.life_steps)),
+            ]
+        );
+        assert!((1..=8).contains(&report.sim.lives));
+        assert!(report.sim.life_steps <= report.sim.steps_executed);
     }
 }

@@ -12,11 +12,13 @@
 //!   kind, average work per call, per-endpoint call vectors) measured once
 //!   from the real pipeline,
 //! * [`run_server`] / [`simulate_warmup`] — a single-server simulation
-//!   producing RPS/latency/code-size timelines, driven by one
-//!   step-skipping driver (closed-form boot window, steps only while the
-//!   server is active, fast-forward once quiescent); the dense
-//!   per-second stepper survives as [`simulate_warmup_dense`], the
-//!   equivalence oracle,
+//!   producing RPS/latency/code-size timelines, driven by one driver
+//!   (closed-form boot window, then serving steps read off a shared
+//!   life stepped only while the server is active, fast-forwarded once
+//!   quiescent); [`run_servers`] runs a cell's batch through one cache
+//!   of lives, as a deployment's shards do, and the dense per-second
+//!   stepper survives as [`simulate_warmup_dense`], the equivalence
+//!   oracle,
 //! * [`capacity_loss_from`] — the area-above-the-curve metric of Fig. 2,
 //! * [`run_deployment`] — the C1/C2/C3 push as maps over shard threads:
 //!   every (region, bucket, seeder) seeds in bounded windows published in
@@ -58,7 +60,7 @@ pub use model::{
     WarmupParams,
 };
 pub use server::reference::simulate_warmup_dense;
-pub use server::{run_server, simulate_warmup, ServerConfig, ServerRun};
+pub use server::{run_server, run_servers, simulate_warmup, ServerConfig, ServerRun};
 pub use steady::{measure_steady_state, SteadyConfig, SteadyOutcome, SteadyParams};
 pub use warmup::{
     classify_timeline, pelt_changepoints, pelt_changepoints_reference, segment_series, ArmSummary,

@@ -16,21 +16,52 @@
 //! dynamic (what compiles when, how much code, how slow interp is) comes
 //! from the measured [`AppModel`].
 //!
-//! [`run_server`] is the entry point: the step-skipping driver every
-//! caller goes through. The boot window is closed-form, the server is
-//! then stepped once per simulated second only while *active*
-//! (compiling, loading, promoting), and as soon as
-//! [`sim::ServerSim::quiescent`] proves the remaining timeline constant,
-//! the tail is replicated without further stepping. The per-server state
-//! machine lives in [`sim::ServerSim`] and steps over a read-only
-//! [`sim::ServerPlan`] (the flat call terms, each package's boot prefix,
-//! the quiescence watch): `run_server` builds one per call, a deployment
-//! one per cell for all of the cell's servers. The dense stepper lives
-//! on as [`reference::simulate_warmup_dense`], the equivalence oracle.
+//! **One driver, shared lives.** The per-server state machine lives in
+//! [`sim::ServerSim`] and steps over a read-only [`sim::ServerPlan`] (the
+//! flat call terms, each package's boot prefix, the quiescence watch).
+//! Every server goes through one driver, [`Lives::run`]: the boot window
+//! is closed-form, and the serving steps come from a *life*, a
+//! [`sim::ServerSim`] stepped once per simulated second from the first
+//! serving step and shared by every server whose serving steps it
+//! provably equals. [`run_server`] is that driver with a fresh cache; a
+//! deployment keeps one cache per shard and cell, so a cell's thousands
+//! of servers simulate a handful of lives. The dense stepper lives on as
+//! [`reference::simulate_warmup_dense`], the equivalence oracle.
+//!
+//! **Why lives repeat.** Servers of one cell differ in jitter, the
+//! slow-host roll and download time, and those move only the boot costs
+//! (`init_ms_*`, `deserialize_ms`) and with them `serve_start_ms = s`.
+//! Serving step `j` ends at `n0 + j·STEP_MS`, where `n0` is the first step
+//! end after `s`. [`sim::ServerSim::serve_step`] reads absolute time in
+//! three places only: a baseline's point-A test `now ≥ s +
+//! profile_serve_ms`, the degrading-host factor, and the stamps of points
+//! A, B and C. The state serving starts from depends on the package, not
+//! on the boot costs, and everything else a step reads is state earlier
+//! steps wrote from that start. So two servers take bit-identical steps
+//! `j = 0, 1, …` when they agree on the [`LifeKey`]:
+//!
+//! * the package (or none, for a baseline);
+//! * every [`WarmupParams`] field but the three boot-only costs;
+//! * a baseline's point-A step `j_A = ceil((s + profile_serve_ms − n0) /
+//!   STEP_MS)` (0 if due at once) — the point-A test is `j ≥ j_A` for
+//!   both;
+//! * `n0` itself, only when `degrade_per_mille_per_min > 0` (a healthy
+//!   host's factor is exactly 1.0 at any `now`).
+//!
+//! Each server then takes its samples from the life's steps, shifted to
+//! its own `n0` and cut at its own last step; its `requests` are the
+//! life's served counts summed in step order; its points are the life's
+//! step indices shifted the same way, kept when they fall inside its
+//! window. A life steps lazily, up to the longest window asked of it, and
+//! stops for good one step after [`sim::ServerSim::quiescent`] first
+//! holds: that step repeats to the end of every window, so `events` and
+//! `steps_executed` are what a per-server driver would account — the
+//! steps up to quiescence, then one steady step it replicates.
 
 pub mod reference;
 mod sim;
 
+use jumpstart::ProfilePackage;
 use workload::{App, RequestMix};
 
 use crate::metrics::{Sample, Timeline};
@@ -50,97 +81,278 @@ pub struct ServerRun {
     pub timeline: Timeline,
     /// Total requests served over the simulated duration.
     pub requests: f64,
-    /// Serving steps the server was woken for while still active (the
-    /// boot window and the fast-forwarded tail wake nobody).
+    /// Serving steps the server was active for: up to and including the
+    /// first one after which its state provably stops changing (the boot
+    /// window and the steady tail wake nobody). These are accounted
+    /// steps: servers sharing a life share their computation.
     pub events: u64,
-    /// Steps actually computed: `events`, plus the one steady step a
-    /// fast-forward computes before replicating it.
+    /// `events`, plus the one steady step replicated over the tail when
+    /// the server's window reaches past it.
     pub steps_executed: u64,
     /// Steps the dense reference would have computed (the denominator of
     /// the driver's work saving).
     pub steps_dense: u64,
 }
 
-/// Runs one server's simulated life — build, closed-form boot window,
-/// step while active, fast-forward once quiescent — returning the
-/// timeline plus serving/step accounting. This is the entry point for a
-/// single server; a deployment shares one plan per cell instead of
-/// building one per server.
+/// What fixes a server's serving steps: see the module docs.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct LifeKey {
+    pkg: Option<usize>,
+    /// The server's calibration with the three boot-only costs zeroed.
+    params: WarmupParams,
+    /// A baseline's point-A step, `j_A`.
+    point_a_step: Option<u64>,
+    /// A degrading host's first step end, `n0`.
+    first_step_ms: Option<u64>,
+}
+
+impl LifeKey {
+    fn new(pkg: Option<usize>, params: &WarmupParams, serve_start_ms: u64) -> Self {
+        let n0 = first_step_ms(serve_start_ms);
+        Self {
+            pkg,
+            params: WarmupParams {
+                init_ms_nojs: 0,
+                init_ms_js: 0,
+                deserialize_ms: 0,
+                ..*params
+            },
+            point_a_step: pkg.is_none().then(|| {
+                (serve_start_ms + params.profile_serve_ms)
+                    .saturating_sub(n0)
+                    .div_ceil(STEP_MS)
+            }),
+            first_step_ms: (params.degrade_per_mille_per_min > 0).then_some(n0),
+        }
+    }
+}
+
+/// The end of the first serving step: the first step end after `s`.
+fn first_step_ms(serve_start_ms: u64) -> u64 {
+    (serve_start_ms / STEP_MS + 1) * STEP_MS
+}
+
+/// The sampling boundaries in `from..=to`: step ends (multiples of
+/// [`STEP_MS`]) that are multiples of `sample_ms`.
+fn boundaries(from: u64, to: u64, sample_ms: u64) -> impl Iterator<Item = u64> {
+    let (mut a, mut b) = (STEP_MS, sample_ms);
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    // lcm(STEP_MS, sample_ms); 0 when `sample_ms` is, and then no step
+    // end is a boundary.
+    let every = sample_ms / a * STEP_MS;
+    let (first, end) = match every {
+        0 => (0, 0),
+        _ => (from.div_ceil(every), to / every + 1),
+    };
+    (first..end.max(first)).map(move |k| k * every)
+}
+
+/// One distinct post-serve life: the steps every server of its key takes,
+/// computed once.
+#[derive(Debug)]
+struct Life<'a> {
+    key: LifeKey,
+    /// The paused simulation; dropped once the life is complete.
+    sim: Option<ServerSim<'a>>,
+    /// End of step 0 on the clock of the server that started the life.
+    n0: u64,
+    /// `(served, sample)` of each computed step.
+    steps: Vec<(f64, Sample)>,
+    /// The first step after which the state is quiescent.
+    quiescent_at: Option<usize>,
+    /// `requests[k]`: the first `k` steps' served counts, summed in step
+    /// order, the steady step repeating past the last computed one.
+    requests: Vec<f64>,
+    /// The step index of each lifecycle point stamped so far.
+    points: [Option<u64>; 3],
+}
+
+impl Life<'_> {
+    /// Steps until `window` steps exist or the life is complete (one
+    /// step past quiescence); returns the steps computed.
+    fn step_to(&mut self, window: usize, offered: f64) -> u64 {
+        let Some(sim) = self.sim.as_mut() else {
+            return 0;
+        };
+        let before = self.steps.len();
+        let mut complete = false;
+        while self.steps.len() < window && !complete {
+            let j = self.steps.len();
+            let now = self.n0 + j as u64 * STEP_MS;
+            self.steps.push(sim.serve_step(now, STEP_MS, offered));
+            match self.quiescent_at {
+                Some(_) => complete = true,
+                None => self.quiescent_at = sim.quiescent().then_some(j),
+            }
+        }
+        let n0 = self.n0;
+        self.points = sim.points().map(|p| p.map(|t| (t - n0) / STEP_MS));
+        if complete {
+            self.sim = None;
+        }
+        (self.steps.len() - before) as u64
+    }
+
+    /// The step that stands for step `j`: itself, or the steady step once
+    /// the life is complete.
+    fn step(&self, j: usize) -> &(f64, Sample) {
+        &self.steps[j.min(self.steps.len() - 1)]
+    }
+
+    /// Requests served over the first `window` steps.
+    fn requests(&mut self, window: usize) -> f64 {
+        while self.requests.len() <= window {
+            let k = self.requests.len() - 1;
+            let served = self.step(k).0;
+            self.requests.push(self.requests[k] + served);
+        }
+        self.requests[window]
+    }
+}
+
+/// The lives of one cell's servers, stepped over the cell's plan. A
+/// deployment keeps one per shard and moves it from cell to cell with
+/// [`Lives::reset`]; memory stays bounded by one cell's distinct lives.
+#[derive(Debug, Default)]
+pub(crate) struct Lives<'a> {
+    plan: Option<&'a ServerPlan<'a>>,
+    cache: Vec<Life<'a>>,
+    /// Lives started since the cache was made (across resets).
+    pub(crate) simulated: u64,
+    /// Serving steps those lives computed.
+    pub(crate) life_steps: u64,
+}
+
+impl<'a> Lives<'a> {
+    /// Forgets every life; later servers step over `plan`.
+    pub(crate) fn reset(&mut self, plan: &'a ServerPlan<'a>) {
+        self.plan = Some(plan);
+        self.cache.clear();
+    }
+
+    /// Runs one server calibrated with `params`: a consumer booting the
+    /// plan's package `pkg`, or a baseline. The result is the same
+    /// whatever ran through the cache before it.
+    pub(crate) fn run(&mut self, params: &WarmupParams, pkg: Option<usize>) -> ServerRun {
+        let plan = self.plan.expect("reset to a plan first");
+        let boot = plan.boot_window(params, pkg);
+        let s = boot.serve_start_ms;
+        // The dense loop runs steps ending at STEP, 2·STEP, …, up to the
+        // first boundary at or past `duration_ms`.
+        let last_now = params.duration_ms.div_ceil(STEP_MS) * STEP_MS;
+        let steps_dense = last_now / STEP_MS;
+        let boot_samples =
+            boundaries(STEP_MS, s.min(last_now), params.sample_ms).map(|t| boot.sample(t));
+        let n0 = first_step_ms(s);
+        if n0 > last_now {
+            // Never serves: no life to step.
+            return ServerRun {
+                timeline: Timeline {
+                    samples: boot_samples.collect(),
+                    serve_start_ms: s,
+                    ..Default::default()
+                },
+                requests: 0.0,
+                events: 0,
+                steps_executed: 0,
+                steps_dense,
+            };
+        }
+        let window = ((last_now - n0) / STEP_MS + 1) as usize;
+
+        let key = LifeKey::new(pkg, params, s);
+        let k = match self.cache.iter().position(|l| l.key == key) {
+            Some(k) => k,
+            None => {
+                self.simulated += 1;
+                let mut requests = Vec::with_capacity(window + 1);
+                requests.push(0.0);
+                self.cache.push(Life {
+                    key,
+                    sim: Some(ServerSim::new(plan, params, pkg)),
+                    n0,
+                    steps: Vec::with_capacity(window),
+                    quiescent_at: None,
+                    requests,
+                    points: [None; 3],
+                });
+                self.cache.len() - 1
+            }
+        };
+        let life = &mut self.cache[k];
+        self.life_steps += life.step_to(window, plan.offered_this_step);
+
+        let samples = boot_samples
+            .chain(boundaries(n0, last_now, params.sample_ms).map(|t| Sample {
+                t_ms: t,
+                ..life.step(((t - n0) / STEP_MS) as usize).1
+            }))
+            .collect();
+        let [point_a_ms, point_b_ms, point_c_ms] = life
+            .points
+            .map(|p| p.filter(|&j| j < window as u64).map(|j| n0 + j * STEP_MS));
+        // A per-server driver checks quiescence while a step remains, then
+        // computes one steady step and replicates it.
+        let (events, steps_executed) = match life.quiescent_at.filter(|&q| q + 1 < window) {
+            Some(q) => (q as u64 + 1, q as u64 + 2),
+            None => (window as u64, window as u64),
+        };
+        ServerRun {
+            timeline: Timeline {
+                samples,
+                serve_start_ms: s,
+                point_a_ms,
+                point_b_ms,
+                point_c_ms,
+            },
+            requests: life.requests(window),
+            events,
+            steps_executed,
+            steps_dense,
+        }
+    }
+}
+
+/// Runs a batch of servers of one cell through one shared cache of
+/// lives. Each server is `(calibration, package)`, the package an index
+/// into `packages` (`None` for a baseline); all must agree with the
+/// first on the constants the cell's plan reads (cores, offered load,
+/// cycles per ms, work scale, optimized CPI, early-serve fraction). Every
+/// run equals the same server's [`run_server`], in any batch order.
+pub fn run_servers<'p>(
+    app: &App,
+    model: &AppModel,
+    mix: &RequestMix,
+    packages: impl IntoIterator<Item = &'p ProfilePackage>,
+    servers: &[(WarmupParams, Option<usize>)],
+) -> Vec<ServerRun> {
+    let Some((first, _)) = servers.first() else {
+        return Vec::new();
+    };
+    let plan = ServerPlan::new(app, model, mix, first, packages);
+    let mut lives = Lives::default();
+    lives.reset(&plan);
+    servers
+        .iter()
+        .map(|(params, pkg)| lives.run(params, *pkg))
+        .collect()
+}
+
+/// Runs one server's simulated life — closed-form boot window, then the
+/// serving steps until they provably stop changing, the steady tail
+/// replicated — returning the timeline plus serving/step accounting. This
+/// is the deployment's driver with a cache of its own.
 pub fn run_server(
     app: &App,
     model: &AppModel,
     mix: &RequestMix,
     config: &ServerConfig<'_>,
 ) -> ServerRun {
-    let plan = ServerPlan::new(app, model, mix, &config.params, config.jumpstart);
-    run_planned(&plan, &config.params, config.jumpstart.map(|_| 0))
-}
-
-/// [`run_server`] over a plan built by the caller: a consumer boots the
-/// plan's package `pkg`, a baseline passes `None`.
-pub(crate) fn run_planned(
-    plan: &ServerPlan<'_>,
-    params: &WarmupParams,
-    pkg: Option<usize>,
-) -> ServerRun {
-    let mut sim = ServerSim::new(plan, params, pkg);
-    let offered_this_step = plan.offered_this_step;
-    let mut samples = Vec::new();
-    let mut record = |sample: Sample| {
-        if sample.t_ms.is_multiple_of(params.sample_ms) {
-            samples.push(sample);
-        }
-    };
-    // The dense loop runs steps ending at STEP, 2·STEP, …, up to the
-    // first boundary at or past `duration_ms`.
-    let last_now = params.duration_ms.div_ceil(STEP_MS) * STEP_MS;
-
-    let mut now = STEP_MS;
-    while now <= sim.serve_start_ms.min(last_now) {
-        record(sim.boot_sample(now));
-        now += STEP_MS;
-    }
-
-    let mut requests = 0.0;
-    let mut events = 0u64;
-    let mut fast_forwarded = false;
-    while now <= last_now {
-        let (served, sample) = sim.serve_step(now, STEP_MS, offered_this_step);
-        requests += served;
-        events += 1;
-        record(sample);
-        now += STEP_MS;
-        if now <= last_now && sim.quiescent() {
-            // Provably steady: compute one more real step (the first with
-            // zero compile interference) and replicate it across the
-            // remaining boundaries. Bit-identical to dense stepping
-            // because a quiescent `serve_step` is a pure function of
-            // state that no longer changes.
-            let (served, steady) = sim.serve_step(now, STEP_MS, offered_this_step);
-            fast_forwarded = true;
-            while now <= last_now {
-                requests += served;
-                record(Sample {
-                    t_ms: now,
-                    ..steady
-                });
-                now += STEP_MS;
-            }
-        }
-    }
-    let mut timeline = Timeline {
-        samples,
-        serve_start_ms: sim.serve_start_ms,
-        ..Default::default()
-    };
-    sim.finish(&mut timeline);
-    ServerRun {
-        timeline,
-        requests,
-        events,
-        steps_executed: events + u64::from(fast_forwarded),
-        steps_dense: last_now / STEP_MS,
-    }
+    let server = (config.params, config.jumpstart.map(|_| 0));
+    let mut runs = run_servers(app, model, mix, config.jumpstart, &[server]);
+    runs.pop().expect("one server")
 }
 
 /// Runs the warmup simulation, returning the timeline.
@@ -371,6 +583,74 @@ mod tests {
         );
         for w in tl.samples.windows(2) {
             assert!(w[1].code_bytes >= w[0].code_bytes);
+        }
+    }
+
+    #[test]
+    fn life_key_reads_every_field_but_the_boot_costs() {
+        // Every field by name, no `..`: a field added later fails to
+        // compile here until it joins one of the two lists below.
+        let WarmupParams {
+            duration_ms: _,
+            sample_ms: _,
+            cores: _,
+            offered_fraction: _,
+            cycles_per_ms: _,
+            work_scale: _,
+            interp_cpi: _,
+            profiling_cpi: _,
+            live_cpi: _,
+            optimized_cpi: _,
+            init_ms_nojs: _,
+            init_ms_js: _,
+            deserialize_ms: _,
+            profile_serve_ms: _,
+            promote_calls: _,
+            jit_threads: _,
+            compile_bytes_per_core_ms: _,
+            relocation_ms: _,
+            load_ms_per_kb: _,
+            early_serve_frac: _,
+            degrade_per_mille_per_min: _,
+        } = WarmupParams::fig4();
+        let serving: [fn(&mut WarmupParams); 18] = [
+            |p| p.duration_ms += STEP_MS,
+            |p| p.sample_ms *= 2,
+            |p| p.cores += 1,
+            |p| p.offered_fraction /= 2.0,
+            |p| p.cycles_per_ms *= 2.0,
+            |p| p.work_scale *= 2.0,
+            |p| p.interp_cpi += 1.0,
+            |p| p.profiling_cpi += 1.0,
+            |p| p.live_cpi += 1.0,
+            |p| p.optimized_cpi += 1.0,
+            |p| p.profile_serve_ms += STEP_MS,
+            |p| p.promote_calls += 1,
+            |p| p.jit_threads += 1,
+            |p| p.compile_bytes_per_core_ms /= 3.0,
+            |p| p.relocation_ms += STEP_MS,
+            |p| p.load_ms_per_kb *= 2.0,
+            |p| p.early_serve_frac /= 2.0,
+            |p| p.degrade_per_mille_per_min += 5,
+        ];
+        let boot_only: [fn(&mut WarmupParams); 3] = [
+            |p| p.init_ms_nojs += 1_234,
+            |p| p.init_ms_js += 1_234,
+            |p| p.deserialize_ms += 1_234,
+        ];
+        for pkg in [None, Some(0)] {
+            let key = |edit: fn(&mut WarmupParams)| {
+                let mut params = WarmupParams::fig4();
+                edit(&mut params);
+                LifeKey::new(pkg, &params, 30_500)
+            };
+            let base = key(|_| {});
+            for (i, &edit) in serving.iter().enumerate() {
+                assert_ne!(key(edit), base, "{pkg:?}: serving field #{i}");
+            }
+            for (i, &edit) in boot_only.iter().enumerate() {
+                assert_eq!(key(edit), base, "{pkg:?}: boot-only field #{i}");
+            }
         }
     }
 

@@ -1,10 +1,10 @@
 //! The dense per-second reference stepper — the equivalence oracle for
-//! the step-skipping driver.
+//! the shared-life driver.
 //!
 //! This is the original fleet simulator loop: one [`ServerSim`] step per
 //! simulated second for the whole duration, whether or not anything can
-//! change. It is O(duration) per server and exists so the step-skipping
-//! driver in [`super::run_server`] has ground truth to match bit for bit
+//! change. It is O(duration) per server and exists so the shared-life
+//! driver behind [`super::run_server`] has ground truth to match bit for bit
 //! (see `tests/event_equivalence.rs`). Keep it dumb: its value is that it
 //! cannot be clever.
 
@@ -30,19 +30,20 @@ pub fn simulate_warmup_dense(
     let peak_rps = params.cores as f64 * 1000.0 / plan.peak_ms_per_req;
     let offered = peak_rps * params.offered_fraction;
 
+    let boot = sim.boot;
     let mut timeline = Timeline {
-        serve_start_ms: sim.serve_start_ms,
+        serve_start_ms: boot.serve_start_ms,
         ..Default::default()
     };
     let step = 1000u64; // 1 s
     let mut t = 0u64;
     while t < params.duration_ms {
         let now = t + step;
-        if now <= sim.serve_start_ms {
+        if now <= boot.serve_start_ms {
             // Booting: Jump-Start compile work happens inside the boot
             // window (already priced into serve_start_ms).
             if now.is_multiple_of(params.sample_ms) {
-                timeline.samples.push(sim.boot_sample(now));
+                timeline.samples.push(boot.sample(now));
             }
             t = now;
             continue;
@@ -54,6 +55,10 @@ pub fn simulate_warmup_dense(
         }
         t = now;
     }
-    sim.finish(&mut timeline);
+    [
+        timeline.point_a_ms,
+        timeline.point_b_ms,
+        timeline.point_c_ms,
+    ] = sim.points();
     timeline
 }

@@ -6,19 +6,20 @@
 //! (endpoint, callee) pair, each published package's consumer boot
 //! prefix, and the watch lists the quiescence proof scans. A deployment
 //! builds one per cell and every server of the cell shares it;
-//! [`super::run_server`] builds one per call.
+//! [`super::run_server`] builds one per call. [`ServerPlan::boot_window`]
+//! prices a server's boot window in closed form, without a simulation.
 //!
 //! [`ServerSim`] holds the per-server Fig. 3 lifecycle state (per-function
 //! execution modes, the compile queue, relocation, lazy unit loads) and
 //! exposes exactly one transition: [`ServerSim::serve_step`], one
 //! simulated second of serving + background compilation. The dense
 //! reference driver ([`super::reference`]) calls it for every second; the
-//! step-skipping driver ([`super::run_server`]) calls it only while the
-//! server is *active* and skips ahead once [`ServerSim::quiescent`]
-//! proves no future step can change state. Because every floating-point
-//! operation lives here, in one place, the two drivers agree bit for bit
-//! — the equivalence proptests in `tests/event_equivalence.rs` hold with
-//! `==`, not epsilons.
+//! shared-life driver ([`super::Lives`]) calls it once per distinct life
+//! and only until one step after [`ServerSim::quiescent`] proves no
+//! future step can change state. Because every floating-point operation
+//! lives here, in one place, the two drivers agree bit for bit — the
+//! equivalence proptests in `tests/event_equivalence.rs` hold with `==`,
+//! not epsilons.
 //!
 //! A step does work in proportion to what changed, not to the mix: the
 //! service time's cycle sum is cached and recomputed only after a write
@@ -90,7 +91,36 @@ struct BootPlan {
     preload_kb: f64,
 }
 
-/// What the step-skipping driver watches to prove a server quiescent: the
+/// One server's boot window in closed form: when serving starts and what
+/// its boot-window samples show. It depends on the server's boot costs
+/// and its package's [`BootPlan`], never on a step.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct BootWindow {
+    /// End of the boot window: the server serves from here on.
+    pub(crate) serve_start_ms: u64,
+    /// Optimized bytes compiled inside the window (0 for a baseline).
+    code_bytes: u64,
+}
+
+impl BootWindow {
+    /// A boot-window timeline sample at `now` (serving has not begun; a
+    /// Jump-Start consumer's compile progress is priced into the window).
+    pub(crate) fn sample(&self, now: u64) -> Sample {
+        let frac = if self.serve_start_ms > 0 {
+            now as f64 / self.serve_start_ms as f64
+        } else {
+            0.0
+        };
+        Sample {
+            t_ms: now,
+            rps_norm: 0.0,
+            latency_ms: 0.0,
+            code_bytes: (self.code_bytes as f64 * frac.min(1.0)) as u64,
+        }
+    }
+}
+
+/// What the driver watches to prove a life quiescent: the
 /// reachable functions that could still be promoted and the units the
 /// lazy loader will eventually touch at the plan's offered load.
 #[derive(Debug)]
@@ -220,6 +250,30 @@ impl<'a> ServerPlan<'a> {
         }
     }
 
+    /// The boot window of a server calibrated with `params`: a consumer of
+    /// the plan's package `pkg`, or a baseline. Deserialize + preload +
+    /// compile on every core, then parallel (shorter) init — §IV-A and
+    /// §VII-A. With `early_serve_frac < 1.0` only the hottest prefix of
+    /// heat mass is compiled inside the window; the remainder finishes on
+    /// the background JIT threads while serving.
+    pub(crate) fn boot_window(&self, params: &WarmupParams, pkg: Option<usize>) -> BootWindow {
+        let Some(boot) = pkg.map(|k| &self.boots[k]) else {
+            return BootWindow {
+                serve_start_ms: params.init_ms_nojs,
+                code_bytes: 0,
+            };
+        };
+        let cores = params.cores as f64;
+        let compile_ms = boot.ready_bytes as f64 / (params.compile_bytes_per_core_ms * cores);
+        let preload_ms = boot.preload_kb * params.load_ms_per_kb / cores;
+        BootWindow {
+            serve_start_ms: params.deserialize_ms
+                + params.init_ms_js
+                + (compile_ms + preload_ms) as u64,
+            code_bytes: boot.ready_bytes,
+        }
+    }
+
     /// Whether a server calibrated with `p` may step over this plan: it
     /// agrees on every constant the plan read.
     fn fits(&self, p: &WarmupParams) -> bool {
@@ -254,8 +308,7 @@ pub(crate) struct ServerSim<'a> {
     // directly into Optimized (no point-B batch / relocation pause).
     consumer_bg: bool,
     bg_pending: Vec<bool>,
-    is_js: bool,
-    pub(crate) serve_start_ms: u64,
+    pub(crate) boot: BootWindow,
     point_a_ms: Option<u64>,
     point_b_ms: Option<u64>,
     point_c_ms: Option<u64>,
@@ -277,6 +330,7 @@ impl<'a> ServerSim<'a> {
         debug_assert!(plan.fits(params), "server calibration outside its plan");
         let params = *params;
         let n = plan.funcs;
+        let boot = plan.boot_window(&params, pkg);
         let mut sim = Self {
             plan,
             params,
@@ -293,8 +347,7 @@ impl<'a> ServerSim<'a> {
             optimized_phase_done: false,
             consumer_bg: false,
             bg_pending: vec![false; n],
-            is_js: pkg.is_some(),
-            serve_start_ms: 0,
+            boot,
             point_a_ms: None,
             point_b_ms: None,
             point_c_ms: None,
@@ -302,37 +355,27 @@ impl<'a> ServerSim<'a> {
             cycles: None,
             loaded_for: None,
         };
-        sim.serve_start_ms = match pkg.map(|k| &plan.boots[k]) {
-            None => params.init_ms_nojs,
-            Some(boot) => {
-                // Deserialize + preload + compile on every core, then
-                // parallel (shorter) init — §IV-A and §VII-A. With
-                // `early_serve_frac < 1.0` only the hottest prefix of heat
-                // mass is compiled inside the boot window; the remainder
-                // finishes on the background JIT threads while serving.
-                for &i in &boot.order[..boot.ready] {
-                    // Hottest code is optimized from the first request.
-                    sim.mode[i] = Mode::Optimized;
-                }
-                for &i in &boot.order[boot.ready..] {
-                    sim.bg_pending[i] = true;
-                    sim.queue
-                        .push_back((i, plan.model.opt_bytes[i], Mode::Optimized));
-                }
-                sim.consumer_bg = boot.ready < boot.order.len();
-                let compile_ms = boot.ready_bytes as f64
-                    / (params.compile_bytes_per_core_ms * params.cores as f64);
-                for &u in &boot.preload_units {
-                    sim.unit_loaded[u] = true;
-                }
-                let preload_ms = boot.preload_kb * params.load_ms_per_kb / params.cores as f64;
-                sim.code_bytes = boot.ready_bytes;
-                sim.optimized_phase_done = true;
-                // Consumers never run the profiling phase (Fig. 3c).
-                sim.retranslate_started = true;
-                params.deserialize_ms + params.init_ms_js + (compile_ms + preload_ms) as u64
+        if let Some(boot) = pkg.map(|k| &plan.boots[k]) {
+            // The boot window compiles the hottest prefix: it is optimized
+            // from the first request, the rest queues for the background
+            // JIT threads.
+            for &i in &boot.order[..boot.ready] {
+                sim.mode[i] = Mode::Optimized;
             }
-        };
+            for &i in &boot.order[boot.ready..] {
+                sim.bg_pending[i] = true;
+                sim.queue
+                    .push_back((i, plan.model.opt_bytes[i], Mode::Optimized));
+            }
+            sim.consumer_bg = boot.ready < boot.order.len();
+            for &u in &boot.preload_units {
+                sim.unit_loaded[u] = true;
+            }
+            sim.code_bytes = boot.ready_bytes;
+            sim.optimized_phase_done = true;
+            // Consumers never run the profiling phase (Fig. 3c).
+            sim.retranslate_started = true;
+        }
         sim.promotable = (0..plan.terms.len() as u32)
             .filter(|&k| sim.is_promotable(plan.terms[k as usize].func as usize))
             .collect();
@@ -416,7 +459,7 @@ impl<'a> ServerSim<'a> {
             kept += 1;
         }
         self.promotable.truncate(kept);
-        if !self.retranslate_started && now_ms >= self.serve_start_ms + p.profile_serve_ms {
+        if !self.retranslate_started && now_ms >= self.boot.serve_start_ms + p.profile_serve_ms {
             self.retranslate_started = true;
             self.point_a_ms = Some(now_ms);
             // Enqueue optimize-all jobs hottest-first.
@@ -495,22 +538,6 @@ impl<'a> ServerSim<'a> {
         budget - core_ms
     }
 
-    /// A boot-window timeline sample at `now` (serving has not begun; a
-    /// Jump-Start consumer's compile progress is priced into the window).
-    pub(crate) fn boot_sample(&self, now: u64) -> Sample {
-        let frac = if self.is_js && self.serve_start_ms > 0 {
-            now as f64 / self.serve_start_ms as f64
-        } else {
-            0.0
-        };
-        Sample {
-            t_ms: now,
-            rps_norm: 0.0,
-            latency_ms: 0.0,
-            code_bytes: (self.code_bytes as f64 * frac.min(1.0)) as u64,
-        }
-    }
-
     /// One simulated step of `step` ms ending at `now`: background
     /// compilation, then serving under the remaining cores. Returns the
     /// requests served and the timeline sample describing the step (the
@@ -545,11 +572,10 @@ impl<'a> ServerSim<'a> {
         (served, sample)
     }
 
-    /// Copies the lifecycle markers into a finished timeline.
-    pub(crate) fn finish(&self, timeline: &mut crate::metrics::Timeline) {
-        timeline.point_a_ms = self.point_a_ms;
-        timeline.point_b_ms = self.point_b_ms;
-        timeline.point_c_ms = self.point_c_ms;
+    /// The lifecycle points stamped so far: A, B and C. Each is stamped
+    /// at most once, by the step that reaches it.
+    pub(crate) fn points(&self) -> [Option<u64>; 3] {
+        [self.point_a_ms, self.point_b_ms, self.point_c_ms]
     }
 
     /// Whether no future [`ServerSim::serve_step`] at the plan's offered
@@ -666,7 +692,7 @@ mod tests {
                 }
             }
         }
-        if !sim.retranslate_started && now_ms >= sim.serve_start_ms + p.profile_serve_ms {
+        if !sim.retranslate_started && now_ms >= sim.boot.serve_start_ms + p.profile_serve_ms {
             sim.retranslate_started = true;
             sim.point_a_ms = Some(now_ms);
             for &f in &model.profiled {
@@ -719,7 +745,7 @@ mod tests {
             let mut slow = ServerSim::new(&plan, &params, pkg);
             let dt = plan.offered_this_step;
             let mut cached = 0;
-            let mut now = (fast.serve_start_ms / STEP_MS + 1) * STEP_MS;
+            let mut now = (fast.boot.serve_start_ms / STEP_MS + 1) * STEP_MS;
             while now <= params.duration_ms {
                 cached += usize::from(fast.cycles.is_some());
                 let a = step(&mut fast, now, dt, None);

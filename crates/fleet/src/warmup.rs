@@ -611,7 +611,7 @@ impl WarmupReport {
 struct Entry {
     class: WarmupClass,
     steady_ms: Option<u64>,
-    /// `(k, rps_norm)` of every sample at `t = (k+1) · sample_ms`.
+    /// `(k, rps_norm)` of every sample at `t = (k+1) · sample_ms`, by `k`.
     /// Server-local sample times all land on multiples of `sample_ms` (a
     /// server's clock starts at its own restart), so bucketing by index is
     /// exact, not approximate.
@@ -696,16 +696,18 @@ impl WarmupAccumulator {
             Some(&entry) => entry,
             None => {
                 let v = classify_timeline(tl, self.duration_ms, &self.params);
-                let curve = tl
+                let mut curve: Vec<(u64, f64)> = tl
                     .samples
                     .iter()
                     .filter(on_grid)
                     .map(|s| (s.t_ms / sample_ms - 1, s.rps_norm))
                     .collect();
+                // Stable: points of one `k` keep their sample order.
+                curve.sort_by_key(|&(k, _)| k);
                 self.entries.push(Entry {
                     class: v.class,
                     steady_ms: v.steady_ms,
-                    curve,
+                    curve: curve.into(),
                     servers: [0; 2],
                 });
                 self.memo.insert(self.key.clone(), self.entries.len() - 1);
@@ -738,72 +740,86 @@ impl WarmupAccumulator {
         self.entries.extend(other.entries);
     }
 
-    /// Finalizes both arms into the fleet report. Every statistic reads
-    /// `(value, servers)` runs — one per entry — so percentiles and
-    /// bootstrap CIs equal those of the per-server values bit for bit.
+    /// Finalizes both arms into the fleet report, one after the other (a
+    /// deployment summarizes its two arms side by side instead).
     pub fn finish(self) -> WarmupReport {
+        WarmupReport {
+            params: self.params,
+            js: self.summarize(true),
+            nojs: self.summarize(false),
+        }
+    }
+
+    /// Summarizes one arm: the Jump-Start consumers, or the baselines.
+    /// Every statistic reads `(value, servers)` runs — one per entry — so
+    /// percentiles and bootstrap CIs equal those of the per-server values
+    /// bit for bit. The arms share nothing, the bootstrap seed included,
+    /// so they may be summarized in either order or at once.
+    pub(crate) fn summarize(&self, jumpstart: bool) -> ArmSummary {
         let params = self.params;
         let sample_ms = self.sample_ms;
-        let summarize = |arm: usize| -> ArmSummary {
-            let mut counts = ClassCounts::default();
-            let mut ttss: Vec<(f64, u64)> = Vec::new();
-            let mut ttss_n = 0;
-            // curve[k]: `(rps_norm, servers)` at `t = (k+1) · sample_ms`.
-            let mut curve: Vec<Vec<(f64, u64)>> = Vec::new();
-            for entry in &self.entries {
-                let servers = entry.servers[arm];
-                if servers == 0 {
-                    continue;
-                }
-                counts.counts[entry.class.code() as usize] += servers;
-                if let Some(steady) = entry.steady_ms {
-                    ttss.push((steady as f64, u64::from(servers)));
-                    ttss_n += servers;
-                }
-                for &(k, rps) in &entry.curve {
-                    let k = k as usize;
-                    if curve.len() <= k {
-                        curve.resize_with(k + 1, Vec::new);
-                    }
-                    curve[k].push((rps, u64::from(servers)));
-                }
+        let arm = usize::from(!jumpstart);
+        let mut counts = ClassCounts::default();
+        let mut ttss: Vec<(f64, u64)> = Vec::new();
+        let mut ttss_n = 0;
+        // Each member entry's curve points not yet read, and its servers.
+        let mut members: Vec<(&[(u64, f64)], u64)> = Vec::new();
+        for entry in &self.entries {
+            let servers = entry.servers[arm];
+            if servers == 0 {
+                continue;
             }
-            ttss.sort_by(|a, b| a.0.total_cmp(&b.0));
-            const QS: [f64; 3] = [0.50, 0.95, 0.99];
-            let cis = bootstrap_percentile_ci(
-                &ttss,
-                &QS,
-                params.bootstrap_resamples,
-                params.bootstrap_seed,
-            );
-            let stat = |i: usize| CiStat {
-                value: quantile_runs(&ttss, QS[i]),
-                lo: cis[i].0,
-                hi: cis[i].1,
-            };
-            let median_curve: Vec<(u64, f64)> = curve
-                .iter_mut()
-                .enumerate()
-                .filter(|(_, runs)| !runs.is_empty())
-                .map(|(k, runs)| {
-                    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    ((k as u64 + 1) * sample_ms, quantile_runs(runs, 0.5))
-                })
-                .collect();
-            ArmSummary {
-                servers: counts.total(),
-                counts,
-                ttss_n,
-                ttss_p50: stat(0),
-                ttss_p95: stat(1),
-                ttss_p99: stat(2),
-                median_curve,
+            counts.counts[entry.class.code() as usize] += servers;
+            if let Some(steady) = entry.steady_ms {
+                ttss.push((steady as f64, u64::from(servers)));
+                ttss_n += servers;
             }
+            members.push((&entry.curve, u64::from(servers)));
+        }
+        ttss.sort_by(|a, b| a.0.total_cmp(&b.0));
+        const QS: [f64; 3] = [0.50, 0.95, 0.99];
+        let cis = bootstrap_percentile_ci(
+            &ttss,
+            &QS,
+            params.bootstrap_resamples,
+            params.bootstrap_seed,
+        );
+        let stat = |i: usize| CiStat {
+            value: quantile_runs(&ttss, QS[i]),
+            lo: cis[i].0,
+            hi: cis[i].1,
         };
-        WarmupReport {
-            params,
-            js: summarize(0),
-            nojs: summarize(1),
+        // The curve a column at a time, in ascending `k`: every entry's
+        // points are sorted by `k`, so each member's slice is its cursor,
+        // and only the column of `(rps_norm, servers)` at `t = (k+1) ·
+        // sample_ms` is alive — pushed in entry order, as one vector per
+        // column would be.
+        let mut median_curve: Vec<(u64, f64)> = Vec::new();
+        let mut column: Vec<(f64, u64)> = Vec::new();
+        while let Some(k) = members
+            .iter()
+            .filter_map(|(c, _)| c.first())
+            .map(|p| p.0)
+            .min()
+        {
+            column.clear();
+            for (points, servers) in &mut members {
+                while let Some((&(_, rps), rest)) = points.split_first().filter(|(p, _)| p.0 == k) {
+                    column.push((rps, *servers));
+                    *points = rest;
+                }
+            }
+            column.sort_by(|a, b| a.0.total_cmp(&b.0));
+            median_curve.push(((k + 1) * sample_ms, quantile_runs(&column, 0.5)));
+        }
+        ArmSummary {
+            servers: counts.total(),
+            counts,
+            ttss_n,
+            ttss_p50: stat(0),
+            ttss_p95: stat(1),
+            ttss_p99: stat(2),
+            median_curve,
         }
     }
 }

@@ -1,12 +1,16 @@
 //! The fleet simulator's correctness contract, stated as properties:
 //!
-//! 1. **Oracle equivalence.** For any calibration, the step-skipping
+//! 1. **Oracle equivalence.** For any calibration, the shared-life
 //!    driver ([`fleet::run_server`]) must produce a [`fleet::Timeline`]
 //!    *bit-identical* to the dense per-second reference stepper
 //!    ([`fleet::simulate_warmup_dense`]) — not within an epsilon. Both
 //!    drivers share every floating-point operation (the `ServerSim` state
 //!    machine); the driver is only allowed to skip steps it can prove
-//!    would not change state, so any divergence is a bug in that proof.
+//!    would not change state, and to hand a server the steps of a life
+//!    another server started only when their serving steps provably
+//!    agree, so any divergence is a bug in one of those two proofs. A
+//!    batch of servers through one cache of lives ([`fleet::run_servers`])
+//!    must give each server exactly its lone run.
 //! 2. **Shard invariance.** A deployment's report is a pure function of
 //!    its parameters: running the same fleet on 1 thread or many must
 //!    give byte-identical per-server stats, aggregates and digest,
@@ -19,9 +23,9 @@
 use std::sync::OnceLock;
 
 use fleet::{
-    build_app_model, run_deployment, run_deployment_with_prior, run_server, simulate_warmup_dense,
-    AppModel, DeployParams, DeployReport, DistributionParams, FaultPlan, FleetShape, ServerConfig,
-    WarmupParams,
+    build_app_model, run_deployment, run_deployment_with_prior, run_server, run_servers,
+    simulate_warmup_dense, AppModel, DeployParams, DeployReport, DistributionParams, FaultPlan,
+    FleetShape, ServerConfig, WarmupParams,
 };
 use jit::JitOptions;
 use jumpstart::{build_package, JumpStartOptions, ProfilePackage, SeederInputs};
@@ -32,6 +36,8 @@ struct Fixture {
     app: App,
     model: AppModel,
     pkg: ProfilePackage,
+    /// A second package for the same cell, from another seeder's profile.
+    pkg2: ProfilePackage,
 }
 
 fn fixture() -> &'static Fixture {
@@ -41,22 +47,31 @@ fn fixture() -> &'static Fixture {
         let mix = RequestMix::new(&app, 0, 0);
         let run = workload::profile_run(&app, &mix, 150, 11);
         let model = build_app_model(&app, &run);
-        let pkg = build_package(
-            SeederInputs {
-                repo: &app.repo,
-                tier: run.tier,
-                ctx: run.ctx,
-                unit_order: run.unit_order,
-                requests: run.requests,
-                region: 0,
-                bucket: 0,
-                seeder_id: 1,
-                now_ms: 0,
-            },
-            &JumpStartOptions::default(),
-            &JitOptions::default(),
-        );
-        Fixture { app, model, pkg }
+        let package = |run: workload::ProfileRun, seeder_id| {
+            build_package(
+                SeederInputs {
+                    repo: &app.repo,
+                    tier: run.tier,
+                    ctx: run.ctx,
+                    unit_order: run.unit_order,
+                    requests: run.requests,
+                    region: 0,
+                    bucket: 0,
+                    seeder_id,
+                    now_ms: 0,
+                },
+                &JumpStartOptions::default(),
+                &JitOptions::default(),
+            )
+        };
+        let pkg2 = package(workload::profile_run(&app, &mix, 40, 12), 2);
+        let pkg = package(run, 1);
+        Fixture {
+            app,
+            model,
+            pkg,
+            pkg2,
+        }
     })
 }
 
@@ -125,6 +140,93 @@ proptest! {
         // The speedup must not come from doing the same work: a consumer
         // quiesces, so most steps are skipped, never recomputed.
         prop_assert!(run.steps_executed <= run.steps_dense);
+    }
+}
+
+/// One server of a cell's batch: its package (0, 1, or half the time a
+/// baseline: only baselines stamp lifecycle points), its three boot costs
+/// in ms (a third of them whole steps, the rest off the step grid), how
+/// late its init ends in halves of the duration (at 2 it never serves;
+/// at 1 its window ends where an earlier server's life is still stamping
+/// points), whether it is a slow host, and its degrading rate (0, a
+/// healthy host, for about four servers in five).
+fn arb_server() -> impl Strategy<Value = (Option<usize>, [u64; 3], u64, bool, u32)> {
+    // Whole seconds, or whole seconds plus 1..999 ms.
+    let cost = || {
+        (0u64..40, 0u64..3, 1u64..1000)
+            .prop_map(|(s, off_grid, ms)| s * 1000 + if off_grid > 0 { ms } else { 0 })
+    };
+    (
+        0usize..4,
+        (cost(), cost(), cost()),
+        0u32..8,
+        0u32..6,
+        0u32..40,
+    )
+        .prop_map(|(pkg, (a, b, c), late, slow, degrade)| {
+            (
+                pkg.checked_sub(2),
+                [a, b, c],
+                2u64.saturating_sub(u64::from(late)),
+                slow == 0,
+                degrade.saturating_sub(30),
+            )
+        })
+}
+
+proptest! {
+    // Cheap cases, and a bug in how a server reads a life another server
+    // stepped further shows only when a longer window goes first.
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn servers_sharing_lives_match_a_fresh_cache_and_the_dense_reference(
+        base in arb_params(),
+        batch in prop::collection::vec(arb_server(), 1..24),
+    ) {
+        let fx = fixture();
+        let mix = RequestMix::new(&fx.app, 0, 0);
+        let pkgs = [&fx.pkg, &fx.pkg2];
+        let servers: Vec<(WarmupParams, Option<usize>)> = batch
+            .iter()
+            .map(|&(pkg, [init_nojs, init_js, deser], late, slow, degrade)| {
+                let late_ms = late * base.duration_ms / 2;
+                let params = WarmupParams {
+                    init_ms_nojs: init_nojs + late_ms,
+                    init_ms_js: init_js + late_ms,
+                    deserialize_ms: deser,
+                    compile_bytes_per_core_ms: if slow {
+                        base.compile_bytes_per_core_ms / 3.0
+                    } else {
+                        base.compile_bytes_per_core_ms
+                    },
+                    degrade_per_mille_per_min: degrade,
+                    ..base
+                };
+                (params, pkg)
+            })
+            .collect();
+        // Forward and backward: whichever server starts a life, the
+        // others read it, longer and shorter windows alike.
+        let forward = run_servers(&fx.app, &fx.model, &mix, pkgs, &servers);
+        let reversed: Vec<_> = servers.iter().rev().copied().collect();
+        let mut backward = run_servers(&fx.app, &fx.model, &mix, pkgs, &reversed);
+        backward.reverse();
+        prop_assert_eq!(forward.len(), servers.len());
+        prop_assert_eq!(backward.len(), servers.len());
+        for ((&(params, pkg), a), b) in servers.iter().zip(&forward).zip(&backward) {
+            let config = ServerConfig { params, jumpstart: pkg.map(|k| pkgs[k]) };
+            let fresh = run_server(&fx.app, &fx.model, &mix, &config);
+            let dense = simulate_warmup_dense(&fx.app, &fx.model, &mix, &config);
+            for run in [a, b] {
+                prop_assert_eq!(&run.timeline, &fresh.timeline);
+                prop_assert_eq!(&run.timeline, &dense);
+                prop_assert_eq!(run.requests.to_bits(), fresh.requests.to_bits());
+                prop_assert_eq!(run.events, fresh.events);
+                prop_assert_eq!(run.steps_executed, fresh.steps_executed);
+                prop_assert_eq!(run.steps_dense, fresh.steps_dense);
+            }
+        }
     }
 }
 

@@ -88,7 +88,10 @@ impl Trace {
                     EventKind::Begin => {
                         format!("{{\"ph\":\"B\",{head},\"args\":{}}}", args_json(&ev.attrs))
                     }
-                    EventKind::End => format!("{{\"ph\":\"E\",{head}}}"),
+                    EventKind::End if ev.attrs.is_empty() => format!("{{\"ph\":\"E\",{head}}}"),
+                    EventKind::End => {
+                        format!("{{\"ph\":\"E\",{head},\"args\":{}}}", args_json(&ev.attrs))
+                    }
                     EventKind::Instant => format!(
                         "{{\"ph\":\"i\",\"s\":\"t\",{head},\"args\":{}}}",
                         args_json(&ev.attrs)

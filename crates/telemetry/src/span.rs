@@ -252,6 +252,16 @@ impl SpanGuard {
     pub fn inert() -> SpanGuard {
         SpanGuard { name: None }
     }
+
+    /// Ends the span now, attaching `attrs` known only at its end (they
+    /// join the begin event's attributes in the assembled span).
+    pub fn end_with(mut self, attrs: Vec<(&'static str, AttrValue)>) {
+        if let Some(name) = self.name.take() {
+            if enabled() {
+                record(EventKind::End, name, attrs);
+            }
+        }
+    }
 }
 
 impl Drop for SpanGuard {

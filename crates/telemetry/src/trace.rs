@@ -138,6 +138,7 @@ impl TrackDump {
                         });
                     }
                     node.end_ns = ev.ts_ns;
+                    node.attrs.extend(ev.attrs.iter().cloned());
                     match stack.last_mut() {
                         Some(parent) => parent.children.push(node),
                         None => roots.push(node),

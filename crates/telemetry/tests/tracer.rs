@@ -102,3 +102,33 @@ fn capture_discards_prior_session_leftovers() {
         "stale events leaked across sessions"
     );
 }
+
+#[test]
+fn end_attributes_join_their_span() {
+    let ((), trace) = telemetry::capture(|| {
+        let span = telemetry::span!("fan-out", "servers" => 8u64);
+        telemetry::span!("server").end_with(Vec::new());
+        span.end_with(vec![("lives", 3u64.into())]);
+    });
+    let roots: Vec<telemetry::SpanNode> = trace
+        .trees()
+        .expect("well-formed tracks")
+        .into_iter()
+        .flat_map(|(_, roots)| roots)
+        .filter(|r| r.name == "fan-out")
+        .collect();
+    let [fan_out] = roots.as_slice() else {
+        panic!("one fan-out span, got {roots:?}");
+    };
+    let u64_attr = telemetry::AttrValue::U64;
+    assert_eq!(
+        fan_out.attrs,
+        [("servers", u64_attr(8)), ("lives", u64_attr(3))]
+    );
+    assert_eq!(fan_out.children.len(), 1);
+    assert!(fan_out.children[0].attrs.is_empty());
+    // Chrome merges a `B` event's args with its `E` event's.
+    let json = trace.to_chrome_json();
+    telemetry::validate_chrome(&json).expect("valid Chrome trace");
+    assert!(json.contains(r#""ph":"E","#) && json.contains(r#""args":{"lives":3}"#));
+}
