@@ -124,3 +124,34 @@ fn profiling_allocates_less_than_once_per_call_and_keeps_its_profile() {
         );
     }
 }
+
+#[test]
+fn bench_app_and_other_seeds_keep_their_profiles() {
+    // The bench app, whose profiling window is collector-heavy, and the
+    // small app at another seed: the interpreter's fast paths must leave
+    // every counter where a plain instruction-by-instruction run puts it.
+    let cases = [
+        (AppParams::bench(), (0, 0), 42, 0x6c6f_0b1a_ac3c_60ac_u64),
+        (
+            AppParams {
+                seed: 31337,
+                ..AppParams::tiny()
+            },
+            (0, 0),
+            31337,
+            0xacd5_e3de_b196_0ed7_u64,
+        ),
+    ];
+    for (params, (region, bucket), seed, pinned) in cases {
+        let app = generate(&params);
+        let mix = RequestMix::new(&app, region, bucket);
+        let run = profile_run(&app, &mix, 150, seed);
+        assert_eq!(
+            digest(&run),
+            pinned,
+            "app seed {} cell ({region}, {bucket}) seed {seed}: profile digest {:#018x}",
+            params.seed,
+            digest(&run)
+        );
+    }
+}
