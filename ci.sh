@@ -137,9 +137,13 @@ print(f"store gate ok: churn-0.1 wire {wire:.1%} <= 40%, dedup {doc['dedup_ratio
 EOF
 fi
 
-echo "== jsbench smoke (every op of consume_bytes (boot-fresh, boot-stale) / consume_chunked (push-lazy) must hit its 1-thread consume reference digest, every steady-replay boot its reference layout, every 11000-server N-shard deployment its 1-shard one) =="
-for workload in boot-fresh boot-stale push-lazy fleet-push steady-replay; do
-  cargo run -q --release -p jsbench -- --workload "$workload" --seed 42 --seconds 1 --trace 0 >/dev/null
+echo "== jsbench smoke at seeds 42, 7 and 31337 (every op of consume_bytes (boot-fresh, boot-stale) / consume_chunked (push-lazy) must hit its 1-thread consume reference digest, every steady-replay boot its reference layout, every 11000-server N-shard deployment its 1-shard one) =="
+# Three seeds: the digest gates then cover every seed the profile
+# bit-identity gate names.
+for seed in 42 7 31337; do
+  for workload in boot-fresh boot-stale push-lazy fleet-push steady-replay; do
+    cargo run -q --release -p jsbench -- --workload "$workload" --seed "$seed" --seconds 1 --trace 0 >/dev/null
+  done
 done
 if cargo run -q --release -p jsbench -- --workload boot-stale --seed 42 --seconds 1 --trace 0 --flip-reference >/dev/null 2>&1; then
   echo "jsbench --flip-reference exited 0: the digest gate is not checking anything" >&2

@@ -492,55 +492,84 @@ impl CtxProfile {
     }
 }
 
-// Sentinel in `FuncState::site_of`: the instruction has no site.
-const NO_SITE: u32 = u32::MAX;
-
-// Operand slots a type-observation site counts densely; `vm` observes
-// slots 0 and 1 of a binary op.
-const SITE_SLOTS: usize = 2;
-
 // Parameters whose types are observed on function entry.
 const PARAM_SLOTS: usize = 8;
 
-// Counters of one binary op or conditional branch: the instructions the
-// interpreter reports operand types or branch outcomes at.
+// What instruction `at` of a function counts, and where: an index into
+// the `FuncState` vector of its kind.
+#[derive(Clone, Copy)]
+enum Site {
+    None,
+    // A binary op: operand types, slots 0 and 1, in `bins`.
+    Bin(u32),
+    // A conditional branch: outcomes per inline context, in `branches`.
+    Branch(u32),
+    // A call: targets, and the entries made from it, in `calls`.
+    Call(u32),
+}
+
+// Counters of one call site.
 #[derive(Default)]
-struct Site {
-    types: [TypeDist; SITE_SLOTS],
-    // Outcomes per inline context, first-seen order: a branch runs under
-    // few contexts, so a linear scan beats any search.
-    branches: Vec<(InlineCtx, BranchCount)>,
+struct CallSite {
+    // Calls per callee, first-seen order: a site calls few callees, so a
+    // linear scan beats any search.
+    targets: Vec<(FuncId, u64)>,
+    // Entries per callee under this site's inline context. Equal to
+    // `targets` unless a call failed before its callee was entered.
+    entries: Vec<(FuncId, u64)>,
+}
+
+// Adds one to `key`'s count in a short first-seen list.
+#[inline]
+fn bump<K: PartialEq>(counts: &mut Vec<(K, u64)>, key: K) {
+    match counts.iter_mut().find(|(k, _)| *k == key) {
+        Some((_, n)) => *n += 1,
+        None => counts.push((key, 1)),
+    }
 }
 
 // Everything collected for one function, created on its first event.
 struct FuncState {
-    // Entry and block counts, signature hashes, call targets, receiver
-    // classes and the observations no site holds (see `site`).
+    // Entry and block counts, signature hashes, receiver classes and the
+    // observations no site holds (see `Site`).
     profile: FuncProfile,
     // Whether a tier-1 event reached the function: one that only saw
     // branches has context counters but no `TierProfile` entry.
     in_tier: bool,
     // Parameter types, by parameter index.
     params: Vec<TypeDist>,
-    // Per instruction of the function: its index in `sites`, or `NO_SITE`.
-    site_of: Vec<u32>,
-    sites: Vec<Site>,
+    // Entries with no inline context (a request's top frame).
+    root_entries: u64,
+    // Per instruction of the function: its site.
+    site_of: Vec<Site>,
+    bins: Vec<[TypeDist; 2]>,
+    // Outcomes per inline context, first-seen order.
+    branches: Vec<Vec<(InlineCtx, BranchCount)>>,
+    calls: Vec<CallSite>,
 }
 
 impl FuncState {
     fn new(repo: &Repo, func: FuncId) -> FuncState {
         let f = repo.func(func);
         let cfg = Cfg::build(f);
-        let mut sites = Vec::new();
+        let (mut bins, mut branches, mut calls) = (Vec::new(), Vec::new(), Vec::new());
         let site_of = f
             .code
             .iter()
             .map(|instr| match instr {
-                Instr::Bin(_) | Instr::JmpZ(_) | Instr::JmpNZ(_) => {
-                    sites.push(Site::default());
-                    sites.len() as u32 - 1
+                Instr::Bin(_) => {
+                    bins.push([TypeDist::default(); 2]);
+                    Site::Bin(bins.len() as u32 - 1)
                 }
-                _ => NO_SITE,
+                Instr::JmpZ(_) | Instr::JmpNZ(_) => {
+                    branches.push(Vec::new());
+                    Site::Branch(branches.len() as u32 - 1)
+                }
+                Instr::Call { .. } | Instr::CallMethod { .. } => {
+                    calls.push(CallSite::default());
+                    Site::Call(calls.len() as u32 - 1)
+                }
+                _ => Site::None,
             })
             .collect();
         FuncState {
@@ -553,17 +582,33 @@ impl FuncState {
             },
             in_tier: false,
             params: Vec::new(),
+            root_entries: 0,
             site_of,
-            sites,
+            bins,
+            branches,
+            calls,
         }
     }
 
-    // The site of instruction `at`: `None` when `at` is not a binary op
-    // or a conditional branch of the function.
     #[inline]
-    fn site(&mut self, at: u32) -> Option<&mut Site> {
-        match self.site_of.get(at as usize) {
-            Some(&i) if i != NO_SITE => Some(&mut self.sites[i as usize]),
+    fn site(&self, at: u32) -> Site {
+        self.site_of.get(at as usize).copied().unwrap_or(Site::None)
+    }
+
+    // The operand types of the binary op at `at`, if it is one.
+    #[inline]
+    fn bin(&mut self, at: u32) -> Option<&mut [TypeDist; 2]> {
+        match self.site(at) {
+            Site::Bin(i) => Some(&mut self.bins[i as usize]),
+            _ => None,
+        }
+    }
+
+    // The counters of the call at `at`, if it is one.
+    #[inline]
+    fn call(&mut self, at: u32) -> Option<&mut CallSite> {
+        match self.site(at) {
+            Site::Call(i) => Some(&mut self.calls[i as usize]),
             _ => None,
         }
     }
@@ -576,19 +621,22 @@ impl FuncState {
 /// profiles with [`ProfileCollector::finish`].
 ///
 /// Counting is dense: per-function state sits in a vector indexed by
-/// [`FuncId`], and each binary op and conditional branch has a site laid
-/// out when its function's state is built, so a block, type or branch
-/// event (most of them) is an indexed increment that neither hashes,
-/// searches nor allocates. Entries, calls and property accesses add to
-/// sorted tables directly, as does an observation at any other
-/// instruction (an observer called directly may report one). The other
-/// tables are built once, by `finish`.
+/// [`FuncId`], and each binary op, conditional branch and call has a site
+/// laid out when its function's state is built. A block, operand-type or
+/// branch event is an indexed increment, and an entry or a call adds to
+/// its call site's short list of callees; none of them hashes, searches a
+/// table or, once a site has seen its callees and contexts, allocates.
+/// Both operand types of a binary op arrive in one
+/// [`ExecObserver::on_bin_types`] and find their site once. Property
+/// accesses add to sorted tables directly, as does an event at an
+/// instruction of another kind (an observer called directly may report
+/// one). `finish` builds every other table once.
 pub struct ProfileCollector<'r> {
     repo: &'r Repo,
     // Per-function state, indexed by `FuncId`.
     funcs: Vec<Option<FuncState>>,
-    // Entry counts, and the branches whose `at` is not an instruction of
-    // their function.
+    // The branches and entries whose site is not a conditional branch or
+    // a call of their function.
     ctx: CtxProfile,
     // Call stack: (func, inline ctx of this frame).
     stack: Vec<(FuncId, InlineCtx)>,
@@ -623,34 +671,51 @@ impl<'r> ProfileCollector<'r> {
         let mut tier = TierProfile::default();
         let CtxProfile {
             branches: Table(mut branches),
-            entries,
+            entries: Table(mut entries),
         } = self.ctx;
         for (i, state) in self.funcs.into_iter().enumerate() {
             let Some(mut state) = state else { continue };
             let func = FuncId::new(i as u32);
-            for (at, &s) in state.site_of.iter().enumerate() {
-                if s == NO_SITE {
-                    continue;
-                }
-                let site = &state.sites[s as usize];
+            let profile = &mut state.profile;
+            for (at, &site) in state.site_of.iter().enumerate() {
                 let at = at as u32;
-                for (slot, dist) in site.types.iter().enumerate() {
-                    if dist.total() > 0 {
-                        state.profile.record_types(at, slot as u8, dist);
+                match site {
+                    Site::None => {}
+                    Site::Bin(s) => {
+                        for (slot, dist) in state.bins[s as usize].iter().enumerate() {
+                            if dist.total() > 0 {
+                                profile.record_types(at, slot as u8, dist);
+                            }
+                        }
+                    }
+                    Site::Branch(s) => branches.extend(
+                        state.branches[s as usize]
+                            .iter()
+                            .map(|&(ctx, c)| ((func, at, ctx), c)),
+                    ),
+                    Site::Call(s) => {
+                        let site = &state.calls[s as usize];
+                        for &(callee, n) in &site.targets {
+                            profile.record_call(at, callee, n);
+                        }
+                        let ctx = Some((func, at));
+                        entries.extend(site.entries.iter().map(|&(f, n)| ((f, ctx), n)));
                     }
                 }
-                branches.extend(site.branches.iter().map(|&(ctx, c)| ((func, at, ctx), c)));
+            }
+            if state.root_entries > 0 {
+                entries.push(((func, None), state.root_entries));
             }
             for (slot, dist) in state.params.iter().enumerate() {
                 if dist.total() > 0 {
-                    state.profile.record_types(PARAM_SITE, slot as u8, dist);
+                    profile.record_types(PARAM_SITE, slot as u8, dist);
                 }
             }
             if state.in_tier {
                 tier.funcs.insert(func, state.profile);
             }
         }
-        (tier, CtxProfile::from_counts(branches, entries.0))
+        (tier, CtxProfile::from_counts(branches, entries))
     }
 
     #[inline]
@@ -682,7 +747,13 @@ impl ExecObserver for ProfileCollector<'_> {
         for (dist, a) in state.params.iter_mut().zip(args) {
             dist.observe(ValueKind::of(a));
         }
-        self.ctx.record_entry(ctx, func, 1);
+        match ctx {
+            None => state.root_entries += 1,
+            Some((caller, at)) => match self.state(caller).call(at) {
+                Some(site) => bump(&mut site.entries, func),
+                None => self.ctx.record_entry(ctx, func, 1),
+            },
+        }
     }
 
     #[inline]
@@ -700,19 +771,25 @@ impl ExecObserver for ProfileCollector<'_> {
             taken: u64::from(taken),
             not_taken: u64::from(!taken),
         };
-        let Some(site) = self.state(func).site(at) else {
+        let state = self.state(func);
+        let Site::Branch(i) = state.site(at) else {
             self.ctx.record_branch(ctx, func, at, &outcome);
             return;
         };
-        match site.branches.iter_mut().find(|(c, _)| *c == ctx) {
+        let site = &mut state.branches[i as usize];
+        match site.iter_mut().find(|(c, _)| *c == ctx) {
             Some((_, count)) => *count += &outcome,
-            None => site.branches.push((ctx, outcome)),
+            None => site.push((ctx, outcome)),
         }
     }
 
     #[inline]
     fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
-        self.tier_state(caller).profile.record_call(at, callee, 1);
+        let state = self.tier_state(caller);
+        match state.call(at) {
+            Some(site) => bump(&mut site.targets, callee),
+            None => state.profile.record_call(at, callee, 1),
+        }
         self.pending_site = Some((caller, at));
     }
 
@@ -733,14 +810,29 @@ impl ExecObserver for ProfileCollector<'_> {
     #[inline]
     fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
         let state = self.tier_state(func);
-        match state.site(at) {
-            Some(site) if usize::from(slot) < SITE_SLOTS => {
-                site.types[usize::from(slot)].observe(kind);
+        match state.bin(at) {
+            Some(site) if usize::from(slot) < site.len() => {
+                site[usize::from(slot)].observe(kind);
             }
             // Not a binary-op operand (a parameter site, a slot past the
             // operands, any other instruction, an `at` past the code): a
             // sorted-table insert.
             _ => state.profile.observe_type(at, slot, kind),
+        }
+    }
+
+    #[inline]
+    fn on_bin_types(&mut self, func: FuncId, at: u32, a: ValueKind, b: ValueKind) {
+        let state = self.tier_state(func);
+        match state.bin(at) {
+            Some([left, right]) => {
+                left.observe(a);
+                right.observe(b);
+            }
+            None => {
+                state.profile.observe_type(at, 0, a);
+                state.profile.observe_type(at, 1, b);
+            }
         }
     }
 
@@ -1103,6 +1195,11 @@ mod tests {
         fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
             self.0.on_type_observed(func, at, slot, kind);
             self.1.on_type_observed(func, at, slot, kind);
+        }
+
+        fn on_bin_types(&mut self, func: FuncId, at: u32, a: ValueKind, b: ValueKind) {
+            self.0.on_bin_types(func, at, a, b);
+            self.1.on_bin_types(func, at, a, b);
         }
 
         fn on_func_exit(&mut self, func: FuncId) {

@@ -1,0 +1,290 @@
+//! Prepared function bodies: the form the interpreter runs.
+//!
+//! [`bytecode::Instr`] stays the verified wire form. On a function's first
+//! call the [`crate::Vm`] lowers its code once into a [`Body`], a vector of
+//! [`Op`]s in which
+//!
+//! * every block start is an [`Op::Block`] carrying its [`BlockId`], so no
+//!   instruction looks a block start up;
+//! * every jump names the op it lands on, always an [`Op::Block`];
+//! * a binary op absorbs the `GetL` / `Int` pushes of its operands that
+//!   come right before it and a `SetL`, `JmpZ` or `JmpNZ` that consumes its
+//!   result right after it, as one [`Op::Bin`] group. A group never spans a
+//!   block start: only its first instruction may be one, and the
+//!   [`Op::Block`] before the group reports it;
+//! * a group whose result is the stack top the next group pops hands it
+//!   over without a push ([`Tail::Acc`], [`Src::Acc`]).
+//!
+//! A group keeps the instruction index of its binary op (`at`), so every
+//! observer callback and error names the instruction the wire form would:
+//! the pushes are `at - k`, the tail is `at + 1`. How a group is charged
+//! fuel is the interpreter's rule ([`crate::Vm`]): all at once when the
+//! fuel left covers it and both operands are ints, else instruction by
+//! instruction.
+
+use bytecode::{BinOp, BlockId, Cfg, Func, FuncId, Instr, Local};
+
+/// A binary op's operand.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Src {
+    /// Already on the operand stack.
+    Stack,
+    /// A local, read where it lies (an absorbed `GetL`).
+    Local(Local),
+    /// An integer immediate (an absorbed `Int`).
+    Int(i32),
+    /// The stack top, handed over by the op before, which ends in
+    /// [`Tail::Acc`], without a push.
+    Acc,
+}
+
+/// What a binary op does with its result.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Tail {
+    /// Pushes it.
+    Push,
+    /// Pushes it, or, when it is an int, hands it to the next op, a
+    /// binary op that reads it as [`Src::Acc`].
+    Acc,
+    /// Stores it in a local (an absorbed `SetL`).
+    SetL(Local),
+    /// Branches on it (an absorbed `JmpZ` when `on_zero`, else `JmpNZ`) to
+    /// op `target`.
+    Branch { target: u32, on_zero: bool },
+}
+
+impl Tail {
+    /// Whether the tail is an instruction of its own (a `SetL`, `JmpZ` or
+    /// `JmpNZ`), with fuel to charge.
+    pub(crate) fn is_instr(self) -> bool {
+        matches!(self, Tail::SetL(_) | Tail::Branch { .. })
+    }
+}
+
+/// One step of a prepared body.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum Op {
+    /// A basic block starts: raises `on_block` once fuel is left for its
+    /// first instruction, and charges nothing itself. A jump or branch
+    /// that lands on it does the same itself and runs on from the op
+    /// after it.
+    Block(BlockId),
+    /// `GetL`.
+    PushL(Local),
+    /// `Int`.
+    PushInt(i64),
+    /// `SetL`.
+    SetL(Local),
+    /// `Jmp` to an op.
+    Jmp(u32),
+    /// A `JmpZ` (`on_zero`) or `JmpNZ` at instruction `at`, to op `target`.
+    Branch { target: u32, on_zero: bool, at: u32 },
+    /// `Bin(op)` at instruction `at` with its absorbed operand pushes and
+    /// tail: `len` instructions in all.
+    Bin {
+        a: Src,
+        b: Src,
+        op: BinOp,
+        tail: Tail,
+        at: u32,
+        len: u8,
+    },
+    /// `Call` at instruction `at`.
+    Call { func: FuncId, argc: u8, at: u32 },
+    /// `Ret`.
+    Ret,
+    /// Any other instruction, run from the wire form at `at`.
+    Step(u32),
+}
+
+/// A function's code lowered for the interpreter.
+#[derive(Debug)]
+pub(crate) struct Body {
+    pub(crate) ops: Vec<Op>,
+}
+
+impl Body {
+    /// Lowers `func`, fusing every group the rules above allow.
+    pub(crate) fn build(func: &Func) -> Body {
+        Body::lower(func, true)
+    }
+
+    /// Lowers `func` one op per instruction (plus the block starts): the
+    /// reference the fused body is tested against.
+    #[cfg(test)]
+    pub(crate) fn unfused(func: &Func) -> Body {
+        Body::lower(func, false)
+    }
+
+    fn lower(func: &Func, fuse: bool) -> Body {
+        let code = &func.code;
+        let cfg = Cfg::build(func);
+        let mut block_at = vec![None; code.len()];
+        for (b, block) in cfg.blocks().iter().enumerate() {
+            block_at[block.start as usize] = Some(BlockId(b as u32));
+        }
+        // Jump targets are instruction indices until every block start
+        // has its op.
+        let mut op_of = vec![u32::MAX; code.len()];
+        let mut ops = Vec::with_capacity(code.len() + cfg.len());
+        let mut pc = 0;
+        while pc < code.len() {
+            if let Some(b) = block_at[pc] {
+                op_of[pc] = ops.len() as u32;
+                ops.push(Op::Block(b));
+            }
+            let group = if fuse {
+                group_at(code, pc, &block_at)
+            } else {
+                None
+            };
+            let (op, len) = group.unwrap_or_else(|| (single(code, pc), 1));
+            ops.push(op);
+            pc += len;
+        }
+        if fuse {
+            hand_over(&mut ops);
+        }
+        let resolve = |t: &mut u32| *t = op_of[*t as usize];
+        for op in &mut ops {
+            match op {
+                Op::Jmp(t)
+                | Op::Branch { target: t, .. }
+                | Op::Bin {
+                    tail: Tail::Branch { target: t, .. },
+                    ..
+                } => resolve(t),
+                _ => {}
+            }
+        }
+        debug_assert!(ops.iter().all(|op| match op {
+            Op::Jmp(t)
+            | Op::Branch { target: t, .. }
+            | Op::Bin {
+                tail: Tail::Branch { target: t, .. },
+                ..
+            } => matches!(ops.get(*t as usize), Some(Op::Block(_))),
+            _ => true,
+        }));
+        Body { ops }
+    }
+}
+
+/// Where a binary op's result is the stack top the next op, a binary op
+/// too, reads, has it handed over: the push and the pop become
+/// [`Tail::Acc`] and [`Src::Acc`]. The two ops are adjacent, so no block
+/// starts between them.
+fn hand_over(ops: &mut [Op]) {
+    for i in 1..ops.len() {
+        let (before, after) = ops.split_at_mut(i);
+        let (
+            Op::Bin {
+                tail: tail @ Tail::Push,
+                ..
+            },
+            Op::Bin { a, b, .. },
+        ) = (&mut before[i - 1], &mut after[0])
+        else {
+            continue;
+        };
+        // `b` is the top when both operands are on the stack.
+        let top = if *b == Src::Stack { b } else { a };
+        if *top == Src::Stack {
+            *top = Src::Acc;
+            *tail = Tail::Acc;
+        }
+    }
+}
+
+/// The op of instruction `pc` alone.
+fn single(code: &[Instr], pc: usize) -> Op {
+    let at = pc as u32;
+    match code[pc] {
+        Instr::GetL(l) => Op::PushL(l),
+        Instr::Int(v) => Op::PushInt(v),
+        Instr::SetL(l) => Op::SetL(l),
+        Instr::Jmp(t) => Op::Jmp(t),
+        Instr::JmpZ(t) => Op::Branch {
+            target: t,
+            on_zero: true,
+            at,
+        },
+        Instr::JmpNZ(t) => Op::Branch {
+            target: t,
+            on_zero: false,
+            at,
+        },
+        Instr::Bin(op) => Op::Bin {
+            a: Src::Stack,
+            b: Src::Stack,
+            op,
+            tail: Tail::Push,
+            at,
+            len: 1,
+        },
+        Instr::Call { func, argc } => Op::Call { func, argc, at },
+        Instr::Ret => Op::Ret,
+        _ => Op::Step(at),
+    }
+}
+
+/// The operand an instruction pushes, if a group can absorb it.
+fn src(instr: Instr) -> Option<Src> {
+    match instr {
+        Instr::GetL(l) => Some(Src::Local(l)),
+        Instr::Int(v) => i32::try_from(v).ok().map(Src::Int),
+        _ => None,
+    }
+}
+
+/// The group starting at instruction `pc` and its length in instructions:
+/// zero to two operand pushes, a `Bin`, and an optional tail, no
+/// instruction after the first starting a block. Of `GetL GetL Int Bin`
+/// the first push stays alone and the group starts at the second.
+fn group_at(code: &[Instr], pc: usize, block_at: &[Option<BlockId>]) -> Option<(Op, usize)> {
+    let inner = |i: usize| i < code.len() && block_at[i].is_none();
+    let src_at = |i: usize| code.get(i).copied().and_then(src);
+    let bin_at = |i: usize| match code.get(i) {
+        Some(&Instr::Bin(op)) => Some(op),
+        _ => None,
+    };
+    let fused_bin = |i: usize| if inner(i) { bin_at(i) } else { None };
+    let (a, b, i) = match (src_at(pc), src_at(pc + 1)) {
+        (Some(a), Some(b)) if inner(pc + 1) && fused_bin(pc + 2).is_some() => (a, b, pc + 2),
+        (Some(b), _) if fused_bin(pc + 1).is_some() => (Src::Stack, b, pc + 1),
+        _ => (Src::Stack, Src::Stack, pc),
+    };
+    let op = bin_at(i)?;
+    let tail = match code.get(i + 1) {
+        Some(&Instr::SetL(l)) if inner(i + 1) => Tail::SetL(l),
+        Some(&Instr::JmpZ(t)) if inner(i + 1) => Tail::Branch {
+            target: t,
+            on_zero: true,
+        },
+        Some(&Instr::JmpNZ(t)) if inner(i + 1) => Tail::Branch {
+            target: t,
+            on_zero: false,
+        },
+        _ => Tail::Push,
+    };
+    let len = i - pc + 1 + usize::from(tail != Tail::Push);
+    if len == 1 {
+        // A lone `Bin`: `single` lowers it the same way.
+        return None;
+    }
+    let op = Op::Bin {
+        a,
+        b,
+        op,
+        tail,
+        at: i as u32,
+        len: len as u8,
+    };
+    Some((op, len))
+}
+
+// The size the dispatch loop strides over.
+const _: () = assert!(std::mem::size_of::<Op>() == 32);
+
+#[cfg(test)]
+mod tests;

@@ -35,6 +35,7 @@
 //! assert_eq!(vm.call(id, &[Value::Int(21)]).unwrap(), Value::Int(42));
 //! ```
 
+mod body;
 mod builtins;
 mod classes;
 mod error;
