@@ -16,10 +16,11 @@
 //! Usage:
 //!   jsfleet              paper-scale run, writes BENCH_fleet.json
 //!   jsfleet --check      CI smoke: small fleet on 1, 2 and 3 shards (3
-//!                        leaves a ragged last seeding window), asserts
-//!                        the reports are bit-identical, the
-//!                        digest equals its pinned value and the counters
-//!                        are sane (on every shard count, no more lives
+//!                        threads for 4 seeders), asserts the reports are
+//!                        bit-identical, the digest equals its pinned
+//!                        value and the work counters are equal and sane
+//!                        (the same lives, life steps and classified
+//!                        timelines on every shard count, no more lives
 //!                        than servers and no more life steps than
 //!                        accounted steps). Writes nothing. Exits nonzero
 //!                        on any violation.
@@ -223,7 +224,7 @@ fn check() {
     let t1 = Instant::now();
     let two = run_deployment(&app, &small_fleet(2));
     let wall_two = t1.elapsed().as_secs_f64() * 1e3;
-    // 4 seeding jobs on 3 shards: one full window and one of a single job.
+    // 4 seeding jobs on 3 shards: one thread runs two of them.
     let three = run_deployment(&app, &small_fleet(3));
 
     assert_eq!(
@@ -248,10 +249,16 @@ fn check() {
             many.fleet_aggregate(),
             "aggregates must not depend on shard count ({shards} shards)"
         );
+        // Each cell's lives and classifier memo are built once per
+        // deployment, whichever thread runs the cell.
+        assert_eq!(
+            (one.sim.lives, one.sim.life_steps, one.sim.classified),
+            (many.sim.lives, many.sim.life_steps, many.sim.classified),
+            "work counters must not depend on shard count ({shards} shards)"
+        );
     }
     for run in [&one, &two, &three] {
         let (sim, shards) = (run.sim, run.sim.shards);
-        // Not equal across shard counts: each shard keeps its own lives.
         assert!(
             sim.lives <= sim.servers as u64,
             "more lives than servers ({shards} shards)"

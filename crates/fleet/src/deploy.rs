@@ -1,69 +1,67 @@
 //! The continuous-deployment pipeline at paper scale: C1 → C2 (seeders) →
 //! C3 (consumers), per §II-C and §IV-A.
 //!
-//! Every stage is a map over independent jobs, spread over
-//! [`FleetShape::shards`] threads. What a job computes is fixed by the
-//! deployment seed and the job's own key, never by the thread it runs
-//! on or what runs beside it, so the report is bit-identical for any
-//! shard count (proved by `tests/event_equivalence.rs`):
+//! Every stage is a list of independent jobs on one ordered pool: up to
+//! [`FleetShape::shards`] threads each take the next job as soon as they
+//! finish one, and the orchestrator takes the results strictly in job
+//! order. What a job computes is fixed by the deployment seed and its own
+//! key, never by the thread it runs on or what runs beside it, so the
+//! report and its work counters are bit-identical for any shard count
+//! (proved by `tests/event_equivalence.rs`):
 //!
-//! 1. **C2 seeding, a bounded window at a time.** Each (region, bucket,
-//!    seeder) job rolls its [`FaultPlan`] faults (a crashed or an
-//!    undersampled seeder), profiles its cell's traffic, builds a package
-//!    and validates it. Up to `shards` jobs run at once, as in the paper,
-//!    where every cell has its own seeder machines. After each window the
-//!    orchestrator publishes the validated packages, or counts each
-//!    failure, strictly in (region, bucket, seeder) order. Package ids,
-//!    chunk dedup and every cell's package order are therefore those of
-//!    a one-at-a-time run, and at most `shards` unpublished packages are
-//!    alive. A prior release is seeded the same way into a shadow store.
-//! 2. **Per-cell inputs, once, a window of cells at a time.** Each
-//!    (region, bucket) cell's consumer-side inputs are prepared a single
-//!    time: the request mix, the measured [`AppModel`], every published
-//!    package decoded once and priced on the wire. The orchestrator then
-//!    builds each cell's [`ServerPlan`] beside them. All of it is shared
-//!    read-only with every server in the cell — 2000 consumers cost one
-//!    deserialization, not 2000.
-//! 3. **Fan-out over shards.** Every server (Jump-Start consumers and
-//!    no-Jump-Start baselines) becomes a [`Slot`] whose randomized
-//!    decisions — restart stagger, boot-time jitter, degraded-host roll,
-//!    package pick — are drawn up front from a per-server RNG stream
-//!    keyed only by the deployment seed and the server's global id.
-//!    Servers are independent, so each shard runs its slots one at a
-//!    time and reduces each run in place: classify the timeline, fold it
-//!    into a shard-local [`WarmupAccumulator`], compact it to a
-//!    [`ServerStat`]. Servers of one cell differ only in jitter, host and
-//!    download rolls, which move only their boot costs and so when
-//!    serving starts. Their serving steps then repeat exactly whenever
-//!    they agree on the package, the non-boot calibration, a baseline's
-//!    point-A step and, on a degrading host, the first step's end (the
-//!    life key; the argument is in [`crate::server`]'s docs). So each
-//!    shard runs its servers through one [`Lives`] cache: a cell's
-//!    distinct lives are stepped once, every server reads its samples,
-//!    requests and lifecycle points off one, shifted to its own clock
-//!    and cut at its own window, and a hit builds no simulation state.
+//! 1. **C2 seeding.** As in the paper, every cell has its own seeders.
+//!    Each (release, region, bucket, seeder) job rolls its [`FaultPlan`]
+//!    faults (a crashed or an undersampled seeder), profiles its cell's
+//!    traffic, builds a package and validates it. A prior release's
+//!    seeders (into a shadow store: the consumers' chunk cache) follow
+//!    the pushed release's in one job list. The orchestrator publishes
+//!    each package, or counts each failure, once every earlier job's is:
+//!    package ids, chunk dedup and every cell's package order are those
+//!    of a one-at-a-time run.
+//! 2. **Per-cell inputs, once.** One job per (region, bucket) cell
+//!    prepares its consumer-side inputs: the request mix, the measured
+//!    [`AppModel`], every published package decoded once and priced on
+//!    the wire. All of it is shared read-only with every server in the
+//!    cell — 2000 consumers cost one deserialization, not 2000.
+//! 3. **Fan-out, a whole cell per job.** Every server (Jump-Start
+//!    consumers and no-Jump-Start baselines) becomes a [`Slot`] whose
+//!    randomized decisions — restart stagger, boot-time jitter,
+//!    degraded-host roll, package pick — are drawn up front from a
+//!    per-server RNG stream keyed only by the deployment seed and the
+//!    server's global id. A cell's job builds its [`ServerPlan`], runs its
+//!    servers one at a time and reduces each run in place: classify the
+//!    timeline, fold it into the cell's [`WarmupAccumulator`], compact it
+//!    to a [`ServerStat`]. Servers of one cell differ only in jitter, host
+//!    and download rolls, which move only when serving starts. Their
+//!    serving steps then repeat exactly whenever they agree on the
+//!    package, the non-boot calibration, a baseline's point-A step and,
+//!    on a degrading host, the first step's end (the life key; the
+//!    argument is in [`crate::server`]'s docs). So the cell's servers run
+//!    through one [`Lives`] cache: each distinct life is stepped once per
+//!    deployment, every server reads its samples, requests and lifecycle
+//!    points off one, shifted to its own clock and cut at its own window.
 //!    On the fixed sample grid the post-serve series then mostly repeat
-//!    too, so the accumulator classifies each distinct one once. Slots
-//!    are laid out cell by cell, and each shard resets its lives and
-//!    clears the classifier memo when it moves to the next cell: it
-//!    never holds more than one cell's distinct lives and series (a few
-//!    and a few dozen at bench scale).
-//! 4. **Fold.** The orchestrator merges the accumulators, orders the
-//!    stats by gid and sums, then summarizes the two arms side by side.
-//!    Shards consume no randomness and share no mutable state, so
-//!    nothing here depends on the shard count.
+//!    too, so the accumulator classifies each distinct one once.
+//! 4. **Fold.** Cells are gid-contiguous: appending each cell's stats and
+//!    representatives as it comes in keeps gid order. The orchestrator
+//!    then sums in gid order and summarizes the two arms side by side.
 //!
 //! Each stage is a telemetry span on the orchestrator's track:
-//! `c2-seeding` (one `publish` per package), `cell-prep`, `c3-fanout`
-//! (ending with the `lives` simulated and the `life_steps` they took)
-//! and `fold`, inside `deployment`. A job on another thread opens its
-//! `seeder` or `cell-prep` span on that thread's track.
+//! `c2-seeding` (one `publish` per package), `c3-fanout` (ending with the
+//! `lives` simulated and the `life_steps` they took) and `fold`, inside
+//! `deployment`. A job opens its `seeder`, `cell-prep` or `cell-fanout`
+//! span (the last also ending with its `lives` and `life_steps`) on the
+//! track of the thread that runs it, the orchestrator's included.
 //!
-//! Memory stays flat at scale: one cell's lives are live per shard at a
-//! time, and only each cell's representative servers keep their timeline
-//! (and with it a Chrome-trace track) past the shard. Every server, kept
-//! or not, leaves a compact [`ServerStat`]; those feed the fleet-wide
-//! percentiles via [`telemetry::aggregate_values`].
+//! Memory stays flat at scale: no job starts far ahead of the oldest
+//! result not yet taken, a thread holds one cell's lives and series at a
+//! time, and only each cell's representatives keep their timeline (and
+//! with it a Chrome-trace track). Every server leaves a compact
+//! [`ServerStat`]; those feed the fleet-wide percentiles via
+//! [`telemetry::aggregate_values`].
+
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 use jit::JitOptions;
 use jumpstart::chunk::ChunkPool;
@@ -105,10 +103,10 @@ pub struct FleetShape {
     /// Servers per cell (of each kind) that keep a full timeline and a
     /// Chrome-trace track; the rest are compact stats only.
     pub representatives_per_cell: u32,
-    /// OS threads the deployment runs on: up to this many C2 seeders and
-    /// cell preparations at a time, then the fleet's servers sharded
-    /// across this many. Results are bit-identical for any value; this
-    /// only changes wall time.
+    /// OS threads the deployment runs on: every stage's jobs go to at most
+    /// this many, and zero runs as one. The report and every [`ShardStats`]
+    /// counter but `shards` are bit-identical for any value; this only
+    /// changes wall time.
     pub shards: u32,
     /// Restarts are staggered uniformly over this window (ms of fleet
     /// time), like a real rolling push. Timelines are in each server's
@@ -330,17 +328,13 @@ pub struct ShardStats {
     pub requests: f64,
     /// Timelines the warmup classifier actually ran on, i.e. the distinct
     /// timelines the fold stored: the rest were exact repeats answered by
-    /// its per-cell memo. Like `shards`, this depends on the shard count
-    /// (each shard memoizes on its own), so shard-invariance checks
-    /// (`tests/event_equivalence.rs`) must not compare it.
+    /// its per-cell memo.
     pub classified: u64,
     /// Distinct server lives the fan-out simulated: every other server
-    /// re-used the steps of one of these. Like `classified`, this depends
-    /// on how servers were dealt to shards.
+    /// re-used the steps of one of these.
     pub lives: u64,
     /// Serving steps those lives computed — the simulation work behind
-    /// `steps_executed`, which counts steps per server. Shard-dependent
-    /// like `lives`.
+    /// `steps_executed`, which counts steps per server.
     pub life_steps: u64,
 }
 
@@ -525,7 +519,7 @@ fn mean(values: impl Iterator<Item = f64>) -> f64 {
 
 /// One cell's read-only consumer inputs, prepared once and shared by
 /// every server in the cell. The cell's [`ServerPlan`] borrows `model`
-/// and is built beside it.
+/// and is built by the cell's fan-out job.
 struct CellData {
     region: u32,
     bucket: u32,
@@ -538,22 +532,19 @@ struct CellData {
     wire: Vec<PackageWire>,
 }
 
-/// What one shard thread hands back: every server it ran, reduced.
-struct ShardResult {
+/// What a cell's fan-out job hands back: its servers, reduced.
+struct CellResult {
     stats: Vec<ServerStat>,
-    /// `(gid, timeline)` of the shard's representatives — the only
-    /// timelines that outlive their server's turn.
-    representatives: Vec<(usize, Timeline)>,
+    /// The timelines of the cell's representatives, the only ones that
+    /// outlive their server's turn: `[Jump-Start, baseline]`, in gid order.
+    timelines: [Vec<Timeline>; 2],
     warmup: WarmupAccumulator,
-    /// Serving steps the shard's servers were woken for.
-    events: u64,
-    /// Lives the shard simulated, and the steps they computed.
-    lives: u64,
-    life_steps: u64,
+    /// The cell's `events`, `lives` and `life_steps`.
+    sim: ShardStats,
 }
 
 /// One server's precomputed rolls. All randomness is consumed here,
-/// sequentially in gid order, before any shard thread exists.
+/// sequentially in gid order, before the fan-out starts.
 struct Slot {
     cell: usize,
     jumpstart: bool,
@@ -578,7 +569,11 @@ fn scale_ms(ms: u64, pct: u64) -> u64 {
     ms * pct / 100
 }
 
-fn build_slot(gid: u32, cell: usize, jumpstart: bool, data: &CellData, p: &DeployParams) -> Slot {
+/// The rolls of server `k` of cell `cell`: its consumers come first, then
+/// its baselines.
+fn build_slot(gid: u32, cell: usize, k: u32, data: &CellData, p: &DeployParams) -> Slot {
+    let baseline = k.checked_sub(p.fleet.servers_per_cell);
+    let jumpstart = baseline.is_none();
     // A splitmix-style spread keeps neighboring gids' streams uncorrelated.
     let mut rng =
         SmallRng::seed_from_u64(p.seed ^ (gid as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
@@ -621,7 +616,7 @@ fn build_slot(gid: u32, cell: usize, jumpstart: bool, data: &CellData, p: &Deplo
     Slot {
         cell,
         jumpstart,
-        representative: false, // assigned by the caller per cell
+        representative: baseline.unwrap_or(k) < p.fleet.representatives_per_cell,
         pkg,
         params,
         slow_host,
@@ -645,35 +640,89 @@ struct SeedOutcome {
     publish_bytes_new: u64,
 }
 
-/// Runs `work` over `jobs` in windows of at most `width`. A window's jobs
-/// run at once, on scoped threads and the calling thread (which takes
-/// the last job), and `sink` receives their results in job order before
-/// the next window starts — so at most `width` results are alive, and
-/// whatever `sink` does happens in job order for any `width`.
-fn map_windows<J: Sync, R: Send>(
-    jobs: &[J],
+/// Runs `work` on every job in `0..jobs` and hands the results to `sink`
+/// strictly in job order. Up to `min(width, jobs)` threads, the calling
+/// thread among them, each take the next job off a shared counter, so a
+/// slow job holds up only the thread running it. `sink` runs on the
+/// calling thread, on each result once every earlier one is sunk and as
+/// soon as that thread is between jobs: whatever it does happens as in a
+/// one-at-a-time run, for any `width`. No job starts `2 · width` or more
+/// places past the oldest result not yet sunk, so while every thread is
+/// busy at most `width` results wait. A job's panic is raised again on
+/// the calling thread in its turn.
+fn map_ordered<R: Send>(
+    jobs: usize,
     width: usize,
-    work: impl Fn(&J) -> R + Sync,
+    work: impl Fn(usize) -> R + Sync,
     mut sink: impl FnMut(R),
 ) {
-    let work = &work;
-    for window in jobs.chunks(width.max(1)) {
-        let (last, spawned) = window.split_last().expect("windows are non-empty");
-        let results: Vec<R> = std::thread::scope(|scope| {
-            let handles: Vec<_> = spawned
-                .iter()
-                .map(|job| scope.spawn(move || work(job)))
-                .collect();
-            let last = work(last);
-            let mut results: Vec<R> = handles
-                .into_iter()
-                .map(|h| h.join().expect("window thread"))
-                .collect();
-            results.push(last);
-            results
-        });
-        results.into_iter().for_each(&mut sink);
+    let threads = width.min(jobs);
+    if threads <= 1 {
+        return (0..jobs).map(work).for_each(sink);
     }
+    /// `done[i]` holds job `i`'s result from when it is in until it is sunk.
+    struct Queue<R> {
+        next: usize,
+        sunk: usize,
+        done: Vec<Option<std::thread::Result<R>>>,
+    }
+    let queue = Mutex::new(Queue {
+        next: 0,
+        sunk: 0,
+        done: (0..jobs).map(|_| None).collect(),
+    });
+    let changed = Condvar::new();
+    const UNPOISONED: &str = "no thread panics holding the queue's lock";
+    let lock = || queue.lock().expect(UNPOISONED);
+    let blocked = |q: &mut Queue<R>| q.next < jobs && q.next >= q.sunk + 2 * threads;
+    let run = |mut q: MutexGuard<Queue<R>>| {
+        let i = q.next;
+        q.next += 1;
+        drop(q);
+        let result = panic::catch_unwind(AssertUnwindSafe(|| work(i)));
+        lock().done[i] = Some(result);
+        changed.notify_all();
+    };
+    std::thread::scope(|scope| {
+        let spawn = |_| {
+            scope.spawn(|| loop {
+                let q = changed.wait_while(lock(), blocked).expect(UNPOISONED);
+                if q.next == jobs {
+                    return;
+                }
+                run(q);
+            })
+        };
+        let helpers: Vec<_> = (1..threads).map(spawn).collect();
+        let mut q = lock();
+        while q.sunk < jobs {
+            let head = q.sunk;
+            if let Some(result) = q.done[head].take() {
+                q.sunk += 1;
+                drop(q);
+                changed.notify_all();
+                let sunk = result.and_then(|r| panic::catch_unwind(AssertUnwindSafe(|| sink(r))));
+                if let Err(payload) = sunk {
+                    // Start nothing more: the threads run out and end.
+                    lock().next = jobs;
+                    changed.notify_all();
+                    panic::resume_unwind(payload);
+                }
+            } else if q.next < jobs && !blocked(&mut q) {
+                run(q);
+            } else {
+                q = changed.wait(q).expect(UNPOISONED);
+                continue;
+            }
+            q = lock();
+        }
+        drop(q);
+        // Unlike the scope's end, `join` waits until each thread has
+        // exited and handed its malloc arena on to the next pool's.
+        for helper in helpers {
+            helper.join().expect("jobs catch their panics");
+        }
+    });
 }
 
 /// Every (region, bucket) cell of the grid, in region-major order.
@@ -738,53 +787,59 @@ fn run_seeder(
     }
 }
 
-/// C2: every cell's seeders profile their traffic, validate, and publish
-/// chunked into `store`. Seeders run a window of up to `shards` at a
-/// time; the orchestrator publishes each window's packages in (region,
-/// bucket, seeder) order, so package ids, chunk dedup and every cell's
-/// package order match a one-at-a-time run. Seeding the previous release
-/// with the same params replays the same seeder fleet against the old
-/// code — which is exactly the chunk cache a consumer holds.
-fn seed_store(app: &App, params: &DeployParams, store: &PackageStore) -> SeedOutcome {
+/// C2 for every release in `releases` (the pushed one first) as one job
+/// list: each cell's seeders profile their traffic, validate, and publish
+/// chunked into their release's store in (release, region, bucket,
+/// seeder) order. A prior release is seeded with the same params: the
+/// same seeder fleet against the old code, which is exactly the chunk
+/// cache a consumer holds. Returns the pushed release's counters.
+fn seed_stores(params: &DeployParams, releases: &[(&App, &PackageStore)]) -> SeedOutcome {
     let _seed_span = telemetry::span!("c2-seeding", "cells" => params.cells() as u64);
     let validator = Validator::new(params.js_opts, params.jit_opts);
-    let jobs: Vec<(u32, u32, u32)> = cell_ids(params)
-        .into_iter()
-        .flat_map(|(r, b)| (0..params.seeders_per_cell).map(move |s| (r, b, s)))
-        .collect();
-    let mut out = SeedOutcome::default();
-    map_windows(
-        &jobs,
+    let mut jobs = Vec::new();
+    for r in 0..releases.len() {
+        for (region, bucket) in cell_ids(params) {
+            jobs.extend((0..params.seeders_per_cell).map(|s| (r, (region, bucket, s))));
+        }
+    }
+    let mut outs = vec![SeedOutcome::default(); releases.len()];
+    map_ordered(
+        jobs.len(),
         params.fleet.shards as usize,
-        |&job| run_seeder(app, params, &validator, job),
-        |seeded| match seeded {
-            Err(SeederFailure::Crashed) => out.seeder_crashes += 1,
-            Err(SeederFailure::Rejected) => out.validation_failures += 1,
-            Ok(pkg) => {
-                let _span = telemetry::span!("publish", "seeder" => pkg.meta.seeder_id);
-                let (_, receipt) = store.publish_chunked(&pkg, app.repo.funcs().len());
-                out.publish_bytes_total += receipt.bytes_total;
-                out.publish_bytes_new += receipt.bytes_new;
-                out.published += 1;
+        |j| {
+            let (r, seeder) = jobs[j];
+            (r, run_seeder(releases[r].0, params, &validator, seeder))
+        },
+        |(r, seeded)| {
+            let ((app, store), out) = (releases[r], &mut outs[r]);
+            match seeded {
+                Err(SeederFailure::Crashed) => out.seeder_crashes += 1,
+                Err(SeederFailure::Rejected) => out.validation_failures += 1,
+                Ok(pkg) => {
+                    let _span = telemetry::span!("publish", "seeder" => pkg.meta.seeder_id);
+                    let (_, receipt) = store.publish_chunked(&pkg, app.repo.funcs().len());
+                    out.publish_bytes_total += receipt.bytes_total;
+                    out.publish_bytes_new += receipt.bytes_new;
+                    out.published += 1;
+                }
             }
         },
     );
-    out
+    outs[0]
 }
 
 /// One cell's consumer-side inputs: its request mix, the [`AppModel`]
-/// measured on that mix (sharing the deployment's `endpoint_calls`), its
-/// published packages decoded once, and their wire pricing against
-/// `prior_store`'s chunk pool for the cell.
+/// measured on that mix (sharing the deployment's `endpoint_calls`), the
+/// packages `releases[0]` published to it decoded once, and their wire
+/// pricing against `releases[1]`'s chunk pool for the cell, if any.
 fn prepare_cell(
-    app: &App,
     params: &DeployParams,
-    store: &PackageStore,
-    prior_store: Option<&PackageStore>,
+    releases: &[(&App, &PackageStore)],
     endpoint_calls: &EndpointCalls,
     (region, bucket): (u32, u32),
 ) -> CellData {
     let _span = telemetry::span!("cell-prep", "region" => region, "bucket" => bucket);
+    let ((app, store), prior_store) = (releases[0], releases.get(1).map(|r| r.1));
     let mix = RequestMix::new(app, region as usize, bucket as usize);
     // The consumer's model is measured on its own cell's traffic.
     let truth_span = telemetry::span!("truth-profile", "requests" => params.seeder_requests);
@@ -828,8 +883,8 @@ fn prepare_cell(
 
 /// Runs one deployment: C2 seeders profile their cell's traffic, validate
 /// and publish; C3 consumers in each cell boot with randomized packages
-/// (vs. the no-Jump-Start baselines on identical traffic), fanned out over
-/// shard threads.
+/// (vs. the no-Jump-Start baselines on identical traffic), a cell per job
+/// over the shard threads.
 pub fn run_deployment(app: &App, params: &DeployParams) -> DeployReport {
     run_deployment_with_prior(app, None, params)
 }
@@ -851,58 +906,36 @@ pub fn run_deployment_with_prior(
         "shards" => params.fleet.shards,
     );
     let shards = params.fleet.shards.max(1) as usize;
-    let store = PackageStore::new();
-    let seeded = seed_store(app, params, &store);
+    // The previous release's store holds the consumers' chunk caches.
+    let (store, prior_store) = (PackageStore::new(), PackageStore::new());
+    let mut releases = vec![(app, &store)];
+    releases.extend(prior.map(|prior| (prior, &prior_store)));
+    let seeded = seed_stores(params, &releases);
 
-    // The previous release's chunks, as a consumer cache per cell.
-    let prior_store = prior.map(|prior_app| {
-        let shadow = PackageStore::new();
-        seed_store(prior_app, params, &shadow);
-        shadow
-    });
-
-    // --- Per-cell consumer inputs, prepared once, a window of cells at a time ---
+    // --- Per-cell consumer inputs, prepared once, a cell per job ---
     let endpoint_calls = {
         let _span = telemetry::span!("endpoint-calls");
         measure_endpoint_calls(app)
     };
-    let mut cells: Vec<CellData> = Vec::with_capacity(params.cells());
-    map_windows(
-        &cell_ids(params),
+    let cell_keys = cell_ids(params);
+    let mut cells: Vec<CellData> = Vec::with_capacity(cell_keys.len());
+    map_ordered(
+        cell_keys.len(),
         shards,
-        |&cell| {
-            let prior_store = prior_store.as_ref();
-            prepare_cell(app, params, &store, prior_store, &endpoint_calls, cell)
-        },
+        |c| prepare_cell(params, &releases, &endpoint_calls, cell_keys[c]),
         |data| cells.push(data),
     );
-
-    // Each cell's server plan: the peak request cost, the flat call
-    // terms, every package's boot prefix and the quiescence watch. Jitter
-    // and host faults touch only boot and compile costs, which the plan
-    // does not read, so every server of the cell steps over it.
-    let plans: Vec<ServerPlan<'_>> = cells
-        .iter()
-        .map(|c| ServerPlan::new(app, &c.model, &c.mix, &params.warmup, &c.packages))
-        .collect();
 
     // --- C3: every server's randomized rolls, drawn sequentially ---
     // Sized once, like every per-server vector of the fan-out and fold:
     // a doubling vector's first small buffer may be one the main thread
-    // recycled from a window thread's malloc arena, and every realloc of
+    // recycled from a pool thread's malloc arena, and every realloc of
     // it then grows that arena (EXPERIMENTS.md, "Peak RSS has one mode").
-    let per_cell = params.fleet.servers_per_cell + params.fleet.baselines_per_cell;
-    let mut slots: Vec<Slot> = Vec::with_capacity(cells.len() * per_cell as usize);
+    let per_cell = (params.fleet.servers_per_cell + params.fleet.baselines_per_cell) as usize;
+    let mut slots: Vec<Slot> = Vec::with_capacity(cells.len() * per_cell);
     for (c, data) in cells.iter().enumerate() {
-        for k in 0..params.fleet.servers_per_cell {
-            let mut slot = build_slot(slots.len() as u32, c, true, data, params);
-            slot.representative = k < params.fleet.representatives_per_cell;
-            slots.push(slot);
-        }
-        for k in 0..params.fleet.baselines_per_cell {
-            let mut slot = build_slot(slots.len() as u32, c, false, data, params);
-            slot.representative = k < params.fleet.representatives_per_cell;
-            slots.push(slot);
+        for k in 0..per_cell as u32 {
+            slots.push(build_slot(slots.len() as u32, c, k, data, params));
         }
     }
 
@@ -917,11 +950,8 @@ pub fn run_deployment_with_prior(
         ..Default::default()
     };
     if dist.enabled {
-        let fetchers: Vec<usize> = slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.pkg.is_some())
-            .map(|(i, _)| i)
+        let fetchers: Vec<usize> = (0..slots.len())
+            .filter(|&i| slots[i].pkg.is_some())
             .collect();
         let fetches: Vec<Fetch> = fetchers
             .iter()
@@ -961,41 +991,33 @@ pub fn run_deployment_with_prior(
         }
     }
 
-    // --- Fan-out: each shard maps `run_server` over its slots and reduces ---
+    // --- Fan-out: a cell per job, its servers run and reduced in place ---
     let fan_span = telemetry::span!(
         "c3-fanout",
         "servers" => slots.len() as u64,
         "shards" => shards as u64,
     );
-    let (slots, cells, plans) = (&slots, &cells, &plans);
-    let run_shard = |&shard: &usize| {
-        let mut out = ShardResult {
-            stats: Vec::with_capacity(slots.len().div_ceil(shards)),
-            representatives: Vec::new(),
-            warmup: WarmupAccumulator::new(
-                params.analysis,
-                params.warmup.sample_ms,
-                params.warmup.duration_ms,
-            ),
-            events: 0,
-            lives: 0,
-            life_steps: 0,
+    let w = &params.warmup;
+    let new_accumulator = || WarmupAccumulator::new(params.analysis, w.sample_ms, w.duration_ms);
+    let run_cell = |c: usize| {
+        let data = &cells[c];
+        let span =
+            telemetry::span!("cell-fanout", "region" => data.region, "bucket" => data.bucket);
+        // Peak request cost, flat call terms, each package's boot prefix,
+        // the quiescence watch: jitter and host faults move none of it, so
+        // every server of the cell steps over this plan.
+        let plan = ServerPlan::new(app, &data.model, &data.mix, &params.warmup, &data.packages);
+        let mut lives = Lives::new(&plan);
+        let mut out = CellResult {
+            stats: Vec::with_capacity(per_cell),
+            timelines: Default::default(),
+            warmup: new_accumulator(),
+            sim: ShardStats::default(),
         };
-        let mut lives = Lives::default();
-        let mut cell = None;
-        for gid in (shard..slots.len()).step_by(shards) {
-            let slot = &slots[gid];
-            // Slots are cell-contiguous, and lives and timelines repeat
-            // within a cell: clearing here bounds both memos to one cell.
-            if cell != Some(slot.cell) {
-                out.warmup.clear_memo();
-                lives.reset(&plans[slot.cell]);
-                cell = Some(slot.cell);
-            }
-            let data = &cells[slot.cell];
+        for (gid, slot) in slots.iter().enumerate().skip(c * per_cell).take(per_cell) {
             let run = lives.run(&slot.params, slot.pkg);
             let (class, steady_ms) = out.warmup.add(&run.timeline, slot.jumpstart);
-            out.events += run.events;
+            out.sim.events += run.events;
             out.stats.push(ServerStat {
                 gid: gid as u32,
                 region: data.region,
@@ -1015,84 +1037,62 @@ pub fn run_deployment_with_prior(
                 download_ms: slot.download_ms,
             });
             if slot.representative {
-                out.representatives.push((gid, run.timeline));
+                out.timelines[usize::from(!slot.jumpstart)].push(run.timeline);
             }
         }
-        (out.lives, out.life_steps) = (lives.simulated, lives.life_steps);
+        (out.sim.lives, out.sim.life_steps) = (lives.simulated, lives.life_steps);
+        span.end_with(vec![
+            ("lives", out.sim.lives.into()),
+            ("life_steps", out.sim.life_steps.into()),
+        ]);
         out
     };
-    let shard_ids: Vec<usize> = (0..shards).collect();
-    let mut shard_results: Vec<ShardResult> = Vec::with_capacity(shards);
-    map_windows(&shard_ids, shards, run_shard, |r| shard_results.push(r));
-    let lives: u64 = shard_results.iter().map(|r| r.lives).sum();
-    let life_steps: u64 = shard_results.iter().map(|r| r.life_steps).sum();
+    // Cells are gid-contiguous, so results taken in cell order are in gid
+    // order: shard count leaves no trace in the report.
+    let mut stats = Vec::with_capacity(slots.len());
+    let mut timelines: [Vec<Timeline>; 2] = Default::default();
+    let mut warmup = new_accumulator();
+    let mut sim = ShardStats {
+        shards: shards as u32,
+        servers: slots.len(),
+        ..Default::default()
+    };
+    map_ordered(cells.len(), shards, run_cell, |cell| {
+        stats.extend(cell.stats);
+        for (arm, kept) in timelines.iter_mut().zip(cell.timelines) {
+            arm.extend(kept);
+        }
+        warmup.merge(cell.warmup);
+        sim.events += cell.sim.events;
+        sim.lives += cell.sim.lives;
+        sim.life_steps += cell.sim.life_steps;
+    });
     fan_span.end_with(vec![
-        ("lives", lives.into()),
-        ("life_steps", life_steps.into()),
+        ("lives", sim.lives.into()),
+        ("life_steps", sim.life_steps.into()),
     ]);
 
-    // --- Fold by gid: shard count leaves no trace in the report ---
-    let distinct: u64 = shard_results.iter().map(|r| r.warmup.classified()).sum();
+    // --- Fold: sums in gid order, then the two arms' summaries ---
+    sim.classified = warmup.classified();
     let _fold_span = telemetry::span!(
         "fold",
         "shards" => shards as u64,
         "servers" => slots.len() as u64,
-        "distinct" => distinct,
+        "distinct" => sim.classified,
     );
-    let mut shard_results = shard_results.into_iter();
-    let mut all = shard_results.next().expect("at least one shard");
-    if all.stats.capacity() < slots.len() {
-        // A fresh buffer on this thread: a realloc of the first shard's
-        // would grow that shard thread's arena.
-        let mut stats = Vec::with_capacity(slots.len());
-        stats.append(&mut all.stats);
-        all.stats = stats;
-    }
-    for shard in shard_results {
-        all.stats.extend(shard.stats);
-        all.representatives.extend(shard.representatives);
-        all.warmup.merge(shard.warmup);
-        all.events += shard.events;
-    }
-    all.stats.sort_by_key(|s| s.gid);
-    all.representatives.sort_by_key(|(gid, ..)| *gid);
-    let mut sim = ShardStats {
-        shards: shards as u32,
-        servers: slots.len(),
-        events: all.events,
-        classified: all.warmup.classified(),
-        lives,
-        life_steps,
-        ..Default::default()
-    };
     // `requests` is a float sum: taken here in gid order, never per
-    // shard, so its rounding cannot depend on the shard count.
-    for s in &all.stats {
+    // cell, so its rounding is that of a one-at-a-time run.
+    for s in &stats {
         sim.steps_executed += s.steps_executed;
         sim.steps_dense += s.steps_dense;
         sim.requests += s.requests;
     }
-    // The two arms' summaries (each a bootstrap) side by side, on the
-    // calling thread alone for one shard.
+    // The two arms' summaries (each a bootstrap) side by side.
     let mut arms = Vec::with_capacity(2);
-    let acc = &all.warmup;
-    map_windows(
-        &[true, false],
-        shards,
-        |&js| acc.summarize(js),
-        |arm| arms.push(arm),
-    );
+    map_ordered(2, shards, |k| warmup.summarize(k == 0), |s| arms.push(s));
     let nojs = arms.pop().expect("baseline arm");
     let js = arms.pop().expect("Jump-Start arm");
-    let mut js_timelines = Vec::new();
-    let mut nojs_timelines = Vec::new();
-    for (gid, timeline) in all.representatives {
-        if slots[gid].jumpstart {
-            js_timelines.push(timeline);
-        } else {
-            nojs_timelines.push(timeline);
-        }
-    }
+    let [js_timelines, nojs_timelines] = timelines;
 
     DeployReport {
         published: seeded.published,
@@ -1100,7 +1100,7 @@ pub fn run_deployment_with_prior(
         seeder_crashes: seeded.seeder_crashes,
         js_timelines,
         nojs_timelines,
-        stats: all.stats,
+        stats,
         duration_ms: params.warmup.duration_ms,
         sim,
         distribution,
@@ -1390,14 +1390,60 @@ mod tests {
     }
 
     #[test]
-    fn windows_hand_results_over_in_job_order() {
-        let jobs: Vec<u32> = (0..10).collect();
-        for width in [0, 1, 2, 3, 4, 10, 64] {
-            let mut seen = Vec::new();
-            map_windows(&jobs, width, |&j| j * j, |r| seen.push(r));
-            let squares: Vec<u32> = jobs.iter().map(|j| j * j).collect();
-            assert_eq!(seen, squares, "width {width}");
+    fn the_pool_sinks_in_job_order_on_at_most_width_threads() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        for jobs in [0usize, 1, 2, 5, 12] {
+            for width in [0, 1, 2, 3, jobs + 1] {
+                let threads = Mutex::new(std::collections::HashSet::new());
+                let started = AtomicUsize::new(0);
+                let mut seen = Vec::new();
+                map_ordered(
+                    jobs,
+                    width,
+                    |j| {
+                        started.fetch_add(1, Ordering::SeqCst);
+                        threads.lock().unwrap().insert(std::thread::current().id());
+                        // Uneven costs, the earliest jobs among the
+                        // slowest: later results come in first.
+                        let ms = (jobs - j) % 4 * 2;
+                        std::thread::sleep(std::time::Duration::from_millis(ms as u64));
+                        j * j
+                    },
+                    |r| {
+                        // The lookahead bound: nothing starts 2 · width
+                        // places past the oldest result not yet sunk.
+                        let ahead = started.load(Ordering::SeqCst) - seen.len();
+                        assert!(ahead <= 2 * width.max(1) + 1, "{ahead} ahead");
+                        seen.push(r);
+                    },
+                );
+                let squares: Vec<usize> = (0..jobs).map(|j| j * j).collect();
+                assert_eq!(seen, squares, "{jobs} jobs, width {width}");
+                let distinct = threads.into_inner().unwrap().len();
+                assert!(
+                    distinct <= width.max(1).min(jobs),
+                    "{distinct} threads ran {jobs} jobs at width {width}"
+                );
+            }
         }
+    }
+
+    #[test]
+    fn a_pool_job_panic_reaches_the_caller_after_every_earlier_result() {
+        let mut seen = Vec::new();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            map_ordered(
+                8,
+                3,
+                |j| {
+                    assert_ne!(j, 4, "job 4 fails");
+                    j
+                },
+                |r| seen.push(r),
+            )
+        }));
+        assert!(caught.is_err());
+        assert_eq!(seen, [0, 1, 2, 3]);
     }
 
     #[test]
@@ -1424,31 +1470,36 @@ mod tests {
         assert_eq!(report.published, 4);
 
         // Every deployment span opens inside `deployment` on the calling
-        // thread, or inside a `seeder` / `cell-prep` job on a window
-        // thread. Counting only those subtrees leaves out spans that
-        // other tests' threads record meanwhile.
+        // thread, or inside a `seeder`, `cell-prep` or `cell-fanout` job
+        // on a pool thread. Counting only those subtrees leaves out spans
+        // that other tests' threads record meanwhile.
         let mut counts = std::collections::BTreeMap::<String, usize>::new();
         let mut work: Vec<telemetry::SpanNode> = trace
             .trees()
             .expect("well-formed tracks")
             .into_iter()
             .flat_map(|(_, roots)| roots)
-            .filter(|r| ["deployment", "seeder", "cell-prep"].contains(&r.name.as_str()))
+            .filter(|r| {
+                ["deployment", "seeder", "cell-prep", "cell-fanout"].contains(&r.name.as_str())
+            })
             .collect();
         let (mut fold_attrs, mut fanout_attrs) = (Vec::new(), Vec::new());
+        let mut cell_attrs = Vec::new();
         while let Some(node) = work.pop() {
             *counts.entry(node.name.clone()).or_default() += 1;
             match node.name.as_str() {
                 "fold" => fold_attrs = node.attrs.clone(),
                 "c3-fanout" => fanout_attrs = node.attrs.clone(),
+                "cell-fanout" => cell_attrs.push(node.attrs.clone()),
                 _ => {}
             }
             work.extend(node.children);
         }
         let count = |name: &str| counts.get(name).copied().unwrap_or(0);
         assert_eq!(count("deployment"), 1);
-        // Both releases: two cells of two seeders each.
-        assert_eq!(count("c2-seeding"), 2);
+        // Both releases' seeders are one job list: two cells of two
+        // seeders each, twice.
+        assert_eq!(count("c2-seeding"), 1);
         for name in [
             "seeder",
             "seed-profile",
@@ -1458,7 +1509,7 @@ mod tests {
         ] {
             assert_eq!(count(name), 8, "{name}");
         }
-        for name in ["cell-prep", "truth-profile", "app-model"] {
+        for name in ["cell-prep", "truth-profile", "app-model", "cell-fanout"] {
             assert_eq!(count(name), 2, "{name}");
         }
         // The endpoint call vectors are measured once, for every cell.
@@ -1491,5 +1542,18 @@ mod tests {
         );
         assert!((1..=8).contains(&report.sim.lives));
         assert!(report.sim.life_steps <= report.sim.steps_executed);
+        // Each cell's job says what it simulated; the cells sum to it.
+        use telemetry::AttrValue::U64;
+        let (mut lives, mut life_steps) = (0, 0);
+        for attrs in &cell_attrs {
+            let [.., ("lives", U64(l)), ("life_steps", U64(s))] = attrs[..] else {
+                panic!("cell-fanout attributes {attrs:?}");
+            };
+            (lives, life_steps) = (lives + l, life_steps + s);
+        }
+        assert_eq!(
+            (lives, life_steps),
+            (report.sim.lives, report.sim.life_steps)
+        );
     }
 }

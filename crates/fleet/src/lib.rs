@@ -16,17 +16,17 @@
 //!   (closed-form boot window, then serving steps read off a shared
 //!   life stepped only while the server is active, fast-forwarded once
 //!   quiescent); [`run_servers`] runs a cell's batch through one cache
-//!   of lives, as a deployment's shards do, and the dense per-second
+//!   of lives, as a deployment's cell jobs do, and the dense per-second
 //!   stepper survives as [`simulate_warmup_dense`], the equivalence
 //!   oracle,
 //! * [`capacity_loss_from`] — the area-above-the-curve metric of Fig. 2,
-//! * [`run_deployment`] — the C1/C2/C3 push as maps over shard threads:
-//!   every (region, bucket, seeder) seeds in bounded windows published in
-//!   a fixed order, each cell's inputs and server plan are built once and
-//!   shared read-only, then a map over thousands of independent servers with
-//!   per-server RNG streams — each shard thread runs, classifies and
-//!   compacts its servers one at a time, and the orchestrator only folds
-//!   the shards' results,
+//! * [`run_deployment`] — the C1/C2/C3 push as job lists on one ordered
+//!   pool of shard threads: every (release, region, bucket, seeder) seeds
+//!   and is published in a fixed order, each cell's inputs are built once
+//!   and shared read-only, then one job per cell runs, classifies and
+//!   compacts its thousands of independent servers (per-server RNG
+//!   streams, one server plan and cache of lives per cell), and the
+//!   orchestrator folds the cells' results in gid order,
 //! * [`run_crashloop`] / [`FaultPlan`] — crash-loop containment and
 //!   deployment fault injection for §VI,
 //! * [`warmup`](classify_timeline) — PELT changepoint segmentation and

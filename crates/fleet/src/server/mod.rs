@@ -24,7 +24,7 @@
 //! [`sim::ServerSim`] stepped once per simulated second from the first
 //! serving step and shared by every server whose serving steps it
 //! provably equals. [`run_server`] is that driver with a fresh cache; a
-//! deployment keeps one cache per shard and cell, so a cell's thousands
+//! deployment keeps one cache per cell, so a cell's thousands
 //! of servers simulate a handful of lives. The dense stepper lives on as
 //! [`reference::simulate_warmup_dense`], the equivalence oracle.
 //!
@@ -213,30 +213,34 @@ impl Life<'_> {
 }
 
 /// The lives of one cell's servers, stepped over the cell's plan. A
-/// deployment keeps one per shard and moves it from cell to cell with
-/// [`Lives::reset`]; memory stays bounded by one cell's distinct lives.
-#[derive(Debug, Default)]
+/// deployment makes one per cell, so memory stays bounded by one cell's
+/// distinct lives per thread.
+#[derive(Debug)]
 pub(crate) struct Lives<'a> {
-    plan: Option<&'a ServerPlan<'a>>,
+    plan: &'a ServerPlan<'a>,
     cache: Vec<Life<'a>>,
-    /// Lives started since the cache was made (across resets).
+    /// Lives started.
     pub(crate) simulated: u64,
     /// Serving steps those lives computed.
     pub(crate) life_steps: u64,
 }
 
 impl<'a> Lives<'a> {
-    /// Forgets every life; later servers step over `plan`.
-    pub(crate) fn reset(&mut self, plan: &'a ServerPlan<'a>) {
-        self.plan = Some(plan);
-        self.cache.clear();
+    /// An empty cache whose servers step over `plan`.
+    pub(crate) fn new(plan: &'a ServerPlan<'a>) -> Self {
+        Self {
+            plan,
+            cache: Vec::new(),
+            simulated: 0,
+            life_steps: 0,
+        }
     }
 
     /// Runs one server calibrated with `params`: a consumer booting the
     /// plan's package `pkg`, or a baseline. The result is the same
     /// whatever ran through the cache before it.
     pub(crate) fn run(&mut self, params: &WarmupParams, pkg: Option<usize>) -> ServerRun {
-        let plan = self.plan.expect("reset to a plan first");
+        let plan = self.plan;
         let boot = plan.boot_window(params, pkg);
         let s = boot.serve_start_ms;
         // The dense loop runs steps ending at STEP, 2·STEP, …, up to the
@@ -332,8 +336,7 @@ pub fn run_servers<'p>(
         return Vec::new();
     };
     let plan = ServerPlan::new(app, model, mix, first, packages);
-    let mut lives = Lives::default();
-    lives.reset(&plan);
+    let mut lives = Lives::new(&plan);
     servers
         .iter()
         .map(|(params, pkg)| lives.run(params, *pkg))

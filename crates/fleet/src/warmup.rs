@@ -31,8 +31,8 @@
 //! of one deployment cell share their traffic, model and packages; boot
 //! jitter, the degraded-host roll and download time only move *when*
 //! serving starts, and the series sampled on the fixed grid mostly comes
-//! out the same. At bench scale a shard sees a few dozen distinct series
-//! per cell among thousands of servers. [`WarmupAccumulator::add`]
+//! out the same. At bench scale a cell has a few dozen distinct series
+//! among thousands of servers. [`WarmupAccumulator::add`]
 //! therefore looks each timeline up in an exact memo keyed by every input
 //! [`classify_timeline`] and the fleet curve read (the `serve_start_ms >
 //! 0` flag, the grid samples of the boot window and the bits of every
@@ -41,10 +41,10 @@
 //! per-arm server count. The report reads every statistic from
 //! `(value, servers)` runs ([`telemetry::quantile_runs`],
 //! [`telemetry::bootstrap_percentile_ci`]), which equal the per-server
-//! statistics bit for bit, so it cannot tell. The deployment clears the
-//! lookup map whenever its shard moves to the next cell
-//! ([`WarmupAccumulator::clear_memo`]), which bounds it to one cell; the
-//! entries (one per distinct timeline per cell) live until
+//! statistics bit for bit, so it cannot tell. The deployment gives each
+//! cell an accumulator of its own, which bounds the lookup map to one
+//! cell, and merges it into the fleet's as the cell comes in: the entries
+//! (one per distinct timeline per cell) live until
 //! [`WarmupAccumulator::finish`].
 
 use std::collections::HashMap;
@@ -622,12 +622,12 @@ struct Entry {
 
 /// Streams per-server timelines into a [`WarmupReport`].
 ///
-/// Each deployment shard owns one: every server's full timeline goes
-/// through [`WarmupAccumulator::add`] right after it is simulated, which
-/// classifies it and counts it against its distinct timeline without
-/// retaining it — memory grows with distinct timelines, not servers. The
-/// orchestrator folds the shards' accumulators together with
-/// [`WarmupAccumulator::merge`]. The report depends only on the multiset
+/// Each deployment cell's fan-out job owns one: every server's full
+/// timeline goes through [`WarmupAccumulator::add`] right after it is
+/// simulated, which classifies it and counts it against its distinct
+/// timeline without retaining it — memory grows with distinct timelines,
+/// not servers. The orchestrator folds the cells' accumulators together
+/// with [`WarmupAccumulator::merge`]. The report depends only on the multiset
 /// of timelines fed in, never on feed or merge order
 /// ([`WarmupAccumulator::finish`] sorts every series it reads), so it is
 /// shard-count-invariant.

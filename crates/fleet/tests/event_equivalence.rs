@@ -15,10 +15,11 @@
 //!    its parameters: running the same fleet on 1 thread or many must
 //!    give byte-identical per-server stats, aggregates and digest,
 //!    because all randomness is drawn from per-server streams before the
-//!    fan-out and the fold over shard results is order-independent. The
-//!    seeders, which run a window of up to `shards` at a time, are
-//!    published in one fixed order, so seeding counts and publish bytes
-//!    match too.
+//!    fan-out and the fold takes the cells' results in gid order. The
+//!    seeders, which run up to `shards` at a time, are published in one
+//!    fixed order, so seeding counts, publish bytes and every cell's
+//!    package order match too; and as each cell's lives and series are
+//!    built once per deployment, so do the work counters.
 
 use std::sync::OnceLock;
 
@@ -261,8 +262,8 @@ fn sharded_deploy_params(shards: u32) -> DeployParams {
 }
 
 /// A push against a prior release with chunked distribution, two
-/// seeders per cell, crashed and undersampled seeders: the seeding
-/// windows then publish some packages and drop others, in both releases.
+/// seeders per cell, crashed and undersampled seeders: the seeding then
+/// publishes some packages and drops others, in both releases.
 fn prior_release_deploy(shards: u32) -> DeployReport {
     static RELEASES: OnceLock<(App, App)> = OnceLock::new();
     let (prior, current) = RELEASES.get_or_init(|| {
@@ -291,8 +292,8 @@ fn prior_release_deploy(shards: u32) -> DeployReport {
                 .with_undersampling(150)
                 .with_slow_consumers(150, 300),
         )
-        // At this seed one cell publishes both of its seeders' packages
-        // from one window, so their publish order shows in the report.
+        // At this seed one cell publishes both of its seeders' packages,
+        // so their publish order shows in the report.
         .with_seed(16);
     run_deployment_with_prior(current, Some(prior), &params)
 }
@@ -341,6 +342,104 @@ fn deployment_is_invariant_under_shard_count() {
     // The prior-release case exercises every seeding outcome.
     let (published, failures, crashes) = seeded[1];
     assert!(published > 0 && failures > 0 && crashes > 0, "{seeded:?}");
+}
+
+/// The publish order of a deployment run under the tracer: the seeder id
+/// of every `publish` span, in order, with both releases' seeders (the
+/// pushed release's first). A cell's package order is its subsequence.
+fn traced_deploy(current: &App, prior: &App, params: &DeployParams) -> (DeployReport, Vec<u64>) {
+    const TRACK: &str = "publish order";
+    let (report, trace) = telemetry::capture(|| {
+        let _track = telemetry::track(TRACK);
+        run_deployment_with_prior(current, Some(prior), params)
+    });
+    // Only this track: other tests' deployments may be mid-span on theirs.
+    let track = trace.tracks.iter().find(|t| t.name == TRACK);
+    let mut work = track
+        .expect("the deployment's track")
+        .tree()
+        .expect("closed spans");
+    work.reverse();
+    let mut publishes = Vec::new();
+    while let Some(node) = work.pop() {
+        if node.name == "publish" {
+            let [("seeder", telemetry::AttrValue::U64(id))] = node.attrs[..] else {
+                panic!("publish attributes {:?}", node.attrs);
+            };
+            publishes.push(id);
+        }
+        // Depth-first in start order.
+        work.extend(node.children.into_iter().rev());
+    }
+    (report, publishes)
+}
+
+/// The pool runs every seeder, cell and server life once per deployment:
+/// what the fan-out simulates and classifies is the same on any shard
+/// count, and so is everything published, in the same order.
+#[test]
+fn deployment_work_is_invariant_under_shard_count() {
+    let app_params = AppParams::tiny();
+    let (prior, _) = generate_release(&app_params, &ChurnParams::none());
+    let (current, _) = generate_release(
+        &app_params,
+        &ChurnParams {
+            seed: 0xce11,
+            rate: 0.1,
+        },
+    );
+    let params = |shards| {
+        sharded_deploy_params(shards)
+            .with_js_opts(JumpStartOptions {
+                min_funcs_profiled: 5,
+                min_counter_mass: 100,
+                min_requests: 10,
+                ..Default::default()
+            })
+            .with_distribution(DistributionParams::chunked())
+            .with_faults(
+                FaultPlan::default()
+                    .with_seeder_crashes(200)
+                    .with_undersampling(150)
+                    .with_slow_consumers(150, 300)
+                    .with_degrading(200, 120),
+            )
+            .with_seed(16)
+    };
+    let (one, order) = traced_deploy(&current, &prior, &params(1));
+    assert!(one.published > 0 && one.validation_failures > 0 && one.seeder_crashes > 0);
+    assert!(
+        order.len() > one.published,
+        "the prior release publishes too"
+    );
+    assert!(one.stats.iter().any(|s| s.slow_host) && one.stats.iter().any(|s| s.degrading));
+    for shards in [2, 3, 5] {
+        let (many, many_order) = traced_deploy(&current, &prior, &params(shards));
+        assert_eq!(one.digest(), many.digest(), "{shards} shards");
+        assert_eq!(one.stats, many.stats);
+        assert_eq!(
+            (one.published, one.validation_failures, one.seeder_crashes),
+            (
+                many.published,
+                many.validation_failures,
+                many.seeder_crashes
+            )
+        );
+        // Every cell's packages, published in the same order into the
+        // same chunk pools.
+        assert_eq!(order, many_order, "{shards} shards");
+        assert_eq!(
+            one.distribution.publish_bytes_new,
+            many.distribution.publish_bytes_new
+        );
+        // Each cell's lives and classifier memo are built once, whatever
+        // the shard count.
+        assert_eq!(
+            (one.sim.lives, one.sim.life_steps, one.sim.classified),
+            (many.sim.lives, many.sim.life_steps, many.sim.classified),
+            "{shards} shards"
+        );
+    }
 }
 
 #[test]

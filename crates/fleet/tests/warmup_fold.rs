@@ -188,9 +188,8 @@ fn variant(tl: &Timeline, which: u64) -> Timeline {
 }
 
 /// Feeds `servers` (in order; `cell` starts a new cell on change) to `n`
-/// accumulators the way deployment shards are fed — server `i` to
-/// accumulator `i % n`, whose memo is cleared when its cell changes — and
-/// merges them in order.
+/// accumulators — server `i` to accumulator `i % n`, whose memo is
+/// cleared when its cell changes — and merges them in order.
 fn fold(servers: &[(usize, Timeline, bool)], n: usize) -> WarmupReport {
     let params = WarmupAnalysisParams::default();
     let mut parts: Vec<(Option<usize>, WarmupAccumulator)> = (0..n)
