@@ -12,6 +12,17 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== doc (dangling or private intra-doc links fail the build) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude jsbench --no-deps -q
 
+echo "== release index gate (outside bytecode, non-test code reads Repo::facts and Repo::call_graph instead of building a CFG or call graph) =="
+# The non-test part of a file is everything before its first #[cfg(test)];
+# tests.rs files are test modules.
+index_hits=$(find crates/*/src -name '*.rs' ! -name tests.rs ! -path 'crates/bytecode/*' -print0 |
+  xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile } /(Cfg|CallGraph)::build\(/ { print FILENAME ":" FNR ": " $0 }')
+if [ -n "$index_hits" ]; then
+  echo "non-test CFG or call-graph builds outside crates/bytecode:" >&2
+  echo "$index_hits" >&2
+  exit 1
+fi
+
 echo "== build =="
 cargo build --workspace -q
 

@@ -1,7 +1,7 @@
 //! Content fingerprints.
 //!
 //! The hash reuses [`bytecode::Fnv`] — the same FNV-1a family behind
-//! [`bytecode::Cfg::block_hashes`], which the stale-profile matcher in
+//! [`bytecode::FuncFacts::block_hashes`], which the stale-profile matcher in
 //! [`crate::stale`] already relies on — so every structural fingerprint in
 //! the system comes from one hasher.
 

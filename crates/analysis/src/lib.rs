@@ -12,12 +12,11 @@
 //! Layers:
 //!
 //! * [`reach`] — block reachability from the entry: dead blocks.
-//! * [`callgraph`] — the whole-repo static call graph: which callees each
-//!   call site can possibly produce.
 //! * [`lint`] — the profile linter: checks a profile package against the
 //!   repo for dangling ids, records naming another function than the
 //!   one at their id, stale counter shapes, flow-conservation
-//!   (Kirchhoff) violations, call arcs no static site can produce,
+//!   (Kirchhoff) violations, call arcs no static site can produce (by the
+//!   repo's [`bytecode::CallGraph`]),
 //!   counters on unreachable blocks and malformed order lists. Every
 //!   finding is an error: a package with any is rejected or repaired.
 //! * [`stale`] — the stale-profile matcher: re-identifies functions and
@@ -34,14 +33,12 @@
 // container would bring hash order back.
 #![warn(clippy::iter_over_hash_type)]
 
-pub mod callgraph;
 pub mod fingerprint;
 pub mod flow;
 pub mod lint;
 pub mod reach;
 pub mod stale;
 
-pub use callgraph::{CallGraph, CallSite, CallSiteKind};
 pub use fingerprint::chunk_fingerprint;
 pub use flow::{flow_violations, infer_flow, FlowSolution};
 pub use lint::{

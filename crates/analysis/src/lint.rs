@@ -27,10 +27,9 @@
 use std::collections::HashSet;
 use std::fmt::Arguments;
 
-use bytecode::{Cfg, ClassId, FuncId, Instr, Repo, StrId, UnitId};
+use bytecode::{ClassId, FuncId, Instr, Repo, StrId, UnitId};
 use jit::{CtxProfile, FuncProfile, InlineCtx, TierProfile, PARAM_SITE};
 
-use crate::callgraph::CallGraph;
 use crate::flow::flow_violations;
 use crate::reach::reachable_blocks;
 
@@ -175,178 +174,167 @@ pub(crate) fn counters_fit(fp: &FuncProfile, current: &[u64]) -> bool {
         && (fp.block_hashes.is_empty() || fp.block_hashes == current)
 }
 
-/// The site rules: which instruction-indexed entries a function's code
-/// and the static call graph admit.
-pub(crate) struct Sites<'a> {
-    repo: &'a Repo,
-    graph: CallGraph,
+// The site rules: which instruction-indexed entries a function's code
+// and the repo's static call graph admit.
+
+fn instr(repo: &Repo, f: FuncId, at: u32) -> Option<&Instr> {
+    repo.func(f).code.get(at as usize)
 }
 
-impl<'a> Sites<'a> {
-    pub(crate) fn new(repo: &'a Repo) -> Self {
-        Sites {
-            repo,
-            graph: CallGraph::build(repo),
-        }
-    }
+fn is_call(repo: &Repo, f: FuncId, at: u32) -> bool {
+    matches!(
+        instr(repo, f, at),
+        Some(Instr::Call { .. } | Instr::CallMethod { .. })
+    )
+}
 
-    fn instr(&self, f: FuncId, at: u32) -> Option<&'a Instr> {
-        self.repo.func(f).code.get(at as usize)
-    }
+/// Whether the instruction at `(f, at)` can dispatch to `callee`.
+fn can_call(repo: &Repo, f: FuncId, at: u32, callee: FuncId) -> bool {
+    instr(repo, f, at).is_some_and(|i| repo.call_graph().targets(i).contains(&callee))
+}
 
-    fn is_call(&self, f: FuncId, at: u32) -> bool {
-        matches!(
-            self.instr(f, at),
-            Some(Instr::Call { .. } | Instr::CallMethod { .. })
-        )
+/// A call target: at a call instruction, to a callee that exists and that
+/// the site can dispatch to.
+pub(crate) fn call_target(
+    repo: &Repo,
+    fid: FuncId,
+    site: u32,
+    callee: FuncId,
+    flag: &mut Flag<'_>,
+) -> bool {
+    let idx = callee.index();
+    if !is_call(repo, fid, site) {
+        let m = format_args!("call-target profile at instr {site}, which is not a call");
+        flag(Rule::PhantomSite, Some(fid), m);
+    } else if !func_ok(repo, callee) {
+        let m = format_args!("call site {site} records dangling callee #{idx}");
+        flag(Rule::DanglingId, Some(fid), m);
+    } else if !can_call(repo, fid, site, callee) {
+        let m =
+            format_args!("call site {site} records callee #{idx} that the site cannot dispatch to");
+        flag(Rule::ImpossibleCallArc, Some(fid), m);
+    } else {
+        return true;
     }
+    false
+}
 
-    /// A call target: at a call instruction, to a callee that exists and
-    /// that the site can dispatch to.
-    pub(crate) fn call_target(
-        &self,
-        fid: FuncId,
-        site: u32,
-        callee: FuncId,
-        flag: &mut Flag<'_>,
-    ) -> bool {
-        let idx = callee.index();
-        if !self.is_call(fid, site) {
-            let m = format_args!("call-target profile at instr {site}, which is not a call");
-            flag(Rule::PhantomSite, Some(fid), m);
-        } else if !func_ok(self.repo, callee) {
-            let m = format_args!("call site {site} records dangling callee #{idx}");
-            flag(Rule::DanglingId, Some(fid), m);
-        } else if !self.graph.can_call(fid, site, callee) {
-            let m = format_args!(
-                "call site {site} records callee #{idx} that the site cannot dispatch to"
-            );
-            flag(Rule::ImpossibleCallArc, Some(fid), m);
-        } else {
+/// A type observation: at a parameter slot (below the function's parameter
+/// count, and below 8) or at operand 0 or 1 of a binary op.
+pub(crate) fn type_site(repo: &Repo, fid: FuncId, at: u32, slot: u8, flag: &mut Flag<'_>) -> bool {
+    let params = repo.func(fid).params;
+    if at == PARAM_SITE {
+        if (slot as u16) < params && slot < 8 {
             return true;
         }
-        false
-    }
-
-    /// A type observation: at a parameter slot (below the function's
-    /// parameter count, and below 8) or at operand 0 or 1 of a binary op.
-    pub(crate) fn type_site(&self, fid: FuncId, at: u32, slot: u8, flag: &mut Flag<'_>) -> bool {
-        let params = self.repo.func(fid).params;
-        if at == PARAM_SITE {
-            if (slot as u16) < params && slot < 8 {
-                return true;
-            }
-            let m = format_args!("type profile for parameter {slot} of a {params}-param function");
-            flag(Rule::PhantomSite, Some(fid), m);
-        } else {
-            if slot <= 1 && matches!(self.instr(fid, at), Some(Instr::Bin(_))) {
-                return true;
-            }
-            let m = format_args!(
-                "type profile at (instr {at}, slot {slot}), which is not a binary-op operand"
-            );
-            flag(Rule::PhantomSite, Some(fid), m);
+        let m = format_args!("type profile for parameter {slot} of a {params}-param function");
+        flag(Rule::PhantomSite, Some(fid), m);
+    } else {
+        if slot <= 1 && matches!(instr(repo, fid, at), Some(Instr::Bin(_))) {
+            return true;
         }
-        false
-    }
-
-    /// A receiver class: at a `GetProp`/`SetProp`, naming a class that
-    /// exists. Each failure is reported.
-    pub(crate) fn prop_class(
-        &self,
-        fid: FuncId,
-        site: u32,
-        class: ClassId,
-        flag: &mut Flag<'_>,
-    ) -> bool {
-        let at_prop = matches!(
-            self.instr(fid, site),
-            Some(Instr::GetProp(_) | Instr::SetProp(_))
+        let m = format_args!(
+            "type profile at (instr {at}, slot {slot}), which is not a binary-op operand"
         );
-        if !at_prop {
-            let m =
-                format_args!("property profile at instr {site}, which is not a property access");
-            flag(Rule::PhantomSite, Some(fid), m);
-        }
-        let class_ok = class.index() < self.repo.classes().len();
-        if !class_ok {
+        flag(Rule::PhantomSite, Some(fid), m);
+    }
+    false
+}
+
+/// A receiver class: at a `GetProp`/`SetProp`, naming a class that exists.
+/// Each failure is reported.
+pub(crate) fn prop_class(
+    repo: &Repo,
+    fid: FuncId,
+    site: u32,
+    class: ClassId,
+    flag: &mut Flag<'_>,
+) -> bool {
+    let at_prop = matches!(
+        instr(repo, fid, site),
+        Some(Instr::GetProp(_) | Instr::SetProp(_))
+    );
+    if !at_prop {
+        let m = format_args!("property profile at instr {site}, which is not a property access");
+        flag(Rule::PhantomSite, Some(fid), m);
+    }
+    let class_ok = class.index() < repo.classes().len();
+    if !class_ok {
+        let m = format_args!(
+            "property site {site} records dangling class #{}",
+            class.index()
+        );
+        flag(Rule::DanglingId, Some(fid), m);
+    }
+    at_prop && class_ok
+}
+
+/// A ctx branch counter: at a conditional jump of a function that exists,
+/// under an inline context that is a real call site.
+pub(crate) fn ctx_branch(
+    repo: &Repo,
+    fid: FuncId,
+    at: u32,
+    ictx: InlineCtx,
+    flag: &mut Flag<'_>,
+) -> bool {
+    if !func_ok(repo, fid) {
+        let m = format_args!("branch counters for dangling function #{}", fid.index());
+        flag(Rule::DanglingId, Some(fid), m);
+        return false;
+    }
+    let at_branch = matches!(instr(repo, fid, at), Some(Instr::JmpZ(_) | Instr::JmpNZ(_)));
+    if !at_branch {
+        let m = format_args!("branch counters at instr {at}, which is not a conditional branch");
+        flag(Rule::PhantomSite, Some(fid), m);
+    }
+    inline_ctx(repo, ictx, flag) && at_branch
+}
+
+/// A ctx entry counter: into a function that exists, from an inline context
+/// that is a real call site able to dispatch to it.
+pub(crate) fn ctx_entry(repo: &Repo, callee: FuncId, ictx: InlineCtx, flag: &mut Flag<'_>) -> bool {
+    if !func_ok(repo, callee) {
+        let m = format_args!("entry counters for dangling function #{}", callee.index());
+        flag(Rule::DanglingId, Some(callee), m);
+        return false;
+    }
+    if !inline_ctx(repo, ictx, flag) {
+        return false;
+    }
+    match ictx {
+        Some((caller, site)) if !can_call(repo, caller, site, callee) => {
             let m = format_args!(
-                "property site {site} records dangling class #{}",
-                class.index()
+                "entry arc from (func#{}, instr {site}) which cannot dispatch to func#{}",
+                caller.index(),
+                callee.index()
             );
-            flag(Rule::DanglingId, Some(fid), m);
+            flag(Rule::ImpossibleCallArc, Some(callee), m);
+            false
         }
-        at_prop && class_ok
+        _ => true,
     }
+}
 
-    /// A ctx branch counter: at a conditional jump of a function that
-    /// exists, under an inline context that is a real call site.
-    pub(crate) fn ctx_branch(
-        &self,
-        fid: FuncId,
-        at: u32,
-        ictx: InlineCtx,
-        flag: &mut Flag<'_>,
-    ) -> bool {
-        if !func_ok(self.repo, fid) {
-            let m = format_args!("branch counters for dangling function #{}", fid.index());
-            flag(Rule::DanglingId, Some(fid), m);
-            return false;
-        }
-        let at_branch = matches!(self.instr(fid, at), Some(Instr::JmpZ(_) | Instr::JmpNZ(_)));
-        if !at_branch {
-            let m =
-                format_args!("branch counters at instr {at}, which is not a conditional branch");
-            flag(Rule::PhantomSite, Some(fid), m);
-        }
-        self.inline_ctx(ictx, flag) && at_branch
+/// An inline-context key: none, or a call instruction of a function that
+/// exists.
+fn inline_ctx(repo: &Repo, ictx: InlineCtx, flag: &mut Flag<'_>) -> bool {
+    let Some((caller, site)) = ictx else {
+        return true;
+    };
+    if !func_ok(repo, caller) {
+        let m = format_args!("inline context names dangling caller #{}", caller.index());
+        flag(Rule::DanglingId, Some(caller), m);
+    } else if !is_call(repo, caller, site) {
+        let m = format_args!(
+            "inline context site (func#{}, instr {site}) is not a call",
+            caller.index()
+        );
+        flag(Rule::PhantomSite, Some(caller), m);
+    } else {
+        return true;
     }
-
-    /// A ctx entry counter: into a function that exists, from an inline
-    /// context that is a real call site able to dispatch to it.
-    pub(crate) fn ctx_entry(&self, callee: FuncId, ictx: InlineCtx, flag: &mut Flag<'_>) -> bool {
-        if !func_ok(self.repo, callee) {
-            let m = format_args!("entry counters for dangling function #{}", callee.index());
-            flag(Rule::DanglingId, Some(callee), m);
-            return false;
-        }
-        if !self.inline_ctx(ictx, flag) {
-            return false;
-        }
-        match ictx {
-            Some((caller, site)) if !self.graph.can_call(caller, site, callee) => {
-                let m = format_args!(
-                    "entry arc from (func#{}, instr {site}) which cannot dispatch to func#{}",
-                    caller.index(),
-                    callee.index()
-                );
-                flag(Rule::ImpossibleCallArc, Some(callee), m);
-                false
-            }
-            _ => true,
-        }
-    }
-
-    /// An inline-context key: none, or a call instruction of a function
-    /// that exists.
-    fn inline_ctx(&self, ictx: InlineCtx, flag: &mut Flag<'_>) -> bool {
-        let Some((caller, site)) = ictx else {
-            return true;
-        };
-        if !func_ok(self.repo, caller) {
-            let m = format_args!("inline context names dangling caller #{}", caller.index());
-            flag(Rule::DanglingId, Some(caller), m);
-        } else if !self.is_call(caller, site) {
-            let m = format_args!(
-                "inline context site (func#{}, instr {site}) is not a call",
-                caller.index()
-            );
-            flag(Rule::PhantomSite, Some(caller), m);
-        } else {
-            return true;
-        }
-        false
-    }
+    false
 }
 
 /// The order-list rules, applied to each list in order: an entry is
@@ -435,13 +423,12 @@ pub fn prune_orders(
 }
 
 fn lint_func_profile(
-    sites: &Sites<'_>,
+    repo: &Repo,
     ctx: &CtxProfile,
     fid: FuncId,
     fp: &FuncProfile,
     flag: &mut Flag<'_>,
 ) {
-    let repo = sites.repo;
     if !func_ok(repo, fid) {
         let m = format_args!(
             "profile for function #{} but repo has {}",
@@ -451,9 +438,9 @@ fn lint_func_profile(
         flag(Rule::DanglingId, Some(fid), m);
         return;
     }
-    let func = repo.func(fid);
+    let facts = repo.facts(fid);
     // Legacy records carry no name hash (0) and keep id-as-is identity.
-    let name_hash = bytecode::fnv_str(repo.str(func.name));
+    let name_hash = facts.name_hash;
     if fp.name_hash != 0 && fp.name_hash != name_hash {
         let m = format_args!(
             "record's name hash {:#x} is not that of function #{} ({name_hash:#x})",
@@ -463,9 +450,9 @@ fn lint_func_profile(
         flag(Rule::MisnamedRecord, Some(fid), m);
         return;
     }
-    let cfg = Cfg::build(func);
+    let cfg = &facts.cfg;
 
-    let fits = counters_fit(fp, &cfg.block_hashes(func, repo));
+    let fits = counters_fit(fp, &facts.block_hashes);
     if !fits {
         let (have, want) = (fp.block_counts.len(), cfg.len());
         let hashes = if have == want { ", hashes differ" } else { "" };
@@ -477,25 +464,25 @@ fn lint_func_profile(
 
     // A phantom call site is reported once per callee; the report dedups it.
     for &((site, callee), _) in fp.call_targets() {
-        sites.call_target(fid, site, callee, flag);
+        call_target(repo, fid, site, callee, flag);
     }
     for &((at, slot), _) in fp.types() {
-        sites.type_site(fid, at, slot, flag);
+        type_site(repo, fid, at, slot, flag);
     }
     for &((site, class), _) in fp.prop_classes() {
-        sites.prop_class(fid, site, class, flag);
+        prop_class(repo, fid, site, class, flag);
     }
 
     // Counters on provably dead blocks, and flow conservation.
     if fits {
-        let reachable = reachable_blocks(&cfg);
+        let reachable = reachable_blocks(cfg);
         for (b, (&count, &r)) in fp.block_counts.iter().zip(&reachable).enumerate() {
             if count > 0 && !r {
                 let m = format_args!("block {b} is unreachable but counted {count} executions");
                 flag(Rule::UnreachableCounter, Some(fid), m);
             }
         }
-        for message in flow_violations(fid, &cfg, fp, ctx) {
+        for message in flow_violations(fid, cfg, fp, ctx) {
             flag(Rule::FlowConservation, Some(fid), format_args!("{message}"));
         }
     }
@@ -511,7 +498,6 @@ pub fn lint_profile_with(repo: &Repo, view: &ProfileView<'_>, _opts: &LintOption
 /// The repo is assumed to pass [`bytecode::verify_repo`]; the linter
 /// checks the *profile*, not the code.
 pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
-    let sites = Sites::new(repo);
     let mut orders = Orders::default();
     let mut diagnostics = Vec::new();
     let flag: &mut Flag<'_> = &mut |rule, func, message| {
@@ -523,13 +509,13 @@ pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
     };
 
     for (&fid, fp) in &view.tier.funcs {
-        lint_func_profile(&sites, view.ctx, fid, fp, flag);
+        lint_func_profile(repo, view.ctx, fid, fp, flag);
     }
     for &((fid, at, ictx), _) in view.ctx.branches() {
-        sites.ctx_branch(fid, at, ictx, flag);
+        ctx_branch(repo, fid, at, ictx, flag);
     }
     for &((callee, ictx), _) in view.ctx.entries() {
-        sites.ctx_entry(callee, ictx, flag);
+        ctx_entry(repo, callee, ictx, flag);
     }
     for &u in view.unit_order {
         orders.unit(repo, u, flag);
@@ -840,14 +826,14 @@ mod tests {
         f.emit(Instr::Ret);
         let fid = b.define_func(u, f);
         let repo = b.finish();
-        let cfg = Cfg::build(repo.func(fid));
+        let facts = repo.facts(fid);
         let mut fp = FuncProfile::default();
         fp.enter_count = 1;
-        fp.block_counts = vec![0; cfg.len()];
-        fp.block_hashes = cfg.block_hashes(repo.func(fid), &repo);
+        fp.block_counts = vec![0; facts.cfg.len()];
+        fp.block_hashes = facts.block_hashes.clone();
         fp.block_counts[0] = 1;
         fp.block_counts[1] = 7; // the dead block
-        fp.block_counts[cfg.len() - 1] = 1;
+        fp.block_counts[facts.cfg.len() - 1] = 1;
         let mut tier = TierProfile::default();
         tier.funcs.insert(fid, fp);
         let ctx = CtxProfile::default();

@@ -36,11 +36,13 @@
 
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
-use bytecode::{Cfg, Fnv, FuncId, Repo};
+use bytecode::{Fnv, FuncId, Repo};
 use jit::{CtxProfile, FuncProfile, TierProfile};
 
 use crate::flow::{flow_violations, infer_flow};
-use crate::lint::{counters_fit, func_ok, ignore, Sites};
+use crate::lint::{
+    call_target, counters_fit, ctx_branch, ctx_entry, func_ok, ignore, prop_class, type_site,
+};
 
 /// Minimum fraction of a function's counter mass that must land on
 /// hash-matched blocks for the repair to be trusted.
@@ -186,7 +188,6 @@ pub fn repair_profile_with(
     opts: &RepairOptions,
 ) -> RepairReport {
     let mut report = RepairReport::default();
-    let sites = Sites::new(repo);
 
     // ---- Phase 1: function identity --------------------------------
     resolve_identities(repo, tier, ctx, opts.mode, &mut report);
@@ -194,12 +195,10 @@ pub fn repair_profile_with(
     // ---- Phase 2: per-function block matching + flow inference -----
     let mut stale_drops = Vec::new();
     for (&fid, fp) in tier.funcs.iter_mut() {
-        let func = repo.func(fid);
-        let cfg = Cfg::build(func);
-        let cur_exact = cfg.block_hashes(func, repo);
-        if counters_fit(fp, &cur_exact) {
+        let facts = repo.facts(fid);
+        if counters_fit(fp, &facts.block_hashes) {
             report.stats.funcs_fresh += 1;
-            report.pruned += prune_func_profile(&sites, fid, fp);
+            report.pruned += prune_func_profile(repo, fid, fp);
             continue;
         }
         let total: u64 = fp.block_counts.iter().sum();
@@ -211,12 +210,11 @@ pub fn repair_profile_with(
                 continue;
             }
             MatchMode::Full => {
-                let cur_opcode = cfg.block_opcode_hashes(func);
                 let assigned = match_blocks(
                     &fp.block_counts,
                     [
-                        (fp.block_hashes.as_slice(), cur_exact.as_slice()),
-                        (fp.block_opcode_hashes.as_slice(), cur_opcode.as_slice()),
+                        (&fp.block_hashes, &facts.block_hashes),
+                        (&fp.block_opcode_hashes, &facts.block_opcode_hashes),
                     ],
                 );
                 let matched: u64 = assigned
@@ -251,29 +249,31 @@ pub fn repair_profile_with(
                 report.stats.mass_matched += matched;
                 report.stats.mass_dropped += total - matched;
 
-                let sol = infer_flow(&cfg, fp.enter_count, &hints);
+                let sol = infer_flow(&facts.cfg, fp.enter_count, &hints);
                 report.stats.blocks_inferred += sol
                     .counts
                     .iter()
                     .zip(&hints)
                     .filter(|&(&c, h)| h.is_none() && c > 0)
                     .count() as u64;
+                // A repaired record carries the current build's signatures.
                 fp.block_counts = sol.counts;
-                fp.block_hashes = cur_exact;
-                refresh_signatures(repo, fid, fp, &cfg);
+                fp.block_hashes = facts.block_hashes.clone();
+                fp.name_hash = facts.name_hash;
+                fp.block_opcode_hashes = facts.block_opcode_hashes.clone();
                 report.stats.branches_synthesized += sol.branches.len() as u64;
                 ctx.replace_branches(fid, sol.branches);
                 report.repaired.push(fid);
             }
         }
-        report.pruned += prune_func_profile(&sites, fid, fp);
+        report.pruned += prune_func_profile(repo, fid, fp);
     }
     for f in &stale_drops {
         tier.funcs.remove(f);
     }
     report.dropped.extend(stale_drops);
 
-    report.pruned += prune_ctx(&sites, ctx);
+    report.pruned += prune_ctx(repo, ctx);
 
     // ---- Phase 3: flow rebalance -----------------------------------
     // Pruning can remove part of a fresh function's branch data (e.g. its
@@ -286,12 +286,12 @@ pub fn repair_profile_with(
             if repaired.contains(&fid) {
                 continue; // consistent by construction
             }
-            let cfg = Cfg::build(repo.func(fid));
-            if flow_violations(fid, &cfg, fp, ctx).is_empty() {
+            let cfg = &repo.facts(fid).cfg;
+            if flow_violations(fid, cfg, fp, ctx).is_empty() {
                 continue;
             }
             let hints: Vec<Option<u64>> = fp.block_counts.iter().map(|&c| Some(c)).collect();
-            let sol = infer_flow(&cfg, fp.enter_count, &hints);
+            let sol = infer_flow(cfg, fp.enter_count, &hints);
             fp.block_counts = sol.counts;
             report.stats.branches_synthesized += sol.branches.len() as u64;
             ctx.replace_branches(fid, sol.branches);
@@ -324,18 +324,13 @@ fn resolve_identities(
     let mut by_body: HashMap<u64, Option<FuncId>> = HashMap::new();
     if full {
         for f in repo.funcs() {
-            let name_hash = bytecode::fnv_str(repo.str(f.name));
+            let facts = repo.facts(f.id);
             by_name
-                .entry(name_hash)
+                .entry(facts.name_hash)
                 .and_modify(|e| *e = None) // ambiguous name: never match on it
                 .or_insert(Some(f.id));
-            let cfg = Cfg::build(f);
-            let mut h = Fnv::new();
-            for hash in cfg.block_opcode_hashes(f) {
-                h.u64(hash);
-            }
             by_body
-                .entry(h.finish())
+                .entry(body_hash(&facts.block_opcode_hashes))
                 .and_modify(|e| *e = None) // ambiguous body: never match on it
                 .or_insert(Some(f.id));
         }
@@ -367,11 +362,10 @@ fn resolve_identities(
         let fp = &tier.funcs[&fid];
         let target = (!fp.block_opcode_hashes.is_empty())
             .then(|| {
-                let mut h = Fnv::new();
-                for &hash in &fp.block_opcode_hashes {
-                    h.u64(hash);
-                }
-                by_body.get(&h.finish()).copied().flatten()
+                by_body
+                    .get(&body_hash(&fp.block_opcode_hashes))
+                    .copied()
+                    .flatten()
             })
             .flatten();
         match target {
@@ -397,7 +391,7 @@ fn resolve_identities(
         if fp.name_hash != 0 {
             // A record names the function it was resolved to: a rename's
             // record keeps its counters under the new name.
-            fp.name_hash = bytecode::fnv_str(repo.str(repo.func(new).name));
+            fp.name_hash = repo.facts(new).name_hash;
         }
         if !moved.is_empty() {
             fp.remap_callees(map);
@@ -409,26 +403,26 @@ fn resolve_identities(
     }
 }
 
-/// Refreshes a repaired profile's stored signatures to the current build.
-fn refresh_signatures(repo: &Repo, fid: FuncId, fp: &mut FuncProfile, cfg: &Cfg) {
-    let func = repo.func(fid);
-    fp.name_hash = bytecode::fnv_str(repo.str(func.name));
-    fp.block_opcode_hashes = cfg.block_opcode_hashes(func);
+/// A whole-body fingerprint: FNV-1a over the opcode-only block hashes.
+fn body_hash(block_opcode_hashes: &[u64]) -> u64 {
+    let mut h = Fnv::new();
+    block_opcode_hashes.iter().for_each(|&hash| h.u64(hash));
+    h.finish()
 }
 
 /// Drops the instruction-indexed entries of one function profile that the
 /// lint's site rules reject. Returns how many.
-fn prune_func_profile(sites: &Sites<'_>, fid: FuncId, fp: &mut FuncProfile) -> usize {
-    fp.retain_call_targets(|site, callee| sites.call_target(fid, site, callee, &mut ignore))
-        + fp.retain_types(|at, slot| sites.type_site(fid, at, slot, &mut ignore))
-        + fp.retain_prop_classes(|site, class| sites.prop_class(fid, site, class, &mut ignore))
+fn prune_func_profile(repo: &Repo, fid: FuncId, fp: &mut FuncProfile) -> usize {
+    fp.retain_call_targets(|site, callee| call_target(repo, fid, site, callee, &mut ignore))
+        + fp.retain_types(|at, slot| type_site(repo, fid, at, slot, &mut ignore))
+        + fp.retain_prop_classes(|site, class| prop_class(repo, fid, site, class, &mut ignore))
 }
 
 /// Drops the ctx branch and entry counters the lint's site rules reject.
 /// Returns how many.
-fn prune_ctx(sites: &Sites<'_>, ctx: &mut CtxProfile) -> usize {
-    ctx.retain_branches(|ictx, f, at| sites.ctx_branch(f, at, ictx, &mut ignore))
-        + ctx.retain_entries(|ictx, callee| sites.ctx_entry(callee, ictx, &mut ignore))
+fn prune_ctx(repo: &Repo, ctx: &mut CtxProfile) -> usize {
+    ctx.retain_branches(|ictx, f, at| ctx_branch(repo, f, at, ictx, &mut ignore))
+        + ctx.retain_entries(|ictx, callee| ctx_entry(repo, callee, ictx, &mut ignore))
 }
 
 #[cfg(test)]
@@ -550,9 +544,9 @@ mod tests {
         assert!(report.stats.blocks_exact > 0, "got {:?}", report.stats);
 
         let fp = &tier.funcs[&f2];
-        let cfg = Cfg::build(v2.func(f2));
-        assert_eq!(fp.block_counts.len(), cfg.len());
-        assert_eq!(fp.block_hashes, cfg.block_hashes(v2.func(f2), &v2));
+        let facts = v2.facts(f2);
+        assert_eq!(fp.block_counts.len(), facts.cfg.len());
+        assert_eq!(fp.block_hashes, facts.block_hashes);
         // The loop blocks are structurally unchanged, so their counter
         // mass survives the remap.
         let mass_after: u64 = fp.block_counts.iter().sum();

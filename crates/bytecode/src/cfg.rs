@@ -63,8 +63,6 @@ impl CfgBlock {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Cfg {
     blocks: Vec<CfgBlock>,
-    // Map from instruction index to owning block, for profiling lookups.
-    block_of_instr: Vec<BlockId>,
 }
 
 impl Cfg {
@@ -120,10 +118,7 @@ impl Cfg {
                 None
             };
         }
-        Cfg {
-            blocks,
-            block_of_instr,
-        }
+        Cfg { blocks }
     }
 
     /// The blocks, indexable by [`BlockId`].
@@ -139,11 +134,6 @@ impl Cfg {
     /// Whether the function had no code.
     pub fn is_empty(&self) -> bool {
         self.blocks.is_empty()
-    }
-
-    /// The block containing instruction `idx`.
-    pub fn block_of(&self, idx: u32) -> BlockId {
-        self.block_of_instr[idx as usize]
     }
 
     /// Resolves a block id.
@@ -167,7 +157,7 @@ impl Cfg {
     /// function names, class names, literal array values — making the exact
     /// hash of an untouched block stable across builds (and across the
     /// chunk store's content-addressed delta pushes).
-    pub fn block_hashes(&self, func: &Func, repo: &crate::repo::Repo) -> Vec<u64> {
+    pub(crate) fn block_hashes(&self, func: &Func, repo: &crate::repo::Repo) -> Vec<u64> {
         self.blocks
             .iter()
             .map(|b| {
@@ -188,7 +178,7 @@ impl Cfg {
     /// strings, retargeted calls, changed constants — and is the second
     /// rung of the stale-matching ladder when the exact (content-resolved)
     /// hash misses.
-    pub fn block_opcode_hashes(&self, func: &Func) -> Vec<u64> {
+    pub(crate) fn block_opcode_hashes(&self, func: &Func) -> Vec<u64> {
         self.blocks
             .iter()
             .map(|b| {
@@ -206,9 +196,10 @@ impl Cfg {
 
 /// FNV-1a, enough for structural fingerprints (no adversarial inputs).
 ///
-/// This is the hash behind [`Cfg::block_hashes`]; it is exported so other
-/// structural fingerprints (e.g. the chunk store's content ids) stay in
-/// the same hash family instead of growing parallel hashers.
+/// This is the hash behind [`crate::FuncFacts::block_hashes`]; it is
+/// exported so other structural fingerprints (e.g. the chunk store's
+/// content ids) stay in the same hash family instead of growing parallel
+/// hashers.
 pub struct Fnv(u64);
 
 impl Fnv {
@@ -456,15 +447,10 @@ mod tests {
         let cfg = Cfg::build(&f);
         assert_eq!(cfg.len(), 3);
         assert_eq!(cfg.block(BlockId(1)).taken, Some(BlockId(0)));
-        assert_eq!(cfg.block_of(4), BlockId(1));
-    }
-
-    #[test]
-    fn block_of_maps_every_instr() {
-        let f = func(vec![Instr::GetL(0), Instr::JmpNZ(0), Instr::Ret]);
-        let cfg = Cfg::build(&f);
-        assert_eq!(cfg.block_of(0), BlockId(0));
-        assert_eq!(cfg.block_of(2), BlockId(1));
+        assert_eq!(
+            (cfg.block(BlockId(1)).start, cfg.block(BlockId(1)).end),
+            (2, 6)
+        );
     }
 
     #[test]

@@ -10,6 +10,9 @@
 //! * [`Repo`] / [`RepoBuilder`] — the whole-program container with interned
 //!   strings and literal arrays (the "repo global data" that Jump-Start
 //!   preloads, paper §IV-B category 1),
+//! * [`FuncFacts`] / [`CallGraph`] — the release index a repo derives on
+//!   first read: each function's CFG, block hashes and name hash, and the
+//!   whole-repo static call graph,
 //! * [`FuncBuilder`] — convenient construction with labels and patching,
 //! * [`verify_repo`] — a structural verifier (jump targets, stack discipline),
 //! * [`disasm_func`] — a textual disassembler for debugging.
@@ -32,9 +35,11 @@
 //! ```
 
 mod builder;
+mod callgraph;
 mod cfg;
 mod disasm;
 mod ids;
+mod index;
 mod instr;
 mod literal;
 mod program;
@@ -42,9 +47,11 @@ mod repo;
 mod verify;
 
 pub use builder::{FuncBuilder, Label};
+pub use callgraph::CallGraph;
 pub use cfg::{fnv_str, BlockId, Cfg, CfgBlock, Fnv};
 pub use disasm::{disasm_func, disasm_unit};
 pub use ids::{ClassId, FuncId, LitArrId, Local, StrId, UnitId};
+pub use index::FuncFacts;
 pub use instr::{BinOp, Builtin, Instr, UnOp};
 pub use literal::{LitArray, Literal};
 pub use program::{Class, Func, PropDecl, Unit, Visibility};

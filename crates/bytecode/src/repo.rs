@@ -2,9 +2,12 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 use crate::builder::FuncBuilder;
+use crate::callgraph::CallGraph;
 use crate::ids::{ClassId, FuncId, LitArrId, StrId, UnitId};
+use crate::index::FuncFacts;
 use crate::literal::{LitArray, Literal};
 use crate::program::{Class, Func, PropDecl, Unit, Visibility};
 
@@ -41,7 +44,9 @@ impl std::error::Error for RepoError {}
 /// The immutable, whole-program bytecode container.
 ///
 /// A `Repo` is cheap to share across simulated servers (it is deployed to
-/// the whole fleet, paper §II-A) behind an `Arc`.
+/// the whole fleet, paper §II-A) behind an `Arc`. It carries the release
+/// index ([`Repo::facts`], [`Repo::call_graph`]): facts derived from the
+/// code on first read and shared by every reader, on any thread.
 #[derive(Debug)]
 pub struct Repo {
     strings: Vec<String>,
@@ -52,6 +57,8 @@ pub struct Repo {
     classes: Vec<Class>,
     func_names: HashMap<StrId, FuncId>,
     class_names: HashMap<StrId, ClassId>,
+    facts: Box<[OnceLock<FuncFacts>]>,
+    call_graph: OnceLock<CallGraph>,
 }
 
 impl Repo {
@@ -92,6 +99,21 @@ impl Repo {
     /// Resolves a function id.
     pub fn func(&self, id: FuncId) -> &Func {
         &self.funcs[id.index()]
+    }
+
+    /// The release index's facts of a function: its CFG, block hashes and
+    /// name hash, derived on the first read.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this repo.
+    pub fn facts(&self, id: FuncId) -> &FuncFacts {
+        self.facts[id.index()].get_or_init(|| FuncFacts::derive(self, id))
+    }
+
+    /// The whole-repo static call graph, built on the first read.
+    pub fn call_graph(&self) -> &CallGraph {
+        self.call_graph.get_or_init(|| CallGraph::build(self))
     }
 
     /// Looks a function up by name.
@@ -331,6 +353,8 @@ impl RepoBuilder {
         }
         self.errors.clear();
         Ok(Repo {
+            facts: self.funcs.iter().map(|_| OnceLock::new()).collect(),
+            call_graph: OnceLock::new(),
             strings: self.strings,
             string_ids: self.string_ids,
             lit_arrays: self.lit_arrays,

@@ -268,8 +268,7 @@ pub fn build_app_model_with(
         let prof = translate_profiling(repo, func.id, &run.ctx);
         prof_bytes[i] = prof.code_size() as u64;
         if let Some(fp) = run.tier.funcs.get(&func.id) {
-            let cfg = bytecode::Cfg::build(func);
-            avg_instrs[i] = fp.avg_instrs_per_call(&cfg).max(1.0);
+            avg_instrs[i] = fp.avg_instrs_per_call(&repo.facts(func.id).cfg).max(1.0);
             let opt = translate_optimized(
                 repo,
                 func.id,

@@ -642,8 +642,7 @@ struct Entry {
 /// compares whole keys, never a bare hash. A miss classifies the timeline
 /// and stores its verdict and curve points as a new entry; a hit only
 /// counts one more server of its arm. The lookup map grows by one key per
-/// entry until [`WarmupAccumulator::clear_memo`]; the entries live until
-/// [`WarmupAccumulator::finish`].
+/// entry; the entries live until [`WarmupAccumulator::finish`].
 pub struct WarmupAccumulator {
     params: WarmupAnalysisParams,
     sample_ms: u64,
@@ -673,7 +672,7 @@ impl WarmupAccumulator {
     /// Classifies one timeline, folds it into its arm, and returns its
     /// class and time-to-steady-state — exactly `classify_timeline`'s
     /// `class` and `steady_ms`, from the memo when an identical timeline
-    /// was added since the last [`WarmupAccumulator::clear_memo`].
+    /// was added before.
     pub fn add(&mut self, tl: &Timeline, jumpstart: bool) -> (WarmupClass, Option<u64>) {
         let sample_ms = self.sample_ms;
         let on_grid = |s: &&Sample| s.t_ms != 0 && s.t_ms.is_multiple_of(sample_ms);
@@ -719,17 +718,10 @@ impl WarmupAccumulator {
         (entry.class, entry.steady_ms)
     }
 
-    /// Forgets the lookup map. The report is unaffected; only later
-    /// repeats of already-seen timelines run the classifier again and
-    /// start an entry of their own.
-    pub fn clear_memo(&mut self) {
-        self.memo.clear();
-    }
-
     /// Timelines the classifier actually ran on (memo misses) — the
     /// number of stored entries — summed over merged accumulators. Unlike
-    /// the report, this depends on how the timelines were dealt and when
-    /// the memo was cleared.
+    /// the report, this depends on how the timelines were dealt over
+    /// accumulators.
     pub fn classified(&self) -> u64 {
         self.entries.len() as u64
     }

@@ -3,8 +3,8 @@
 //! fold it replaced: every server's time-to-steady-state and every one of
 //! its curve samples kept as its own value, sorted, and read with
 //! `quantile_sorted` — the report must come out byte-identical however
-//! the timelines repeat, are dealt over accumulators, or are split by
-//! `clear_memo`. A counting allocator pins the point of the change: a
+//! the timelines repeat or are dealt over accumulators, one per run of a
+//! cell as the deployment's fan-out jobs deal them. A counting allocator pins the point of the change: a
 //! repeated timeline retains nothing per copy.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -188,23 +188,28 @@ fn variant(tl: &Timeline, which: u64) -> Timeline {
 }
 
 /// Feeds `servers` (in order; `cell` starts a new cell on change) to `n`
-/// accumulators — server `i` to accumulator `i % n`, whose memo is
-/// cleared when its cell changes — and merges them in order.
+/// lanes — server `i` to lane `i % n` — where each run of one cell in a
+/// lane gets a fresh accumulator, as each cell's fan-out job does, and
+/// merges them all in order.
 fn fold(servers: &[(usize, Timeline, bool)], n: usize) -> WarmupReport {
-    let params = WarmupAnalysisParams::default();
-    let mut parts: Vec<(Option<usize>, WarmupAccumulator)> = (0..n)
-        .map(|_| (None, WarmupAccumulator::new(params, SAMPLE_MS, DURATION_MS)))
-        .collect();
+    let new_acc =
+        || WarmupAccumulator::new(WarmupAnalysisParams::default(), SAMPLE_MS, DURATION_MS);
+    let mut parts: Vec<WarmupAccumulator> = Vec::new();
+    // Per lane: its current cell and that run's index in `parts`.
+    let mut lanes: Vec<Option<(usize, usize)>> = vec![None; n];
     for (i, (cell, tl, jumpstart)) in servers.iter().enumerate() {
-        let (last, acc) = &mut parts[i % n];
-        if *last != Some(*cell) {
-            acc.clear_memo();
-            *last = Some(*cell);
-        }
-        acc.add(tl, *jumpstart);
+        let lane = &mut lanes[i % n];
+        let part = match *lane {
+            Some((last, part)) if last == *cell => part,
+            _ => {
+                parts.push(new_acc());
+                *lane = Some((*cell, parts.len() - 1));
+                parts.len() - 1
+            }
+        };
+        parts[part].add(tl, *jumpstart);
     }
-    let mut parts = parts.into_iter().map(|(_, acc)| acc);
-    let mut all = parts.next().expect("n >= 1");
+    let mut all = new_acc();
     for part in parts {
         all.merge(part);
     }

@@ -194,19 +194,21 @@ pub struct FuncProfile {
     /// Execution count per bytecode basic block (indexed by [`BlockId`]).
     pub block_counts: Vec<u64>,
     /// Structural hash of each block's CFG at collection time (parallel to
-    /// `block_counts`, from [`Cfg::block_hashes`]). Lets a consumer detect
-    /// a profile collected against a *different* build of the function and
-    /// remap counters onto the current CFG (stale-profile repair).
+    /// `block_counts`, from [`bytecode::FuncFacts::block_hashes`]). Lets a
+    /// consumer detect a profile collected against a *different* build of
+    /// the function and remap counters onto the current CFG (stale-profile
+    /// repair).
     pub block_hashes: Vec<u64>,
     /// FNV-1a of the function's *name* at collection time (`0` for legacy
     /// profiles). Function ids renumber wholesale across builds; the name
     /// hash is the build-stable identity the repairer keys on.
     pub name_hash: u64,
     /// Opcode-only block hashes (no immediates), parallel to
-    /// `block_counts`; from [`Cfg::block_opcode_hashes`]. Second and last
-    /// rung of the stale-matching ladder. The collector always fills it;
-    /// it is empty only in a hand-built profile, which then matches on
-    /// exact hashes alone and cannot be re-identified after a rename.
+    /// `block_counts`; from [`bytecode::FuncFacts::block_opcode_hashes`].
+    /// Second and last rung of the stale-matching ladder. The collector
+    /// always fills it; it is empty only in a hand-built profile, which
+    /// then matches on exact hashes alone and cannot be re-identified
+    /// after a rename.
     pub block_opcode_hashes: Vec<u64>,
     // Call counts by (call site, callee).
     call_targets: Table<(u32, FuncId), u64>,
@@ -551,7 +553,7 @@ struct FuncState {
 impl FuncState {
     fn new(repo: &Repo, func: FuncId) -> FuncState {
         let f = repo.func(func);
-        let cfg = Cfg::build(f);
+        let facts = repo.facts(func);
         let (mut bins, mut branches, mut calls) = (Vec::new(), Vec::new(), Vec::new());
         let site_of = f
             .code
@@ -574,10 +576,10 @@ impl FuncState {
             .collect();
         FuncState {
             profile: FuncProfile {
-                block_counts: vec![0; cfg.len()],
-                block_hashes: cfg.block_hashes(f, repo),
-                name_hash: bytecode::fnv_str(repo.str(f.name)),
-                block_opcode_hashes: cfg.block_opcode_hashes(f),
+                block_counts: vec![0; facts.cfg.len()],
+                block_hashes: facts.block_hashes.clone(),
+                name_hash: facts.name_hash,
+                block_opcode_hashes: facts.block_opcode_hashes.clone(),
                 ..FuncProfile::default()
             },
             in_tier: false,
@@ -1105,13 +1107,12 @@ mod tests {
         fn func_profile(&mut self, func: FuncId) -> &mut FuncProfile {
             let repo = self.repo;
             self.tier.funcs.entry(func).or_insert_with(|| {
-                let f = repo.func(func);
-                let cfg = Cfg::build(f);
+                let facts = repo.facts(func);
                 FuncProfile {
-                    block_counts: vec![0; cfg.len()],
-                    block_hashes: cfg.block_hashes(f, repo),
-                    name_hash: bytecode::fnv_str(repo.str(f.name)),
-                    block_opcode_hashes: cfg.block_opcode_hashes(f),
+                    block_counts: vec![0; facts.cfg.len()],
+                    block_hashes: facts.block_hashes.clone(),
+                    name_hash: facts.name_hash,
+                    block_opcode_hashes: facts.block_opcode_hashes.clone(),
                     ..FuncProfile::default()
                 }
             })

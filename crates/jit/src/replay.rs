@@ -20,9 +20,8 @@
 //! address-keyed, in a [`uarch::AddrMap`].
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
-use bytecode::{Cfg, ClassId, FuncId, Instr, Repo, UnitId};
+use bytecode::{ClassId, FuncId, Instr, Repo, UnitId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use uarch::{AddrMap, CoreModel, CoreParams, MissReport};
@@ -234,9 +233,6 @@ pub struct Executor<'a> {
     rng: SmallRng,
     data: DataSpace,
     config: ExecutorConfig,
-    /// Each interpreted function's bytecode CFG, by `FuncId` index, built
-    /// on its first call.
-    cfgs: Vec<Option<Rc<Cfg>>>,
     /// Bresenham accumulators of interpreted branch sites, by metadata
     /// address (see [`Executor::replay_interp`]).
     interp_acc: AddrMap<f64>,
@@ -306,7 +302,6 @@ impl<'a> Executor<'a> {
             rng: SmallRng::seed_from_u64(config.seed),
             data: DataSpace::new(repo, config.obj_pool),
             config,
-            cfgs: vec![None; funcs],
             interp_acc: AddrMap::default(),
             blocks_left: 0,
         }
@@ -487,13 +482,6 @@ impl<'a> Executor<'a> {
         None
     }
 
-    fn cfg_of(&mut self, func: FuncId) -> Rc<Cfg> {
-        let repo = self.repo;
-        self.cfgs[func.index()]
-            .get_or_insert_with(|| Rc::new(Cfg::build(repo.func(func))))
-            .clone()
-    }
-
     /// Replays an un-translated function at interpreter cost, walking its
     /// bytecode CFG with ground-truth branch probabilities.
     ///
@@ -505,8 +493,9 @@ impl<'a> Executor<'a> {
     /// predictor entry. Translated code has no such aliasing (its sites
     /// are code addresses, one per block).
     fn replay_interp(&mut self, func: FuncId, depth: u32) {
-        let cfg = self.cfg_of(func);
-        let f = self.repo.func(func);
+        let repo = self.repo;
+        let cfg = &repo.facts(func).cfg;
+        let f = repo.func(func);
         let unit = f.unit;
         let mut b = 0usize;
         loop {
@@ -551,7 +540,7 @@ impl<'a> Executor<'a> {
                         let base = self.data.alloc_arr();
                         self.core.store(base, 64);
                     }
-                    Instr::JmpZ(target) | Instr::JmpNZ(target) => {
+                    Instr::JmpZ(_) | Instr::JmpNZ(_) => {
                         let p = self.truth.taken_prob(None, func, at);
                         let site = self.data.meta_addr(unit, at as u64 * 4);
                         let go = sample_branch(
@@ -562,12 +551,14 @@ impl<'a> Executor<'a> {
                         );
                         self.core.branch(site, go);
                         next = Some(if go {
-                            cfg.block_of(target).index()
+                            block.taken.expect("a branch has a target block").index()
                         } else {
                             b + 1
                         });
                     }
-                    Instr::Jmp(target) => next = Some(cfg.block_of(target).index()),
+                    Instr::Jmp(_) => {
+                        next = Some(block.taken.expect("a jump has a target block").index())
+                    }
                     Instr::Ret => return,
                     _ => {}
                 }

@@ -18,7 +18,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use bytecode::{BlockId, Cfg, ClassId, FuncId, Instr, Repo, StrId};
+use bytecode::{BlockId, ClassId, FuncId, Instr, Repo, StrId};
 use vm::ValueKind;
 
 use crate::profile::{CtxProfile, FuncProfile, InlineCtx, TierProfile, PARAM_SITE};
@@ -335,7 +335,7 @@ impl Translator<'_> {
         with_guards: bool,
     ) -> Vec<usize> {
         let f = self.repo.func(func);
-        let cfg = Cfg::build(f);
+        let cfg = &self.repo.facts(func).cfg;
         // Each bytecode block opens a Vasm block (plus the exit funnel), and
         // most bytecode instructions lower to one Vasm instruction: reserve
         // that much rather than regrow from empty.
@@ -369,14 +369,15 @@ impl Translator<'_> {
                 let instr = f.code[at as usize];
                 match instr {
                     Instr::Jmp(_) => {
-                        let t = cfg.block_of(instr.jump_target().expect("jmp"));
+                        let t = bblock.taken.expect("a jump has a target block");
                         self.unit.blocks[cur].term = Term::Jump(usize::MAX);
                         fixups.push((cur, t, None));
                         terminated = true;
                     }
                     Instr::JmpZ(_) | Instr::JmpNZ(_) => {
-                        let t = cfg.block_of(instr.jump_target().expect("branch"));
-                        let fall = cfg.block_of(bblock.end.min(f.code.len() as u32 - 1));
+                        let t = bblock.taken.expect("a branch has a target block");
+                        // A branch that ends the function falls into itself.
+                        let fall = bblock.fallthrough.unwrap_or(bc_id);
                         self.emit(cur, VInstr::CmpInt);
                         self.unit.blocks[cur].term = Term::Cond {
                             taken: usize::MAX,

@@ -22,7 +22,7 @@
 //! fuel left covers it and both operands are ints, else instruction by
 //! instruction.
 
-use bytecode::{BinOp, BlockId, Cfg, Func, FuncId, Instr, Local};
+use bytecode::{BinOp, BlockId, FuncId, Instr, Local, Repo};
 
 /// A binary op's operand.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -105,20 +105,20 @@ pub(crate) struct Body {
 
 impl Body {
     /// Lowers `func`, fusing every group the rules above allow.
-    pub(crate) fn build(func: &Func) -> Body {
-        Body::lower(func, true)
+    pub(crate) fn build(repo: &Repo, func: FuncId) -> Body {
+        Body::lower(repo, func, true)
     }
 
     /// Lowers `func` one op per instruction (plus the block starts): the
     /// reference the fused body is tested against.
     #[cfg(test)]
-    pub(crate) fn unfused(func: &Func) -> Body {
-        Body::lower(func, false)
+    pub(crate) fn unfused(repo: &Repo, func: FuncId) -> Body {
+        Body::lower(repo, func, false)
     }
 
-    fn lower(func: &Func, fuse: bool) -> Body {
-        let code = &func.code;
-        let cfg = Cfg::build(func);
+    fn lower(repo: &Repo, func: FuncId, fuse: bool) -> Body {
+        let code = &repo.func(func).code;
+        let cfg = &repo.facts(func).cfg;
         let mut block_at = vec![None; code.len()];
         for (b, block) in cfg.blocks().iter().enumerate() {
             block_at[block.start as usize] = Some(BlockId(b as u32));

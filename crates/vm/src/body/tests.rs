@@ -128,7 +128,7 @@ fn every_endpoint_of_the_generated_apps_runs_as_unfused() {
             .repo
             .funcs()
             .iter()
-            .flat_map(|f| Body::build(f).ops)
+            .flat_map(|f| Body::build(&app.repo, f.id).ops)
             .filter(|op| matches!(op, Op::Bin { len, .. } if *len > 1))
             .count();
         assert!(fused > 100, "seed {}: {fused} fused groups", params.seed);
@@ -161,7 +161,7 @@ fn join_inside_a_run() -> FuncBuilder {
 fn a_jump_into_a_fusible_run_splits_the_group() {
     let repo = repo_of(vec![join_inside_a_run()]);
     let f = FuncId::new(0);
-    let ops = Body::build(repo.func(f)).ops;
+    let ops = Body::build(&repo, f).ops;
     // The `Int 10` stays alone; the group starts at the jump target.
     let join_block = ops
         .iter()

@@ -182,7 +182,7 @@ impl<'r> Vm<'r> {
     fn body(&mut self, func: FuncId) -> Rc<Body> {
         let repo = self.repo;
         self.bodies[func.index()]
-            .get_or_insert_with(|| Rc::new(Body::build(repo.func(func))))
+            .get_or_insert_with(|| Rc::new(Body::build(repo, func)))
             .clone()
     }
 
@@ -192,7 +192,7 @@ impl<'r> Vm<'r> {
     pub(crate) fn unfused(repo: &'r Repo, options: VmOptions) -> Self {
         let mut vm = Self::with_options(repo, options);
         for (body, f) in vm.bodies.iter_mut().zip(repo.funcs()) {
-            *body = Some(Rc::new(Body::unfused(f)));
+            *body = Some(Rc::new(Body::unfused(repo, f.id)));
         }
         vm
     }
