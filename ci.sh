@@ -124,10 +124,10 @@ print(f"stale gate ok: {full['recovered']:.1%} recovered at churn 0.1 (drop base
 EOF
 fi
 
-echo "== jsstore smoke (chunk store: byte-identical round-trips, delta ceiling, lazy decode, shard-invariant plan) =="
+echo "== jsstore smoke (chunk store: byte-identical round-trips, delta ceiling, lazy decode clean and stale, shard-invariant plan) =="
 cargo run -q -p bench --bin jsstore --release -- --check
 
-echo "== store baseline gate (BENCH_store.json: delta wire ceiling, dedup floor, lazy decode ceiling) =="
+echo "== store baseline gate (BENCH_store.json: delta wire ceiling, dedup floor, lazy decode ceiling, stale lazy boot in band) =="
 if [ -f BENCH_store.json ]; then
   python3 - <<'EOF'
 import json
@@ -141,10 +141,15 @@ assert lazy["layout_match"], "lazy boot diverged from the monolithic code layout
 assert lazy["before_serve_frac"] < 0.50, \
     f"frac={lazy['early_serve_frac']} boot decoded {lazy['before_serve_frac']:.1%} pre-serve (ceiling 50%)"
 assert lazy["cold_chunks"] > 0, "no cold tail left to defer"
+stale = doc["lazy_stale"]
+assert stale["layout_match"], "a stale lazy boot diverged from booting its reassembled bytes"
+assert stale["before_serve_frac"] <= lazy["before_serve_frac"] + 0.05, \
+    f"stale lazy boot decoded {stale['before_serve_frac']:.1%} pre-serve, clean {lazy['before_serve_frac']:.1%} (band 0.05)"
 fleet = doc["fleet"]
 assert fleet["bytes_on_wire"] < fleet["bytes_full"], "fleet distribution sent full packages"
 print(f"store gate ok: churn-0.1 wire {wire:.1%} <= 40%, dedup {doc['dedup_ratio_at_0p1']:.1%}, "
-      f"lazy pre-serve {lazy['before_serve_frac']:.1%} < 50%, fleet wire {fleet['wire_ratio']:.1%}")
+      f"lazy pre-serve {lazy['before_serve_frac']:.1%} < 50% (stale {stale['before_serve_frac']:.1%}), "
+      f"fleet wire {fleet['wire_ratio']:.1%}")
 EOF
 fi
 

@@ -42,10 +42,11 @@ pub mod stale;
 pub use fingerprint::chunk_fingerprint;
 pub use flow::{flow_violations, infer_flow, FlowSolution};
 pub use lint::{
-    is_own_layer_order, lint_profile, lint_profile_with, prune_orders, Diagnostic, LintOptions,
-    LintReport, ProfileView, Rule,
+    is_own_layer_order, lint_profile, lint_profile_with, lint_records, lint_shared, prune_orders,
+    Diagnostic, LintOptions, LintReport, ProfileView, Rule,
 };
 pub use reach::reachable_blocks;
 pub use stale::{
     repair_profile, repair_profile_with, MatchMode, MatchStats, RepairOptions, RepairReport,
+    StagedRepair,
 };

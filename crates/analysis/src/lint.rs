@@ -12,9 +12,11 @@
 //!
 //! Every finding is an error: the profile cannot describe this repo, and
 //! consuming it risks crashes or nonsense layout decisions. The seeder
-//! rejects a package with any; the consumer repairs it ([`crate::stale`],
-//! [`prune_orders`]) and lints again. The lint is the consumer's only
-//! admission check, for a sealed package and a chunked one alike.
+//! rejects a package with any; the consumer admits a package in stages,
+//! [`lint_shared`] over the ctx and orders and [`lint_records`] over each
+//! stage's records, and repairs ([`crate::stale`], [`prune_orders`]) and
+//! relints only what they flag, for a sealed package and a chunked one
+//! alike.
 //!
 //! Each rule the repair also enforces is one check here, written once:
 //! the site rules (call targets, type observations, receiver classes, ctx
@@ -493,40 +495,79 @@ pub fn lint_profile_with(repo: &Repo, view: &ProfileView<'_>, _opts: &LintOption
     lint_profile(repo, view)
 }
 
-/// Lints a profile against a repo.
+/// Lints a profile against a repo: [`lint_records`] over its records and
+/// [`lint_shared`] over the rest, in one report.
 ///
 /// The repo is assumed to pass [`bytecode::verify_repo`]; the linter
 /// checks the *profile*, not the code.
 pub fn lint_profile(repo: &Repo, view: &ProfileView<'_>) -> LintReport {
-    let mut orders = Orders::default();
+    let mut diagnostics = lint_records(repo, &view.tier.funcs, view.ctx).diagnostics;
+    let shared = lint_shared(repo, view, |f| view.tier.funcs.contains_key(&f));
+    diagnostics.extend(shared.diagnostics);
+    sorted(diagnostics)
+}
+
+/// Lints function records, each with its own ctx branch counters: a boot
+/// stage's share of [`lint_profile`].
+pub fn lint_records<'a>(
+    repo: &Repo,
+    records: impl IntoIterator<Item = (&'a FuncId, &'a FuncProfile)>,
+    ctx: &CtxProfile,
+) -> LintReport {
+    linted(|flag| {
+        for (&fid, fp) in records {
+            lint_func_profile(repo, ctx, fid, fp, flag);
+            for &((_, at, ictx), _) in ctx.branches_of(fid) {
+                ctx_branch(repo, fid, at, ictx, flag);
+            }
+        }
+    })
+}
+
+/// Lints what no record owns: the ctx branch counters of functions that
+/// `claimed` says have no record, every ctx entry counter and the order
+/// lists. `view.tier` is not read.
+pub fn lint_shared(
+    repo: &Repo,
+    view: &ProfileView<'_>,
+    claimed: impl Fn(FuncId) -> bool,
+) -> LintReport {
+    linted(|flag| {
+        let runs = view.ctx.branches().chunk_by(|a, b| a.0 .0 == b.0 .0);
+        for &((fid, at, ictx), _) in runs.filter(|run| !claimed(run[0].0 .0)).flatten() {
+            ctx_branch(repo, fid, at, ictx, flag);
+        }
+        for &((callee, ictx), _) in view.ctx.entries() {
+            ctx_entry(repo, callee, ictx, flag);
+        }
+        let mut orders = Orders::default();
+        for &u in view.unit_order {
+            orders.unit(repo, u, flag);
+        }
+        for &f in view.func_order {
+            orders.func(repo, f, flag);
+        }
+        for (class, order) in view.prop_orders {
+            orders.prop_order(repo, *class, order, flag);
+        }
+    })
+}
+
+/// Runs `check` with a [`Flag`] that renders each failure into a report.
+fn linted(check: impl FnOnce(&mut Flag<'_>)) -> LintReport {
     let mut diagnostics = Vec::new();
-    let flag: &mut Flag<'_> = &mut |rule, func, message| {
+    check(&mut |rule, func, message| {
         diagnostics.push(Diagnostic {
             rule,
             func,
             message: message.to_string(),
         })
-    };
+    });
+    sorted(diagnostics)
+}
 
-    for (&fid, fp) in &view.tier.funcs {
-        lint_func_profile(repo, view.ctx, fid, fp, flag);
-    }
-    for &((fid, at, ictx), _) in view.ctx.branches() {
-        ctx_branch(repo, fid, at, ictx, flag);
-    }
-    for &((callee, ictx), _) in view.ctx.entries() {
-        ctx_entry(repo, callee, ictx, flag);
-    }
-    for &u in view.unit_order {
-        orders.unit(repo, u, flag);
-    }
-    for &f in view.func_order {
-        orders.func(repo, f, flag);
-    }
-    for (class, order) in view.prop_orders {
-        orders.prop_order(repo, *class, order, flag);
-    }
-
+/// Findings sorted by rule, then function, then message, without repeats.
+fn sorted(mut diagnostics: Vec<Diagnostic>) -> LintReport {
     diagnostics.sort_by(|a, b| (a.rule, a.func, &a.message).cmp(&(b.rule, b.func, &b.message)));
     diagnostics.dedup();
     LintReport { diagnostics }

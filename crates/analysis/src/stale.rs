@@ -6,35 +6,33 @@
 //! stay useful for days of pushes). Most functions are untouched by a
 //! push, so most of the package is still exact; the functions that *did*
 //! change have counters indexed by ids and block positions that no longer
-//! exist. This module salvages the package instead of discarding it, in
-//! three phases ("Stale Profile Matching", Ayupov et al., PAPERS.md):
+//! exist. This module salvages the package instead of discarding it ("Stale
+//! Profile Matching", Ayupov et al., PAPERS.md), as a [`StagedRepair`]:
 //!
-//! 1. **Function identity** — ids renumber wholesale across builds, so
-//!    profiled functions are re-identified by *name hash* first, then (for
-//!    renamed functions) by a unique whole-body opcode fingerprint. Call
-//!    targets and context keys are rewritten through the resulting old→new
-//!    id map; functions that resolve to nothing are dropped.
-//! 2. **Block matching ladder** — each surviving function's blocks are
-//!    matched against the current [`bytecode::Cfg`] at two levels of
-//!    decreasing strictness: exact structural hash, then opcode-only hash
-//!    (survives edited immediates). Each level pairs equal hashes in
-//!    relative block order, so duplicate bodies line up first-to-first.
-//! 3. **Flow-conservation inference** — matched counts become *hints* to
-//!    [`crate::flow::infer_flow`], which constructs an exact integer
-//!    circulation over the new CFG. Unmatched regions get consistent
-//!    inferred counts instead of zeros, branch splits are synthesized from
-//!    the edge flows, and every repaired function passes the same
-//!    Kirchhoff flow lint as a fresh one.
+//! 1. **Function identity**, once per package — ids renumber wholesale
+//!    across builds, so records are re-identified from their `(id, name
+//!    hash)` pairs against the release's name index, then (for renamed
+//!    functions) by a unique whole-body opcode fingerprint, which only these
+//!    second-chance records' bodies are read for. Call targets and context
+//!    keys are rewritten through the resulting old→new id map; records that
+//!    resolve to nothing are dropped.
+//! 2. **Per-record repair**, stage by stage — each record's blocks are
+//!    matched against the current [`bytecode::Cfg`] by a two-level ladder
+//!    (exact structural hash, then opcode-only hash; each level pairs equal
+//!    hashes in relative block order), and the matched counts become hints
+//!    to [`crate::flow::infer_flow`], which constructs an exact integer
+//!    circulation over the new CFG, branch splits included. A record whose
+//!    counter mass mostly lands on unmatched blocks is dropped
+//!    (`MIN_MATCHED_MASS`). Then the record's sites and its ctx branch
+//!    counters are pruned, and a fresh record whose branch data the prune
+//!    cut is rebalanced from its own counts.
 //!
-//! Functions whose counter mass mostly lands on unmatched blocks are still
-//! dropped (`MIN_MATCHED_MASS`). Freshness and pruning are the lint's own
-//! checks ([`crate::lint`]): a function is fresh when its counters fit the
-//! current CFG by the lint's shape rule, and every instruction-indexed
-//! entry (call targets, types, receiver classes, ctx branches and entries)
-//! the lint's site rules reject is pruned, so the repaired profile trips
-//! none of them.
+//! Freshness and pruning are the lint's own checks ([`crate::lint`]), so a
+//! repaired record trips none of them, and a record the lint passes is left
+//! as it is: a consumer repairs only what a stage's lint flags.
+//! [`repair_profile`] is the whole package as one stage.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use bytecode::{Fnv, FuncId, Repo};
 use jit::{CtxProfile, FuncProfile, TierProfile};
@@ -180,226 +178,298 @@ pub fn repair_profile(repo: &Repo, tier: &mut TierProfile, ctx: &mut CtxProfile)
     repair_profile_with(repo, tier, ctx, &RepairOptions::default())
 }
 
-/// [`repair_profile`] with an explicit [`MatchMode`].
+/// [`repair_profile`] with an explicit [`MatchMode`]: a [`StagedRepair`]
+/// whose one stage holds every record, each one repaired.
 pub fn repair_profile_with(
     repo: &Repo,
     tier: &mut TierProfile,
     ctx: &mut CtxProfile,
     opts: &RepairOptions,
 ) -> RepairReport {
-    let mut report = RepairReport::default();
-
-    // ---- Phase 1: function identity --------------------------------
-    resolve_identities(repo, tier, ctx, opts.mode, &mut report);
-
-    // ---- Phase 2: per-function block matching + flow inference -----
-    let mut stale_drops = Vec::new();
-    for (&fid, fp) in tier.funcs.iter_mut() {
-        let facts = repo.facts(fid);
-        if counters_fit(fp, &facts.block_hashes) {
-            report.stats.funcs_fresh += 1;
-            report.pruned += prune_func_profile(repo, fid, fp);
-            continue;
-        }
-        let total: u64 = fp.block_counts.iter().sum();
-        match opts.mode {
-            MatchMode::DropStale => {
-                report.stats.blocks_dropped += fp.block_counts.len() as u64;
-                report.stats.mass_dropped += total;
-                stale_drops.push(fid);
-                continue;
-            }
-            MatchMode::Full => {
-                let assigned = match_blocks(
-                    &fp.block_counts,
-                    [
-                        (&fp.block_hashes, &facts.block_hashes),
-                        (&fp.block_opcode_hashes, &facts.block_opcode_hashes),
-                    ],
-                );
-                let matched: u64 = assigned
-                    .iter()
-                    .flatten()
-                    .map(|&(i, _)| fp.block_counts[i])
-                    .sum();
-                if total > 0 && (matched as f64) < MIN_MATCHED_MASS * total as f64 {
-                    report.stats.blocks_dropped += fp.block_counts.len() as u64;
-                    report.stats.mass_dropped += total;
-                    stale_drops.push(fid);
-                    continue;
-                }
-                let mut matched_old = vec![false; fp.block_counts.len()];
-                let hints: Vec<Option<u64>> = assigned
-                    .iter()
-                    .map(|a| {
-                        a.map(|(i, _)| {
-                            matched_old[i] = true;
-                            fp.block_counts[i]
-                        })
-                    })
-                    .collect();
-                for a in assigned.iter().flatten() {
-                    match a.1 {
-                        LEVEL_EXACT => report.stats.blocks_exact += 1,
-                        LEVEL_OPCODE => report.stats.blocks_opcode += 1,
-                        level => unreachable!("the ladder has two levels, got {level}"),
-                    }
-                }
-                report.stats.blocks_dropped += matched_old.iter().filter(|&&m| !m).count() as u64;
-                report.stats.mass_matched += matched;
-                report.stats.mass_dropped += total - matched;
-
-                let sol = infer_flow(&facts.cfg, fp.enter_count, &hints);
-                report.stats.blocks_inferred += sol
-                    .counts
-                    .iter()
-                    .zip(&hints)
-                    .filter(|&(&c, h)| h.is_none() && c > 0)
-                    .count() as u64;
-                // A repaired record carries the current build's signatures.
-                fp.block_counts = sol.counts;
-                fp.block_hashes = facts.block_hashes.clone();
-                fp.name_hash = facts.name_hash;
-                fp.block_opcode_hashes = facts.block_opcode_hashes.clone();
-                report.stats.branches_synthesized += sol.branches.len() as u64;
-                ctx.replace_branches(fid, sol.branches);
-                report.repaired.push(fid);
-            }
-        }
-        report.pruned += prune_func_profile(repo, fid, fp);
-    }
-    for f in &stale_drops {
-        tier.funcs.remove(f);
-    }
-    report.dropped.extend(stale_drops);
-
-    report.pruned += prune_ctx(repo, ctx);
-
-    // ---- Phase 3: flow rebalance -----------------------------------
-    // Pruning can remove part of a fresh function's branch data (e.g. its
-    // caller's inline context vanished), leaving counts that no longer
-    // balance. Resynthesize those functions' branch counters from their
-    // own (already consistent) counts so the flow lint passes.
-    if opts.mode == MatchMode::Full {
-        let repaired: HashSet<FuncId> = report.repaired.iter().copied().collect();
-        for (&fid, fp) in tier.funcs.iter_mut() {
-            if repaired.contains(&fid) {
-                continue; // consistent by construction
-            }
-            let cfg = &repo.facts(fid).cfg;
-            if flow_violations(fid, cfg, fp, ctx).is_empty() {
-                continue;
-            }
-            let hints: Vec<Option<u64>> = fp.block_counts.iter().map(|&c| Some(c)).collect();
-            let sol = infer_flow(cfg, fp.enter_count, &hints);
-            fp.block_counts = sol.counts;
-            report.stats.branches_synthesized += sol.branches.len() as u64;
-            ctx.replace_branches(fid, sol.branches);
-            report.stats.funcs_rebalanced += 1;
-            report.repaired.push(fid);
-        }
-    }
-
-    report.repaired.sort_by_key(|f| f.index());
-    report.repaired.dedup();
-    report
+    let dir = tier.funcs.iter().map(|(&f, fp)| (f, fp.name_hash));
+    let mut repair = StagedRepair::by_name(repo, opts.mode, dir);
+    repair.by_body(tier);
+    repair.admit_ctx(ctx);
+    repair.remap(tier);
+    let all: Vec<FuncId> = tier.funcs.keys().copied().collect();
+    repair.repair(tier, &all, ctx);
+    repair.finish()
 }
 
-/// Re-keys the tier/ctx onto current-build function ids.
-///
-/// Legacy profiles (no `name_hash`) keep id-as-is semantics: in-range ids
-/// are trusted, out-of-range ids are dropped. v5 profiles are re-keyed by
-/// name hash; still-unresolved ones get one more chance via a unique
-/// whole-body opcode fingerprint (catches renamed-but-unchanged functions).
-fn resolve_identities(
-    repo: &Repo,
-    tier: &mut TierProfile,
-    ctx: &mut CtxProfile,
+/// A profile's repair, admitted in stages. Phase 1 settles each record's
+/// identity from the `(id, name hash)` pairs alone
+/// ([`StagedRepair::by_name`]), reading only the second-chance records'
+/// bodies ([`StagedRepair::by_body`]); [`StagedRepair::admit_ctx`] then
+/// admits the ctx, and each stage's records are
+/// [`remap`](StagedRepair::remap)ped and [`repair`](StagedRepair::repair)ed
+/// record by record. However the records are staged, the tier, ctx and
+/// report equal [`repair_profile_with`]'s.
+#[derive(Debug)]
+pub struct StagedRepair<'r> {
+    repo: &'r Repo,
     mode: MatchMode,
-    report: &mut RepairReport,
-) {
-    let full = mode == MatchMode::Full;
+    /// Recorded id → current id of every resolved record.
+    resolved: BTreeMap<FuncId, FuncId>,
+    /// The inverse of `resolved`, by current id: one record per function.
+    claimed: Vec<Option<FuncId>>,
+    /// Resolved records whose id changes.
+    moved: usize,
+    /// Records the name did not place, waiting for their bodies.
+    second_chance: Vec<FuncId>,
+    /// Phase-2 drops, by current id.
+    stale_drops: Vec<FuncId>,
+    report: RepairReport,
+}
 
-    let mut by_name: HashMap<u64, Option<FuncId>> = HashMap::new();
-    let mut by_body: HashMap<u64, Option<FuncId>> = HashMap::new();
-    if full {
-        for f in repo.funcs() {
-            let facts = repo.facts(f.id);
-            by_name
-                .entry(facts.name_hash)
-                .and_modify(|e| *e = None) // ambiguous name: never match on it
-                .or_insert(Some(f.id));
+impl<'r> StagedRepair<'r> {
+    /// Phase 1 by name over `dir`, `(recorded id, name hash)` pairs in
+    /// `FuncId` order. Legacy records (no name hash) keep id-as-is
+    /// semantics: in-range ids are trusted, out-of-range ids are dropped.
+    /// The others are re-keyed by name hash; the ones it cannot place are
+    /// the [`second_chance`](StagedRepair::second_chance).
+    pub fn by_name(
+        repo: &'r Repo,
+        mode: MatchMode,
+        dir: impl IntoIterator<Item = (FuncId, u64)>,
+    ) -> Self {
+        let full = mode == MatchMode::Full;
+        let mut repair = StagedRepair {
+            repo,
+            mode,
+            resolved: BTreeMap::new(),
+            claimed: vec![None; repo.funcs().len()],
+            moved: 0,
+            second_chance: Vec::new(),
+            stale_drops: Vec::new(),
+            report: RepairReport::default(),
+        };
+        for (fid, name_hash) in dir {
+            let target = if full && name_hash != 0 {
+                repo.func_by_name_hash(name_hash)
+            } else {
+                func_ok(repo, fid).then_some(fid)
+            };
+            match target {
+                Some(nf) if repair.claim(fid, nf) => {}
+                _ if full && name_hash != 0 => repair.second_chance.push(fid),
+                _ => repair.report.dropped.push(fid),
+            }
+        }
+        repair
+    }
+
+    /// Records `old` as `new` unless a record claimed `new` first: the
+    /// renaming stays one-to-one.
+    fn claim(&mut self, old: FuncId, new: FuncId) -> bool {
+        if self.claimed[new.index()].is_some() {
+            return false;
+        }
+        self.claimed[new.index()] = Some(old);
+        self.resolved.insert(old, new);
+        self.moved += usize::from(old != new);
+        true
+    }
+
+    /// The recorded ids whose bodies [`StagedRepair::by_body`] reads.
+    pub fn second_chance(&self) -> &[FuncId] {
+        &self.second_chance
+    }
+
+    /// Phase 1's second chance, over `records` (keyed by recorded id): a
+    /// renamed function whose unique body is unchanged is identity
+    /// enough. A second-chance record missing from `records` is dropped.
+    pub fn by_body(&mut self, records: &TierProfile) {
+        if self.second_chance.is_empty() {
+            return;
+        }
+        let mut by_body: HashMap<u64, Option<FuncId>> = HashMap::new();
+        for f in self.repo.funcs() {
             by_body
-                .entry(body_hash(&facts.block_opcode_hashes))
+                .entry(body_hash(&self.repo.facts(f.id).block_opcode_hashes))
                 .and_modify(|e| *e = None) // ambiguous body: never match on it
                 .or_insert(Some(f.id));
         }
+        for fid in std::mem::take(&mut self.second_chance) {
+            let body = records.funcs.get(&fid).map(|fp| &fp.block_opcode_hashes);
+            let target = body
+                .filter(|b| !b.is_empty())
+                .and_then(|b| by_body.get(&body_hash(b)).copied().flatten());
+            match target {
+                Some(nf) if self.claim(fid, nf) => self.report.stats.funcs_renamed += 1,
+                _ => self.report.dropped.push(fid),
+            }
+        }
+        self.report.dropped.sort_unstable();
     }
 
-    let mut claimed: HashSet<FuncId> = HashSet::new();
-    let mut resolved: Vec<(FuncId, FuncId)> = Vec::new();
-    let mut second_chance: Vec<FuncId> = Vec::new();
-    for (&fid, fp) in &tier.funcs {
-        let target = if full && fp.name_hash != 0 {
-            by_name.get(&fp.name_hash).copied().flatten()
-        } else if func_ok(repo, fid) {
-            Some(fid)
-        } else {
-            None
+    /// Whether every record keeps its id and name, and none is dropped.
+    pub fn is_trivial(&self) -> bool {
+        self.moved == 0 && self.report.dropped.is_empty() && self.report.stats.funcs_renamed == 0
+    }
+
+    /// The current id of the record at recorded id `old`.
+    pub fn new_id(&self, old: FuncId) -> Option<FuncId> {
+        self.resolved.get(&old).copied()
+    }
+
+    /// The recorded id of the record that is now `new`.
+    pub fn record_of(&self, new: FuncId) -> Option<FuncId> {
+        self.claimed.get(new.index()).copied().flatten()
+    }
+
+    /// A recorded reference (a callee, a ctx key) under its current id;
+    /// the id of a record that resolved to nothing stays as it is.
+    pub fn map(&self, f: FuncId) -> FuncId {
+        self.new_id(f).unwrap_or(f)
+    }
+
+    /// Renames `ctx` and prunes the counters no record's repair sees:
+    /// every entry counter, and the branch counters of current ids no
+    /// record claims. A claimed id's branch counters wait for its record:
+    /// replaced uncounted if it is repaired, pruned otherwise.
+    pub fn admit_ctx(&mut self, ctx: &mut CtxProfile) {
+        if self.moved > 0 {
+            ctx.remap_funcs(|f| self.map(f));
+        }
+        let repo = self.repo;
+        self.report.pruned += ctx.retain_branches(|ictx, f, at| {
+            self.record_of(f).is_some() || ctx_branch(repo, f, at, ictx, &mut ignore)
+        }) + ctx
+            .retain_entries(|ictx, callee| ctx_entry(repo, callee, ictx, &mut ignore));
+    }
+
+    /// Re-keys one stage's `records` from recorded to current ids. A
+    /// record names the function it resolved to (a rename keeps its
+    /// counters under the new name), its callees are renamed, and a record
+    /// resolved to nothing is dropped.
+    pub fn remap(&mut self, records: &mut TierProfile) {
+        if self.is_trivial() {
+            return;
+        }
+        for (fid, mut fp) in std::mem::take(&mut records.funcs) {
+            let Some(new) = self.new_id(fid) else {
+                self.report.stats.blocks_dropped += fp.block_counts.len() as u64;
+                self.report.stats.mass_dropped += fp.block_counts.iter().sum::<u64>();
+                continue;
+            };
+            if fp.name_hash != 0 {
+                fp.name_hash = self.repo.facts(new).name_hash;
+            }
+            if self.moved > 0 {
+                fp.remap_callees(|f| self.map(f));
+            }
+            records.funcs.insert(new, fp);
+        }
+    }
+
+    /// Counts `n` remapped records the lint passed as fresh: the repair
+    /// leaves a record as it is when neither it nor its ctx branch
+    /// counters have a finding.
+    pub fn fresh(&mut self, n: usize) {
+        self.report.stats.funcs_fresh += n as u64;
+    }
+
+    /// Repairs the remapped records `ids` of `records` in place: phase 2
+    /// (the block ladder and flow inference) when a record's counters do
+    /// not fit, the prune of its sites and its ctx branch counters, then
+    /// phase 3's rebalance. A record whose counter mass mostly lands on
+    /// unmatched blocks is dropped.
+    pub fn repair(&mut self, records: &mut TierProfile, ids: &[FuncId], ctx: &mut CtxProfile) {
+        for &fid in ids {
+            let fp = records.funcs.get_mut(&fid).expect("a record of the stage");
+            if !self.repair_record(fid, fp, ctx) {
+                records.funcs.remove(&fid);
+                self.stale_drops.push(fid);
+            }
+        }
+    }
+
+    /// One record's [`StagedRepair::repair`]; returns whether it is kept.
+    fn repair_record(&mut self, fid: FuncId, fp: &mut FuncProfile, ctx: &mut CtxProfile) -> bool {
+        let (repo, r) = (self.repo, &mut self.report);
+        let facts = repo.facts(fid);
+        let fresh = counters_fit(fp, &facts.block_hashes);
+        let prune_branches = |ctx: &mut CtxProfile| {
+            ctx.retain_branches_of(fid, |ictx, at| ctx_branch(repo, fid, at, ictx, &mut ignore))
         };
-        match target {
-            Some(nf) if claimed.insert(nf) => resolved.push((fid, nf)),
-            _ if full && fp.name_hash != 0 => second_chance.push(fid),
-            _ => {
-                report.stats.blocks_dropped += fp.block_counts.len() as u64;
-                report.stats.mass_dropped += fp.block_counts.iter().sum::<u64>();
-                report.dropped.push(fid);
+        if fresh {
+            r.stats.funcs_fresh += 1;
+        } else {
+            let total: u64 = fp.block_counts.iter().sum();
+            let assigned = match_blocks(
+                &fp.block_counts,
+                [
+                    (&fp.block_hashes, &facts.block_hashes),
+                    (&fp.block_opcode_hashes, &facts.block_opcode_hashes),
+                ],
+            );
+            let matched: u64 = assigned
+                .iter()
+                .flatten()
+                .map(|&(i, _)| fp.block_counts[i])
+                .sum();
+            if self.mode == MatchMode::DropStale
+                || total > 0 && (matched as f64) < MIN_MATCHED_MASS * total as f64
+            {
+                r.stats.blocks_dropped += fp.block_counts.len() as u64;
+                r.stats.mass_dropped += total;
+                r.pruned += prune_branches(ctx);
+                return false;
             }
-        }
-    }
-    // Renamed functions: a unique, unchanged body is identity enough.
-    for fid in second_chance {
-        let fp = &tier.funcs[&fid];
-        let target = (!fp.block_opcode_hashes.is_empty())
-            .then(|| {
-                by_body
-                    .get(&body_hash(&fp.block_opcode_hashes))
-                    .copied()
-                    .flatten()
-            })
-            .flatten();
-        match target {
-            Some(nf) if claimed.insert(nf) => {
-                report.stats.funcs_renamed += 1;
-                resolved.push((fid, nf));
-            }
-            _ => {
-                report.stats.blocks_dropped += fp.block_counts.len() as u64;
-                report.stats.mass_dropped += fp.block_counts.iter().sum::<u64>();
-                report.dropped.push(fid);
-            }
-        }
-    }
-    report.dropped.sort_by_key(|f| f.index());
+            // The ladder pairs each old block at most once.
+            let hints: Vec<Option<u64>> = (assigned.iter())
+                .map(|a| a.map(|(i, _)| fp.block_counts[i]))
+                .collect();
+            let level = |want| assigned.iter().flatten().filter(|a| a.1 == want).count() as u64;
+            let (exact, opcode) = (level(LEVEL_EXACT), level(LEVEL_OPCODE));
+            r.stats.blocks_exact += exact;
+            r.stats.blocks_opcode += opcode;
+            r.stats.blocks_dropped += fp.block_counts.len() as u64 - exact - opcode;
+            r.stats.mass_matched += matched;
+            r.stats.mass_dropped += total - matched;
 
-    // `claimed` keeps the renaming one-to-one: no two profiles share an id.
-    let moved: HashMap<FuncId, FuncId> = resolved.iter().copied().filter(|(o, n)| o != n).collect();
-    let map = |f: FuncId| moved.get(&f).copied().unwrap_or(f);
-    let mut old = std::mem::take(&mut tier.funcs);
-    for (fid, new) in resolved {
-        let mut fp = old.remove(&fid).expect("resolved from the tier");
-        if fp.name_hash != 0 {
-            // A record names the function it was resolved to: a rename's
-            // record keeps its counters under the new name.
-            fp.name_hash = repo.facts(new).name_hash;
+            let sol = infer_flow(&facts.cfg, fp.enter_count, &hints);
+            r.stats.blocks_inferred += sol
+                .counts
+                .iter()
+                .zip(&hints)
+                .filter(|&(&c, h)| h.is_none() && c > 0)
+                .count() as u64;
+            // A repaired record carries the current build's signatures.
+            fp.block_counts = sol.counts;
+            fp.block_hashes = facts.block_hashes.clone();
+            fp.name_hash = facts.name_hash;
+            fp.block_opcode_hashes = facts.block_opcode_hashes.clone();
+            r.stats.branches_synthesized += sol.branches.len() as u64;
+            ctx.replace_branches(fid, sol.branches);
+            r.repaired.push(fid);
         }
-        if !moved.is_empty() {
-            fp.remap_callees(map);
+        r.pruned += prune_func_profile(repo, fid, fp) + prune_branches(ctx);
+
+        // Phase 3: pruning can remove part of a fresh function's branch
+        // data (e.g. its caller's inline context vanished), leaving counts
+        // that no longer balance. Resynthesize its branch counters from
+        // its own (already consistent) counts so the flow lint passes.
+        let cfg = &facts.cfg;
+        if fresh && self.mode == MatchMode::Full && !flow_violations(fid, cfg, fp, ctx).is_empty() {
+            let hints: Vec<Option<u64>> = fp.block_counts.iter().map(|&c| Some(c)).collect();
+            let sol = infer_flow(cfg, fp.enter_count, &hints);
+            fp.block_counts = sol.counts;
+            r.stats.branches_synthesized += sol.branches.len() as u64;
+            ctx.replace_branches(fid, sol.branches);
+            r.stats.funcs_rebalanced += 1;
+            r.repaired.push(fid);
         }
-        tier.funcs.insert(new, fp);
+        true
     }
-    if !moved.is_empty() {
-        ctx.remap_funcs(map);
+
+    /// The report over every stage admitted.
+    pub fn finish(mut self) -> RepairReport {
+        self.stale_drops.sort_unstable();
+        self.report.dropped.append(&mut self.stale_drops);
+        self.report.repaired.sort_unstable();
+        self.report.repaired.dedup();
+        self.report
     }
 }
 
@@ -416,13 +486,6 @@ fn prune_func_profile(repo: &Repo, fid: FuncId, fp: &mut FuncProfile) -> usize {
     fp.retain_call_targets(|site, callee| call_target(repo, fid, site, callee, &mut ignore))
         + fp.retain_types(|at, slot| type_site(repo, fid, at, slot, &mut ignore))
         + fp.retain_prop_classes(|site, class| prop_class(repo, fid, site, class, &mut ignore))
-}
-
-/// Drops the ctx branch and entry counters the lint's site rules reject.
-/// Returns how many.
-fn prune_ctx(repo: &Repo, ctx: &mut CtxProfile) -> usize {
-    ctx.retain_branches(|ictx, f, at| ctx_branch(repo, f, at, ictx, &mut ignore))
-        + ctx.retain_entries(|ictx, callee| ctx_entry(repo, callee, ictx, &mut ignore))
 }
 
 #[cfg(test)]

@@ -15,7 +15,11 @@
 //!   vs the monolithic boot on the same package: fraction of payload
 //!   bytes decoded before serve-start (measured, and as the manifest
 //!   prices it), decode time split hot/cold, and a layout-digest proof
-//!   that laziness never changes the emitted code.
+//!   that laziness never changes the emitted code. Beside it, the base
+//!   release's package booted lazily on the churn-0.1 release (a package
+//!   one push stale): its pre-serve fraction must stay within 0.05 of the
+//!   clean boot's, and its outcome must equal booting its reassembled
+//!   bytes.
 //! * **Fleet distribution.** A small deployment with the per-cell link
 //!   model on: chunk deltas vs full-package sends, download times, and
 //!   time-to-early-serve across the fleet.
@@ -29,6 +33,9 @@
 //!                     lazy boot stays under the small-lab decode ceiling
 //!                     and matches the monolithic layout digest, the
 //!                     manifest's priced pre-serve fraction is in (0, 1],
+//!                     the stale lazy boot matches its reassembled bytes
+//!                     and stays within 0.05 of the clean pre-serve
+//!                     fraction,
 //!                     and the fleet distribution plan is shard-invariant.
 //!                     Writes nothing. Exits nonzero on any violation.
 //!                     (The <50% pre-serve decode criterion is enforced
@@ -40,8 +47,8 @@ use fleet::{
 };
 use jit::JitOptions;
 use jumpstart::{
-    build_package, chunk_package, consume, consume_chunked, crc32, delta_against, reassemble,
-    ChunkPool, ChunkedPackage, JumpStartOptions, ProfilePackage, SeederInputs,
+    build_package, chunk_package, consume, consume_bytes, consume_chunked, crc32, delta_against,
+    reassemble, ChunkPool, ChunkedPackage, JumpStartOptions, ProfilePackage, SeederInputs,
 };
 use workload::{
     generate_release, profile_run, App, AppParams, ChurnParams, ChurnReport, RequestMix,
@@ -58,6 +65,9 @@ const MAX_WIRE_RATIO_AT_0P1: f64 = 0.40;
 /// fraction of the payload before serve-start (bench lab; enforced by
 /// ci.sh against the committed BENCH_store.json).
 const MAX_EARLY_DECODE_FRAC: f64 = 0.50;
+/// Acceptance band: a stale package's frac=0.25 lazy boot decodes at most
+/// this much more of its payload before serve-start than a clean one.
+const MAX_STALE_EXCESS: f64 = 0.05;
 /// The small lab's call graph is dense enough that the frac=0.25 hot
 /// closure reaches most chunks, so `--check` uses a looser ceiling there;
 /// it still catches a lazy path that decodes everything up front.
@@ -245,6 +255,64 @@ fn lazy_boot(lab: &str, params: &AppParams, requests: usize) -> LazyRow {
     row
 }
 
+/// The lazy decode of a package one push stale, beside the clean one.
+struct StaleRow {
+    before_serve_frac: f64,
+    hot_chunks: usize,
+    cold_chunks: usize,
+    /// The layout digest and repair report equal `consume_bytes` of the
+    /// reassembled bytes.
+    layout_match: bool,
+}
+
+/// Boots the base release's package chunk-lazily at `EARLY_FRAC` on the
+/// churn-0.1 release — the paper's normal case, a package one push stale
+/// (§VII-C) — and proves the outcome identical to booting its reassembled
+/// bytes.
+fn lazy_stale_boot(lab: &str, params: &AppParams, requests: usize) -> StaleRow {
+    let (prior, _) = generate_release(params, &ChurnParams::none());
+    let churn = ChurnParams {
+        seed: CHURN_SEED,
+        rate: 0.1,
+    };
+    let (current, _) = generate_release(params, &churn);
+    let pkg = package_for(&prior, requests);
+    let cp = chunk_package(&pkg, prior.repo.funcs().len());
+    let pool = pool_of(&cp);
+    let opts = JumpStartOptions {
+        early_serve_frac: EARLY_FRAC,
+        ..Default::default()
+    };
+    let jit_opts = JitOptions::default();
+    let (chunked, cs) = consume_chunked(&current.repo, &cp.manifest, &pool, jit_opts, &opts, 2)
+        .expect("stale chunked boot succeeds");
+    let bytes = reassemble(&cp.manifest, &pool).expect("the chunks reassemble");
+    let whole = consume_bytes(&current.repo, &bytes, jit_opts, &opts, 2)
+        .expect("stale reassembled boot succeeds");
+    let row = StaleRow {
+        before_serve_frac: cs.before_serve_frac(),
+        hot_chunks: cs.hot_chunks,
+        cold_chunks: cs.cold_chunks,
+        layout_match: chunked.engine.code_cache.layout_digest()
+            == whole.engine.code_cache.layout_digest()
+            && chunked.repair == whole.repair,
+    };
+    println!(
+        "[{lab}] lazy stale frac={EARLY_FRAC}: {:.1}% of {} payload B decoded pre-serve \
+         ({} hot / {} cold chunks), outcome {} its reassembled bytes'",
+        row.before_serve_frac * 100.0,
+        cs.payload_bytes,
+        row.hot_chunks,
+        row.cold_chunks,
+        if row.layout_match {
+            "identical to"
+        } else {
+            "DIVERGED from"
+        },
+    );
+    row
+}
+
 struct FleetRow {
     bytes_full: u64,
     bytes_on_wire: u64,
@@ -371,6 +439,7 @@ fn main() {
 
     let rows = delta_sweep(lab, &params, requests);
     let lazy = lazy_boot(lab, &params, requests);
+    let stale = lazy_stale_boot(lab, &params, requests);
     let fleet = fleet_distribution(lab);
 
     if check {
@@ -412,6 +481,16 @@ fn main() {
         );
         assert!(lazy.cold_chunks > 0, "a cold tail must exist to defer");
         assert!(
+            stale.layout_match,
+            "a stale lazy boot must boot as its reassembled bytes do"
+        );
+        assert!(
+            stale.before_serve_frac <= lazy.before_serve_frac + MAX_STALE_EXCESS,
+            "stale boot decoded {:.1}% pre-serve, the clean one {:.1}% (band {MAX_STALE_EXCESS})",
+            stale.before_serve_frac * 100.0,
+            lazy.before_serve_frac * 100.0,
+        );
+        assert!(
             lazy.ready_funcs < lazy.total_funcs,
             "early serve must start before every function compiles"
         );
@@ -426,12 +505,14 @@ fn main() {
         );
         println!(
             "check ok: {} round-trips byte-identical, churn-0.1 wire ratio {:.1}% <= {:.0}%, \
-             lazy pre-serve {:.1}% < {:.0}%, layouts identical, fleet plan shard-invariant",
+             lazy pre-serve {:.1}% < {:.0}% (stale {:.1}%), layouts identical, \
+             fleet plan shard-invariant",
             rows.len(),
             at_0p1.wire_ratio() * 100.0,
             MAX_WIRE_RATIO_AT_0P1 * 100.0,
             lazy.before_serve_frac * 100.0,
             MAX_EARLY_DECODE_FRAC_SMALL * 100.0,
+            stale.before_serve_frac * 100.0,
         );
         return;
     }
@@ -505,6 +586,17 @@ fn main() {
         lazy.layout_match,
         lazy.ready_funcs,
         lazy.total_funcs,
+    ));
+    json.push_str(&format!(
+        concat!(
+            "  \"lazy_stale\": {{\"early_serve_frac\": {}, \"before_serve_frac\": {:.4}, ",
+            "\"hot_chunks\": {}, \"cold_chunks\": {}, \"layout_match\": {}}},\n"
+        ),
+        EARLY_FRAC,
+        stale.before_serve_frac,
+        stale.hot_chunks,
+        stale.cold_chunks,
+        stale.layout_match,
     ));
     json.push_str(&format!(
         concat!(

@@ -205,24 +205,32 @@ pub struct Fnv(u64);
 impl Fnv {
     /// A hasher at the FNV-1a offset basis.
     #[allow(clippy::new_without_default)]
+    #[inline]
     pub fn new() -> Fnv {
         Fnv(0xcbf2_9ce4_8422_2325)
     }
 
     /// Absorbs one byte.
+    #[inline]
     pub fn u8(&mut self, b: u8) {
         self.0 ^= b as u64;
         self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
     }
 
+    /// Absorbs bytes in order.
+    #[inline]
+    pub fn bytes(&mut self, bytes: &[u8]) {
+        bytes.iter().for_each(|&b| self.u8(b));
+    }
+
     /// Absorbs a little-endian u64.
+    #[inline]
     pub fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.u8(b);
-        }
+        self.bytes(&v.to_le_bytes());
     }
 
     /// The current hash value.
+    #[inline]
     pub fn finish(&self) -> u64 {
         self.0
     }
@@ -233,9 +241,7 @@ impl Fnv {
 /// renumbered by an unrelated code push.
 pub fn fnv_str(s: &str) -> u64 {
     let mut h = Fnv::new();
-    for &b in s.as_bytes() {
-        h.u8(b);
-    }
+    h.bytes(s.as_bytes());
     h.finish()
 }
 

@@ -6,6 +6,7 @@ use std::sync::OnceLock;
 
 use crate::builder::FuncBuilder;
 use crate::callgraph::CallGraph;
+use crate::cfg::fnv_str;
 use crate::ids::{ClassId, FuncId, LitArrId, StrId, UnitId};
 use crate::index::FuncFacts;
 use crate::literal::{LitArray, Literal};
@@ -45,7 +46,8 @@ impl std::error::Error for RepoError {}
 ///
 /// A `Repo` is cheap to share across simulated servers (it is deployed to
 /// the whole fleet, paper §II-A) behind an `Arc`. It carries the release
-/// index ([`Repo::facts`], [`Repo::call_graph`]): facts derived from the
+/// index ([`Repo::facts`], [`Repo::call_graph`],
+/// [`Repo::func_by_name_hash`]): facts derived from the
 /// code on first read and shared by every reader, on any thread.
 #[derive(Debug)]
 pub struct Repo {
@@ -59,6 +61,7 @@ pub struct Repo {
     class_names: HashMap<StrId, ClassId>,
     facts: Box<[OnceLock<FuncFacts>]>,
     call_graph: OnceLock<CallGraph>,
+    by_name_hash: OnceLock<HashMap<u64, Option<FuncId>>>,
 }
 
 impl Repo {
@@ -114,6 +117,23 @@ impl Repo {
     /// The whole-repo static call graph, built on the first read.
     pub fn call_graph(&self) -> &CallGraph {
         self.call_graph.get_or_init(|| CallGraph::build(self))
+    }
+
+    /// The function whose name hashes to `hash` (the [`FuncFacts::name_hash`]
+    /// a profile record keys on), unless no function's name or several
+    /// functions' names do. The index is built on the first read.
+    pub fn func_by_name_hash(&self, hash: u64) -> Option<FuncId> {
+        let index = self.by_name_hash.get_or_init(|| {
+            let mut index = HashMap::new();
+            for f in &self.funcs {
+                index
+                    .entry(fnv_str(self.str(f.name)))
+                    .and_modify(|e| *e = None)
+                    .or_insert(Some(f.id));
+            }
+            index
+        });
+        index.get(&hash).copied().flatten()
     }
 
     /// Looks a function up by name.
@@ -355,6 +375,7 @@ impl RepoBuilder {
         Ok(Repo {
             facts: self.funcs.iter().map(|_| OnceLock::new()).collect(),
             call_graph: OnceLock::new(),
+            by_name_hash: OnceLock::new(),
             strings: self.strings,
             string_ids: self.string_ids,
             lit_arrays: self.lit_arrays,

@@ -11,8 +11,8 @@
 //!   does not already hold ([`delta_against`]),
 //! * a consumer boot with `early_serve_frac < 1` decodes only the hot
 //!   chunks' bytes before serve-start ([`LazyLoader`]), leaving the cold
-//!   tail to the background pipeline; a lint finding in any decoded
-//!   stage boots the [`reassemble`]d bytes whole instead.
+//!   tail to the background pipeline; a stale record is repaired in the
+//!   stage that decodes it.
 //!
 //! The chunk boundaries are the payload's natural record boundaries,
 //! read off the one write pass that also produces
@@ -207,7 +207,7 @@ impl Manifest {
         }
         let order = self.funcs_by_heat();
         let hot_count = crate::pipeline::early_serve_prefix_by_heat(&self.heat_map(), &order, frac);
-        let closure = self.hot_closure(order[..hot_count].iter().copied());
+        let closure = self.closure(order[..hot_count].iter().copied(), Some);
         let mut bytes: u64 = closure.iter().map(|&i| self.entries[i].len as u64).sum();
         bytes += self.entries.first().map_or(0, |e| e.len as u64);
         bytes += self.entries.last().map_or(0, |e| e.len as u64);
@@ -230,9 +230,14 @@ impl Manifest {
         Some(i + 1)
     }
 
-    /// Entry indices, ascending, of `hot` plus every function
-    /// transitively reachable through the entries' callee lists.
-    fn hot_closure(&self, hot: impl IntoIterator<Item = FuncId>) -> Vec<usize> {
+    /// Entry indices, ascending, of the records `hot` plus every record
+    /// transitively reachable through the entries' callee lists, a callee
+    /// `c` standing for the record `callee(c)`.
+    pub(crate) fn closure(
+        &self,
+        hot: impl IntoIterator<Item = FuncId>,
+        callee: impl Fn(FuncId) -> Option<FuncId>,
+    ) -> Vec<usize> {
         let mut stack: Vec<usize> = hot.into_iter().filter_map(|f| self.entry_of(f)).collect();
         let mut seen = vec![false; self.entries.len()];
         while let Some(i) = stack.pop() {
@@ -240,7 +245,7 @@ impl Manifest {
                 continue;
             }
             if let ChunkKind::Func { callees, .. } = &self.entries[i].kind {
-                stack.extend(callees.iter().filter_map(|&c| self.entry_of(c)));
+                stack.extend(callees.iter().filter_map(|&c| self.entry_of(callee(c)?)));
             }
         }
         (0..seen.len()).filter(|&i| seen[i]).collect()
@@ -801,7 +806,12 @@ impl<'a> LazyLoader<'a> {
     /// translation, so compiling the hot set against a partial tier is
     /// only sound once this closure is decoded.
     pub fn hot_closure(&self, hot: impl IntoIterator<Item = FuncId>) -> Vec<usize> {
-        self.man.hot_closure(hot)
+        self.man.closure(hot, Some)
+    }
+
+    /// The head's `(id, name hash)` directory, in record order.
+    pub(crate) fn directory(&self) -> Result<&package::FuncDirectory, WireError> {
+        Ok(&self.head()?.2)
     }
 
     /// Every function-chunk entry index, in payload order.

@@ -1,22 +1,27 @@
-//! The consumer workflow (Fig. 3c): deserialize → lint (and repair, if
-//! the profile is stale) → preload → compile all optimized code on every
-//! core (claim → translate → park → place) → ready to serve.
+//! The consumer workflow (Fig. 3c): deserialize → admit (lint, and
+//! repair if the profile is stale) → preload → compile all optimized code
+//! on every core (claim → translate → park → place) → ready to serve.
 //!
 //! [`consume`], [`consume_bytes`] and [`consume_chunked`] are adapters over
 //! one stage sequence, [`boot`]; early serve is its compile-stage boundary.
-//! The profile lint ([`lint_profile`]) is the one check that admits
-//! profile data from either source.
+//! Profile data from either source is admitted in stages by the lint
+//! ([`lint_records`], [`lint_shared`]) and the stale-profile repair
+//! ([`StagedRepair`]): the head settles function identity and admits the
+//! ctx and orders, and each stage admits the records it decodes, repairing
+//! only the ones the lint flags. A materialised package is one stage
+//! holding every record.
 
 use std::borrow::Cow;
+use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::time::Instant;
 
-use analysis::{lint_profile, prune_orders, repair_profile, ProfileView, RepairReport};
+use analysis::{lint_records, lint_shared, prune_orders, MatchMode, RepairReport, StagedRepair};
 use bytecode::{ClassId, FuncId, Repo, StrId, UnitId};
 use jit::{JitEngine, JitOptions, TierProfile, WeightSource};
 use vm::ClassTable;
 
-use crate::chunk::{reassemble, ChunkPool, LazyLoader, Manifest};
+use crate::chunk::{ChunkPool, LazyLoader, Manifest};
 use crate::config::{FuncSort, JumpStartOptions, PropReorder};
 use crate::package::{Poison, ProfilePackage};
 use crate::pipeline::{self, BootStats, EarlyServe, PipelineJob};
@@ -30,12 +35,10 @@ pub enum ConsumerError {
     /// The profile data triggered a (simulated) JIT compiler crash —
     /// §VI-A's widespread-bug scenario.
     JitCrash,
-    /// The profile failed the static lint, and the stale-profile repairer
-    /// could not fix it: the package cannot describe this repo. Either
-    /// source ends here only after repair, a chunked one once its lint
-    /// has turned it into a whole-package boot.
+    /// A stage's records still failed the static lint after the
+    /// stale-profile repair: the package cannot describe this repo.
     InvalidProfile {
-        /// Lint diagnostics remaining after repair.
+        /// Lint diagnostics remaining after repair, in the failing stage.
         errors: usize,
         /// The first diagnostic, rendered.
         first: String,
@@ -79,27 +82,13 @@ pub struct ConsumerOutcome<'r> {
     pub compiled_funcs: usize,
     /// Bytes of optimized code emitted.
     pub compile_bytes: u64,
-    /// Set when the package failed the structural lint and was repaired
-    /// (stale counters remapped, dead entries pruned) before consumption.
+    /// Set when admission found anything — a record identity moved or
+    /// dropped, or a lint finding — and repaired it (stale counters
+    /// remapped, dead entries pruned) before consumption.
     pub repair: Option<RepairReport>,
     /// Boot-phase timeline: decode, lint/repair, prop slots, per-worker
     /// translate busy/stall, emit, bytes (the `jsboot` telemetry).
     pub boot: BootStats,
-}
-
-/// Repairs a package's profile against the current repo: remaps stale
-/// block counters by structural hash, drops unrepairable functions, and
-/// drops every entry and order the lint's site and order rules reject.
-fn repair_package(repo: &Repo, pkg: &ProfilePackage) -> (ProfilePackage, RepairReport) {
-    let mut fixed = pkg.clone();
-    let report = repair_profile(repo, &mut fixed.tier, &mut fixed.ctx);
-    prune_orders(
-        repo,
-        &mut fixed.preload.unit_order,
-        &mut fixed.func_order,
-        &mut fixed.prop_orders,
-    );
-    (fixed, report)
 }
 
 /// Resolves physical property slots for every class, honoring the
@@ -123,16 +112,16 @@ fn resolve_prop_slots(
     slots
 }
 
-/// Chunk-level accounting of a lazy consumer boot. A boot the lint sent
-/// whole decoded every chunk before serve-start (no cold chunks).
+/// Chunk-level accounting of a lazy consumer boot, stale or not: a stale
+/// package's records are repaired in the stage that decodes them.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ChunkBootStats {
     /// Encoded manifest size (always fetched and decoded up front).
     pub manifest_bytes: u64,
     /// Total package payload bytes across all chunks.
     pub payload_bytes: u64,
-    /// Chunk bytes decoded before serve-start: head + tail + the hot
-    /// closure.
+    /// Chunk bytes decoded before serve-start: head + tail + the records
+    /// whose identity needs their body + the hot closure.
     pub hot_bytes: u64,
     /// Chunk bytes decoded in the background stage.
     pub cold_bytes: u64,
@@ -183,7 +172,8 @@ pub fn consume<'r>(
     opts: &JumpStartOptions,
     threads: usize,
 ) -> Result<ConsumerOutcome<'r>, ConsumerError> {
-    Ok(boot(repo, Source::Package(pkg), 0, jit_opts, opts, threads)?.0)
+    let src = Source::Package(Cow::Borrowed(pkg));
+    Ok(boot(repo, src, 0, jit_opts, opts, threads)?.0)
 }
 
 /// Runs the consumer boot sequence over a serialized package, timing the
@@ -204,7 +194,7 @@ pub fn consume_bytes<'r>(
     let pkg = ProfilePackage::deserialize(data)?;
     drop(decode_span);
     let decode_ns = t0.elapsed().as_nanos() as u64;
-    let src = Source::Package(&pkg);
+    let src = Source::Package(Cow::Owned(pkg));
     Ok(boot(repo, src, decode_ns, jit_opts, opts, threads)?.0)
 }
 
@@ -219,14 +209,12 @@ pub fn consume_bytes<'r>(
 /// serve-start; [`ChunkBootStats`] reports exactly how many bytes that
 /// touched. The code-cache layout is byte-identical to a monolithic boot.
 ///
-/// The lazy path is held to the same lint as a sealed package: before
-/// each compile stage it lints what it has decoded (head, tail and the
-/// hot closure, then the cold records). A package with any finding — a
-/// stale one, typically one push behind its consumer — is booted whole
-/// instead: [`reassemble`]d and then linted, repaired and relinted exactly
-/// as [`consume_bytes`] would boot those bytes. The outcome is the same
-/// either way; only [`ChunkBootStats`] tells the two apart (everything
-/// decoded before serve-start).
+/// The lazy path is held to the same admission as a sealed package: the
+/// head settles identity and admits the ctx and orders, and each stage
+/// lints the records it decodes and repairs the ones the lint flags. A
+/// stale package — typically one push behind its consumer — keeps its
+/// lazy decode set, and its outcome, repair report included, is what
+/// [`consume_bytes`] gives its [`reassemble`](crate::reassemble)d bytes.
 ///
 /// # Errors
 ///
@@ -244,61 +232,74 @@ pub fn consume_chunked<'r>(
 }
 
 /// Where a boot's profile comes from.
-#[derive(Clone, Copy)]
 enum Source<'a> {
     /// A materialised package: every record is already decoded.
-    Package(&'a ProfilePackage),
+    Package(Cow<'a, ProfilePackage>),
     /// A chunked package, decoded stage by stage.
     Chunks(&'a Manifest, &'a ChunkPool),
 }
 
-/// Lints what a lazy boot has decoded so far, adding the time to `ns`.
-fn lints_clean(repo: &Repo, view: &ProfileView<'_>, ns: &mut u64) -> bool {
-    let start = Instant::now();
-    let _span = telemetry::span!("lint-repair");
-    let clean = lint_profile(repo, view).is_clean();
-    *ns += start.elapsed().as_nanos() as u64;
-    clean
+/// Admits one stage's records: a materialised package's own tier
+/// (`decoded` is `None`), or records just decoded, keyed by recorded id,
+/// which then join the package's tier. The records are remapped through
+/// identity and linted, each with its own ctx branch counters; only the
+/// ones the lint flags are repaired and linted again. Returns whether the
+/// lint flagged any.
+fn admit_stage(
+    repo: &Repo,
+    repair: &mut StagedRepair<'_>,
+    pkg: &mut Cow<'_, ProfilePackage>,
+    mut decoded: Option<TierProfile>,
+) -> Result<bool, ConsumerError> {
+    if !repair.is_trivial() {
+        let p = pkg.to_mut();
+        repair.remap(decoded.get_or_insert_with(|| std::mem::take(&mut p.tier)));
+    }
+    let stage = decoded.as_ref().unwrap_or(&pkg.tier);
+    let flagged: Vec<FuncId> = (stage.funcs.iter())
+        .filter(|&(f, fp)| !lint_records(repo, [(f, fp)], &pkg.ctx).is_clean())
+        .map(|(&f, _)| f)
+        .collect();
+    repair.fresh(stage.funcs.len() - flagged.len());
+    if !flagged.is_empty() {
+        let p = pkg.to_mut();
+        let stage = decoded.as_mut().unwrap_or(&mut p.tier);
+        repair.repair(stage, &flagged, &mut p.ctx);
+        // The stale matcher's count inference is flow-consistent by
+        // construction, so a finding now means the package cannot
+        // describe this repo.
+        let repaired = flagged.iter().filter_map(|f| stage.funcs.get_key_value(f));
+        let relint = lint_records(repo, repaired, &p.ctx);
+        if !relint.is_clean() {
+            return Err(ConsumerError::InvalidProfile {
+                errors: relint.error_count(),
+                first: relint.diagnostics[0].to_string(),
+            });
+        }
+    }
+    if let Some(mut stage) = decoded {
+        pkg.to_mut().tier.funcs.append(&mut stage.funcs);
+    }
+    Ok(!flagged.is_empty())
 }
 
-/// A lazy boot whose lint found anything boots the whole package
-/// instead: the reassembled bytes, linted, repaired and relinted as
-/// [`consume_bytes`] boots them. What the abandoned lazy stages spent
-/// since `started` counts as decode time.
-fn boot_reassembled<'r>(
-    repo: &'r Repo,
-    (man, pool): (&Manifest, &ChunkPool),
-    started: Instant,
-    jit_opts: JitOptions,
-    opts: &JumpStartOptions,
-    threads: usize,
-) -> Result<(ConsumerOutcome<'r>, ChunkBootStats), ConsumerError> {
-    let span = telemetry::span!("reassemble", "bytes" => man.payload_len);
-    let pkg = ProfilePackage::deserialize(&reassemble(man, pool)?)?;
-    drop(span);
-    let decode_ns = started.elapsed().as_nanos() as u64;
-    let whole = Source::Package(&pkg);
-    let (outcome, _) = boot(repo, whole, decode_ns, jit_opts, opts, threads)?;
-    let payload_bytes = man.payload_len as u64;
-    let stats = ChunkBootStats {
-        manifest_bytes: man.wire_len() as u64,
-        payload_bytes,
-        hot_bytes: payload_bytes,
-        hot_chunks: man.entries.len(),
-        hot_decode_ns: decode_ns,
-        ..Default::default()
-    };
-    Ok((outcome, stats))
+/// Runs an admission step under a `lint-repair` span, adding its time to
+/// `ns`.
+fn admitting<T>(ns: &mut u64, step: impl FnOnce() -> T) -> T {
+    let start = Instant::now();
+    let _span = telemetry::span!("lint-repair");
+    let out = step();
+    *ns += start.elapsed().as_nanos() as u64;
+    out
 }
 
 /// The one consumer boot, a fixed stage sequence over either source:
-/// acquire → lint/repair → compile order and its serve-ready split →
-/// decode and lint hot → prop slots → compile hot (serve-ready) → decode
-/// and lint cold → compile cold → fill in `BootStats`. The decode stages
-/// are no-ops for a materialised package, which is linted (and repaired)
-/// whole up front; a chunked one whose lint finds anything is booted
-/// whole ([`boot_reassembled`]). `decode_ns` is what the caller already
-/// spent turning bytes into the source.
+/// head (identity, ctx and orders admitted) → compile order and its
+/// serve-ready split → decode and admit hot → prop slots → compile hot
+/// (serve-ready) → decode and admit cold → compile cold → fill in
+/// `BootStats`. A materialised package is one stage, the hot one; its
+/// decode stages are no-ops. `decode_ns` is what the caller already spent
+/// turning bytes into the source.
 fn boot<'r>(
     repo: &'r Repo,
     src: Source<'_>,
@@ -317,7 +318,7 @@ fn boot<'r>(
 
     let mut chunk_stats = ChunkBootStats::default();
     let (mut pkg, loader) = match src {
-        Source::Package(pkg) => (Cow::Borrowed(pkg), None),
+        Source::Package(pkg) => (pkg, None),
         Source::Chunks(man, pool) => {
             let loader = LazyLoader::new(man, pool);
             let (meta, preload) = loader.decode_head()?;
@@ -332,7 +333,6 @@ fn boot<'r>(
             chunk_stats.manifest_bytes = man.wire_len() as u64;
             chunk_stats.payload_bytes = man.payload_len as u64;
             chunk_stats.hot_bytes = (head.len + tail.len) as u64;
-            chunk_stats.hot_chunks = 2;
             (Cow::Owned(partial), Some(loader))
         }
     };
@@ -345,66 +345,92 @@ fn boot<'r>(
         return Err(ConsumerError::JitCrash);
     }
 
-    // Static lint, the one admission check: refuse to feed structurally
-    // impossible profile data into translation. A dirty package gets one
-    // repair attempt (stale-counter remap + pruning) before the consumer
-    // gives up and lets the boot controller fall back (§VI-A.3). A lazy
-    // boot lints stage by stage instead, below.
-    let mut repair_report = None;
-    let mut lint_repair_ns = 0;
-    if loader.is_none() {
-        let lint_start = Instant::now();
-        let _lint_span = telemetry::span!("lint-repair");
-        // The seeder's lint, flow conservation included: the stale
-        // matcher's count inference is flow-consistent by construction, so
-        // a violation after repair means the package cannot describe this
-        // repo.
-        let lint = |p: &ProfilePackage| lint_profile(repo, &p.view());
-        if lint(&pkg).error_count() > 0 {
-            let (fixed, report) = repair_package(repo, &pkg);
-            let relint = lint(&fixed);
-            if let Some(first) = relint.errors().next() {
-                return Err(ConsumerError::InvalidProfile {
-                    errors: relint.error_count(),
-                    first: first.to_string(),
-                });
-            }
-            repair_report = Some(report);
-            pkg = Cow::Owned(fixed);
+    // The head's admission: identity, settled from the `(id, name hash)`
+    // directory before any record is admitted (only the records the name
+    // cannot place are decoded for it, into the hot stage), then the ctx
+    // and orders.
+    let started = Instant::now();
+    let head_span = telemetry::span!("admit-head");
+    let dir: Vec<(FuncId, u64)> = match &loader {
+        Some(l) => {
+            let d = l.directory()?;
+            d.ids
+                .iter()
+                .copied()
+                .zip(d.hashes.iter().copied())
+                .collect()
         }
-        lint_repair_ns = lint_start.elapsed().as_nanos() as u64;
-    }
-
-    // A lazy boot reads heats (summed block counters) off the manifest —
-    // no function chunk is decoded yet — and they are the tier's, so
-    // either source orders and splits the work identically.
-    let heat: HashMap<FuncId, u64> = match &loader {
-        Some(l) => l.manifest().heat_map(),
-        None => pkg.tier.heat_ranked().into_iter().collect(),
+        None => (pkg.tier.funcs.iter())
+            .map(|(&f, fp)| (f, fp.name_hash))
+            .collect(),
     };
+    let mut repair = StagedRepair::by_name(repo, MatchMode::Full, dir);
+    let mut hot = TierProfile::default();
+    if let Some(l) = &loader {
+        let early: Vec<usize> = (repair.second_chance().iter())
+            .filter_map(|&f| l.entry_of(f))
+            .collect();
+        chunk_stats.hot_bytes += l.decode_funcs(&early, &mut hot)?;
+    }
+    repair.by_body(if loader.is_some() { &hot } else { &pkg.tier });
+    // The ctx and orders, whose checks read the repo alone; a claimed
+    // function's branch counters wait for its record's stage.
+    let shared = lint_shared(repo, &pkg.view(), |f| repair.record_of(f).is_some());
+    let mut dirty = !repair.is_trivial() || !shared.is_clean();
+    // Heats are the recorded ones (summed block counters), read off the
+    // manifest or the records under current ids, so either source orders
+    // and splits the work identically before any record is repaired.
+    let heat: HashMap<FuncId, u64> = match &loader {
+        Some(l) => (l.manifest().func_entries())
+            .filter_map(|(_, f, h)| Some((repair.new_id(f)?, h)))
+            .collect(),
+        None => (pkg.tier.funcs.iter())
+            .filter_map(|(&f, fp)| Some((repair.new_id(f)?, fp.block_counts.iter().sum())))
+            .collect(),
+    };
+    if dirty {
+        let p = pkg.to_mut();
+        repair.admit_ctx(&mut p.ctx);
+        prune_orders(
+            repo,
+            &mut p.preload.unit_order,
+            &mut p.func_order,
+            &mut p.prop_orders,
+        );
+    }
+    drop(head_span);
+    let mut lint_repair_ns = started.elapsed().as_nanos() as u64;
+
     let order = if !pkg.func_order.is_empty() && opts.func_sort != FuncSort::SourceOrder {
         pkg.func_order.clone()
-    } else if let Some(l) = &loader {
-        l.manifest().funcs_by_heat()
     } else {
-        pkg.tier.functions_by_heat()
+        let mut ranked: Vec<(FuncId, u64)> = heat.iter().map(|(&f, &h)| (f, h)).collect();
+        ranked.sort_unstable_by_key(|&(f, h)| (Reverse(h), f));
+        ranked.into_iter().map(|(f, _)| f).collect()
     };
     let work: Vec<FuncId> = order.into_iter().filter(|f| heat.contains_key(f)).collect();
     let split = pipeline::early_serve_prefix_by_heat(&heat, &work, opts.early_serve_frac);
 
-    // Hot decode: the serve-ready prefix plus every function transitively
-    // reachable through its recorded call targets. Then the lint, over
-    // everything decoded so far, before the repo resolves any of it.
-    if let (Some(l), Source::Chunks(man, pool)) = (&loader, src) {
-        let hot_entries = l.hot_closure(work[..split].iter().copied());
-        chunk_stats.hot_bytes += l.decode_funcs(&hot_entries, &mut pkg.to_mut().tier)?;
-        chunk_stats.hot_chunks += hot_entries.len();
-        // All a lazy boot has done so far is manifest-driven decode.
-        chunk_stats.hot_decode_ns = boot_start.elapsed().as_nanos() as u64;
-        if !lints_clean(repo, &pkg.view(), &mut lint_repair_ns) {
-            return boot_reassembled(repo, (man, pool), boot_start, jit_opts, opts, threads);
-        }
+    // Hot decode: the serve-ready prefix's records plus every record
+    // transitively reachable through their recorded callees. Then the
+    // stage's admission, before the repo resolves any of it.
+    if let Some(l) = &loader {
+        let prefix = work[..split].iter().filter_map(|&f| repair.record_of(f));
+        let entries = l
+            .manifest()
+            .closure(prefix, |c| repair.record_of(repair.map(c)));
+        chunk_stats.hot_bytes += l.decode_funcs(&entries, &mut hot)?;
+        chunk_stats.hot_chunks = 2 + hot.funcs.len();
+        // All a lazy boot has done so far, besides admission, is
+        // manifest-driven decode.
+        chunk_stats.hot_decode_ns = boot_start.elapsed().as_nanos() as u64 - lint_repair_ns;
     }
+    // The hot stage: those records, or a materialised package's every
+    // record.
+    let hot_records: Vec<FuncId> = hot.funcs.keys().copied().collect();
+    let decoded = loader.is_some().then_some(hot);
+    let stage = || admit_stage(repo, &mut repair, &mut pkg, decoded);
+    dirty |= admitting(&mut lint_repair_ns, stage)?;
 
     // Property layout must be installed before any translation resolves
     // slots (the same ordering constraint HHVM has, §V-C).
@@ -431,12 +457,16 @@ fn boot<'r>(
     let templates = pipeline::TemplateCache::default();
     // One compile stage: translate `work` on every thread, then emit it
     // in order, continuing on `engine` where the previous stage stopped.
+    // A function whose record the repair dropped is not compiled.
     let mut compile = |pkg: &ProfilePackage, work: &[FuncId]| {
+        let work: Vec<FuncId> = (work.iter().copied())
+            .filter(|f| pkg.tier.funcs.contains_key(f))
+            .collect();
         let job = PipelineJob {
             repo,
             tier: &pkg.tier,
             ctx: &pkg.ctx,
-            work,
+            work: &work,
             jit_opts,
             resolver: &resolver,
             poison_crash,
@@ -452,31 +482,20 @@ fn boot<'r>(
         (done.compiled_funcs, done.compile_bytes, done.pipeline_ns);
     telemetry::instant!("early-serve-ready", "funcs" => ready_funcs, "bytes" => ready_bytes);
 
-    // Cold decode, into a tier of its own so that the lint sees only the
-    // records it has not seen yet.
-    if let (Some(l), Source::Chunks(man, pool)) = (&loader, src) {
+    // Cold decode: every record the hot stage did not decode, admitted as
+    // one more stage.
+    if let Some(l) = &loader {
         let cold_decode_start = Instant::now();
-        let rest: Vec<usize> = l
-            .manifest()
-            .func_entries()
-            .filter(|(_, f, _)| !pkg.tier.funcs.contains_key(f))
+        let rest: Vec<usize> = (l.manifest().func_entries())
+            .filter(|(_, f, _)| hot_records.binary_search(f).is_err())
             .map(|(i, _, _)| i)
             .collect();
         let mut cold = TierProfile::default();
         chunk_stats.cold_bytes = l.decode_funcs(&rest, &mut cold)?;
         chunk_stats.cold_chunks = l.manifest().entries.len() - chunk_stats.hot_chunks;
         chunk_stats.cold_decode_ns = cold_decode_start.elapsed().as_nanos() as u64;
-        let view = ProfileView {
-            tier: &cold,
-            ctx: &pkg.ctx,
-            unit_order: &[],
-            prop_orders: &[],
-            func_order: &[],
-        };
-        if !lints_clean(repo, &view, &mut lint_repair_ns) {
-            return boot_reassembled(repo, (man, pool), boot_start, jit_opts, opts, threads);
-        }
-        pkg.to_mut().tier.funcs.append(&mut cold.funcs);
+        let stage = || admit_stage(repo, &mut repair, &mut pkg, Some(cold));
+        dirty |= admitting(&mut lint_repair_ns, stage)?;
     }
     if split < work.len() {
         done.absorb(compile(&pkg, &work[split..])?);
@@ -514,7 +533,7 @@ fn boot<'r>(
         unit_order: pkg.preload.unit_order.clone(),
         compiled_funcs: stats.compiled_funcs,
         compile_bytes: stats.compile_bytes,
-        repair: repair_report,
+        repair: dirty.then(|| repair.finish()),
         boot: stats,
     };
     Ok((outcome, chunk_stats))
@@ -523,7 +542,7 @@ fn boot<'r>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::ChunkKind;
+    use crate::chunk::{reassemble, ChunkKind};
     use crate::seeder::{build_package, SeederInputs};
     use jit::ProfileCollector;
     use vm::{Value, Vm};
@@ -886,14 +905,26 @@ mod tests {
         frac: f64,
         threads: usize,
     ) -> Option<ChunkBootStats> {
+        sorted_boots_like_reassembled(repo, (man, pool), frac, threads, FuncSort::default())
+    }
+
+    /// [`boots_like_reassembled`] under a given function sort.
+    fn sorted_boots_like_reassembled(
+        repo: &Repo,
+        (man, pool): (&Manifest, &ChunkPool),
+        frac: f64,
+        threads: usize,
+        func_sort: FuncSort,
+    ) -> Option<ChunkBootStats> {
         let (jit, opts) = (
             JitOptions::default(),
             JumpStartOptions {
                 early_serve_frac: frac,
+                func_sort,
                 ..Default::default()
             },
         );
-        let row = format!("frac {frac} threads {threads}");
+        let row = format!("frac {frac} threads {threads} {func_sort:?}");
         let whole = reassemble(man, pool).expect("the chunks reassemble");
         match (
             consume_chunked(repo, man, pool, jit, &opts, threads),
@@ -929,6 +960,18 @@ mod tests {
         }
     }
 
+    /// Bytes of function chunks a lazy boot decoded before serve-start.
+    fn hot_func_bytes(stats: &ChunkBootStats, man: &Manifest) -> u64 {
+        let (head, tail) = man.ends().unwrap();
+        stats.hot_bytes - u64::from(head.len + tail.len)
+    }
+
+    /// The length of `func`'s chunk.
+    fn chunk_len(man: &Manifest, func: FuncId) -> u64 {
+        let (i, ..) = man.func_entries().find(|&(_, f, _)| f == func).unwrap();
+        u64::from(man.entries[i].len)
+    }
+
     #[test]
     fn cold_records_face_the_lint() {
         let (repo, pkg) = make_wide_package();
@@ -939,19 +982,29 @@ mod tests {
 
         // A cold record that names a different function than the repo
         // does (the repair finds cold_b again by its body), and one that
-        // profiles a function this release does not have (dropped).
+        // profiles a function this release does not have (dropped, since
+        // cold_b's own record claims its name and its body first). Either
+        // is the one record identity decodes early; the boot stays lazy.
         let mut renamed = pkg.clone();
         renamed.tier.funcs.get_mut(&cold_b).unwrap().name_hash ^= 1;
         let mut beyond = pkg.clone();
         let past = FuncId::new(repo.funcs().len() as u32);
         let record = beyond.tier.funcs[&cold_b].clone();
         beyond.tier.funcs.insert(past, record);
-        for stale in [renamed, beyond] {
-            let (man, pool) = chunked(&stale, &repo);
+        for (stale, second_chance) in [(renamed, cold_b), (beyond, past)] {
+            let (stale_man, pool) = chunked(&stale, &repo);
+            let early = chunk_len(&stale_man, second_chance);
             for (frac, threads) in [(0.25, 1), (1.0, 2)] {
-                let stats = boots_like_reassembled(&repo, (&man, &pool), frac, threads);
+                let stats = boots_like_reassembled(&repo, (&stale_man, &pool), frac, threads);
                 let stats = stats.expect("the repair admits both");
-                assert_eq!(stats.hot_bytes, stats.payload_bytes, "booted whole");
+                if frac < 1.0 {
+                    assert!(stats.cold_chunks > 0, "{second_chance:?}: stays lazy");
+                    assert_eq!(
+                        hot_func_bytes(&stats, &stale_man),
+                        hot_func_bytes(&healthy, &man) + early,
+                        "{second_chance:?}: the clean hot set plus the early record"
+                    );
+                }
             }
         }
 
@@ -980,15 +1033,21 @@ mod tests {
 
     /// A cold record whose function kept its id and name but changed its
     /// body: no identity check can see it, only the lint's CFG hashes.
+    /// The cold stage repairs it; the hot set is the clean package's.
     #[test]
     fn a_body_stale_cold_record_is_repaired_as_in_a_monolithic_boot() {
         let (repo, mut pkg) = make_wide_package();
+        let (clean_man, clean_pool) = chunked(&pkg, &repo);
+        let clean = boots_like_reassembled(&repo, (&clean_man, &clean_pool), 0.25, 1).unwrap();
         let cold_b = repo.func_by_name("cold_b").unwrap().id;
         pkg.tier.funcs.get_mut(&cold_b).unwrap().block_hashes[0] ^= 1;
         let (man, pool) = chunked(&pkg, &repo);
         for (frac, threads) in [(0.25, 1), (1.0, 2)] {
             let stats = boots_like_reassembled(&repo, (&man, &pool), frac, threads).unwrap();
-            assert_eq!(stats.hot_bytes, stats.payload_bytes, "booted whole");
+            if frac < 1.0 {
+                assert!(stats.cold_chunks > 0, "stays lazy");
+                assert_eq!(stats.hot_bytes, clean.hot_bytes);
+            }
         }
         let jit = JitOptions::default();
         let out = consume_chunked(&repo, &man, &pool, jit, &Default::default(), 1).unwrap();
@@ -998,7 +1057,11 @@ mod tests {
 
     /// Releases churned at several rates: the prior release's package,
     /// chunked, boots on the current repo exactly as its reassembled
-    /// bytes do.
+    /// bytes do, and stays lazy. Under the recorded heat order, at churn
+    /// 0.1 it decodes about what it decodes on its own release before
+    /// serving. (The package's C3 order names the prior release's ids,
+    /// which a stale boot does not rename, so at this scale that order's
+    /// serve-ready prefix closes over more records.)
     #[test]
     fn a_stale_chunked_package_boots_like_its_reassembled_bytes() {
         use workload::{generate_release, profile_run, AppParams, ChurnParams, RequestMix};
@@ -1022,11 +1085,30 @@ mod tests {
             &JitOptions::default(),
         );
         let (man, pool) = chunked(&pkg, &prior.repo);
+        let source = FuncSort::SourceOrder;
         for rate in [0.0, 0.05, 0.1, 0.4] {
             let (current, _) = generate_release(&params, &ChurnParams { seed: 3, rate });
             for (frac, threads) in [(0.25, 1), (1.0, 2)] {
                 let stats = boots_like_reassembled(&current.repo, (&man, &pool), frac, threads);
-                assert!(stats.is_some(), "rate {rate}: the boot returns Ok");
+                let stats = stats.unwrap_or_else(|| panic!("rate {rate}: the boot returns Ok"));
+                if frac < 1.0 && rate > 0.0 {
+                    assert!(stats.cold_chunks > 0, "rate {rate}: stays lazy");
+                }
+            }
+            if rate != 0.1 {
+                continue;
+            }
+            let band = |repo: &Repo, frac, threads| {
+                sorted_boots_like_reassembled(repo, (&man, &pool), frac, threads, source)
+                    .expect("source order: the boot returns Ok")
+            };
+            let clean = band(&prior.repo, 0.25, 1).before_serve_frac();
+            for (frac, threads) in [(0.25, 1), (1.0, 2)] {
+                let stale = band(&current.repo, frac, threads).before_serve_frac();
+                assert!(
+                    frac == 1.0 || (stale - clean).abs() <= 0.05,
+                    "source order: decoded {stale:.3} before serve, clean {clean:.3}"
+                );
             }
         }
     }

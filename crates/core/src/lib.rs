@@ -18,10 +18,10 @@
 //!   adapters: [`consume`] over a decoded package, [`consume_bytes`] over
 //!   sealed bytes (timing the decode into the boot), [`consume_chunked`]
 //!   over a [`Manifest`] and a [`ChunkPool`], decoding function records
-//!   lazily either side of the serve-ready point. One lint admits profile
-//!   data from every source: a dirty sealed package is repaired and
-//!   relinted, and a chunked one the lint rejects boots as its
-//!   [`reassemble`]d bytes do,
+//!   lazily either side of the serve-ready point. One staged admission
+//!   serves every source: each stage lints the records it decodes and
+//!   repairs only the flagged ones, so a stale chunked package stays lazy
+//!   and boots as its [`reassemble`]d bytes do,
 //! * [`Validator`] — seeder-side validation incl. coverage thresholds and
 //!   a static profile lint via the `analysis` crate (§VI-A.1, §VI-B),
 //! * [`PackageStore`] — multiple randomized packages per (region, bucket)

@@ -172,10 +172,10 @@ pub struct BootStats {
     pub threads: usize,
     /// Package decode time: the whole decode under
     /// [`crate::consume_bytes`], the hot chunks' decode under
-    /// [`crate::consume_chunked`] (all its lazy stages plus the
-    /// reassembly when the lint sent it whole), 0 under [`crate::consume`].
+    /// [`crate::consume_chunked`], 0 under [`crate::consume`].
     pub decode_ns: u64,
-    /// Static lint + stale-profile repair time (a lazy boot's stage lints).
+    /// Admission time: identity, lint and stale-profile repair, over the
+    /// head and every stage.
     pub lint_repair_ns: u64,
     /// Property-slot resolution time (§V-C layout install).
     pub prop_slots_ns: u64,

@@ -321,15 +321,8 @@ impl CodeCache {
     /// with the global layout passes disabled digests exactly like that
     /// cache did.
     pub fn layout_digest(&self) -> u64 {
-        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut h = FNV_OFFSET;
-        let mut mix = |v: u64| {
-            for b in v.to_le_bytes() {
-                h ^= b as u64;
-                h = h.wrapping_mul(FNV_PRIME);
-            }
-        };
+        let mut h = bytecode::Fnv::new();
+        let mut mix = |v: u64| h.u64(v);
         for t in self.translations.values() {
             mix(t.func.index() as u64);
             mix(3);
@@ -349,7 +342,7 @@ impl CodeCache {
         if self.optimized_cold.used > 0 {
             mix(self.optimized_cold.used);
         }
-        h
+        h.finish()
     }
 }
 

@@ -465,6 +465,32 @@ impl CtxProfile {
         self.branches.retain(|&(f, at, ctx)| keep(ctx, f, at))
     }
 
+    /// The branch counters of one function, sorted by `(instruction,
+    /// context)`.
+    pub fn branches_of(&self, func: FuncId) -> &[((FuncId, u32, InlineCtx), BranchCount)] {
+        self.branches.run(func, |&(f, _, _)| f)
+    }
+
+    /// Drops the branch counters of `func` that `keep(ctx, at)` rejects;
+    /// returns how many.
+    pub fn retain_branches_of(
+        &mut self,
+        func: FuncId,
+        mut keep: impl FnMut(InlineCtx, u32) -> bool,
+    ) -> usize {
+        let run = self.branches.run_range(func, |&(f, _, _)| f);
+        let kept: Vec<_> = self.branches.0[run.clone()]
+            .iter()
+            .filter(|&&((_, at, ctx), _)| keep(ctx, at))
+            .cloned()
+            .collect();
+        let dropped = run.len() - kept.len();
+        if dropped > 0 {
+            self.branches.0.splice(run, kept);
+        }
+        dropped
+    }
+
     /// Drops the entry counters `keep(ctx, func)` rejects; returns how many.
     pub fn retain_entries(&mut self, mut keep: impl FnMut(InlineCtx, FuncId) -> bool) -> usize {
         self.entries.retain(|&(f, ctx)| keep(ctx, f))

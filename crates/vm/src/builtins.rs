@@ -131,14 +131,12 @@ fn type_err(name: &str, got: &Value) -> VmError {
     }
 }
 
-/// FNV-1a, the deterministic hash used by `hash()` and profile keys.
+/// FNV-1a ([`bytecode::Fnv`]), the deterministic hash used by `hash()`
+/// and profile keys.
 pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    let mut h = bytecode::Fnv::new();
+    h.bytes(bytes);
+    h.finish()
 }
 
 #[cfg(test)]
