@@ -157,9 +157,21 @@ echo "== jsbench smoke at seeds 42, 7 and 31337 (every op of consume_bytes (boot
 # Three seeds: the digest gates then cover every seed the profile
 # bit-identity gate names.
 for seed in 42 7 31337; do
-  for workload in boot-fresh boot-stale push-lazy fleet-push steady-replay; do
+  for workload in boot-fresh boot-stale push-lazy steady-replay; do
     cargo run -q --release -p jsbench -- --workload "$workload" --seed "$seed" --seconds 1 --trace 0 >/dev/null
   done
+  # The fleet-push gate compares an N-shard op with a 1-shard reference
+  # built by the same code, so a change that moves both passes it: the
+  # reference's `deploy` digest is pinned per seed as well.
+  cargo run -q --release -p jsbench -- --workload fleet-push --seed "$seed" --seconds 1 --trace 0 |
+    python3 -c '
+import json, sys
+seed = sys.argv[1]
+want = {"42": "f7430ab7", "7": "b5114d83", "31337": "7444606c"}[seed]
+got = json.loads(sys.stdin.read().splitlines()[0])["digests"]["deploy"][-8:]
+assert got == want, f"fleet-push seed {seed}: deploy digest {got}, pinned {want}"
+print(f"fleet-push seed {seed}: deploy digest {got} as pinned")
+' "$seed"
 done
 if cargo run -q --release -p jsbench -- --workload boot-stale --seed 42 --seconds 1 --trace 0 --flip-reference >/dev/null 2>&1; then
   echo "jsbench --flip-reference exited 0: the digest gate is not checking anything" >&2

@@ -60,6 +60,7 @@
 //! [`ServerStat`]; those feed the fleet-wide percentiles via
 //! [`telemetry::aggregate_values`].
 
+use std::collections::BTreeMap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
 
@@ -543,6 +544,21 @@ struct CellResult {
     sim: ShardStats,
 }
 
+/// What a cell's fan-out reads off one server's run, kept per (life,
+/// serve start) for the servers that repeat the pair.
+#[derive(Clone, Copy)]
+struct Answer {
+    /// The server's entry in the cell's warmup accumulator.
+    entry: usize,
+    boot_ms: u64,
+    ready_ms: Option<u64>,
+    capacity_loss: f64,
+    requests: f64,
+    events: u64,
+    steps_executed: u64,
+    steps_dense: u64,
+}
+
 /// One server's precomputed rolls. All randomness is consumed here,
 /// sequentially in gid order, before the fan-out starts.
 struct Slot {
@@ -1014,10 +1030,42 @@ pub fn run_deployment_with_prior(
             warmup: new_accumulator(),
             sim: ShardStats::default(),
         };
+        // A server's run is a function of its life and its serve start,
+        // so a server that repeats a pair is answered from the first one's
+        // reduction: no timeline, memo key or classification. A
+        // representative runs in full, to keep its timeline.
+        let mut answers: BTreeMap<(usize, u64), Answer> = BTreeMap::new();
         for (gid, slot) in slots.iter().enumerate().skip(c * per_cell).take(per_cell) {
-            let run = lives.run(&slot.params, slot.pkg);
-            let (class, steady_ms) = out.warmup.add(&run.timeline, slot.jumpstart);
-            out.sim.events += run.events;
+            let key = lives.life_of(&slot.params, slot.pkg);
+            let repeat = key
+                .filter(|_| !slot.representative)
+                .and_then(|k| answers.get(&k));
+            let (answer, (class, steady_ms)) = match repeat {
+                Some(&answer) => (answer, out.warmup.count(answer.entry, slot.jumpstart)),
+                None => {
+                    let run = lives.run(&slot.params, slot.pkg);
+                    let entry = out.warmup.add_entry(&run.timeline, slot.jumpstart);
+                    let tl = &run.timeline;
+                    let answer = Answer {
+                        entry,
+                        boot_ms: tl.serve_start_ms,
+                        ready_ms: tl.time_to_rps(0.9),
+                        capacity_loss: tl.capacity_loss_over(slot.params.duration_ms),
+                        requests: run.requests,
+                        events: run.events,
+                        steps_executed: run.steps_executed,
+                        steps_dense: run.steps_dense,
+                    };
+                    if let Some(k) = key {
+                        answers.insert(k, answer);
+                    }
+                    if slot.representative {
+                        out.timelines[usize::from(!slot.jumpstart)].push(run.timeline);
+                    }
+                    (answer, out.warmup.verdict(entry))
+                }
+            };
+            out.sim.events += answer.events;
             out.stats.push(ServerStat {
                 gid: gid as u32,
                 region: data.region,
@@ -1027,18 +1075,15 @@ pub fn run_deployment_with_prior(
                 degrading: slot.degrading,
                 class,
                 steady_ms,
-                boot_ms: run.timeline.serve_start_ms,
-                ready_ms: run.timeline.time_to_rps(0.9),
-                capacity_loss: run.timeline.capacity_loss_over(slot.params.duration_ms),
-                requests: run.requests,
-                steps_executed: run.steps_executed,
-                steps_dense: run.steps_dense,
+                boot_ms: answer.boot_ms,
+                ready_ms: answer.ready_ms,
+                capacity_loss: answer.capacity_loss,
+                requests: answer.requests,
+                steps_executed: answer.steps_executed,
+                steps_dense: answer.steps_dense,
                 bytes_on_wire: slot.bytes_on_wire,
                 download_ms: slot.download_ms,
             });
-            if slot.representative {
-                out.timelines[usize::from(!slot.jumpstart)].push(run.timeline);
-            }
         }
         (out.sim.lives, out.sim.life_steps) = (lives.simulated, lives.life_steps);
         span.end_with(vec![

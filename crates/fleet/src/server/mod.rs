@@ -132,6 +132,12 @@ fn first_step_ms(serve_start_ms: u64) -> u64 {
     (serve_start_ms / STEP_MS + 1) * STEP_MS
 }
 
+/// The end of the last step the dense loop runs: the first boundary at
+/// or past `duration_ms` (steps end at STEP, 2·STEP, …).
+fn last_step_end(params: &WarmupParams) -> u64 {
+    params.duration_ms.div_ceil(STEP_MS) * STEP_MS
+}
+
 /// The sampling boundaries in `from..=to`: step ends (multiples of
 /// [`STEP_MS`]) that are multiples of `sample_ms`.
 fn boundaries(from: u64, to: u64, sample_ms: u64) -> impl Iterator<Item = u64> {
@@ -236,22 +242,56 @@ impl<'a> Lives<'a> {
         }
     }
 
+    /// Where the serving steps of a server calibrated with `params` come
+    /// from: the index of its life in the cache, the life started if it
+    /// is new, and the server's serve start. `None` for a server that
+    /// never serves: it has no life. The server's whole [`ServerRun`] is
+    /// a function of the pair (see the module docs), so two servers that
+    /// agree on it run alike.
+    pub(crate) fn life_of(
+        &mut self,
+        params: &WarmupParams,
+        pkg: Option<usize>,
+    ) -> Option<(usize, u64)> {
+        let s = self.plan.boot_window(params, pkg).serve_start_ms;
+        let n0 = first_step_ms(s);
+        let last_now = last_step_end(params);
+        if n0 > last_now {
+            return None;
+        }
+        let key = LifeKey::new(pkg, params, s);
+        if let Some(k) = self.cache.iter().position(|l| l.key == key) {
+            return Some((k, s));
+        }
+        self.simulated += 1;
+        let window = ((last_now - n0) / STEP_MS + 1) as usize;
+        let mut requests = Vec::with_capacity(window + 1);
+        requests.push(0.0);
+        self.cache.push(Life {
+            key,
+            sim: Some(ServerSim::new(self.plan, params, pkg)),
+            n0,
+            steps: Vec::with_capacity(window),
+            quiescent_at: None,
+            requests,
+            points: [None; 3],
+        });
+        Some((self.cache.len() - 1, s))
+    }
+
     /// Runs one server calibrated with `params`: a consumer booting the
     /// plan's package `pkg`, or a baseline. The result is the same
     /// whatever ran through the cache before it.
     pub(crate) fn run(&mut self, params: &WarmupParams, pkg: Option<usize>) -> ServerRun {
+        let life = self.life_of(params, pkg);
         let plan = self.plan;
         let boot = plan.boot_window(params, pkg);
         let s = boot.serve_start_ms;
-        // The dense loop runs steps ending at STEP, 2·STEP, …, up to the
-        // first boundary at or past `duration_ms`.
-        let last_now = params.duration_ms.div_ceil(STEP_MS) * STEP_MS;
+        let last_now = last_step_end(params);
         let steps_dense = last_now / STEP_MS;
         let boot_samples =
             boundaries(STEP_MS, s.min(last_now), params.sample_ms).map(|t| boot.sample(t));
-        let n0 = first_step_ms(s);
-        if n0 > last_now {
-            // Never serves: no life to step.
+        let Some((k, _)) = life else {
             return ServerRun {
                 timeline: Timeline {
                     samples: boot_samples.collect(),
@@ -263,28 +303,9 @@ impl<'a> Lives<'a> {
                 steps_executed: 0,
                 steps_dense,
             };
-        }
-        let window = ((last_now - n0) / STEP_MS + 1) as usize;
-
-        let key = LifeKey::new(pkg, params, s);
-        let k = match self.cache.iter().position(|l| l.key == key) {
-            Some(k) => k,
-            None => {
-                self.simulated += 1;
-                let mut requests = Vec::with_capacity(window + 1);
-                requests.push(0.0);
-                self.cache.push(Life {
-                    key,
-                    sim: Some(ServerSim::new(plan, params, pkg)),
-                    n0,
-                    steps: Vec::with_capacity(window),
-                    quiescent_at: None,
-                    requests,
-                    points: [None; 3],
-                });
-                self.cache.len() - 1
-            }
         };
+        let n0 = first_step_ms(s);
+        let window = ((last_now - n0) / STEP_MS + 1) as usize;
         let life = &mut self.cache[k];
         self.life_steps += life.step_to(window, plan.offered_this_step);
 

@@ -214,41 +214,20 @@ fn pelt_penalty(xs: &[f64], penalty_scale: f64) -> f64 {
 /// Returns the interior changepoints as indices where a new segment
 /// starts, strictly increasing, excluding `0` and `n`.
 pub fn pelt_changepoints_reference(xs: &[f64], params: &WarmupAnalysisParams) -> Vec<usize> {
-    pelt_impl(xs, params, false)
-}
-
-/// [`pelt_changepoints_reference`] with PELT pruning: candidates whose
-/// partial objective already exceeds the incumbent can never become
-/// optimal again (Killick et al. 2012, K = 0 for L2) and are dropped,
-/// giving linear expected time on series with changepoints. Bit-identical
-/// to the reference by construction — pruning only removes provably
-/// non-optimal candidates, and ties break identically (lowest candidate
-/// index, which prefers fewer segments).
-pub fn pelt_changepoints(xs: &[f64], params: &WarmupAnalysisParams) -> Vec<usize> {
-    pelt_impl(xs, params, true)
-}
-
-fn pelt_impl(xs: &[f64], params: &WarmupAnalysisParams, prune: bool) -> Vec<usize> {
-    let n = xs.len();
-    let min_len = params.min_segment_len.max(1);
-    if n < 2 * min_len {
+    let Some((n, min_len, cost, beta)) = pelt_setup(xs, params) else {
         return Vec::new();
-    }
-    let cost = L2Cost::new(xs);
-    let beta = pelt_penalty(xs, params.penalty_scale);
+    };
     // f[t]: optimal penalized cost of xs[..t]; f[0] = -β so the first
     // segment's β cancels (segments are priced, not boundaries).
     let mut f = vec![f64::INFINITY; n + 1];
     f[0] = -beta;
     let mut prev = vec![0usize; n + 1];
-    let mut cands: Vec<usize> = vec![0];
     for t in min_len..=n {
         let mut best = f64::INFINITY;
         let mut best_s = 0usize;
-        for &s in &cands {
-            if t - s < min_len {
-                continue;
-            }
+        // Every segment start: 0, and each `s` that leaves a first and a
+        // last segment of at least `min_len`.
+        for s in std::iter::once(0).chain(min_len..=t - min_len) {
             let val = f[s] + cost.cost(s, t) + beta;
             // Strict `<` with candidates scanned in increasing order:
             // ties go to the smaller s, i.e. fewer segments — a
@@ -260,15 +239,83 @@ fn pelt_impl(xs: &[f64], params: &WarmupAnalysisParams, prune: bool) -> Vec<usiz
         }
         f[t] = best;
         prev[t] = best_s;
-        if prune {
-            // Keep s if it may still beat the incumbent later. Candidates
-            // not yet evaluable (t - s < min_len) are always kept.
-            cands.retain(|&s| t - s < min_len || f[s] + cost.cost(s, t) <= f[t]);
-        }
-        if t + min_len <= n {
-            cands.push(t);
-        }
     }
+    backtrack(&prev, n)
+}
+
+/// [`pelt_changepoints_reference`] with PELT pruning: candidates whose
+/// partial objective already exceeds the incumbent can never become
+/// optimal again (Killick et al. 2012, K = 0 for L2) and are dropped,
+/// giving linear expected time on series with changepoints. Bit-identical
+/// to the reference by construction — pruning only removes provably
+/// non-optimal candidates, and ties break identically (lowest candidate
+/// index, which prefers fewer segments).
+///
+/// Each live candidate's partial objective `f[s] + C(s,t)` is computed
+/// once per `t` and serves both the argmin (`+ β`, the reference's
+/// association) and the prune test. A candidate `s` joins the live ones
+/// at `t = s + min_len`, the first `t` it may end a segment at.
+pub fn pelt_changepoints(xs: &[f64], params: &WarmupAnalysisParams) -> Vec<usize> {
+    let Some((n, min_len, cost, beta)) = pelt_setup(xs, params) else {
+        return Vec::new();
+    };
+    let mut f = vec![f64::INFINITY; n + 1];
+    f[0] = -beta;
+    let mut prev = vec![0usize; n + 1];
+    // The live candidates, ascending, and their partial objectives at the
+    // current `t`.
+    let mut live: Vec<usize> = Vec::new();
+    let mut partial: Vec<f64> = Vec::new();
+    for t in min_len..=n {
+        let s = t - min_len;
+        if s == 0 || s >= min_len {
+            live.push(s);
+        }
+        partial.clear();
+        let mut best = f64::INFINITY;
+        let mut best_s = 0usize;
+        for &s in &live {
+            let p = f[s] + cost.cost(s, t);
+            partial.push(p);
+            if p + beta < best {
+                best = p + beta;
+                best_s = s;
+            }
+        }
+        f[t] = best;
+        prev[t] = best_s;
+        // Keep s if it may still beat the incumbent later.
+        let mut kept = 0;
+        for i in 0..live.len() {
+            if partial[i] <= best {
+                live[kept] = live[i];
+                kept += 1;
+            }
+        }
+        live.truncate(kept);
+    }
+    backtrack(&prev, n)
+}
+
+/// The length, the minimum segment length, the cost and the penalty of
+/// a PELT run over `xs`; `None` when no split fits.
+fn pelt_setup(xs: &[f64], params: &WarmupAnalysisParams) -> Option<(usize, usize, L2Cost, f64)> {
+    let n = xs.len();
+    let min_len = params.min_segment_len.max(1);
+    if n < 2 * min_len {
+        return None;
+    }
+    Some((
+        n,
+        min_len,
+        L2Cost::new(xs),
+        pelt_penalty(xs, params.penalty_scale),
+    ))
+}
+
+/// The changepoints of the optimal partition whose last segment before
+/// each `t` starts at `prev[t]`.
+fn backtrack(prev: &[usize], n: usize) -> Vec<usize> {
     let mut cps = Vec::new();
     let mut t = n;
     while t > 0 {
@@ -674,6 +721,14 @@ impl WarmupAccumulator {
     /// `class` and `steady_ms`, from the memo when an identical timeline
     /// was added before.
     pub fn add(&mut self, tl: &Timeline, jumpstart: bool) -> (WarmupClass, Option<u64>) {
+        let entry = self.add_entry(tl, jumpstart);
+        self.verdict(entry)
+    }
+
+    /// [`WarmupAccumulator::add`], returning the entry `tl` counted
+    /// against: [`WarmupAccumulator::count`] counts a later server whose
+    /// timeline is known to equal `tl` against it.
+    pub(crate) fn add_entry(&mut self, tl: &Timeline, jumpstart: bool) -> usize {
         let sample_ms = self.sample_ms;
         let on_grid = |s: &&Sample| s.t_ms != 0 && s.t_ms.is_multiple_of(sample_ms);
         let boot = tl
@@ -713,8 +768,21 @@ impl WarmupAccumulator {
                 self.entries.len() - 1
             }
         };
-        let entry = &mut self.entries[entry];
-        entry.servers[usize::from(!jumpstart)] += 1;
+        self.entries[entry].servers[usize::from(!jumpstart)] += 1;
+        entry
+    }
+
+    /// Counts one more server of its arm against `entry`, returned by
+    /// [`WarmupAccumulator::add_entry`] for an identical timeline: exactly
+    /// what adding that timeline again would do, with no key built.
+    pub(crate) fn count(&mut self, entry: usize, jumpstart: bool) -> (WarmupClass, Option<u64>) {
+        self.entries[entry].servers[usize::from(!jumpstart)] += 1;
+        self.verdict(entry)
+    }
+
+    /// The class and time-to-steady-state of `entry`.
+    pub(crate) fn verdict(&self, entry: usize) -> (WarmupClass, Option<u64>) {
+        let entry = &self.entries[entry];
         (entry.class, entry.steady_ms)
     }
 

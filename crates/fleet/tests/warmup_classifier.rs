@@ -129,6 +129,53 @@ proptest! {
     }
 
     #[test]
+    fn pruning_matches_reference_on_ramps_into_long_constant_tails(
+        (ramp, tail, level, noise) in (
+            prop::collection::vec(0.0..1.0f64, 0..=12),
+            40usize..=160,
+            0.0..1.0f64,
+            prop::collection::vec(-0.02..0.02f64, 0..=4),
+        )
+    ) {
+        // A serving server's series: a short ramp, then a tail of
+        // bit-identical samples, every candidate in the tail tying with
+        // its neighbours; the noise, when drawn, perturbs the first samples.
+        let mut xs = ramp;
+        xs.extend(std::iter::repeat_n(level, tail));
+        for (x, n) in xs.iter_mut().zip(&noise) {
+            *x += n;
+        }
+        let params = WarmupAnalysisParams::default();
+        prop_assert_eq!(
+            pelt_changepoints(&xs, &params),
+            pelt_changepoints_reference(&xs, &params)
+        );
+    }
+
+    #[test]
+    fn pruning_breaks_exact_ties_as_the_reference_does(
+        (n, m, steps) in (5usize..=24, 1u32..=8, 1usize..=3)
+    ) {
+        // Integer levels `0, 2m, 4m, …`, `n` samples each, with the exact
+        // midpoint `m, 3m, …` between two levels: the midpoint costs the
+        // same in either neighbouring segment, so two partitions tie and
+        // only the strict, ascending argmin picks between them.
+        let mut xs = Vec::new();
+        for step in 0..=steps {
+            let level = f64::from(2 * m) * step as f64;
+            if step > 0 {
+                xs.push(level - f64::from(m));
+            }
+            xs.extend(std::iter::repeat_n(level, n));
+        }
+        let params = WarmupAnalysisParams::default();
+        prop_assert_eq!(
+            pelt_changepoints(&xs, &params),
+            pelt_changepoints_reference(&xs, &params)
+        );
+    }
+
+    #[test]
     fn classification_is_deterministic(p in arb_planted(0.04)) {
         // A rising piecewise series read as a timeline classifies the
         // same way on every call, including bootstrap-dependent fields.

@@ -523,17 +523,31 @@ impl CtxProfile {
 // Parameters whose types are observed on function entry.
 const PARAM_SLOTS: usize = 8;
 
-// What instruction `at` of a function counts, and where: an index into
-// the `FuncState` vector of its kind.
+// What instruction `at` of a function counts, and where.
 #[derive(Clone, Copy)]
 enum Site {
     None,
-    // A binary op: operand types, slots 0 and 1, in `bins`.
+    // A binary op: its operand types at this index of the collector's
+    // `bins`.
     Bin(u32),
-    // A conditional branch: outcomes per inline context, in `branches`.
+    // The function's `i`-th conditional branch: its outcomes under a
+    // context are `branches[base + i]`, `base` the context's run.
     Branch(u32),
-    // A call: targets, and the entries made from it, in `calls`.
+    // A call: targets, and the entries made from it, at this index of the
+    // collector's `calls`.
     Call(u32),
+}
+
+// Stands for "none yet" in an index field.
+const NONE: u32 = u32::MAX;
+
+// The operand types seen at one binary op: two ints, the common case,
+// as one count, and everything else in a pair of distributions (an
+// index into the collector's `mixed`, `NONE` until the first).
+#[derive(Clone, Copy)]
+struct BinSite {
+    int_pairs: u64,
+    mixed: u32,
 }
 
 // Counters of one call site.
@@ -542,9 +556,10 @@ struct CallSite {
     // Calls per callee, first-seen order: a site calls few callees, so a
     // linear scan beats any search.
     targets: Vec<(FuncId, u64)>,
-    // Entries per callee under this site's inline context. Equal to
+    // Entries per callee under this site's inline context, and the run of
+    // that context's branch counters in the callee. The counts equal
     // `targets` unless a call failed before its callee was entered.
-    entries: Vec<(FuncId, u64)>,
+    entries: Vec<(FuncId, u64, u32)>,
 }
 
 // Adds one to `key`'s count in a short first-seen list.
@@ -556,10 +571,31 @@ fn bump<K: PartialEq>(counts: &mut Vec<(K, u64)>, key: K) {
     }
 }
 
-// Everything collected for one function, created on its first event.
+// A run of a collector-wide counter vector: `base..base + len`.
+#[derive(Clone, Copy)]
+struct Run {
+    base: u32,
+    len: u32,
+}
+
+impl Run {
+    // The index of element `i` of the run, if it has one.
+    #[inline(always)]
+    fn at(self, i: u32) -> Option<usize> {
+        (i < self.len).then(|| (self.base + i) as usize)
+    }
+
+    fn range(self) -> Range<usize> {
+        self.base as usize..(self.base + self.len) as usize
+    }
+}
+
+// Everything collected for one function that is not a collector-wide
+// counter run, created on its first event.
 struct FuncState {
-    // Entry and block counts, signature hashes, receiver classes and the
-    // observations no site holds (see `Site`).
+    // Entry count, signature hashes, receiver classes and the
+    // observations no site holds (see `Site`); `block_counts` is filled
+    // from `blocks` when the collector finishes.
     profile: FuncProfile,
     // Whether a tier-1 event reached the function: one that only saw
     // branches has context counters but no `TierProfile` entry.
@@ -568,78 +604,43 @@ struct FuncState {
     params: Vec<TypeDist>,
     // Entries with no inline context (a request's top frame).
     root_entries: u64,
-    // Per instruction of the function: its site.
-    site_of: Vec<Site>,
-    bins: Vec<[TypeDist; 2]>,
-    // Outcomes per inline context, first-seen order.
-    branches: Vec<Vec<(InlineCtx, BranchCount)>>,
-    calls: Vec<CallSite>,
+    // Its sites (one per instruction) and block counters.
+    sites: Run,
+    blocks: Run,
+    // Conditional branches in the code.
+    branch_sites: u32,
+    // The inline contexts the function ran under, first-seen order, each
+    // with the base of its run of `branch_sites` branch counters.
+    ctxs: Vec<(InlineCtx, u32)>,
 }
 
-impl FuncState {
-    fn new(repo: &Repo, func: FuncId) -> FuncState {
-        let f = repo.func(func);
-        let facts = repo.facts(func);
-        let (mut bins, mut branches, mut calls) = (Vec::new(), Vec::new(), Vec::new());
-        let site_of = f
-            .code
-            .iter()
-            .map(|instr| match instr {
-                Instr::Bin(_) => {
-                    bins.push([TypeDist::default(); 2]);
-                    Site::Bin(bins.len() as u32 - 1)
-                }
-                Instr::JmpZ(_) | Instr::JmpNZ(_) => {
-                    branches.push(Vec::new());
-                    Site::Branch(branches.len() as u32 - 1)
-                }
-                Instr::Call { .. } | Instr::CallMethod { .. } => {
-                    calls.push(CallSite::default());
-                    Site::Call(calls.len() as u32 - 1)
-                }
-                _ => Site::None,
-            })
-            .collect();
-        FuncState {
-            profile: FuncProfile {
-                block_counts: vec![0; facts.cfg.len()],
-                block_hashes: facts.block_hashes.clone(),
-                name_hash: facts.name_hash,
-                block_opcode_hashes: facts.block_opcode_hashes.clone(),
-                ..FuncProfile::default()
-            },
-            in_tier: false,
-            params: Vec::new(),
-            root_entries: 0,
-            site_of,
-            bins,
-            branches,
-            calls,
-        }
-    }
+// A live frame as the collector sees it, settled on entry: the
+// function, its context and where its counters lie.
+#[derive(Clone, Copy)]
+struct Frame {
+    func: FuncId,
+    ctx: InlineCtx,
+    sites: Run,
+    blocks: Run,
+    // The base of the context's run of branch counters.
+    branches: u32,
+}
 
-    #[inline]
-    fn site(&self, at: u32) -> Site {
-        self.site_of.get(at as usize).copied().unwrap_or(Site::None)
-    }
+// Stands for "no frame": no function has this id.
+const NO_FRAME: Frame = Frame {
+    func: FuncId::new(u32::MAX),
+    ctx: None,
+    sites: Run { base: 0, len: 0 },
+    blocks: Run { base: 0, len: 0 },
+    branches: 0,
+};
 
-    // The operand types of the binary op at `at`, if it is one.
-    #[inline]
-    fn bin(&mut self, at: u32) -> Option<&mut [TypeDist; 2]> {
-        match self.site(at) {
-            Site::Bin(i) => Some(&mut self.bins[i as usize]),
-            _ => None,
-        }
-    }
-
-    // The counters of the call at `at`, if it is one.
-    #[inline]
-    fn call(&mut self, at: u32) -> Option<&mut CallSite> {
-        match self.site(at) {
-            Site::Call(i) => Some(&mut self.calls[i as usize]),
-            _ => None,
-        }
-    }
+// The call observed immediately before the next function entry: its
+// site, and that site's counters when it is a call of its function.
+#[derive(Clone, Copy)]
+struct PendingCall {
+    ctx: (FuncId, u32),
+    call: Option<u32>,
 }
 
 /// Collects [`TierProfile`] and [`CtxProfile`] while the interpreter runs.
@@ -648,49 +649,75 @@ impl FuncState {
 /// call [`ProfileCollector::end_request`] after each request, and take the
 /// profiles with [`ProfileCollector::finish`].
 ///
-/// Counting is dense: per-function state sits in a vector indexed by
-/// [`FuncId`], and each binary op, conditional branch and call has a site
-/// laid out when its function's state is built. A block, operand-type or
-/// branch event is an indexed increment, and an entry or a call adds to
-/// its call site's short list of callees; none of them hashes, searches a
-/// table or, once a site has seen its callees and contexts, allocates.
-/// Both operand types of a binary op arrive in one
-/// [`ExecObserver::on_bin_types`] and find their site once. Property
-/// accesses add to sorted tables directly, as does an event at an
-/// instruction of another kind (an observer called directly may report
-/// one). `finish` builds every other table once.
+/// Counting is dense: each binary op, conditional branch and call has a
+/// site, and each block a counter, laid out in collector-wide vectors
+/// when its function is first seen; a function's branch counters get a
+/// run per inline context, laid out when the context is first seen. Each
+/// function entry settles, once, where the callee's sites, block
+/// counters and its context's branch counters lie, and keeps that on the
+/// collector's frame stack. A block, operand-type or branch event of the
+/// top frame's function is then an indexed increment, and a call adds to
+/// its site's short list of callees; none of them hashes, searches a
+/// table, scans contexts or, once a site has seen its callees,
+/// allocates. An entry finds its call site, and the callee's context,
+/// through the caller's call event. Both operand types of a binary op
+/// arrive in one [`ExecObserver::on_bin_types`] and find their site
+/// once; two ints, the common case, are one count. An event for any
+/// other function (an observer called directly may report one) finds
+/// its function's state by id, and property accesses and an event at an
+/// instruction of another kind add to sorted tables directly. `finish`
+/// builds every other table once.
 pub struct ProfileCollector<'r> {
     repo: &'r Repo,
-    // Per-function state, indexed by `FuncId`.
-    funcs: Vec<Option<FuncState>>,
+    // Per-function state, first-seen order.
+    states: Vec<FuncState>,
+    // Index into `states` per `FuncId`; `NONE` before the first event.
+    state_of: Vec<u32>,
+    // The collector-wide counters, a run per function (per context, for
+    // branches), laid out on first use.
+    sites: Vec<Site>,
+    blocks: Vec<u64>,
+    bins: Vec<BinSite>,
+    // The operand distributions of the binary ops that saw anything but
+    // two ints.
+    mixed: Vec<[TypeDist; 2]>,
+    branches: Vec<BranchCount>,
+    calls: Vec<CallSite>,
     // The branches and entries whose site is not a conditional branch or
     // a call of their function.
     ctx: CtxProfile,
-    // Call stack: (func, inline ctx of this frame).
-    stack: Vec<(FuncId, InlineCtx)>,
-    // The call site observed immediately before the next func entry.
-    pending_site: InlineCtx,
+    // The top frame (`NO_FRAME` when none), and the frames below it.
+    top: Frame,
+    frames: Vec<Frame>,
+    pending: Option<PendingCall>,
 }
 
 impl<'r> ProfileCollector<'r> {
     /// Creates a collector for programs from `repo`.
     pub fn new(repo: &'r Repo) -> Self {
-        let mut funcs = Vec::new();
-        funcs.resize_with(repo.funcs().len(), || None);
         Self {
             repo,
-            funcs,
+            states: Vec::new(),
+            state_of: vec![NONE; repo.funcs().len()],
+            sites: Vec::new(),
+            blocks: Vec::new(),
+            bins: Vec::new(),
+            mixed: Vec::new(),
+            branches: Vec::new(),
+            calls: Vec::new(),
             ctx: CtxProfile::default(),
-            stack: Vec::new(),
-            pending_site: None,
+            top: NO_FRAME,
+            frames: Vec::new(),
+            pending: None,
         }
     }
 
     /// Marks a request boundary: the call stack and the pending call site
     /// start afresh, so no inline context leaks into the next request.
     pub fn end_request(&mut self) {
-        self.stack.clear();
-        self.pending_site = None;
+        self.top = NO_FRAME;
+        self.frames.clear();
+        self.pending = None;
     }
 
     /// The collected profiles. Builds every sorted table once, from the
@@ -701,33 +728,49 @@ impl<'r> ProfileCollector<'r> {
             branches: Table(mut branches),
             entries: Table(mut entries),
         } = self.ctx;
-        for (i, state) in self.funcs.into_iter().enumerate() {
-            let Some(mut state) = state else { continue };
+        let mut states: Vec<Option<FuncState>> = self.states.into_iter().map(Some).collect();
+        for (i, &s) in self.state_of.iter().enumerate() {
+            let Some(mut state) = states.get_mut(s as usize).and_then(Option::take) else {
+                continue;
+            };
             let func = FuncId::new(i as u32);
             let profile = &mut state.profile;
-            for (at, &site) in state.site_of.iter().enumerate() {
+            profile.block_counts = self.blocks[state.blocks.range()].to_vec();
+            // Operand and parameter types come out in key order: when no
+            // observation went to the table directly they are the table.
+            let mut types = Vec::new();
+            for (at, &site) in self.sites[state.sites.range()].iter().enumerate() {
                 let at = at as u32;
                 match site {
                     Site::None => {}
                     Site::Bin(s) => {
-                        for (slot, dist) in state.bins[s as usize].iter().enumerate() {
+                        let site = self.bins[s as usize];
+                        let mut pair = match site.mixed {
+                            NONE => [TypeDist::default(); 2],
+                            m => self.mixed[m as usize],
+                        };
+                        for (slot, dist) in pair.iter_mut().enumerate() {
+                            dist.add_raw(ValueKind::Int, site.int_pairs);
                             if dist.total() > 0 {
-                                profile.record_types(at, slot as u8, dist);
+                                types.push(((at, slot as u8), *dist));
                             }
                         }
                     }
-                    Site::Branch(s) => branches.extend(
-                        state.branches[s as usize]
-                            .iter()
-                            .map(|&(ctx, c)| ((func, at, ctx), c)),
-                    ),
+                    Site::Branch(s) => {
+                        for &(ctx, base) in &state.ctxs {
+                            let c = self.branches[(base + s) as usize];
+                            if c.total() > 0 {
+                                branches.push(((func, at, ctx), c));
+                            }
+                        }
+                    }
                     Site::Call(s) => {
-                        let site = &state.calls[s as usize];
+                        let site = &self.calls[s as usize];
                         for &(callee, n) in &site.targets {
                             profile.record_call(at, callee, n);
                         }
                         let ctx = Some((func, at));
-                        entries.extend(site.entries.iter().map(|&(f, n)| ((f, ctx), n)));
+                        entries.extend(site.entries.iter().map(|&(f, n, _)| ((f, ctx), n)));
                     }
                 }
             }
@@ -736,7 +779,14 @@ impl<'r> ProfileCollector<'r> {
             }
             for (slot, dist) in state.params.iter().enumerate() {
                 if dist.total() > 0 {
-                    profile.record_types(PARAM_SITE, slot as u8, dist);
+                    types.push(((PARAM_SITE, slot as u8), *dist));
+                }
+            }
+            if profile.types.0.is_empty() {
+                profile.types = Table(types);
+            } else {
+                for ((at, slot), dist) in &types {
+                    profile.record_types(*at, *slot, dist);
                 }
             }
             if state.in_tier {
@@ -746,27 +796,233 @@ impl<'r> ProfileCollector<'r> {
         (tier, CtxProfile::from_counts(branches, entries))
     }
 
+    // The index of `func`'s state, laid out on its first event.
     #[inline]
-    fn state(&mut self, func: FuncId) -> &mut FuncState {
-        let repo = self.repo;
-        self.funcs[func.index()].get_or_insert_with(|| FuncState::new(repo, func))
+    fn state_index(&mut self, func: FuncId) -> u32 {
+        match self.state_of[func.index()] {
+            NONE => self.lay_out(func),
+            s => s,
+        }
+    }
+
+    // Builds `func`'s state and lays out its sites and block counters.
+    #[inline(never)]
+    fn lay_out(&mut self, func: FuncId) -> u32 {
+        let facts = self.repo.facts(func);
+        let code = &self.repo.func(func).code;
+        let sites = Run {
+            base: self.sites.len() as u32,
+            len: code.len() as u32,
+        };
+        let blocks = Run {
+            base: self.blocks.len() as u32,
+            len: facts.cfg.len() as u32,
+        };
+        self.blocks.resize(self.blocks.len() + facts.cfg.len(), 0);
+        let mut branch_sites = 0;
+        for instr in code {
+            let site = match instr {
+                Instr::Bin(_) => {
+                    self.bins.push(BinSite {
+                        int_pairs: 0,
+                        mixed: NONE,
+                    });
+                    Site::Bin(self.bins.len() as u32 - 1)
+                }
+                Instr::JmpZ(_) | Instr::JmpNZ(_) => {
+                    branch_sites += 1;
+                    Site::Branch(branch_sites - 1)
+                }
+                Instr::Call { .. } | Instr::CallMethod { .. } => {
+                    self.calls.push(CallSite::default());
+                    Site::Call(self.calls.len() as u32 - 1)
+                }
+                _ => Site::None,
+            };
+            self.sites.push(site);
+        }
+        self.states.push(FuncState {
+            profile: FuncProfile {
+                block_hashes: facts.block_hashes.clone(),
+                name_hash: facts.name_hash,
+                block_opcode_hashes: facts.block_opcode_hashes.clone(),
+                ..FuncProfile::default()
+            },
+            in_tier: false,
+            params: Vec::new(),
+            root_entries: 0,
+            sites,
+            blocks,
+            branch_sites,
+            ctxs: Vec::new(),
+        });
+        let s = self.states.len() as u32 - 1;
+        self.state_of[func.index()] = s;
+        s
+    }
+
+    // The base of the branch counters of state `s` under `ctx`, laid out
+    // when the context is first seen.
+    fn ctx_branches(&mut self, s: u32, ctx: InlineCtx) -> u32 {
+        let state = &mut self.states[s as usize];
+        if let Some(&(_, base)) = state.ctxs.iter().find(|(c, _)| *c == ctx) {
+            return base;
+        }
+        let base = self.branches.len() as u32;
+        state.ctxs.push((ctx, base));
+        let len = self.branches.len() + state.branch_sites as usize;
+        self.branches.resize(len, BranchCount::default());
+        base
     }
 
     // The state of `func` for a tier-1 event.
-    #[inline]
-    fn tier_state(&mut self, func: FuncId) -> &mut FuncState {
-        let state = self.state(func);
-        state.in_tier = true;
-        state
+    fn tier_state(&mut self, func: FuncId) -> u32 {
+        let s = self.state_index(func);
+        self.states[s as usize].in_tier = true;
+        s
     }
-}
 
-impl ExecObserver for ProfileCollector<'_> {
-    #[inline]
-    fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
-        let ctx = self.pending_site.take();
-        self.stack.push((func, ctx));
-        let state = self.tier_state(func);
+    // Instruction `at`'s site in state `s`.
+    fn site(&self, s: u32, at: u32) -> Site {
+        self.states[s as usize]
+            .sites
+            .at(at)
+            .map_or(Site::None, |i| self.sites[i])
+    }
+
+    // The top frame's site at `at`, when the event is the top frame's.
+    #[inline(always)]
+    fn top_site(&self, func: FuncId, at: u32) -> Site {
+        match self.top.sites.at(at) {
+            Some(i) if func == self.top.func => self.sites[i],
+            _ => Site::None,
+        }
+    }
+
+    // The branch counters of the context of an entry into state `s` from
+    // `pending`, counting the entry against its call site or table.
+    fn settle_entry(&mut self, func: FuncId, s: u32, pending: Option<PendingCall>) -> u32 {
+        let Some(PendingCall { ctx, call }) = pending else {
+            self.states[s as usize].root_entries += 1;
+            return self.ctx_branches(s, None);
+        };
+        let Some(call) = call else {
+            self.ctx.record_entry(Some(ctx), func, 1);
+            return self.ctx_branches(s, Some(ctx));
+        };
+        let site = &mut self.calls[call as usize];
+        if let Some((_, n, base)) = site.entries.iter_mut().find(|(f, ..)| *f == func) {
+            *n += 1;
+            return *base;
+        }
+        let base = self.ctx_branches(s, Some(ctx));
+        self.calls[call as usize].entries.push((func, 1, base));
+        base
+    }
+
+    // The operand distributions of binary op `i`, laid out on first use.
+    fn mixed(&mut self, i: u32) -> &mut [TypeDist; 2] {
+        let site = &mut self.bins[i as usize];
+        if site.mixed == NONE {
+            site.mixed = self.mixed.len() as u32;
+            self.mixed.push([TypeDist::default(); 2]);
+        }
+        &mut self.mixed[site.mixed as usize]
+    }
+
+    // Counts operand types `a` and `b` at binary op `i`.
+    #[cold]
+    #[inline(never)]
+    fn observe_bin(&mut self, i: u32, a: ValueKind, b: ValueKind) {
+        if (a, b) == (ValueKind::Int, ValueKind::Int) {
+            self.bins[i as usize].int_pairs += 1;
+        } else {
+            let [left, right] = self.mixed(i);
+            left.observe(a);
+            right.observe(b);
+        }
+    }
+
+    // The events of a function other than the top frame's, and those at
+    // an instruction of another kind: found by id, counted in full.
+
+    #[cold]
+    #[inline(never)]
+    fn block_by_id(&mut self, func: FuncId, block: BlockId) {
+        let s = self.tier_state(func);
+        if let Some(i) = self.states[s as usize].blocks.at(block.0) {
+            self.blocks[i] += 1;
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn branch_by_id(&mut self, func: FuncId, at: u32, taken: bool) {
+        let ctx = self.top.ctx;
+        let s = self.state_index(func);
+        let outcome = BranchCount {
+            taken: u64::from(taken),
+            not_taken: u64::from(!taken),
+        };
+        match self.site(s, at) {
+            Site::Branch(i) => {
+                let base = self.ctx_branches(s, ctx);
+                self.branches[(base + i) as usize] += &outcome;
+            }
+            _ => self.ctx.record_branch(ctx, func, at, &outcome),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn call_by_id(&mut self, caller: FuncId, at: u32, callee: FuncId) {
+        let s = self.tier_state(caller);
+        let call = match self.site(s, at) {
+            Site::Call(i) => {
+                bump(&mut self.calls[i as usize].targets, callee);
+                Some(i)
+            }
+            _ => {
+                let profile = &mut self.states[s as usize].profile;
+                profile.record_call(at, callee, 1);
+                None
+            }
+        };
+        self.pending = Some(PendingCall {
+            ctx: (caller, at),
+            call,
+        });
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn bin_types_by_id(&mut self, func: FuncId, at: u32, a: ValueKind, b: ValueKind) {
+        let s = self.tier_state(func);
+        match self.site(s, at) {
+            Site::Bin(i) => self.observe_bin(i, a, b),
+            _ => {
+                let profile = &mut self.states[s as usize].profile;
+                profile.observe_type(at, 0, a);
+                profile.observe_type(at, 1, b);
+            }
+        }
+    }
+
+    #[inline(never)]
+    fn enter(&mut self, func: FuncId, args: &[Value]) {
+        let pending = self.pending.take();
+        let s = self.state_index(func);
+        let branches = self.settle_entry(func, s, pending);
+        let state = &mut self.states[s as usize];
+        let frame = Frame {
+            func,
+            ctx: pending.map(|p| p.ctx),
+            sites: state.sites,
+            blocks: state.blocks,
+            branches,
+        };
+        self.frames.push(std::mem::replace(&mut self.top, frame));
+        state.in_tier = true;
         state.profile.enter_count += 1;
         let observed = args.len().min(PARAM_SLOTS);
         if state.params.len() < observed {
@@ -775,50 +1031,47 @@ impl ExecObserver for ProfileCollector<'_> {
         for (dist, a) in state.params.iter_mut().zip(args) {
             dist.observe(ValueKind::of(a));
         }
-        match ctx {
-            None => state.root_entries += 1,
-            Some((caller, at)) => match self.state(caller).call(at) {
-                Some(site) => bump(&mut site.entries, func),
-                None => self.ctx.record_entry(ctx, func, 1),
-            },
-        }
+    }
+}
+
+impl ExecObserver for ProfileCollector<'_> {
+    #[inline]
+    fn on_func_enter(&mut self, func: FuncId, args: &[Value]) {
+        self.enter(func, args);
     }
 
     #[inline]
     fn on_block(&mut self, func: FuncId, block: BlockId) {
-        let counts = &mut self.tier_state(func).profile.block_counts;
-        if let Some(c) = counts.get_mut(block.index()) {
-            *c += 1;
+        match self.top.blocks.at(block.0) {
+            Some(i) if func == self.top.func => self.blocks[i] += 1,
+            _ => self.block_by_id(func, block),
         }
     }
 
     #[inline]
     fn on_branch(&mut self, func: FuncId, at: u32, taken: bool) {
-        let ctx = self.stack.last().and_then(|&(_, c)| c);
-        let outcome = BranchCount {
-            taken: u64::from(taken),
-            not_taken: u64::from(!taken),
-        };
-        let state = self.state(func);
-        let Site::Branch(i) = state.site(at) else {
-            self.ctx.record_branch(ctx, func, at, &outcome);
-            return;
-        };
-        let site = &mut state.branches[i as usize];
-        match site.iter_mut().find(|(c, _)| *c == ctx) {
-            Some((_, count)) => *count += &outcome,
-            None => site.push((ctx, outcome)),
+        match self.top_site(func, at) {
+            Site::Branch(i) => {
+                let count = &mut self.branches[(self.top.branches + i) as usize];
+                count.taken += u64::from(taken);
+                count.not_taken += u64::from(!taken);
+            }
+            _ => self.branch_by_id(func, at, taken),
         }
     }
 
     #[inline]
     fn on_call(&mut self, caller: FuncId, at: u32, callee: FuncId) {
-        let state = self.tier_state(caller);
-        match state.call(at) {
-            Some(site) => bump(&mut site.targets, callee),
-            None => state.profile.record_call(at, callee, 1),
+        match self.top_site(caller, at) {
+            Site::Call(i) => {
+                bump(&mut self.calls[i as usize].targets, callee);
+                self.pending = Some(PendingCall {
+                    ctx: (caller, at),
+                    call: Some(i),
+                });
+            }
+            _ => self.call_by_id(caller, at, callee),
         }
-        self.pending_site = Some((caller, at));
     }
 
     #[inline]
@@ -830,43 +1083,40 @@ impl ExecObserver for ProfileCollector<'_> {
         _prop: StrId,
         _write: bool,
     ) {
-        self.tier_state(func)
+        let s = self.tier_state(func);
+        self.states[s as usize]
             .profile
             .record_prop_class(at, class, 1);
     }
 
     #[inline]
     fn on_type_observed(&mut self, func: FuncId, at: u32, slot: u8, kind: ValueKind) {
-        let state = self.tier_state(func);
-        match state.bin(at) {
-            Some(site) if usize::from(slot) < site.len() => {
-                site[usize::from(slot)].observe(kind);
+        let s = self.tier_state(func);
+        match self.site(s, at) {
+            Site::Bin(i) if usize::from(slot) < 2 => {
+                self.mixed(i)[usize::from(slot)].observe(kind);
             }
             // Not a binary-op operand (a parameter site, a slot past the
             // operands, any other instruction, an `at` past the code): a
             // sorted-table insert.
-            _ => state.profile.observe_type(at, slot, kind),
+            _ => self.states[s as usize].profile.observe_type(at, slot, kind),
         }
     }
 
     #[inline]
     fn on_bin_types(&mut self, func: FuncId, at: u32, a: ValueKind, b: ValueKind) {
-        let state = self.tier_state(func);
-        match state.bin(at) {
-            Some([left, right]) => {
-                left.observe(a);
-                right.observe(b);
+        match self.top_site(func, at) {
+            Site::Bin(i) if (a, b) == (ValueKind::Int, ValueKind::Int) => {
+                self.bins[i as usize].int_pairs += 1;
             }
-            None => {
-                state.profile.observe_type(at, 0, a);
-                state.profile.observe_type(at, 1, b);
-            }
+            Site::Bin(i) => self.observe_bin(i, a, b),
+            _ => self.bin_types_by_id(func, at, a, b),
         }
     }
 
     #[inline]
     fn on_func_exit(&mut self, _func: FuncId) {
-        self.stack.pop();
+        self.top = self.frames.pop().unwrap_or(NO_FRAME);
     }
 }
 
@@ -1269,6 +1519,210 @@ mod tests {
             assert_eq!(ctx, oracle.ctx, "context profile, app seed {seed}");
             assert_eq!(tier.functions_by_heat(), oracle.tier.functions_by_heat());
         }
+    }
+
+    // The profiles of both collectors, checked equal.
+    fn assert_same(
+        dense: ProfileCollector<'_>,
+        oracle: TableCollector<'_>,
+    ) -> (TierProfile, CtxProfile) {
+        let (tier, ctx) = dense.finish();
+        assert_eq!(tier, oracle.tier, "tier-1 profile");
+        assert_eq!(ctx, oracle.ctx, "context profile");
+        (tier, ctx)
+    }
+
+    // rec(n): n == 0 ? 0 : rec(n - 1), called from two sites of
+    // twice(n): every frame of rec below the first runs under rec's own
+    // call site, the first under one of twice's.
+    fn recursive_repo() -> Repo {
+        use bytecode::{BinOp, FuncBuilder, Instr, RepoBuilder};
+        let mut b = RepoBuilder::new();
+        let u = b.declare_unit("r.hl");
+        let rec = FuncId::new(0);
+        let mut r = FuncBuilder::new("rec", 1);
+        let base = r.new_label();
+        r.emit(Instr::GetL(0));
+        r.emit_jmp_z(base);
+        r.emit(Instr::GetL(0));
+        r.emit(Instr::Int(1));
+        r.emit(Instr::Bin(BinOp::Sub));
+        r.emit_raw(Instr::Call { func: rec, argc: 1 });
+        r.emit(Instr::Ret);
+        r.bind(base);
+        r.emit(Instr::Int(0));
+        r.emit(Instr::Ret);
+        assert_eq!(b.define_func(u, r), rec);
+        let mut t = FuncBuilder::new("twice", 1);
+        t.emit(Instr::GetL(0));
+        t.emit_raw(Instr::Call { func: rec, argc: 1 });
+        t.emit(Instr::GetL(0));
+        t.emit(Instr::Int(2));
+        t.emit(Instr::Bin(BinOp::Add));
+        t.emit_raw(Instr::Call { func: rec, argc: 1 });
+        t.emit(Instr::Bin(BinOp::Add));
+        t.emit(Instr::Ret);
+        b.define_func(u, t);
+        b.finish()
+    }
+
+    #[test]
+    fn recursion_counts_each_frame_under_its_own_context() {
+        let repo = recursive_repo();
+        let (rec, twice) = (FuncId::new(0), FuncId::new(1));
+        let mut vm = Vm::new(&repo);
+        let mut dense = ProfileCollector::new(&repo);
+        let mut oracle = TableCollector::new(&repo);
+        for n in [0, 3, 1, 4] {
+            vm.call_observed(twice, &[Value::Int(n)], &mut Tee(&mut dense, &mut oracle))
+                .unwrap();
+            dense.end_request();
+            oracle.end_request();
+        }
+        // rec as a request of its own: its root context.
+        vm.call_observed(rec, &[Value::Int(2)], &mut Tee(&mut dense, &mut oracle))
+            .unwrap();
+        let (_, ctx) = assert_same(dense, oracle);
+        let contexts: Vec<InlineCtx> = ctx
+            .branches_of(rec)
+            .iter()
+            .map(|&((_, _, c), _)| c)
+            .collect();
+        assert_eq!(
+            contexts,
+            [None, Some((rec, 5)), Some((twice, 1)), Some((twice, 5))]
+        );
+        // Under its own site rec branched once per frame below the
+        // first: rec(m) has m of them, for m = n and n + 2 of each twice(n),
+        // and 2 below the root rec(2).
+        let under_rec = ctx.branches_of(rec)[1].1;
+        assert_eq!(under_rec.total(), (2 + 8 + 4 + 10) + 2);
+        // Of those only rec(0) takes the branch, once per call that
+        // recursed at all: every one but twice(0)'s rec(0).
+        assert_eq!(under_rec.taken, 8);
+    }
+
+    #[test]
+    fn events_of_a_function_below_the_top_frame_count_as_its_own() {
+        let repo = sample_repo();
+        let f = repo.func_by_name("f").unwrap().id;
+        let g = repo.func_by_name("g").unwrap().id;
+        let mut dense = ProfileCollector::new(&repo);
+        let mut oracle = TableCollector::new(&repo);
+        let mut tee = Tee(&mut dense, &mut oracle);
+        tee.on_func_enter(f, &[Value::Int(4)]);
+        tee.on_call(f, 11, g);
+        tee.on_func_enter(g, &[Value::Int(1)]);
+        // f is below the top frame (g): its block, operand, branch and call
+        // events, and g's entry from a call f reported while g was on top.
+        tee.on_block(f, BlockId(1));
+        tee.on_bin_types(f, 4, ValueKind::Int, ValueKind::Str);
+        tee.on_type_observed(f, 4, 1, ValueKind::Null);
+        tee.on_branch(f, 5, true);
+        tee.on_branch(f, 5, false);
+        tee.on_call(f, 11, g);
+        tee.on_func_enter(g, &[Value::Int(0)]);
+        tee.on_branch(g, 1, true);
+        tee.on_func_exit(g);
+        // g's own events while it is on top again, then an unknown block.
+        tee.on_block(g, BlockId(0));
+        tee.on_branch(g, 1, false);
+        tee.on_block(g, BlockId(9_999));
+        tee.on_func_exit(g);
+        tee.on_branch(f, 5, false);
+        tee.on_func_exit(f);
+        // No frame at all.
+        tee.on_block(g, BlockId(1));
+        tee.on_branch(g, 1, true);
+        tee.on_func_exit(g);
+        dense.end_request();
+        oracle.end_request();
+        let (tier, ctx) = assert_same(dense, oracle);
+        assert_eq!(tier.funcs[&g].enter_count, 2);
+        assert_eq!(ctx.aggregate_branch(f, 5).total(), 3);
+        assert_eq!(ctx.entry_count(Some((f, 11)), g), 2);
+    }
+
+    #[test]
+    fn a_request_that_failed_mid_call_leaves_no_frame_behind() {
+        use bytecode::{BinOp, FuncBuilder, Instr, RepoBuilder};
+        // outer(x): inner(x) + 1, inner(x): 10 / x, so x = 0 fails two
+        // frames deep, after both entered and before either exited.
+        let mut b = RepoBuilder::new();
+        let u = b.declare_unit("e.hl");
+        let inner = FuncId::new(0);
+        let mut i = FuncBuilder::new("inner", 1);
+        let skip = i.new_label();
+        i.emit(Instr::GetL(0));
+        i.emit_jmp_nz(skip);
+        i.bind(skip);
+        i.emit(Instr::Int(10));
+        i.emit(Instr::GetL(0));
+        i.emit(Instr::Bin(BinOp::Div));
+        i.emit(Instr::Ret);
+        assert_eq!(b.define_func(u, i), inner);
+        let mut o = FuncBuilder::new("outer", 1);
+        o.emit(Instr::GetL(0));
+        o.emit_raw(Instr::Call {
+            func: inner,
+            argc: 1,
+        });
+        o.emit(Instr::Int(1));
+        o.emit(Instr::Bin(BinOp::Add));
+        o.emit(Instr::Ret);
+        let outer = b.define_func(u, o);
+        let repo = b.finish();
+        let mut vm = Vm::new(&repo);
+        let mut dense = ProfileCollector::new(&repo);
+        let mut oracle = TableCollector::new(&repo);
+        for x in [5, 0, 2, 0, 0, 1] {
+            let mut tee = Tee(&mut dense, &mut oracle);
+            let r = vm.call_observed(outer, &[Value::Int(x)], &mut tee);
+            assert_eq!(r.is_err(), x == 0);
+            dense.end_request();
+            oracle.end_request();
+            // The next request's inner is entered under outer's site, and
+            // branches there, as after a clean request.
+            vm.call_observed(inner, &[Value::Int(3)], &mut Tee(&mut dense, &mut oracle))
+                .unwrap();
+            dense.end_request();
+            oracle.end_request();
+        }
+        let (tier, ctx) = assert_same(dense, oracle);
+        assert_eq!(tier.funcs[&inner].enter_count, 12);
+        assert_eq!(ctx.entry_count(None, inner), 6);
+        assert_eq!(ctx.aggregate_branch(inner, 1).total(), 12);
+    }
+
+    #[test]
+    fn fuel_running_out_inside_a_fused_group_is_counted_as_executed() {
+        use workload::{generate, AppParams, RequestMix, RequestSampler};
+        let app = generate(&AppParams {
+            seed: 5,
+            ..AppParams::tiny()
+        });
+        let mix = RequestMix::new(&app, 0, 1);
+        let mut sampler = RequestSampler::new(6);
+        let mut dense = ProfileCollector::new(&app.repo);
+        let mut oracle = TableCollector::new(&app.repo);
+        let mut ran_out = 0;
+        // Each budget stops a request somewhere else in its window, in
+        // and between fused groups alike.
+        for fuel in 1..160u64 {
+            let options = vm::VmOptions {
+                fuel,
+                ..vm::VmOptions::default()
+            };
+            let mut vm = Vm::with_options(&app.repo, options);
+            let (func, arg) = sampler.request(&app, &mix);
+            let r = vm.call_observed(func, &[arg], &mut Tee(&mut dense, &mut oracle));
+            ran_out += usize::from(r == Err(vm::VmError::FuelExhausted));
+            dense.end_request();
+            oracle.end_request();
+        }
+        assert!(ran_out > 100, "{ran_out} requests ran out of fuel");
+        let (tier, ctx) = assert_same(dense, oracle);
+        assert!(tier.profiled_count() > 5 && !ctx.branches().is_empty());
     }
 
     #[test]

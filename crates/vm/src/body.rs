@@ -13,7 +13,14 @@
 //!   block start: only its first instruction may be one, and the
 //!   [`Op::Block`] before the group reports it;
 //! * a group whose result is the stack top the next group pops hands it
-//!   over without a push ([`Tail::Acc`], [`Src::Acc`]).
+//!   over without a push ([`Tail::Acc`], [`Src::Acc`]);
+//! * a group that reads a local or a handed-over int and an immediate,
+//!   with an op that cannot fail on ints, has its operand shape, tail and
+//!   length resolved into an op of its own ([`Op::BinLIAcc`] and its
+//!   siblings), and the commonest runs of such groups are one op each: a
+//!   local pushed for the group that consumes the next group's result
+//!   ([`Op::BinLLI`]), and a group whose result an immediate group
+//!   consumes ([`Op::BinLIAI`]). `Int v; SetL l` is [`Op::SetLInt`].
 //!
 //! A group keeps the instruction index of its binary op (`at`), so every
 //! observer callback and error names the instruction the wire form would:
@@ -75,6 +82,8 @@ pub(crate) enum Op {
     PushInt(i64),
     /// `SetL`.
     SetL(Local),
+    /// `Int v; SetL l`: local `l` set to an immediate.
+    SetLInt(Local, i64),
     /// `Jmp` to an op.
     Jmp(u32),
     /// A `JmpZ` (`on_zero`) or `JmpNZ` at instruction `at`, to op `target`.
@@ -89,12 +98,116 @@ pub(crate) enum Op {
         at: u32,
         len: u8,
     },
+    /// The operand-resolved forms of an [`Op::Bin`] group whose left
+    /// operand is a local (`LI`: `GetL l; Int k; Bin op`) or the result
+    /// the op before hands over (`AI`: `Int k; Bin op`), whose right one
+    /// is an immediate, whose op cannot fail on two ints, and whose tail
+    /// hands its result over (`Acc`), stores it in local `dst` (`SetL`)
+    /// or branches on it (`Branch`). Operand shape, tail and length are
+    /// decided when the body is built, so a dispatch does no more matching
+    /// than the op's own; `at` is the op's instruction, as in `Bin`.
+    BinLIAcc {
+        l: Local,
+        k: i32,
+        op: BinOp,
+        at: u32,
+    },
+    /// See [`Op::BinLIAcc`].
+    BinLISetL {
+        l: Local,
+        k: i32,
+        op: BinOp,
+        dst: Local,
+        at: u32,
+    },
+    /// See [`Op::BinLIAcc`].
+    BinLIBranch {
+        l: Local,
+        k: i32,
+        op: BinOp,
+        target: u32,
+        on_zero: bool,
+        at: u32,
+    },
+    /// See [`Op::BinLIAcc`].
+    BinAIAcc { k: i32, op: BinOp, at: u32 },
+    /// See [`Op::BinLIAcc`].
+    BinAISetL {
+        k: i32,
+        op: BinOp,
+        dst: Local,
+        at: u32,
+    },
+    /// See [`Op::BinLIAcc`].
+    BinAIBranch {
+        k: i32,
+        op: BinOp,
+        target: u32,
+        on_zero: bool,
+        at: u32,
+    },
+    /// `x op2 (l op1 k)`: a `GetL x` pushed for the [`Op::BinLIAcc`]
+    /// group `l op1 k` right after it, whose int result the group after
+    /// that, `Bin op2` with both operands on the stack and `tail`, reads
+    /// as [`Src::Acc`]. `op1` yields an int on any two ints and `op2`
+    /// cannot fail on two ints. `at` is `op1`'s instruction, `op2`'s is
+    /// `at + 1`; the three ops stand for `5` instructions and the tail's.
+    BinLLI {
+        x: Local,
+        l: Local,
+        k: i32,
+        op1: BinOp,
+        op2: BinOp,
+        tail: Tail,
+        at: u32,
+    },
+    /// `(l op1 k1) op2 k2`: an [`Op::BinLIAcc`] group `l op1 k1` whose int
+    /// result the group after it, `Int k2; Bin op2` with `tail`, reads
+    /// as [`Src::Acc`]. `op1` yields an int on any two ints and `op2`
+    /// cannot fail on an int and `k2`. `at` is `op1`'s instruction,
+    /// `op2`'s is `at + 2`; the two groups stand for `5` instructions and
+    /// the tail's.
+    BinLIAI {
+        l: Local,
+        k1: i32,
+        op1: BinOp,
+        k2: i32,
+        op2: BinOp,
+        tail: Tail,
+        at: u32,
+    },
     /// `Call` at instruction `at`.
     Call { func: FuncId, argc: u8, at: u32 },
     /// `Ret`.
     Ret,
     /// Any other instruction, run from the wire form at `at`.
     Step(u32),
+}
+
+impl Op {
+    /// The op a jump, or a branch taken, lands on (an instruction index
+    /// until lowering resolves it).
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Op::Jmp(t)
+            | Op::Branch { target: t, .. }
+            | Op::BinLIBranch { target: t, .. }
+            | Op::BinAIBranch { target: t, .. }
+            | Op::Bin {
+                tail: Tail::Branch { target: t, .. },
+                ..
+            }
+            | Op::BinLLI {
+                tail: Tail::Branch { target: t, .. },
+                ..
+            }
+            | Op::BinLIAI {
+                tail: Tail::Branch { target: t, .. },
+                ..
+            } => Some(t),
+            _ => None,
+        }
+    }
 }
 
 /// A function's code lowered for the interpreter.
@@ -123,14 +236,11 @@ impl Body {
         for (b, block) in cfg.blocks().iter().enumerate() {
             block_at[block.start as usize] = Some(BlockId(b as u32));
         }
-        // Jump targets are instruction indices until every block start
-        // has its op.
-        let mut op_of = vec![u32::MAX; code.len()];
+        // Jump targets are instruction indices until the ops are final.
         let mut ops = Vec::with_capacity(code.len() + cfg.len());
         let mut pc = 0;
         while pc < code.len() {
             if let Some(b) = block_at[pc] {
-                op_of[pc] = ops.len() as u32;
                 ops.push(Op::Block(b));
             }
             let group = if fuse {
@@ -144,28 +254,27 @@ impl Body {
         }
         if fuse {
             hand_over(&mut ops);
+            for op in &mut ops {
+                *op = resolve(*op);
+            }
+            ops = fuse_runs(ops);
         }
-        let resolve = |t: &mut u32| *t = op_of[*t as usize];
-        for op in &mut ops {
-            match op {
-                Op::Jmp(t)
-                | Op::Branch { target: t, .. }
-                | Op::Bin {
-                    tail: Tail::Branch { target: t, .. },
-                    ..
-                } => resolve(t),
-                _ => {}
+        // Every target starts a block: its op is that block's.
+        let mut op_of_block = vec![u32::MAX; cfg.len()];
+        for (i, op) in ops.iter().enumerate() {
+            if let Op::Block(b) = op {
+                op_of_block[b.index()] = i as u32;
             }
         }
-        debug_assert!(ops.iter().all(|op| match op {
-            Op::Jmp(t)
-            | Op::Branch { target: t, .. }
-            | Op::Bin {
-                tail: Tail::Branch { target: t, .. },
-                ..
-            } => matches!(ops.get(*t as usize), Some(Op::Block(_))),
-            _ => true,
-        }));
+        for op in &mut ops {
+            if let Some(t) = op.target_mut() {
+                let block = block_at[*t as usize].expect("a jump lands on a block start");
+                *t = op_of_block[block.index()];
+            }
+        }
+        debug_assert!(ops.iter().all(|&(mut op)| op
+            .target_mut()
+            .is_none_or(|t| matches!(ops.get(*t as usize), Some(Op::Block(_))))));
         Body { ops }
     }
 }
@@ -193,6 +302,162 @@ fn hand_over(ops: &mut [Op]) {
             *top = Src::Acc;
             *tail = Tail::Acc;
         }
+    }
+}
+
+/// `op` with its operand shape and tail resolved, when it is a group of
+/// a shape [`Op::BinLIAcc`] and its siblings cover.
+fn resolve(op: Op) -> Op {
+    let Op::Bin {
+        a,
+        b: Src::Int(k),
+        op: bin,
+        tail,
+        at,
+        len,
+    } = op
+    else {
+        return op;
+    };
+    if !total(bin, Some(k)) {
+        return op;
+    }
+    // The lengths the interpreter charges each form.
+    debug_assert!(match a {
+        Src::Local(_) => len == 3 + u8::from(tail.is_instr()),
+        Src::Acc => len == 2 + u8::from(tail.is_instr()),
+        _ => true,
+    });
+    match (a, tail) {
+        (Src::Local(l), Tail::Acc) => Op::BinLIAcc { l, k, op: bin, at },
+        (Src::Local(l), Tail::SetL(dst)) => Op::BinLISetL {
+            l,
+            k,
+            op: bin,
+            dst,
+            at,
+        },
+        (Src::Local(l), Tail::Branch { target, on_zero }) => Op::BinLIBranch {
+            l,
+            k,
+            op: bin,
+            target,
+            on_zero,
+            at,
+        },
+        (Src::Acc, Tail::Acc) => Op::BinAIAcc { k, op: bin, at },
+        (Src::Acc, Tail::SetL(dst)) => Op::BinAISetL {
+            k,
+            op: bin,
+            dst,
+            at,
+        },
+        (Src::Acc, Tail::Branch { target, on_zero }) => Op::BinAIBranch {
+            k,
+            op: bin,
+            target,
+            on_zero,
+            at,
+        },
+        _ => op,
+    }
+}
+
+/// Fuses each run of adjacent ops that [`Op::BinLLI`], [`Op::BinLIAI`]
+/// or [`Op::SetLInt`] covers into one op: no block starts inside the
+/// run.
+fn fuse_runs(ops: Vec<Op>) -> Vec<Op> {
+    let mut out = Vec::with_capacity(ops.len());
+    let mut i = 0;
+    while i < ops.len() {
+        let (op, len) = match ops[i..] {
+            [Op::PushL(x), Op::BinLIAcc { l, k, op: op1, at }, Op::Bin {
+                a: Src::Stack,
+                b: Src::Acc,
+                op: op2,
+                tail,
+                at: at2,
+                ..
+            }, ..]
+                if int_valued(op1, k) && total(op2, None) && at2 == at + 1 =>
+            {
+                let op = Op::BinLLI {
+                    x,
+                    l,
+                    k,
+                    op1,
+                    op2,
+                    tail,
+                    at,
+                };
+                (op, 3)
+            }
+            [Op::BinLIAcc {
+                l,
+                k: k1,
+                op: op1,
+                at,
+            }, second, ..]
+                if int_valued(op1, k1) =>
+            {
+                let (k2, op2, tail, at2) = match second {
+                    Op::BinAIAcc { k, op, at } => (k, op, Tail::Acc, at),
+                    Op::BinAISetL { k, op, dst, at } => (k, op, Tail::SetL(dst), at),
+                    Op::BinAIBranch {
+                        k,
+                        op,
+                        target,
+                        on_zero,
+                        at,
+                    } => (k, op, Tail::Branch { target, on_zero }, at),
+                    _ => (0, BinOp::Concat, Tail::Push, 0),
+                };
+                if total(op2, Some(k2)) && at2 == at + 2 {
+                    let op = Op::BinLIAI {
+                        l,
+                        k1,
+                        op1,
+                        k2,
+                        op2,
+                        tail,
+                        at,
+                    };
+                    (op, 2)
+                } else {
+                    (ops[i], 1)
+                }
+            }
+            [Op::PushInt(v), Op::SetL(l), ..] => (Op::SetLInt(l, v), 2),
+            _ => (ops[i], 1),
+        };
+        out.push(op);
+        i += len;
+    }
+    out
+}
+
+/// Whether `op` yields an int on any int and `k`.
+fn int_valued(op: BinOp, k: i32) -> bool {
+    match op {
+        BinOp::Add
+        | BinOp::Sub
+        | BinOp::Mul
+        | BinOp::BitAnd
+        | BinOp::BitOr
+        | BinOp::BitXor
+        | BinOp::Shl
+        | BinOp::Shr => true,
+        BinOp::Mod => k != 0,
+        _ => false,
+    }
+}
+
+/// Whether `op` cannot fail on two ints, the right one `k` when known.
+fn total(op: BinOp, k: Option<i32>) -> bool {
+    match op {
+        BinOp::Concat => false,
+        BinOp::Div | BinOp::Mod => k.is_some_and(|k| k != 0),
+        _ => true,
     }
 }
 

@@ -381,3 +381,145 @@ fn a_dyn_observer_sees_what_a_generic_one_sees() {
         .iter()
         .any(|e| matches!(e, Event::BinTypes(_, _, ValueKind::Int, ValueKind::Int))));
 }
+
+// mix(s, j): while (s < 40) { s = s + j * 3; j = s - (j & 7) } return s,
+// through three-operand runs (`GetL; GetL Int Mul; Add` and
+// `GetL; GetL Int BitAnd; Sub`), one stored and one handed to a `SetL`,
+// inside a loop whose test is an immediate group.
+fn three_operand() -> FuncBuilder {
+    let mut f = FuncBuilder::new("mix", 2);
+    let (top, out) = (f.new_label(), f.new_label());
+    f.bind(top);
+    f.emit(Instr::GetL(0));
+    f.emit(Instr::Int(40));
+    f.emit(Instr::Bin(BinOp::Lt));
+    f.emit_jmp_z(out);
+    f.emit(Instr::GetL(0));
+    f.emit(Instr::GetL(1));
+    f.emit(Instr::Int(3));
+    f.emit(Instr::Bin(BinOp::Mul));
+    f.emit(Instr::Bin(BinOp::Add));
+    f.emit(Instr::SetL(0));
+    f.emit(Instr::GetL(0));
+    f.emit(Instr::GetL(1));
+    f.emit(Instr::Int(7));
+    f.emit(Instr::Bin(BinOp::BitAnd));
+    f.emit(Instr::Bin(BinOp::Sub));
+    f.emit(Instr::SetL(1));
+    f.emit_jmp(top);
+    f.bind(out);
+    f.emit(Instr::GetL(0));
+    f.emit(Instr::Ret);
+    f
+}
+
+#[test]
+fn three_operand_runs_match_unfused_at_every_fuel_budget_and_operand() {
+    let repo = repo_of(vec![three_operand()]);
+    let f = FuncId::new(0);
+    let fused = Body::build(&repo, f).ops;
+    assert_eq!(
+        fused
+            .iter()
+            .filter(|op| matches!(op, Op::BinLLI { .. }))
+            .count(),
+        2
+    );
+    let args = vec![Value::Int(1), Value::Int(2)];
+    let full = differential(&repo, ROOMY, &[(f, args.clone())]);
+    let cost = full[0].2.instrs;
+    for fuel in 0..=cost + 1 {
+        let options = VmOptions {
+            fuel,
+            max_depth: 16,
+        };
+        let seen = differential(&repo, options, &[(f, args.clone())]);
+        assert_eq!(seen[0].2.instrs, fuel.min(cost), "fuel {fuel}");
+    }
+    // A float, string or null operand on either side takes the
+    // instruction path, with its errors and events.
+    let operands = [
+        Value::Int(-9),
+        Value::Int(i64::MAX),
+        Value::Float(2.5),
+        Value::str("4"),
+        Value::Null,
+    ];
+    let mut calls = Vec::new();
+    for a in &operands {
+        for b in &operands {
+            calls.push((f, vec![a.clone(), b.clone()]));
+        }
+    }
+    let seen = differential(&repo, ROOMY, &calls);
+    assert!(seen.iter().any(|(r, ..)| r.is_ok()));
+    assert!(seen.iter().any(|(r, ..)| r.is_err()));
+}
+
+// pick(x): t = 0; if (x % 3 == 1) { t = x * 5 - 2 } return t + x, through
+// two-group runs (`GetL Int Mod; Int Eq JmpZ` and `GetL Int Mul; Int Sub
+// SetL`).
+fn two_group() -> FuncBuilder {
+    let mut f = FuncBuilder::new("pick", 1);
+    let t = f.new_local();
+    let out = f.new_label();
+    f.emit(Instr::Int(0));
+    f.emit(Instr::SetL(t));
+    f.emit(Instr::GetL(0));
+    f.emit(Instr::Int(3));
+    f.emit(Instr::Bin(BinOp::Mod));
+    f.emit(Instr::Int(1));
+    f.emit(Instr::Bin(BinOp::Eq));
+    f.emit_jmp_z(out);
+    f.emit(Instr::GetL(0));
+    f.emit(Instr::Int(5));
+    f.emit(Instr::Bin(BinOp::Mul));
+    f.emit(Instr::Int(2));
+    f.emit(Instr::Bin(BinOp::Sub));
+    f.emit(Instr::SetL(t));
+    f.bind(out);
+    f.emit(Instr::GetL(t));
+    f.emit(Instr::GetL(0));
+    f.emit(Instr::Bin(BinOp::Add));
+    f.emit(Instr::Ret);
+    f
+}
+
+#[test]
+fn two_group_runs_match_unfused_at_every_fuel_budget_and_operand() {
+    let repo = repo_of(vec![two_group()]);
+    let f = FuncId::new(0);
+    let fused = Body::build(&repo, f).ops;
+    assert_eq!(
+        fused
+            .iter()
+            .filter(|op| matches!(op, Op::BinLIAI { .. }))
+            .count(),
+        2
+    );
+    for x in [1, 2] {
+        let args = vec![Value::Int(x)];
+        let full = differential(&repo, ROOMY, &[(f, args.clone())]);
+        let cost = full[0].2.instrs;
+        for fuel in 0..=cost + 1 {
+            let options = VmOptions {
+                fuel,
+                max_depth: 16,
+            };
+            let seen = differential(&repo, options, &[(f, args.clone())]);
+            assert_eq!(seen[0].2.instrs, fuel.min(cost), "x {x} fuel {fuel}");
+        }
+    }
+    let operands = [
+        Value::Int(-8),
+        Value::Int(i64::MIN),
+        Value::Float(4.0),
+        Value::str("7"),
+        Value::Bool(true),
+        Value::Null,
+    ];
+    let calls: Vec<_> = operands.iter().map(|a| (f, vec![a.clone()])).collect();
+    let seen = differential(&repo, ROOMY, &calls);
+    assert!(seen.iter().any(|(r, ..)| r.is_ok()));
+    assert!(seen.iter().any(|(r, ..)| r.is_err()));
+}

@@ -238,6 +238,7 @@ impl ClassTable {
     }
 }
 
+#[inline]
 fn materialize_default(repo: &Repo, d: &DefaultSlot) -> Value {
     match d {
         DefaultSlot::Scalar(ScalarDefault::Null) => Value::Null,

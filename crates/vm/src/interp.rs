@@ -209,10 +209,11 @@ impl<'r> Vm<'r> {
     ///
     /// Runs the function's prepared [`Body`]. Every op charges one unit
     /// of fuel per instruction it stands for, except a fused binary-op
-    /// group, which is charged whole when the fuel left covers it and its
-    /// two operands are ints: then nothing inside it can fail. Otherwise
-    /// the group runs instruction by instruction, so fuel runs out, and
-    /// an error is raised, at the same instruction as in the wire form.
+    /// group or run of groups, which is charged whole when the fuel left
+    /// covers it and its operands are ints: then nothing inside it can
+    /// fail. Otherwise it runs instruction by instruction, so fuel runs
+    /// out, and an error is raised, at the same instruction as in the
+    /// wire form. `Int v; SetL l` is charged the same way.
     fn exec<O: ExecObserver + ?Sized>(
         &mut self,
         func_id: FuncId,
@@ -230,6 +231,7 @@ impl<'r> Vm<'r> {
         let base = self.stack.len() - argc;
         obs.on_func_enter(func_id, &self.stack[base..]);
         let body = self.body(func_id);
+        let ops: &[Op] = &body.ops;
         self.stack.resize(base + func.locals as usize, Value::Null);
         let mut ip: usize = 0;
         // An int result a binary op hands to the next ([`Tail::Acc`]).
@@ -242,7 +244,7 @@ impl<'r> Vm<'r> {
             ($t:expr) => {{
                 let t = $t;
                 ip = t;
-                if let Op::Block(b) = body.ops[t] {
+                if let Op::Block(b) = ops[t] {
                     if self.fuel == 0 {
                         return Err(VmError::FuelExhausted);
                     }
@@ -252,22 +254,82 @@ impl<'r> Vm<'r> {
                 continue;
             }};
         }
+        // Steps to the op after this one.
+        macro_rules! next {
+            () => {{
+                ip += 1;
+                continue;
+            }};
+        }
+        // A binary-op group run one instruction at a time (see
+        // `bin_slow`); `handed` is the operand the op before handed over.
+        macro_rules! slow {
+            ($a:expr, $b:expr, $op:expr, $tail:expr, $at:expr, $handed:expr) => {{
+                let landing = self.bin_slow(
+                    func_id,
+                    base,
+                    ($a, $b, $op, $tail, $at),
+                    $handed,
+                    ip as u32 + 1,
+                    &mut acc,
+                    obs,
+                )?;
+                if let Some(t) = landing {
+                    enter!(t as usize);
+                }
+                next!();
+            }};
+        }
+        // An operand-resolved group: the fast path `$fast`, which ends in
+        // a step or a jump, on the int left operand `$x` when the fuel left
+        // covers the group's `$len` instructions, else the group run one
+        // instruction at a time.
+        macro_rules! int_group {
+            ($x:expr, $len:expr, ($a:expr, $k:expr, $op:expr, $tail:expr, $at:expr, $handed:expr), |$n:ident| $fast:block) => {{
+                match $x {
+                    Some($n) if self.fuel >= $len => {
+                        self.fuel -= $len;
+                        obs.on_bin_types(func_id, $at, ValueKind::Int, ValueKind::Int);
+                        $fast
+                    }
+                    _ => slow!($a, Src::Int($k), $op, $tail, $at, $handed),
+                }
+            }};
+        }
         loop {
-            match body.ops[ip] {
+            // A binary-op group on ints: its result, its tail and the
+            // instruction of its op, for the code after the match. Every
+            // other op, and a group that cannot run on ints, is done
+            // within its arm.
+            let (n, tail, at) = match ops[ip] {
                 Op::Block(_) => enter!(ip),
                 Op::PushL(l) => {
                     self.charge()?;
                     let v = self.stack[base + l as usize].clone();
                     self.stack.push(v);
+                    next!();
                 }
                 Op::PushInt(v) => {
                     self.charge()?;
                     self.stack.push(Value::Int(v));
+                    next!();
                 }
                 Op::SetL(l) => {
                     self.charge()?;
                     let v = self.pop();
-                    v.store(&mut self.stack[base + l as usize]);
+                    self.stack[base + l as usize] = v;
+                    next!();
+                }
+                Op::SetLInt(l, v) => {
+                    if self.fuel < 2 {
+                        // The `Int` alone, or nothing, before fuel runs out.
+                        self.charge()?;
+                        self.stack.push(Value::Int(v));
+                        return Err(VmError::FuelExhausted);
+                    }
+                    self.fuel -= 2;
+                    Num::Int(v).store(&mut self.stack[base + l as usize]);
+                    next!();
                 }
                 Op::Jmp(t) => {
                     self.charge()?;
@@ -296,25 +358,152 @@ impl<'r> Vm<'r> {
                     // The fast path's result is a `Num`, never a `Value`
                     // that meets the slow path's in memory.
                     let handed = acc.take();
-                    let jump = match self.fused_int(base, a, b, op, len, handed) {
-                        Some(n) => {
-                            obs.on_bin_types(func_id, at, ValueKind::Int, ValueKind::Int);
-                            self.tail(func_id, base, tail, at, n, &mut acc, obs)
-                        }
-                        None => {
-                            // The handed-over operand goes where the wire
-                            // form has it: on the stack top.
-                            if let Some(x) = handed {
-                                self.stack.push(Value::Int(x));
+                    match self.fused_int(base, a, b, op, len, handed) {
+                        Some(n) => (n, tail, at),
+                        None => slow!(a, b, op, tail, at, handed),
+                    }
+                }
+                Op::BinLIAcc { l, k, op, at } => {
+                    int_group!(
+                        self.int_local(base, l),
+                        3,
+                        (Src::Local(l), k, op, Tail::Acc, at, None),
+                        |n| {
+                            match total_int_binop(op, n, i64::from(k)) {
+                                Num::Int(i) => acc = Some(i),
+                                r => r.push(&mut self.stack),
                             }
-                            let v = self.bin_stepwise(func_id, base, a, b, op, tail, at, obs)?;
-                            self.tail(func_id, base, tail, at, v, &mut acc, obs)
+                            next!();
                         }
-                    };
-                    match (jump, tail) {
-                        (Some(target), _) => enter!(target as usize),
-                        (None, Tail::Branch { .. }) => enter!(ip + 1),
-                        (None, _) => {}
+                    )
+                }
+                Op::BinLISetL { l, k, op, dst, at } => {
+                    int_group!(
+                        self.int_local(base, l),
+                        4,
+                        (Src::Local(l), k, op, Tail::SetL(dst), at, None),
+                        |n| {
+                            total_int_binop(op, n, i64::from(k))
+                                .store(&mut self.stack[base + dst as usize]);
+                            next!();
+                        }
+                    )
+                }
+                Op::BinLIBranch {
+                    l,
+                    k,
+                    op,
+                    target,
+                    on_zero,
+                    at,
+                } => {
+                    let tail = Tail::Branch { target, on_zero };
+                    int_group!(
+                        self.int_local(base, l),
+                        4,
+                        (Src::Local(l), k, op, tail, at, None),
+                        |n| {
+                            let r = total_int_binop(op, n, i64::from(k));
+                            let taken = self.branch(func_id, at + 1, r.truthy() != on_zero, obs);
+                            enter!(if taken { target as usize } else { ip + 1 });
+                        }
+                    )
+                }
+                Op::BinAIAcc { k, op, at } => {
+                    let handed = acc.take();
+                    int_group!(handed, 2, (Src::Acc, k, op, Tail::Acc, at, handed), |n| {
+                        match total_int_binop(op, n, i64::from(k)) {
+                            Num::Int(i) => acc = Some(i),
+                            r => r.push(&mut self.stack),
+                        }
+                        next!();
+                    })
+                }
+                Op::BinAISetL { k, op, dst, at } => {
+                    let handed = acc.take();
+                    int_group!(
+                        handed,
+                        3,
+                        (Src::Acc, k, op, Tail::SetL(dst), at, handed),
+                        |n| {
+                            total_int_binop(op, n, i64::from(k))
+                                .store(&mut self.stack[base + dst as usize]);
+                            next!();
+                        }
+                    )
+                }
+                Op::BinAIBranch {
+                    k,
+                    op,
+                    target,
+                    on_zero,
+                    at,
+                } => {
+                    let handed = acc.take();
+                    let tail = Tail::Branch { target, on_zero };
+                    int_group!(handed, 3, (Src::Acc, k, op, tail, at, handed), |n| {
+                        let r = total_int_binop(op, n, i64::from(k));
+                        let taken = self.branch(func_id, at + 1, r.truthy() != on_zero, obs);
+                        enter!(if taken { target as usize } else { ip + 1 });
+                    })
+                }
+                Op::BinLLI {
+                    x,
+                    l,
+                    k,
+                    op1,
+                    op2,
+                    tail,
+                    at,
+                } => {
+                    let len = 5 + u64::from(tail.is_instr());
+                    match (self.int_local(base, x), self.int_local(base, l)) {
+                        (Some(x), Some(l)) if self.fuel >= len => {
+                            self.fuel -= len;
+                            obs.on_bin_types(func_id, at, ValueKind::Int, ValueKind::Int);
+                            let t = int_valued_binop(op1, l, i64::from(k));
+                            // `op2`'s types are reported after the match.
+                            (total_int_binop(op2, x, t), tail, at + 1)
+                        }
+                        _ => {
+                            // The three ops one after another.
+                            self.charge()?;
+                            let v = self.stack[base + x as usize].clone();
+                            self.stack.push(v);
+                            let first = (Src::Local(l), Src::Int(k), op1, Tail::Acc, at);
+                            let fallthrough = ip as u32 + 1;
+                            self.bin_slow(func_id, base, first, None, fallthrough, &mut acc, obs)?;
+                            let handed = acc.take();
+                            slow!(Src::Stack, Src::Acc, op2, tail, at + 1, handed)
+                        }
+                    }
+                }
+                Op::BinLIAI {
+                    l,
+                    k1,
+                    op1,
+                    k2,
+                    op2,
+                    tail,
+                    at,
+                } => {
+                    let len = 5 + u64::from(tail.is_instr());
+                    match self.int_local(base, l) {
+                        Some(l) if self.fuel >= len => {
+                            self.fuel -= len;
+                            obs.on_bin_types(func_id, at, ValueKind::Int, ValueKind::Int);
+                            let t = int_valued_binop(op1, l, i64::from(k1));
+                            // `op2`'s types are reported after the match.
+                            (total_int_binop(op2, t, i64::from(k2)), tail, at + 2)
+                        }
+                        _ => {
+                            // The two groups one after the other.
+                            let first = (Src::Local(l), Src::Int(k1), op1, Tail::Acc, at);
+                            let fallthrough = ip as u32 + 1;
+                            self.bin_slow(func_id, base, first, None, fallthrough, &mut acc, obs)?;
+                            let handed = acc.take();
+                            slow!(Src::Acc, Src::Int(k2), op2, tail, at + 2, handed)
+                        }
                     }
                 }
                 Op::Call {
@@ -327,6 +516,7 @@ impl<'r> Vm<'r> {
                     obs.on_call(func_id, at, callee);
                     let ret = self.exec(callee, argc as usize, None, obs, depth + 1)?;
                     self.stack.push(ret);
+                    next!();
                 }
                 Op::Ret => {
                     self.charge()?;
@@ -338,9 +528,32 @@ impl<'r> Vm<'r> {
                 Op::Step(at) => {
                     self.charge()?;
                     self.step(func_id, base, at, &this, obs, depth)?;
+                    next!();
+                }
+            };
+            obs.on_bin_types(func_id, at, ValueKind::Int, ValueKind::Int);
+            match tail {
+                Tail::Push => n.push(&mut self.stack),
+                Tail::Acc => match n {
+                    Num::Int(i) => acc = Some(i),
+                    n => n.push(&mut self.stack),
+                },
+                Tail::SetL(l) => n.store(&mut self.stack[base + l as usize]),
+                Tail::Branch { target, on_zero } => {
+                    let taken = self.branch(func_id, at + 1, n.truthy() != on_zero, obs);
+                    enter!(if taken { target as usize } else { ip + 1 });
                 }
             }
-            ip += 1;
+            next!();
+        }
+    }
+
+    /// The int in local `l` of the frame at `base`, if it holds one.
+    #[inline(always)]
+    fn int_local(&self, base: usize, l: bytecode::Local) -> Option<i64> {
+        match self.stack[base + l as usize] {
+            Value::Int(x) => Some(x),
+            _ => None,
         }
     }
 
@@ -416,52 +629,26 @@ impl<'r> Vm<'r> {
         Some(n)
     }
 
-    /// Applies a binary-op group's `tail` to its result; returns the op
-    /// to jump to, if the tail is a branch that is taken.
-    #[allow(clippy::too_many_arguments)]
-    #[inline(always)]
-    fn tail<O: ExecObserver + ?Sized>(
-        &mut self,
-        func: FuncId,
-        base: usize,
-        tail: Tail,
-        at: u32,
-        r: impl BinResult,
-        acc: &mut Option<i64>,
-        obs: &mut O,
-    ) -> Option<u32> {
-        match tail {
-            Tail::Push => r.push(&mut self.stack),
-            Tail::Acc => match r.int() {
-                Some(i) => *acc = Some(i),
-                None => r.push(&mut self.stack),
-            },
-            Tail::SetL(l) => r.store(&mut self.stack[base + l as usize]),
-            Tail::Branch { target, on_zero } => {
-                if self.branch(func, at + 1, r.truthy() != on_zero, obs) {
-                    return Some(target);
-                }
-            }
-        }
-        None
-    }
-
     /// A binary-op group run one instruction at a time, as the wire form
-    /// runs it: its operand pushes, the op, and the fuel of its tail.
-    /// Returns the op's result, for the caller to apply the tail to.
+    /// runs it: its operand pushes (the handed-over operand, if any, goes
+    /// where the wire form has it, on the stack top), the op, and its tail
+    /// with the tail's fuel. Returns the op to enter next when the tail is
+    /// a branch: its target when taken, else `fallthrough`.
     #[allow(clippy::too_many_arguments)]
     #[inline(never)]
-    fn bin_stepwise<O: ExecObserver + ?Sized>(
+    fn bin_slow<O: ExecObserver + ?Sized>(
         &mut self,
         func: FuncId,
         base: usize,
-        a: Src,
-        b: Src,
-        op: BinOp,
-        tail: Tail,
-        at: u32,
+        (a, b, op, tail, at): (Src, Src, BinOp, Tail, u32),
+        handed: Option<i64>,
+        fallthrough: u32,
+        acc: &mut Option<i64>,
         obs: &mut O,
-    ) -> Result<Value, VmError> {
+    ) -> Result<Option<u32>, VmError> {
+        if let Some(x) = handed {
+            self.stack.push(Value::Int(x));
+        }
         let mut pushed = [None, None];
         for (slot, s) in pushed.iter_mut().zip([a, b]) {
             let v = match s {
@@ -481,7 +668,19 @@ impl<'r> Vm<'r> {
         if tail.is_instr() {
             self.charge()?;
         }
-        Ok(v)
+        match tail {
+            Tail::Push => self.stack.push(v),
+            Tail::Acc => match v {
+                Value::Int(i) => *acc = Some(i),
+                v => self.stack.push(v),
+            },
+            Tail::SetL(l) => self.stack[base + l as usize] = v,
+            Tail::Branch { target, on_zero } => {
+                let taken = self.branch(func, at + 1, v.truthy() != on_zero, obs);
+                return Ok(Some(if taken { target } else { fallthrough }));
+            }
+        }
+        Ok(None)
     }
 
     /// Runs the instruction at `at` that has no op of its own.
@@ -801,8 +1000,19 @@ impl<'r> Vm<'r> {
 /// zero, to `binop`.
 #[inline]
 fn int_binop(op: BinOp, x: i64, y: i64) -> Option<Num> {
+    match op {
+        BinOp::Concat => None,
+        BinOp::Div | BinOp::Mod if y == 0 => None,
+        _ => Some(total_int_binop(op, x, y)),
+    }
+}
+
+/// [`int_binop`] where it cannot fail: `op` is no `concat`, and no `div`
+/// or `mod` by zero.
+#[inline(always)]
+fn total_int_binop(op: BinOp, x: i64, y: i64) -> Num {
     use bytecode::BinOp::*;
-    Some(match op {
+    match op {
         Add => Num::Int(x.wrapping_add(y)),
         Sub => Num::Int(x.wrapping_sub(y)),
         Mul => Num::Int(x.wrapping_mul(y)),
@@ -812,10 +1022,10 @@ fn int_binop(op: BinOp, x: i64, y: i64) -> Option<Num> {
         Ge => Num::Bool(x >= y),
         Eq => Num::Bool(x == y),
         Neq => Num::Bool(x != y),
-        Mod if y != 0 => Num::Int(x.wrapping_rem(y)),
+        Mod => Num::Int(x.wrapping_rem(y)),
         // `i64::MIN / -1` overflows; like any inexact int division it
         // yields the float quotient.
-        Div if y != 0 => match (x.checked_rem(y), x.checked_div(y)) {
+        Div => match (x.checked_rem(y), x.checked_div(y)) {
             (Some(0), Some(q)) => Num::Int(q),
             _ => Num::Float(x as f64 / y as f64),
         },
@@ -824,8 +1034,17 @@ fn int_binop(op: BinOp, x: i64, y: i64) -> Option<Num> {
         BitXor => Num::Int(x ^ y),
         Shl => Num::Int(x.wrapping_shl(y as u32)),
         Shr => Num::Int(x.wrapping_shr(y as u32)),
-        Div | Mod | Concat => return None,
-    })
+        Concat => unreachable!("never lowered to an int op"),
+    }
+}
+
+/// [`total_int_binop`] of an op that yields an int on any two ints.
+#[inline(always)]
+fn int_valued_binop(op: BinOp, x: i64, y: i64) -> i64 {
+    match total_int_binop(op, x, y) {
+        Num::Int(i) => i,
+        _ => unreachable!("{op:?} on ints yields an int"),
+    }
 }
 
 /// The result of [`int_binop`]: a scalar [`Value`] kept out of memory
@@ -848,33 +1067,19 @@ impl From<Num> for Value {
     }
 }
 
-/// A binary op's result, as a group's tail consumes it.
-trait BinResult {
+impl Num {
     /// [`Value::truthy`] of the result.
-    fn truthy(&self) -> bool;
-
-    /// Stores the result in a local slot.
-    fn store(self, slot: &mut Value);
-
-    /// Pushes the result.
-    fn push(self, stack: &mut Vec<Value>);
-
-    /// The result, if it is an int.
-    fn int(&self) -> Option<i64>;
-}
-
-impl BinResult for Num {
     #[inline(always)]
-    fn truthy(&self) -> bool {
-        match *self {
+    fn truthy(self) -> bool {
+        match self {
             Num::Int(i) => i != 0,
             Num::Bool(b) => b,
             Num::Float(f) => f != 0.0,
         }
     }
 
-    /// An int over an int is written in place: the old value has no drop
-    /// to run.
+    /// Stores the result in a local slot. An int over an int is written
+    /// in place: the old value has no drop to run.
     #[inline(always)]
     fn store(self, slot: &mut Value) {
         match (slot, self) {
@@ -883,42 +1088,10 @@ impl BinResult for Num {
         }
     }
 
+    /// Pushes the result.
     #[inline(always)]
     fn push(self, stack: &mut Vec<Value>) {
         stack.push(self.into());
-    }
-
-    #[inline(always)]
-    fn int(&self) -> Option<i64> {
-        match *self {
-            Num::Int(i) => Some(i),
-            _ => None,
-        }
-    }
-}
-
-impl BinResult for Value {
-    #[inline(always)]
-    fn truthy(&self) -> bool {
-        Value::truthy(self)
-    }
-
-    #[inline(always)]
-    fn store(self, slot: &mut Value) {
-        *slot = self;
-    }
-
-    #[inline(always)]
-    fn push(self, stack: &mut Vec<Value>) {
-        stack.push(self);
-    }
-
-    #[inline(always)]
-    fn int(&self) -> Option<i64> {
-        match *self {
-            Value::Int(i) => Some(i),
-            _ => None,
-        }
     }
 }
 
