@@ -12,13 +12,13 @@ cargo clippy --workspace --all-targets -q -- -D warnings
 echo "== doc (dangling or private intra-doc links fail the build) =="
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --exclude jsbench --no-deps -q
 
-echo "== release index gate (outside bytecode, non-test code reads Repo::facts and Repo::call_graph instead of building a CFG or call graph) =="
+echo "== release index gate (outside bytecode, non-test code reads Repo::facts, Repo::class_facts and Repo::call_graph instead of building a CFG or call graph or walking a class's ancestry) =="
 # The non-test part of a file is everything before its first #[cfg(test)];
 # tests.rs files are test modules.
 index_hits=$(find crates/*/src -name '*.rs' ! -name tests.rs ! -path 'crates/bytecode/*' -print0 |
-  xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile } /(Cfg|CallGraph)::build\(/ { print FILENAME ":" FNR ": " $0 }')
+  xargs -0 awk '/#\[cfg\(test\)\]/ { nextfile } /(Cfg|CallGraph)::build\(|\.ancestry\(/ { print FILENAME ":" FNR ": " $0 }')
 if [ -n "$index_hits" ]; then
-  echo "non-test CFG or call-graph builds outside crates/bytecode:" >&2
+  echo "non-test CFG or call-graph builds or ancestry walks outside crates/bytecode:" >&2
   echo "$index_hits" >&2
   exit 1
 fi

@@ -151,9 +151,11 @@ impl LintReport {
 /// name repeats. (Missing names are fine — the VM appends them in
 /// declared order.)
 pub fn is_own_layer_order(repo: &Repo, class: ClassId, order: &[StrId]) -> bool {
-    let own: HashSet<StrId> = repo.class(class).props.iter().map(|p| p.name).collect();
+    let own = repo.class_facts(class).own_slots();
     let mut seen = HashSet::new();
-    order.iter().all(|s| own.contains(s) && seen.insert(*s))
+    order
+        .iter()
+        .all(|n| own.iter().any(|s| s.name == *n) && seen.insert(*n))
 }
 
 /// Where a check reports each failure it finds: the lint formats it into

@@ -4,11 +4,16 @@
 //! VM, the profile collector, the JIT, the fleet model, the linter and
 //! the stale-profile repair derive from a function's code is the same for
 //! the life of the release. The repo derives each function's
-//! [`FuncFacts`] once, on first read ([`Repo::facts`]), and the whole-repo
-//! call graph likewise ([`Repo::call_graph`]).
+//! [`FuncFacts`] and each class's [`ClassFacts`] once, on first read
+//! ([`Repo::facts`], [`Repo::class_facts`]), and the whole-repo call graph
+//! likewise ([`Repo::call_graph`]).
+
+use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::cfg::{fnv_str, Cfg};
-use crate::ids::FuncId;
+use crate::ids::{ClassId, FuncId, StrId};
+use crate::literal::Literal;
 use crate::repo::Repo;
 
 /// What the release index holds for one function.
@@ -41,12 +46,88 @@ impl FuncFacts {
     }
 }
 
+/// One property slot of a class's logical layout.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PropSlot {
+    /// The property's name.
+    pub name: StrId,
+    /// The class that declares it: the slot's layer.
+    pub class: ClassId,
+    /// The value an object of the class starts with in this slot: the
+    /// default of the most derived declaration of the name, so a
+    /// redeclared property starts equal in every layer that declares it.
+    pub default: Literal,
+}
+
+/// What the release index holds for one class: its layers (paper §V-C:
+/// properties are reordered "only within each layer of the class
+/// hierarchy"), fixed for the release.
+#[derive(Debug, PartialEq)]
+pub struct ClassFacts {
+    /// The class and its ancestors, the root first.
+    pub ancestry: Vec<ClassId>,
+    /// Every property slot in logical order: each layer's declared
+    /// properties in source order, the root's layer first. A property a
+    /// subclass redeclares has a slot in each declaring layer.
+    pub slots: Vec<PropSlot>,
+    /// The class's own layer, as a range of [`ClassFacts::slots`]: always
+    /// the last one.
+    pub own: Range<usize>,
+    /// The resolved method table, by bare method name: inherited methods
+    /// included, overrides applied.
+    pub methods: HashMap<StrId, FuncId>,
+}
+
+impl ClassFacts {
+    /// The slots of the class's own layer.
+    pub fn own_slots(&self) -> &[PropSlot] {
+        &self.slots[self.own.clone()]
+    }
+
+    /// Extends the parent's facts, read from the index, by the class's
+    /// own layer.
+    pub(crate) fn derive(repo: &Repo, id: ClassId) -> ClassFacts {
+        let class = repo.class(id);
+        let (mut ancestry, mut slots, mut methods) = match class.parent {
+            Some(p) => {
+                let parent = repo.class_facts(p);
+                (
+                    parent.ancestry.clone(),
+                    parent.slots.clone(),
+                    parent.methods.clone(),
+                )
+            }
+            None => (Vec::new(), Vec::new(), HashMap::new()),
+        };
+        ancestry.push(id);
+        let start = slots.len();
+        for p in &class.props {
+            for s in slots.iter_mut().filter(|s| s.name == p.name) {
+                s.default = p.default;
+            }
+            slots.push(PropSlot {
+                name: p.name,
+                class: id,
+                default: p.default,
+            });
+        }
+        methods.extend(class.methods.iter().copied());
+        ClassFacts {
+            ancestry,
+            own: start..slots.len(),
+            slots,
+            methods,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::FuncBuilder;
     use crate::instr::{BinOp, Builtin, Instr};
-    use crate::literal::{LitArray, Literal};
+    use crate::literal::LitArray;
+    use crate::program::Visibility;
     use crate::repo::RepoBuilder;
 
     /// A repo whose functions hold every instruction and literal kind the
@@ -125,5 +206,129 @@ mod tests {
         let main = repo.func_by_name("main").unwrap().id;
         assert!(std::ptr::eq(repo.facts(main), repo.facts(main)));
         assert!(std::ptr::eq(repo.call_graph(), repo.call_graph()));
+    }
+
+    /// `Top { a, b }` with methods `f`, `g`; `Mid extends Top { c }`
+    /// overriding `g`; `Low extends Mid { a, d }` redeclaring `a` and
+    /// overriding `f`; and a lone `Solo { a, a }` declaring `a` twice.
+    fn class_repo() -> Repo {
+        let mut b = RepoBuilder::new();
+        let u = b.declare_unit("classes.hl");
+        let s = b.intern("low");
+        let prop = |n: &str, d| (n.to_owned(), d, Visibility::Public);
+        let top = b.declare_class(
+            u,
+            "Top",
+            None,
+            vec![prop("a", Literal::Int(1)), prop("b", Literal::Null)],
+        );
+        let mid = b.declare_class(u, "Mid", Some(top), vec![prop("c", Literal::Bool(true))]);
+        let low = b.declare_class(
+            u,
+            "Low",
+            Some(mid),
+            vec![prop("a", Literal::Str(s)), prop("d", Literal::Float(0.5))],
+        );
+        b.declare_class(
+            u,
+            "Solo",
+            None,
+            vec![prop("a", Literal::Int(1)), prop("a", Literal::Int(2))],
+        );
+        for (class, name) in [
+            (top, "Top::f"),
+            (top, "Top::g"),
+            (mid, "Mid::g"),
+            (low, "Low::f"),
+        ] {
+            let mut m = FuncBuilder::new(name, 0);
+            m.emit(Instr::Null);
+            m.emit(Instr::Ret);
+            b.define_method(u, class, m);
+        }
+        b.finish()
+    }
+
+    /// Derives a class's facts by walking `Class::parent`, `props` and
+    /// `methods` by hand.
+    fn walk(repo: &Repo, id: ClassId) -> ClassFacts {
+        let mut ancestry = vec![id];
+        while let Some(p) = repo.class(*ancestry.last().unwrap()).parent {
+            ancestry.push(p);
+        }
+        ancestry.reverse();
+        let mut slots = Vec::new();
+        let mut defaults = HashMap::new();
+        let mut methods = HashMap::new();
+        for &c in &ancestry {
+            for p in &repo.class(c).props {
+                slots.push(PropSlot {
+                    name: p.name,
+                    class: c,
+                    default: p.default,
+                });
+                defaults.insert(p.name, p.default);
+            }
+            for &(name, f) in &repo.class(c).methods {
+                methods.insert(name, f);
+            }
+        }
+        for s in &mut slots {
+            s.default = defaults[&s.name];
+        }
+        let own = slots.len() - repo.class(id).props.len()..slots.len();
+        ClassFacts {
+            ancestry,
+            slots,
+            own,
+            methods,
+        }
+    }
+
+    #[test]
+    fn class_facts_equal_a_fresh_derivation() {
+        for repo in [sample_repo(), class_repo()] {
+            for class in repo.classes() {
+                let name = repo.str(class.name);
+                assert_eq!(repo.class_facts(class.id), &walk(&repo, class.id), "{name}");
+            }
+        }
+        let repo = class_repo();
+        let low = repo.class_by_name("Low").unwrap().id;
+        let facts = repo.class_facts(low);
+        let name = |s: &PropSlot| repo.str(s.name);
+        let names: Vec<&str> = facts.slots.iter().map(name).collect();
+        assert_eq!(names, ["a", "b", "c", "a", "d"]);
+        let own: Vec<&str> = facts.own_slots().iter().map(name).collect();
+        assert_eq!(own, ["a", "d"]);
+        // Both slots named `a` start with `Low`'s default.
+        let low_a = Literal::Str(repo.str_id("low").unwrap());
+        assert_eq!(facts.slots[0].default, low_a);
+        assert_eq!(facts.slots[3].default, low_a);
+    }
+
+    #[test]
+    fn methods_inherit_and_override() {
+        let repo = class_repo();
+        // Methods are not registered by name: find them by their full name.
+        let id = |n: &str| {
+            repo.funcs()
+                .iter()
+                .find(|f| repo.str(f.name) == n)
+                .map(|f| f.id)
+        };
+        let table = |c: &str| &repo.class_facts(repo.class_by_name(c).unwrap().id).methods;
+        let [f, g] = ["f", "g"].map(|n| repo.str_id(n).unwrap());
+        assert_eq!(table("Low").get(&f).copied(), id("Low::f"));
+        assert_eq!(table("Low").get(&g).copied(), id("Mid::g"));
+        assert_eq!(table("Mid").get(&f).copied(), id("Top::f"));
+        assert_eq!(table("Top").get(&g).copied(), id("Top::g"));
+    }
+
+    #[test]
+    fn class_facts_are_derived_once() {
+        let repo = class_repo();
+        let low = repo.class_by_name("Low").unwrap().id;
+        assert!(std::ptr::eq(repo.class_facts(low), repo.class_facts(low)));
     }
 }

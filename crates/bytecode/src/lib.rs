@@ -10,9 +10,10 @@
 //! * [`Repo`] / [`RepoBuilder`] — the whole-program container with interned
 //!   strings and literal arrays (the "repo global data" that Jump-Start
 //!   preloads, paper §IV-B category 1),
-//! * [`FuncFacts`] / [`CallGraph`] — the release index a repo derives on
-//!   first read: each function's CFG, block hashes and name hash, and the
-//!   whole-repo static call graph,
+//! * [`FuncFacts`] / [`ClassFacts`] / [`CallGraph`] — the release index a
+//!   repo derives on first read: each function's CFG, block hashes and
+//!   name hash, each class's layers and method table, and the whole-repo
+//!   static call graph,
 //! * [`FuncBuilder`] — convenient construction with labels and patching,
 //! * [`verify_repo`] — a structural verifier (jump targets, stack discipline),
 //! * [`disasm_func`] — a textual disassembler for debugging.
@@ -51,7 +52,7 @@ pub use callgraph::CallGraph;
 pub use cfg::{fnv_str, BlockId, Cfg, CfgBlock, Fnv};
 pub use disasm::{disasm_func, disasm_unit};
 pub use ids::{ClassId, FuncId, LitArrId, Local, StrId, UnitId};
-pub use index::FuncFacts;
+pub use index::{ClassFacts, FuncFacts, PropSlot};
 pub use instr::{BinOp, Builtin, Instr, UnOp};
 pub use literal::{LitArray, Literal};
 pub use program::{Class, Func, PropDecl, Unit, Visibility};

@@ -8,7 +8,7 @@ use crate::builder::FuncBuilder;
 use crate::callgraph::CallGraph;
 use crate::cfg::fnv_str;
 use crate::ids::{ClassId, FuncId, LitArrId, StrId, UnitId};
-use crate::index::FuncFacts;
+use crate::index::{ClassFacts, FuncFacts};
 use crate::literal::{LitArray, Literal};
 use crate::program::{Class, Func, PropDecl, Unit, Visibility};
 
@@ -46,9 +46,9 @@ impl std::error::Error for RepoError {}
 ///
 /// A `Repo` is cheap to share across simulated servers (it is deployed to
 /// the whole fleet, paper §II-A) behind an `Arc`. It carries the release
-/// index ([`Repo::facts`], [`Repo::call_graph`],
-/// [`Repo::func_by_name_hash`]): facts derived from the
-/// code on first read and shared by every reader, on any thread.
+/// index ([`Repo::facts`], [`Repo::class_facts`], [`Repo::call_graph`],
+/// [`Repo::func_by_name_hash`]): facts derived from the code on first
+/// read and shared by every reader, on any thread.
 #[derive(Debug)]
 pub struct Repo {
     strings: Vec<String>,
@@ -60,6 +60,7 @@ pub struct Repo {
     func_names: HashMap<StrId, FuncId>,
     class_names: HashMap<StrId, ClassId>,
     facts: Box<[OnceLock<FuncFacts>]>,
+    class_facts: Box<[OnceLock<ClassFacts>]>,
     call_graph: OnceLock<CallGraph>,
     by_name_hash: OnceLock<HashMap<u64, Option<FuncId>>>,
 }
@@ -112,6 +113,17 @@ impl Repo {
     /// Panics if `id` was not produced by this repo.
     pub fn facts(&self, id: FuncId) -> &FuncFacts {
         self.facts[id.index()].get_or_init(|| FuncFacts::derive(self, id))
+    }
+
+    /// The release index's facts of a class: its ancestry, logical
+    /// property layout with defaults, own layer and resolved method
+    /// table, derived on the first read (the ancestors' first).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not produced by this repo.
+    pub fn class_facts(&self, id: ClassId) -> &ClassFacts {
+        self.class_facts[id.index()].get_or_init(|| ClassFacts::derive(self, id))
     }
 
     /// The whole-repo static call graph, built on the first read.
@@ -171,22 +183,6 @@ impl Repo {
     /// Total bytecode bytes across all functions (drives Fig. 1's scale).
     pub fn total_bytecode_bytes(&self) -> usize {
         self.funcs.iter().map(Func::bytecode_bytes).sum()
-    }
-
-    /// Walks `class` and its ancestors, outermost ancestor first.
-    ///
-    /// Property layout concatenates each layer's properties in this order so
-    /// that subtyping is honored (paper §V-C: "only reorders properties
-    /// within each layer of the class hierarchy").
-    pub fn ancestry(&self, class: ClassId) -> Vec<ClassId> {
-        let mut chain = Vec::new();
-        let mut cur = Some(class);
-        while let Some(c) = cur {
-            chain.push(c);
-            cur = self.class(c).parent;
-        }
-        chain.reverse();
-        chain
     }
 }
 
@@ -374,6 +370,7 @@ impl RepoBuilder {
         self.errors.clear();
         Ok(Repo {
             facts: self.funcs.iter().map(|_| OnceLock::new()).collect(),
+            class_facts: self.classes.iter().map(|_| OnceLock::new()).collect(),
             call_graph: OnceLock::new(),
             by_name_hash: OnceLock::new(),
             strings: self.strings,
@@ -452,6 +449,6 @@ mod tests {
         let base = b.declare_class(u, "Base", None, vec![]);
         let derived = b.declare_class(u, "Derived", Some(base), vec![]);
         let repo = b.finish();
-        assert_eq!(repo.ancestry(derived), vec![base, derived]);
+        assert_eq!(repo.class_facts(derived).ancestry, vec![base, derived]);
     }
 }

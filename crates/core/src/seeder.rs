@@ -239,9 +239,12 @@ fn own_layer_counts(repo: &Repo, tier: &TierProfile) -> HashMap<(ClassId, StrId)
             if receiver.index() >= repo.classes().len() {
                 continue;
             }
-            for k in repo.ancestry(receiver) {
-                if repo.class(k).props.iter().any(|p| p.name == *prop) {
-                    *out.entry((k, *prop)).or_insert(0) += count;
+            // One count per declaring layer, however often it declares it.
+            let mut last = None;
+            for s in &repo.class_facts(receiver).slots {
+                if s.name == *prop && last != Some(s.class) {
+                    *out.entry((s.class, *prop)).or_insert(0) += count;
+                    last = Some(s.class);
                 }
             }
         }
@@ -491,13 +494,15 @@ mod tests {
         }
         let (tier, _) = tally.col.finish();
 
-        // The tally attributed up each receiver's ancestry, by hand.
+        // The tally attributed up each receiver's parent chain, by hand.
         let mut expect: HashMap<(ClassId, StrId), u64> = HashMap::new();
         for (&(receiver, prop), &count) in &tally.counts {
-            for k in repo.ancestry(receiver) {
-                if repo.class(k).props.iter().any(|p| p.name == prop) {
-                    *expect.entry((k, prop)).or_insert(0) += count;
+            let mut k = Some(receiver);
+            while let Some(c) = k {
+                if repo.class(c).props.iter().any(|p| p.name == prop) {
+                    *expect.entry((c, prop)).or_insert(0) += count;
                 }
+                k = repo.class(c).parent;
             }
         }
         let got = own_layer_counts(&repo, &tier);

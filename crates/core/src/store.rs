@@ -26,7 +26,7 @@ use bytes::Bytes;
 use rand::rngs::SmallRng;
 use rand::Rng;
 
-use crate::chunk::{chunk_package, ChunkPool, Manifest};
+use crate::chunk::{chunk_package, ChunkPool, ChunkedPackage, Manifest};
 use crate::package::{PackageMeta, ProfilePackage};
 
 /// A published package: serialized bytes plus a meta summary and the
@@ -138,7 +138,15 @@ impl PackageStore {
         pkg: &ProfilePackage,
         repo_funcs: usize,
     ) -> (u64, PublishReceipt) {
-        let cp = chunk_package(pkg, repo_funcs);
+        self.insert_chunked(pkg.meta, chunk_package(pkg, repo_funcs))
+    }
+
+    /// Stores a package already cut by [`chunk_package`] (its `meta` as
+    /// published), deduplicating against the cell's pool: what
+    /// [`PackageStore::publish_chunked`] does after cutting. Ids are
+    /// assigned in call order, so a caller that chunks packages in
+    /// parallel inserts them in the order it wants them numbered.
+    pub fn insert_chunked(&self, meta: PackageMeta, cp: ChunkedPackage) -> (u64, PublishReceipt) {
         let mut receipt = PublishReceipt {
             chunks_total: cp.chunks.len(),
             manifest_bytes: cp.manifest.wire_len() as u64,
@@ -146,7 +154,7 @@ impl PackageStore {
         };
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let mut inner = self.write();
-        let cell = inner.entry((pkg.meta.region, pkg.meta.bucket)).or_default();
+        let cell = inner.entry((meta.region, meta.bucket)).or_default();
         for c in &cp.chunks {
             receipt.bytes_total += c.bytes.len() as u64;
             if cell.pool.insert(c) {
@@ -162,7 +170,7 @@ impl PackageStore {
         cell.packages.push(Arc::new(StoredPackage {
             id,
             bytes: cp.sealed,
-            meta: pkg.meta,
+            meta,
             manifest: Some(Arc::new(cp.manifest)),
         }));
         (id, receipt)

@@ -4,6 +4,7 @@
 
 use bytecode::Instr;
 use jit::{CodeCache, CodeCacheConfig, Executor, ExecutorConfig, ProfileCollector};
+use layout::LayoutPlanOptions;
 use vm::{Value, Vm};
 
 const SHAPES: usize = 8;
@@ -35,7 +36,7 @@ fn independently_collected_profiles_replay_identically() {
     let code = &repo.func(main).code;
     let is_method_call = |i: &Instr| matches!(i, Instr::CallMethod { .. });
     let site = code.iter().position(is_method_call).unwrap() as u32;
-    let cache = CodeCache::new(CodeCacheConfig::default());
+    let cache = CodeCache::with_plan(CodeCacheConfig::default(), LayoutPlanOptions::disabled());
     let reports: Vec<_> = (0..4)
         .map(|_| {
             let mut vm = Vm::new(&repo);

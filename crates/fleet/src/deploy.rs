@@ -12,12 +12,12 @@
 //! 1. **C2 seeding.** As in the paper, every cell has its own seeders.
 //!    Each (release, region, bucket, seeder) job rolls its [`FaultPlan`]
 //!    faults (a crashed or an undersampled seeder), profiles its cell's
-//!    traffic, builds a package and validates it. A prior release's
-//!    seeders (into a shadow store: the consumers' chunk cache) follow
-//!    the pushed release's in one job list. The orchestrator publishes
-//!    each package, or counts each failure, once every earlier job's is:
-//!    package ids, chunk dedup and every cell's package order are those
-//!    of a one-at-a-time run.
+//!    traffic, builds a package, validates it and cuts it into chunks. A
+//!    prior release's seeders (into a shadow store: the consumers' chunk
+//!    cache) follow the pushed release's in one job list. The
+//!    orchestrator inserts each package into the store, or counts each
+//!    failure, once every earlier job's is: package ids, chunk dedup and
+//!    every cell's package order are those of a one-at-a-time run.
 //! 2. **Per-cell inputs, once.** One job per (region, bucket) cell
 //!    prepares its consumer-side inputs: the request mix, the measured
 //!    [`AppModel`], every published package decoded once and priced on
@@ -67,7 +67,8 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use jit::JitOptions;
 use jumpstart::chunk::ChunkPool;
 use jumpstart::{
-    build_package, JumpStartOptions, PackageStore, ProfilePackage, SeederInputs, Validator,
+    build_package, chunk_package, JumpStartOptions, PackageStore, ProfilePackage, SeederInputs,
+    Validator,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -804,11 +805,12 @@ fn run_seeder(
 }
 
 /// C2 for every release in `releases` (the pushed one first) as one job
-/// list: each cell's seeders profile their traffic, validate, and publish
-/// chunked into their release's store in (release, region, bucket,
-/// seeder) order. A prior release is seeded with the same params: the
-/// same seeder fleet against the old code, which is exactly the chunk
-/// cache a consumer holds. Returns the pushed release's counters.
+/// list: each cell's seeders profile their traffic, validate and chunk
+/// their package, which the calling thread inserts into their release's
+/// store in (release, region, bucket, seeder) order. A prior release is
+/// seeded with the same params: the same seeder fleet against the old
+/// code, which is exactly the chunk cache a consumer holds. Returns the
+/// pushed release's counters.
 fn seed_stores(params: &DeployParams, releases: &[(&App, &PackageStore)]) -> SeedOutcome {
     let _seed_span = telemetry::span!("c2-seeding", "cells" => params.cells() as u64);
     let validator = Validator::new(params.js_opts, params.jit_opts);
@@ -823,17 +825,22 @@ fn seed_stores(params: &DeployParams, releases: &[(&App, &PackageStore)]) -> See
         jobs.len(),
         params.fleet.shards as usize,
         |j| {
+            // Serializing and chunking need no order; only the store
+            // insert (which numbers packages and dedups chunks) does.
             let (r, seeder) = jobs[j];
-            (r, run_seeder(releases[r].0, params, &validator, seeder))
+            let app = releases[r].0;
+            let seeded = run_seeder(app, params, &validator, seeder)
+                .map(|pkg| (pkg.meta, chunk_package(&pkg, app.repo.funcs().len())));
+            (r, seeded)
         },
         |(r, seeded)| {
-            let ((app, store), out) = (releases[r], &mut outs[r]);
+            let (store, out) = (releases[r].1, &mut outs[r]);
             match seeded {
                 Err(SeederFailure::Crashed) => out.seeder_crashes += 1,
                 Err(SeederFailure::Rejected) => out.validation_failures += 1,
-                Ok(pkg) => {
-                    let _span = telemetry::span!("publish", "seeder" => pkg.meta.seeder_id);
-                    let (_, receipt) = store.publish_chunked(&pkg, app.repo.funcs().len());
+                Ok((meta, chunked)) => {
+                    let _span = telemetry::span!("publish", "seeder" => meta.seeder_id);
+                    let (_, receipt) = store.insert_chunked(meta, chunked);
                     out.publish_bytes_total += receipt.bytes_total;
                     out.publish_bytes_new += receipt.bytes_new;
                     out.published += 1;

@@ -133,15 +133,10 @@ pub struct CodeCache {
 }
 
 impl CodeCache {
-    /// Creates an empty cache with the given capacities and the global
-    /// layout passes *off* (historical placement). Regions are placed far
-    /// apart so they never share pages.
-    pub fn new(config: CodeCacheConfig) -> Self {
-        Self::with_plan(config, LayoutPlanOptions::disabled())
-    }
-
     /// Creates an empty cache placing optimized code through the given
-    /// global layout plan options.
+    /// global layout plan options ([`LayoutPlanOptions::disabled`] for the
+    /// historical placement). Regions are placed far apart so they never
+    /// share pages.
     pub fn with_plan(config: CodeCacheConfig, plan: LayoutPlanOptions) -> Self {
         Self {
             hot: Region::new(0x1000_0000, config.hot_capacity),
@@ -348,7 +343,7 @@ impl CodeCache {
 
 impl Default for CodeCache {
     fn default() -> Self {
-        Self::new(CodeCacheConfig::default())
+        Self::with_plan(CodeCacheConfig::default(), LayoutPlanOptions::disabled())
     }
 }
 
@@ -483,10 +478,11 @@ mod tests {
 
     #[test]
     fn regions_fill_and_reject() {
-        let mut cc = CodeCache::new(CodeCacheConfig {
+        let config = CodeCacheConfig {
             hot_capacity: 40,
             cold_capacity: 40,
-        });
+        };
+        let mut cc = CodeCache::with_plan(config, LayoutPlanOptions::disabled());
         // Each unit(_,3) is ~3*(4*3+5) bytes > 40: rejected.
         let u = unit(2, 3);
         let order: Vec<usize> = (0..3).collect();

@@ -86,12 +86,7 @@ impl DataSpace {
         let slot_counts = repo
             .classes()
             .iter()
-            .map(|c| {
-                repo.ancestry(c.id)
-                    .iter()
-                    .map(|&a| repo.class(a).props.len())
-                    .sum::<usize>() as u16
-            })
+            .map(|c| repo.class_facts(c.id).slots.len() as u16)
             .collect();
         let mut ds = Self {
             obj_counter: vec![0; repo.classes().len()],
@@ -593,6 +588,7 @@ mod tests {
     use crate::code_cache::CodeCacheConfig;
     use crate::profile::ProfileCollector;
     use crate::translate::{translate_optimized, InlineParams, WeightSource};
+    use layout::LayoutPlanOptions;
     use vm::{Value, Vm};
 
     fn setup(
@@ -636,10 +632,12 @@ mod tests {
             &|_, _| None,
         );
         let order: Vec<usize> = (0..unit.blocks.len()).collect();
-        let mut cache = CodeCache::new(CodeCacheConfig::default());
+        let mut cache =
+            CodeCache::with_plan(CodeCacheConfig::default(), LayoutPlanOptions::disabled());
         assert!(cache.emit(unit, &order, &[]));
 
-        let empty_cache = CodeCache::new(CodeCacheConfig::default());
+        let empty_cache =
+            CodeCache::with_plan(CodeCacheConfig::default(), LayoutPlanOptions::disabled());
         let mut interp = Executor::new(&repo, &empty_cache, &tier, &ctx, ExecutorConfig::default());
         let mut opt = Executor::new(&repo, &cache, &tier, &ctx, ExecutorConfig::default());
         for _ in 0..20 {

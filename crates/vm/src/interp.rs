@@ -760,8 +760,8 @@ impl<'r> Vm<'r> {
                 };
                 let class = obj.borrow().class;
                 let method = self
-                    .classes
-                    .resolve(self.repo, class)
+                    .repo
+                    .class_facts(class)
                     .methods
                     .get(&name)
                     .copied()

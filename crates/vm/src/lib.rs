@@ -7,9 +7,9 @@
 //!
 //! * [`Value`] — dynamic values (null, bool, int, float, string, vec, dict,
 //!   object),
-//! * [`ClassTable`] — runtime class resolution, including the *physical
-//!   property order* that the Jump-Start property-reordering optimization
-//!   installs (paper §V-C),
+//! * [`ClassTable`] — runtime class resolution: the *physical property
+//!   order* that the Jump-Start property-reordering optimization installs
+//!   (paper §V-C) over the repo's class layers ([`bytecode::ClassFacts`]),
 //! * [`Loader`] — lazy unit loading with a load-order log (the preload lists
 //!   of paper §IV-B category 1),
 //! * [`ExecObserver`] — instrumentation callbacks (block counters, branch
